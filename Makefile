@@ -39,9 +39,13 @@ race:
 short:
 	$(GO) test -short -timeout 5m ./...
 
-# Race-enabled quick loop: the short suite under the race detector.
+# Race-enabled quick loop: the short suite under the race detector, once
+# per scheduler width. The intra-task pool starts GOMAXPROCS-1 workers,
+# so at 1 it never runs (the CI box's default) and pool, scratch-sharing
+# and teardown bugs only show at 2 and above; -count=1 because the test
+# cache does not key on GOMAXPROCS.
 race-short:
-	$(GO) test -race -short -timeout 10m ./...
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -short -count=1 -timeout 10m ./... || exit 1; done
 
 # Data-plane benchmarks: the kv hot paths with allocation stats, the
 # engine-level shuffle/iteration benchmarks, then the JSON snapshot
@@ -53,11 +57,12 @@ bench:
 
 # One-iteration benchmark compile-and-run: catches bit-rot in every
 # benchmark without paying for steady-state timing. The alloc-budget
-# test then gates the pooled decode path: DecodePairsSlab must stay
-# within single-digit allocations per 4096-pair chunk.
+# tests then gate the two allocation-flat paths: DecodePairsSlab must
+# stay within single-digit allocations per 4096-pair chunk, and a warm
+# Grouper must group a same-sized input with none at all.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core
-	$(GO) test ./internal/kv -run TestDecodePairsAllocBudget -count=1 -timeout 2m
+	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs' -count=1 -timeout 2m
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.

@@ -441,6 +441,13 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 		pairWorker: make([]string, n),
 		auxWorker:  make([]string, auxN),
 	}
+	// The pool is owned here, where it is created: every return below —
+	// a rejected manifest, a failed partition write, a failed spawn, the
+	// end of the run — releases its workers. This defer runs after the
+	// task teardown registered further down, so on a clean return the
+	// tasks are already joined and the workers idle; a failed run may
+	// leave a shard wedged inside a user function, hence the grace.
+	defer run.pool.stop(500 * time.Millisecond)
 	if run.outputPath == "" {
 		run.outputPath = "/_imr/" + job.Name + "/output"
 	}
@@ -580,13 +587,10 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 		// hold a task wedged inside a user function (that is how silence
 		// timeouts arise), so the error path waits only a short grace
 		// before abandoning the stragglers, as the engine always has.
-		// The pair-loop pool stops first: a straggler that still submits
-		// shards just runs them inline (runShards never blocks on the
-		// pool), and its workers are joined after the tasks so no
-		// run-owned goroutine survives a clean return.
-		run.pool.close()
+		// (A straggler that still submits shards after the pool stops just
+		// runs them inline: runShards never blocks on the pool.)
 		joined := make(chan struct{})
-		go func() { tasks.wg.Wait(); run.pool.join(); close(joined) }()
+		go func() { tasks.wg.Wait(); close(joined) }()
 		if runErr == nil {
 			<-joined
 			return

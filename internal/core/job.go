@@ -48,6 +48,12 @@ type MapFunc func(key, state, static any, emit kv.Emit) error
 // ReduceFunc is the iMapReduce reduce interface (§3.5): the input values
 // are state data only (static data never reaches reduce), and the return
 // value is the key's new state.
+//
+// The states slice is a window of the task's grouping scratch, reused
+// for the next iteration's groups: a reduce may read it, reorder it and
+// keep any of its elements, but must not retain the slice itself past
+// its return (Hadoop's contract for the values iterator). Copy it to
+// keep it.
 type ReduceFunc func(key any, states []any) (any, error)
 
 // DistFunc measures a key's change between consecutive iterations
@@ -95,7 +101,8 @@ type Job struct {
 	// Combine, if set, aggregates each outgoing shuffle chunk per key on
 	// the map side before it is sent — Hadoop's Combiner, which the
 	// paper applies to K-means (§5.1.3) to cut shuffle volume. Its
-	// output values must be acceptable reduce inputs.
+	// output values must be acceptable reduce inputs. Like a ReduceFunc,
+	// it must not retain the values slice past its return.
 	Combine func(key any, values []any) (any, error)
 	// Distance enables distance-based termination
 	// (mapred.iterjob.disthresh); may be nil when only MaxIter is used.

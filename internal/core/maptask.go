@@ -55,6 +55,12 @@ type mapTask struct {
 	// command was already obeyed, making duplicated cmdGo a no-op.
 	seq       int64
 	loadedGen int
+	// Task-lifetime scratch, reused every iteration and released with the
+	// task: the combiner's grouping kernel and the sharded loops' emit
+	// rows. Only the task goroutine touches grouper; emits rows are
+	// written by the pool's shards inside runSharded.
+	grouper kv.Grouper
+	emits   shardedEmits
 	// idleAt marks when the task last went idle; set only when tracing,
 	// it anchors the per-iteration wait span. Compute spans emitted for
 	// streamed chunks inside the window are carved out of the wait by
@@ -308,8 +314,8 @@ func (t *mapTask) tryComplete() {
 // identical to the serial loop's (contiguous shards, merged in order).
 func (t *mapTask) process(iter int, pairs []kv.Pair) {
 	start := time.Now()
-	if shards := t.run.pool.shardsFor(len(pairs)); shards > 1 {
-		err := t.runSharded(iter, shards, len(pairs), func(lo, hi int, em kv.Emit) error {
+	if t.run.pool.shardsFor(len(pairs)) > 1 {
+		err := t.runSharded(iter, len(pairs), func(lo, hi int, em kv.Emit) error {
 			return t.mapRange(pairs[lo:hi], em)
 		})
 		if err != nil {
@@ -343,8 +349,8 @@ func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
 func (t *mapTask) processBroadcast(iter int, statePairs []kv.Pair) {
 	start := time.Now()
 	t.job.Ops.SortPairs(statePairs) // deterministic state order across runs
-	if shards := t.run.pool.shardsFor(len(t.staticPairs)); shards > 1 {
-		err := t.runSharded(iter, shards, len(t.staticPairs), func(lo, hi int, em kv.Emit) error {
+	if t.run.pool.shardsFor(len(t.staticPairs)) > 1 {
+		err := t.runSharded(iter, len(t.staticPairs), func(lo, hi int, em kv.Emit) error {
 			return t.broadcastRange(t.staticPairs[lo:hi], statePairs, em)
 		})
 		if err != nil {
@@ -370,41 +376,48 @@ func (t *mapTask) broadcastRange(static, statePairs []kv.Pair, em kv.Emit) error
 	return nil
 }
 
-// runSharded splits an n-record map loop into contiguous shards run on
-// the pool, each emitting into its own buffers, then merges the shards'
-// output in order through the regular buffered send path — so chunk
-// contents and boundaries are exactly the serial loop's. The user map
-// must be safe to call concurrently (Options.Parallelism).
-func (t *mapTask) runSharded(iter, shards, n int, body func(lo, hi int, em kv.Emit) error) error {
-	se := newShardedEmits(shards, t.numReduce)
-	errs := make([]error, shards)
+// runSharded runs an n-record map loop in windows of shardWindowPairs
+// records. Each window splits into contiguous shards run on the pool,
+// each emitting into its own rows of t.emits; the rows are then merged
+// in shard order through the regular buffered send path before the next
+// window starts. Every partition therefore sees its records in exactly
+// the serial loop's order, and chunk contents and boundaries are the
+// serial loop's whatever the window and shard counts. The user map must
+// be safe to call concurrently (Options.Parallelism).
+func (t *mapTask) runSharded(iter, n int, body func(lo, hi int, em kv.Emit) error) error {
 	part := func(k any) int { return t.job.Ops.Partition(k, t.numReduce) }
-	t.run.pool.runShards(shards, func(sh int) {
-		lo, hi := shardRange(n, shards, sh)
-		errs[sh] = body(lo, hi, se.emit(sh, part))
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for r := 0; r < t.numReduce; r++ {
-		se.forPartition(r, func(ps []kv.Pair) {
-			for len(ps) > 0 {
-				if t.outBuf[r] == nil {
-					t.outBuf[r] = make([]kv.Pair, 0, t.bufThresh)
-				}
-				take := t.bufThresh - len(t.outBuf[r])
-				if take > len(ps) {
-					take = len(ps)
-				}
-				t.outBuf[r] = append(t.outBuf[r], ps[:take]...)
-				ps = ps[take:]
-				if len(t.outBuf[r]) >= t.bufThresh {
-					t.sendShuffle(iter, r, false)
-				}
-			}
+	se := &t.emits
+	errs := make([]error, t.run.pool.shardsFor(min(n, shardWindowPairs)))
+	for base := 0; base < n; base += shardWindowPairs {
+		w := min(shardWindowPairs, n-base)
+		shards := t.run.pool.shardsFor(w) // the last window may be narrower
+		se.size(shards)
+		t.run.pool.runShards(shards, func(sh int) {
+			lo, hi := shardRange(w, shards, sh)
+			errs[sh] = body(base+lo, base+hi, se.emit(sh, part))
 		})
+		for _, err := range errs[:shards] {
+			if err != nil {
+				se.recycle()
+				return err
+			}
+		}
+		for r := 0; r < t.numReduce; r++ {
+			se.forPartition(r, func(ps []kv.Pair) {
+				for len(ps) > 0 {
+					if t.outBuf[r] == nil {
+						t.outBuf[r] = make([]kv.Pair, 0, t.bufThresh)
+					}
+					take := min(t.bufThresh-len(t.outBuf[r]), len(ps))
+					t.outBuf[r] = append(t.outBuf[r], ps[:take]...)
+					ps = ps[take:]
+					if len(t.outBuf[r]) >= t.bufThresh {
+						t.sendShuffle(iter, r, false)
+					}
+				}
+			})
+		}
+		se.recycle()
 	}
 	return nil
 }
@@ -444,7 +457,8 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 	pairs := t.outBuf[r]
 	reused := false
 	if t.job.Combine != nil && len(pairs) > 1 {
-		groups := kv.GroupPairs(pairs, t.job.Ops)
+		groups := t.grouper.Group(pairs, t.job.Ops)
+		defer t.grouper.Reset()
 		if len(groups) < len(pairs) {
 			combined := make([]kv.Pair, 0, len(groups))
 			for _, g := range groups {

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"time"
 
 	"imapreduce/internal/kv"
 )
@@ -15,10 +16,16 @@ import (
 //
 // Sharding thresholds: tiny chunks are not worth the handoff. A pair
 // loop is sharded only when it has at least parallelMinPairs records,
-// and each shard gets at least parallelShardPairs of them.
+// and each shard gets at least parallelShardPairs of them. A map loop
+// longer than shardWindowPairs runs as a sequence of windows of that
+// many records, each sharded, merged and flushed before the next starts:
+// the shards' emit rows then hold one window's output instead of the
+// whole input's (a first-iteration self-load is a full partition), and
+// its chunks reach the reduces while later windows are still mapping.
 const (
 	parallelMinPairs   = 256
 	parallelShardPairs = 128
+	shardWindowPairs   = 1024
 )
 
 // workerPool runs closures on a fixed set of goroutines. Dispatch is
@@ -72,6 +79,25 @@ func (p *workerPool) close() {
 
 // join waits for the worker goroutines to exit; call after close.
 func (p *workerPool) join() { p.wg.Wait() }
+
+// stop closes the pool and waits for its workers to exit. Workers only
+// ever run task shards, so once the tasks are joined they are idle and
+// the wait is immediate; a worker wedged inside a user function (a
+// failed run abandons such tasks too) is given up on after grace.
+func (p *workerPool) stop(grace time.Duration) {
+	p.close()
+	if p.n < 2 {
+		return // no workers were started
+	}
+	exited := make(chan struct{})
+	go func() { p.join(); close(exited) }()
+	timer := time.NewTimer(grace)
+	defer timer.Stop()
+	select {
+	case <-exited:
+	case <-timer.C:
+	}
+}
 
 // shardsFor returns how many shards an n-pair loop should split into:
 // 1 (serial) unless the loop is big enough, then at most p.n and at
@@ -127,14 +153,20 @@ func (p *workerPool) runShards(shards int, fn func(shard int)) {
 // shardedEmits collects one emit buffer per (shard, reduce partition):
 // workers append into their own shard's row, the task goroutine merges
 // rows in shard order so the merged stream is byte-identical to the
-// serial loop's.
+// serial loop's. It belongs to one map task for the task's lifetime:
+// rows are emptied and refilled, not rebuilt, from one sharded loop to
+// the next.
 type shardedEmits struct {
 	bufs [][]kv.Pair // [shard][partition-interleaved] — see emit
 	nred int
 }
 
-func newShardedEmits(shards, nred int) *shardedEmits {
-	return &shardedEmits{bufs: make([][]kv.Pair, shards*nred), nred: nred}
+// size makes sure there is a row for every (shard, partition) of a
+// shards-wide loop.
+func (se *shardedEmits) size(shards int) {
+	if need := shards * se.nred; len(se.bufs) < need {
+		se.bufs = append(se.bufs, make([][]kv.Pair, need-len(se.bufs))...)
+	}
 }
 
 // emit returns the kv.Emit for one shard; partition fn is the job's.
@@ -153,5 +185,15 @@ func (se *shardedEmits) forPartition(r int, visit func(ps []kv.Pair)) {
 		if ps := se.bufs[s*se.nred+r]; len(ps) > 0 {
 			visit(ps)
 		}
+	}
+}
+
+// recycle empties every row after a merge, dropping the references to
+// the merged records. A row keeps the capacity of the largest window it
+// held, which runSharded's windows bound.
+func (se *shardedEmits) recycle() {
+	for i, row := range se.bufs {
+		clear(row)
+		se.bufs[i] = row[:0]
 	}
 }

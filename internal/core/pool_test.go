@@ -2,10 +2,20 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"imapreduce/internal/cluster"
+	"imapreduce/internal/dfs"
+	"imapreduce/internal/kv"
+	"imapreduce/internal/leaktest"
+	"imapreduce/internal/metrics"
+	"imapreduce/internal/transport"
 )
 
 var errBoom = errors.New("boom")
@@ -128,5 +138,120 @@ func TestParallelReduceErrorSurfaces(t *testing.T) {
 	}
 	if _, err := v.e.Run(job); err == nil {
 		t.Fatal("run succeeded despite reduce error")
+	}
+}
+
+// TestEarlyErrorReleasesPool pins the pool's ownership rule: a run that
+// fails before any task is spawned — no manifest to resume from, no
+// state file to partition — still stops the pool it created. Parallelism
+// is explicit so the pool has workers to strand even on a one-core box.
+func TestEarlyErrorReleasesPool(t *testing.T) {
+	defer leaktest.Check(t)()
+	v := newEnv(t, 2, Options{Parallelism: 4})
+	if _, err := v.e.Resume(halvingJob("pool-own", 4, 0)); err == nil {
+		t.Fatal("Resume with no manifest succeeded")
+	}
+	if _, err := v.e.Run(halvingJob("pool-own", 4, 0)); err == nil {
+		t.Fatal("Run with no state file succeeded")
+	}
+}
+
+// chunkLog is a transport.Network that records every shuffle chunk sent
+// through it, per (sender, receiver) stream, contents and boundaries.
+type chunkLog struct {
+	transport.Network
+	mu      sync.Mutex
+	streams map[string][]string
+}
+
+type chunkLogEndpoint struct {
+	transport.Endpoint
+	log *chunkLog
+}
+
+func (n *chunkLog) Endpoint(addr string) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(addr)
+	if err != nil {
+		return nil, err
+	}
+	return chunkLogEndpoint{ep, n}, nil
+}
+
+func (e chunkLogEndpoint) Send(to string, msg transport.Message) error {
+	if c, ok := msg.Payload.(shuffleChunk); ok {
+		stream := e.Addr() + ">" + to
+		e.log.mu.Lock()
+		e.log.streams[stream] = append(e.log.streams[stream], fmt.Sprintf("iter %d end %v %v", c.Iter, c.End, c.Pairs))
+		e.log.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, msg)
+}
+
+// TestWindowedShardingMatchesSerial runs a fan-out job whose map loops
+// span several sharding windows (the first iteration's self-load always,
+// every iteration under SyncMap) serially and on a four-wide pool, at a
+// small and a large BufferThreshold. For one threshold the two runs must
+// send every reduce the same chunks — same records, same order, same
+// boundaries; across all of them the output must be identical.
+func TestWindowedShardingMatchesSerial(t *testing.T) {
+	const n = 3*shardWindowPairs + 100
+	run := func(parallelism, bufThresh int, syncMap bool) (map[string][]string, map[int64]any) {
+		spec := cluster.Uniform(2)
+		m := metrics.NewSet()
+		fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
+		net := &chunkLog{Network: transport.NewChanNetwork(), streams: map[string][]string{}}
+		e, err := NewEngine(fs, net, spec, m, Options{Parallelism: parallelism, Timeout: 20 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := &env{e: e, fs: fs, m: m, spec: spec}
+		v.writeState(t, "/state", n)
+		job := &Job{
+			Name:      "windows",
+			StatePath: "/state",
+			// Integer-valued floats: the sums are exact, so the result does
+			// not depend on the order two maps' chunks reach a reduce.
+			Map: func(key, state, static any, emit kv.Emit) error {
+				k, s := key.(int64), state.(float64)
+				emit(k, 1.0)
+				emit((k+1)%n, s)
+				emit((7*k)%n, 2.0)
+				return nil
+			},
+			Reduce: func(key any, states []any) (any, error) {
+				var sum float64
+				for _, s := range states {
+					sum += s.(float64)
+				}
+				return sum, nil
+			},
+			MaxIter:         3,
+			NumTasks:        2,
+			SyncMap:         syncMap,
+			BufferThreshold: bufThresh,
+			Ops:             f64Ops(),
+		}
+		res, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.streams, v.readOutput(t, res.OutputPath)
+	}
+	var refOut map[int64]any
+	for _, syncMap := range []bool{false, true} {
+		for _, bufThresh := range []int{64, 4096} {
+			serial, serialOut := run(1, bufThresh, syncMap)
+			sharded, shardedOut := run(4, bufThresh, syncMap)
+			label := fmt.Sprintf("SyncMap %v BufferThreshold %d", syncMap, bufThresh)
+			if len(serial) != 4 || !reflect.DeepEqual(serial, sharded) {
+				t.Fatalf("%s: sharded run's shuffle chunks differ from the serial run's", label)
+			}
+			if refOut == nil {
+				refOut = serialOut
+			}
+			if len(refOut) != n || !reflect.DeepEqual(refOut, serialOut) || !reflect.DeepEqual(refOut, shardedOut) {
+				t.Fatalf("%s: output differs", label)
+			}
+		}
 	}
 }

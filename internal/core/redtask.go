@@ -68,7 +68,17 @@ type reduceTask struct {
 	// presize the next accumulator — iterative jobs move nearly the same
 	// record count every round.
 	lastIn int
-	prev   map[any]any
+	// Task-lifetime scratch, reused every iteration and released with the
+	// task: spare is the last finished iteration's (emptied) accumulator
+	// buffer, which the next new accumulator takes instead of allocating;
+	// grouper is the grouping kernel with its key index, values array and
+	// group headers; nvals the parallel reduce's result slots. All are
+	// sized by one iteration's input and hold no record references between
+	// iterations.
+	spare   []kv.Pair
+	grouper kv.Grouper
+	nvals   []any
+	prev    map[any]any
 	// feedMain gates loop-back delivery: once the iteration bound is
 	// reached the termination reduce stops feeding the next iteration,
 	// so the final state is exactly iteration MaxIter.
@@ -206,7 +216,11 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 	}
 	a := t.pend[c.Iter]
 	if a == nil {
-		a = &redAccum{pairs: make([]kv.Pair, 0, t.lastIn), seen: make(map[chunkKey]bool)}
+		a = &redAccum{pairs: t.spare, seen: make(map[chunkKey]bool)}
+		t.spare = nil
+		if a.pairs == nil {
+			a.pairs = make([]kv.Pair, 0, t.lastIn)
+		}
 		t.pend[c.Iter] = a
 	}
 	k := chunkKey{from: c.FromMap, seq: c.Seq}
@@ -248,6 +262,12 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 		}
 		t.lastIn = len(a.pairs)
 		t.finishIteration(t.iter, a.pairs)
+		// Nothing keeps the input past the reduce (groups reference the
+		// boxed records, not this slice): empty it and hand it to the next
+		// accumulator. Clearing matters — stale entries would pin the whole
+		// iteration's decode arenas until overwritten.
+		clear(a.pairs)
+		t.spare = a.pairs[:0]
 		delete(t.pend, t.iter)
 		t.iter++
 		if t.e.opts.Trace != nil {
@@ -261,7 +281,10 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 	start := time.Now()
 	t.feedMain = !(t.isTermination && t.job.MaxIter > 0 && iter >= t.job.MaxIter)
-	groups := kv.GroupPairs(pairs, t.job.Ops)
+	groups := t.grouper.Group(pairs, t.job.Ops)
+	// The groups live in the grouper's scratch: valid until this returns,
+	// then emptied so the scratch pins none of this iteration's records.
+	defer t.grouper.Reset()
 	t.e.opts.Trace.RecordSpan(trace.SpanSortGroup, t.worker, t.tid(), iter, start, time.Since(start))
 	// Large group sets run the user reduce across the pool first (the
 	// user function must be safe to call concurrently — see
@@ -270,7 +293,11 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 	// are identical to the all-serial path.
 	var nvals []any
 	if shards := t.run.pool.shardsFor(len(groups)); shards > 1 {
-		nvals = make([]any, len(groups))
+		if cap(t.nvals) < len(groups) {
+			t.nvals = make([]any, len(groups))
+		}
+		nvals = t.nvals[:len(groups)]
+		defer clear(nvals)
 		errs := make([]error, shards)
 		t.run.pool.runShards(shards, func(sh int) {
 			lo, hi := shardRange(len(groups), shards, sh)
@@ -290,7 +317,15 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 			}
 		}
 	}
-	out := make([]kv.Pair, 0, len(groups))
+	// The whole new state is kept only when something consumes it as a
+	// whole — a held loop-back or auxiliary copy, the master's auxiliary
+	// decision, a checkpoint due this iteration; otherwise it leaves in
+	// outBuf chunks alone.
+	ckptDue := t.isTermination && t.job.CheckpointEvery > 0 && iter%t.job.CheckpointEvery == 0
+	var out []kv.Pair
+	if t.gated || t.toMaster || ckptDue {
+		out = make([]kv.Pair, 0, len(groups))
+	}
 	var dist float64
 	for gi, g := range groups {
 		var ns any
@@ -311,7 +346,9 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 			}
 			t.prev[g.Key] = ns
 		}
-		out = append(out, kv.Pair{Key: g.Key, Value: ns})
+		if out != nil {
+			out = append(out, kv.Pair{Key: g.Key, Value: ns})
+		}
 		if !t.gated {
 			if t.outBuf == nil {
 				// flushStreaming hands the slice to the network, so each
@@ -351,7 +388,7 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 	if !t.isTermination {
 		return
 	}
-	if t.job.CheckpointEvery > 0 && iter%t.job.CheckpointEvery == 0 {
+	if ckptDue {
 		t.checkpoint(iter, out)
 	}
 	t.send(masterAddr(t.jobName), kindReport, reportMsg{

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"imapreduce/internal/core"
 	"imapreduce/internal/dfs"
 	"imapreduce/internal/jobs"
+	"imapreduce/internal/kv"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/transport"
 )
@@ -94,12 +96,12 @@ type workerProc struct {
 	err    error
 }
 
-func startWorker(t *testing.T, id, masterHP string) *workerProc {
+func startWorker(t *testing.T, id, masterHP string, build core.JobBuilder) *workerProc {
 	t.Helper()
 	host, err := core.NewWorkerHost(core.WorkerHostOptions{
 		ID:         id,
 		MasterAddr: masterHP,
-		Build:      jobs.Build,
+		Build:      build,
 		// Aggressive liveness so master-death tests converge quickly —
 		// but with margin for the race detector's scheduling drag.
 		PingInterval: 50 * time.Millisecond,
@@ -134,9 +136,16 @@ func (w *workerProc) stop(t *testing.T) {
 
 func startWorkers(t *testing.T, rm *remoteMaster) []*workerProc {
 	t.Helper()
+	return startWorkersBuilding(t, rm, jobs.Build)
+}
+
+// startWorkersBuilding is startWorkers with the workers' job builder
+// chosen by the test, so it can wrap the user functions they run.
+func startWorkersBuilding(t *testing.T, rm *remoteMaster, build core.JobBuilder) []*workerProc {
+	t.Helper()
 	ws := make([]*workerProc, remoteWorkers)
 	for i := range ws {
-		ws[i] = startWorker(t, fmt.Sprintf("worker-%d", i), rm.hp)
+		ws[i] = startWorker(t, fmt.Sprintf("worker-%d", i), rm.hp, build)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -407,7 +416,7 @@ func waitForManifest(t *testing.T, fs *dfs.DFS, jobName string, iter int) {
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("no manifest for %s at iter >= %d", jobName, iter)
+			t.Fatalf("no manifest for %s at iter >= %d (have %v)", jobName, iter, fs.List("/_imr/"+jobName+"/"))
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -421,7 +430,8 @@ func waitForManifest(t *testing.T, fs *dfs.DFS, jobName string, iter int) {
 // surviving workers, and -resume semantics (ResumeCtx) finish the run
 // from the last durable manifest with reference-identical output.
 func TestRemoteMasterRestartResume(t *testing.T) {
-	params := map[string]string{"name": "pr-mrestart", "nodes": "200", "maxiter": "8", "ckpt": "1", "tasks": "4"}
+	const nodes, freeIters = 200, 5
+	params := map[string]string{"name": "pr-mrestart", "nodes": strconv.Itoa(nodes), "maxiter": "8", "ckpt": "1", "tasks": "4"}
 	want := inProcessRun(t, "pagerank", params)
 
 	cfg, err := dfs.ImageInDir(t.TempDir())
@@ -441,7 +451,29 @@ func TestRemoteMasterRestartResume(t *testing.T) {
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatMisses:   5,
 	})
-	ws := startWorkers(t, rm1)
+	// The kill must land mid-run, after manifest 3 is durable. Checkpoints
+	// are written beside the iterations (§3.4.1), so a fast run could
+	// finish all 8 before that manifest commits. The workers' map therefore
+	// stops at a gate once freeIters iterations' worth of calls (one per
+	// node per iteration) have gone through, and the test opens the gate
+	// only after the kill: the run cannot pass iteration freeIters+1 first.
+	gate := make(chan struct{})
+	var mapCalls atomic.Int64
+	gatedBuild := func(key string, p map[string]string) (*core.Job, error) {
+		job, err := jobs.Build(key, p)
+		if err != nil {
+			return nil, err
+		}
+		userMap := job.Map
+		job.Map = func(k, state, static any, emit kv.Emit) error {
+			if mapCalls.Add(1) > nodes*freeIters {
+				<-gate
+			}
+			return userMap(k, state, static, emit)
+		}
+		return job, nil
+	}
+	ws := startWorkersBuilding(t, rm1, gatedBuild)
 	defer func() {
 		for _, w := range ws {
 			w.stop(t)
@@ -465,6 +497,7 @@ func TestRemoteMasterRestartResume(t *testing.T) {
 	if err := rm1.eng.Kill(); err != nil {
 		t.Fatal(err)
 	}
+	close(gate)
 	if err := <-runErr; !errors.Is(err, core.ErrKilled) {
 		t.Fatalf("killed run error = %v, want ErrKilled", err)
 	}

@@ -59,6 +59,7 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 			bufThresh: bufThreshOf(f.aux),
 			outBuf:    make([][]kv.Pair, f.auxN),
 			pend:      make(map[int]*mapAccum),
+			emits:     shardedEmits{nred: f.auxN},
 		}
 	}
 	p := f.phases[phase]
@@ -85,6 +86,7 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 		bufThresh: bufThreshOf(p),
 		outBuf:    make([][]kv.Pair, f.n),
 		pend:      make(map[int]*mapAccum),
+		emits:     shardedEmits{nred: f.n},
 	}
 }
 

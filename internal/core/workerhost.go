@@ -404,11 +404,12 @@ func (w *WorkerHost) teardownRun() {
 	for _, ep := range r.eps {
 		ep.Close()
 	}
-	// Stop the pair-loop pool first (stragglers fall back to inline
-	// shards), then join tasks and pool workers together.
-	r.run.pool.close()
+	// The pool goes with the run that created it, whichever way the
+	// task join ends: its workers are idle once the tasks are gone, and
+	// a straggler's later shards fall back to inline.
+	defer r.run.pool.stop(500 * time.Millisecond)
 	done := make(chan struct{})
-	go func() { r.wg.Wait(); r.run.pool.join(); close(done) }()
+	go func() { r.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):

@@ -58,10 +58,31 @@ func DefaultConfig() Config {
 type block struct {
 	recs     []kv.Pair // nil when spilled to disk
 	diskPath string    // non-empty when spilled
-	checksum uint32    // CRC-32 of the spilled encoding
+	// checksum is the CRC-32 of the block's gob encoding. spill records
+	// it from the bytes it writes; a memory-resident block computes it on
+	// first demand (sum) and keeps it — a committed block never changes,
+	// so spill, Checksum and every manifest share one encoding.
+	checksum uint32
+	sumOnce  sync.Once
+	sumErr   error
 	count    int
 	bytes    int64
 	replicas []string
+}
+
+// sum returns the CRC-32 of the block's gob encoding, identical for the
+// same records whether the block sits in memory or was spilled.
+func (b *block) sum() (uint32, error) {
+	b.sumOnce.Do(func() {
+		if b.diskPath != "" {
+			return // recorded by spill, or restored from the image
+		}
+		var buf bytes.Buffer
+		if b.sumErr = gob.NewEncoder(&buf).Encode(b.recs); b.sumErr == nil {
+			b.checksum = crc32.ChecksumIEEE(buf.Bytes())
+		}
+	})
+	return b.checksum, b.sumErr
 }
 
 // load returns the block's records, decoding from disk when spilled and
@@ -542,9 +563,9 @@ func (fs *DFS) Rename(oldPath, newPath string) error {
 
 // Checksum returns a CRC-32 over path's content: each block contributes
 // the CRC of its gob encoding (the stored spill checksum when the block
-// is on disk, a freshly computed one for memory-resident blocks — the
-// two are identical for the same records), and the file checksum chains
-// the per-block CRCs in block order. Replica placement does not affect
+// is on disk, one computed on first use and memoised for a
+// memory-resident block — the two are identical for the same records),
+// and the file checksum chains the per-block CRCs in block order. Replica placement does not affect
 // the result, so a checksum recorded in a manifest stays valid across
 // datanode failures and re-replication.
 func (fs *DFS) Checksum(path string) (uint32, error) {
@@ -559,13 +580,9 @@ func (fs *DFS) Checksum(path string) (uint32, error) {
 
 	var acc []byte
 	for _, b := range blocks {
-		sum := b.checksum
-		if b.diskPath == "" {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(b.recs); err != nil {
-				return 0, fmt.Errorf("dfs: checksum %s: %w", path, err)
-			}
-			sum = crc32.ChecksumIEEE(buf.Bytes())
+		sum, err := b.sum()
+		if err != nil {
+			return 0, fmt.Errorf("dfs: checksum %s: %w", path, err)
 		}
 		acc = append(acc, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
 	}

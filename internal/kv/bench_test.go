@@ -62,22 +62,42 @@ func BenchmarkDecodePairs(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupPairs times grouping in the three forms the engines use
+// it: one-shot GroupPairs (the baseline engine: fresh scratch per call),
+// a long-lived Grouper (a persistent task: scratch reused, 0 allocs once
+// warm), over shapes that cover both integer routes.
 func BenchmarkGroupPairs(b *testing.B) {
 	ops := OpsFor[int64, float64](nil)
 	for _, shape := range []struct {
 		n, keys int
+		stride  int64 // key spacing: 1 is dense, large strides fall back to the sort
 	}{
-		{1 << 12, 1 << 12}, // mostly unique keys (graph state)
-		{1 << 12, 1 << 6},  // heavy duplication (combiner input)
+		{1 << 12, 1 << 12, 1},       // mostly unique keys (graph state)
+		{1 << 12, 1 << 6, 1},        // heavy duplication (combiner input)
+		{1 << 12, 1 << 12, 1 << 40}, // sparse ids
+		{170_000, 23_000, 1},        // one reduce partition of the pagerank-tcp workload
 	} {
-		b.Run(fmt.Sprintf("n=%d/keys=%d", shape.n, shape.keys), func(b *testing.B) {
-			src := benchPairs(shape.n, shape.keys)
-			buf := make([]Pair, shape.n)
+		src := benchPairs(shape.n, shape.keys)
+		for i := range src {
+			src[i].Key = src[i].Key.(int64) * shape.stride
+		}
+		name := fmt.Sprintf("n=%d/keys=%d", shape.n, shape.keys)
+		if shape.stride > 1 {
+			name += "/sparse"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(buf, src)
-				if g := GroupPairs(buf, ops); len(g) == 0 {
+				if g := GroupPairs(src, ops); len(g) == 0 {
+					b.Fatal("empty grouping")
+				}
+			}
+		})
+		b.Run(name+"/reused", func(b *testing.B) {
+			var gr Grouper
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if g := gr.Group(src, ops); len(g) == 0 {
 					b.Fatal("empty grouping")
 				}
 			}

@@ -49,7 +49,7 @@ type Ops struct {
 	// only consistent.
 	KeySize func(key any) int
 	ValSize func(value any) int
-	// Compare is the three-way form of Less. When set, GroupPairs and
+	// Compare is the three-way form of Less. When set, Grouper.Group and
 	// SortPairs take the sort-based fast path. Optional; OpsFor fills it.
 	Compare func(a, b any) int
 	// EncodePairs and DecodePairs are the typed wire codec used by the
@@ -66,10 +66,10 @@ type Ops struct {
 	// sortStable is the concrete-key-type stable sort installed by OpsFor;
 	// it avoids the interface-compare indirection of Less/Compare.
 	sortStable func(ps []Pair)
-	// group is the concrete-key-type grouping installed by OpsFor: an
-	// unstable sort over (key, index) with an index tie-break, so typed
-	// comparisons inline and the 32-byte Pair structs never move.
-	group func(ps []Pair) []Group
+	// group is the concrete-key-type grouping installed by OpsFor (see
+	// groupFor): typed key access inlines and the 32-byte Pair structs
+	// never move.
+	group func(g *Grouper, ps []Pair) []Group
 }
 
 // PairSize returns the estimated serialized size of p under o.
@@ -190,11 +190,11 @@ func OpsFor[K cmp.Ordered, V any](valSize func(V) int) Ops {
 		}
 	}
 	return Ops{
-		Hash:    HashOf,
-		Less:    func(a, b any) bool { return cmp.Less(a.(K), b.(K)) },
-		Compare: func(a, b any) int { return cmp.Compare(a.(K), b.(K)) },
-		KeySize: KeySizeOf,
-		ValSize: vs,
+		Hash:        HashOf,
+		Less:        func(a, b any) bool { return cmp.Less(a.(K), b.(K)) },
+		Compare:     func(a, b any) int { return cmp.Compare(a.(K), b.(K)) },
+		KeySize:     KeySizeOf,
+		ValSize:     vs,
 		EncodePairs: AppendPairs,
 		DecodePairs: func(data []byte) ([]Pair, error) {
 			ps, _, err := DecodePairs(data)
@@ -207,139 +207,8 @@ func OpsFor[K cmp.Ordered, V any](valSize func(V) int) Ops {
 		sortStable: func(ps []Pair) {
 			slices.SortStableFunc(ps, func(a, b Pair) int { return cmp.Compare(a.Key.(K), b.Key.(K)) })
 		},
-		group: groupTyped[K],
+		group: groupFor[K](),
 	}
-}
-
-// keyAt pairs a concrete key with the index of its record, so grouping
-// can sort 16-byte typed entries instead of 32-byte interface pairs.
-type keyAt[K cmp.Ordered] struct {
-	k K
-	i int32
-}
-
-// groupTyped is the grouping fast path for Ops built by OpsFor. It
-// leaves pairs in their original order and makes three allocations
-// total (key index, values array, group headers) regardless of the
-// number of distinct keys. The index tie-break keeps within-group value
-// order identical to a stable sort.
-func groupTyped[K cmp.Ordered](pairs []Pair) []Group {
-	if len(pairs) == 0 {
-		return nil
-	}
-	if len(pairs) >= fewKeysMinPairs {
-		if gs, ok := groupFewKeys[K](pairs); ok {
-			return gs
-		}
-	}
-	ks := make([]keyAt[K], len(pairs))
-	for i, p := range pairs {
-		ks[i] = keyAt[K]{p.Key.(K), int32(i)}
-	}
-	// Sort by key alone so pdqsort's equal-element handling kicks in on
-	// duplicate-heavy input, then restore arrival order within each
-	// equal-key run; the two steps together are what a stable sort with
-	// an index tie-break would produce, but much cheaper.
-	slices.SortFunc(ks, func(a, b keyAt[K]) int { return cmp.Compare(a.k, b.k) })
-	runStart := 0
-	for i := 1; i <= len(ks); i++ {
-		if i == len(ks) || ks[i].k != ks[runStart].k {
-			if i-runStart > 1 {
-				run := ks[runStart:i]
-				slices.SortFunc(run, func(a, b keyAt[K]) int { return cmp.Compare(a.i, b.i) })
-			}
-			runStart = i
-		}
-	}
-	vals := make([]any, len(ks))
-	distinct := 1
-	for i := range ks {
-		vals[i] = pairs[ks[i].i].Value
-		if i > 0 && ks[i].k != ks[i-1].k {
-			distinct++
-		}
-	}
-	groups := make([]Group, 0, distinct)
-	start := 0
-	for i := 1; i <= len(ks); i++ {
-		if i == len(ks) || ks[i].k != ks[start].k {
-			// Reuse the already-boxed key from the source pair instead of
-			// re-boxing ks[start].k.
-			groups = append(groups, Group{Key: pairs[ks[start].i].Key, Values: vals[start:i:i]})
-			start = i
-		}
-	}
-	return groups
-}
-
-// Few-keys grouping thresholds: the probe path wins when many pairs
-// collapse onto few distinct keys (combiner chunks, per-node PageRank
-// contributions), where the sort path's n·log n comparisons dwarf one
-// hash probe per pair. Past the distinct cap the probe's map grows and
-// the advantage inverts, so it bails to the sort.
-const (
-	fewKeysMinPairs    = 512
-	fewKeysMaxDistinct = 128
-)
-
-// groupFewKeys groups by single-pass hash probe. ok=false means the
-// input has more than fewKeysMaxDistinct distinct keys and the caller
-// should take the sort path. Output is identical to the sort path:
-// groups ordered by key, values in arrival order, Group.Key reusing the
-// first-seen boxed key.
-func groupFewKeys[K cmp.Ordered](pairs []Pair) ([]Group, bool) {
-	type keyMeta struct {
-		key   K
-		first int32 // index of the first pair holding this key
-		count int32
-	}
-	idx := make(map[K]int32, fewKeysMaxDistinct)
-	metas := make([]keyMeta, 0, fewKeysMaxDistinct)
-	groupOf := make([]int32, len(pairs))
-	for i, p := range pairs {
-		k := p.Key.(K)
-		g, ok := idx[k]
-		if !ok {
-			if len(metas) == fewKeysMaxDistinct {
-				return nil, false
-			}
-			g = int32(len(metas))
-			idx[k] = g
-			metas = append(metas, keyMeta{key: k, first: int32(i)})
-		}
-		metas[g].count++
-		groupOf[i] = g
-	}
-	// Order the (few) groups by key, prefix-sum their value offsets, and
-	// fill the shared values array positionally — no comparison touches
-	// the n pairs again.
-	order := make([]int32, len(metas))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(metas[a].key, metas[b].key) })
-	rank := make([]int32, len(metas))   // group id → sorted position
-	offs := make([]int32, len(metas)+1) // sorted position → values offset
-	for pos, g := range order {
-		rank[g] = int32(pos)
-		offs[pos+1] = metas[g].count
-	}
-	for pos := range metas {
-		offs[pos+1] += offs[pos]
-	}
-	fill := make([]int32, len(metas))
-	copy(fill, offs[:len(metas)])
-	vals := make([]any, len(pairs))
-	for i, p := range pairs {
-		pos := rank[groupOf[i]]
-		vals[fill[pos]] = p.Value
-		fill[pos]++
-	}
-	groups := make([]Group, len(metas))
-	for pos, g := range order {
-		groups[pos] = Group{Key: pairs[metas[g].first].Key, Values: vals[offs[pos]:offs[pos+1]:offs[pos+1]]}
-	}
-	return groups, true
 }
 
 // Sized lets value types report their own serialized size to the byte

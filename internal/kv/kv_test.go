@@ -263,4 +263,3 @@ func BenchmarkHashOfInt64(b *testing.B) {
 	}
 	_ = sink
 }
-

@@ -24,7 +24,10 @@ type MapFunc func(key, value any, emit kv.Emit) error
 type SourceMapFunc func(path string, key, value any, emit kv.Emit) error
 
 // ReduceFunc is the user reduce (and combine) operation: called once per
-// key group.
+// key group. The values slice belongs to the grouping that produced it
+// (kv.Grouper's shared values array): the function may read it, reorder
+// it and keep its elements, but must not retain the slice itself past
+// its return — Hadoop's contract for the values iterator.
 type ReduceFunc func(key any, values []any, emit kv.Emit) error
 
 // Job configures one MapReduce job.

@@ -732,8 +732,10 @@ func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 			}
 		}
 		if g, ok := e.gates[peer]; ok && time.Now().Before(g.until) {
+			// Copy under the lock: armGate rewrites the gate in place.
+			backoff := &DialBackoffError{Peer: peer, Until: g.until, Err: g.lastErr}
 			e.mu.Unlock()
-			return nil, &DialBackoffError{Peer: peer, Until: g.until, Err: g.lastErr}
+			return nil, backoff
 		}
 		inflight, busy := e.dialing[peer]
 		if !busy {

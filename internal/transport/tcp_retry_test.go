@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -193,6 +194,55 @@ func TestDialBackoffCapsAttempts(t *testing.T) {
 	ta.mu.Unlock()
 	if !cleared {
 		t.Fatal("Invalidate left the dial gate armed")
+	}
+}
+
+// TestDialGateConcurrentSenders is a race-detector test: several
+// goroutines send to one unreachable peer over a backoff short enough
+// that the gate re-opens many times, so gate reads (fail-fast sends) and
+// gate rewrites (the next failed dial re-arming it in place) interleave.
+// Every send must fail, and inside the window with the typed error.
+func TestDialGateConcurrentSenders(t *testing.T) {
+	target := deadTarget(t)
+	nw := NewTCPNetworkOpts(TCPOptions{
+		DialTimeout:     250 * time.Millisecond,
+		DialBackoffBase: time.Millisecond,
+		DialBackoffMax:  2 * time.Millisecond,
+		Resolver:        func(string) (string, bool) { return target, true },
+	})
+	defer nw.Close()
+	a, err := nw.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var gated atomic.Int64
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				err := a.Send("ghost", Message{Kind: "k", Payload: "x", Size: 1})
+				if err == nil {
+					t.Error("send to unreachable peer succeeded")
+					return
+				}
+				var dbe *DialBackoffError
+				if errors.As(err, &dbe) {
+					if dbe.Err == nil || dbe.Until.IsZero() {
+						t.Errorf("backoff error without cause or deadline: %+v", dbe)
+						return
+					}
+					gated.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if gated.Load() == 0 || nw.DialAttempts() < 3 {
+		t.Fatalf("%d gated sends over %d dial attempts: the gate was never both read and re-armed",
+			gated.Load(), nw.DialAttempts())
 	}
 }
 
