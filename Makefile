@@ -7,16 +7,18 @@ all: ci
 build:
 	$(GO) build ./...
 
+# bench/ is its own module importing this one: vetting it here makes a
+# renamed or deleted export it uses fail now, not at benchmark time.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Project-specific type-aware static analysis (internal/lint via
 # cmd/imrlint): no sends under locks, paired trace spans, no silently
 # dropped transport/DFS errors, seeded determinism in the simulator,
 # constant metric/trace names, no pooled-slab memory used after
 # release, protocol emit/dispatch exhaustiveness, acyclic lock order,
-# threaded contexts in blocking code, no deprecated-API callers, and
-# errors.Is on sentinels. Exits non-zero on any finding not
+# threaded contexts in blocking code, and errors.Is on sentinels. Exits non-zero on any finding not
 # grandfathered in lint-baseline.json (the baseline can only shrink:
 # regenerate with -write-baseline after paying debt down), and leaves
 # a machine-readable report in lint-findings.json.
@@ -47,13 +49,12 @@ short:
 race-short:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -short -count=1 -timeout 10m ./... || exit 1; done
 
-# Data-plane benchmarks: the kv hot paths with allocation stats, the
-# engine-level shuffle/iteration benchmarks, then the JSON snapshot
-# that cmd/imrbench writes for regression comparison.
+# Data-plane micro-benchmarks: the kv hot paths with allocation stats
+# and the engine-level shuffle/iteration benchmarks. End-to-end numbers
+# and regression comparison are bench/run.sh's (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/kv ./internal/core
 	$(GO) test -run '^$$' -bench 'Fig0[46]' -benchtime 3x .
-	$(GO) run ./cmd/imrbench -bench BENCH_core.json
 
 # One-iteration benchmark compile-and-run: catches bit-rot in every
 # benchmark without paying for steady-state timing. The alloc-budget
@@ -71,12 +72,10 @@ trace-smoke:
 
 # Multi-tenant job-service smoke: the serve test suite (fair-share
 # scheduling, quotas, cancel semantics, bit-identical concurrent
-# outputs), then a short open-loop load-generation run that writes the
-# arrival-rate vs latency saturation curve to BENCH_serve.json and
-# fails on any dropped/failed job or a p99 above the bound.
+# outputs). Its load behaviour is the serve-open workload of
+# bench/run.sh.
 serve-smoke:
 	$(GO) test ./internal/serve -count=1 -timeout 5m
-	$(GO) run ./cmd/imrbench -serve BENCH_serve.json -serve-max-p99 30s
 
 # Seeded chaos soak: deterministic fault schedules (worker crash, stall,
 # link partition, DFS node loss, full engine kill + resume) against

@@ -9,9 +9,10 @@
 //	imrbench -fig fig08,fig11 # selected experiments
 //	imrbench -quick           # small/fast configuration
 //	imrbench -scale 50        # larger datasets (paper/50)
-//	imrbench -bench out.json  # data-plane benchmark snapshot (JSON)
-//	imrbench -bench out.json -pprof prof/  # plus CPU/heap profiles per scenario
 //	imrbench -trace out.json  # traced quick SSSP run, Chrome trace JSON
+//
+// Performance is measured by bench/run.sh (see bench/README.md), not
+// here.
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"imapreduce/internal/experiments"
 )
@@ -32,41 +32,13 @@ func main() {
 		workers = flag.Int("workers", 0, "override local cluster size")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		csvDir  = flag.String("csv", "", "also write each figure's series as CSV into this directory")
-		bench   = flag.String("bench", "", "run the data-plane benchmark suite at the quick configuration and write results as JSON to this path")
-		pprofTo = flag.String("pprof", "", "with -bench: write per-scenario CPU and heap pprof profiles into this directory")
 		traceTo = flag.String("trace", "", "run a traced quick SSSP job, write Chrome trace_event JSON to this path, and print the factor decomposition")
-		serveTo = flag.String("serve", "", "run the multi-tenant job-service load generator and write the arrival-rate vs latency saturation curve as JSON to this path")
-		servP99 = flag.Duration("serve-max-p99", 30*time.Second, "with -serve: fail if any rate point's p99 latency exceeds this bound (0 disables)")
 	)
 	flag.Parse()
-
-	if *serveTo != "" {
-		if err := runServeBench(*serveTo, *servP99); err != nil {
-			fmt.Fprintln(os.Stderr, "imrbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Println(e.ID)
-		}
-		return
-	}
-
-	if *bench != "" {
-		cfg := experiments.Quick()
-		if *scale > 0 {
-			cfg.Scale = *scale
-		}
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
-		cfg.ProfileDir = *pprofTo
-		if err := runBench(*bench, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "imrbench:", err)
-			os.Exit(1)
 		}
 		return
 	}

@@ -5,8 +5,8 @@
 // trace spans, no silently dropped transport/DFS errors, seeded
 // determinism in the simulator, constant metric names, no pooled-slab
 // memory retained past its release, protocol exhaustiveness, acyclic
-// lock order, threaded contexts, no deprecated-API callers, errors.Is
-// on sentinels — hold on every change.
+// lock order, threaded contexts, errors.Is on sentinels — hold on every
+// change.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package pagerank
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestMRChainMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	const iters = 8
-	res, err := mapreduce.RunIterative(env.MR, MRSpec("pr-mr", "/pr/init", "/pr/work", g.N, 3, iters, 0))
+	res, err := mapreduce.RunIterativeCtx(context.Background(), env.MR, MRSpec("pr-mr", "/pr/init", "/pr/work", g.N, 3, iters, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestEnginesAgree(t *testing.T) {
 	if err := envB.FS.WriteFile("/pr/init", envB.At(), CombinedPairs(g), CombinedOps()); err != nil {
 		t.Fatal(err)
 	}
-	resB, err := mapreduce.RunIterative(envB.MR, MRSpec("pr-b", "/pr/init", "/pr/work", g.N, 2, iters, 0))
+	resB, err := mapreduce.RunIterativeCtx(context.Background(), envB.MR, MRSpec("pr-b", "/pr/init", "/pr/work", g.N, 2, iters, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,11 +88,10 @@ type Engine struct {
 	m    *metrics.Set
 	opts Options
 
-	// rc, when set via AttachRemote, deploys runs onto registered worker
-	// processes instead of spawning task goroutines; remote holds the
-	// active run's plan state (master goroutine only).
-	rc     *RemoteCluster
-	remote *remoteRun
+	// rc, when set via AttachRemote, names registered worker processes
+	// as the hosts a run's plans go to; otherwise the engine starts one
+	// host per spec worker itself (see hosts).
+	rc *RemoteCluster
 
 	mu           sync.Mutex
 	running      bool
@@ -289,6 +288,24 @@ type runState struct {
 	auxWorker  []string
 }
 
+// newRunState builds the routing table for the run meta describes, with
+// meta's placement when it carries one.
+func newRunState(meta runMeta, pool *workerPool) *runState {
+	run := &runState{
+		name:       meta.Name,
+		mainPhases: meta.MainPhases,
+		mainTasks:  meta.MainTasks,
+		auxTasks:   meta.AuxTasks,
+		outputPath: meta.OutputPath,
+		pool:       pool,
+		pairWorker: make([]string, meta.MainTasks),
+		auxWorker:  make([]string, meta.AuxTasks),
+	}
+	copy(run.pairWorker, meta.Placement)
+	copy(run.auxWorker, meta.AuxPlacement)
+	return run
+}
+
 func (r *runState) ckptPath(iter, part int) string {
 	return fmt.Sprintf("/_imr/%s/ckpt-%06d/part-%d", r.name, iter, part)
 }
@@ -431,26 +448,18 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 			job.Name, need, e.spec.MapSlots, e.spec.ReduceSlots)
 	}
 
-	run := &runState{
-		name:       job.Name,
-		mainPhases: len(phases),
-		mainTasks:  n,
-		auxTasks:   auxN,
-		outputPath: job.OutputPath,
-		pool:       newWorkerPool(e.opts.Parallelism),
-		pairWorker: make([]string, n),
-		auxWorker:  make([]string, auxN),
+	meta := runMeta{Name: job.Name, MainPhases: len(phases), MainTasks: n, AuxTasks: auxN, OutputPath: job.OutputPath}
+	if meta.OutputPath == "" {
+		meta.OutputPath = "/_imr/" + job.Name + "/output"
 	}
+	run := newRunState(meta, newWorkerPool(e.opts.Parallelism))
 	// The pool is owned here, where it is created: every return below —
-	// a rejected manifest, a failed partition write, a failed spawn, the
+	// a rejected manifest, a failed partition write, a failed deploy, the
 	// end of the run — releases its workers. This defer runs after the
-	// task teardown registered further down, so on a clean return the
+	// host teardown registered further down, so on a clean return the
 	// tasks are already joined and the workers idle; a failed run may
 	// leave a shard wedged inside a user function, hence the grace.
 	defer run.pool.stop(500 * time.Millisecond)
-	if run.outputPath == "" {
-		run.outputPath = "/_imr/" + job.Name + "/output"
-	}
 	for i := 0; i < n; i++ {
 		run.pairWorker[i] = workers[i%len(workers)]
 	}
@@ -490,20 +499,6 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	}
 
 	e.m.Add(metrics.JobsLaunched, 1)
-
-	// Register every task endpoint and start dialing the connection mesh
-	// now, so the TCP dial+handshake round trips overlap the scheduling
-	// overhead the job sleeps off next and the static/state partitioning
-	// after it, instead of competing with the first iteration.
-	spawned := false
-	if e.rc == nil {
-		unwarm := e.prewarmNet(job, phases, n, auxN)
-		defer func() {
-			if !spawned {
-				unwarm()
-			}
-		}()
-	}
 
 	// The one job submission and the one round of persistent-task
 	// launches pay the scheduling overheads exactly once (§3.1.1).
@@ -552,54 +547,29 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 		}
 	}
 
-	// Build and start the persistent tasks: goroutines in-process,
-	// plans to registered worker processes in remote mode.
-	spawn := e.spawnTasks
-	if e.rc != nil {
-		spawn = e.spawnRemote
-	}
-	master, tasks, err := spawn(job, phases, aux, run, n, auxN)
+	// Build and start the persistent tasks: every worker's host gets its
+	// plan and the run begins once all of them have acknowledged.
+	master, err := e.net.Endpoint(masterAddr(job.Name))
 	if err != nil {
 		return nil, err
 	}
-	spawned = true
+	plans := e.newPlanner(job, meta, run, master, buildTaskSet(job.Name, len(phases), n, auxN))
+	stopHosts, err := e.hosts(job, plans)
+	if err != nil {
+		master.Close()
+		return nil, err
+	}
 	var runErr error
 	defer func() {
-		if e.rc != nil {
-			// Remote tasks live in worker processes: release the run
-			// there instead of touching local endpoints (Endpoint would
-			// *create* them here).
-			e.releaseRemote(master, job.Name)
-		} else {
-			for _, addr := range tasks.all {
-				if ep, err := e.net.Endpoint(addr); err == nil {
-					ep.Close()
-				}
-			}
-		}
+		stopHosts(runErr != nil)
 		master.Close()
 		e.mu.Lock()
 		e.activeMaster = nil
 		e.mu.Unlock()
-		// Join every task goroutine — including their in-flight
-		// checkpoint writers — so no run-owned goroutine touches the DFS
-		// or the network after a completed Run returns. A failed run may
-		// hold a task wedged inside a user function (that is how silence
-		// timeouts arise), so the error path waits only a short grace
-		// before abandoning the stragglers, as the engine always has.
-		// (A straggler that still submits shards after the pool stops just
-		// runs them inline: runShards never blocks on the pool.)
-		joined := make(chan struct{})
-		go func() { tasks.wg.Wait(); close(joined) }()
-		if runErr == nil {
-			<-joined
-			return
-		}
-		select {
-		case <-joined:
-		case <-time.After(500 * time.Millisecond):
-		}
 	}()
+	if runErr = plans.deploy(workers); runErr != nil {
+		return nil, runErr
+	}
 	e.mu.Lock()
 	e.activeMaster = master
 	e.mu.Unlock()
@@ -631,7 +601,7 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	// The one-time init (§3.1) is charged to iteration 1, the way the
 	// paper's first-iteration curves embed it.
 	e.opts.Trace.RecordSpan(trace.SpanRunInit, "master", -1, 1, start, initTime)
-	res, err := e.masterLoop(ctx, job, phases, aux, run, n, auxN, master, tasks, start, resumeFrom)
+	res, err := e.masterLoop(ctx, job, phases, aux, n, auxN, plans, start, resumeFrom)
 	runErr = err
 	e.opts.Trace.Emit(trace.KindRunFinish, "master", -1, 0, trace.Attr{Key: "job", Value: job.Name})
 	if err != nil {
@@ -679,154 +649,67 @@ func (e *Engine) partitionToDFS(path string, ops kv.Ops, parts int, run *runStat
 	return nil
 }
 
-// taskSet records every spawned endpoint for command fan-out and
-// cleanup.
+// taskSet is the address bookkeeping of a run, for command fan-out.
 type taskSet struct {
-	// wg joins every task goroutine (and, transitively, the checkpoint
-	// writers each reduce task joins before exiting) at run teardown.
-	wg  sync.WaitGroup
 	all []string // every task endpoint address
 	// phase0Maps are the self-loading maps that receive the go command.
 	phase0Maps []string
 	// termReds are the termination-phase reduces (proceed commands and
 	// final output).
 	termReds []string
-	// byPair[idx] lists the main-chain task addresses of pair idx
-	// (across phases), for reassignment.
-	byPair [][]string
-	// auxByPair[idx] lists the auxiliary pair's addresses.
-	auxByPair [][]string
 }
 
-// prewarmNet registers the master and every task endpoint up front and
-// starts dialing the static connection mesh: master ↔ every task, each
-// map to every reduce of its phase, and each reduce to its paired map
-// of the next phase. OneToAll extras are warmed later by spawnTasks;
-// warming is best-effort either way (a miss just means the first send
-// dials inline). It returns a closer for the error path where the run
-// dies before spawnTasks takes ownership of the endpoints.
-func (e *Engine) prewarmNet(job *Job, phases []*Job, n, auxN int) func() {
-	var eps []transport.Endpoint
-	get := func(addr string) transport.Endpoint {
-		ep, err := e.net.Endpoint(addr)
+// hosts is the one place the two deployments differ: where the run's
+// plans go, and what ends the run there. With a RemoteCluster attached
+// they go to the registered worker processes — found through its
+// directory, started and stopped by someone else — and stop releases
+// the run on each. Otherwise membership is the spec: the engine starts
+// one host per worker over its own network and file system, handing
+// each the submitted job itself (no registry, no join or ping, no
+// dfs.Client hop); their control addresses carry the job name because
+// several engines' runs may share the network. These hosts live as
+// long as the run: stop closes their control endpoints, which tears
+// each one's run down, and joins them — every task goroutine with its
+// checkpoint writers, so nothing the run owns touches the DFS or the
+// network after a completed Run returns. A failed run may hold a task
+// wedged inside a user function (that is how silence timeouts arise),
+// so its stop waits only a short grace before abandoning the
+// stragglers, whose later shards run inline: runShards never blocks on
+// the stopped pool.
+func (e *Engine) hosts(job *Job, plans *planner) (stop func(failed bool), err error) {
+	if rc := e.rc; rc != nil {
+		plans.ctl, plans.dir = ctlAddr, rc.dir
+		if hp, ok := rc.net.ListenAddr(plans.master.Addr()); ok {
+			rc.dir.Set(plans.master.Addr(), hp)
+		}
+		return func(bool) { plans.release() }, nil
+	}
+	plans.ctl = func(worker string) string { return job.Name + "/" + ctlAddr(worker) }
+	var ctls []transport.Endpoint
+	var wg sync.WaitGroup
+	for _, w := range e.spec.IDs() {
+		ctl, err := e.net.Endpoint(plans.ctl(w))
 		if err != nil {
-			return nil
-		}
-		eps = append(eps, ep)
-		return ep
-	}
-	type pair struct{ mep, rep transport.Endpoint }
-	master := get(masterAddr(job.Name))
-	counts := make([]int, 0, len(phases)+1)
-	for range phases {
-		counts = append(counts, n)
-	}
-	if auxN > 0 {
-		counts = append(counts, auxN)
-	}
-	mesh := make([][]pair, len(counts))
-	for p, c := range counts {
-		mesh[p] = make([]pair, c)
-		for i := 0; i < c; i++ {
-			mesh[p][i] = pair{get(mapAddr(job.Name, p, i)), get(redAddr(job.Name, p, i))}
-		}
-	}
-	// Every endpoint exists now, so none of these dials can fail on an
-	// unknown peer; fire them all and let them overlap.
-	mAddr := masterAddr(job.Name)
-	for p, c := range counts {
-		reds := make([]string, c)
-		for j := 0; j < c; j++ {
-			reds[j] = redAddr(job.Name, p, j)
-		}
-		for i := 0; i < c; i++ {
-			if master != nil {
-				transport.Preconnect(master, mapAddr(job.Name, p, i), redAddr(job.Name, p, i))
+			for _, c := range ctls {
+				c.Close() // the hosts started so far exit on it
 			}
-			if mep := mesh[p][i].mep; mep != nil {
-				transport.Preconnect(mep, append([]string{mAddr}, reds...)...)
-			}
-			if rep := mesh[p][i].rep; rep != nil {
-				peers := []string{mAddr}
-				if p < len(phases) {
-					peers = append(peers, mapAddr(job.Name, (p+1)%len(phases), i))
-				}
-				transport.Preconnect(rep, peers...)
-			}
+			return nil, err
 		}
+		ctls = append(ctls, ctl)
+		h := &host{id: w, net: e.net, ctl: ctl, open: func(planMsg) (*Job, *Engine, *workerPool, error) {
+			return job, e, plans.run.pool, nil
+		}}
+		wg.Add(1)
+		go func() { defer wg.Done(); h.serve() }()
 	}
-	return func() {
-		for _, ep := range eps {
-			ep.Close()
+	return func(failed bool) {
+		for _, c := range ctls {
+			c.Close()
 		}
-	}
-}
-
-// spawnTasks creates the master endpoint and all persistent map/reduce
-// task goroutines with their routing wired up.
-func (e *Engine) spawnTasks(job *Job, phases []*Job, aux *Job, run *runState, n, auxN int) (transport.Endpoint, *taskSet, error) {
-	master, err := e.net.Endpoint(masterAddr(job.Name))
-	if err != nil {
-		return nil, nil, err
-	}
-	ts := buildTaskSet(job.Name, len(phases), n, auxN)
-	f := &taskFactory{e: e, job: job, phases: phases, aux: aux, run: run, n: n, auxN: auxN}
-
-	// Deferred connection warming: every task's peer set is known here,
-	// but the peer endpoints only exist once the spawn loops finish, so
-	// the Preconnect calls are collected and fired at the end. On the TCP
-	// transport this overlaps the dial+handshake round trips of the whole
-	// mesh with the first iteration's load/compute instead of paying them
-	// one by one inside the tasks' first send loops.
-	var warm []func()
-
-	spawnPair := func(phase, idx int, isAux bool) error {
-		mep, err := e.net.Endpoint(mapAddr(job.Name, phase, idx))
-		if err != nil {
-			return err
+		var grace time.Duration
+		if failed {
+			grace = 500 * time.Millisecond
 		}
-		mt := f.buildMapTask(phase, idx, mep)
-		if err := mt.loadStatic(); err != nil {
-			return err
-		}
-		rep, err := e.net.Endpoint(redAddr(job.Name, phase, idx))
-		if err != nil {
-			return err
-		}
-		rt := f.buildReduceTask(phase, idx, rep)
-		warm = append(warm, func() {
-			transport.Preconnect(mep, append([]string{masterAddr(job.Name)}, mt.redAddrs...)...)
-			rtPeers := append([]string{masterAddr(job.Name)}, rt.targetAddrs...)
-			transport.Preconnect(rep, append(rtPeers, rt.auxAddrs...)...)
-		})
-		worker, taskIdx, ph := run.pairWorker[idx], idx, fmt.Sprint(phase)
-		if isAux {
-			worker, taskIdx, ph = run.auxWorker[idx], n+idx, "aux"
-		}
-		e.m.Add(metrics.TasksLaunched, 2)
-		e.opts.Trace.Emit(trace.KindTaskLaunch, worker, taskIdx, 0,
-			trace.Attr{Key: "phase", Value: ph})
-		ts.wg.Add(2)
-		go func() { defer ts.wg.Done(); mt.loop() }()
-		go func() { defer ts.wg.Done(); rt.loop() }()
-		return nil
-	}
-
-	for pi := range phases {
-		for i := 0; i < n; i++ {
-			if err := spawnPair(pi, i, false); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for i := 0; i < auxN; i++ {
-		if err := spawnPair(len(phases), i, true); err != nil {
-			return nil, nil, err
-		}
-	}
-	transport.Preconnect(master, ts.all...)
-	for _, w := range warm {
-		w()
-	}
-	return master, ts, nil
+		joinWithin(&wg, grace)
+	}, nil
 }

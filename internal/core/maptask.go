@@ -117,22 +117,6 @@ func (t *mapTask) loop() {
 				switch pl.Kind {
 				case cmdTerminate, cmdAbort:
 					return
-				case cmdReassign:
-					t.worker = pl.Worker
-					// A relaunched map task loads its static data block from
-					// its DFS replica (§3.4.2), now typically a remote read.
-					var lstart time.Time
-					if tr := t.e.opts.Trace; tr != nil {
-						lstart = time.Now()
-					}
-					if err := t.loadStatic(); err != nil {
-						t.fatal(err)
-						return
-					}
-					if tr := t.e.opts.Trace; tr != nil {
-						tr.RecordSpan(trace.SpanLoad, t.worker, t.tid(), max(t.iter, 1),
-							lstart, time.Since(lstart))
-					}
 				case cmdRollback:
 					t.rollback(pl)
 				case cmdGo:

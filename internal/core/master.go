@@ -16,9 +16,10 @@ import (
 // distance reports, decides termination, coordinates checkpoints,
 // migrates task pairs off slow workers, and recovers from worker
 // failures by rolling the cluster back to the last durable checkpoint.
-func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *Job, run *runState,
-	n, auxN int, master transport.Endpoint, ts *taskSet, start time.Time, resumeFrom int) (*Result, error) {
+func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *Job,
+	n, auxN int, plans *planner, start time.Time, resumeFrom int) (*Result, error) {
 
+	run, master, ts := plans.run, plans.master, plans.ts
 	last := phases[len(phases)-1]
 	totalTasks := len(ts.all)
 	fp := confFingerprint(job)
@@ -125,23 +126,31 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		return best
 	}
 
-	// respawnPending tracks an in-flight remote respawn: the workers
-	// whose plan acks are still owed, and when patience runs out. The
-	// recovery rollback waits on it — freshly planned tasks do not exist
-	// until their worker acks, and a rollback they never saw would stall
-	// the generation forever.
-	var respawnPending map[string]bool
-	var respawnDeadline time.Time
+	// movePairs is the one way a pair changes owner (the placement table
+	// already says where to): every live worker's host gets its plan at a
+	// new epoch — the old owner kills the pair, the new one relaunches it
+	// and reloads its static data — and once all of them have
+	// acknowledged, the planAck arm rolls every task back to the last
+	// durable checkpoint. The rollback has to wait: tasks that do not
+	// exist yet cannot acknowledge it, and a rollback they never saw would
+	// stall the generation forever.
+	movePairs := func() {
+		workers := make([]string, 0, len(live))
+		for w, ok := range live {
+			if ok {
+				workers = append(workers, w)
+			}
+		}
+		sort.Strings(workers)
+		// A worker that cannot be reached is caught by the ack deadline
+		// and declared failed itself.
+		_ = plans.replan(workers)
+	}
 
 	// failWorker is the single recovery path for crashed, hung, and
-	// injected failures: mark the worker dead, re-place every pair that
-	// lived on it, then roll the whole computation back to the last
-	// durable checkpoint (§3.4.1). In-process, the task goroutines
-	// survive "their" worker's death and are just relabeled; in remote
-	// mode the pairs are respawned on their new owners via a new plan
-	// epoch, and the rollback is deferred until every live worker has
-	// acknowledged it. Returns a non-nil error only when no worker is
-	// left to recover onto.
+	// injected failures (§3.4.1): mark the worker dead, re-place every
+	// pair that lived on it, move them. Returns a non-nil error only
+	// when no worker is left to recover onto.
 	failWorker := func(worker string) error {
 		if !live[worker] || terminated {
 			return nil
@@ -154,29 +163,16 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		e.fs.FailNode(worker)
 		for i := 0; i < n; i++ {
 			if run.workerOfPhasePair(0, i) == worker {
-				nw := leastLoaded()
-				run.setPairWorker(i, nw, false)
-				if e.remote == nil {
-					sendCmd(ts.byPair[i], cmdMsg{Kind: cmdReassign, Worker: nw})
-				}
+				run.setPairWorker(i, leastLoaded(), false)
 			}
 		}
 		for i := 0; i < auxN; i++ {
 			if run.workerOfPhasePair(len(phases), i) == worker {
-				nw := leastLoaded()
-				run.setPairWorker(i, nw, true)
-				if e.remote == nil {
-					sendCmd(ts.auxByPair[i], cmdMsg{Kind: cmdReassign, Worker: nw})
-				}
+				run.setPairWorker(i, leastLoaded(), true)
 			}
 		}
 		recoveries++
-		if e.remote != nil {
-			respawnPending = e.respawnPlans(master, run, live)
-			respawnDeadline = time.Now().Add(planEndpointTimeout)
-			return nil
-		}
-		rollbackAll(ckptLast)
+		movePairs()
 		return nil
 	}
 
@@ -252,11 +248,12 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			hosting := hostingWorkers()
 			// A rollback in flight commands every task into a blocking
 			// checkpoint reload, during which none of them can reach their
-			// beat ticker — that silence is expected, not evidence of
-			// death. Staleness detection resumes once the generation is
+			// beat ticker, and a move in flight has pairs that are not
+			// running anywhere yet — that silence is expected, not evidence
+			// of death. Staleness detection resumes once the generation is
 			// fully acknowledged; a quiesce that never completes is caught
 			// by the progress timeout instead.
-			quiescing := acks < totalTasks
+			quiescing := acks < totalTasks || plans.moving()
 			for w := range hosting {
 				if !quiescing && live[w] && time.Since(lastBeat[w]) > limit {
 					e.m.Add(metrics.FailuresDetected, 1)
@@ -265,19 +262,12 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 					}
 				}
 			}
-			// A worker that dies *during* a respawn may host no pairs and
-			// so escape heartbeat detection; past the deadline its missing
-			// ack is itself the failure signal.
-			if respawnPending != nil && time.Now().After(respawnDeadline) {
-				overdue := make([]string, 0, len(respawnPending))
-				for w := range respawnPending {
-					overdue = append(overdue, w)
-				}
-				sort.Strings(overdue)
-				for _, w := range overdue {
-					if err := failWorker(w); err != nil {
-						return nil, err
-					}
+			// A worker that dies *during* a move escapes heartbeat
+			// detection; past the deadline its missing ack is itself the
+			// failure signal.
+			for _, w := range plans.overdue() {
+				if err := failWorker(w); err != nil {
+					return nil, err
 				}
 			}
 			continue
@@ -302,6 +292,20 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			timer.Reset(e.opts.Timeout)
 		}
 
+		if plans.moving() {
+			// While pairs are in transit the generation in flight is
+			// condemned to the rollback that ends the move, and a command
+			// sent now may reach a pair's fresh, stateless replacement
+			// instead of the task that earned it. What the old tasks still
+			// report decides nothing: not an iteration boundary, not an
+			// auxiliary verdict, and not a checkpoint either — one that
+			// became the rollback target without its boundary having been
+			// handled could restart the run past its own stop.
+			switch msg.Payload.(type) {
+			case reportMsg, auxOutMsg, ckptMsg:
+				continue
+			}
+		}
 		switch pl := msg.Payload.(type) {
 		case heartbeatMsg:
 			if live[pl.Worker] {
@@ -335,30 +339,14 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			}
 
 		case planAckMsg:
-			// Remote respawn completion: once every live worker has
-			// re-applied the plan (and reported where the replacement
-			// endpoints listen), refresh the directory, drop stale cached
-			// connections, and only then issue the recovery rollback.
-			if e.remote == nil || pl.Epoch != e.remote.epoch || respawnPending == nil || !respawnPending[pl.Worker] {
-				continue
-			}
-			if pl.Err != "" {
+			// A move completes when every live worker has applied the plan:
+			// only then does every pair exist again to hear the rollback.
+			settled, err := plans.ack(pl)
+			if err != nil {
 				terminate()
-				return nil, fmt.Errorf("core: job %s: worker %s rejected respawn plan: %s", job.Name, pl.Worker, pl.Err)
+				return nil, err
 			}
-			e.rc.dir.SetAll(pl.Endpoints)
-			delete(respawnPending, pl.Worker)
-			if len(respawnPending) == 0 {
-				respawnPending = nil
-				liveWorkers := make([]string, 0, len(live))
-				for w, ok := range live {
-					if ok {
-						liveWorkers = append(liveWorkers, w)
-					}
-				}
-				sort.Strings(liveWorkers)
-				e.broadcastDirectory(master, liveWorkers)
-				e.invalidateRun(ts)
+			if settled {
 				rollbackAll(ckptLast)
 			}
 
@@ -472,10 +460,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 				terminate()
 				continue
 			}
-			if mig := e.maybeMigrate(master, run, ts, reports[iter], live, iter, lastMigIter, migratedCount); mig {
+			if e.maybeMigrate(run, reports[iter], live, iter, lastMigIter, migratedCount) {
 				migrations++
 				lastMigIter = iter
-				rollbackAll(ckptLast)
+				movePairs()
 				continue
 			}
 			// Release the gated loop-back: the termination check passed
@@ -524,17 +512,11 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 
 // maybeMigrate applies the paper's load-balancing rule (§3.4.2): compute
 // the average iteration time excluding the longest and shortest, and if
-// the slowest task deviates beyond the threshold, move its pair to the
-// fastest worker. Returns true when a migration was issued (the caller
-// rolls back).
-func (e *Engine) maybeMigrate(master transport.Endpoint, run *runState, ts *taskSet, reps map[int]reportMsg,
+// the slowest task deviates beyond the threshold, re-place its pair on
+// the fastest worker. Returns true when a pair was re-placed (the caller
+// moves it).
+func (e *Engine) maybeMigrate(run *runState, reps map[int]reportMsg,
 	live map[string]bool, iter, lastMigIter int, migratedCount map[int]int) bool {
-	// Remote mode moves pairs only through the plan/respawn protocol
-	// (failure-driven); relabeling a goroutine is meaningless across
-	// process boundaries.
-	if e.remote != nil {
-		return false
-	}
 	if !e.opts.LoadBalance || iter < e.opts.LBMinIter || iter <= lastMigIter+1 || len(reps) < 3 {
 		return false
 	}
@@ -583,9 +565,6 @@ func (e *Engine) maybeMigrate(master transport.Endpoint, run *runState, ts *task
 		return false
 	}
 	run.setPairWorker(slow.task, fast, false)
-	for _, a := range ts.byPair[slow.task] {
-		_ = e.sendReliable(master, a, transport.Message{Kind: kindCmd, Payload: cmdMsg{Kind: cmdReassign, Worker: fast}})
-	}
 	migratedCount[slow.task]++
 	e.m.Add(metrics.TaskMigrations, 1)
 	e.opts.Trace.Emit(trace.KindTaskMigrate, fast, slow.task, iter,

@@ -118,19 +118,16 @@ type finalMsg struct {
 
 // cmdMsg is a master → task control command.
 type cmdMsg struct {
-	Kind string // cmdRollback | cmdTerminate | cmdReassign
+	Kind string // cmdRollback | cmdGo | cmdProceed | cmdTerminate | cmdAbort
 	// Gen is the new generation (rollback).
 	Gen int
 	// ToIter is the checkpoint iteration to restart from (rollback).
 	ToIter int
-	// Worker is the new worker binding (reassign).
-	Worker string
 }
 
 const (
 	cmdRollback  = "rollback"
 	cmdTerminate = "terminate"
-	cmdReassign  = "reassign"
 	// cmdAbort tears a task down *without* writing final output — the
 	// shutdown path for canceled and killed runs. A killed run's output
 	// directory must stay untouched so a later Resume restarts from the

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"imapreduce/internal/cluster"
+	"imapreduce/internal/dfs"
 	"imapreduce/internal/kv"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/transport"
@@ -387,4 +389,118 @@ func TestChanEndpointReuseAfterRestart(t *testing.T) {
 		t.Fatalf("re-open after close failed: %v", err)
 	}
 	ep2.Close()
+}
+
+// TestKilledRunStragglerCannotPoisonResume: a task of a killed run that
+// outlives the teardown grace (wedged in a user function, or just
+// starved of CPU) wakes up beside the run that resumed the job — under
+// the same task addresses, and at the same generation number, since a
+// new engine counts generations from one again. What it then sends
+// must go nowhere: an end-of-iteration marker accepted from it closes a
+// reduce barrier before the resumed run's own map has delivered, and
+// the keys that map still owed are lost for good (the soak's seed 2
+// lost 4-7 of 192 this way on an oversubscribed host). The straggler
+// here is forged on the killed run's real endpoint, which the teardown
+// closed: a closed endpoint sends nothing.
+func TestKilledRunStragglerCannotPoisonResume(t *testing.T) {
+	guard(t, 2*time.Minute)
+	const name, iters, keys = "halve-straggler", 10, 24
+	// onGo runs as the master sends its first go command: every task has
+	// acknowledged the rollback and adopted the run's generation, no data
+	// has flowed yet.
+	var onGo atomic.Pointer[func(cmdMsg)]
+	var once sync.Once
+	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(_ string, msg transport.Message) error {
+		if c, ok := msg.Payload.(cmdMsg); ok && c.Kind == cmdGo {
+			if fn := onGo.Load(); fn != nil {
+				once.Do(func() { (*fn)(c) })
+			}
+		}
+		return nil
+	}}
+	spec := cluster.Uniform(3)
+	m := metrics.NewSet()
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
+	e1, err := NewEngine(fs, net, spec, m, Options{Timeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &env{e: e1, fs: fs, m: m, spec: spec}
+	v.writeState(t, "/state", keys)
+
+	// In the resumed run, map task 1 blocks until the test lets it go.
+	var gated atomic.Bool
+	gate := make(chan struct{})
+	ops := f64Ops()
+	build := func() *Job {
+		job := slowHalvingJob(name, iters, 2)
+		userMap := job.Map
+		job.Map = func(key, state, static any, emit kv.Emit) error {
+			if gated.Load() && ops.Partition(key, 3) == 1 {
+				<-gate
+			}
+			return userMap(key, state, static, emit)
+		}
+		return job
+	}
+
+	killed := killAfterManifest(v, name, 2)
+	_, err = e1.Run(build())
+	<-killed
+	if !errors.Is(err, ErrKilled) {
+		t.Fatalf("first run: %v, want ErrKilled", err)
+	}
+	net.mu.Lock()
+	stale := net.first[mapAddr(name, 0, 1)] // the killed run's map task 1, as its teardown left it
+	net.mu.Unlock()
+
+	gated.Store(true)
+	var refused atomic.Int64
+	inject := func(c cmdMsg) {
+		for r := 0; r < 3; r++ {
+			err := stale.Send(redAddr(name, 0, r), transport.Message{Kind: kindShuffle,
+				Payload: shuffleChunk{Gen: 2, Iter: c.ToIter + 1, FromMap: 1, Seq: 1 << 40, End: true}})
+			if err != nil {
+				refused.Add(1)
+			}
+		}
+	}
+	onGo.Store(&inject)
+	boundary := make(chan int, iters)
+	e2, err := NewEngine(fs, net, spec, m, Options{Timeout: 20 * time.Second,
+		OnIteration: func(it IterInfo) { boundary <- it.Iter }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := e2.Resume(build())
+		done <- outcome{res, err}
+	}()
+	select {
+	case it := <-boundary:
+		t.Errorf("iteration %d completed while its map task 1 was still blocked: a stale end marker closed the barrier", it)
+	case <-time.After(300 * time.Millisecond):
+	}
+	close(gate)
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if refused.Load() != 3 {
+		t.Errorf("%d of 3 stale sends were refused, want all", refused.Load())
+	}
+	out := v.readOutput(t, o.res.OutputPath)
+	if len(out) != keys {
+		t.Fatalf("%d keys survived, want %d", len(out), keys)
+	}
+	for k, val := range out {
+		if val.(float64) != math.Pow(2, -iters) {
+			t.Fatalf("key %d = %v, want %v", k, val, math.Pow(2, -iters))
+		}
+	}
 }

@@ -146,8 +146,6 @@ func (t *reduceTask) loop() {
 					return
 				case cmdAbort:
 					return
-				case cmdReassign:
-					t.worker = pl.Worker
 				case cmdRollback:
 					t.rollback(pl)
 				case cmdProceed:
@@ -464,7 +462,7 @@ func (t *reduceTask) checkpoint(iter int, out []kv.Pair) {
 	copy(snapshot, out)
 	path := t.run.ckptPath(iter, t.idx)
 	gen := t.gen
-	worker := t.worker // capture: the loop may reassign while we write
+	worker := t.worker
 	tid := t.tid()
 	t.ckptWG.Add(1)
 	go func() {

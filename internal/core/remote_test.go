@@ -49,6 +49,13 @@ type remoteMaster struct {
 // the same address).
 func startMaster(t *testing.T, fs *dfs.DFS, m *metrics.Set, listen string, opts core.Options) *remoteMaster {
 	t.Helper()
+	return startMasterSpec(t, fs, m, listen, cluster.Uniform(remoteWorkers), opts)
+}
+
+// startMasterSpec is startMaster over an explicit spec of remoteWorkers
+// nodes (their speeds reach the workers in the plans).
+func startMasterSpec(t *testing.T, fs *dfs.DFS, m *metrics.Set, listen string, spec cluster.Spec, opts core.Options) *remoteMaster {
+	t.Helper()
 	dir := transport.NewDirectory()
 	net := transport.NewTCPNetworkOpts(transport.TCPOptions{Resolver: dir.Resolve})
 	rc, err := core.NewRemoteCluster(net, dir, core.RemoteClusterOptions{Listen: listen})
@@ -68,7 +75,6 @@ func startMaster(t *testing.T, fs *dfs.DFS, m *metrics.Set, listen string, opts 
 	if dhp, ok := net.ListenAddr(core.DFSAddr); ok {
 		dir.Set(core.DFSAddr, dhp)
 	}
-	spec := cluster.Uniform(remoteWorkers)
 	if opts.Timeout == 0 {
 		opts.Timeout = 30 * time.Second
 	}
@@ -176,29 +182,153 @@ func readParts(t *testing.T, fs *dfs.DFS, at, dir string) map[int64]any {
 // run must match bit for bit.
 func inProcessRun(t *testing.T, key string, params map[string]string) map[int64]any {
 	t.Helper()
+	out, _ := calm.runInProcess(t, transport.NewChanNetwork(), key, params)
+	return out
+}
+
+// scenario is one cluster condition a run is put through, buildable
+// for any deployment: options returns the engine options, wiring fail —
+// which injects a worker failure into the run under test — wherever
+// the scenario wants it.
+type scenario struct {
+	name    string
+	spec    cluster.Spec
+	build   core.JobBuilder
+	options func(fail func(worker string)) core.Options
+}
+
+var calm = scenario{name: "calm", spec: cluster.Uniform(remoteWorkers), build: jobs.Build,
+	options: func(func(string)) core.Options { return core.Options{} }}
+
+// runInProcess runs the scenario's job on one engine over net, its
+// hosts started by the engine itself, and closes net.
+func (sc scenario) runInProcess(t *testing.T, net transport.Network, key string, params map[string]string) (map[int64]any, *core.Result) {
+	t.Helper()
+	defer net.Close()
 	m := metrics.NewSet()
-	spec := cluster.Uniform(remoteWorkers)
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
-	if err := jobs.Seed(fs, spec.IDs()[0], key, params); err != nil {
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, sc.spec.IDs(), m)
+	if err := jobs.Seed(fs, sc.spec.IDs()[0], key, params); err != nil {
 		t.Fatal(err)
 	}
-	job, err := jobs.Build(key, params)
+	job, err := sc.build(key, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(fs, transport.NewChanNetwork(), spec, m, core.Options{Timeout: 30 * time.Second})
-	if err != nil {
+	var eng *core.Engine
+	opts := sc.options(func(w string) { _ = eng.FailWorker(w) })
+	opts.Timeout = 30 * time.Second
+	if eng, err = core.NewEngine(fs, net, sc.spec, m, opts); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := readParts(t, fs, spec.IDs()[0], res.OutputPath)
+	out := readParts(t, fs, sc.spec.IDs()[0], res.OutputPath)
 	if len(out) == 0 {
-		t.Fatal("reference run produced no output")
+		t.Fatal("run produced no output")
 	}
-	return out
+	return out, res
+}
+
+// runOnHosts runs the same job on a master and remoteWorkers real
+// WorkerHosts, each behind its own TCP network.
+func (sc scenario) runOnHosts(t *testing.T, key string, params map[string]string) (map[int64]any, *core.Result) {
+	t.Helper()
+	m := metrics.NewSet()
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, sc.spec.IDs(), m)
+	var rm *remoteMaster
+	rm = startMasterSpec(t, fs, m, "127.0.0.1:0", sc.spec,
+		sc.options(func(w string) { _ = rm.eng.FailWorker(w) }))
+	defer rm.kill()
+	for _, w := range startWorkersBuilding(t, rm, sc.build) {
+		defer w.stop(t)
+	}
+	if err := jobs.Seed(fs, sc.spec.IDs()[0], key, params); err != nil {
+		t.Fatal(err)
+	}
+	job, err := sc.build(key, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rm.eng.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return readParts(t, fs, sc.spec.IDs()[0], res.OutputPath), res
+}
+
+// TestOneMovePathAcrossDeployments: a pair is deployed, moved and torn
+// down by the same plan exchange wherever its host lives, so the same
+// job put through the same trouble — a worker failure; load balancing
+// against one slow node — must come out byte-identical, with the same
+// number of recoveries and migrations, on (a) hosts the engine starts
+// over channels, (b) the same over loopback TCP, and (c) three real
+// WorkerHosts, each a network of its own. The reduce is paced so an
+// iteration is long against scheduling noise: the balancer then sees
+// the slow node's pair, and only that one, as an outlier, and the tasks
+// of an unbalanced run cannot be at the last iteration while the master
+// is still at the third, where the failure is injected.
+func TestOneMovePathAcrossDeployments(t *testing.T) {
+	paced := func(key string, p map[string]string) (*core.Job, error) {
+		job, err := jobs.Build(key, p)
+		if err != nil {
+			return nil, err
+		}
+		reduce := job.Reduce
+		job.Reduce = func(k any, states []any) (any, error) {
+			time.Sleep(300 * time.Microsecond)
+			return reduce(k, states)
+		}
+		return job, nil
+	}
+	scenarios := []scenario{
+		{name: "fail", spec: cluster.Uniform(remoteWorkers), build: paced,
+			options: func(fail func(string)) core.Options {
+				var once sync.Once
+				return core.Options{OnIteration: func(it core.IterInfo) {
+					if it.Iter >= 3 {
+						once.Do(func() { fail("worker-1") })
+					}
+				}}
+			}},
+		{name: "migrate", spec: cluster.Heterogeneous([]float64{1, 0.2, 1}), build: paced,
+			options: func(func(string)) core.Options {
+				return core.Options{LoadBalance: true, LBThreshold: 1.5, LBMinIter: 3}
+			}},
+	}
+	for _, key := range []string{"pagerank", "sssp"} {
+		for _, sc := range scenarios {
+			t.Run(key+"/"+sc.name, func(t *testing.T) {
+				params := map[string]string{"name": key + "-" + sc.name, "nodes": "80", "maxiter": "8", "ckpt": "2", "tasks": "4"}
+				want, _ := calm.runInProcess(t, transport.NewChanNetwork(), key, params)
+
+				out, res := sc.runInProcess(t, transport.NewChanNetwork(), key, params)
+				if res.Recoveries+res.Migrations == 0 {
+					t.Fatalf("no pair moved: recoveries = %d, migrations = %d", res.Recoveries, res.Migrations)
+				}
+				if !reflect.DeepEqual(out, want) {
+					t.Fatalf("chan: output differs from the calm run")
+				}
+				for _, name := range []string{"tcp", "hosts"} {
+					var got map[int64]any
+					var r *core.Result
+					if name == "tcp" {
+						got, r = sc.runInProcess(t, transport.NewTCPNetwork(), key, params)
+					} else {
+						got, r = sc.runOnHosts(t, key, params)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: output differs from the calm run", name)
+					}
+					if r.Recoveries != res.Recoveries || r.Migrations != res.Migrations {
+						t.Errorf("%s: recoveries = %d, migrations = %d; over channels %d and %d",
+							name, r.Recoveries, r.Migrations, res.Recoveries, res.Migrations)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestRemoteRunMatchesInProcess is the deployment contract: the same

@@ -6,10 +6,7 @@ import (
 )
 
 // taskFactory builds persistent map/reduce tasks with their routing
-// wired up. It is shared by the in-process spawner (spawnTasks) and the
-// remote WorkerHost, which must construct identical task wiring for the
-// pairs a plan assigns to it: the routing rules live here exactly once,
-// so the two deployment modes cannot drift apart.
+// wired up, for the pairs a plan assigns to a host.
 type taskFactory struct {
 	e      *Engine
 	job    *Job
@@ -160,17 +157,14 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 }
 
 // buildTaskSet computes the full address bookkeeping of a run without
-// creating any endpoints. The in-process spawner binds every address
-// locally; the remote spawner ships them out in plans instead and binds
-// none.
+// creating any endpoints: the hosts bind them, the master only sends.
 func buildTaskSet(jobName string, numPhases, n, auxN int) *taskSet {
-	ts := &taskSet{byPair: make([][]string, n), auxByPair: make([][]string, auxN)}
+	ts := &taskSet{}
 	last := numPhases - 1
 	for pi := 0; pi < numPhases; pi++ {
 		for i := 0; i < n; i++ {
 			ma, ra := mapAddr(jobName, pi, i), redAddr(jobName, pi, i)
 			ts.all = append(ts.all, ma, ra)
-			ts.byPair[i] = append(ts.byPair[i], ma, ra)
 			if pi == 0 {
 				ts.phase0Maps = append(ts.phase0Maps, ma)
 			}
@@ -180,9 +174,7 @@ func buildTaskSet(jobName string, numPhases, n, auxN int) *taskSet {
 		}
 	}
 	for i := 0; i < auxN; i++ {
-		ma, ra := mapAddr(jobName, numPhases, i), redAddr(jobName, numPhases, i)
-		ts.all = append(ts.all, ma, ra)
-		ts.auxByPair[i] = append(ts.auxByPair[i], ma, ra)
+		ts.all = append(ts.all, mapAddr(jobName, numPhases, i), redAddr(jobName, numPhases, i))
 	}
 	return ts
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"imapreduce/internal/dfs"
@@ -46,33 +45,17 @@ type WorkerHostOptions struct {
 }
 
 // WorkerHost is one worker process: it registers with the master,
-// hosts the task pairs plans assign to it, pings for master liveness,
-// and deregisters gracefully on shutdown. All run mutation happens on
-// the Run goroutine; the task goroutines touch only their own engine
-// context.
+// hosts the task pairs plans assign to it (the embedded host), pings
+// for master liveness, and deregisters gracefully on shutdown. All run
+// mutation happens on the Run goroutine; the task goroutines touch only
+// their own engine context.
 type WorkerHost struct {
 	opts WorkerHostOptions
 	dir  *transport.Directory
 	net  *transport.TCPNetwork
-	ctl  transport.Endpoint
 	fsEp transport.Endpoint
 	fs   *dfs.Client
-
-	mu  sync.Mutex
-	run *hostedRun
-}
-
-// hostedRun is one deployed job on this worker.
-type hostedRun struct {
-	jobName string
-	epoch   int
-	engine  *Engine
-	factory *taskFactory
-	run     *runState
-	phases  int
-	eps     []transport.Endpoint
-	tasks   map[string]bool
-	wg      sync.WaitGroup
+	host
 }
 
 // NewWorkerHost builds the host and binds its control endpoint; Run
@@ -114,7 +97,13 @@ func NewWorkerHost(opts WorkerHostOptions) (*WorkerHost, error) {
 		return nil, err
 	}
 	fs := dfs.NewClient(fsEp, DFSAddr, dfs.ClientOptions{})
-	return &WorkerHost{opts: opts, dir: dir, net: net, ctl: ctl, fsEp: fsEp, fs: fs}, nil
+	w := &WorkerHost{opts: opts, dir: dir, net: net, fsEp: fsEp, fs: fs}
+	// Tasks of a run torn down because the master vanished may be wedged
+	// in DFS calls that only this process's own shutdown (net.Close; the
+	// DFS endpoint belongs to the process, not to a run) fails: the join
+	// is bounded.
+	w.host = host{id: opts.ID, net: net, ctl: ctl, open: w.openRun, listenAddr: net.ListenAddr, joinGrace: 2 * time.Second}
+	return w, nil
 }
 
 // Terminate kills the host abruptly — no leave, no drain — as close to
@@ -227,19 +216,18 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 				}
 				lastPong = time.Now()
 			case planMsg:
+				for _, peer := range w.dir.SetAll(pl.Directory) {
+					w.net.Invalidate(peer)
+				}
 				ack := w.applyPlan(pl)
-				// The master re-plans (and eventually declares us failed)
-				// if the ack is lost; re-delivered plans re-ack.
-				_ = w.ctl.Send(msg.From, transport.Message{Kind: kindPlanAck, Payload: ack})
+				if hp, ok := w.net.ListenAddr(dfsClientAddr(w.opts.ID)); ok {
+					ack.Endpoints[dfsClientAddr(w.opts.ID)] = hp
+				}
+				w.reply(msg.From, pl, ack)
 				// A plan is proof of master liveness as strong as any
 				// pong — and applying it blocked this loop for as long as
 				// the static loads took, a span that must not be read as
 				// master silence (it would tear down the run just planned).
-				lastPong = time.Now()
-			case dirMsg:
-				for _, peer := range w.dir.SetAll(pl.Entries) {
-					w.net.Invalidate(peer)
-				}
 				lastPong = time.Now()
 			case releaseMsg:
 				w.teardownRun()
@@ -249,78 +237,17 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 	}
 }
 
-// applyPlan deploys (or re-deploys) a plan: build the run context if
-// this is the first plan of the job, adopt the plan's placement
-// wholesale, spawn whatever assigned task pairs are missing, and report
-// every hosted endpoint's listen address. Idempotent: re-delivered and
-// superseded plans just re-ack the current state.
-func (w *WorkerHost) applyPlan(p planMsg) planAckMsg {
-	ack := planAckMsg{Worker: w.opts.ID, Epoch: p.Epoch, Endpoints: map[string]string{}}
-	for _, peer := range w.dir.SetAll(p.Directory) {
-		w.net.Invalidate(peer)
+// openRun builds the task context a plan's run executes in here: the
+// job from the registry (functions cannot cross the wire) and an engine
+// over the DFS client against the master's block service and this
+// process's network. It names no pool: the run gets one of its own.
+func (w *WorkerHost) openRun(p planMsg) (*Job, *Engine, *workerPool, error) {
+	if p.JobKey == "" {
+		return nil, nil, nil, fmt.Errorf("core: job %s has no Job.Registry key: a worker process cannot rebuild it (build it through internal/jobs)", p.Run.Name)
 	}
-	w.mu.Lock()
-	r := w.run
-	w.mu.Unlock()
-	if r != nil && r.jobName != p.Run.Name {
-		w.teardownRun()
-		r = nil
-	}
-	if r == nil {
-		var err error
-		if r, err = w.newRun(p); err != nil {
-			ack.Err = err.Error()
-			return ack
-		}
-		w.mu.Lock()
-		w.run = r
-		w.mu.Unlock()
-	}
-	if p.Epoch > r.epoch {
-		r.epoch = p.Epoch
-		r.run.mu.Lock()
-		copy(r.run.pairWorker, p.Run.Placement)
-		copy(r.run.auxWorker, p.Run.AuxPlacement)
-		r.run.mu.Unlock()
-		for _, a := range p.Assigns {
-			first, limit := 0, r.phases
-			if a.Aux {
-				first, limit = r.phases, r.phases+1
-			}
-			for phase := first; phase < limit; phase++ {
-				if err := w.spawnPair(r, phase, a.Idx); err != nil {
-					ack.Err = err.Error()
-					return ack
-				}
-			}
-		}
-	}
-	for addr := range r.tasks {
-		if hp, ok := w.net.ListenAddr(addr); ok {
-			ack.Endpoints[addr] = hp
-		}
-	}
-	if hp, ok := w.net.ListenAddr(dfsClientAddr(w.opts.ID)); ok {
-		ack.Endpoints[dfsClientAddr(w.opts.ID)] = hp
-	}
-	return ack
-}
-
-// newRun builds the per-job context: the job from the registry, the
-// DFS client against the master's block service, and a task-context
-// engine sharing this host's network.
-func (w *WorkerHost) newRun(p planMsg) (*hostedRun, error) {
 	job, err := w.opts.Build(p.JobKey, p.Params)
 	if err != nil {
-		return nil, fmt.Errorf("core: worker %s: build job %q: %w", w.opts.ID, p.JobKey, err)
-	}
-	phases := job.Phases()
-	if len(phases) != p.Run.MainPhases {
-		return nil, fmt.Errorf("core: worker %s: job %q built %d phases, plan says %d — registry drift",
-			w.opts.ID, p.JobKey, len(phases), p.Run.MainPhases)
-	}
-	if (job.auxiliary != nil) != (p.Run.AuxTasks > 0) {
-		return nil, fmt.Errorf("core: worker %s: job %q auxiliary phase mismatch with plan — registry drift", w.opts.ID, p.JobKey)
+		return nil, nil, nil, fmt.Errorf("core: worker %s: build job %q: %w", w.opts.ID, p.JobKey, err)
 	}
 	eng, err := NewEngine(w.fs, w.net, p.Spec, w.opts.Metrics, Options{
 		Timeout:                p.Tuning.Timeout,
@@ -333,85 +260,7 @@ func (w *WorkerHost) newRun(p planMsg) (*hostedRun, error) {
 		Parallelism:            p.Tuning.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	run := &runState{
-		name:       p.Run.Name,
-		mainPhases: p.Run.MainPhases,
-		mainTasks:  p.Run.MainTasks,
-		auxTasks:   p.Run.AuxTasks,
-		outputPath: p.Run.OutputPath,
-		pool:       newWorkerPool(p.Tuning.Parallelism),
-		pairWorker: make([]string, p.Run.MainTasks),
-		auxWorker:  make([]string, p.Run.AuxTasks),
-	}
-	return &hostedRun{
-		jobName: p.Run.Name,
-		engine:  eng,
-		factory: &taskFactory{e: eng, job: job, phases: phases, aux: job.auxiliary, run: run, n: p.Run.MainTasks, auxN: p.Run.AuxTasks},
-		run:     run,
-		phases:  p.Run.MainPhases,
-		tasks:   make(map[string]bool),
-	}, nil
-}
-
-// spawnPair starts the map and reduce tasks of (phase, idx) unless they
-// already run here.
-func (w *WorkerHost) spawnPair(r *hostedRun, phase, idx int) error {
-	jobName := r.jobName
-	ma, ra := mapAddr(jobName, phase, idx), redAddr(jobName, phase, idx)
-	if r.tasks[ma] && r.tasks[ra] {
-		return nil
-	}
-	mep, err := w.net.Endpoint(ma)
-	if err != nil {
-		return err
-	}
-	mt := r.factory.buildMapTask(phase, idx, mep)
-	if err := mt.loadStatic(); err != nil {
-		return err
-	}
-	rep, err := w.net.Endpoint(ra)
-	if err != nil {
-		return err
-	}
-	rt := r.factory.buildReduceTask(phase, idx, rep)
-	r.tasks[ma], r.tasks[ra] = true, true
-	r.eps = append(r.eps, mep, rep)
-	if m := w.opts.Metrics; m != nil {
-		m.Add(metrics.TasksLaunched, 2)
-	}
-	r.wg.Add(2)
-	go func() { defer r.wg.Done(); mt.loop() }()
-	go func() { defer r.wg.Done(); rt.loop() }()
-	return nil
-}
-
-// teardownRun closes the current run's endpoints (task loops exit on
-// their closed inbox) and joins the task goroutines — with a short
-// grace, since a run torn down because the master vanished may hold
-// tasks wedged inside user functions or in-flight DFS calls. The DFS
-// endpoint stays open: it belongs to the host, and the host's own
-// shutdown (net.Close) is what fails those calls fast.
-func (w *WorkerHost) teardownRun() {
-	w.mu.Lock()
-	r := w.run
-	w.run = nil
-	w.mu.Unlock()
-	if r == nil {
-		return
-	}
-	for _, ep := range r.eps {
-		ep.Close()
-	}
-	// The pool goes with the run that created it, whichever way the
-	// task join ends: its workers are idle once the tasks are gone, and
-	// a straggler's later shards fall back to inline.
-	defer r.run.pool.stop(500 * time.Millisecond)
-	done := make(chan struct{})
-	go func() { r.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-	}
+	return job, eng, nil, nil
 }

@@ -195,9 +195,6 @@ type Config struct {
 	// built on this Config (and from the transport when Transport is
 	// "tcp").
 	Trace *trace.Recorder
-	// ProfileDir, if set, makes CoreBench write per-scenario CPU and
-	// heap profiles (pprof format) into this directory.
-	ProfileDir string
 }
 
 // Default is the full-size (still laptop-friendly) configuration.

@@ -17,6 +17,20 @@ import (
 	"imapreduce/internal/transport"
 )
 
+// run is the blocking form these tests want: Submit, then the typed
+// outcome of Result (zero on error, so a failed run's fields read nil).
+func run(ctx context.Context, c *Cluster, spec JobSpec, opts SubmitOptions) (JobResult, error) {
+	h, err := c.Submit(ctx, spec, opts)
+	if err != nil {
+		return JobResult{}, err
+	}
+	res, err := h.Result()
+	if err != nil {
+		return JobResult{}, err
+	}
+	return *res, nil
+}
+
 func TestBatchJob(t *testing.T) {
 	c, err := NewCluster(Options{Workers: 3})
 	if err != nil {
@@ -29,7 +43,7 @@ func TestBatchJob(t *testing.T) {
 	if err := c.Write("/in", recs, kv.OpsFor[int64, string](nil)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunJob(&mapreduce.Job{
+	res, err := run(context.Background(), c, JobSpec{Batch: &mapreduce.Job{
 		Name: "wc", Input: []string{"/in"}, Output: "/out",
 		Map: func(key, value any, emit kv.Emit) error {
 			for _, w := range strings.Fields(value.(string)) {
@@ -47,12 +61,12 @@ func TestBatchJob(t *testing.T) {
 		},
 		NumReduce: 2,
 		Ops:       kv.OpsFor[string, int64](nil),
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OutputRecords != 3 {
-		t.Fatalf("output records = %d", res.OutputRecords)
+	if res.Batch.OutputRecords != 3 {
+		t.Fatalf("output records = %d", res.Batch.OutputRecords)
 	}
 	out, err := c.ReadAll("/out")
 	if err != nil {
@@ -75,7 +89,7 @@ func TestIterativeJob(t *testing.T) {
 	if err := c.Write("/state", recs, kv.OpsFor[int64, float64](nil)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunIterative(&core.Job{
+	res, err := run(context.Background(), c, JobSpec{Iterative: &core.Job{
 		Name: "halve", StatePath: "/state", MaxIter: 5,
 		Map: func(key, state, static any, emit kv.Emit) error {
 			emit(key, state)
@@ -85,11 +99,11 @@ func TestIterativeJob(t *testing.T) {
 			return states[0].(float64) / 2, nil
 		},
 		Ops: kv.OpsFor[int64, float64](nil),
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.ReadAll(res.OutputPath)
+	out, err := c.ReadAll(res.Iterative.OutputPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +126,7 @@ func TestJobChain(t *testing.T) {
 	if err := c.Write("/init", recs, kv.OpsFor[int64, mapreduce.IterValue](nil)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.RunJobChain(mapreduce.IterSpec{
+	r, err := run(context.Background(), c, JobSpec{Chain: &mapreduce.IterSpec{
 		Name: "chain", Input: "/init", WorkDir: "/work",
 		Map: func(key, value any, emit kv.Emit) error {
 			emit(key, value)
@@ -126,10 +140,11 @@ func TestJobChain(t *testing.T) {
 		NumReduce: 2,
 		Ops:       kv.OpsFor[int64, mapreduce.IterValue](nil),
 		MaxIter:   3,
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.Chain
 	if res.Iterations != 3 {
 		t.Fatalf("iterations = %d", res.Iterations)
 	}
@@ -197,7 +212,7 @@ func TestNetworkOverrideAndStall(t *testing.T) {
 	// A stall shorter than the detection window: the run just rides it
 	// out; nothing may be lost or double-applied.
 	time.AfterFunc(5*time.Millisecond, func() { c.StallWorker("worker-1", 15*time.Millisecond) })
-	res, err := c.RunIterative(&core.Job{
+	res, err := run(context.Background(), c, JobSpec{Iterative: &core.Job{
 		Name: "halve-faulty", StatePath: "/state", MaxIter: 8, CheckpointEvery: 2,
 		Map: func(key, state, static any, emit kv.Emit) error {
 			emit(key, state)
@@ -208,11 +223,11 @@ func TestNetworkOverrideAndStall(t *testing.T) {
 			return states[0].(float64) / 2, nil
 		},
 		Ops: kv.OpsFor[int64, float64](nil),
-	})
+	}}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.ReadAll(res.OutputPath)
+	out, err := c.ReadAll(res.Iterative.OutputPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,16 +341,16 @@ func TestRunIterativeCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunIterativeCtx(ctx, halveJob("canceled", 100000)); !errors.Is(err, context.Canceled) {
+	if _, err := run(ctx, c, JobSpec{Iterative: halveJob("canceled", 100000)}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// The engine must be reusable after a canceled run.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel2)
-	if _, err := c.RunIterativeCtx(ctx2, halveJob("canceled-midway", 100000)); !errors.Is(err, context.Canceled) {
+	if _, err := run(ctx2, c, JobSpec{Iterative: halveJob("canceled-midway", 100000)}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: want context.Canceled, got %v", err)
 	}
-	if res, err := c.RunIterative(halveJob("clean", 3)); err != nil || res.Iterations != 3 {
+	if res, err := run(context.Background(), c, JobSpec{Iterative: halveJob("clean", 3)}, SubmitOptions{}); err != nil || res.Iterative.Iterations != 3 {
 		t.Fatalf("engine not reusable after cancel: %v %v", res, err)
 	}
 }
@@ -365,10 +380,10 @@ func TestRunJobCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunJobCtx(ctx, job); !errors.Is(err, context.Canceled) {
+	if _, err := run(ctx, c, JobSpec{Batch: job}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if res, err := c.RunJobCtx(context.Background(), job); err != nil || res.OutputRecords != 2 {
+	if res, err := run(context.Background(), c, JobSpec{Batch: job}, SubmitOptions{}); err != nil || res.Batch.OutputRecords != 2 {
 		t.Fatalf("engine not reusable after cancel: %v %v", res, err)
 	}
 }
@@ -413,13 +428,14 @@ func TestKillRunAndResumeIterative(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	if _, err := c.RunIterative(job); !errors.Is(err, core.ErrKilled) {
+	if _, err := run(context.Background(), c, JobSpec{Iterative: job}, SubmitOptions{}); !errors.Is(err, core.ErrKilled) {
 		t.Fatalf("want core.ErrKilled, got %v", err)
 	}
 
 	job2 := halveJob("killed", maxIter)
 	job2.CheckpointEvery = 2
-	res, err := c.ResumeIterative(job2)
+	r, err := run(context.Background(), c, JobSpec{Iterative: job2}, SubmitOptions{Resume: true})
+	res := r.Iterative
 	if err != nil {
 		t.Fatal(err)
 	}

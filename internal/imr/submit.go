@@ -208,9 +208,6 @@ func (h *JobHandle) finish(res *JobResult, err error) {
 // a per-run engine pool over the shared DFS, transport and spec — with
 // one restriction: two active jobs cannot share a name, because a job's
 // name namespaces its transport endpoints, checkpoints and manifests.
-//
-// This is the single entry point the former Run*/Resume* methods now
-// delegate to.
 func (c *Cluster) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) (*JobHandle, error) {
 	kind, err := spec.validate()
 	if err != nil {
@@ -282,15 +279,6 @@ func (c *Cluster) execute(ctx context.Context, kind specKind, spec JobSpec, opts
 		}
 		return &JobResult{Chain: res}, nil
 	}
-}
-
-// submitWait is the blocking form the deprecated wrappers share.
-func (c *Cluster) submitWait(ctx context.Context, spec JobSpec, opts SubmitOptions) (*JobResult, error) {
-	h, err := c.Submit(ctx, spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	return h.Result()
 }
 
 // claimName reserves a job name for the duration of its run.

@@ -147,7 +147,6 @@ func All() []*Analyzer {
 		ProtoExhaustive,
 		LockOrder,
 		CtxFlow,
-		DeprecatedAPI,
 		ErrWrapCheck,
 	}
 }

@@ -24,7 +24,6 @@ var fixturePkg = map[string]string{
 	"protoexhaustive": "imapreduce/internal/transport",
 	"lockorder":       "imapreduce/internal/core",
 	"ctxflow":         "imapreduce/internal/core",
-	"deprecatedapi":   "imapreduce/internal/core",
 	"errwrapcheck":    "imapreduce/internal/core",
 }
 

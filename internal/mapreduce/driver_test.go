@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestIterativeFixedIterations(t *testing.T) {
 	writeDecayInput(t, e, 10)
 	spec := decaySpec(10)
 	spec.MaxIter = 5
-	res, err := RunIterative(e, spec)
+	res, err := RunIterativeCtx(context.Background(), e, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestIterativeDistanceTermination(t *testing.T) {
 	// Distance after iteration i is n * 2^-i; threshold 0.1 is crossed
 	// when 8*2^-i < 0.1, i.e. at i = 7.
 	spec.DistThreshold = 0.1
-	res, err := RunIterative(e, spec)
+	res, err := RunIterativeCtx(context.Background(), e, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestIterativeStatsAccumulate(t *testing.T) {
 	writeDecayInput(t, e, 4)
 	spec := decaySpec(4)
 	spec.MaxIter = 3
-	res, err := RunIterative(e, spec)
+	res, err := RunIterativeCtx(context.Background(), e, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestIterativeCleansIntermediateOutputs(t *testing.T) {
 	writeDecayInput(t, e, 4)
 	spec := decaySpec(4)
 	spec.MaxIter = 6
-	if _, err := RunIterative(e, spec); err != nil {
+	if _, err := RunIterativeCtx(context.Background(), e, spec); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.List("/work/iter-001/"); len(got) != 0 {
@@ -159,7 +160,7 @@ func TestIterativeKeepOutputs(t *testing.T) {
 	spec := decaySpec(4)
 	spec.MaxIter = 4
 	spec.KeepOutputs = true
-	if _, err := RunIterative(e, spec); err != nil {
+	if _, err := RunIterativeCtx(context.Background(), e, spec); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
@@ -175,10 +176,10 @@ func fmtIterDir(work string, i int) string {
 
 func TestIterativeSpecValidation(t *testing.T) {
 	e, _, _ := testEnv(t, 1, Options{})
-	if _, err := RunIterative(e, IterSpec{Name: "x"}); err == nil {
+	if _, err := RunIterativeCtx(context.Background(), e, IterSpec{Name: "x"}); err == nil {
 		t.Fatal("spec without termination accepted")
 	}
-	if _, err := RunIterative(e, IterSpec{Name: "x", DistThreshold: 0.1}); err == nil {
+	if _, err := RunIterativeCtx(context.Background(), e, IterSpec{Name: "x", DistThreshold: 0.1}); err == nil {
 		t.Fatal("spec with threshold but no Distance accepted")
 	}
 }

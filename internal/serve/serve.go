@@ -32,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"imapreduce/internal/imr"
 	"imapreduce/internal/metrics"
@@ -395,6 +394,3 @@ func (s *Service) noteTerminal(j *Job) {
 		trace.Attr{Key: "job", Value: j.name},
 		trace.Attr{Key: "status", Value: j.Status().String()})
 }
-
-// elapsedMS is a tiny helper shared with the load generator.
-func elapsedMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -128,6 +128,13 @@ func (e *latEndpoint) Close() error {
 		ln.mu.Unlock()
 	}
 	e.mu.Unlock()
+	// Deregister, so a later Endpoint(addr) wraps a fresh inner endpoint
+	// instead of returning this closed one.
+	e.net.mu.Lock()
+	if e.net.eps[e.inner.Addr()] == e {
+		delete(e.net.eps, e.inner.Addr())
+	}
+	e.net.mu.Unlock()
 	return e.inner.Close()
 }
 

@@ -1,6 +1,13 @@
 package transport
 
-import "time"
+import (
+	"errors"
+	"time"
+)
+
+// errSenderClosed marks a Send refused because the sending endpoint
+// itself is closed. It will not reopen: ReliableSend gives up at once.
+var errSenderClosed = errors.New("transport: sending endpoint is closed")
 
 // ReliableSend sends msg to to, retrying a failed Send up to retries
 // additional times with exponential backoff starting at base (doubling
@@ -27,6 +34,9 @@ func ReliableSend(ep Endpoint, to string, msg Message, retries int, base time.Du
 		attempts++
 		if err = ep.Send(to, msg); err == nil {
 			return attempts, nil
+		}
+		if errors.Is(err, errSenderClosed) {
+			return attempts, err
 		}
 		if try < retries {
 			time.Sleep(backoff)

@@ -256,6 +256,9 @@ type tcpEndpoint struct {
 	gates   map[string]*dialGate     // per-peer dial backoff state
 	dialing map[string]chan struct{} // single-flight claims; closed when a dial settles
 	done    chan struct{}
+	// closeOnce makes Close safe to call from two owners at once: a task
+	// address's previous host and the one re-binding it.
+	closeOnce sync.Once
 
 	// accepted has its own lock so an accept path never waits on e.mu —
 	// two endpoints dialing each other must each be able to answer the
@@ -599,6 +602,11 @@ func decodeBinFrame(body []byte, to string) (Message, error) {
 func (e *tcpEndpoint) Addr() string { return e.addr }
 
 func (e *tcpEndpoint) Send(to string, msg Message) error {
+	select {
+	case <-e.done:
+		return fmt.Errorf("%w (%s)", errSenderClosed, e.addr)
+	default:
+	}
 	err := e.sendOnce(to, msg)
 	if err == nil {
 		return nil
@@ -750,7 +758,7 @@ func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 		select {
 		case <-inflight:
 		case <-e.done:
-			return nil, fmt.Errorf("transport: endpoint %s closed", e.addr)
+			return nil, fmt.Errorf("%w (%s)", errSenderClosed, e.addr)
 		}
 	}
 
@@ -778,7 +786,7 @@ func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 		// the conn now would leak a live socket past Close's sweep.
 		e.mu.Unlock()
 		conn.c.Close()
-		return nil, fmt.Errorf("transport: endpoint %s closed", e.addr)
+		return nil, fmt.Errorf("%w (%s)", errSenderClosed, e.addr)
 	default:
 	}
 	delete(e.gates, peer)
@@ -887,11 +895,19 @@ func (e *tcpEndpoint) handshake(raw net.Conn, peer string) error {
 func (e *tcpEndpoint) Recv() <-chan Message { return e.ib.out }
 
 func (e *tcpEndpoint) Close() error {
-	select {
-	case <-e.done:
-		return nil
-	default:
+	// Deregister first, and only this endpoint's own registration: once
+	// any Close has returned, Endpoint(addr) binds afresh — even while an
+	// earlier, concurrent Close is still tearing the sockets down.
+	e.net.mu.Lock()
+	if e.net.endpoints[e.addr] == e {
+		delete(e.net.endpoints, e.addr)
 	}
+	e.net.mu.Unlock()
+	e.closeOnce.Do(e.shutdown)
+	return nil
+}
+
+func (e *tcpEndpoint) shutdown() {
 	close(e.done)
 	e.listener.Close()
 	e.mu.Lock()
@@ -910,11 +926,7 @@ func (e *tcpEndpoint) Close() error {
 		c.Close()
 	}
 	e.acceptMu.Unlock()
-	e.net.mu.Lock()
-	delete(e.net.endpoints, e.addr)
-	e.net.mu.Unlock()
 	e.ib.close()
-	return nil
 }
 
 // Close implements Network.

@@ -185,9 +185,10 @@ func NewChanNetwork() *ChanNetwork {
 }
 
 type chanEndpoint struct {
-	net  *ChanNetwork
-	addr string
-	ib   *inbox
+	net    *ChanNetwork
+	addr   string
+	ib     *inbox
+	closed atomic.Bool
 }
 
 // Endpoint implements Network.
@@ -208,6 +209,12 @@ func (n *ChanNetwork) Endpoint(addr string) (Endpoint, error) {
 func (e *chanEndpoint) Addr() string { return e.addr }
 
 func (e *chanEndpoint) Send(to string, msg Message) error {
+	if e.closed.Load() {
+		// A closed endpoint sends nothing, as on the TCP backend: whoever
+		// still holds it is a straggler of a run that was torn down, and
+		// its address may already belong to that run's successor.
+		return fmt.Errorf("%w (%s)", errSenderClosed, e.addr)
+	}
 	e.net.mu.Lock()
 	dst, ok := e.net.endpoints[to]
 	closed := e.net.closed
@@ -231,8 +238,13 @@ func (e *chanEndpoint) Send(to string, msg Message) error {
 func (e *chanEndpoint) Recv() <-chan Message { return e.ib.out }
 
 func (e *chanEndpoint) Close() error {
+	e.closed.Store(true)
 	e.net.mu.Lock()
-	delete(e.net.endpoints, e.addr)
+	// Only this endpoint's own registration: the address may have been
+	// re-bound since an earlier Close.
+	if e.net.endpoints[e.addr] == e {
+		delete(e.net.endpoints, e.addr)
+	}
 	e.net.mu.Unlock()
 	e.ib.close()
 	return nil

@@ -262,6 +262,40 @@ func TestSendToClosedEndpoint(t *testing.T) {
 	}
 }
 
+// TestClosedEndpointSendsNothing: whoever still holds a closed endpoint
+// is a straggler of something torn down, and its address may have been
+// re-bound since; Close must also leave that newer binding alone.
+func TestClosedEndpointSendsNothing(t *testing.T) {
+	for name, n := range networks(t) {
+		t.Run(name, func(t *testing.T) {
+			defer n.Close()
+			old, _ := n.Endpoint("a")
+			b, _ := n.Endpoint("b")
+			old.Close()
+			rebound, err := n.Endpoint("a")
+			if err != nil || rebound == old {
+				t.Fatalf("re-binding a closed address: %v (same endpoint: %v)", err, rebound == old)
+			}
+			if err := old.Send("b", Message{Kind: "stale"}); err == nil {
+				t.Error("a closed endpoint's Send succeeded")
+			}
+			old.Close() // a second Close must not unregister the new binding
+			if err := b.Send("a", Message{Kind: "fresh"}); err != nil {
+				t.Fatalf("send to the re-bound address: %v", err)
+			}
+			if m := recvOne(t, rebound); m.Kind != "fresh" {
+				t.Fatalf("re-bound endpoint received %q", m.Kind)
+			}
+			if err := rebound.Send("b", Message{Kind: "fresh"}); err != nil {
+				t.Fatal(err)
+			}
+			if m := recvOne(t, b); m.Kind != "fresh" {
+				t.Fatalf("b received %q: the stale send got through", m.Kind)
+			}
+		})
+	}
+}
+
 // TestDeliveryOrderUnderMixedPaths pins the inbox FIFO guarantee: the
 // direct fast path (queue empty, pump idle) and the pump path mix
 // freely as the receiver stalls and catches up, and messages from one
