@@ -58,12 +58,14 @@ bench:
 
 # One-iteration benchmark compile-and-run: catches bit-rot in every
 # benchmark without paying for steady-state timing. The alloc-budget
-# tests then gate the two allocation-flat paths: DecodePairsSlab must
-# stay within single-digit allocations per 4096-pair chunk, and a warm
-# Grouper must group a same-sized input with none at all.
+# tests then gate the allocation-flat paths: DecodePairsSlab must stay
+# within single-digit allocations per 4096-pair chunk, and a warm
+# Grouper, a warm static join and a warm previous-state merge must
+# handle a same-sized input with none at all.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core
 	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs' -count=1 -timeout 2m
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.

@@ -64,7 +64,7 @@ func WriteInputs(fs *dfs.DFS, at string, g *graph.Graph, staticPath, statePath s
 }
 
 func mapFn(key, state, static any, emit kv.Emit) error {
-	label := state.(int64)
+	var label any = state.(int64) // boxed once per node, not once per edge
 	emit(key, label)
 	if static == nil {
 		return nil
@@ -148,7 +148,7 @@ func MRSpec(name, input, workDir string, numReduce, maxIter int, distThreshold f
 		Map: func(key, value any, emit kv.Emit) error {
 			v := value.(mapreduce.IterValue)
 			emit(key, v)
-			label := v.State.(int64)
+			var label any = v.State.(int64) // boxed once, as in mapFn
 			for _, dst := range v.Static.(graph.Adj).Dst {
 				emit(int64(dst), label)
 			}

@@ -43,8 +43,11 @@ func WriteInputs(fs *dfs.DFS, at string, g *graph.Graph, staticPath, statePath s
 	return fs.WriteFile(statePath, at, StatePairs(g.N), StateOps())
 }
 
+// The values a map call emits more than once are boxed once — retained
+// per job, share per node — not once per emit: an any-typed parameter
+// would otherwise allocate a copy of the float for every edge.
 func mapFnFor(n int) core.MapFunc {
-	retained := (1 - Damping) / float64(n)
+	var retained any = (1 - Damping) / float64(n)
 	return func(key, state, static any, emit kv.Emit) error {
 		emit(key, retained)
 		if static == nil {
@@ -54,7 +57,7 @@ func mapFnFor(n int) core.MapFunc {
 		if len(adj.Dst) == 0 {
 			return nil
 		}
-		share := Damping * state.(float64) / float64(len(adj.Dst))
+		var share any = Damping * state.(float64) / float64(len(adj.Dst))
 		for _, v := range adj.Dst {
 			emit(int64(v), share)
 		}
@@ -127,7 +130,7 @@ func CombinedOps() kv.Ops {
 
 // MRSpec builds the baseline iterative chain.
 func MRSpec(name, input, workDir string, nodes, numReduce, maxIter int, distThreshold float64) mapreduce.IterSpec {
-	retained := (1 - Damping) / float64(nodes)
+	var retained any = (1 - Damping) / float64(nodes) // boxed once, as in mapFnFor
 	return mapreduce.IterSpec{
 		Name:    name,
 		Input:   input,
@@ -141,7 +144,7 @@ func MRSpec(name, input, workDir string, nodes, numReduce, maxIter int, distThre
 			if len(adj.Dst) == 0 {
 				return nil
 			}
-			share := Damping * v.State.(float64) / float64(len(adj.Dst))
+			var share any = Damping * v.State.(float64) / float64(len(adj.Dst))
 			for _, dst := range adj.Dst {
 				emit(int64(dst), share)
 			}

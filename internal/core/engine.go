@@ -559,10 +559,14 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 		master.Close()
 		return nil, err
 	}
+	ckpts := &ckptLedger{e: e, run: run, fp: confFingerprint(job), last: resumeFrom}
 	var runErr error
 	defer func() {
 		stopHosts(runErr != nil)
 		master.Close()
+		if runErr == nil {
+			ckpts.settle(master.Recv())
+		}
 		e.mu.Lock()
 		e.activeMaster = nil
 		e.mu.Unlock()
@@ -601,7 +605,7 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	// The one-time init (§3.1) is charged to iteration 1, the way the
 	// paper's first-iteration curves embed it.
 	e.opts.Trace.RecordSpan(trace.SpanRunInit, "master", -1, 1, start, initTime)
-	res, err := e.masterLoop(ctx, job, phases, aux, n, auxN, plans, start, resumeFrom)
+	res, err := e.masterLoop(ctx, job, phases, aux, n, auxN, plans, start, ckpts)
 	runErr = err
 	e.opts.Trace.Emit(trace.KindRunFinish, "master", -1, 0, trace.Attr{Key: "job", Value: job.Name})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"imapreduce/internal/kv"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/trace"
+	"imapreduce/internal/transport"
 )
 
 // The checkpoint commit protocol (DESIGN.md §9): each CheckpointEvery
@@ -151,6 +152,66 @@ func (e *Engine) commitManifest(run *runState, fp uint64, iter, phases int) erro
 	e.m.Add(metrics.ManifestCommits, 1)
 	e.opts.Trace.Emit(trace.KindManifest, "master", -1, iter)
 	return nil
+}
+
+// ckptLedger is the master's account of checkpoint progress: which
+// partitions have acknowledged which iteration under the current
+// generation, and the newest iteration whose manifest is durable — the
+// rollback target.
+type ckptLedger struct {
+	e    *Engine
+	run  *runState
+	fp   uint64
+	gen  int
+	last int
+	acks map[int]map[int]bool
+}
+
+// reset opens generation gen: acknowledgements of the generations before
+// it no longer count.
+func (c *ckptLedger) reset(gen int) {
+	c.gen, c.acks = gen, make(map[int]map[int]bool)
+}
+
+// ack folds in one partition's acknowledgement. Once every partition
+// file of an iteration is committed, the manifest commit makes the
+// checkpoint durable — only then does it become the rollback target, and
+// only then are its predecessors garbage-collected. A failed commit (DFS
+// trouble) leaves the previous checkpoint in force; the run continues
+// and the next boundary tries again.
+func (c *ckptLedger) ack(pl ckptMsg) {
+	if pl.Gen != c.gen {
+		return
+	}
+	if c.acks[pl.Iter] == nil {
+		c.acks[pl.Iter] = make(map[int]bool)
+	}
+	c.acks[pl.Iter][pl.Task] = true
+	if len(c.acks[pl.Iter]) == c.run.mainTasks && pl.Iter > c.last {
+		if err := c.e.commitManifest(c.run, c.fp, pl.Iter, c.run.mainPhases); err == nil {
+			c.last = pl.Iter
+			c.e.gcCheckpoints(c.run, c.last)
+		}
+	}
+}
+
+// settle closes the account of a completed run. Checkpoint writers run
+// beside the iterations (§3.4.1), so a descheduled one may rename its
+// file into place after the collection that superseded it, and an
+// acknowledgement the network delayed may reach the master behind the
+// last final. By now the hosts are joined — every writer has exited —
+// and inbox is the closed master endpoint's: what is still in it is
+// folded in, and one more collection leaves only the newest durable
+// checkpoint and whatever is newer.
+func (c *ckptLedger) settle(inbox <-chan transport.Message) {
+	for msg := range inbox {
+		if pl, ok := msg.Payload.(ckptMsg); ok {
+			c.ack(pl)
+		}
+	}
+	if c.last > 0 { // nothing is older than the initial state
+		c.e.gcCheckpoints(c.run, c.last)
+	}
 }
 
 // loadManifest reads and decodes one manifest file.

@@ -39,14 +39,16 @@ type mapTask struct {
 	gen    int
 	iter   int // iteration currently awaiting/accumulating input
 
-	ep          transport.Endpoint
-	redAddrs    []string
-	numReduce   int
-	bufThresh   int
-	outBuf      [][]kv.Pair
-	staticIdx   map[any]any
-	staticPairs []kv.Pair
-	pend        map[int]*mapAccum
+	ep        transport.Endpoint
+	redAddrs  []string
+	numReduce int
+	bufThresh int
+	outBuf    [][]kv.Pair
+	// static is this task's static partition, loaded once (§3.1): a
+	// keyedRun that mapRange joins state against — or, for a broadcast
+	// task, the records in file order, each mapped once per iteration.
+	static []kv.Pair
+	pend   map[int]*mapAccum
 	// lastIn is the previous iteration's state-input size, used to
 	// presize the next accumulator.
 	lastIn int
@@ -143,8 +145,7 @@ func (t *mapTask) send(to, kind string, payload any, size int64) {
 
 // loadStatic reads this task's static partition from the DFS.
 func (t *mapTask) loadStatic() error {
-	t.staticIdx = nil
-	t.staticPairs = nil
+	t.static = nil
 	if t.job.StaticPath == "" {
 		return nil
 	}
@@ -152,11 +153,10 @@ func (t *mapTask) loadStatic() error {
 	if err != nil {
 		return fmt.Errorf("map %d/%d: load static: %w", t.phase, t.idx, err)
 	}
-	t.staticPairs = pairs
-	t.staticIdx = make(map[any]any, len(pairs))
-	for _, p := range pairs {
-		t.staticIdx[p.Key] = p.Value
+	if !t.broadcast {
+		pairs = keyedRun(pairs, t.job.Ops)
 	}
+	t.static = pairs
 	return nil
 }
 
@@ -314,12 +314,15 @@ func (t *mapTask) process(iter int, pairs []kv.Pair) {
 	t.e.opts.Trace.RecordSpan(trace.SpanMap, t.worker, t.tid(), iter, start, time.Since(start))
 }
 
-// mapRange runs the user map over one range of state pairs.
+// mapRange runs the user map over one range of state pairs, each joined
+// with the static record of its key. The cursor is the range's own:
+// shards of one input run side by side.
 func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
+	run, cmp, cur := t.static, t.job.Ops.KeyOrder(), 0
 	for _, p := range pairs {
 		var static any
-		if t.staticIdx != nil {
-			static = t.staticIdx[p.Key]
+		if len(run) > 0 {
+			static, cur = seek(run, cmp, cur, p.Key)
 		}
 		if err := t.job.Map(p.Key, p.Value, static, em); err != nil {
 			return fmt.Errorf("map %d/%d key %v: %w", t.phase, t.idx, p.Key, err)
@@ -333,15 +336,15 @@ func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
 func (t *mapTask) processBroadcast(iter int, statePairs []kv.Pair) {
 	start := time.Now()
 	t.job.Ops.SortPairs(statePairs) // deterministic state order across runs
-	if t.run.pool.shardsFor(len(t.staticPairs)) > 1 {
-		err := t.runSharded(iter, len(t.staticPairs), func(lo, hi int, em kv.Emit) error {
-			return t.broadcastRange(t.staticPairs[lo:hi], statePairs, em)
+	if t.run.pool.shardsFor(len(t.static)) > 1 {
+		err := t.runSharded(iter, len(t.static), func(lo, hi int, em kv.Emit) error {
+			return t.broadcastRange(t.static[lo:hi], statePairs, em)
 		})
 		if err != nil {
 			t.fatal(err)
 			return
 		}
-	} else if err := t.broadcastRange(t.staticPairs, statePairs, t.emitFn(iter)); err != nil {
+	} else if err := t.broadcastRange(t.static, statePairs, t.emitFn(iter)); err != nil {
 		t.fatal(err)
 		return
 	}

@@ -17,12 +17,11 @@ import (
 // migrates task pairs off slow workers, and recovers from worker
 // failures by rolling the cluster back to the last durable checkpoint.
 func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *Job,
-	n, auxN int, plans *planner, start time.Time, resumeFrom int) (*Result, error) {
+	n, auxN int, plans *planner, start time.Time, ckpts *ckptLedger) (*Result, error) {
 
 	run, master, ts := plans.run, plans.master, plans.ts
 	last := phases[len(phases)-1]
 	totalTasks := len(ts.all)
-	fp := confFingerprint(job)
 
 	sendCmd := func(addrs []string, c cmdMsg) {
 		for _, a := range addrs {
@@ -36,12 +35,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	rbToIter := 0
 	acks := 0
 	ackSeen := make(map[string]bool) // dedup of rollback acks by endpoint address
-	ckptLast := resumeFrom           // latest manifest-durable checkpoint
 	reports := make(map[int]map[int]reportMsg)
 	reportDone := make(map[int]bool) // iterations whose barrier already fired
 	auxBuf := make(map[int]map[int][]kv.Pair)
 	auxHandled := make(map[int]bool) // aux iterations already decided
-	ckptAcks := make(map[int]map[int]bool)
 	finalSeen := make(map[int]bool)
 	perIter := make(map[int]IterInfo)
 	live := make(map[string]bool, len(e.spec.Nodes))
@@ -78,7 +75,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		reportDone = make(map[int]bool)
 		auxBuf = make(map[int]map[int][]kv.Pair)
 		auxHandled = make(map[int]bool)
-		ckptAcks = make(map[int]map[int]bool)
+		ckpts.reset(gen)
 		pendingProceed = map[int]bool{}
 		if auxDone > toIter {
 			auxDone = toIter
@@ -196,7 +193,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	// checkpoint — iteration 0 on a fresh run, the resumed manifest's
 	// iteration on a cold restart — then (on full acknowledgement) tell
 	// the first phase's maps to load it.
-	rollbackAll(resumeFrom)
+	rollbackAll(ckpts.last)
 
 	// Heartbeat bookkeeping: every task beats with its bound worker's
 	// name; a hosting worker silent for HeartbeatMisses intervals is
@@ -347,29 +344,11 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 				return nil, err
 			}
 			if settled {
-				rollbackAll(ckptLast)
+				rollbackAll(ckpts.last)
 			}
 
 		case ckptMsg:
-			if pl.Gen != gen {
-				continue
-			}
-			if ckptAcks[pl.Iter] == nil {
-				ckptAcks[pl.Iter] = make(map[int]bool)
-			}
-			ckptAcks[pl.Iter][pl.Task] = true
-			if len(ckptAcks[pl.Iter]) == n && pl.Iter > ckptLast {
-				// Every partition file is committed; the manifest commit
-				// makes the checkpoint durable — only then does it become
-				// the rollback target, and only then are its predecessors
-				// garbage-collected. A failed commit (DFS trouble) leaves
-				// the previous checkpoint in force; the run continues and
-				// the next boundary tries again.
-				if err := e.commitManifest(run, fp, pl.Iter, len(phases)); err == nil {
-					ckptLast = pl.Iter
-					e.gcCheckpoints(run, ckptLast)
-				}
-			}
+			ckpts.ack(pl)
 
 		case auxOutMsg:
 			if pl.Gen != gen || terminated || auxHandled[pl.Iter] {

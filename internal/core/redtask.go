@@ -78,7 +78,7 @@ type reduceTask struct {
 	spare   []kv.Pair
 	grouper kv.Grouper
 	nvals   []any
-	prev    map[any]any
+	prev    stateRun
 	// feedMain gates loop-back delivery: once the iteration bound is
 	// reached the termination reduce stops feeding the next iteration,
 	// so the final state is exactly iteration MaxIter.
@@ -173,7 +173,7 @@ func (t *reduceTask) send(to, kind string, payload any, size int64) {
 }
 
 // rollback resets to checkpoint iteration cmd.ToIter; the termination
-// phase reloads its previous-state table from the checkpoint so the
+// phase reloads its previous-state run from the checkpoint so the
 // next distance measurement is taken against the right baseline.
 func (t *reduceTask) rollback(cmd cmdMsg) {
 	if cmd.Gen <= t.gen {
@@ -198,10 +198,7 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 		t.fatal(fmt.Errorf("reduce %d/%d: load checkpoint %d: %w", t.phase, t.idx, cmd.ToIter, err))
 		return
 	}
-	t.prev = make(map[any]any, len(pairs))
-	for _, p := range pairs {
-		t.prev[p.Key] = p.Value
-	}
+	t.prev.load(pairs, t.job.Ops)
 }
 
 func (t *reduceTask) handleShuffle(c shuffleChunk) {
@@ -325,6 +322,7 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 		out = make([]kv.Pair, 0, len(groups))
 	}
 	var dist float64
+	cmp := t.job.Ops.KeyOrder()
 	for gi, g := range groups {
 		var ns any
 		if nvals != nil {
@@ -337,12 +335,10 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 			}
 		}
 		if t.isTermination {
-			if t.job.Distance != nil {
-				if pv, ok := t.prev[g.Key]; ok {
-					dist += t.job.Distance(g.Key, pv, ns)
-				}
+			// Groups are key-ascending: one merge pass over the run.
+			if pv, ok := t.prev.put(cmp, g.Key, ns); ok && t.job.Distance != nil {
+				dist += t.job.Distance(g.Key, pv, ns)
 			}
-			t.prev[g.Key] = ns
 		}
 		if out != nil {
 			out = append(out, kv.Pair{Key: g.Key, Value: ns})
@@ -358,6 +354,9 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 				t.flushStreaming(iter, false)
 			}
 		}
+	}
+	if t.isTermination {
+		t.prev.end()
 	}
 	compute := time.Since(start)
 	t.e.stretch(t.worker, compute)
@@ -526,15 +525,17 @@ func (t *reduceTask) writeFinal() {
 			tr.Emit(trace.KindTaskFinish, t.worker, t.tid(), t.iter)
 		}()
 	}
-	out := make([]kv.Pair, 0, len(t.prev))
-	for k, v := range t.prev {
-		out = append(out, kv.Pair{Key: k, Value: v})
-	}
-	t.job.Ops.SortPairs(out)
+	out := t.prev.run // key-ordered already; WriteFile copies the records
 	path := fmt.Sprintf("%s/part-%d", t.run.outputPath, t.idx)
 	if err := t.e.fs.WriteFile(path, t.worker, out, t.job.Ops); err != nil {
 		t.send(masterAddr(t.jobName), kindFinal, finalMsg{Task: t.idx, Err: err.Error()}, 0)
 		return
 	}
+	// The final is this task's last word: its checkpoint writers finish
+	// first, so their acknowledgements travel the same connection ahead of
+	// it and the master still commits — and collects behind — the
+	// checkpoints they complete. The host closes this endpoint right after
+	// the last final, and a closed endpoint sends nothing.
+	t.ckptWG.Wait()
 	t.send(masterAddr(t.jobName), kindFinal, finalMsg{Task: t.idx, Records: len(out)}, 0)
 }

@@ -101,7 +101,6 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 			numMaps:   f.auxN,
 			bufThresh: bufThreshOf(f.aux),
 			pend:      make(map[int]*redAccum),
-			prev:      make(map[any]any),
 		}
 	}
 	p := f.phases[phase]
@@ -119,7 +118,6 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 		numMaps:       f.n,
 		bufThresh:     bufThreshOf(p),
 		pend:          make(map[int]*redAccum),
-		prev:          make(map[any]any),
 		held:          make(map[int][]kv.Pair),
 	}
 	// Route the new state: phase pi feeds phase pi+1's maps within the

@@ -205,7 +205,7 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 				if pl.Worker != w.opts.ID {
 					continue
 				}
-				w.dir.SetAll(pl.Directory)
+				w.adoptDirectory(pl.Directory)
 				joined, joinedEpoch, lastPong = true, pl.Epoch, time.Now()
 			case pongMsg:
 				if joined && pl.Epoch != joinedEpoch {
@@ -216,9 +216,7 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 				}
 				lastPong = time.Now()
 			case planMsg:
-				for _, peer := range w.dir.SetAll(pl.Directory) {
-					w.net.Invalidate(peer)
-				}
+				w.adoptDirectory(pl.Directory)
 				ack := w.applyPlan(pl)
 				if hp, ok := w.net.ListenAddr(dfsClientAddr(w.opts.ID)); ok {
 					ack.Endpoints[dfsClientAddr(w.opts.ID)] = hp
@@ -234,6 +232,17 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 				lastPong = time.Now()
 			}
 		}
+	}
+}
+
+// adoptDirectory merges the master's directory and drops the
+// connections cached towards every entry that moved: a pair re-placed by
+// a plan, or — in a join acknowledgement — the endpoints of a restarted
+// master, whose predecessor's sockets would swallow the first request
+// after the rejoin until its retry.
+func (w *WorkerHost) adoptDirectory(dir map[string]string) {
+	for _, peer := range w.dir.SetAll(dir) {
+		w.net.Invalidate(peer)
 	}
 }
 

@@ -9,9 +9,9 @@
 // are tracked from caller-provided estimates so that block splitting,
 // replication traffic and locality accounting behave like a
 // byte-addressed file system without serializing every record. Setting
-// Config.SpillDir switches committed blocks to gob-encoded files on
-// local disk — the file-backed storage the paper contrasts with
-// Twister's memory-resident design (§6) — at the cost of a
+// Config.SpillDir switches committed blocks to encoded files on local
+// disk (see encodeBlock) — the file-backed storage the paper contrasts
+// with Twister's memory-resident design (§6) — at the cost of a
 // serialization round trip per block access.
 package dfs
 
@@ -36,10 +36,10 @@ import (
 type Config struct {
 	BlockSize   int64 // bytes per block before a new block is cut
 	Replication int   // replicas per block (capped at live datanodes)
-	// SpillDir, when non-empty, stores committed blocks as gob files
-	// under this directory instead of keeping records in memory. All
-	// key and value types must be gob-registered
-	// (kv.RegisterWireType).
+	// SpillDir, when non-empty, stores committed blocks as files under
+	// this directory instead of keeping records in memory. Key and value
+	// types need a wire codec (kv.RegisterValueCodec) or a gob
+	// registration (kv.RegisterWireType).
 	SpillDir string
 	// ImagePath, when non-empty, persists the namenode state (the file
 	// table, block metadata and spill sequence) to this path on every
@@ -58,10 +58,11 @@ func DefaultConfig() Config {
 type block struct {
 	recs     []kv.Pair // nil when spilled to disk
 	diskPath string    // non-empty when spilled
-	// checksum is the CRC-32 of the block's gob encoding. spill records
-	// it from the bytes it writes; a memory-resident block computes it on
-	// first demand (sum) and keeps it — a committed block never changes,
-	// so spill, Checksum and every manifest share one encoding.
+	// checksum is the CRC-32 of the block's encoding (encodeBlock). spill
+	// records it from the bytes it writes; a memory-resident block
+	// computes it on first demand (sum) and keeps it — a committed block
+	// never changes, so spill, Checksum and every manifest share one
+	// encoding.
 	checksum uint32
 	sumOnce  sync.Once
 	sumErr   error
@@ -70,16 +71,59 @@ type block struct {
 	replicas []string
 }
 
-// sum returns the CRC-32 of the block's gob encoding, identical for the
-// same records whether the block sits in memory or was spilled.
+// Block encodings, named by the first byte of an encoded block.
+const (
+	blockGob  byte = iota // gob: some record has a type without a wire codec
+	blockWire             // kv.AppendPairs, the format the network carries
+)
+
+// encodeBlock serializes a block's records: in the tagged wire codec
+// when every key and value has one, in gob otherwise. The bytes are what
+// spill writes and what every checksum is taken over. Wire tags of
+// registered codecs follow registration order, so a spilled block is
+// readable by a restart of the same binary, not by a different one.
+func encodeBlock(recs []kv.Pair) ([]byte, error) {
+	if data, ok := kv.AppendPairs([]byte{blockWire}, recs); ok {
+		return data, nil
+	}
+	buf := bytes.NewBuffer([]byte{blockGob})
+	if err := gob.NewEncoder(buf).Encode(recs); err != nil {
+		return nil, fmt.Errorf("dfs: encode block: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeBlock reads an encodeBlock encoding back.
+func decodeBlock(data []byte) ([]kv.Pair, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("dfs: decode block: empty")
+	}
+	var recs []kv.Pair
+	var err error
+	switch data[0] {
+	case blockWire:
+		recs, _, err = kv.DecodePairs(data[1:])
+	case blockGob:
+		err = gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&recs)
+	default:
+		err = fmt.Errorf("unknown encoding %d", data[0])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dfs: decode block: %w", err)
+	}
+	return recs, nil
+}
+
+// sum returns the CRC-32 of the block's encoding, identical for the same
+// records whether the block sits in memory or was spilled.
 func (b *block) sum() (uint32, error) {
 	b.sumOnce.Do(func() {
 		if b.diskPath != "" {
 			return // recorded by spill, or restored from the image
 		}
-		var buf bytes.Buffer
-		if b.sumErr = gob.NewEncoder(&buf).Encode(b.recs); b.sumErr == nil {
-			b.checksum = crc32.ChecksumIEEE(buf.Bytes())
+		var data []byte
+		if data, b.sumErr = encodeBlock(b.recs); b.sumErr == nil {
+			b.checksum = crc32.ChecksumIEEE(data)
 		}
 	})
 	return b.checksum, b.sumErr
@@ -99,25 +143,21 @@ func (b *block) load() ([]kv.Pair, error) {
 	if sum := crc32.ChecksumIEEE(data); sum != b.checksum {
 		return nil, fmt.Errorf("dfs: block %s corrupted (crc %08x, want %08x)", b.diskPath, sum, b.checksum)
 	}
-	var recs []kv.Pair
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("dfs: decode spilled block: %w", err)
-	}
-	return recs, nil
+	return decodeBlock(data)
 }
 
 // spill writes the block to dir (with its checksum recorded at the
 // namenode) and releases the in-memory records.
 func (b *block) spill(dir string, seq int64) error {
-	path := filepath.Join(dir, fmt.Sprintf("blk-%08d.gob", seq))
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b.recs); err != nil {
-		return fmt.Errorf("dfs: encode block: %w", err)
+	path := filepath.Join(dir, fmt.Sprintf("blk-%08d", seq))
+	data, err := encodeBlock(b.recs)
+	if err != nil {
+		return err
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("dfs: spill block: %w", err)
 	}
-	b.checksum = crc32.ChecksumIEEE(buf.Bytes())
+	b.checksum = crc32.ChecksumIEEE(data)
 	b.diskPath = path
 	b.recs = nil
 	return nil
@@ -562,7 +602,7 @@ func (fs *DFS) Rename(oldPath, newPath string) error {
 }
 
 // Checksum returns a CRC-32 over path's content: each block contributes
-// the CRC of its gob encoding (the stored spill checksum when the block
+// the CRC of its encoding (the stored spill checksum when the block
 // is on disk, one computed on first use and memoised for a
 // memory-resident block — the two are identical for the same records),
 // and the file checksum chains the per-block CRCs in block order. Replica placement does not affect

@@ -16,7 +16,7 @@ func spillFS(t *testing.T, replication int) *DFS {
 
 func spillFiles(t *testing.T, fs *DFS) []string {
 	t.Helper()
-	got, err := filepath.Glob(filepath.Join(fs.cfg.SpillDir, "blk-*.gob"))
+	got, err := filepath.Glob(filepath.Join(fs.cfg.SpillDir, "blk-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +182,73 @@ func TestChecksumMemoMatchesSpill(t *testing.T) {
 	for i := 0; i < cap(sums); i++ {
 		if got := <-sums; got != want {
 			t.Fatalf("memory-resident checksum %08x, spilled %08x", got, want)
+		}
+	}
+}
+
+// opaque has no wire codec, only a gob registration: a block holding one
+// takes encodeBlock's gob fallback.
+type opaque struct{ A, B int }
+
+func init() { kv.RegisterWireType(opaque{}) }
+
+// TestSpillReopenBothEncodings writes one file whose records all have a
+// wire codec and one with a gob-only value type, reopens the DFS from its
+// image as a restarted master does, and reads both back: each block names
+// its encoding in its first byte, the records survive, and the checksum a
+// manifest would have recorded before the restart still verifies.
+func TestSpillReopenBothEncodings(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{BlockSize: 256, Replication: 2, SpillDir: dir, ImagePath: filepath.Join(dir, "image.json")}
+	files := map[string]struct {
+		recs     []kv.Pair
+		encoding byte
+	}{
+		"/wire": {recs(40), blockWire},
+		"/gob":  {[]kv.Pair{{Key: int64(1), Value: opaque{1, 2}}, {Key: int64(2), Value: 2.5}}, blockGob},
+	}
+	fs1, err := Open(cfg, nodes(3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]uint32{}
+	for path, f := range files {
+		if err := fs1.WriteFile(path, "a", f.recs, testOps()); err != nil {
+			t.Fatal(err)
+		}
+		if sums[path], err = fs1.Checksum(path); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range fs1.files[path].blocks {
+			data, err := os.ReadFile(b.diskPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data[0] != f.encoding {
+				t.Fatalf("%s: block encoding %d, want %d", path, data[0], f.encoding)
+			}
+		}
+	}
+
+	fs2, err := Open(cfg, nodes(3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, f := range files {
+		out, err := fs2.ReadFile(path, "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != len(f.recs) {
+			t.Fatalf("%s: %d records back, want %d", path, len(out), len(f.recs))
+		}
+		for i := range out {
+			if out[i] != f.recs[i] {
+				t.Fatalf("%s: record %d changed: %v vs %v", path, i, out[i], f.recs[i])
+			}
+		}
+		if sum, err := fs2.Checksum(path); err != nil || sum != sums[path] {
+			t.Fatalf("%s: checksum after reopen %08x (%v), want %08x", path, sum, err, sums[path])
 		}
 	}
 }

@@ -62,13 +62,10 @@ func (g *Grouper) Group(pairs []Pair, ops Ops) []Group {
 		return groupPairsMap(pairs, ops)
 	}
 	ops.SortPairs(pairs)
-	eq := func(a, b any) bool { return ops.Compare(a, b) == 0 }
-	if ops.Compare == nil {
-		eq = func(a, b any) bool { return !ops.Less(a, b) && !ops.Less(b, a) }
-	}
+	cmp := ops.KeyOrder()
 	distinct := 1
 	for i := 1; i < len(pairs); i++ {
-		if !eq(pairs[i].Key, pairs[i-1].Key) {
+		if cmp(pairs[i].Key, pairs[i-1].Key) != 0 {
 			distinct++
 		}
 	}
@@ -78,7 +75,7 @@ func (g *Grouper) Group(pairs []Pair, ops Ops) []Group {
 	}
 	start := 0
 	for i := 1; i <= len(pairs); i++ {
-		if i == len(pairs) || !eq(pairs[i].Key, pairs[start].Key) {
+		if i == len(pairs) || cmp(pairs[i].Key, pairs[start].Key) != 0 {
 			groups = append(groups, Group{Key: pairs[start].Key, Values: vals[start:i:i]})
 			start = i
 		}

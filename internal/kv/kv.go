@@ -41,8 +41,8 @@ type Ops struct {
 	// deterministic within a run and identical for the static and state
 	// data of one job (iMapReduce joins them by partition).
 	Hash func(key any) uint64
-	// Less orders keys; used for deterministic output and for the
-	// sorted-merge join of static and state data.
+	// Less orders keys; used for deterministic output and (through
+	// KeyOrder) for the sorted-merge join of static and state data.
 	Less func(a, b any) bool
 	// KeySize and ValSize estimate serialized sizes in bytes. They feed
 	// the shuffle/communication counters; they do not have to be exact,
@@ -96,6 +96,26 @@ func (o Ops) SortPairs(ps []Pair) {
 		slices.SortStableFunc(ps, func(a, b Pair) int { return o.Compare(a.Key, b.Key) })
 	default:
 		sort.SliceStable(ps, func(i, j int) bool { return o.Less(ps[i].Key, ps[j].Key) })
+	}
+}
+
+// KeyOrder returns o's three-way key comparison: Compare when set,
+// otherwise one derived from Less (two calls per comparison), so
+// hand-rolled Ops that only order their keys work wherever a merge or a
+// binary search needs equality as well as order.
+func (o Ops) KeyOrder() func(a, b any) int {
+	if o.Compare != nil {
+		return o.Compare
+	}
+	less := o.Less
+	return func(a, b any) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
 	}
 }
 
