@@ -61,11 +61,12 @@ bench:
 # tests then gate the allocation-flat paths: DecodePairsSlab must stay
 # within single-digit allocations per 4096-pair chunk, and a warm
 # Grouper, a warm static join and a warm previous-state merge must
-# handle a same-sized input with none at all.
+# handle a same-sized input with none at all, and a warm SSSP superstep
+# may allocate only what its map boxes and one box per message sent.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core
 	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs' -count=1 -timeout 2m
-	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs' -count=1 -timeout 2m
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.

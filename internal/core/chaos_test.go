@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"imapreduce/internal/cluster"
-	"imapreduce/internal/dfs"
-	"imapreduce/internal/kv"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/transport"
 )
@@ -16,17 +14,8 @@ import (
 // in-process channel transport.
 func newFaultyEnv(t *testing.T, spec cluster.Spec, opts Options, fopts transport.FaultyOptions) (*env, *transport.FaultyNetwork) {
 	t.Helper()
-	m := metrics.NewSet()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
-	if opts.Timeout == 0 {
-		opts.Timeout = 20 * time.Second
-	}
 	fnet := transport.NewFaultyNetwork(transport.NewChanNetwork(), fopts)
-	e, err := NewEngine(fs, fnet, spec, m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &env{e: e, fs: fs, m: m, spec: spec}, fnet
+	return newEnvNet(t, spec, fnet, opts), fnet
 }
 
 // TestChaosRingDropsDupsReorders runs the ring-diffusion job over a
@@ -81,26 +70,8 @@ func TestChaosIdempotentControlPlane(t *testing.T) {
 	v, fnet := newFaultyEnv(t, cluster.Uniform(2), Options{},
 		transport.FaultyOptions{Seed: 99, DupRate: 0.2, ReorderRate: 0.2})
 	v.writeState(t, "/state", 6)
-	main := halvingJob("halve-chaos-aux", 0, 0)
+	main := watchedHalvingJob("halve-chaos-aux")
 	main.CheckpointEvery = 2
-	aux := &Job{
-		Name: "halve-chaos-watch",
-		Map: func(key, state, static any, emit kv.Emit) error {
-			emit(key, state)
-			return nil
-		},
-		Reduce: func(key any, states []any) (any, error) { return states[0], nil },
-		Ops:    f64Ops(),
-	}
-	main.AddAuxiliary(aux)
-	main.AuxDecide = func(iter int, outputs []kv.Pair) bool {
-		for _, p := range outputs {
-			if p.Value.(float64) >= 0.1 {
-				return false
-			}
-		}
-		return true
-	}
 	res, err := v.e.Run(main)
 	if err != nil {
 		t.Fatal(err)

@@ -28,12 +28,18 @@ func newEnv(t *testing.T, workers int, opts Options) *env {
 
 func newEnvSpec(t *testing.T, spec cluster.Spec, opts Options) *env {
 	t.Helper()
+	return newEnvNet(t, spec, transport.NewChanNetwork(), opts)
+}
+
+// newEnvNet builds an engine over net for a fresh cluster of spec.
+func newEnvNet(t *testing.T, spec cluster.Spec, net transport.Network, opts Options) *env {
+	t.Helper()
 	m := metrics.NewSet()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
 	if opts.Timeout == 0 {
 		opts.Timeout = 20 * time.Second
 	}
-	e, err := NewEngine(fs, transport.NewChanNetwork(), spec, m, opts)
+	e, err := NewEngine(fs, net, spec, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

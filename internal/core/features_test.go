@@ -16,6 +16,28 @@ import (
 // nearest centroid.
 func TestOneToAllBroadcast(t *testing.T) {
 	v := newEnv(t, 3, Options{})
+	res, err := v.e.Run(miniKMeans(t, v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := v.readOutput(t, res.OutputPath)
+	if len(out) != 2 {
+		t.Fatalf("got %d centroids", len(out))
+	}
+	if math.Abs(out[0].(float64)-4.5) > 1e-9 || math.Abs(out[1].(float64)-104.5) > 1e-9 {
+		t.Fatalf("centroids: %v", out)
+	}
+	// Broadcast means reduce output crossed workers.
+	if v.m.Get(metrics.StateRemote) == 0 {
+		t.Fatal("broadcast produced no cross-worker state traffic")
+	}
+}
+
+// miniKMeans writes the inputs of a 1-D K-means with two well-separated
+// clusters and returns the OneToAll job over them; its centroids settle
+// at 4.5 and 104.5.
+func miniKMeans(t *testing.T, v *env) *Job {
+	t.Helper()
 	// Static: 20 points at 0..9 and 100..109. State: centroids 1 and 101.
 	var points []kv.Pair
 	for i := 0; i < 10; i++ {
@@ -29,7 +51,7 @@ func TestOneToAllBroadcast(t *testing.T) {
 	if err := v.fs.WriteFile("/km/cents", "worker-0", cents, f64Ops()); err != nil {
 		t.Fatal(err)
 	}
-	job := &Job{
+	return &Job{
 		Name:       "mini-kmeans",
 		StatePath:  "/km/cents",
 		StaticPath: "/km/points",
@@ -54,21 +76,6 @@ func TestOneToAllBroadcast(t *testing.T) {
 		},
 		MaxIter: 5,
 		Ops:     f64Ops(),
-	}
-	res, err := v.e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := v.readOutput(t, res.OutputPath)
-	if len(out) != 2 {
-		t.Fatalf("got %d centroids", len(out))
-	}
-	if math.Abs(out[0].(float64)-4.5) > 1e-9 || math.Abs(out[1].(float64)-104.5) > 1e-9 {
-		t.Fatalf("centroids: %v", out)
-	}
-	// Broadcast means reduce output crossed workers.
-	if v.m.Get(metrics.StateRemote) == 0 {
-		t.Fatal("broadcast produced no cross-worker state traffic")
 	}
 }
 
@@ -175,28 +182,7 @@ func TestMultiPhaseBothStatics(t *testing.T) {
 func TestAuxiliaryPhase(t *testing.T) {
 	v := newEnv(t, 2, Options{})
 	v.writeState(t, "/state", 6)
-	main := halvingJob("halve-aux", 0, 0) // no built-in termination
-	aux := &Job{
-		Name: "halve-aux-watch",
-		Map: func(key, state, static any, emit kv.Emit) error {
-			emit(key, state)
-			return nil
-		},
-		Reduce: func(key any, states []any) (any, error) {
-			return states[0], nil
-		},
-		Ops: f64Ops(),
-	}
-	main.AddAuxiliary(aux)
-	main.AuxDecide = func(iter int, outputs []kv.Pair) bool {
-		for _, p := range outputs {
-			if p.Value.(float64) >= 0.1 {
-				return false
-			}
-		}
-		return true
-	}
-	res, err := v.e.Run(main)
+	res, err := v.e.Run(watchedHalvingJob("halve-aux"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +201,33 @@ func TestAuxiliaryPhase(t *testing.T) {
 			t.Fatalf("key %d = %v, want %v", k, val, want)
 		}
 	}
+}
+
+// watchedHalvingJob is halvingJob without a termination condition of its
+// own: an auxiliary phase (§5.3) watches the state and stops the job once
+// every value is below 0.1.
+func watchedHalvingJob(name string) *Job {
+	main := halvingJob(name, 0, 0)
+	main.AddAuxiliary(&Job{
+		Name: name + "-watch",
+		Map: func(key, state, static any, emit kv.Emit) error {
+			emit(key, state)
+			return nil
+		},
+		Reduce: func(key any, states []any) (any, error) {
+			return states[0], nil
+		},
+		Ops: f64Ops(),
+	})
+	main.AuxDecide = func(iter int, outputs []kv.Pair) bool {
+		for _, p := range outputs {
+			if p.Value.(float64) >= 0.1 {
+				return false
+			}
+		}
+		return true
+	}
+	return main
 }
 
 // TestAuxiliaryWithMultiPhase attaches a convergence watcher to a

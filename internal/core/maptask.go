@@ -15,13 +15,13 @@ import (
 // feeding reduce task(s), and control commands from the master. All
 // fields are owned by that goroutine.
 type mapTask struct {
-	e       *Engine
-	run     *runState
-	jobName string
-	job     *Job
-	phase   int // global phase index (for error reports)
-	idx     int
-	isAux   bool
+	e      *Engine
+	run    *runState
+	master string // the run's master address
+	job    *Job
+	phase  int // global phase index (for error reports)
+	idx    int
+	isAux  bool
 	// selfLoads marks the main chain's first phase: its input for
 	// iteration c+1 after a (rollback to c) comes from the checkpoint
 	// files in DFS rather than from a feeding reduce.
@@ -43,12 +43,20 @@ type mapTask struct {
 	redAddrs  []string
 	numReduce int
 	bufThresh int
-	outBuf    [][]kv.Pair
+	// outBuf holds, per reduce, the chunk being filled (nil until its
+	// first record); bufs is where its buffers come from and go back to,
+	// holding up to one per reduce; serializes says ep encodes a payload
+	// inside Send, so a sent buffer comes home at once, not from the
+	// reduce.
+	outBuf     []*chunkBuf
+	bufs       *freeList
+	serializes bool
 	// static is this task's static partition, loaded once (§3.1): a
 	// keyedRun that mapRange joins state against — or, for a broadcast
 	// task, the records in file order, each mapped once per iteration.
 	static []kv.Pair
-	pend   map[int]*mapAccum
+	pend   map[int]*accum
+	spare  *accum
 	// lastIn is the previous iteration's state-input size, used to
 	// presize the next accumulator.
 	lastIn int
@@ -58,11 +66,13 @@ type mapTask struct {
 	seq       int64
 	loadedGen int
 	// Task-lifetime scratch, reused every iteration and released with the
-	// task: the combiner's grouping kernel and the sharded loops' emit
-	// rows. Only the task goroutine touches grouper; emits rows are
-	// written by the pool's shards inside runSharded.
+	// task: the combiner's grouping kernel, the sharded loops' emit rows
+	// and the serial loop's emit callback. Only the task goroutine touches
+	// grouper; emits rows are written by the pool's shards inside
+	// runSharded.
 	grouper kv.Grouper
 	emits   shardedEmits
+	emit    kv.Emit
 	// idleAt marks when the task last went idle; set only when tracing,
 	// it anchors the per-iteration wait span. Compute spans emitted for
 	// streamed chunks inside the window are carved out of the wait by
@@ -88,17 +98,12 @@ type chunkKey struct {
 	seq  int64
 }
 
-type mapAccum struct {
-	pairs []kv.Pair
-	ends  int
-	seen  map[chunkKey]bool
-}
-
 // loop is the task body; it returns when the master terminates the run.
 // With heartbeats enabled the task also beats the master every interval
 // — from this goroutine, so a hung task (stalled worker) stops beating
 // and becomes detectable (§3.4.1 extended).
 func (t *mapTask) loop() {
+	defer t.bufs.report(t.e.m)
 	var beat <-chan time.Time
 	if hb := t.e.opts.HeartbeatInterval; hb > 0 {
 		tick := time.NewTicker(hb)
@@ -128,13 +133,13 @@ func (t *mapTask) loop() {
 		case <-beat:
 			t.e.stallPoint(t.worker)
 			t.e.m.Add(metrics.HeartbeatsSent, 1)
-			t.send(masterAddr(t.jobName), kindBeat, heartbeatMsg{Worker: t.worker, Phase: t.phase, Task: t.idx}, 0)
+			t.send(t.master, kindBeat, heartbeatMsg{Worker: t.worker, Phase: t.phase, Task: t.idx}, 0)
 		}
 	}
 }
 
 func (t *mapTask) fatal(err error) {
-	t.send(masterAddr(t.jobName), kindFail, taskErrMsg{Phase: t.phase, Task: t.idx, Err: err.Error()}, 0)
+	t.send(t.master, kindFail, taskErrMsg{Phase: t.phase, Task: t.idx, Err: err.Error()}, 0)
 }
 
 func (t *mapTask) send(to, kind string, payload any, size int64) {
@@ -172,12 +177,12 @@ func (t *mapTask) rollback(cmd cmdMsg) {
 	}
 	t.gen = cmd.Gen
 	t.iter = cmd.ToIter + 1
-	t.pend = make(map[int]*mapAccum)
-	t.outBuf = make([][]kv.Pair, t.numReduce)
+	t.pend = make(map[int]*accum)
+	clear(t.outBuf) // the old generation's half-filled buffers go to the GC
 	if t.e.opts.Trace != nil {
 		t.idleAt = time.Now()
 	}
-	t.send(masterAddr(t.jobName), kindCmd, rbAckMsg{Gen: t.gen, Phase: t.phase, Task: t.idx}, 0)
+	t.send(t.master, kindCmd, rbAckMsg{Gen: t.gen, Phase: t.phase, Task: t.idx}, 0)
 }
 
 // selfLoad starts iteration toIter+1 on a first-phase map by reading the
@@ -237,10 +242,11 @@ func (t *mapTask) handleState(c stateChunk) {
 	}
 	a := t.pend[c.Iter]
 	if a == nil {
-		a = &mapAccum{seen: make(map[chunkKey]bool)}
-		if !t.stream {
-			a.pairs = make([]kv.Pair, 0, t.lastIn)
+		presize := t.lastIn
+		if t.stream {
+			presize = 0 // streamed input is mapped on arrival, not kept
 		}
+		a = takeAccum(&t.spare, presize)
 		t.pend[c.Iter] = a
 	}
 	k := chunkKey{from: c.From, seq: c.Seq}
@@ -285,6 +291,13 @@ func (t *mapTask) tryComplete() {
 		}
 		t.flushEnds(t.iter)
 		delete(t.pend, t.iter)
+		if t.broadcast {
+			// The user map was handed this list as its state (OneToAll):
+			// it is not the task's to refill.
+			a.pairs = make([]kv.Pair, 0, t.lastIn)
+		}
+		a.reset()
+		t.spare = a
 		t.iter++
 		if t.e.opts.Trace != nil {
 			t.idleAt = time.Now()
@@ -306,7 +319,7 @@ func (t *mapTask) process(iter int, pairs []kv.Pair) {
 			t.fatal(err)
 			return
 		}
-	} else if err := t.mapRange(pairs, t.emitFn(iter)); err != nil {
+	} else if err := t.mapRange(pairs, t.emitter()); err != nil {
 		t.fatal(err)
 		return
 	}
@@ -344,7 +357,7 @@ func (t *mapTask) processBroadcast(iter int, statePairs []kv.Pair) {
 			t.fatal(err)
 			return
 		}
-	} else if err := t.broadcastRange(t.static, statePairs, t.emitFn(iter)); err != nil {
+	} else if err := t.broadcastRange(t.static, statePairs, t.emitter()); err != nil {
 		t.fatal(err)
 		return
 	}
@@ -392,13 +405,11 @@ func (t *mapTask) runSharded(iter, n int, body func(lo, hi int, em kv.Emit) erro
 		for r := 0; r < t.numReduce; r++ {
 			se.forPartition(r, func(ps []kv.Pair) {
 				for len(ps) > 0 {
-					if t.outBuf[r] == nil {
-						t.outBuf[r] = make([]kv.Pair, 0, t.bufThresh)
-					}
-					take := min(t.bufThresh-len(t.outBuf[r]), len(ps))
-					t.outBuf[r] = append(t.outBuf[r], ps[:take]...)
+					b := t.out(r)
+					take := min(t.bufThresh-len(b.pairs), len(ps))
+					b.pairs = append(b.pairs, ps[:take]...)
 					ps = ps[take:]
-					if len(t.outBuf[r]) >= t.bufThresh {
+					if len(b.pairs) >= t.bufThresh {
 						t.sendShuffle(iter, r, false)
 					}
 				}
@@ -409,30 +420,43 @@ func (t *mapTask) runSharded(iter, n int, body func(lo, hi int, em kv.Emit) erro
 	return nil
 }
 
-// emitFn returns the emit callback for one iteration's map output: pairs
-// are partitioned by the phase's Ops and flushed to the reduce tasks in
-// BufferThreshold-sized chunks.
-func (t *mapTask) emitFn(iter int) kv.Emit {
-	return func(k, v any) {
-		r := t.job.Ops.Partition(k, t.numReduce)
-		if t.outBuf[r] == nil {
-			t.outBuf[r] = make([]kv.Pair, 0, t.bufThresh)
-		}
-		t.outBuf[r] = append(t.outBuf[r], kv.Pair{Key: k, Value: v})
-		if len(t.outBuf[r]) >= t.bufThresh {
-			t.sendShuffle(iter, r, false)
+// out returns the chunk buffer being filled for reduce r, taking one
+// from the free list when r has none.
+func (t *mapTask) out(r int) *chunkBuf {
+	if t.outBuf[r] == nil {
+		t.outBuf[r] = t.bufs.get()
+	}
+	return t.outBuf[r]
+}
+
+// emitter returns the serial map loops' emit callback: pairs are
+// partitioned by the phase's Ops and flushed to the reduce tasks in
+// BufferThreshold-sized chunks. It is made once per task — a closure per
+// map pass would cost an allocation per pass — so it files its output
+// under t.iter: a task only ever maps the iteration it is on.
+func (t *mapTask) emitter() kv.Emit {
+	if t.emit == nil {
+		t.emit = func(k, v any) {
+			r := t.job.Ops.Partition(k, t.numReduce)
+			b := t.out(r)
+			b.pairs = append(b.pairs, kv.Pair{Key: k, Value: v})
+			if len(b.pairs) >= t.bufThresh {
+				t.sendShuffle(t.iter, r, false)
+			}
 		}
 	}
+	return t.emit
 }
 
 // sendShuffle flushes the buffer for reduce r, running the combiner
 // over the chunk first when one is configured.
 //
-// Ownership: a pair slice handed to Send belongs to the network from
-// that moment (channel transports pass it by reference; the chaos
-// wrapper may hold it to reorder or duplicate), so a sent slice is
-// never written again. The buffer is reused only on the combiner
-// shrink path, where the sent slice is a fresh allocation.
+// Ownership (DESIGN §7): the buffer travels with the chunk and comes
+// home to t.bufs — from the reduce once it has copied the records out,
+// or from here right after Send when the endpoint serializes. Until then
+// it is never written. When the combiner shrinks the chunk the fresh
+// combined slice is sent instead, and the buffer stays for the next
+// batch.
 func (t *mapTask) sendShuffle(iter, r int, end bool) {
 	var sstart time.Time
 	if tr := t.e.opts.Trace; tr != nil {
@@ -441,8 +465,12 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 			tr.RecordSpan(trace.SpanShuffle, t.worker, t.tid(), iter, sstart, time.Since(sstart))
 		}()
 	}
-	pairs := t.outBuf[r]
-	reused := false
+	b := t.outBuf[r]
+	var pairs []kv.Pair
+	if b != nil {
+		pairs = b.pairs
+	}
+	lease := leaseOf(b)
 	if t.job.Combine != nil && len(pairs) > 1 {
 		groups := t.grouper.Group(pairs, t.job.Ops)
 		defer t.grouper.Reset()
@@ -456,16 +484,15 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 				}
 				combined = append(combined, kv.Pair{Key: g.Key, Value: v})
 			}
-			pairs, reused = combined, true
+			b.empty()
+			pairs, lease = combined, bufLease{}
 		}
 		// Every key unique: combining cannot shrink the chunk, and reduce
 		// functions accept uncombined values (the Hadoop combiner
 		// contract), so skip the pass and ship the buffer itself.
 	}
-	if reused {
-		t.outBuf[r] = t.outBuf[r][:0]
-	} else {
-		t.outBuf[r] = nil // sent slice now belongs to the network
+	if lease.buf != nil {
+		t.outBuf[r] = nil
 	}
 	var size int64
 	for _, p := range pairs {
@@ -477,8 +504,11 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 	}
 	t.seq++
 	t.send(t.redAddrs[r], kindShuffle, shuffleChunk{
-		Gen: t.gen, Iter: iter, FromMap: t.idx, Seq: t.seq, Pairs: pairs, End: end,
+		Gen: t.gen, Iter: iter, FromMap: t.idx, Seq: t.seq, Pairs: pairs, End: end, lease: lease,
 	}, size)
+	if t.serializes {
+		lease.giveBack()
+	}
 }
 
 // flushEnds sends every reduce its remaining pairs with the

@@ -36,11 +36,15 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	acks := 0
 	ackSeen := make(map[string]bool) // dedup of rollback acks by endpoint address
 	reports := make(map[int]map[int]reportMsg)
-	reportDone := make(map[int]bool) // iterations whose barrier already fired
 	auxBuf := make(map[int]map[int][]kv.Pair)
 	auxHandled := make(map[int]bool) // aux iterations already decided
 	finalSeen := make(map[int]bool)
-	perIter := make(map[int]IterInfo)
+	// perIter[k] is iteration k's boundary once its barrier fired (Iter ==
+	// k; zero before that), which is also what makes a duplicated report
+	// unable to fire it again. A slice, not a map: a long run keeps one
+	// entry per iteration, and map buckets cost several times the entry.
+	var perIter []IterInfo
+	fired := func(k int) bool { return k < len(perIter) && perIter[k].Iter == k }
 	live := make(map[string]bool, len(e.spec.Nodes))
 	for _, w := range e.spec.IDs() {
 		live[w] = true
@@ -72,7 +76,6 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		ackSeen = make(map[string]bool)
 		rbToIter = toIter
 		reports = make(map[int]map[int]reportMsg)
-		reportDone = make(map[int]bool)
 		auxBuf = make(map[int]map[int][]kv.Pair)
 		auxHandled = make(map[int]bool)
 		ckpts.reset(gen)
@@ -80,11 +83,9 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		if auxDone > toIter {
 			auxDone = toIter
 		}
-		for it := range perIter {
-			if it > toIter {
-				delete(perIter, it)
-			}
-		}
+		// The new generation restarts at toIter+1: the boundaries past it
+		// are recomputed, the ones before it stand.
+		perIter = perIter[:min(len(perIter), toIter+1)]
 		e.opts.Trace.Emit(trace.KindRollback, "master", -1, toIter,
 			trace.Attr{Key: "gen", Value: fmt.Sprint(gen)})
 		sendCmd(ts.all, cmdMsg{Kind: cmdRollback, Gen: gen, ToIter: toIter})
@@ -391,7 +392,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			}
 
 		case reportMsg:
-			if pl.Gen != gen || terminated || reportDone[pl.Iter] {
+			if pl.Gen != gen || terminated || fired(pl.Iter) {
 				continue
 			}
 			if reports[pl.Iter] == nil {
@@ -402,10 +403,8 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 				continue
 			}
 			// Iteration boundary: merge the local distance values
-			// (§3.1.2) and the timing reports (§3.4.2). Mark the boundary
-			// handled so a duplicated report cannot re-fire it.
+			// (§3.1.2) and the timing reports (§3.4.2).
 			iter := pl.Iter
-			reportDone[iter] = true
 			var dist float64
 			var maxElapsed time.Duration
 			for _, r := range reports[iter] {
@@ -413,6 +412,9 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 				if d := time.Duration(r.ElapsedNanos); d > maxElapsed {
 					maxElapsed = d
 				}
+			}
+			for len(perIter) <= iter {
+				perIter = append(perIter, IterInfo{})
 			}
 			perIter[iter] = IterInfo{
 				Iter: iter, Dist: dist,
@@ -473,15 +475,16 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 					Migrations:    migrations,
 					Recoveries:    recoveries,
 				}
-				iters := make([]int, 0, len(perIter))
-				for it := range perIter {
-					iters = append(iters, it)
-				}
-				sort.Ints(iters)
-				for _, it := range iters {
-					if it <= stopIter {
-						res.PerIter = append(res.PerIter, perIter[it])
+				// In iteration order, compacted in place: a resumed run has
+				// no boundaries before its checkpoint.
+				out := perIter[:0]
+				for k := 1; k <= stopIter && k < len(perIter); k++ {
+					if fired(k) {
+						out = append(out, perIter[k])
 					}
+				}
+				if len(out) > 0 {
+					res.PerIter = out
 				}
 				return res, nil
 			}

@@ -44,16 +44,22 @@ type stateChunk struct {
 
 	// slab is the decode arena Pairs was carved from when the chunk came
 	// off the binary wire path (nil for locally-built and gob-decoded
-	// chunks). Unexported, so gob and the wire encoding never see it.
-	// The receiving handler owns the chunk and must release() it.
-	slab *kv.Slab
+	// chunks). lease is the claim on the sender's chunk buffer Pairs lives
+	// in, when the chunk travels by reference to a single receiver (see
+	// buffers.go). Both unexported, so gob and the wire encoding never see
+	// them: a decoded chunk has a slab and no lease. The receiving handler
+	// owns the chunk and must release() it.
+	slab  *kv.Slab
+	lease bufLease
 }
 
-// release recycles the chunk's decode arena, if any. Pairs (and any
-// slices of it) must not be used afterwards; boxed keys and values that
-// escaped into accumulators stay valid (ReleaseRetainValues). Handlers
+// release recycles the chunk's decode arena, if any, and sends its chunk
+// buffer home, if it holds one. Pairs (and any slices of it) must not be
+// used afterwards; boxed keys and values that escaped into accumulators
+// stay valid (ReleaseRetainValues, and a buffer is only cleared). Handlers
 // call this exactly once, via defer, when they are done with Pairs.
 func (c stateChunk) release() {
+	c.lease.giveBack()
 	if c.slab != nil {
 		c.slab.ReleaseRetainValues()
 	}
@@ -69,12 +75,14 @@ type shuffleChunk struct {
 	Pairs   []kv.Pair
 	End     bool
 
-	// slab: see stateChunk.slab.
-	slab *kv.Slab
+	// slab, lease: see stateChunk.
+	slab  *kv.Slab
+	lease bufLease
 }
 
 // release: see stateChunk.release.
 func (c shuffleChunk) release() {
+	c.lease.giveBack()
 	if c.slab != nil {
 		c.slab.ReleaseRetainValues()
 	}

@@ -14,13 +14,16 @@ import (
 	"imapreduce/internal/transport"
 )
 
-// tapNet shows a test every Send before it happens — tap may act on it,
-// or return an error in its place, the way a FaultyNetwork surfaces an
-// injected drop — and remembers the first endpoint bound to each
-// address.
+// tapNet shows a test every Send before it happens, with the endpoint it
+// leaves from — tap may act on it, send something of its own ahead of
+// it, or return an error in its place, the way a FaultyNetwork surfaces
+// an injected drop — and remembers the first endpoint bound to each
+// address. Its endpoints implement nothing beyond transport.Endpoint
+// (not transport.Serializer, so chunk buffers come home from their
+// receivers).
 type tapNet struct {
 	transport.Network
-	tap func(to string, msg transport.Message) error
+	tap func(from transport.Endpoint, to string, msg transport.Message) error
 
 	mu    sync.Mutex
 	first map[string]transport.Endpoint
@@ -48,7 +51,7 @@ func (n *tapNet) Endpoint(addr string) (transport.Endpoint, error) {
 }
 
 func (e *tapEndpoint) Send(to string, msg transport.Message) error {
-	if err := e.net.tap(to, msg); err != nil {
+	if err := e.net.tap(e.Endpoint, to, msg); err != nil {
 		return err
 	}
 	return e.Endpoint.Send(to, msg)
@@ -63,7 +66,7 @@ func TestLostPlanAckDoesNotStallDeploy(t *testing.T) {
 	m := metrics.NewSet()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
 	var drops atomic.Int64
-	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(to string, msg transport.Message) error {
+	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(_ transport.Endpoint, to string, msg transport.Message) error {
 		if msg.Kind == kindPlanAck && drops.CompareAndSwap(0, 1) {
 			return fmt.Errorf("dropped %s to %s", msg.Kind, to)
 		}

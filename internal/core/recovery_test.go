@@ -410,7 +410,7 @@ func TestKilledRunStragglerCannotPoisonResume(t *testing.T) {
 	// has flowed yet.
 	var onGo atomic.Pointer[func(cmdMsg)]
 	var once sync.Once
-	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(_ string, msg transport.Message) error {
+	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(_ transport.Endpoint, _ string, msg transport.Message) error {
 		if c, ok := msg.Payload.(cmdMsg); ok && c.Kind == cmdGo {
 			if fn := onGo.Load(); fn != nil {
 				once.Do(func() { (*fn)(c) })

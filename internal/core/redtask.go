@@ -19,13 +19,13 @@ import (
 // connection to its paired map task — plus broadcast/auxiliary copies
 // when configured.
 type reduceTask struct {
-	e       *Engine
-	run     *runState
-	jobName string
-	job     *Job
-	phase   int
-	idx     int
-	isAux   bool
+	e      *Engine
+	run    *runState
+	master string // the run's master address
+	job    *Job
+	phase  int
+	idx    int
+	isAux  bool
 	// isTermination marks the main chain's final phase: it keeps the
 	// previous iteration's state for the Distance test, reports
 	// iteration completions to the master, writes checkpoints, and
@@ -62,20 +62,25 @@ type reduceTask struct {
 	auxPhase int
 
 	bufThresh int
-	outBuf    []kv.Pair
-	pend      map[int]*redAccum
+	// outBuf is the state chunk being filled (nil until its first record);
+	// bufs is where its buffers come from and go back to (see
+	// flushStreaming); serializes says ep encodes a payload inside Send.
+	outBuf     *chunkBuf
+	bufs       *freeList
+	serializes bool
+	pend       map[int]*accum
 	// lastIn is the previous iteration's total shuffle input, used to
 	// presize the next accumulator — iterative jobs move nearly the same
 	// record count every round.
 	lastIn int
 	// Task-lifetime scratch, reused every iteration and released with the
-	// task: spare is the last finished iteration's (emptied) accumulator
-	// buffer, which the next new accumulator takes instead of allocating;
-	// grouper is the grouping kernel with its key index, values array and
-	// group headers; nvals the parallel reduce's result slots. All are
-	// sized by one iteration's input and hold no record references between
+	// task: spare is the last finished iteration's (emptied) accumulator,
+	// which the next iteration takes instead of allocating one; grouper is
+	// the grouping kernel with its key index, values array and group
+	// headers; nvals the parallel reduce's result slots. All are sized by
+	// one iteration's input and hold no record references between
 	// iterations.
-	spare   []kv.Pair
+	spare   *accum
 	grouper kv.Grouper
 	nvals   []any
 	prev    stateRun
@@ -112,13 +117,8 @@ func (t *reduceTask) tid() int {
 	return t.idx
 }
 
-type redAccum struct {
-	pairs []kv.Pair
-	ends  int
-	seen  map[chunkKey]bool
-}
-
 func (t *reduceTask) loop() {
+	defer t.bufs.report(t.e.m)
 	var beat <-chan time.Time
 	if hb := t.e.opts.HeartbeatInterval; hb > 0 {
 		tick := time.NewTicker(hb)
@@ -151,21 +151,20 @@ func (t *reduceTask) loop() {
 				case cmdProceed:
 					if pairs, ok := t.held[pl.ToIter]; ok {
 						delete(t.held, pl.ToIter)
-						t.outBuf = pairs
-						t.deliverMain(pl.ToIter)
+						t.deliverChunk(t.targetAddrs, t.targetPhase, pl.ToIter, pl.ToIter+t.targetIterDelta, pairs, true, bufLease{})
 					}
 				}
 			}
 		case <-beat:
 			t.e.stallPoint(t.worker)
 			t.e.m.Add(metrics.HeartbeatsSent, 1)
-			t.send(masterAddr(t.jobName), kindBeat, heartbeatMsg{Worker: t.worker, Phase: t.phase, Task: t.idx}, 0)
+			t.send(t.master, kindBeat, heartbeatMsg{Worker: t.worker, Phase: t.phase, Task: t.idx}, 0)
 		}
 	}
 }
 
 func (t *reduceTask) fatal(err error) {
-	t.send(masterAddr(t.jobName), kindFail, taskErrMsg{Phase: t.phase, Task: t.idx, Err: err.Error()}, 0)
+	t.send(t.master, kindFail, taskErrMsg{Phase: t.phase, Task: t.idx, Err: err.Error()}, 0)
 }
 
 func (t *reduceTask) send(to, kind string, payload any, size int64) {
@@ -182,14 +181,14 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 	t.gen = cmd.Gen
 	t.genAtomic.Store(int64(cmd.Gen))
 	t.iter = cmd.ToIter + 1
-	t.pend = make(map[int]*redAccum)
+	t.pend = make(map[int]*accum)
 	t.outBuf = nil
 	t.held = make(map[int][]kv.Pair)
 	t.ownDone = nil
 	if t.e.opts.Trace != nil {
 		t.idleSince = time.Now()
 	}
-	defer t.send(masterAddr(t.jobName), kindCmd, rbAckMsg{Gen: t.gen, Phase: t.phase, Task: t.idx}, 0)
+	defer t.send(t.master, kindCmd, rbAckMsg{Gen: t.gen, Phase: t.phase, Task: t.idx}, 0)
 	if !t.isTermination {
 		return
 	}
@@ -211,11 +210,7 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 	}
 	a := t.pend[c.Iter]
 	if a == nil {
-		a = &redAccum{pairs: t.spare, seen: make(map[chunkKey]bool)}
-		t.spare = nil
-		if a.pairs == nil {
-			a.pairs = make([]kv.Pair, 0, t.lastIn)
-		}
+		a = takeAccum(&t.spare, t.lastIn)
 		t.pend[c.Iter] = a
 	}
 	k := chunkKey{from: c.FromMap, seq: c.Seq}
@@ -258,11 +253,10 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 		t.lastIn = len(a.pairs)
 		t.finishIteration(t.iter, a.pairs)
 		// Nothing keeps the input past the reduce (groups reference the
-		// boxed records, not this slice): empty it and hand it to the next
-		// accumulator. Clearing matters — stale entries would pin the whole
-		// iteration's decode arenas until overwritten.
-		clear(a.pairs)
-		t.spare = a.pairs[:0]
+		// boxed records, not this slice): the accumulator is the next
+		// iteration's.
+		a.reset()
+		t.spare = a
 		delete(t.pend, t.iter)
 		t.iter++
 		if t.e.opts.Trace != nil {
@@ -345,12 +339,10 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 		}
 		if !t.gated {
 			if t.outBuf == nil {
-				// flushStreaming hands the slice to the network, so each
-				// flush needs a fresh buffer; allocate it at full size.
-				t.outBuf = make([]kv.Pair, 0, t.bufThresh)
+				t.outBuf = t.bufs.get()
 			}
-			t.outBuf = append(t.outBuf, kv.Pair{Key: g.Key, Value: ns})
-			if len(t.outBuf) >= t.bufThresh {
+			t.outBuf.pairs = append(t.outBuf.pairs, kv.Pair{Key: g.Key, Value: ns})
+			if len(t.outBuf.pairs) >= t.bufThresh {
 				t.flushStreaming(iter, false)
 			}
 		}
@@ -368,7 +360,7 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 		// data to decide); the loop-back is held for the master's
 		// termination verdict.
 		if len(t.auxAddrs) > 0 {
-			t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, out, true)
+			t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, out, true, bufLease{})
 		}
 		if t.feedMain && !t.toMaster {
 			t.held[iter] = out
@@ -378,7 +370,7 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 	}
 
 	if t.toMaster {
-		t.send(masterAddr(t.jobName), kindAuxOut,
+		t.send(t.master, kindAuxOut,
 			auxOutMsg{Gen: t.gen, Iter: iter, Task: t.idx, Pairs: out}, 0)
 		return
 	}
@@ -388,41 +380,60 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 	if ckptDue {
 		t.checkpoint(iter, out)
 	}
-	t.send(masterAddr(t.jobName), kindReport, reportMsg{
+	t.send(t.master, kindReport, reportMsg{
 		Gen: t.gen, Iter: iter, Task: t.idx, Dist: dist,
 		ElapsedNanos: int64(elapsed), Worker: t.worker,
 	}, 0)
 }
 
-// deliverMain releases held output for iter to the main targets.
-func (t *reduceTask) deliverMain(iter int) {
-	pairs := t.outBuf
-	t.outBuf = nil
-	t.deliverChunk(t.targetAddrs, t.targetPhase, iter, iter+t.targetIterDelta, pairs, true)
-}
-
 // flushStreaming sends buffered new-state records to the next phase's
 // map(s) — and an auxiliary copy — in BufferThreshold-sized chunks
 // (§3.3's buffered eager triggering).
+//
+// Ownership (DESIGN §7): when one task receives the chunk its buffer
+// travels with it and comes home to t.bufs — from that map once it has
+// consumed the records, or from here right after Send when the endpoint
+// serializes. A buffer nobody receives (an auxiliary reduce's output,
+// which goes to the master whole; the state past the iteration bound) is
+// kept at once; one that two tasks would read (OneToAll broadcast, an
+// auxiliary copy beside the loop-back) is left to the GC.
 func (t *reduceTask) flushStreaming(iter int, end bool) {
-	pairs := t.outBuf
+	b := t.outBuf
 	t.outBuf = nil
-	if len(pairs) == 0 && !end {
+	if b == nil && !end {
 		return
 	}
-	if !t.toMaster && t.feedMain {
-		t.deliverChunk(t.targetAddrs, t.targetPhase, iter, iter+t.targetIterDelta, pairs, end)
+	main := !t.toMaster && t.feedMain
+	receivers := len(t.auxAddrs)
+	if main {
+		receivers += len(t.targetAddrs)
+	}
+	var pairs []kv.Pair
+	var lease bufLease
+	if b != nil {
+		pairs = b.pairs
+		switch receivers {
+		case 0:
+			t.bufs.recycle(b)
+		case 1:
+			lease = leaseOf(b)
+		}
+	}
+	if main {
+		t.deliverChunk(t.targetAddrs, t.targetPhase, iter, iter+t.targetIterDelta, pairs, end, lease)
 	}
 	if len(t.auxAddrs) > 0 {
-		t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, pairs, end)
+		t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, pairs, end, lease)
 	}
 }
 
 // deliverChunk sends one state chunk to each address, accounting local
 // vs cross-worker traffic. srcIter is the iteration that produced the
 // chunk (its trace attribution); tagIter is the iteration the receiver
-// files it under (srcIter+1 across the loop-back).
-func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, pairs []kv.Pair, end bool) {
+// files it under (srcIter+1 across the loop-back). lease, when set, is
+// the claim on the buffer pairs lives in, and addrs names its one
+// receiver.
+func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, pairs []kv.Pair, end bool, lease bufLease) {
 	var sstart time.Time
 	if tr := t.e.opts.Trace; tr != nil {
 		sstart = time.Now()
@@ -445,8 +456,11 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, p
 			t.e.m.Add(metrics.StateRemote, size)
 		}
 		t.send(addr, kindState, stateChunk{
-			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: pairs, End: end,
+			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: pairs, End: end, lease: lease,
 		}, size)
+	}
+	if t.serializes {
+		lease.giveBack()
 	}
 }
 
@@ -506,7 +520,7 @@ func (t *reduceTask) checkpoint(iter int, out []kv.Pair) {
 		}
 		t.e.m.Add(metrics.Checkpoints, 1)
 		t.e.opts.Trace.Emit(trace.KindCheckpoint, worker, tid, iter)
-		t.send(masterAddr(t.jobName), kindCkpt, ckptMsg{Gen: gen, Iter: iter, Task: t.idx}, 0)
+		t.send(t.master, kindCkpt, ckptMsg{Gen: gen, Iter: iter, Task: t.idx}, 0)
 	}()
 }
 
@@ -528,7 +542,7 @@ func (t *reduceTask) writeFinal() {
 	out := t.prev.run // key-ordered already; WriteFile copies the records
 	path := fmt.Sprintf("%s/part-%d", t.run.outputPath, t.idx)
 	if err := t.e.fs.WriteFile(path, t.worker, out, t.job.Ops); err != nil {
-		t.send(masterAddr(t.jobName), kindFinal, finalMsg{Task: t.idx, Err: err.Error()}, 0)
+		t.send(t.master, kindFinal, finalMsg{Task: t.idx, Err: err.Error()}, 0)
 		return
 	}
 	// The final is this task's last word: its checkpoint writers finish
@@ -537,5 +551,5 @@ func (t *reduceTask) writeFinal() {
 	// checkpoints they complete. The host closes this endpoint right after
 	// the last final, and a closed endpoint sends nothing.
 	t.ckptWG.Wait()
-	t.send(masterAddr(t.jobName), kindFinal, finalMsg{Task: t.idx, Records: len(out)}, 0)
+	t.send(t.master, kindFinal, finalMsg{Task: t.idx, Records: len(out)}, 0)
 }

@@ -195,6 +195,8 @@ type scenario struct {
 	spec    cluster.Spec
 	build   core.JobBuilder
 	options func(fail func(worker string)) core.Options
+	// m receives an in-process run's metrics; nil means a fresh set.
+	m *metrics.Set
 }
 
 var calm = scenario{name: "calm", spec: cluster.Uniform(remoteWorkers), build: jobs.Build,
@@ -205,7 +207,10 @@ var calm = scenario{name: "calm", spec: cluster.Uniform(remoteWorkers), build: j
 func (sc scenario) runInProcess(t *testing.T, net transport.Network, key string, params map[string]string) (map[int64]any, *core.Result) {
 	t.Helper()
 	defer net.Close()
-	m := metrics.NewSet()
+	m := sc.m
+	if m == nil {
+		m = metrics.NewSet()
+	}
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, sc.spec.IDs(), m)
 	if err := jobs.Seed(fs, sc.spec.IDs()[0], key, params); err != nil {
 		t.Fatal(err)

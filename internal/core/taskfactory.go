@@ -44,19 +44,21 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 			feeders, broadcast = f.n, true // fed by all main termination reduces
 		}
 		return &mapTask{
-			e: f.e, run: f.run, jobName: f.job.Name, job: f.aux,
+			e: f.e, run: f.run, master: masterAddr(f.job.Name), job: f.aux,
 			phase: phase, idx: idx, isAux: true,
-			broadcast: broadcast,
-			stream:    !f.aux.SyncMap && !broadcast,
-			feeders:   feeders,
-			worker:    f.run.auxWorker[idx],
-			ep:        ep,
-			redAddrs:  redAddrs,
-			numReduce: f.auxN,
-			bufThresh: bufThreshOf(f.aux),
-			outBuf:    make([][]kv.Pair, f.auxN),
-			pend:      make(map[int]*mapAccum),
-			emits:     shardedEmits{nred: f.auxN},
+			broadcast:  broadcast,
+			stream:     !f.aux.SyncMap && !broadcast,
+			feeders:    feeders,
+			worker:     f.run.auxWorker[idx],
+			ep:         ep,
+			redAddrs:   redAddrs,
+			numReduce:  f.auxN,
+			bufThresh:  bufThreshOf(f.aux),
+			outBuf:     make([]*chunkBuf, f.auxN),
+			bufs:       newFreeList(bufThreshOf(f.aux), f.auxN),
+			serializes: transport.SerializesOnSend(ep),
+			pend:       make(map[int]*accum),
+			emits:      shardedEmits{nred: f.auxN},
 		}
 	}
 	p := f.phases[phase]
@@ -70,20 +72,22 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 		feeders, broadcast = f.n, true
 	}
 	return &mapTask{
-		e: f.e, run: f.run, jobName: f.job.Name, job: p,
+		e: f.e, run: f.run, master: masterAddr(f.job.Name), job: p,
 		phase: phase, idx: idx,
-		selfLoads: phase == 0,
-		broadcast: broadcast,
-		stream:    !p.SyncMap && !broadcast,
-		feeders:   feeders,
-		worker:    f.run.pairWorker[idx],
-		ep:        ep,
-		redAddrs:  redAddrs,
-		numReduce: f.n,
-		bufThresh: bufThreshOf(p),
-		outBuf:    make([][]kv.Pair, f.n),
-		pend:      make(map[int]*mapAccum),
-		emits:     shardedEmits{nred: f.n},
+		selfLoads:  phase == 0,
+		broadcast:  broadcast,
+		stream:     !p.SyncMap && !broadcast,
+		feeders:    feeders,
+		worker:     f.run.pairWorker[idx],
+		ep:         ep,
+		redAddrs:   redAddrs,
+		numReduce:  f.n,
+		bufThresh:  bufThreshOf(p),
+		outBuf:     make([]*chunkBuf, f.n),
+		bufs:       newFreeList(bufThreshOf(p), f.n),
+		serializes: transport.SerializesOnSend(ep),
+		pend:       make(map[int]*accum),
+		emits:      shardedEmits{nred: f.n},
 	}
 }
 
@@ -93,14 +97,16 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *reduceTask {
 	if phase == f.auxPhaseIndex() {
 		return &reduceTask{
-			e: f.e, run: f.run, jobName: f.job.Name, job: f.aux,
+			e: f.e, run: f.run, master: masterAddr(f.job.Name), job: f.aux,
 			phase: phase, idx: idx, isAux: true,
-			toMaster:  true,
-			worker:    f.run.auxWorker[idx],
-			ep:        ep,
-			numMaps:   f.auxN,
-			bufThresh: bufThreshOf(f.aux),
-			pend:      make(map[int]*redAccum),
+			toMaster:   true,
+			worker:     f.run.auxWorker[idx],
+			ep:         ep,
+			numMaps:    f.auxN,
+			bufThresh:  bufThreshOf(f.aux),
+			bufs:       newFreeList(bufThreshOf(f.aux), 1),
+			serializes: transport.SerializesOnSend(ep),
+			pend:       make(map[int]*accum),
 		}
 	}
 	p := f.phases[phase]
@@ -109,7 +115,7 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 	gated := phase == last &&
 		((lastJob.DistThreshold > 0 && lastJob.Distance != nil) || f.aux != nil)
 	rt := &reduceTask{
-		e: f.e, run: f.run, jobName: f.job.Name, job: p,
+		e: f.e, run: f.run, master: masterAddr(f.job.Name), job: p,
 		phase: phase, idx: idx,
 		isTermination: phase == last,
 		gated:         gated,
@@ -117,7 +123,9 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 		ep:            ep,
 		numMaps:       f.n,
 		bufThresh:     bufThreshOf(p),
-		pend:          make(map[int]*redAccum),
+		bufs:          newFreeList(bufThreshOf(p), 1),
+		serializes:    transport.SerializesOnSend(ep),
+		pend:          make(map[int]*accum),
 		held:          make(map[int][]kv.Pair),
 	}
 	// Route the new state: phase pi feeds phase pi+1's maps within the

@@ -247,7 +247,8 @@ func TestPartitionPanicsOnZero(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	intOps().Partition(int64(1), 0)
+	ops := intOps()
+	ops.Partition(int64(1), 0)
 }
 
 func BenchmarkHashOfInt64(b *testing.B) {

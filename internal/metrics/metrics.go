@@ -40,6 +40,8 @@ const (
 	CheckpointsLost   = "checkpoints.lost"     // checkpoint writes abandoned after all retries
 	ManifestCommits   = "manifests.committed"  // durable checkpoint manifests committed
 	RunsResumed       = "runs.resumed"         // cold restarts from a durable manifest
+	ChunkBufsReused   = "chunkbufs.reused"     // chunk buffers a task took back from its free list
+	ChunkBufsAlloc    = "chunkbufs.allocated"  // chunk buffers a task allocated (its free list was empty)
 )
 
 // Counter names reported by the multi-tenant job service

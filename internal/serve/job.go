@@ -138,25 +138,23 @@ func (j *Job) Result() (*imr.JobResult, error) {
 func (j *Job) Cancel() {
 	if j.cancelQueued(fmt.Errorf("serve: job %s canceled while queued: %w", j.id, context.Canceled)) {
 		j.svc.unqueue(j)
-		j.svc.noteTerminal(j)
+		j.svc.settle(j)
 		return
 	}
 	j.cancelRun(context.Canceled)
 }
 
-// cancelQueued finishes a still-queued job as canceled; it reports
+// cancelQueued records a still-queued job as canceled; it reports
 // whether this call performed the transition (false if the job already
-// left the queued state).
+// left the queued state). The caller settles the job.
 func (j *Job) cancelQueued(err error) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.status != imr.StatusQueued {
-		j.mu.Unlock()
 		return false
 	}
 	j.status = imr.StatusCanceled
 	j.err = err
-	j.mu.Unlock()
-	close(j.done)
 	return true
 }
 
@@ -173,9 +171,11 @@ func (j *Job) markRunning(dseq int) bool {
 	return true
 }
 
-// finishRun records the terminal state of a job that was dispatched.
+// finishRun records the terminal state of a job that was dispatched. The
+// caller settles the job.
 func (j *Job) finishRun(res *imr.JobResult, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.res, j.err = res, err
 	switch {
 	case err == nil:
@@ -185,6 +185,4 @@ func (j *Job) finishRun(res *imr.JobResult, err error) {
 	default:
 		j.status = imr.StatusFailed
 	}
-	j.mu.Unlock()
-	close(j.done)
 }

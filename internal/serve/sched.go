@@ -87,11 +87,7 @@ func (s *Service) nextLocked() (*Job, int) {
 // immediately.
 func (s *Service) dispatch(j *Job, dseq int) {
 	if !j.markRunning(dseq) {
-		s.mu.Lock()
-		s.running[j.tenant]--
-		s.runningN--
-		delete(s.runningSet, j)
-		s.mu.Unlock()
+		s.releaseSlot(j)
 		return
 	}
 	s.m.Add(metrics.ServeDispatched, 1)
@@ -103,8 +99,8 @@ func (s *Service) dispatch(j *Job, dseq int) {
 	go s.runJob(j)
 }
 
-// runJob executes one dispatched job to completion on the cluster,
-// then releases its slot and wakes the scheduler.
+// runJob executes one dispatched job to completion on the cluster, then
+// settles it (which releases its slot and wakes the scheduler).
 func (s *Service) runJob(j *Job) {
 	defer s.wg.Done()
 	inner, err := s.cluster.Submit(j.runCtx, j.spec, j.opts)
@@ -113,15 +109,20 @@ func (s *Service) runJob(j *Job) {
 		res, err = inner.Result()
 	}
 	j.finishRun(res, err)
+	s.settle(j)
+}
 
+// releaseSlot returns j's run slot if it still holds one. A job canceled
+// between dequeue and dispatch is released by whichever of its Cancel
+// and the dispatch gets there first, so this must be idempotent.
+func (s *Service) releaseSlot(j *Job) {
 	s.mu.Lock()
-	s.running[j.tenant]--
-	s.runningN--
-	delete(s.runningSet, j)
-	s.mu.Unlock()
-
-	s.noteTerminal(j)
-	s.kickSched()
+	defer s.mu.Unlock()
+	if _, ok := s.runningSet[j]; ok {
+		delete(s.runningSet, j)
+		s.running[j.tenant]--
+		s.runningN--
+	}
 }
 
 // unqueue removes a job canceled while queued from its tenant queue

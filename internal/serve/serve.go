@@ -364,7 +364,7 @@ func (s *Service) Close() {
 	close(s.closeCh)
 	for _, j := range queued {
 		if j.cancelQueued(fmt.Errorf("serve: job %s dropped: %w: %w", j.id, ErrClosed, context.Canceled)) {
-			s.noteTerminal(j)
+			s.settle(j)
 		}
 	}
 	for _, j := range active {
@@ -373,9 +373,12 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// noteTerminal updates service counters and folds the job's private
-// metrics into the service set once the job reaches a terminal state.
-func (s *Service) noteTerminal(j *Job) {
+// settle does a job's terminal accounting once its status and result are
+// recorded, and then completes its handle: the service counters, the
+// job's private metrics folded into the service set, its run slot
+// released, and only then done closed — so whoever returns from Wait or
+// Result already sees all of it.
+func (s *Service) settle(j *Job) {
 	switch j.Status() {
 	case imr.StatusDone:
 		s.m.Add(metrics.ServeCompleted, 1)
@@ -393,4 +396,7 @@ func (s *Service) noteTerminal(j *Job) {
 	s.tr.Emit(trace.KindServeDone, j.tenant, -1, 0,
 		trace.Attr{Key: "job", Value: j.name},
 		trace.Attr{Key: "status", Value: j.Status().String()})
+	s.releaseSlot(j)
+	close(j.done)
+	s.kickSched()
 }

@@ -211,6 +211,40 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestAccountingSettledBeforeWait runs jobs one after another and reads
+// the service's books the moment each Wait returns: the completion count
+// and the tenant's folded counters already include that job, and its slot
+// is free again. Terminal accounting happens before the handle completes,
+// never after.
+func TestAccountingSettledBeforeWait(t *testing.T) {
+	c := newTestCluster(t)
+	s := newService(t, Config{Cluster: c, Slots: 2})
+	seedState(t, c, "/seq/state")
+	const jobs = 200
+	for i := 1; i <= jobs; i++ {
+		j, err := s.Submit(context.Background(), iterSpec(quickJob(fmt.Sprintf("seq-%d", i), "/seq/state")),
+			imr.SubmitOptions{Tenant: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if n := s.m.Get(metrics.ServeCompleted); n != int64(i) {
+			t.Fatalf("after job %d's Wait: completed = %d", i, n)
+		}
+		if n := s.m.Get("tenant.t." + metrics.JobsLaunched); n != int64(i) {
+			t.Fatalf("after job %d's Wait: folded tenant.t.%s = %d", i, metrics.JobsLaunched, n)
+		}
+		if n := s.m.Get("tenant.t." + metrics.Iterations); n != int64(i) {
+			t.Fatalf("after job %d's Wait: folded tenant.t.%s = %d", i, metrics.Iterations, n)
+		}
+		if st := s.Stats(); st.Running != 0 {
+			t.Fatalf("after job %d's Wait: %d slots still held", i, st.Running)
+		}
+	}
+}
+
 // TestServeFairness drives one slot to saturation from two tenants with
 // weights 2:1 and checks the dispatch ordinals realize the weight ratio
 // within 15%.

@@ -255,7 +255,12 @@ type tcpEndpoint struct {
 	conns   map[string]*tcpConn      // persistent outbound connections by peer
 	gates   map[string]*dialGate     // per-peer dial backoff state
 	dialing map[string]chan struct{} // single-flight claims; closed when a dial settles
-	done    chan struct{}
+	// epochs counts each peer's invalidations (TCPNetwork.Invalidate). A
+	// dial records the count when it is claimed; one that settles under a
+	// newer count went to where the peer used to live, so its failure arms
+	// no gate and its connection is not installed.
+	epochs map[string]uint64
+	done   chan struct{}
 	// closeOnce makes Close safe to call from two owners at once: a task
 	// address's previous host and the one re-binding it.
 	closeOnce sync.Once
@@ -393,6 +398,7 @@ func (n *TCPNetwork) endpoint(addr, listen string, reuse bool) (Endpoint, error)
 		conns:    make(map[string]*tcpConn),
 		gates:    make(map[string]*dialGate),
 		dialing:  make(map[string]chan struct{}),
+		epochs:   make(map[string]uint64),
 		accepted: make(map[net.Conn]bool),
 		done:     make(chan struct{}),
 	}
@@ -417,7 +423,9 @@ func (n *TCPNetwork) ListenAddr(addr string) (string, bool) {
 // Invalidate drops every cached outbound connection to logical address
 // peer and clears its dial-backoff gates, forcing the next Send to
 // re-resolve and re-dial. Call it after a directory change remaps peer
-// to a different process (task respawn after a worker death).
+// to a different process (task respawn after a worker death). A dial to
+// peer already in flight settles without effect: it neither arms a gate
+// nor installs its connection.
 func (n *TCPNetwork) Invalidate(peer string) {
 	n.mu.Lock()
 	eps := make([]*tcpEndpoint, 0, len(n.endpoints))
@@ -438,6 +446,7 @@ func (n *TCPNetwork) Invalidate(peer string) {
 			c.c.Close()
 		}
 		delete(e.gates, peer)
+		e.epochs[peer]++
 		e.mu.Unlock()
 	}
 }
@@ -601,6 +610,10 @@ func decodeBinFrame(body []byte, to string) (Message, error) {
 
 func (e *tcpEndpoint) Addr() string { return e.addr }
 
+// SerializesOnSend implements Serializer: Send encodes the frame into the
+// connection's own buffer before it returns, and keeps nothing of msg.
+func (e *tcpEndpoint) SerializesOnSend() {}
+
 func (e *tcpEndpoint) Send(to string, msg Message) error {
 	select {
 	case <-e.done:
@@ -725,9 +738,11 @@ func (n *TCPNetwork) resolve(peer string) (string, error) {
 // them — and block sends to peers that are already connected — behind
 // whichever dial happens to be in flight. Failed dials arm a per-peer
 // exponential backoff gate (with jitter); sends inside the window fail
-// fast with DialBackoffError.
+// fast with DialBackoffError — unless the peer was invalidated while the
+// dial was in flight (see epochs).
 func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 	var claim chan struct{}
+	var epoch uint64
 	for {
 		e.mu.Lock()
 		if c, ok := e.conns[peer]; ok {
@@ -749,6 +764,7 @@ func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 		if !busy {
 			claim = make(chan struct{})
 			e.dialing[peer] = claim
+			epoch = e.epochs[peer]
 			e.mu.Unlock()
 			break
 		}
@@ -771,10 +787,13 @@ func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 	e.mu.Lock()
 	delete(e.dialing, peer)
 	close(claim)
+	moved := e.epochs[peer] != epoch
 	if err != nil {
-		if conn == nil && target != "" {
+		if conn == nil && target != "" && !moved {
 			// Gate only actual dial failures; an unresolvable peer (not
-			// registered yet) should not penalize the first real send.
+			// registered yet) should not penalize the first real send, and
+			// a failure at the peer's previous home says nothing about its
+			// new one.
 			e.armGate(peer, err)
 		}
 		e.mu.Unlock()
@@ -788,6 +807,13 @@ func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 		conn.c.Close()
 		return nil, fmt.Errorf("%w (%s)", errSenderClosed, e.addr)
 	default:
+	}
+	if moved {
+		// The connection may lead to the peer's previous home. Dropped; the
+		// caller's retry resolves and dials afresh.
+		e.mu.Unlock()
+		conn.c.Close()
+		return nil, fmt.Errorf("transport: %s->%s: peer invalidated during the dial", e.addr, peer)
 	}
 	delete(e.gates, peer)
 	e.conns[peer] = conn // a dead predecessor's socket is already closed

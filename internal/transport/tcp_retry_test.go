@@ -197,6 +197,83 @@ func TestDialBackoffCapsAttempts(t *testing.T) {
 	}
 }
 
+// TestInvalidateDuringDialSettlesWithoutEffect holds a dial in its
+// resolver while the peer moves (Invalidate), then lets it settle at the
+// peer's previous home. A failure there must arm no gate — the retry
+// dials the new home at once instead of failing with DialBackoffError for
+// the whole backoff — and a success must install no connection, so
+// nothing reaches the old home.
+func TestInvalidateDuringDialSettlesWithoutEffect(t *testing.T) {
+	for _, shape := range []string{"failed", "succeeded"} {
+		t.Run(shape, func(t *testing.T) {
+			newHome := NewTCPNetwork()
+			defer newHome.Close()
+			dst, err := newHome.Endpoint("peer")
+			if err != nil {
+				t.Fatal(err)
+			}
+			newHP, _ := newHome.ListenAddr("peer")
+			oldHP := deadTarget(t)
+			var oldDst Endpoint
+			if shape == "succeeded" {
+				oldHome := NewTCPNetwork()
+				defer oldHome.Close()
+				if oldDst, err = oldHome.Endpoint("peer"); err != nil {
+					t.Fatal(err)
+				}
+				oldHP, _ = oldHome.ListenAddr("peer")
+			}
+
+			entered, release := make(chan struct{}), make(chan struct{})
+			var resolves atomic.Int64
+			nw := NewTCPNetworkOpts(TCPOptions{
+				// A gate armed by the stale dial would outlive the test.
+				DialBackoffBase: time.Minute,
+				DialBackoffMax:  time.Minute,
+				Resolver: func(string) (string, bool) {
+					if resolves.Add(1) == 1 {
+						close(entered)
+						<-release
+						return oldHP, true
+					}
+					return newHP, true
+				},
+			})
+			defer nw.Close()
+			a, err := nw.Endpoint("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := make(chan error, 1)
+			go func() { sent <- a.Send("peer", Message{Kind: "k", Payload: "moved", Size: 5}) }()
+			<-entered
+			nw.Invalidate("peer")
+			close(release)
+			if err := <-sent; err != nil {
+				t.Fatalf("send across the move: %v, want the retry to dial the new home at once", err)
+			}
+			if got := collect(t, dst, 1, 2*time.Second); len(got) != 1 || got[0].Payload.(string) != "moved" {
+				t.Fatalf("new home received %v", got)
+			}
+			if oldDst != nil {
+				if got := collect(t, oldDst, 1, 50*time.Millisecond); len(got) != 0 {
+					t.Fatalf("old home received %v over the stale connection", got)
+				}
+			}
+			if n := resolves.Load(); n != 2 {
+				t.Fatalf("%d resolves, want 2: the stale dial and one fresh one", n)
+			}
+			ta := a.(*tcpEndpoint)
+			ta.mu.Lock()
+			g := ta.gates["peer"]
+			ta.mu.Unlock()
+			if g != nil {
+				t.Fatalf("gate armed by a dial the move made stale: %+v", g)
+			}
+		})
+	}
+}
+
 // TestDialGateConcurrentSenders is a race-detector test: several
 // goroutines send to one unreachable peer over a backoff short enough
 // that the gate re-opens many times, so gate reads (fail-fast sends) and

@@ -64,6 +64,25 @@ func Preconnect(ep Endpoint, peers ...string) {
 	}
 }
 
+// Serializer is the optional interface of an endpoint whose Send has
+// encoded the whole payload by the time it returns, successful or not:
+// nothing the message references is read afterwards, so the sender may
+// reuse it at once. The TCP backend implements it; the channel backend
+// delivers payloads by reference and does not. A wrapper that may hold a
+// message past Send — to delay, reorder or duplicate it, as the Latency
+// and Faulty networks do — must not forward it, whatever its inner
+// endpoint does.
+type Serializer interface {
+	// SerializesOnSend is a marker: implementing it is the promise.
+	SerializesOnSend()
+}
+
+// SerializesOnSend reports whether ep implements Serializer.
+func SerializesOnSend(ep Endpoint) bool {
+	_, ok := ep.(Serializer)
+	return ok
+}
+
 // Network creates endpoints and accounts traffic.
 type Network interface {
 	// Endpoint registers (or returns) the endpoint named addr.
