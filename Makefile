@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race short race-short bench bench-smoke trace-smoke serve-smoke soak proc-smoke ci clean
+.PHONY: all build vet lint test race short race-short bench bench-smoke bench-test trace-smoke serve-smoke soak proc-smoke ci clean
 
 all: ci
 
@@ -62,11 +62,20 @@ bench:
 # within single-digit allocations per 4096-pair chunk, and a warm
 # Grouper, a warm static join and a warm previous-state merge must
 # handle a same-sized input with none at all, and a warm SSSP superstep
-# may allocate only what its map boxes and one box per message sent.
+# may allocate only what its map boxes and one box per message sent. In
+# the baseline engine a map attempt may allocate only its spill runs and
+# a few headers, and a reduce attempt the same count whatever its input.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core
 	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs' -count=1 -timeout 2m
 	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/mapreduce -run 'TestMapAttemptAllocs|TestReduceAttemptAllocs' -count=1 -timeout 2m
+
+# The benchmark module's own tests: its workload catalogue against
+# BENCHMARK.json, and every workload end to end at toy size. Tier-1's
+# go test ./... never reaches them — bench/ is a module of its own.
+bench-test:
+	cd bench && $(GO) test -count=1 -timeout 5m ./...
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.
@@ -99,7 +108,7 @@ soak:
 proc-smoke:
 	$(GO) test -tags procsmoke ./internal/proctest -run TestProc -count=1 -v -timeout 10m
 
-ci: vet lint build race-short bench-smoke trace-smoke serve-smoke soak proc-smoke
+ci: vet lint build race-short bench-smoke bench-test trace-smoke serve-smoke soak proc-smoke
 
 clean:
 	$(GO) clean ./...

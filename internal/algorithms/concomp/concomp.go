@@ -156,7 +156,8 @@ func MRSpec(name, input, workDir string, numReduce, maxIter int, distThreshold f
 		},
 		Reduce: func(key any, values []any, emit kv.Emit) error {
 			var min int64 = 1<<62 - 1
-			var carrier *mapreduce.IterValue
+			var carrier mapreduce.IterValue
+			found := false
 			for _, v := range values {
 				switch x := v.(type) {
 				case int64:
@@ -164,14 +165,13 @@ func MRSpec(name, input, workDir string, numReduce, maxIter int, distThreshold f
 						min = x
 					}
 				case mapreduce.IterValue:
-					c := x
-					carrier = &c
+					carrier, found = x, true
 					if l := x.State.(int64); l < min {
 						min = l
 					}
 				}
 			}
-			if carrier == nil {
+			if !found {
 				return nil
 			}
 			emit(key, mapreduce.IterValue{State: min, Static: carrier.Static})

@@ -152,18 +152,18 @@ func MRSpec(name, input, workDir string, nodes, numReduce, maxIter int, distThre
 		},
 		Reduce: func(key any, values []any, emit kv.Emit) error {
 			var sum float64
-			var carrier *mapreduce.IterValue
+			var carrier mapreduce.IterValue
+			found := false
 			for _, v := range values {
 				switch x := v.(type) {
 				case float64:
 					sum += x
 				case mapreduce.IterValue:
-					c := x
-					carrier = &c
+					carrier, found = x, true
 					sum += x.State.(float64)
 				}
 			}
-			if carrier == nil {
+			if !found {
 				return nil
 			}
 			emit(key, mapreduce.IterValue{State: sum, Static: carrier.Static})

@@ -163,7 +163,8 @@ func MRSpec(name, input, workDir string, numReduce, maxIter int, distThreshold f
 		},
 		Reduce: func(key any, values []any, emit kv.Emit) error {
 			min := Inf
-			var carrier *mapreduce.IterValue
+			var carrier mapreduce.IterValue
+			found := false
 			for _, v := range values {
 				switch x := v.(type) {
 				case float64:
@@ -171,14 +172,13 @@ func MRSpec(name, input, workDir string, numReduce, maxIter int, distThreshold f
 						min = x
 					}
 				case mapreduce.IterValue:
-					c := x
-					carrier = &c
+					carrier, found = x, true
 					if d := x.State.(float64); d < min {
 						min = d
 					}
 				}
 			}
-			if carrier == nil {
+			if !found {
 				// Message for a node whose carrier landed elsewhere can
 				// not happen: every node emits its own carrier.
 				return nil

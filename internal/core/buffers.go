@@ -126,16 +126,22 @@ func (l *freeList) report(m *metrics.Set) {
 	m.Add(metrics.ChunkBufsAlloc, l.allocated)
 }
 
-// accum gathers one iteration's input at a task: the records, the End
-// markers counted so far, and the chunks already taken, by which network
-// duplicates are dropped. A task keeps the accumulator of its last
-// finished iteration as its spare, so the record buffer and the seen
-// set's buckets are allocated once, not once per iteration.
+// accum gathers one iteration's input at a task: the records, the
+// senders whose every chunk is here, the chunks taken from each sender
+// and the total its End announced, and the chunks already taken, by
+// which network duplicates are dropped. A task keeps the accumulator of
+// its last finished iteration as its spare, so the record buffer and the
+// maps' buckets are allocated once, not once per iteration.
 type accum struct {
 	pairs []kv.Pair
 	ends  int
 	seen  map[chunkKey]bool
+	tally map[int]chunkTally
 }
+
+// chunkTally is one sender's account in an iteration: chunks taken, and
+// the total its End chunk announced (0 until the End is here).
+type chunkTally struct{ got, want int }
 
 // takeAccum takes the spare for a new iteration, or — when there is none
 // — makes an accumulator with room for n records.
@@ -143,9 +149,32 @@ func takeAccum(spare **accum, n int) *accum {
 	a := *spare
 	*spare = nil
 	if a == nil {
-		a = &accum{pairs: make([]kv.Pair, 0, n), seen: make(map[chunkKey]bool)}
+		a = &accum{pairs: make([]kv.Pair, 0, n), seen: make(map[chunkKey]bool), tally: make(map[int]chunkTally)}
 	}
 	return a
+}
+
+// take accounts a chunk from sender from with sequence number seq and
+// End value end. It reports false for a network duplicate, which the
+// caller drops. A sender is done — ends counts it — when its End has
+// arrived and so have as many chunks as the End announced: a network that
+// reorders can deliver the End ahead of the sender's last data chunk.
+func (a *accum) take(from int, seq int64, end int) bool {
+	k := chunkKey{from: from, seq: seq}
+	if a.seen[k] {
+		return false
+	}
+	a.seen[k] = true
+	t := a.tally[from]
+	t.got++
+	if end > 0 {
+		t.want = end
+	}
+	a.tally[from] = t
+	if t.got == t.want {
+		a.ends++
+	}
+	return true
 }
 
 // reset empties a finished accumulator for reuse as the spare. Clearing
@@ -155,5 +184,23 @@ func (a *accum) reset() {
 	clear(a.pairs)
 	a.pairs = a.pairs[:0]
 	clear(a.seen)
+	clear(a.tally)
 	a.ends = 0
+}
+
+// chunkCount numbers the chunks a sender sends one receiver (or one set
+// of receivers that all get every chunk) in one iteration.
+type chunkCount int
+
+// next counts one more chunk and returns its End value: 0 for a data
+// chunk; for the last chunk, the iteration's total, which also restarts
+// the count for the next iteration.
+func (c *chunkCount) next(end bool) int {
+	*c++
+	if !end {
+		return 0
+	}
+	n := int(*c)
+	*c = 0
+	return n
 }

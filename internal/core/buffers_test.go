@@ -294,7 +294,7 @@ func TestSuperstepSteadyStateAllocs(t *testing.T) {
 	mt.static = keyedRun(adj, ops)
 	mt.iter, rt.iter = 1, 1
 
-	in := stateChunk{Iter: 1, Seq: 1, Pairs: state, End: true}
+	in := stateChunk{Iter: 1, Seq: 1, Pairs: state, End: 1}
 	superstep := func() {
 		mt.handleState(in)
 		rt.handleShuffle((<-rep.Recv()).Payload.(shuffleChunk))

@@ -51,6 +51,9 @@ type mapTask struct {
 	outBuf     []*chunkBuf
 	bufs       *freeList
 	serializes bool
+	// sent counts, per reduce, the shuffle chunks of the iteration being
+	// mapped, for the End chunk to announce.
+	sent []chunkCount
 	// static is this task's static partition, loaded once (§3.1): a
 	// keyedRun that mapRange joins state against — or, for a broadcast
 	// task, the records in file order, each mapped once per iteration.
@@ -179,6 +182,7 @@ func (t *mapTask) rollback(cmd cmdMsg) {
 	t.iter = cmd.ToIter + 1
 	t.pend = make(map[int]*accum)
 	clear(t.outBuf) // the old generation's half-filled buffers go to the GC
+	clear(t.sent)
 	if t.e.opts.Trace != nil {
 		t.idleAt = time.Now()
 	}
@@ -221,7 +225,7 @@ func (t *mapTask) selfLoad(cmd cmdMsg) {
 		tr.RecordSpan(trace.SpanLoad, t.worker, t.tid(), t.iter, lstart, time.Since(lstart))
 	}
 	t.seq++
-	t.handleState(stateChunk{Gen: t.gen, Iter: t.iter, From: -1, Seq: t.seq, Pairs: pairs, End: true})
+	t.handleState(stateChunk{Gen: t.gen, Iter: t.iter, From: -1, Seq: t.seq, Pairs: pairs, End: 1})
 	if t.broadcast {
 		// The self-load stands in for all feeders at once.
 		if a := t.pend[t.iter]; a != nil {
@@ -249,11 +253,9 @@ func (t *mapTask) handleState(c stateChunk) {
 		a = takeAccum(&t.spare, presize)
 		t.pend[c.Iter] = a
 	}
-	k := chunkKey{from: c.From, seq: c.Seq}
-	if a.seen[k] {
+	if !a.take(c.From, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	a.seen[k] = true
 	if len(c.Pairs) > 0 {
 		if t.stream && c.Iter == t.iter {
 			// Asynchronous execution: join + map immediately (§3.3).
@@ -261,9 +263,6 @@ func (t *mapTask) handleState(c stateChunk) {
 		} else {
 			a.pairs = append(a.pairs, c.Pairs...)
 		}
-	}
-	if c.End {
-		a.ends++
 	}
 	t.tryComplete()
 }
@@ -504,7 +503,7 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 	}
 	t.seq++
 	t.send(t.redAddrs[r], kindShuffle, shuffleChunk{
-		Gen: t.gen, Iter: iter, FromMap: t.idx, Seq: t.seq, Pairs: pairs, End: end, lease: lease,
+		Gen: t.gen, Iter: iter, FromMap: t.idx, Seq: t.seq, Pairs: pairs, End: t.sent[r].next(end), lease: lease,
 	}, size)
 	if t.serializes {
 		lease.giveBack()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"imapreduce/internal/kv"
 	"imapreduce/internal/transport"
@@ -30,17 +31,20 @@ const (
 // task over the pair's persistent connection (or a broadcast copy of
 // them). Gen guards against messages from before a rollback; Iter is the
 // iteration the receiving map will process. From identifies the feeding
-// reduce task; End marks its last chunk for this iteration. Seq is a
-// per-sender monotone counter: together with From it lets the receiver
-// discard network-duplicated chunks, so data flows stay correct over
-// at-least-once transports.
+// reduce task. End is 0 on a data chunk; on the sender's last chunk for
+// this iteration it is the number of chunks the sender sent this receiver
+// in the iteration, the End itself included, so a receiver whose network
+// reordered the End ahead of a data chunk waits for the rest (see
+// accum.take). Seq is a per-sender monotone counter: together with From
+// it lets the receiver discard network-duplicated chunks, so data flows
+// stay correct over at-least-once transports.
 type stateChunk struct {
 	Gen   int
 	Iter  int
 	From  int
 	Seq   int64
 	Pairs []kv.Pair
-	End   bool
+	End   int
 
 	// slab is the decode arena Pairs was carved from when the chunk came
 	// off the binary wire path (nil for locally-built and gob-decoded
@@ -66,14 +70,14 @@ func (c stateChunk) release() {
 }
 
 // shuffleChunk carries map output to a reduce task of the same phase.
-// (FromMap, Seq) deduplicates, as for stateChunk.
+// (FromMap, Seq) deduplicates and End counts, as for stateChunk.
 type shuffleChunk struct {
 	Gen     int
 	Iter    int
 	FromMap int
 	Seq     int64
 	Pairs   []kv.Pair
-	End     bool
+	End     int
 
 	// slab, lease: see stateChunk.
 	slab  *kv.Slab
@@ -196,20 +200,16 @@ const (
 )
 
 // appendChunkHeader encodes the common chunk header: Gen, Iter, sender
-// task id, Seq, and the End flag.
-func appendChunkHeader(buf []byte, gen, iter, from int, seq int64, end bool) []byte {
+// task id, Seq, and the End count (uvarint, 0 on a data chunk).
+func appendChunkHeader(buf []byte, gen, iter, from int, seq int64, end int) []byte {
 	buf = kv.AppendVarint(buf, int64(gen))
 	buf = kv.AppendVarint(buf, int64(iter))
 	buf = kv.AppendVarint(buf, int64(from))
 	buf = kv.AppendVarint(buf, seq)
-	e := byte(0)
-	if end {
-		e = 1
-	}
-	return append(buf, e)
+	return kv.AppendUvarint(buf, uint64(end))
 }
 
-func decodeChunkHeader(data []byte) (gen, iter, from int, seq int64, end bool, n int, err error) {
+func decodeChunkHeader(data []byte) (gen, iter, from int, seq int64, end int, n int, err error) {
 	var v int64
 	var m int
 	for _, dst := range []*int{&gen, &iter, &from} {
@@ -222,11 +222,15 @@ func decodeChunkHeader(data []byte) (gen, iter, from int, seq int64, end bool, n
 		return
 	}
 	n += m
-	if len(data) <= n {
-		err = fmt.Errorf("core: truncated chunk header")
+	var e uint64
+	if e, m, err = kv.Uvarint(data[n:]); err != nil {
 		return
 	}
-	end, n = data[n] != 0, n+1
+	if e > math.MaxInt32 {
+		err = fmt.Errorf("core: chunk header end count %d out of range", e)
+		return
+	}
+	end, n = int(e), n+m
 	return
 }
 

@@ -459,7 +459,7 @@ func TestKilledRunStragglerCannotPoisonResume(t *testing.T) {
 	inject := func(c cmdMsg) {
 		for r := 0; r < 3; r++ {
 			err := stale.Send(redAddr(name, 0, r), transport.Message{Kind: kindShuffle,
-				Payload: shuffleChunk{Gen: 2, Iter: c.ToIter + 1, FromMap: 1, Seq: 1 << 40, End: true}})
+				Payload: shuffleChunk{Gen: 2, Iter: c.ToIter + 1, FromMap: 1, Seq: 1 << 40, End: 1}})
 			if err != nil {
 				refused.Add(1)
 			}

@@ -95,8 +95,11 @@ type reduceTask struct {
 	gated bool
 	held  map[int][]kv.Pair
 	// seq numbers outgoing state chunks for receiver-side duplicate
-	// suppression.
-	seq int64
+	// suppression; mainSent and auxSent count the chunks of the iteration
+	// being sent to the next phase's maps and to the auxiliary maps, for
+	// the End chunk to announce.
+	seq               int64
+	mainSent, auxSent chunkCount
 	// ownDone records, per pending iteration, when this pair's own map
 	// finished (its End chunk arrived). Tracing only: the interval from
 	// there to the last map's End is the barrier wait — the §3.3 cost
@@ -151,7 +154,7 @@ func (t *reduceTask) loop() {
 				case cmdProceed:
 					if pairs, ok := t.held[pl.ToIter]; ok {
 						delete(t.held, pl.ToIter)
-						t.deliverChunk(t.targetAddrs, t.targetPhase, pl.ToIter, pl.ToIter+t.targetIterDelta, pairs, true, bufLease{})
+						t.deliverChunk(t.targetAddrs, t.targetPhase, pl.ToIter, pl.ToIter+t.targetIterDelta, pairs, &t.mainSent, true, bufLease{})
 					}
 				}
 			}
@@ -183,6 +186,7 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 	t.iter = cmd.ToIter + 1
 	t.pend = make(map[int]*accum)
 	t.outBuf = nil
+	t.mainSent, t.auxSent = 0, 0
 	t.held = make(map[int][]kv.Pair)
 	t.ownDone = nil
 	if t.e.opts.Trace != nil {
@@ -213,14 +217,11 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 		a = takeAccum(&t.spare, t.lastIn)
 		t.pend[c.Iter] = a
 	}
-	k := chunkKey{from: c.FromMap, seq: c.Seq}
-	if a.seen[k] {
+	if !a.take(c.FromMap, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	a.seen[k] = true
 	a.pairs = append(a.pairs, c.Pairs...)
-	if c.End {
-		a.ends++
+	if c.End > 0 {
 		if t.e.opts.Trace != nil && c.FromMap == t.idx {
 			if t.ownDone == nil {
 				t.ownDone = make(map[int]time.Time)
@@ -360,7 +361,7 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 		// data to decide); the loop-back is held for the master's
 		// termination verdict.
 		if len(t.auxAddrs) > 0 {
-			t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, out, true, bufLease{})
+			t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, out, &t.auxSent, true, bufLease{})
 		}
 		if t.feedMain && !t.toMaster {
 			t.held[iter] = out
@@ -420,20 +421,21 @@ func (t *reduceTask) flushStreaming(iter int, end bool) {
 		}
 	}
 	if main {
-		t.deliverChunk(t.targetAddrs, t.targetPhase, iter, iter+t.targetIterDelta, pairs, end, lease)
+		t.deliverChunk(t.targetAddrs, t.targetPhase, iter, iter+t.targetIterDelta, pairs, &t.mainSent, end, lease)
 	}
 	if len(t.auxAddrs) > 0 {
-		t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, pairs, end, lease)
+		t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, pairs, &t.auxSent, end, lease)
 	}
 }
 
 // deliverChunk sends one state chunk to each address, accounting local
 // vs cross-worker traffic. srcIter is the iteration that produced the
 // chunk (its trace attribution); tagIter is the iteration the receiver
-// files it under (srcIter+1 across the loop-back). lease, when set, is
-// the claim on the buffer pairs lives in, and addrs names its one
+// files it under (srcIter+1 across the loop-back). sent counts the
+// chunks this iteration has sent addrs; end closes the count. lease, when
+// set, is the claim on the buffer pairs lives in, and addrs names its one
 // receiver.
-func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, pairs []kv.Pair, end bool, lease bufLease) {
+func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, pairs []kv.Pair, sent *chunkCount, end bool, lease bufLease) {
 	var sstart time.Time
 	if tr := t.e.opts.Trace; tr != nil {
 		sstart = time.Now()
@@ -446,6 +448,7 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, p
 		size += int64(t.job.Ops.PairSize(p))
 	}
 	t.seq++
+	endCount := sent.next(end)
 	for i, addr := range addrs {
 		tgt := i
 		if len(addrs) == 1 {
@@ -456,7 +459,7 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, p
 			t.e.m.Add(metrics.StateRemote, size)
 		}
 		t.send(addr, kindState, stateChunk{
-			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: pairs, End: end, lease: lease,
+			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: pairs, End: endCount, lease: lease,
 		}, size)
 	}
 	if t.serializes {

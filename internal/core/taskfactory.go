@@ -56,6 +56,7 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 			bufThresh:  bufThreshOf(f.aux),
 			outBuf:     make([]*chunkBuf, f.auxN),
 			bufs:       newFreeList(bufThreshOf(f.aux), f.auxN),
+			sent:       make([]chunkCount, f.auxN),
 			serializes: transport.SerializesOnSend(ep),
 			pend:       make(map[int]*accum),
 			emits:      shardedEmits{nred: f.auxN},
@@ -85,6 +86,7 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 		bufThresh:  bufThreshOf(p),
 		outBuf:     make([]*chunkBuf, f.n),
 		bufs:       newFreeList(bufThreshOf(p), f.n),
+		sent:       make([]chunkCount, f.n),
 		serializes: transport.SerializesOnSend(ep),
 		pend:       make(map[int]*accum),
 		emits:      shardedEmits{nred: f.n},

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -179,15 +180,15 @@ type DFS struct {
 	nextPos int   // round-robin start for replica placement
 	seq     int64 // spill file counter
 	m       *metrics.Set
-	// writeHook, when set, runs at the start of every file commit
-	// (Writer.Close) with the path being committed; a non-nil return
-	// fails the commit. Fault injection for robustness tests: a
-	// transient datanode write error looks exactly like this.
+	// writeHook, when set, runs at the start of every file commit with
+	// the path being committed; a non-nil return fails the commit. Fault
+	// injection for robustness tests: a transient datanode write error
+	// looks exactly like this.
 	writeHook func(path string) error
 }
 
 // SetWriteHook installs (or, with nil, removes) a commit-time fault
-// hook: it runs at the start of every Writer.Close with the committing
+// hook: it runs at the start of every file write with the committing
 // path, and a returned error fails that commit. The hook may also block
 // to widen the race window between a write and a concurrent FailNode.
 func (fs *DFS) SetWriteHook(h func(path string) error) {
@@ -221,85 +222,70 @@ func New(cfg Config, nodeIDs []string, m *metrics.Set) *DFS {
 	}
 }
 
-// Writer appends records to a file under construction. Close commits it.
-type Writer struct {
-	fs     *DFS
-	path   string
-	atNode string
-	cur    *block
-	blocks []*block
-	bytes  int64
-	closed bool
-}
+// write commits recs as path from atNode (the first replica of every
+// block is pinned there when possible, like an HDFS client write),
+// replacing any file already there. size(i) is record i's estimated
+// size: a block is cut before the record that would take it past
+// BlockSize, so a block holds at least one record and an oversized record
+// gets one of its own. A block's records are copied once its cut is
+// known, in one allocation of their final length. It reports the
+// replication write traffic to metrics.
+func (fs *DFS) write(path, atNode string, recs []kv.Pair, size func(i int) int) error {
+	var blocks []*block
+	var total int64
+	cur, lo := &block{}, 0
+	for i := range recs {
+		s := int64(size(i))
+		if cur.bytes > 0 && cur.bytes+s > fs.cfg.BlockSize {
+			cur.recs = slices.Clone(recs[lo:i])
+			blocks = append(blocks, cur)
+			cur, lo = &block{}, i
+		}
+		cur.bytes += s
+		total += s
+	}
+	if lo < len(recs) || len(blocks) == 0 {
+		cur.recs = slices.Clone(recs[lo:])
+		blocks = append(blocks, cur)
+	}
 
-// Create starts writing path from atNode (the first replica of every
-// block is pinned there when possible, like an HDFS client write).
-// An existing file at path is replaced on Close.
-func (fs *DFS) Create(path, atNode string) *Writer {
-	return &Writer{fs: fs, path: path, atNode: atNode, cur: &block{}}
-}
-
-// Append adds one record of the given estimated size.
-func (w *Writer) Append(p kv.Pair, size int) {
-	if w.closed {
-		panic("dfs: Append after Close")
-	}
-	if w.cur.bytes > 0 && w.cur.bytes+int64(size) > w.fs.cfg.BlockSize {
-		w.blocks = append(w.blocks, w.cur)
-		w.cur = &block{}
-	}
-	w.cur.recs = append(w.cur.recs, p)
-	w.cur.bytes += int64(size)
-	w.bytes += int64(size)
-}
-
-// Close places replicas for every block and commits the file to the
-// namenode. It reports the replication write traffic to metrics.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if len(w.cur.recs) > 0 || len(w.blocks) == 0 {
-		w.blocks = append(w.blocks, w.cur)
-	}
-	w.fs.mu.Lock()
-	hook := w.fs.writeHook
-	w.fs.mu.Unlock()
+	fs.mu.Lock()
+	hook := fs.writeHook
+	fs.mu.Unlock()
 	if hook != nil {
 		// Run outside the namenode lock: the hook may block (to widen a
 		// race window) or call back into the DFS (FailNode).
-		if err := hook(w.path); err != nil {
-			return fmt.Errorf("dfs: create %s: %w", w.path, err)
+		if err := hook(path); err != nil {
+			return fmt.Errorf("dfs: create %s: %w", path, err)
 		}
 	}
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	// Replacing a file releases its spilled blocks.
-	if old, ok := w.fs.files[w.path]; ok {
+	if old, ok := fs.files[path]; ok {
 		for _, b := range old.blocks {
 			if b.diskPath != "" {
 				os.Remove(b.diskPath)
 			}
 		}
 	}
-	for _, b := range w.blocks {
-		reps, err := w.fs.placeLocked(w.atNode)
+	for _, b := range blocks {
+		reps, err := fs.placeLocked(atNode)
 		if err != nil {
-			return fmt.Errorf("dfs: create %s: %w", w.path, err)
+			return fmt.Errorf("dfs: create %s: %w", path, err)
 		}
 		b.replicas = reps
 		b.count = len(b.recs)
-		w.fs.m.Add(metrics.DFSWriteBytes, b.bytes*int64(len(reps)))
-		if w.fs.cfg.SpillDir != "" {
-			w.fs.seq++
-			if err := b.spill(w.fs.cfg.SpillDir, w.fs.seq); err != nil {
+		fs.m.Add(metrics.DFSWriteBytes, b.bytes*int64(len(reps)))
+		if fs.cfg.SpillDir != "" {
+			fs.seq++
+			if err := b.spill(fs.cfg.SpillDir, fs.seq); err != nil {
 				return err
 			}
 		}
 	}
-	w.fs.files[w.path] = &file{blocks: w.blocks, bytes: w.bytes}
-	return w.fs.saveImageLocked()
+	fs.files[path] = &file{blocks: blocks, bytes: total}
+	return fs.saveImageLocked()
 }
 
 // placeLocked picks replica nodes: first the writing node if alive, the
@@ -344,14 +330,10 @@ func (fs *DFS) liveLocked() []string {
 	return live
 }
 
-// WriteFile is the convenience path: write all records in one call,
-// sizing each with ops.
+// WriteFile writes path from atNode in one call, sizing each record with
+// ops. The DFS keeps copies: the caller may reuse recs afterwards.
 func (fs *DFS) WriteFile(path, atNode string, recs []kv.Pair, ops kv.Ops) error {
-	w := fs.Create(path, atNode)
-	for _, p := range recs {
-		w.Append(p, ops.PairSize(p))
-	}
-	return w.Close()
+	return fs.write(path, atNode, recs, func(i int) int { return ops.PairSize(recs[i]) })
 }
 
 // WriteFileSized is WriteFile with pre-computed per-record sizes — the
@@ -361,11 +343,7 @@ func (fs *DFS) WriteFileSized(path, atNode string, recs []kv.Pair, sizes []int) 
 	if len(sizes) != len(recs) {
 		return fmt.Errorf("dfs: WriteFileSized %s: %d records but %d sizes", path, len(recs), len(sizes))
 	}
-	w := fs.Create(path, atNode)
-	for i, p := range recs {
-		w.Append(p, sizes[i])
-	}
-	return w.Close()
+	return fs.write(path, atNode, recs, func(i int) int { return sizes[i] })
 }
 
 // Split describes one block of one file for map-task scheduling.

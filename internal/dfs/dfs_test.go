@@ -72,10 +72,8 @@ func TestBlockSplitting(t *testing.T) {
 
 func TestOversizedRecordGetsOwnBlock(t *testing.T) {
 	fs := New(Config{BlockSize: 10, Replication: 1}, nodes(1), nil)
-	w := fs.Create("/x", "a")
-	w.Append(kv.Pair{Key: int64(0), Value: 0.0}, 100) // bigger than a block
-	w.Append(kv.Pair{Key: int64(1), Value: 1.0}, 100)
-	if err := w.Close(); err != nil {
+	// Both records are bigger than a block.
+	if err := fs.WriteFileSized("/x", "a", recs(2), []int{100, 100}); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := fs.StatFile("/x")

@@ -73,10 +73,73 @@ func (e *Engine) stretchSleep(worker string, d time.Duration) {
 	}
 }
 
+// spillRun is how many records one map-output run holds. A run is one
+// allocation, its records and the link to the next run: 2047 records of
+// 32 bytes and the link fit eight pages (64 KB), where 2048 would spill
+// into a ninth.
+const spillRun = 2047
+
+// run is one fixed-size block of a partition's map output.
+type run struct {
+	recs [spillRun]kv.Pair
+	next *run
+}
+
+// spill is one partition of a map task's output: a chain of runs holding
+// the records in emit order, every run but the last full. A run is never
+// copied or grown, and being linked, neither is a list of them; the
+// reduce copies each partition once, into a buffer of the exact total
+// (runReduceAttempt).
+type spill struct {
+	head, tail *run
+	n          int // records in the chain
+}
+
+// add appends one record, starting a run when the last one is full.
+func (s *spill) add(p kv.Pair) {
+	i := s.n % spillRun
+	if i == 0 {
+		r := new(run)
+		if s.tail == nil {
+			s.head = r
+		} else {
+			s.tail.next = r
+		}
+		s.tail = r
+	}
+	s.tail.recs[i] = p
+	s.n++
+}
+
+// appendTo appends the records to dst in emit order.
+func (s *spill) appendTo(dst []kv.Pair) []kv.Pair {
+	left := s.n
+	for r := s.head; r != nil; r = r.next {
+		k := min(left, spillRun)
+		dst = append(dst, r.recs[:k]...)
+		left -= k
+	}
+	return dst
+}
+
+// bytes sums the records' sizes under ops.
+func (s *spill) bytes(ops *kv.Ops) int64 {
+	var b int64
+	left := s.n
+	for r := s.head; r != nil; r = r.next {
+		k := min(left, spillRun)
+		for _, p := range r.recs[:k] {
+			b += int64(ops.PairSize(p))
+		}
+		left -= k
+	}
+	return b
+}
+
 // mapResult is one completed map task's partitioned output.
 type mapResult struct {
 	worker    string
-	parts     [][]kv.Pair
+	parts     []spill
 	partBytes []int64
 	opStartAt time.Duration // since job start; feeds the init metric
 	counters  *Counters     // attempt-local; merged only if this attempt wins
@@ -352,10 +415,9 @@ func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt
 	}
 
 	computeStart := time.Now()
-	parts := make([][]kv.Pair, job.NumReduce)
+	parts := make([]spill, job.NumReduce)
 	emit := func(k, v any) {
-		p := job.Ops.Partition(k, job.NumReduce)
-		parts[p] = append(parts[p], kv.Pair{Key: k, Value: v})
+		parts[job.Ops.Partition(k, job.NumReduce)].add(kv.Pair{Key: k, Value: v})
 	}
 	counters := NewCounters()
 	for _, rec := range recs {
@@ -374,18 +436,20 @@ func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt
 	}
 	if job.Combine != nil {
 		for p := range parts {
-			combined, err := runReduceFunc(job.Combine, parts[p], job.Ops)
+			s := &parts[p]
+			combined, err := runReduceFunc(job.Combine, s.appendTo(make([]kv.Pair, 0, s.n)), job.Ops)
 			if err != nil {
 				return mapResult{}, fmt.Errorf("combine: %w", err)
 			}
-			parts[p] = combined
+			*s = spill{}
+			for _, c := range combined {
+				s.add(c)
+			}
 		}
 	}
 	partBytes := make([]int64, job.NumReduce)
-	for p, pairs := range parts {
-		for _, pair := range pairs {
-			partBytes[p] += int64(job.Ops.PairSize(pair))
-		}
+	for p := range parts {
+		partBytes[p] = parts[p].bytes(&job.Ops)
 	}
 	e.stretchSleep(worker, time.Since(computeStart))
 	return mapResult{worker: worker, parts: parts, partBytes: partBytes, opStartAt: opStart, counters: counters}, nil
@@ -528,11 +592,17 @@ func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, ma
 		return 0, 0, 0, nil, fmt.Errorf("injected failure (reduce task %d attempt %d)", task, attempt)
 	}
 
+	// One buffer of the exact total, filled map result by map result and
+	// run by run: every key's values arrive in map-task, then emit, order.
 	fetchStart := time.Now()
-	var fetched []kv.Pair
+	n := 0
+	for _, mr := range mapResults {
+		n += mr.parts[task].n
+	}
+	fetched := make([]kv.Pair, 0, n)
 	var bytes, remote int64
 	for _, mr := range mapResults {
-		fetched = append(fetched, mr.parts[task]...)
+		fetched = mr.parts[task].appendTo(fetched)
 		bytes += mr.partBytes[task]
 		if mr.worker != worker {
 			remote += mr.partBytes[task]
@@ -567,7 +637,7 @@ func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, ma
 // output.
 func runReduceFunc(fn ReduceFunc, pairs []kv.Pair, ops kv.Ops) ([]kv.Pair, error) {
 	groups := kv.GroupPairs(pairs, ops)
-	var out []kv.Pair
+	out := make([]kv.Pair, 0, len(groups))
 	emit := func(k, v any) { out = append(out, kv.Pair{Key: k, Value: v}) }
 	for _, g := range groups {
 		if err := fn(g.Key, g.Values, emit); err != nil {

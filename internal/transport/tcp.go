@@ -23,7 +23,8 @@ import (
 // of a confusing decode failure mid-stream.
 //
 // v2 added the frameDeflate frame type (optional per-frame compression).
-const ProtocolVersion byte = 2
+// v3 made a data chunk's End a uvarint chunk count instead of a flag byte.
+const ProtocolVersion byte = 3
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
@@ -281,17 +282,17 @@ type dialGate struct {
 }
 
 type tcpConn struct {
-	mu       sync.Mutex
-	c        net.Conn
-	bw       *bufio.Writer
-	dead     bool
-	buf      []byte       // frame scratch, reused under mu
-	gobBuf   bytes.Buffer // gob fallback scratch, reused under mu
-	fw       *flate.Writer // per-conn compressor, created on first use, reused via Reset
-	cw       appendWriter  // compressed-frame scratch, reused under mu
-	net      *TCPNetwork
-	owner    string // local endpoint address, for flush attribution
-	peer     string
+	mu     sync.Mutex
+	c      net.Conn
+	bw     *bufio.Writer
+	dead   bool
+	buf    []byte        // frame scratch, reused under mu
+	gobBuf bytes.Buffer  // gob fallback scratch, reused under mu
+	fw     *flate.Writer // per-conn compressor, created on first use, reused via Reset
+	cw     appendWriter  // compressed-frame scratch, reused under mu
+	net    *TCPNetwork
+	owner  string // local endpoint address, for flush attribution
+	peer   string
 }
 
 // appendWriter adapts an append-grown byte slice to io.Writer for the
