@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race short race-short bench bench-smoke bench-test trace-smoke serve-smoke soak proc-smoke ci clean
+.PHONY: all build vet lint test race short race-short bench bench-smoke bench-test fuzz-smoke trace-smoke serve-smoke soak proc-smoke ci clean
 
 all: ci
 
@@ -65,17 +65,30 @@ bench:
 # may allocate only what its map boxes and one box per message sent. In
 # the baseline engine a map attempt may allocate only its spill runs and
 # a few headers, and a reduce attempt the same count whatever its input.
+# The registry PageRank's sorted-sum reduce may allocate only its result
+# box, and listing one job's directory plus a write and a delete beside
+# it must cost under 3x as much among 100 000 unrelated DFS files as
+# among 1 000.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core ./internal/dfs
 	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs' -count=1 -timeout 2m
 	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs' -count=1 -timeout 2m
 	$(GO) test ./internal/mapreduce -run 'TestMapAttemptAllocs|TestReduceAttemptAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/jobs -run 'TestPageRankReduceAllocsOnlyResult' -count=1 -timeout 2m
+	$(GO) test ./internal/dfs -run 'TestNamespaceCostIndependentOfUnrelatedFiles' -count=1 -timeout 2m
 
 # The benchmark module's own tests: its workload catalogue against
 # BENCHMARK.json, and every workload end to end at toy size. Tier-1's
 # go test ./... never reaches them — bench/ is a module of its own.
 bench-test:
 	cd bench && $(GO) test -count=1 -timeout 5m ./...
+
+# Short fuzzing leg: FuzzNamespaceOps checks random DFS write/rename/
+# delete/List sequences against a flat-map reference, starting from the
+# seed corpus in internal/dfs/testdata/fuzz. A failing input is written
+# there, ready to be re-run by go test and checked in.
+fuzz-smoke:
+	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzNamespaceOps -fuzztime 10s
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.
@@ -108,7 +121,7 @@ soak:
 proc-smoke:
 	$(GO) test -tags procsmoke ./internal/proctest -run TestProc -count=1 -v -timeout 10m
 
-ci: vet lint build race-short bench-smoke bench-test trace-smoke serve-smoke soak proc-smoke
+ci: vet lint build race-short bench-smoke bench-test fuzz-smoke trace-smoke serve-smoke soak proc-smoke
 
 clean:
 	$(GO) clean ./...

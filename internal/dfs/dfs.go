@@ -24,8 +24,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"imapreduce/internal/kv"
@@ -175,7 +173,7 @@ type DFS struct {
 	cfg     Config
 	nodes   []string
 	alive   map[string]bool
-	files   map[string]*file
+	ns      namespace // the file table
 	rng     *rand.Rand
 	nextPos int   // round-robin start for replica placement
 	seq     int64 // spill file counter
@@ -216,7 +214,6 @@ func New(cfg Config, nodeIDs []string, m *metrics.Set) *DFS {
 		cfg:   cfg,
 		nodes: append([]string(nil), nodeIDs...),
 		alive: alive,
-		files: make(map[string]*file),
 		rng:   rand.New(rand.NewSource(42)),
 		m:     m,
 	}
@@ -262,7 +259,7 @@ func (fs *DFS) write(path, atNode string, recs []kv.Pair, size func(i int) int) 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	// Replacing a file releases its spilled blocks.
-	if old, ok := fs.files[path]; ok {
+	if old, ok := fs.ns.get(path); ok {
 		for _, b := range old.blocks {
 			if b.diskPath != "" {
 				os.Remove(b.diskPath)
@@ -284,7 +281,7 @@ func (fs *DFS) write(path, atNode string, recs []kv.Pair, size func(i int) int) 
 			}
 		}
 	}
-	fs.files[path] = &file{blocks: blocks, bytes: total}
+	fs.ns.put(path, &file{blocks: blocks, bytes: total})
 	return fs.saveImageLocked()
 }
 
@@ -360,7 +357,7 @@ type Split struct {
 func (fs *DFS) Splits(path string) ([]Split, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
+	f, ok := fs.ns.get(path)
 	if !ok {
 		return nil, fmt.Errorf("dfs: no such file %q", path)
 	}
@@ -382,7 +379,7 @@ func (fs *DFS) Splits(path string) ([]Split, error) {
 func (fs *DFS) ReadSplit(s Split, atNode string) ([]kv.Pair, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[s.Path]
+	f, ok := fs.ns.get(s.Path)
 	if !ok {
 		return nil, fmt.Errorf("dfs: no such file %q", s.Path)
 	}
@@ -438,7 +435,7 @@ type Stat struct {
 func (fs *DFS) StatFile(path string) (Stat, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
+	f, ok := fs.ns.get(path)
 	if !ok {
 		return Stat{}, fmt.Errorf("dfs: no such file %q", path)
 	}
@@ -453,7 +450,7 @@ func (fs *DFS) StatFile(path string) (Stat, error) {
 func (fs *DFS) Exists(path string) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	_, ok := fs.files[path]
+	_, ok := fs.ns.get(path)
 	return ok
 }
 
@@ -462,32 +459,26 @@ func (fs *DFS) Exists(path string) bool {
 func (fs *DFS) Delete(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if f, ok := fs.files[path]; ok {
+	if f, ok := fs.ns.remove(path); ok {
 		for _, b := range f.blocks {
 			if b.diskPath != "" {
 				os.Remove(b.diskPath)
 			}
 		}
 	}
-	delete(fs.files, path)
 	// Deletion durability is best-effort: a lost image update re-surfaces
 	// the file after a restart, which every caller tolerates (deletes are
 	// cleanup, and Delete itself reports no errors).
 	_ = fs.saveImageLocked()
 }
 
-// List returns committed paths with the given prefix, sorted.
+// List returns committed paths with the given prefix, sorted. It walks
+// the namespace to the prefix's directory, so it costs what it returns,
+// not the number of files elsewhere.
 func (fs *DFS) List(prefix string) []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return fs.ns.list(prefix)
 }
 
 // FailNode marks a datanode dead: its replicas stop serving reads and it
@@ -513,7 +504,7 @@ func (fs *DFS) reReplicateLocked() {
 	if want > len(live) {
 		want = len(live)
 	}
-	for _, f := range fs.files {
+	fs.ns.each(func(f *file) {
 		for _, b := range f.blocks {
 			var liveReps []string
 			has := map[string]bool{}
@@ -542,7 +533,7 @@ func (fs *DFS) reReplicateLocked() {
 			// would after the re-replication completes.
 			b.replicas = liveReps
 		}
-	}
+	})
 }
 
 // RestoreNode brings a datanode back.
@@ -560,19 +551,19 @@ func (fs *DFS) RestoreNode(id string) {
 func (fs *DFS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[oldPath]
+	f, ok := fs.ns.get(oldPath)
 	if !ok {
 		return fmt.Errorf("dfs: rename: no such file %q", oldPath)
 	}
-	if old, ok := fs.files[newPath]; ok && old != f {
+	if old, ok := fs.ns.get(newPath); ok && old != f {
 		for _, b := range old.blocks {
 			if b.diskPath != "" {
 				os.Remove(b.diskPath)
 			}
 		}
 	}
-	fs.files[newPath] = f
-	delete(fs.files, oldPath)
+	fs.ns.put(newPath, f)
+	fs.ns.remove(oldPath)
 	// Rename is the commit step of write-temp-then-rename protocols
 	// (checkpoints, manifests); the image must capture it or a restarted
 	// master would see the pre-commit state and re-run from older data.
@@ -588,7 +579,7 @@ func (fs *DFS) Rename(oldPath, newPath string) error {
 // datanode failures and re-replication.
 func (fs *DFS) Checksum(path string) (uint32, error) {
 	fs.mu.Lock()
-	f, ok := fs.files[path]
+	f, ok := fs.ns.get(path)
 	if !ok {
 		fs.mu.Unlock()
 		return 0, fmt.Errorf("dfs: checksum: no such file %q", path)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"imapreduce/internal/metrics"
 )
@@ -45,13 +44,8 @@ func (fs *DFS) saveImageLocked() error {
 		return nil
 	}
 	img := image{Seq: fs.seq, NextPos: fs.nextPos}
-	paths := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		f := fs.files[p]
+	for _, p := range fs.ns.list("") {
+		f, _ := fs.ns.get(p)
 		imf := imageFile{Path: p, Bytes: f.bytes, Blocks: make([]imageBlock, len(f.blocks))}
 		for i, b := range f.blocks {
 			imf.Blocks[i] = imageBlock{
@@ -119,7 +113,7 @@ func Open(cfg Config, nodeIDs []string, m *metrics.Set) (*DFS, error) {
 				replicas: append([]string(nil), ib.Replicas...),
 			}
 		}
-		fs.files[imf.Path] = f
+		fs.ns.put(imf.Path, f)
 	}
 	return fs, nil
 }

@@ -219,7 +219,8 @@ func TestSpillReopenBothEncodings(t *testing.T) {
 		if sums[path], err = fs1.Checksum(path); err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range fs1.files[path].blocks {
+		stored, _ := fs1.ns.get(path)
+		for _, b := range stored.blocks {
 			data, err := os.ReadFile(b.diskPath)
 			if err != nil {
 				t.Fatal(err)

@@ -8,9 +8,11 @@
 package experiments
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -167,9 +169,7 @@ func soakJob(cfg SoakConfig, g *graph.Graph) *core.Job {
 	job.Reduce = func(key any, states []any) (any, error) {
 		time.Sleep(150 * time.Microsecond)
 		if cfg.Algo == "pagerank" {
-			sort.Slice(states, func(i, j int) bool {
-				return states[i].(float64) < states[j].(float64)
-			})
+			slices.SortFunc(states, func(a, b any) int { return cmp.Compare(a.(float64), b.(float64)) })
 		}
 		return base(key, states)
 	}

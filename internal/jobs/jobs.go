@@ -12,7 +12,9 @@
 package jobs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -200,9 +202,7 @@ func init() {
 			// output bit-identical to in-process output.
 			base := job.Reduce
 			job.Reduce = func(key any, states []any) (any, error) {
-				sort.Slice(states, func(i, j int) bool {
-					return states[i].(float64) < states[j].(float64)
-				})
+				slices.SortFunc(states, func(a, b any) int { return cmp.Compare(a.(float64), b.(float64)) })
 				return base(key, states)
 			}
 			return job, nil
