@@ -68,11 +68,14 @@ bench:
 # The registry PageRank's sorted-sum reduce may allocate only its result
 # box, and listing one job's directory plus a write and a delete beside
 # it must cost under 3x as much among 100 000 unrelated DFS files as
-# among 1 000.
+# among 1 000. A task's first chunk buffers start at 64 records and still
+# ship BufferThreshold-record chunks, and a small PageRank through an
+# idle service may allocate at most 0.6 MB a job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core ./internal/dfs
 	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs' -count=1 -timeout 2m
-	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs|TestFirstBuffersStartSmall' -count=1 -timeout 2m
+	$(GO) test ./internal/serve -run 'TestServeJobAllocBytes' -count=1 -timeout 2m
 	$(GO) test ./internal/mapreduce -run 'TestMapAttemptAllocs|TestReduceAttemptAllocs' -count=1 -timeout 2m
 	$(GO) test ./internal/jobs -run 'TestPageRankReduceAllocsOnlyResult' -count=1 -timeout 2m
 	$(GO) test ./internal/dfs -run 'TestNamespaceCostIndependentOfUnrelatedFiles' -count=1 -timeout 2m

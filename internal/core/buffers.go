@@ -69,9 +69,10 @@ func (l bufLease) giveBack() {
 // Buffers are sized by what the task sends, not by BufferThreshold alone:
 // a chunk closed by an iteration's end can be far smaller, and retained
 // capacity is live heap the collector doubles. Until a buffer has come
-// home a miss allocates the full threshold; after that, room for the most
-// records a buffer has carried, and a buffer more than twice that is
-// replaced when taken. A chunk that outgrows its buffer grows it.
+// home a miss allocates firstBufRecords (a short job's task may never fill
+// more); after that, room for the most records a buffer has carried, and
+// a buffer more than twice that is replaced when taken. A chunk that
+// outgrows its buffer grows it, up to BufferThreshold, where it is sent.
 type freeList struct {
 	size int // BufferThreshold: no chunk carries more
 	mu   sync.Mutex
@@ -80,6 +81,9 @@ type freeList struct {
 	// The owner's takes, folded into the run's metrics when it exits.
 	reused, allocated int64
 }
+
+// firstBufRecords sizes a buffer taken before any has come home.
+const firstBufRecords = 64
 
 func newFreeList(size, capacity int) *freeList {
 	return &freeList{size: size, free: make([]*chunkBuf, 0, capacity)}
@@ -101,7 +105,7 @@ func (l *freeList) get() *chunkBuf {
 		return b
 	}
 	l.allocated++
-	size := l.size
+	size := min(l.size, firstBufRecords)
 	if want > 0 {
 		size = want
 	}

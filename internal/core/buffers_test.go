@@ -228,6 +228,62 @@ func TestTCPBuffersComeHomeAtSender(t *testing.T) {
 	}
 }
 
+// TestFirstBuffersStartSmall: a free list's first miss holds room for at
+// most firstBufRecords records, whatever BufferThreshold is. A buffer
+// filled past that grows, and the chunk boundaries stay where they were:
+// every chunk but an iteration's last carries exactly BufferThreshold
+// records, on the serial map loop and on the sharded one.
+func TestFirstBuffersStartSmall(t *testing.T) {
+	if b := newFreeList(DefaultBufferThreshold, 2).get(); cap(b.pairs) > firstBufRecords {
+		t.Fatalf("a first miss has room for %d records, want at most %d", cap(b.pairs), firstBufRecords)
+	}
+	const thresh = 3 * firstBufRecords / 2
+	for _, parallelism := range []int{1, 4} {
+		var mu sync.Mutex
+		data := map[int]int{} // records in a chunk that is not an iteration's last → chunks
+		net := &tapNet{Network: transport.NewChanNetwork()}
+		net.tap = func(_ transport.Endpoint, _ string, msg transport.Message) error {
+			var n, end int
+			switch c := msg.Payload.(type) {
+			case shuffleChunk:
+				n, end = len(c.Pairs), c.End
+			case stateChunk:
+				n, end = len(c.Pairs), c.End
+			default:
+				return nil
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if end == 0 {
+				data[n]++
+			} else if n > thresh {
+				data[n]++ // a last chunk past the threshold is as wrong
+			}
+			return nil
+		}
+		v := newEnvNet(t, cluster.Uniform(3), net, Options{Parallelism: parallelism})
+		job, vals := ringSetup(t, v, 900)
+		job.MaxIter = 3
+		job.BufferThreshold = thresh
+		res, err := v.e.Run(job)
+		net.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ringReference(vals, 3)
+		for k, got := range v.readOutput(t, res.OutputPath) {
+			if math.Abs(got.(float64)-want[k]) > 1e-9 {
+				t.Fatalf("parallelism %d: key %d = %v, want %v", parallelism, k, got, want[k])
+			}
+		}
+		mu.Lock()
+		if data[thresh] == 0 || len(data) != 1 {
+			t.Errorf("parallelism %d: chunks by record count %v, want only %d-record chunks before an iteration's last", parallelism, data, thresh)
+		}
+		mu.Unlock()
+	}
+}
+
 // TestSuperstepSteadyStateAllocs gates a warm superstep of a 64-node SSSP
 // over channels — one map/reduce pair driven handler by handler, as their
 // loops drive them. What the user map boxes is measured on its own;

@@ -193,18 +193,23 @@ func TestTimeoutFiresOnGenuineSilence(t *testing.T) {
 
 // TestTimeoutNotSpuriousUnderSteadyProgress is the deflake regression:
 // the master's deadline must track the last message received, so a run
-// much longer than Options.Timeout survives as long as every silence
-// gap stays short. The old reset idiom could abort such runs on a stale
-// timer expiry.
+// many timeouts long survives as long as it keeps making progress. The
+// old reset idiom could abort such runs on a stale timer expiry. One
+// reduce call an iteration sleeps, so the run lasts at least 5 timeouts
+// while every silence stays a tenth of one; a run that ends sooner has
+// not tested the property, and fails.
 func TestTimeoutNotSpuriousUnderSteadyProgress(t *testing.T) {
 	guard(t, 2*time.Minute)
-	v := newEnv(t, 2, Options{Timeout: 60 * time.Millisecond})
+	const timeout, iters, pace = 250 * time.Millisecond, 50, 25 * time.Millisecond
+	v := newEnv(t, 2, Options{Timeout: timeout})
 	v.writeState(t, "/state", 16)
-	job := halvingJob("halve-steady", 120, 0)
+	job := halvingJob("halve-steady", iters, 0)
 	job.CheckpointEvery = 3 // extra master traffic between reports
 	base := job.Reduce
 	job.Reduce = func(key any, states []any) (any, error) {
-		time.Sleep(100 * time.Microsecond) // pace: total wall >> Timeout
+		if key == int64(0) {
+			time.Sleep(pace) // every iteration waits on this one reduce call
+		}
 		return base(key, states)
 	}
 	start := time.Now()
@@ -212,10 +217,10 @@ func TestTimeoutNotSpuriousUnderSteadyProgress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("steady run aborted after %v: %v", time.Since(start), err)
 	}
-	if res.Iterations != 120 {
+	if res.Iterations != iters {
 		t.Fatalf("iterations = %d", res.Iterations)
 	}
-	if res.TotalWall <= 60*time.Millisecond {
-		t.Skipf("run finished inside one timeout window (%v); regression not exercised", res.TotalWall)
+	if res.TotalWall < 4*timeout {
+		t.Fatalf("run finished in %v, under 4 timeouts of %v; the property was not exercised", res.TotalWall, timeout)
 	}
 }

@@ -448,10 +448,7 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 			job.Name, need, e.spec.MapSlots, e.spec.ReduceSlots)
 	}
 
-	meta := runMeta{Name: job.Name, MainPhases: len(phases), MainTasks: n, AuxTasks: auxN, OutputPath: job.OutputPath}
-	if meta.OutputPath == "" {
-		meta.OutputPath = "/_imr/" + job.Name + "/output"
-	}
+	meta := runMeta{Name: job.Name, MainPhases: len(phases), MainTasks: n, AuxTasks: auxN, OutputPath: job.OutputDir()}
 	run := newRunState(meta, newWorkerPool(e.opts.Parallelism))
 	// The pool is owned here, where it is created: every return below —
 	// a rejected manifest, a failed partition write, a failed deploy, the

@@ -158,6 +158,15 @@ type Job struct {
 	auxiliary *Job
 }
 
+// OutputDir is the directory a run of j writes its final state to:
+// OutputPath, or /_imr/<Name>/output when that is empty.
+func (j *Job) OutputDir() string {
+	if j.OutputPath != "" {
+		return j.OutputPath
+	}
+	return "/_imr/" + j.Name + "/output"
+}
+
 // AddSuccessor chains another map-reduce phase after this one inside
 // each iteration (§5.2.2, job1.addSuccessor(job2)). The last phase
 // implicitly feeds the first, closing the loop; do not add the first job

@@ -96,9 +96,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		sendCmd(ts.all, cmdMsg{Kind: cmdTerminate})
 	}
 
-	// abort is the crash/cancel shutdown: tasks exit without writing
-	// final output, leaving the DFS exactly as the last durable
-	// checkpoint left it — the state a Resume restarts from.
+	// abort is the crash/cancel/failure shutdown: tasks exit without
+	// writing final output, leaving the DFS exactly as the last durable
+	// checkpoint left it — the state a Resume restarts from. Only a run
+	// that ends well terminates.
 	abort := func() {
 		terminated = true
 		sendCmd(ts.all, cmdMsg{Kind: cmdAbort})
@@ -155,7 +156,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		}
 		live[worker] = false
 		if !anyLive(live) {
-			terminate()
+			abort()
 			return fmt.Errorf("core: job %s: all workers failed", job.Name)
 		}
 		e.fs.FailNode(worker)
@@ -328,7 +329,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			}
 
 		case taskErrMsg:
-			terminate()
+			abort()
 			return nil, fmt.Errorf("core: job %s: task %d/%d failed: %s", job.Name, pl.Phase, pl.Task, pl.Err)
 
 		case failMsg:
@@ -341,7 +342,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			// only then does every pair exist again to hear the rollback.
 			settled, err := plans.ack(pl)
 			if err != nil {
-				terminate()
+				abort()
 				return nil, err
 			}
 			if settled {

@@ -141,7 +141,7 @@ const (
 	cmdRollback  = "rollback"
 	cmdTerminate = "terminate"
 	// cmdAbort tears a task down *without* writing final output — the
-	// shutdown path for canceled and killed runs. A killed run's output
+	// shutdown path for canceled, failed and killed runs. Their output
 	// directory must stay untouched so a later Resume restarts from the
 	// durable checkpoints, not from a half-written final state.
 	cmdAbort = "abort"

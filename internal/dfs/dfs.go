@@ -481,6 +481,15 @@ func (fs *DFS) List(prefix string) []string {
 	return fs.ns.list(prefix)
 }
 
+// DirBytes returns the bytes stored under dir: the sum of StatFile(p).Bytes
+// over List(dir + "/"). The namespace keeps each directory's total, so it
+// costs the depth of dir, not the files beneath it.
+func (fs *DFS) DirBytes(dir string) int64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.ns.dirBytes(dir)
+}
+
 // FailNode marks a datanode dead: its replicas stop serving reads and it
 // receives no new replicas until RestoreNode. As in HDFS, the namenode
 // then re-replicates every under-replicated block onto live nodes (the

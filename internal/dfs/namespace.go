@@ -16,7 +16,9 @@ import (
 //
 // Every lookup costs the depth of the path, and list costs the entries
 // of the one directory the prefix ends in plus what it returns —
-// however many files live elsewhere. Callers hold fs.mu.
+// however many files live elsewhere. Each directory also carries the
+// bytes of every file beneath it, kept by put and remove along the path,
+// so a directory's size is one lookup. Callers hold fs.mu.
 type namespace struct {
 	root dirNode
 }
@@ -24,6 +26,7 @@ type namespace struct {
 type dirNode struct {
 	dirs  map[string]*dirNode
 	files map[string]*file
+	bytes int64 // the bytes of every file in this directory's subtree
 }
 
 // parent returns the directory that holds path's last component, and
@@ -55,12 +58,14 @@ func (ns *namespace) get(path string) (*file, bool) {
 // put stores f at path, creating the directories on the way and
 // replacing any file already there.
 func (ns *namespace) put(path string, f *file) {
-	d := &ns.root
-	for {
-		i := strings.IndexByte(path, '/')
-		if i < 0 {
-			break
-		}
+	ns.root.put(path, f)
+}
+
+// put stores f at path below d and returns the change in the bytes d's
+// subtree holds: f's, less those of a file it replaces.
+func (d *dirNode) put(path string, f *file) int64 {
+	var delta int64
+	if i := strings.IndexByte(path, '/'); i >= 0 {
 		sub := d.dirs[path[:i]]
 		if sub == nil {
 			if d.dirs == nil {
@@ -71,12 +76,19 @@ func (ns *namespace) put(path string, f *file) {
 			// name, not that file's whole path.
 			d.dirs[strings.Clone(path[:i])] = sub
 		}
-		d, path = sub, path[i+1:]
+		delta = sub.put(path[i+1:], f)
+	} else {
+		if d.files == nil {
+			d.files = make(map[string]*file)
+		}
+		delta = f.bytes
+		if old, ok := d.files[path]; ok {
+			delta -= old.bytes
+		}
+		d.files[path] = f
 	}
-	if d.files == nil {
-		d.files = make(map[string]*file)
-	}
-	d.files[path] = f
+	d.bytes += delta
+	return delta
 }
 
 // remove deletes the file at path and returns it, pruning every
@@ -86,21 +98,35 @@ func (ns *namespace) remove(path string) (*file, bool) {
 }
 
 func (d *dirNode) remove(path string) (*file, bool) {
-	i := strings.IndexByte(path, '/')
-	if i < 0 {
-		f, ok := d.files[path]
+	var f *file
+	var ok bool
+	if i := strings.IndexByte(path, '/'); i < 0 {
+		f, ok = d.files[path]
 		delete(d.files, path)
-		return f, ok
+	} else {
+		sub := d.dirs[path[:i]]
+		if sub == nil {
+			return nil, false
+		}
+		f, ok = sub.remove(path[i+1:])
+		if len(sub.dirs) == 0 && len(sub.files) == 0 {
+			delete(d.dirs, path[:i])
+		}
 	}
-	sub := d.dirs[path[:i]]
-	if sub == nil {
-		return nil, false
-	}
-	f, ok := sub.remove(path[i+1:])
-	if len(sub.dirs) == 0 && len(sub.files) == 0 {
-		delete(d.dirs, path[:i])
+	if ok {
+		d.bytes -= f.bytes
 	}
 	return f, ok
+}
+
+// dirBytes returns the bytes of every file whose path starts with dir+"/":
+// the subtree of the directory dir names, 0 when there is none.
+func (ns *namespace) dirBytes(dir string) int64 {
+	d, _ := ns.parent(dir + "/")
+	if d == nil {
+		return 0
+	}
+	return d.bytes
 }
 
 // list returns the paths that start with prefix, sorted. The prefix's

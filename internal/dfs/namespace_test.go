@@ -45,6 +45,33 @@ func (r refTable) rename(oldPath, newPath string) bool {
 	return true
 }
 
+// bytesUnder is the reference's DirBytes: the bytes of every file List
+// returns for dir + "/".
+func (r refTable) bytesUnder(dir string) int64 {
+	var n int64
+	for _, p := range r.list(dir + "/") {
+		n += int64(r[p])
+	}
+	return n
+}
+
+// subtreeBytes checks d's byte count, and every directory's beneath it,
+// against the sum of the file bytes the subtree holds, and returns it.
+func subtreeBytes(t testing.TB, step, path string, d *dirNode) int64 {
+	t.Helper()
+	var n int64
+	for _, f := range d.files {
+		n += f.bytes
+	}
+	for name, sub := range d.dirs {
+		n += subtreeBytes(t, step, path+"/"+name, sub)
+	}
+	if d.bytes != n {
+		t.Fatalf("after %s: directory %q counts %d bytes, its files hold %d", step, path, d.bytes, n)
+	}
+	return n
+}
+
 const (
 	nsWrite byte = iota
 	nsRename
@@ -66,8 +93,10 @@ func (op nsOp) String() string {
 // first difference: a Rename that succeeds on one side only, a List that
 // differs, or a listed file that is not the one the reference says —
 // each write's single record is sized by its op index, so StatFile's
-// Bytes tell writes apart. Last, every file is deleted and the tree must
-// hold no node.
+// Bytes tell writes apart. After every operation each directory's byte
+// count must equal the bytes of the files beneath it, and a listed
+// prefix's DirBytes the reference's sum. Last, every file is deleted and
+// the tree must hold no node.
 func checkOps(t testing.TB, ops []nsOp) {
 	t.Helper()
 	fs := New(Config{Replication: 1}, []string{"n"}, nil)
@@ -83,6 +112,9 @@ func checkOps(t testing.TB, ops []nsOp) {
 			if st, err := fs.StatFile(p); err != nil || st.Bytes != int64(ref[p]) {
 				t.Fatalf("after %s: %q holds %d bytes (err %v), want the write of %d", step, p, st.Bytes, err, ref[p])
 			}
+		}
+		if got, want := fs.DirBytes(prefix), ref.bytesUnder(prefix); got != want {
+			t.Fatalf("after %s: DirBytes(%q) = %d, want %d", step, prefix, got, want)
 		}
 	}
 	for i, op := range ops {
@@ -103,6 +135,7 @@ func checkOps(t testing.TB, ops []nsOp) {
 		case nsList:
 			check(fmt.Sprintf("op %d %v", i, op), op.a)
 		}
+		subtreeBytes(t, fmt.Sprintf("op %d %v", i, op), "", &fs.ns.root)
 	}
 	check("all ops", "")
 	for p := range ref {
@@ -111,8 +144,8 @@ func checkOps(t testing.TB, ops []nsOp) {
 		}
 		fs.Delete(p)
 	}
-	if n := len(fs.ns.root.dirs) + len(fs.ns.root.files); n != 0 {
-		t.Fatalf("every file deleted, yet the root keeps %d entries", n)
+	if n := len(fs.ns.root.dirs) + len(fs.ns.root.files); n != 0 || fs.ns.root.bytes != 0 {
+		t.Fatalf("every file deleted, yet the root keeps %d entries and counts %d bytes", n, fs.ns.root.bytes)
 	}
 }
 

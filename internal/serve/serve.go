@@ -19,6 +19,9 @@
 //     away from every other job; each job gets its own metrics.Set
 //     (folded into the service set under a "tenant.<tenant>." prefix at
 //     completion) and, optionally, its own trace.Recorder.
+//   - Retention: a run's namespace lives as long as the job. A Done
+//     run's is deleted before its handle completes, all but its output;
+//     a failed or canceled run's is kept for Resume, up to Slots a tenant.
 //
 // Execution itself is delegated to imr.Cluster.Submit, which grows a
 // per-run engine pool over the shared DFS, transport and cluster spec.
@@ -33,6 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"imapreduce/internal/core"
 	"imapreduce/internal/imr"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/trace"
@@ -137,6 +141,7 @@ type Service struct {
 	runningN    int
 	credit      map[string]int // smooth-WRR state
 	dispatchSeq int
+	kept        map[string][]*core.Job // per tenant: failed and canceled runs whose namespace is kept, oldest first
 }
 
 // New starts a Service over cfg.Cluster. Close releases it.
@@ -165,6 +170,7 @@ func New(cfg Config) (*Service, error) {
 		running:    make(map[string]int),
 		runningSet: make(map[*Job]struct{}),
 		credit:     make(map[string]int),
+		kept:       make(map[string][]*core.Job),
 	}
 	s.wg.Add(1)
 	go s.schedule()
@@ -181,19 +187,11 @@ func (s *Service) quotaFor(tenant string) Quota {
 
 // TenantUsage reports the bytes tenant currently stores in its
 // accounted DFS namespaces: TenantRoot(tenant) and the run-artifact
-// namespace /_imr/tenants/<tenant>/ (checkpoints, manifests, static
-// partitions, default outputs of namespaced runs).
+// namespace /_imr/tenants/<tenant>/ (what running jobs have written, the
+// runs kept for Resume, default outputs of namespaced runs).
 func (s *Service) TenantUsage(tenant string) int64 {
 	fs := s.cluster.FS
-	var total int64
-	for _, prefix := range []string{TenantRoot(tenant) + "/", "/_imr/tenants/" + tenant + "/"} {
-		for _, p := range fs.List(prefix) {
-			if st, err := fs.StatFile(p); err == nil {
-				total += st.Bytes
-			}
-		}
-	}
-	return total
+	return fs.DirBytes(TenantRoot(tenant)) + fs.DirBytes("/_imr/tenants/"+tenant)
 }
 
 // Submit admits one job into tenant's queue and returns its handle
@@ -375,11 +373,12 @@ func (s *Service) Close() {
 
 // settle does a job's terminal accounting once its status and result are
 // recorded, and then completes its handle: the service counters, the
-// job's private metrics folded into the service set, its run slot
-// released, and only then done closed — so whoever returns from Wait or
-// Result already sees all of it.
+// job's private metrics folded into the service set, its run namespace
+// retired, its run slot released, and only then done closed — so whoever
+// returns from Wait or Result already sees all of it.
 func (s *Service) settle(j *Job) {
-	switch j.Status() {
+	status := j.Status()
+	switch status {
 	case imr.StatusDone:
 		s.m.Add(metrics.ServeCompleted, 1)
 	case imr.StatusCanceled:
@@ -395,8 +394,50 @@ func (s *Service) settle(j *Job) {
 	}
 	s.tr.Emit(trace.KindServeDone, j.tenant, -1, 0,
 		trace.Attr{Key: "job", Value: j.name},
-		trace.Attr{Key: "status", Value: j.Status().String()})
+		trace.Attr{Key: "status", Value: status.String()})
+	// Retention: a Done run's namespace goes now; a failed or canceled
+	// run's stays, and the tenant's oldest kept one goes in its place.
+	// Only a dispatched Iterative run has a namespace.
+	if run := j.spec.Iterative; run != nil && j.DispatchSeq() >= 0 {
+		if status != imr.StatusDone {
+			run = s.keep(j.tenant, run)
+		}
+		s.deleteRun(run)
+	}
 	s.releaseSlot(j)
 	close(j.done)
 	s.kickSched()
+}
+
+// keep records a failed or canceled run whose namespace stays, so that
+// cluster.Submit with Resume can restart it from its newest manifest. A
+// tenant keeps the newest Slots such runs: keep returns the oldest once
+// there are more, for deletion, and nil otherwise.
+func (s *Service) keep(tenant string, run *core.Job) *core.Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	kept := append(s.kept[tenant], run)
+	var oldest *core.Job
+	if len(kept) > s.cfg.Slots {
+		oldest = kept[0]
+		kept = append(kept[:0], kept[1:]...)
+	}
+	s.kept[tenant] = kept
+	return oldest
+}
+
+// deleteRun deletes run's namespace, /_imr/<name>/ — its static
+// partitions, checkpoints and manifests were for that run alone — except
+// the files under its output directory. A nil run deletes nothing.
+func (s *Service) deleteRun(run *core.Job) {
+	if run == nil {
+		return
+	}
+	fs := s.cluster.FS
+	out := run.OutputDir() + "/"
+	for _, p := range fs.List("/_imr/" + run.Name + "/") {
+		if !strings.HasPrefix(p, out) {
+			fs.Delete(p)
+		}
+	}
 }

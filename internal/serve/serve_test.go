@@ -90,6 +90,50 @@ func seedState(t *testing.T, c *imr.Cluster, path string) {
 
 func iterSpec(j *core.Job) imr.JobSpec { return imr.JobSpec{Iterative: j} }
 
+// soloPageRank runs the registry PageRank of params alone on a fresh
+// cluster and returns its output.
+func soloPageRank(t *testing.T, params map[string]string) map[int64]float64 {
+	t.Helper()
+	solo := newTestCluster(t)
+	if err := jobs.Seed(solo.FS, solo.Spec.IDs()[0], "pagerank", params); err != nil {
+		t.Fatal(err)
+	}
+	job, err := jobs.Build("pagerank", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := solo.Submit(context.Background(), iterSpec(job), imr.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Result(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := imr.ReadAllAs[int64, float64](solo, job.OutputPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkOutput reads the output under dir and requires it to equal want
+// bit for bit, not approximately.
+func checkOutput(t *testing.T, c *imr.Cluster, who, dir string, want map[int64]float64) {
+	t.Helper()
+	got, err := imr.ReadAllAs[int64, float64](c, dir)
+	if err != nil {
+		t.Fatalf("%s: %v", who, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d keys, want %d", who, len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s: key %d = %v, want %v", who, k, got[k], v)
+		}
+	}
+}
+
 // submitBlocker occupies one slot with a cancelable job and returns it
 // once it is running.
 func submitBlocker(t *testing.T, s *Service, tenant string) *Job {
@@ -121,26 +165,7 @@ func TestServeSmoke(t *testing.T) {
 	// Solo reference runs, one per input variant, on their own cluster.
 	want := map[string]map[int64]float64{}
 	for _, variant := range []string{"prA", "prB"} {
-		solo := newTestCluster(t)
-		if err := jobs.Seed(solo.FS, solo.Spec.IDs()[0], "pagerank", mkParams(variant)); err != nil {
-			t.Fatal(err)
-		}
-		job, err := jobs.Build("pagerank", mkParams(variant))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := solo.Submit(context.Background(), iterSpec(job), imr.SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.Result(); err != nil {
-			t.Fatal(err)
-		}
-		out, err := imr.ReadAllAs[int64, float64](solo, jobs.OutputPath(variant))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[variant] = out
+		want[variant] = soloPageRank(t, mkParams(variant))
 	}
 
 	// The shared service: tenant a runs variant prA, tenant b variant
@@ -182,19 +207,7 @@ func TestServeSmoke(t *testing.T) {
 		if sb.j.Status() != imr.StatusDone {
 			t.Fatalf("job %s status %v", sb.j.ID(), sb.j.Status())
 		}
-		got, err := imr.ReadAllAs[int64, float64](c, sb.out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := want[sb.variant]
-		if len(got) != len(ref) {
-			t.Fatalf("job %s: %d keys, want %d", sb.j.ID(), len(got), len(ref))
-		}
-		for k, v := range ref {
-			if got[k] != v { // bit-identical, not approximately equal
-				t.Fatalf("job %s key %d = %v, want %v", sb.j.ID(), k, got[k], v)
-			}
-		}
+		checkOutput(t, c, sb.j.ID(), sb.out, want[sb.variant])
 	}
 
 	// Service counters and per-tenant metric folding.
