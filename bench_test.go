@@ -215,7 +215,8 @@ func BenchmarkAblationLocality(b *testing.B) {
 }
 
 // BenchmarkAblationDiskDFS compares the in-memory DFS against the
-// file-backed (gob spill) mode the paper's prototype uses.
+// file-backed mode the paper's prototype uses (blocks spilled to disk in
+// the kv codec).
 func BenchmarkAblationDiskDFS(b *testing.B) {
 	g := graph.Generate(graph.GenConfig{Nodes: 2000, Degree: graph.PageRankDegree, Seed: 81})
 	for _, disk := range []bool{false, true} {

@@ -30,7 +30,6 @@ type Row struct {
 func (r Row) Bytes() int { return 16 + 12*len(r.Idx) + 4 }
 
 func init() {
-	kv.RegisterWireType(Row{})
 	kv.RegisterValueCodec(Row{}, kv.ValueCodec{
 		Append: func(buf []byte, v any) ([]byte, bool) {
 			r := v.(Row)

@@ -36,8 +36,6 @@ type PartialSum struct {
 func (s PartialSum) Bytes() int { return 8*len(s.Vec) + 12 }
 
 func init() {
-	kv.RegisterWireType(Point{})
-	kv.RegisterWireType(PartialSum{})
 	kv.RegisterValueCodec(Point{}, kv.ValueCodec{
 		Append: func(buf []byte, v any) ([]byte, bool) {
 			return kv.AppendFloat64Slice(buf, v.(Point)), true

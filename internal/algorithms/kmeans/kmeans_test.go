@@ -340,3 +340,53 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestAuxOnTCPMatchesChannels runs K-means with the auxiliary
+// convergence phase over real sockets, so every auxiliary output reaches
+// the master as a binary frame, and over channels: both runs converge to
+// bit-identical centroids. One main task keeps the reduce's float sums
+// in one order on both networks. The iteration the auxiliary verdict
+// stops at is not compared: it can differ between the two networks.
+func TestAuxOnTCPMatchesChannels(t *testing.T) {
+	points, cents := Generate(DataConfig{Users: 300, Dim: 3, K: 4, Seed: 23})
+	run := func(net transport.Network) []byte {
+		spec := cluster.Uniform(2)
+		m := metrics.NewSet()
+		fs := dfs.New(dfs.Config{BlockSize: 1 << 16, Replication: 2}, spec.IDs(), m)
+		eng, err := core.NewEngine(fs, net, spec, m, core.Options{Timeout: 60 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteInputs(fs, "worker-0", points, cents, "/km/points", "/km/cents"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(IMRJob(IMRConfig{
+			Name: "km-aux-net", StaticPath: "/km/points", StatePath: "/km/cents",
+			MaxIter: 50, MoveThreshold: 1, NumTasks: 1,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatal("aux phase did not stop the job")
+		}
+		var out []kv.Pair
+		for _, part := range fs.List(res.OutputPath + "/") {
+			recs, err := fs.ReadFile(part, "worker-0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, recs...)
+		}
+		PointOps().SortPairs(out)
+		enc, ok := kv.AppendPairs(nil, out)
+		if !ok {
+			t.Fatal(kv.Unencodable(out))
+		}
+		return enc
+	}
+	chanOut := run(transport.NewChanNetwork())
+	if tcpOut := run(transport.NewTCPNetwork()); !bytes.Equal(tcpOut, chanOut) {
+		t.Fatalf("centroids over TCP %x, over channels %x", tcpOut, chanOut)
+	}
+}

@@ -82,10 +82,6 @@ func entriesAt(data []byte) ([]Entry, int, error) {
 }
 
 func init() {
-	kv.RegisterWireType(Entry{})
-	kv.RegisterWireType(Row{})
-	kv.RegisterWireType(Col{})
-	kv.RegisterWireType([]Entry{})
 	kv.RegisterValueCodec(Entry{}, kv.ValueCodec{
 		Append: func(buf []byte, v any) ([]byte, bool) {
 			e := v.(Entry)
@@ -367,8 +363,6 @@ func taggedAt(data []byte) ([]taggedEntry, int, error) {
 }
 
 func init() {
-	kv.RegisterWireType(taggedEntry{})
-	kv.RegisterWireType(joined{})
 	kv.RegisterValueCodec(taggedEntry{}, kv.ValueCodec{
 		Append: func(buf []byte, v any) ([]byte, bool) {
 			e := v.(taggedEntry)

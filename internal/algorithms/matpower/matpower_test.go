@@ -101,7 +101,7 @@ func TestMRMatrixPower(t *testing.T) {
 }
 
 // TestIMROnTCP pushes the Row/Col/Entry record types through the real
-// socket transport (gob round trip).
+// socket transport (kv codec round trip).
 func TestIMROnTCP(t *testing.T) {
 	spec := cluster.Uniform(2)
 	m := metrics.NewSet()

@@ -142,7 +142,8 @@ func NewEngine(fs dfs.FS, net transport.Network, spec cluster.Spec, m *metrics.S
 // sendReliable sends through the endpoint with the engine's bounded
 // retry policy, counting retries and abandoned frames. It returns the
 // final error so callers that must not lose the frame can escalate;
-// most task-side callers ignore it (shutdown races are expected).
+// task-side callers escalate only transport.ErrUnencodable (shutdown
+// races are expected).
 func (e *Engine) sendReliable(ep transport.Endpoint, to string, msg transport.Message) error {
 	attempts, err := transport.ReliableSend(ep, to, msg, e.opts.SendRetries, e.opts.SendRetryBackoff)
 	if attempts > 1 {

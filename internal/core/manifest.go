@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -178,21 +179,26 @@ func (c *ckptLedger) reset(gen int) {
 // checkpoint durable — only then does it become the rollback target, and
 // only then are its predecessors garbage-collected. A failed commit (DFS
 // trouble) leaves the previous checkpoint in force; the run continues
-// and the next boundary tries again.
-func (c *ckptLedger) ack(pl ckptMsg) {
+// and the next boundary tries again — unless the state holds a record
+// with no codec, which no retry can checksum: that error is returned.
+func (c *ckptLedger) ack(pl ckptMsg) error {
 	if pl.Gen != c.gen {
-		return
+		return nil
 	}
 	if c.acks[pl.Iter] == nil {
 		c.acks[pl.Iter] = make(map[int]bool)
 	}
 	c.acks[pl.Iter][pl.Task] = true
 	if len(c.acks[pl.Iter]) == c.run.mainTasks && pl.Iter > c.last {
-		if err := c.e.commitManifest(c.run, c.fp, pl.Iter, c.run.mainPhases); err == nil {
+		err := c.e.commitManifest(c.run, c.fp, pl.Iter, c.run.mainPhases)
+		if err == nil {
 			c.last = pl.Iter
 			c.e.gcCheckpoints(c.run, c.last)
+		} else if errors.Is(err, kv.ErrNoCodec) {
+			return err
 		}
 	}
+	return nil
 }
 
 // settle closes the account of a completed run. Checkpoint writers run
@@ -206,7 +212,7 @@ func (c *ckptLedger) ack(pl ckptMsg) {
 func (c *ckptLedger) settle(inbox <-chan transport.Message) {
 	for msg := range inbox {
 		if pl, ok := msg.Payload.(ckptMsg); ok {
-			c.ack(pl)
+			_ = c.ack(pl) // the run is over: nothing left to fail
 		}
 	}
 	if c.last > 0 { // nothing is older than the initial state

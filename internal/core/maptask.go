@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -147,8 +148,12 @@ func (t *mapTask) fatal(err error) {
 
 func (t *mapTask) send(to, kind string, payload any, size int64) {
 	// Retried; a frame still failing after that is counted and dropped —
-	// send errors during shutdown are expected (peers already gone).
-	_ = t.e.sendReliable(t.ep, to, transport.Message{Kind: kind, Payload: payload, Size: size})
+	// send errors during shutdown are expected (peers already gone). A
+	// record with no codec can never be sent: that fails the run.
+	err := t.e.sendReliable(t.ep, to, transport.Message{Kind: kind, Payload: payload, Size: size})
+	if errors.Is(err, transport.ErrUnencodable) {
+		t.fatal(refusedRecord(payload, err))
+	}
 }
 
 // loadStatic reads this task's static partition from the DFS.

@@ -350,7 +350,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			}
 
 		case ckptMsg:
-			ckpts.ack(pl)
+			if err := ckpts.ack(pl); err != nil {
+				abort()
+				return nil, fmt.Errorf("core: job %s: %w", job.Name, err)
+			}
 
 		case auxOutMsg:
 			if pl.Gen != gen || terminated || auxHandled[pl.Iter] {

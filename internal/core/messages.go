@@ -47,12 +47,11 @@ type stateChunk struct {
 	End   int
 
 	// slab is the decode arena Pairs was carved from when the chunk came
-	// off the binary wire path (nil for locally-built and gob-decoded
-	// chunks). lease is the claim on the sender's chunk buffer Pairs lives
-	// in, when the chunk travels by reference to a single receiver (see
-	// buffers.go). Both unexported, so gob and the wire encoding never see
-	// them: a decoded chunk has a slab and no lease. The receiving handler
-	// owns the chunk and must release() it.
+	// off the wire (nil for a chunk passed by reference). lease is the
+	// claim on the sender's chunk buffer Pairs lives in, when the chunk
+	// travels by reference to a single receiver (see buffers.go). The
+	// wire encoding carries neither: a decoded chunk has a slab and no
+	// lease. The receiving handler owns the chunk and must release() it.
 	slab  *kv.Slab
 	lease bufLease
 }
@@ -188,15 +187,17 @@ type taskErrMsg struct {
 	Err   string
 }
 
-// Wire marshaling: the two data-plane chunk types implement
-// transport.WireMarshaler so the TCP backend carries them as
-// length-prefixed binary frames (header varints + kv codec pair bytes)
-// instead of reflective gob. A chunk whose records hold a type with no
-// registered kv codec reports ok=false and the transport falls back to
-// gob for that message — correctness never depends on registration.
+// Wire marshaling: every message that carries records — the two
+// data-plane chunk types and the auxiliary output — implements
+// transport.WireMarshaler, so the TCP backend carries it as a binary
+// frame (header varints + kv codec pair bytes). A record whose type has
+// no kv codec makes AppendWire refuse, the send fails with
+// transport.ErrUnencodable, and the task fails the run (see
+// refusedRecord).
 const (
 	wireTagState   = "imr.state"
 	wireTagShuffle = "imr.shuffle"
+	wireTagAuxOut  = "imr.auxout"
 )
 
 // appendChunkHeader encodes the common chunk header: Gen, Iter, sender
@@ -237,23 +238,21 @@ func decodeChunkHeader(data []byte) (gen, iter, from int, seq int64, end int, n 
 func (c stateChunk) WireTag() string { return wireTagState }
 
 func (c stateChunk) AppendWire(buf []byte) ([]byte, bool) {
-	start := len(buf)
-	out, ok := kv.AppendPairs(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End), c.Pairs)
-	if !ok {
-		return out[:start], false
-	}
-	return out, true
+	return kv.AppendPairs(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End), c.Pairs)
 }
 
 func (c shuffleChunk) WireTag() string { return wireTagShuffle }
 
 func (c shuffleChunk) AppendWire(buf []byte) ([]byte, bool) {
-	start := len(buf)
-	out, ok := kv.AppendPairs(appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End), c.Pairs)
-	if !ok {
-		return out[:start], false
-	}
-	return out, true
+	return kv.AppendPairs(appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End), c.Pairs)
+}
+
+func (m auxOutMsg) WireTag() string { return wireTagAuxOut }
+
+// AppendWire reuses the chunk header; an auxiliary output has no Seq and
+// no End.
+func (m auxOutMsg) AppendWire(buf []byte) ([]byte, bool) {
+	return kv.AppendPairs(appendChunkHeader(buf, m.Gen, m.Iter, m.Task, 0, 0), m.Pairs)
 }
 
 func decodeStateChunk(data []byte) (any, error) {
@@ -284,18 +283,49 @@ func decodeShuffleChunk(data []byte) (any, error) {
 	return shuffleChunk{Gen: gen, Iter: iter, FromMap: from, Seq: seq, Pairs: pairs, End: end, slab: s}, nil
 }
 
+// decodeAuxOut decodes onto the heap, not a slab: the master keeps the
+// pairs until the auxiliary phase's decision.
+func decodeAuxOut(data []byte) (any, error) {
+	gen, iter, task, _, _, n, err := decodeChunkHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	pairs, _, err := kv.DecodePairs(data[n:])
+	if err != nil {
+		return nil, err
+	}
+	return auxOutMsg{Gen: gen, Iter: iter, Task: task, Pairs: pairs}, nil
+}
+
+// refusedRecord explains a send that failed with
+// transport.ErrUnencodable by naming the type of the record its payload
+// could not encode.
+func refusedRecord(payload any, err error) error {
+	var pairs []kv.Pair
+	switch p := payload.(type) {
+	case stateChunk:
+		pairs = p.Pairs
+	case shuffleChunk:
+		pairs = p.Pairs
+	case auxOutMsg:
+		pairs = p.Pairs
+	}
+	if rerr := kv.Unencodable(pairs); rerr != nil {
+		return fmt.Errorf("%w: %w", err, rerr)
+	}
+	return err
+}
+
 func init() {
 	transport.RegisterWireUnmarshaler(wireTagState, decodeStateChunk)
 	transport.RegisterWireUnmarshaler(wireTagShuffle, decodeShuffleChunk)
-	kv.RegisterWireType(stateChunk{})
-	kv.RegisterWireType(shuffleChunk{})
-	kv.RegisterWireType(reportMsg{})
-	kv.RegisterWireType(auxOutMsg{})
-	kv.RegisterWireType(ckptMsg{})
-	kv.RegisterWireType(finalMsg{})
-	kv.RegisterWireType(cmdMsg{})
-	kv.RegisterWireType(failMsg{})
-	kv.RegisterWireType(taskErrMsg{})
-	kv.RegisterWireType(rbAckMsg{})
-	kv.RegisterWireType(heartbeatMsg{})
+	transport.RegisterWireUnmarshaler(wireTagAuxOut, decodeAuxOut)
+	transport.RegisterMessage(reportMsg{})
+	transport.RegisterMessage(ckptMsg{})
+	transport.RegisterMessage(finalMsg{})
+	transport.RegisterMessage(cmdMsg{})
+	transport.RegisterMessage(failMsg{})
+	transport.RegisterMessage(taskErrMsg{})
+	transport.RegisterMessage(rbAckMsg{})
+	transport.RegisterMessage(heartbeatMsg{})
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"imapreduce/internal/cluster"
-	"imapreduce/internal/kv"
 	"imapreduce/internal/transport"
 )
 
@@ -98,9 +97,9 @@ type planAckMsg struct {
 type releaseMsg struct{ Job string }
 
 func init() {
-	kv.RegisterWireType(planMsg{})
-	kv.RegisterWireType(planAckMsg{})
-	kv.RegisterWireType(releaseMsg{})
+	transport.RegisterMessage(planMsg{})
+	transport.RegisterMessage(planAckMsg{})
+	transport.RegisterMessage(releaseMsg{})
 }
 
 // planAckTimeout bounds how long the master waits for a worker's plan

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -171,7 +172,10 @@ func (t *reduceTask) fatal(err error) {
 }
 
 func (t *reduceTask) send(to, kind string, payload any, size int64) {
-	_ = t.e.sendReliable(t.ep, to, transport.Message{Kind: kind, Payload: payload, Size: size})
+	err := t.e.sendReliable(t.ep, to, transport.Message{Kind: kind, Payload: payload, Size: size})
+	if errors.Is(err, transport.ErrUnencodable) {
+		t.fatal(refusedRecord(payload, err)) // see mapTask.send
+	}
 }
 
 // rollback resets to checkpoint iteration cmd.ToIter; the termination
@@ -500,6 +504,10 @@ func (t *reduceTask) checkpoint(iter int, out []kv.Pair) {
 			}
 			if err = t.e.fs.WriteFile(tmp, at, snapshot, t.job.Ops); err == nil {
 				break
+			}
+			if errors.Is(err, kv.ErrNoCodec) {
+				t.fatal(fmt.Errorf("reduce %d/%d: checkpoint %d: %w", t.phase, t.idx, iter, err))
+				return
 			}
 		}
 		if err != nil {

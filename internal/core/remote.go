@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"imapreduce/internal/cluster"
-	"imapreduce/internal/kv"
 	"imapreduce/internal/transport"
 )
 
@@ -73,11 +72,11 @@ type pingMsg struct{ Worker string }
 type pongMsg struct{ Epoch int64 }
 
 func init() {
-	kv.RegisterWireType(joinMsg{})
-	kv.RegisterWireType(joinAckMsg{})
-	kv.RegisterWireType(leaveMsg{})
-	kv.RegisterWireType(pingMsg{})
-	kv.RegisterWireType(pongMsg{})
+	transport.RegisterMessage(joinMsg{})
+	transport.RegisterMessage(joinAckMsg{})
+	transport.RegisterMessage(leaveMsg{})
+	transport.RegisterMessage(pingMsg{})
+	transport.RegisterMessage(pongMsg{})
 }
 
 // RemoteClusterOptions configures the master's registration service.

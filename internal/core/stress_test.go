@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 )
 
 // TestBroadcastOnTCP runs the OneToAll path over real sockets: the
-// broadcast chunks and the gob-encoded pair lists must survive the wire.
+// broadcast chunks and the pair lists nested in them must survive the
+// wire.
 func TestBroadcastOnTCP(t *testing.T) {
 	guard(t, 2*time.Minute)
 	spec := cluster.Uniform(2)
@@ -107,20 +109,19 @@ func TestMultiPhaseOnTCP(t *testing.T) {
 	}
 }
 
-// opaqueVal is gob-registered but has no kv value codec: chunks
-// carrying it cannot use the binary fast path, so every shuffle and
-// state message must fall back to the per-frame gob encoding.
+// opaqueVal has no kv value codec: no record holding it can cross a
+// socket or reach a disk.
 type opaqueVal struct {
 	S string
 	F []float64
 }
 
-// TestGobFallbackOnTCP proves correctness never depends on codec
-// registration: a job whose values only gob knows runs exactly over
-// real sockets.
-func TestGobFallbackOnTCP(t *testing.T) {
+// TestRecordWithoutCodecFailsRun: over TCP, a map that emits a value
+// type with no codec fails the run at once with an error naming the type
+// — no rollback, no wait for the no-progress timeout. (The transport's
+// TestTCPBinaryAndGobFrames pins that the refused send is not retried.)
+func TestRecordWithoutCodecFailsRun(t *testing.T) {
 	guard(t, 2*time.Minute)
-	kv.RegisterWireType(opaqueVal{})
 	spec := cluster.Uniform(2)
 	m := metrics.NewSet()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
@@ -129,54 +130,100 @@ func TestGobFallbackOnTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := &env{e: e, fs: fs, m: m, spec: spec}
-	const n = 10
-	state := make([]kv.Pair, n)
-	for i := range state {
-		state[i] = kv.Pair{Key: int64(i), Value: opaqueVal{S: "v", F: []float64{float64(i), 1}}}
-	}
-	ops := kv.OpsFor[int64, opaqueVal](nil)
-	if err := fs.WriteFile("/gf/state", "worker-0", state, ops); err != nil {
-		t.Fatal(err)
-	}
+	v.writeState(t, "/nc/state", 10)
 	job := &Job{
-		Name: "tcp-gob-fallback", StatePath: "/gf/state",
+		Name: "tcp-no-codec", StatePath: "/nc/state",
 		Map: func(key, state, static any, emit kv.Emit) error {
-			emit(key, state)
+			emit(key, opaqueVal{S: "v", F: []float64{state.(float64)}})
 			return nil
 		},
 		Reduce: func(key any, states []any) (any, error) {
-			ov := states[0].(opaqueVal)
-			halved := make([]float64, len(ov.F))
-			for i, f := range ov.F {
-				halved[i] = f / 2
-			}
-			return opaqueVal{S: ov.S + "x", F: halved}, nil
+			return states[0].(opaqueVal).F[0], nil
 		},
 		MaxIter: 3,
-		Ops:     ops,
+		Ops:     f64Ops(),
 	}
-	res, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
+	start := time.Now()
+	_, err = e.Run(job)
+	if err == nil {
+		t.Fatal("a shuffle of values with no codec ran to completion")
 	}
-	out := v.readOutput(t, res.OutputPath)
-	if len(out) != n {
-		t.Fatalf("%d outputs over gob fallback", len(out))
+	if !strings.Contains(err.Error(), "core.opaqueVal") {
+		t.Fatalf("run error does not name the value type: %v", err)
 	}
-	for k, val := range out {
-		ov := val.(opaqueVal)
-		if ov.S != "vxxx" {
-			t.Fatalf("key %v: S = %q after 3 iterations", k, ov.S)
-		}
-		if math.Abs(ov.F[0]-float64(k)/8) > 1e-12 || math.Abs(ov.F[1]-0.125) > 1e-12 {
-			t.Fatalf("key %v: F = %v", k, ov.F)
-		}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("run took %v to fail", d)
+	}
+	if f := m.Get(metrics.FailuresDetected); f != 0 {
+		t.Fatalf("%d workers declared failed over an unencodable chunk", f)
+	}
+}
+
+// TestCheckpointWithoutCodecFailsRun: over channels, where no chunk is
+// encoded, state holding a type with no codec still fails the run with
+// an error naming the type as soon as it must reach the DFS — at
+// manifest 0 when the initial state holds it, at the first checkpoint
+// when the reduce starts producing it, whether that checkpoint's
+// records are spilled or only checksummed.
+func TestCheckpointWithoutCodecFailsRun(t *testing.T) {
+	guard(t, 2*time.Minute)
+	for _, tc := range []struct {
+		name      string
+		spill     bool
+		initial   any
+		wantInErr string
+	}{
+		{"initial-state", false, opaqueVal{S: "v"}, "manifest 0"},
+		{"checkpoint", false, 1.0, "manifest "},
+		{"spilled-checkpoint", true, 1.0, ": checkpoint "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := cluster.Uniform(2)
+			m := metrics.NewSet()
+			cfg := dfs.Config{BlockSize: 1 << 14, Replication: 2}
+			if tc.spill {
+				cfg.SpillDir = t.TempDir()
+			}
+			fs := dfs.New(cfg, spec.IDs(), m)
+			e, err := NewEngine(fs, transport.NewChanNetwork(), spec, m, Options{Timeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			state := make([]kv.Pair, 10)
+			for i := range state {
+				state[i] = kv.Pair{Key: int64(i), Value: tc.initial}
+			}
+			if err := fs.WriteFile("/nc/state", "worker-0", state, f64Ops()); err != nil {
+				t.Fatal(err)
+			}
+			job := &Job{
+				Name: "ckpt-no-codec-" + tc.name, StatePath: "/nc/state",
+				Map: func(key, state, static any, emit kv.Emit) error {
+					emit(key, state)
+					return nil
+				},
+				Reduce: func(key any, states []any) (any, error) {
+					return opaqueVal{S: "v"}, nil
+				},
+				MaxIter:         4,
+				CheckpointEvery: 1,
+				Ops:             f64Ops(),
+			}
+			start := time.Now()
+			_, err = e.Run(job)
+			if err == nil || !strings.Contains(err.Error(), "core.opaqueVal") || !strings.Contains(err.Error(), tc.wantInErr) {
+				t.Fatalf("run error %v, want one naming core.opaqueVal at %s", err, tc.wantInErr)
+			}
+			if d := time.Since(start); d > 10*time.Second {
+				t.Fatalf("run took %v to fail", d)
+			}
+		})
 	}
 }
 
 // TestDiskBackedDFS runs a full job (including checkpoints and final
-// output) over a DFS that spills every block to gob files on disk — the
-// paper's file-backed storage mode.
+// output) over a DFS that spills every block to disk in the kv wire
+// codec — the paper's file-backed storage mode.
 func TestDiskBackedDFS(t *testing.T) {
 	guard(t, 2*time.Minute)
 	spec := cluster.Uniform(2)

@@ -16,8 +16,6 @@
 package dfs
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -37,8 +35,8 @@ type Config struct {
 	Replication int   // replicas per block (capped at live datanodes)
 	// SpillDir, when non-empty, stores committed blocks as files under
 	// this directory instead of keeping records in memory. Key and value
-	// types need a wire codec (kv.RegisterValueCodec) or a gob
-	// registration (kv.RegisterWireType).
+	// types need a wire codec (kv.RegisterValueCodec); a write of one
+	// without fails with an error naming the type.
 	SpillDir string
 	// ImagePath, when non-empty, persists the namenode state (the file
 	// table, block metadata and spill sequence) to this path on every
@@ -70,43 +68,30 @@ type block struct {
 	replicas []string
 }
 
-// Block encodings, named by the first byte of an encoded block.
-const (
-	blockGob  byte = iota // gob: some record has a type without a wire codec
-	blockWire             // kv.AppendPairs, the format the network carries
-)
+// blockWire is an encoded block's first byte, checked on decode: the
+// records follow in kv.AppendPairs form, the format the network carries.
+const blockWire byte = 1
 
-// encodeBlock serializes a block's records: in the tagged wire codec
-// when every key and value has one, in gob otherwise. The bytes are what
-// spill writes and what every checksum is taken over. Wire tags of
-// registered codecs follow registration order, so a spilled block is
-// readable by a restart of the same binary, not by a different one.
+// encodeBlock serializes a block's records in the tagged wire codec; a
+// record with no codec fails it with an error naming the record's type.
+// The bytes are what spill writes, what every checksum is taken over and
+// what a DFS RPC carries. Wire tags of registered codecs follow
+// registration order, so a spilled block is readable by a restart of the
+// same binary, not by a different one.
 func encodeBlock(recs []kv.Pair) ([]byte, error) {
-	if data, ok := kv.AppendPairs([]byte{blockWire}, recs); ok {
-		return data, nil
+	data, ok := kv.AppendPairs([]byte{blockWire}, recs)
+	if !ok {
+		return nil, fmt.Errorf("dfs: encode block: %w", kv.Unencodable(recs))
 	}
-	buf := bytes.NewBuffer([]byte{blockGob})
-	if err := gob.NewEncoder(buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("dfs: encode block: %w", err)
-	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // decodeBlock reads an encodeBlock encoding back.
 func decodeBlock(data []byte) ([]kv.Pair, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("dfs: decode block: empty")
+	if len(data) == 0 || data[0] != blockWire {
+		return nil, fmt.Errorf("dfs: decode block: not a wire-encoded block")
 	}
-	var recs []kv.Pair
-	var err error
-	switch data[0] {
-	case blockWire:
-		recs, _, err = kv.DecodePairs(data[1:])
-	case blockGob:
-		err = gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&recs)
-	default:
-		err = fmt.Errorf("unknown encoding %d", data[0])
-	}
+	recs, _, err := kv.DecodePairs(data[1:])
 	if err != nil {
 		return nil, fmt.Errorf("dfs: decode block: %w", err)
 	}

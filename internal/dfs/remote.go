@@ -2,7 +2,8 @@
 // answers file-system RPCs from worker processes, whose tasks hold a
 // *Client implementing the same FS interface. Calls are
 // request/response over the framework's own transport (one persistent
-// connection each way), matched by request ID.
+// connection each way), matched by request ID. Records cross as an
+// encoded block (encodeBlock), the same bytes a spill file holds.
 //
 // Delivery is at-least-once in both directions — the TCP backend
 // retransmits over a fresh stream after a connection death, and the
@@ -51,14 +52,14 @@ type rpcReq struct {
 	Path2 string // Rename destination
 	Node  string // atNode / the failed or restored datanode
 	Split Split
-	Recs  []kv.Pair
+	Recs  []byte // encodeBlock of the records to write
 	Sizes []int
 }
 
 type rpcResp struct {
 	ID     int64
 	Err    string
-	Recs   []kv.Pair
+	Recs   []byte // encodeBlock of the records read
 	Splits []Split
 	St     Stat
 	Sum    uint32
@@ -67,8 +68,8 @@ type rpcResp struct {
 }
 
 func init() {
-	kv.RegisterWireType(&rpcReq{})
-	kv.RegisterWireType(&rpcResp{})
+	transport.RegisterMessage(&rpcReq{})
+	transport.RegisterMessage(&rpcResp{})
 }
 
 // respCacheSize bounds the per-client replay cache. 256 responses is
@@ -148,39 +149,21 @@ func (s *Service) respond(from string, req *rpcReq) *rpcResp {
 
 func (s *Service) handle(req *rpcReq) *rpcResp {
 	resp := &rpcResp{ID: req.ID}
-	fail := func(err error) *rpcResp {
-		resp.Err = err.Error()
-		return resp
-	}
+	var err error
 	switch req.Op {
 	case opSplits:
-		sp, err := s.fs.Splits(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Splits = sp
+		resp.Splits, err = s.fs.Splits(req.Path)
 	case opReadSplit:
-		recs, err := s.fs.ReadSplit(req.Split, req.Node)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Recs = recs
+		resp.Recs, err = encodeRead(s.fs.ReadSplit(req.Split, req.Node))
 	case opReadFile:
-		recs, err := s.fs.ReadFile(req.Path, req.Node)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Recs = recs
+		resp.Recs, err = encodeRead(s.fs.ReadFile(req.Path, req.Node))
 	case opWrite:
-		if err := s.fs.WriteFileSized(req.Path, req.Node, req.Recs, req.Sizes); err != nil {
-			return fail(err)
+		var recs []kv.Pair
+		if recs, err = decodeBlock(req.Recs); err == nil {
+			err = s.fs.WriteFileSized(req.Path, req.Node, recs, req.Sizes)
 		}
 	case opStat:
-		st, err := s.fs.StatFile(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		resp.St = st
+		resp.St, err = s.fs.StatFile(req.Path)
 	case opExists:
 		resp.OK = s.fs.Exists(req.Path)
 	case opDelete:
@@ -188,31 +171,32 @@ func (s *Service) handle(req *rpcReq) *rpcResp {
 	case opList:
 		resp.Paths = s.fs.List(req.Path)
 	case opRename:
-		if err := s.fs.Rename(req.Path, req.Path2); err != nil {
-			return fail(err)
-		}
+		err = s.fs.Rename(req.Path, req.Path2)
 	case opChecksum:
-		sum, err := s.fs.Checksum(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Sum = sum
+		resp.Sum, err = s.fs.Checksum(req.Path)
 	case opFailNode:
 		s.fs.FailNode(req.Node)
 	case opRestore:
 		s.fs.RestoreNode(req.Node)
 	default:
-		return fail(fmt.Errorf("dfs: unknown op %q", req.Op))
+		err = fmt.Errorf("dfs: unknown op %q", req.Op)
+	}
+	if err != nil {
+		resp.Err = err.Error()
 	}
 	return resp
 }
 
-func respSize(r *rpcResp) int64 {
-	n := int64(64)
-	for _, p := range r.Recs {
-		n += int64(kv.DefaultSize(p.Key) + kv.DefaultSize(p.Value))
+// encodeRead encodes the records a read returned for the response.
+func encodeRead(recs []kv.Pair, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
-	n += int64(24 * len(r.Splits))
+	return encodeBlock(recs)
+}
+
+func respSize(r *rpcResp) int64 {
+	n := int64(64 + len(r.Recs) + 24*len(r.Splits))
 	for _, p := range r.Paths {
 		n += int64(len(p))
 	}
@@ -220,15 +204,7 @@ func respSize(r *rpcResp) int64 {
 }
 
 func reqSize(r *rpcReq) int64 {
-	n := int64(64 + len(r.Path) + len(r.Path2) + len(r.Node))
-	for i, p := range r.Recs {
-		if i < len(r.Sizes) {
-			n += int64(r.Sizes[i])
-		} else {
-			n += int64(kv.DefaultSize(p.Key) + kv.DefaultSize(p.Value))
-		}
-	}
-	return n
+	return int64(64 + len(r.Path) + len(r.Path2) + len(r.Node) + len(r.Recs))
 }
 
 // ErrClientClosed is returned by calls in flight when the client's
@@ -352,30 +328,35 @@ func (c *Client) Splits(path string) ([]Split, error) {
 
 // ReadSplit implements FS.
 func (c *Client) ReadSplit(s Split, atNode string) ([]kv.Pair, error) {
-	resp, err := c.call(&rpcReq{Op: opReadSplit, Split: s, Node: atNode})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Recs, nil
+	return c.read(&rpcReq{Op: opReadSplit, Split: s, Node: atNode})
 }
 
 // ReadFile implements FS.
 func (c *Client) ReadFile(path, atNode string) ([]kv.Pair, error) {
-	resp, err := c.call(&rpcReq{Op: opReadFile, Path: path, Node: atNode})
+	return c.read(&rpcReq{Op: opReadFile, Path: path, Node: atNode})
+}
+
+func (c *Client) read(req *rpcReq) ([]kv.Pair, error) {
+	resp, err := c.call(req)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Recs, nil
+	return decodeBlock(resp.Recs)
 }
 
 // WriteFile implements FS. Sizes are computed locally — sizing
-// functions cannot cross the wire.
+// functions cannot cross the wire. A record with no codec fails the
+// write here, before any request is sent.
 func (c *Client) WriteFile(path, atNode string, recs []kv.Pair, ops kv.Ops) error {
+	data, err := encodeBlock(recs)
+	if err != nil {
+		return err
+	}
 	sizes := make([]int, len(recs))
 	for i, p := range recs {
 		sizes[i] = ops.PairSize(p)
 	}
-	_, err := c.call(&rpcReq{Op: opWrite, Path: path, Node: atNode, Recs: recs, Sizes: sizes})
+	_, err = c.call(&rpcReq{Op: opWrite, Path: path, Node: atNode, Recs: data, Sizes: sizes})
 	return err
 }
 

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -186,70 +187,66 @@ func TestChecksumMemoMatchesSpill(t *testing.T) {
 	}
 }
 
-// opaque has no wire codec, only a gob registration: a block holding one
-// takes encodeBlock's gob fallback.
+// opaque has no wire codec: a block holding one cannot be encoded.
 type opaque struct{ A, B int }
 
-func init() { kv.RegisterWireType(opaque{}) }
-
-// TestSpillReopenBothEncodings writes one file whose records all have a
-// wire codec and one with a gob-only value type, reopens the DFS from its
-// image as a restarted master does, and reads both back: each block names
-// its encoding in its first byte, the records survive, and the checksum a
-// manifest would have recorded before the restart still verifies.
-func TestSpillReopenBothEncodings(t *testing.T) {
+// TestSpillReopenAndRefusedWrite writes a file of records that all have
+// a wire codec, reopens the DFS from its image as a restarted master
+// does, and reads it back: each block starts with the wire encoding's
+// byte, the records survive, and the checksum a manifest would have
+// recorded before the restart still verifies. A write holding a value
+// with no codec fails with an error naming the type and leaves no file.
+func TestSpillReopenAndRefusedWrite(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{BlockSize: 256, Replication: 2, SpillDir: dir, ImagePath: filepath.Join(dir, "image.json")}
-	files := map[string]struct {
-		recs     []kv.Pair
-		encoding byte
-	}{
-		"/wire": {recs(40), blockWire},
-		"/gob":  {[]kv.Pair{{Key: int64(1), Value: opaque{1, 2}}, {Key: int64(2), Value: 2.5}}, blockGob},
-	}
+	want := recs(40)
 	fs1, err := Open(cfg, nodes(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := map[string]uint32{}
-	for path, f := range files {
-		if err := fs1.WriteFile(path, "a", f.recs, testOps()); err != nil {
+	if err := fs1.WriteFile("/wire", "a", want, testOps()); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := fs1.Checksum("/wire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := fs1.ns.get("/wire")
+	for _, b := range stored.blocks {
+		data, err := os.ReadFile(b.diskPath)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sums[path], err = fs1.Checksum(path); err != nil {
-			t.Fatal(err)
+		if data[0] != blockWire {
+			t.Fatalf("block encoding %d, want %d", data[0], blockWire)
 		}
-		stored, _ := fs1.ns.get(path)
-		for _, b := range stored.blocks {
-			data, err := os.ReadFile(b.diskPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if data[0] != f.encoding {
-				t.Fatalf("%s: block encoding %d, want %d", path, data[0], f.encoding)
-			}
-		}
+	}
+	refused := []kv.Pair{{Key: int64(1), Value: 2.5}, {Key: int64(2), Value: opaque{1, 2}}}
+	err = fs1.WriteFile("/opaque", "a", refused, testOps())
+	if !errors.Is(err, kv.ErrNoCodec) || !strings.Contains(err.Error(), "dfs.opaque") {
+		t.Fatalf("write of a value with no codec: err %v, want ErrNoCodec naming dfs.opaque", err)
+	}
+	if fs1.Exists("/opaque") {
+		t.Fatal("refused write left a file behind")
 	}
 
 	fs2, err := Open(cfg, nodes(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for path, f := range files {
-		out, err := fs2.ReadFile(path, "b")
-		if err != nil {
-			t.Fatal(err)
+	out, err := fs2.ReadFile("/wire", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(want) {
+		t.Fatalf("%d records back, want %d", len(out), len(want))
+	}
+	for i := range out {
+		if out[i] != want[i] {
+			t.Fatalf("record %d changed: %v vs %v", i, out[i], want[i])
 		}
-		if len(out) != len(f.recs) {
-			t.Fatalf("%s: %d records back, want %d", path, len(out), len(f.recs))
-		}
-		for i := range out {
-			if out[i] != f.recs[i] {
-				t.Fatalf("%s: record %d changed: %v vs %v", path, i, out[i], f.recs[i])
-			}
-		}
-		if sum, err := fs2.Checksum(path); err != nil || sum != sums[path] {
-			t.Fatalf("%s: checksum after reopen %08x (%v), want %08x", path, sum, err, sums[path])
-		}
+	}
+	if got, err := fs2.Checksum("/wire"); err != nil || got != sum {
+		t.Fatalf("checksum after reopen %08x (%v), want %08x", got, err, sum)
 	}
 }

@@ -20,7 +20,6 @@ func (a Adj) Bytes() int {
 }
 
 func init() {
-	kv.RegisterWireType(Adj{})
 	kv.RegisterValueCodec(Adj{}, kv.ValueCodec{
 		Append: func(buf []byte, v any) ([]byte, bool) {
 			a := v.(Adj)

@@ -34,14 +34,13 @@ func BenchmarkSortPairs(b *testing.B) {
 }
 
 func BenchmarkEncodePairs(b *testing.B) {
-	ops := OpsFor[int64, float64](nil)
 	src := benchPairs(1<<12, 1<<12)
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var ok bool
-		buf, ok = ops.EncodePairs(buf[:0], src)
+		buf, ok = AppendPairs(buf[:0], src)
 		if !ok {
 			b.Fatal("encode refused")
 		}
@@ -50,13 +49,12 @@ func BenchmarkEncodePairs(b *testing.B) {
 }
 
 func BenchmarkDecodePairs(b *testing.B) {
-	ops := OpsFor[int64, float64](nil)
-	buf, _ := ops.EncodePairs(nil, benchPairs(1<<12, 1<<12))
+	buf, _ := AppendPairs(nil, benchPairs(1<<12, 1<<12))
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ops.DecodePairs(buf); err != nil {
+		if _, _, err := DecodePairs(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

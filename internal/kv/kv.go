@@ -52,17 +52,6 @@ type Ops struct {
 	// Compare is the three-way form of Less. When set, Grouper.Group and
 	// SortPairs take the sort-based fast path. Optional; OpsFor fills it.
 	Compare func(a, b any) int
-	// EncodePairs and DecodePairs are the typed wire codec used by the
-	// binary transport framing. EncodePairs appends the encoding of ps to
-	// buf; ok=false means some record carries a type with no registered
-	// codec and the transport must fall back to gob. Optional; OpsFor
-	// fills both from the tagged codec registry (see wire.go).
-	EncodePairs func(buf []byte, ps []Pair) ([]byte, bool)
-	DecodePairs func(data []byte) ([]Pair, error)
-	// DecodePairsSlab is the arena variant of DecodePairs: the result and
-	// its boxed values live in s and follow s's release rules (see Slab).
-	// Optional; OpsFor fills it.
-	DecodePairsSlab func(data []byte, s *Slab) ([]Pair, error)
 	// sortStable is the concrete-key-type stable sort installed by OpsFor;
 	// it avoids the interface-compare indirection of Less/Compare.
 	sortStable func(ps []Pair)
@@ -75,7 +64,7 @@ type Ops struct {
 // PairSize returns the estimated serialized size of p under o.
 //
 // PairSize and Partition run once per record and take a pointer: Ops is
-// ten funcs wide, and a value receiver would copy all 80 bytes per call.
+// seven funcs wide, and a value receiver would copy all 56 bytes per call.
 func (o *Ops) PairSize(p Pair) int {
 	return o.KeySize(p.Key) + o.ValSize(p.Value)
 }
@@ -213,20 +202,11 @@ func OpsFor[K cmp.Ordered, V any](valSize func(V) int) Ops {
 		}
 	}
 	return Ops{
-		Hash:        HashOf,
-		Less:        func(a, b any) bool { return cmp.Less(a.(K), b.(K)) },
-		Compare:     func(a, b any) int { return cmp.Compare(a.(K), b.(K)) },
-		KeySize:     KeySizeOf,
-		ValSize:     vs,
-		EncodePairs: AppendPairs,
-		DecodePairs: func(data []byte) ([]Pair, error) {
-			ps, _, err := DecodePairs(data)
-			return ps, err
-		},
-		DecodePairsSlab: func(data []byte, s *Slab) ([]Pair, error) {
-			ps, _, err := DecodePairsSlab(data, s)
-			return ps, err
-		},
+		Hash:    HashOf,
+		Less:    func(a, b any) bool { return cmp.Less(a.(K), b.(K)) },
+		Compare: func(a, b any) int { return cmp.Compare(a.(K), b.(K)) },
+		KeySize: KeySizeOf,
+		ValSize: vs,
 		sortStable: func(ps []Pair) {
 			slices.SortStableFunc(ps, func(a, b Pair) int { return cmp.Compare(a.Key.(K), b.Key.(K)) })
 		},

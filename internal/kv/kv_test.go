@@ -72,11 +72,6 @@ func TestKeySizeOf(t *testing.T) {
 	}
 }
 
-func TestRegisterWireType(t *testing.T) {
-	type custom struct{ A int }
-	RegisterWireType(custom{}) // must not panic, idempotent for new types
-}
-
 func TestHashOfStringStable(t *testing.T) {
 	if HashOf("abc") != HashOf("abc") {
 		t.Fatal("string hash not stable")

@@ -236,14 +236,13 @@ func TestDecodePairsAllocBudget(t *testing.T) {
 }
 
 func BenchmarkDecodePairsSlab(b *testing.B) {
-	ops := OpsFor[int64, float64](nil)
-	buf, _ := ops.EncodePairs(nil, benchPairs(1<<12, 1<<12))
+	buf, _ := AppendPairs(nil, benchPairs(1<<12, 1<<12))
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := AcquireSlab()
-		if _, err := ops.DecodePairsSlab(buf, s); err != nil {
+		if _, _, err := DecodePairsSlab(buf, s); err != nil {
 			b.Fatal(err)
 		}
 		s.Release()

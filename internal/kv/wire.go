@@ -2,21 +2,22 @@ package kv
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
 )
 
-// Binary value encoding — the reflection-free fast path records take
-// over the TCP transport instead of gob. Every value is one uvarint
-// type tag followed by a tag-specific payload; pair lists are a uvarint
-// count followed by key/value encodings. Builtin scalars and the common
-// slice shapes are handled inline; composite record types register a
-// ValueCodec (see RegisterValueCodec). Tags are assigned in process-
-// local registration order, which is consistent across endpoints
-// because every endpoint of a run lives in one process — the same
-// assumption the gob registry already makes.
+// Binary value encoding — the one form a record takes over a socket, in
+// a DFS block or spill file, and inside an RPC. Every value is one
+// uvarint type tag followed by a tag-specific payload; pair lists are a
+// uvarint count followed by key/value encodings. Builtin scalars and the
+// common slice shapes are handled inline; composite record types register
+// a ValueCodec (see RegisterValueCodec). A value whose type has neither
+// cannot be encoded: the send or write fails with an error naming the
+// type (see Unencodable). Tags are assigned in registration order, which
+// agrees across processes built from the same source.
 
 // Builtin wire tags. Custom codecs start at customTagBase.
 const (
@@ -44,7 +45,8 @@ const (
 type ValueCodec struct {
 	// Append appends v's encoding to buf. It is called only with values
 	// of the registered dynamic type. ok=false (e.g. a nested any field
-	// holds an unregistered type) makes the whole chunk fall back to gob.
+	// holds an unregistered type) refuses v, and with it the whole chunk
+	// or block.
 	Append func(buf []byte, v any) ([]byte, bool)
 	// Decode reads one value back and returns it with the number of
 	// bytes consumed.
@@ -63,8 +65,8 @@ var wireReg = struct {
 }{byType: make(map[reflect.Type]uint64)}
 
 // RegisterValueCodec registers the binary codec for sample's concrete
-// type. Like gob.Register it is meant for init functions; registering
-// the same type twice panics.
+// type. It is meant for init functions; registering the same type twice
+// panics.
 func RegisterValueCodec(sample any, c ValueCodec) {
 	t := reflect.TypeOf(sample)
 	if t == nil {
@@ -157,8 +159,21 @@ func Float32At(data []byte) (float32, int, error) {
 }
 
 // Untagged slice helpers for custom codecs: a uvarint length followed
-// by the elements. Zero length decodes to nil, matching gob's treatment
-// of empty slices.
+// by the elements. Zero length decodes to nil.
+
+// sliceLen reads a slice's uvarint length and checks that the bytes left
+// can hold that many elements of at least size bytes each, so a hostile
+// length fails here instead of in make.
+func sliceLen(data []byte, size uint64) (int, int, error) {
+	l, n, err := Uvarint(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	if l > uint64(len(data)-n)/size {
+		return 0, 0, fmt.Errorf("kv: slice length %d exceeds frame", l)
+	}
+	return int(l), n, nil
+}
 
 // AppendInt32Slice appends xs as uvarint length + varint elements.
 func AppendInt32Slice(buf []byte, xs []int32) []byte {
@@ -171,7 +186,7 @@ func AppendInt32Slice(buf []byte, xs []int32) []byte {
 
 // Int32SliceAt reads an AppendInt32Slice encoding.
 func Int32SliceAt(data []byte) ([]int32, int, error) {
-	l, n, err := Uvarint(data)
+	l, n, err := sliceLen(data, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -201,15 +216,12 @@ func AppendFloat32Slice(buf []byte, xs []float32) []byte {
 
 // Float32SliceAt reads an AppendFloat32Slice encoding.
 func Float32SliceAt(data []byte) ([]float32, int, error) {
-	l, n, err := Uvarint(data)
+	l, n, err := sliceLen(data, 4)
 	if err != nil {
 		return nil, 0, err
 	}
 	if l == 0 {
 		return nil, n, nil
-	}
-	if uint64(len(data)-n) < 4*l {
-		return nil, 0, fmt.Errorf("kv: truncated float32 slice")
 	}
 	out := make([]float32, l)
 	for i := range out {
@@ -231,15 +243,12 @@ func AppendFloat64Slice(buf []byte, xs []float64) []byte {
 
 // Float64SliceAt reads an AppendFloat64Slice encoding.
 func Float64SliceAt(data []byte) ([]float64, int, error) {
-	l, n, err := Uvarint(data)
+	l, n, err := sliceLen(data, 8)
 	if err != nil {
 		return nil, 0, err
 	}
 	if l == 0 {
 		return nil, n, nil
-	}
-	if uint64(len(data)-n) < 8*l {
-		return nil, 0, fmt.Errorf("kv: truncated float64 slice")
 	}
 	out := make([]float64, l)
 	for i := range out {
@@ -250,9 +259,9 @@ func Float64SliceAt(data []byte) ([]float64, int, error) {
 }
 
 // AppendValue appends the tagged binary encoding of v. ok=false means
-// v's dynamic type (or a type nested inside it) has no codec and the
-// caller must fall back to gob; buf is returned truncated to its
-// original length in that case.
+// v's dynamic type (or a type nested inside it) has no codec, so v
+// cannot be encoded; buf is returned truncated to its original length in
+// that case.
 func AppendValue(buf []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case nil:
@@ -381,21 +390,10 @@ func DecodeValue(data []byte) (any, int, error) {
 		copy(out, rest[m:m+int(l)])
 		return out, n + m + int(l), nil
 	case tagInt32s:
-		l, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]int32, l)
-		for i := range out {
-			x, k, err := Varint(rest[m:])
-			if err != nil {
-				return nil, 0, err
-			}
-			out[i], m = int32(x), m+k
-		}
-		return out, n + m, nil
+		xs, m, err := Int32SliceAt(rest)
+		return tagged(n, xs, m, err)
 	case tagInt64s:
-		l, m, err := Uvarint(rest)
+		l, m, err := sliceLen(rest, 1)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -409,33 +407,11 @@ func DecodeValue(data []byte) (any, int, error) {
 		}
 		return out, n + m, nil
 	case tagFloat32s:
-		l, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]float32, l)
-		for i := range out {
-			x, k, err := Float32At(rest[m:])
-			if err != nil {
-				return nil, 0, err
-			}
-			out[i], m = x, m+k
-		}
-		return out, n + m, nil
+		xs, m, err := Float32SliceAt(rest)
+		return tagged(n, xs, m, err)
 	case tagFloat64s:
-		l, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]float64, l)
-		for i := range out {
-			x, k, err := Float64At(rest[m:])
-			if err != nil {
-				return nil, 0, err
-			}
-			out[i], m = x, m+k
-		}
-		return out, n + m, nil
+		xs, m, err := Float64SliceAt(rest)
+		return tagged(n, xs, m, err)
 	case tagPairs:
 		ps, m, err := DecodePairs(rest)
 		return ps, n + m, err
@@ -447,6 +423,15 @@ func DecodeValue(data []byte) (any, int, error) {
 		v, m, err := c.Decode(rest)
 		return v, n + m, err
 	}
+}
+
+// tagged returns an untagged slice helper's result the way DecodeValue
+// does: boxed, with the tag's n bytes counted, and no value on error.
+func tagged[T any](n int, x T, m int, err error) (any, int, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	return x, n + m, nil
 }
 
 // DecodeValueSlab is DecodeValue with arena allocation: scalar values
@@ -566,9 +551,9 @@ func decodeNestedPairsSlab(data []byte, s *Slab) ([]Pair, int, error) {
 }
 
 // AppendPairs appends the binary encoding of ps: a uvarint count and
-// each pair's key/value encodings. ok=false means some pair carries an
-// unregistered type; buf is truncated back to its original length and
-// the caller falls back to gob for the whole list.
+// each pair's key/value encodings. ok=false means some pair carries a
+// type with no codec; buf is truncated back to its original length and
+// Unencodable names the type.
 func AppendPairs(buf []byte, ps []Pair) ([]byte, bool) {
 	start := len(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(ps)))
@@ -582,6 +567,27 @@ func AppendPairs(buf []byte, ps []Pair) ([]byte, bool) {
 		}
 	}
 	return buf, true
+}
+
+// ErrNoCodec marks a record that cannot be encoded because its type has
+// no codec (see Unencodable).
+var ErrNoCodec = errors.New("kv: no wire codec")
+
+// Unencodable names the dynamic type of the first key or value in ps
+// that AppendValue refuses, in an error wrapping ErrNoCodec. It returns
+// nil when every record encodes. Callers use it to explain an
+// AppendPairs that returned ok=false.
+func Unencodable(ps []Pair) error {
+	var scratch []byte
+	for _, p := range ps {
+		for _, v := range [2]any{p.Key, p.Value} {
+			var ok bool
+			if scratch, ok = AppendValue(scratch[:0], v); !ok {
+				return fmt.Errorf("%w for %T", ErrNoCodec, v)
+			}
+		}
+	}
+	return nil
 }
 
 // DecodePairs reads an AppendPairs encoding back, returning the pairs

@@ -1,7 +1,11 @@
 package kv
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -51,15 +55,26 @@ func TestPairsRoundTripEmpty(t *testing.T) {
 	}
 }
 
+// TestAppendPairsUnregisteredFallsBack: a value type with no codec is
+// refused, the buffer comes back as it was, and Unencodable names the
+// type.
 func TestAppendPairsUnregisteredFallsBack(t *testing.T) {
 	type stranger struct{ X int }
 	base := []byte("prefix")
-	buf, ok := AppendPairs(base, []Pair{{int64(1), 2.0}, {int64(2), stranger{3}}})
+	ps := []Pair{{int64(1), 2.0}, {int64(2), stranger{3}}}
+	buf, ok := AppendPairs(base, ps)
 	if ok {
 		t.Fatal("expected ok=false for unregistered value type")
 	}
 	if len(buf) != len(base) {
 		t.Fatalf("buffer not truncated on failure: len %d, want %d", len(buf), len(base))
+	}
+	err := Unencodable(ps)
+	if !errors.Is(err, ErrNoCodec) || !strings.Contains(err.Error(), "kv.stranger") {
+		t.Fatalf("Unencodable = %v, want ErrNoCodec naming kv.stranger", err)
+	}
+	if err := Unencodable(ps[:1]); err != nil {
+		t.Fatalf("Unencodable of encodable records = %v", err)
 	}
 }
 
@@ -125,19 +140,54 @@ func TestRegisterValueCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpsForEncodeDecode: records of the types an OpsFor bundle is built
+// for round-trip through the codec in the order the bundle sorts them.
 func TestOpsForEncodeDecode(t *testing.T) {
 	ops := OpsFor[int64, float64](nil)
 	ps := []Pair{{int64(3), 1.5}, {int64(1), -2.0}}
-	buf, ok := ops.EncodePairs(nil, ps)
-	if !ok {
-		t.Fatal("OpsFor EncodePairs refused builtin types")
-	}
-	got, err := ops.DecodePairs(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ps, got) {
+	ops.SortPairs(ps)
+	if got := roundTrip(t, ps); !reflect.DeepEqual(ps, got) {
 		t.Fatalf("ops round trip mismatch: %v vs %v", got, ps)
+	}
+}
+
+// TestHostileSliceLengths: a slice length read off the wire that the
+// bytes left cannot hold is an error, never a huge or out-of-range make.
+func TestHostileSliceLengths(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<62)
+	big := binary.AppendUvarint(nil, 1<<30) // in range for make, gigabytes of elements
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"int32s", append([]byte{byte(tagInt32s)}, huge...)},
+		{"int64s", append([]byte{byte(tagInt64s)}, huge...)},
+		{"float32s", append([]byte{byte(tagFloat32s)}, huge...)},
+		{"float64s", append([]byte{byte(tagFloat64s)}, huge...)},
+		{"int32s-big", append(append([]byte{byte(tagInt32s)}, big...), 1, 2)},
+		{"float64s-overflow", append([]byte{byte(tagFloat64s)}, binary.AppendUvarint(nil, 1<<61)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := DecodeValue(tc.data); err == nil {
+				t.Fatal("DecodeValue accepted a hostile length")
+			}
+			s := AcquireSlab()
+			defer s.Release()
+			if _, _, err := DecodeValueSlab(tc.data, s); err == nil {
+				t.Fatal("DecodeValueSlab accepted a hostile length")
+			}
+		})
+	}
+	for name, at := range map[string]func([]byte) error{
+		"Int32SliceAt":   func(d []byte) error { _, _, err := Int32SliceAt(d); return err },
+		"Float32SliceAt": func(d []byte) error { _, _, err := Float32SliceAt(d); return err },
+		"Float64SliceAt": func(d []byte) error { _, _, err := Float64SliceAt(d); return err },
+	} {
+		for _, d := range [][]byte{huge, big, binary.AppendUvarint(nil, 1<<61)} {
+			if err := at(d); err == nil {
+				t.Fatalf("%s accepted length prefix %x", name, d)
+			}
+		}
 	}
 }
 
@@ -155,4 +205,39 @@ func TestGroupPairsMapFallback(t *testing.T) {
 	if !reflect.DeepEqual(orig, pairs) {
 		t.Fatalf("map fallback mutated input: %v", pairs)
 	}
+}
+
+// FuzzDecodePairs feeds arbitrary bytes to the pair decoders that every
+// record off a socket, a spill file or an RPC goes through. The heap and
+// slab decoders must agree — both fail, or both succeed after consuming
+// the same bytes with the same pairs — and what decodes must survive
+// AppendPairs and a second decode unchanged. Pairs are compared by their
+// encoding, which names each value's type and keeps NaN bits.
+func FuzzDecodePairs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		heap, hn, herr := DecodePairs(data)
+		s := AcquireSlab()
+		defer s.Release()
+		slab, sn, serr := DecodePairsSlab(data, s)
+		if (herr == nil) != (serr == nil) {
+			t.Fatalf("heap decode error %v, slab decode error %v", herr, serr)
+		}
+		if herr != nil {
+			return
+		}
+		enc, ok := AppendPairs(nil, heap)
+		if !ok {
+			t.Fatalf("decoded pairs refuse to encode: %v", Unencodable(heap))
+		}
+		if senc, _ := AppendPairs(nil, slab); hn != sn || !bytes.Equal(enc, senc) {
+			t.Fatalf("heap decode (%d bytes) %x, slab decode (%d bytes) %x", hn, enc, sn, senc)
+		}
+		again, n, err := DecodePairs(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("re-decode of %x: %d bytes, %v", enc, n, err)
+		}
+		if enc2, _ := AppendPairs(nil, again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the pairs: %x then %x", enc, enc2)
+		}
+	})
 }

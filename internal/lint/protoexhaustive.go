@@ -17,11 +17,11 @@ import (
 //     a frame receivers silently drop; dispatched but never emitted is
 //     a dead protocol arm.
 //   - every message type the core and dfs packages register with
-//     kv.RegisterWireType must appear in a type switch or type
-//     assertion somewhere in the module — registration makes the codec
-//     decode it, but only a dispatch arm makes anyone handle it. (The
-//     algorithm packages also register plain record types with the
-//     codec; those are data, not messages, and are out of scope.)
+//     transport.RegisterMessage must appear in a type switch or type
+//     assertion somewhere in the module — registration makes the
+//     transport decode it, but only a dispatch arm makes anyone handle
+//     it. (Record types register with kv.RegisterValueCodec instead;
+//     those are data, not messages, and are out of scope.)
 //   - every exported trace.Kind constant and every exported metric name
 //     constant must be referenced somewhere in the module: the Fig-10
 //     decomposition and the experiment assertions read these catalogs,
@@ -221,7 +221,7 @@ func checkRegisteredTypes(pass *ModulePass) {
 					return true
 				}
 				callee := calleeOf(pkg.Info, call)
-				if callee == nil || callee.FullName() != "imapreduce/internal/kv.RegisterWireType" {
+				if callee == nil || callee.FullName() != "imapreduce/internal/transport.RegisterMessage" {
 					return true
 				}
 				if n := namedOf(exprType(pkg.Info, call.Args[0])); n != nil {
@@ -272,7 +272,7 @@ func checkRegisteredTypes(pass *ModulePass) {
 	for tn, site := range registered {
 		if !dispatched[tn] {
 			pass.Reportf(site.pkg, site.pos,
-				"message type %s is registered with kv.RegisterWireType but no type switch or assertion anywhere handles it; decoded frames of this type are silently dropped",
+				"message type %s is registered with transport.RegisterMessage but no type switch or assertion anywhere handles it; decoded frames of this type are silently dropped",
 				tn.Name())
 		}
 	}

@@ -2,8 +2,6 @@
 // must match the handled surface, both directions.
 package fixture
 
-import "imapreduce/internal/kv"
-
 type frameMsg struct {
 	kind    byte
 	payload []byte
@@ -44,5 +42,5 @@ func handle(m frameMsg) int {
 type orphanMsg struct{ N int }
 
 func register() {
-	kv.RegisterWireType(orphanMsg{}) // want "registered with kv.RegisterWireType but no type switch"
+	RegisterMessage(orphanMsg{}) // want "registered with transport.RegisterMessage but no type switch"
 }

@@ -139,11 +139,9 @@ type Tagged struct {
 func (t Tagged) Bytes() int { return 1 + kv.DefaultSize(t.Val) }
 
 func init() {
-	kv.RegisterWireType(IterValue{})
-	kv.RegisterWireType(Tagged{})
 	// The nested any fields encode through the kv value registry; a
 	// payload type without a codec makes Append report ok=false, which
-	// the transport turns into a gob-framed message.
+	// fails the write with an error naming that type.
 	kv.RegisterValueCodec(IterValue{}, kv.ValueCodec{
 		Append: func(buf []byte, v any) ([]byte, bool) {
 			iv := v.(IterValue)

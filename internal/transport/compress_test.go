@@ -8,9 +8,10 @@ import (
 )
 
 // TestTCPCompressedFramesRoundTrip runs compressible and incompressible
-// payloads, binary and gob framed, over a CompressThreshold network, and
-// checks every payload survives byte-identically while the compressible
-// ones actually went out flate-wrapped and smaller.
+// payloads, binary and gob (control message) framed, over a
+// CompressThreshold network, and checks every payload survives
+// byte-identically while the compressible ones actually went out
+// flate-wrapped and smaller.
 func TestTCPCompressedFramesRoundTrip(t *testing.T) {
 	n := NewTCPNetworkOpts(TCPOptions{CompressThreshold: 256})
 	defer n.Close()

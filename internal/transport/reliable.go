@@ -6,7 +6,8 @@ import (
 )
 
 // errSenderClosed marks a Send refused because the sending endpoint
-// itself is closed. It will not reopen: ReliableSend gives up at once.
+// itself is closed. It will not reopen: ReliableSend gives up at once,
+// as it does on ErrUnencodable.
 var errSenderClosed = errors.New("transport: sending endpoint is closed")
 
 // ReliableSend sends msg to to, retrying a failed Send up to retries
@@ -35,7 +36,7 @@ func ReliableSend(ep Endpoint, to string, msg Message, retries int, base time.Du
 		if err = ep.Send(to, msg); err == nil {
 			return attempts, nil
 		}
-		if errors.Is(err, errSenderClosed) {
+		if errors.Is(err, errSenderClosed) || errors.Is(err, ErrUnencodable) {
 			return attempts, err
 		}
 		if try < retries {

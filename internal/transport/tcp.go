@@ -6,6 +6,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,7 +25,9 @@ import (
 //
 // v2 added the frameDeflate frame type (optional per-frame compression).
 // v3 made a data chunk's End a uvarint chunk count instead of a flag byte.
-const ProtocolVersion byte = 3
+// v4 carries records only in the kv codec: an auxiliary output is a
+// binary frame, and a DFS RPC holds its records as an encoded block.
+const ProtocolVersion byte = 4
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
@@ -78,11 +81,11 @@ type TCPOptions struct {
 // single-process or spread across imrmaster/imrworker processes.
 //
 // Frames are length-prefixed: a 4-byte big-endian body length, a frame
-// type byte, then the body. Payloads implementing WireMarshaler travel
-// as reflection-free binary (frameBin); everything else — control
-// messages and unregistered job types — falls back to a stateless gob
-// encoding per frame (frameGob), so gob registration via
-// kv.RegisterWireType keeps working unchanged.
+// type byte, then the body. Payloads implementing WireMarshaler — every
+// payload that carries records — travel as reflection-free binary
+// (frameBin); a marshaler that refuses its payload fails the Send with
+// ErrUnencodable. Control messages, registered with RegisterMessage, go
+// as a stateless gob encoding per frame (frameGob).
 //
 // Writes are coalesced: each connection buffers frames in a
 // bufio.Writer and a per-connection flusher goroutine flushes when the
@@ -216,22 +219,31 @@ func (e *DialBackoffError) Error() string {
 
 func (e *DialBackoffError) Unwrap() error { return e.Err }
 
-// WireMarshaler is implemented by payload types that can encode
-// themselves into the binary fast-path frame. AppendWire appends the
-// encoding to buf; ok=false (a nested value has no registered codec)
-// makes the transport silently fall back to the gob frame for this
-// message.
+// WireMarshaler is implemented by payload types that encode themselves
+// into the binary frame. AppendWire appends the encoding to buf; ok=false
+// (a record has no registered codec) refuses the payload, and Send
+// returns an error wrapping ErrUnencodable.
 type WireMarshaler interface {
 	WireTag() string
 	AppendWire(buf []byte) ([]byte, bool)
 }
 
+// ErrUnencodable marks a Send whose WireMarshaler refused its payload.
+// Sending it again cannot help: ReliableSend gives up at once, and the
+// connection stays up for the next frame.
+var ErrUnencodable = errors.New("transport: payload has no wire encoding")
+
+// RegisterMessage registers a control-message type for the gob frame.
+// Every concrete type sent as a Payload without implementing
+// WireMarshaler must be registered, in an init function.
+func RegisterMessage(v any) { gob.Register(v) }
+
 var wireUnmarshalers sync.Map // tag string -> func([]byte) (any, error)
 
 // RegisterWireUnmarshaler installs the decoder for a WireMarshaler tag.
-// Like gob.Register it is meant for init functions; duplicate tags
-// panic. Registration is process-global, which matches the in-process
-// cluster model: every endpoint sees the same registry.
+// It is meant for init functions; duplicate tags panic. Registration is
+// process-global, which matches the in-process cluster model: every
+// endpoint sees the same registry.
 //
 // Ownership: data is a window of the connection's reusable frame buffer
 // and is overwritten by the next frame. The decoder must copy anything
@@ -287,7 +299,7 @@ type tcpConn struct {
 	bw     *bufio.Writer
 	dead   bool
 	buf    []byte        // frame scratch, reused under mu
-	gobBuf bytes.Buffer  // gob fallback scratch, reused under mu
+	gobBuf bytes.Buffer  // control-message scratch, reused under mu
 	fw     *flate.Writer // per-conn compressor, created on first use, reused via Reset
 	cw     appendWriter  // compressed-frame scratch, reused under mu
 	net    *TCPNetwork
@@ -352,7 +364,7 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// wireMessage is the gob fallback frame body.
+// wireMessage is the gob frame body of a control message.
 type wireMessage struct {
 	From    string
 	Kind    string
@@ -622,8 +634,8 @@ func (e *tcpEndpoint) Send(to string, msg Message) error {
 	default:
 	}
 	err := e.sendOnce(to, msg)
-	if err == nil {
-		return nil
+	if err == nil || errors.Is(err, ErrUnencodable) {
+		return err
 	}
 	// The persistent connection may have died since the last send (peer
 	// restart, half-open socket, flush failure marking it dead). The
@@ -650,8 +662,8 @@ func (e *tcpEndpoint) sendOnce(to string, msg Message) error {
 	}
 	frame, err := conn.buildFrame(e.addr, msg)
 	if err != nil {
-		// Encoding failure (e.g. a type gob does not know) is the
-		// caller's problem, not the connection's.
+		// Encoding failure (a refused record, a type gob does not know)
+		// is the caller's problem, not the connection's.
 		return fmt.Errorf("transport: encode %s->%s: %w", e.addr, to, err)
 	}
 	frame = conn.maybeCompress(frame)
@@ -681,8 +693,8 @@ func (e *tcpEndpoint) sendOnce(to string, msg Message) error {
 
 // buildFrame encodes msg into conn's reusable scratch buffer, returning
 // the complete frame (length prefix included). Payloads implementing
-// WireMarshaler get the binary frame; everything else, and marshalers
-// that report ok=false, get the stateless gob frame.
+// WireMarshaler get the binary frame, or ErrUnencodable if they refuse;
+// everything else gets the stateless gob frame.
 func (conn *tcpConn) buildFrame(from string, msg Message) ([]byte, error) {
 	buf := append(conn.buf[:0], 0, 0, 0, 0)
 	if wm, ok := msg.Payload.(WireMarshaler); ok {
@@ -691,12 +703,13 @@ func (conn *tcpConn) buildFrame(from string, msg Message) ([]byte, error) {
 		buf = appendLPString(buf, msg.Kind)
 		buf = binary.AppendVarint(buf, msg.Size)
 		buf = appendLPString(buf, wm.WireTag())
-		if out, ok := wm.AppendWire(buf); ok {
-			binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-			conn.buf = out
-			return out, nil
+		out, ok := wm.AppendWire(buf)
+		conn.buf = out
+		if !ok {
+			return nil, fmt.Errorf("%w: %s payload refused", ErrUnencodable, wm.WireTag())
 		}
-		buf = append(conn.buf[:0], 0, 0, 0, 0)
+		binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+		return out, nil
 	}
 	buf = append(buf, frameGob)
 	conn.gobBuf.Reset()

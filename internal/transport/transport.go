@@ -4,10 +4,10 @@
 //
 //   - ChanNetwork: in-process delivery with unbounded per-endpoint
 //     queues. Fast path for tests, examples and benchmarks.
-//   - TCPNetwork: real sockets on the loopback interface with one
-//     persistent gob-encoded connection per (sender, receiver) pair —
-//     the mechanism iMapReduce uses for its reduce→map state channels
-//     (paper §3.2.1).
+//   - TCPNetwork: real sockets with one persistent connection per
+//     (sender, receiver) pair — the mechanism iMapReduce uses for its
+//     reduce→map state channels (paper §3.2.1). Records travel in the
+//     kv codec, control messages in gob.
 //
 // Senders never block: every endpoint owns an unbounded inbox, so
 // cyclic flows (map→reduce shuffle concurrent with reduce→map state

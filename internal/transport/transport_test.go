@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,7 +12,7 @@ type payload struct {
 	Vs []float64
 }
 
-func init() { gob.Register(payload{}) }
+func init() { RegisterMessage(payload{}) }
 
 // networks returns both backends so every behavioural test runs against
 // each.

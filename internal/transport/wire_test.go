@@ -2,15 +2,15 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// binPayload is a WireMarshaler test type; Refuse forces the gob
-// fallback from inside the marshaler.
+// binPayload is a WireMarshaler test type; Refuse makes the marshaler
+// refuse it, as a chunk holding a record with no codec does.
 type binPayload struct {
 	A      int64
 	B      string
@@ -28,15 +28,14 @@ func (p binPayload) AppendWire(buf []byte) ([]byte, bool) {
 	return append(buf, p.B...), true
 }
 
-// gobOnlyPayload has no WireMarshaler implementation at all.
+// gobOnlyPayload has no WireMarshaler implementation: a control message.
 type gobOnlyPayload struct {
 	N int
 	S []string
 }
 
 func init() {
-	gob.Register(binPayload{})
-	gob.Register(gobOnlyPayload{})
+	RegisterMessage(gobOnlyPayload{})
 	RegisterWireUnmarshaler("test.bin", func(data []byte) (any, error) {
 		a, n := binary.Varint(data)
 		if n <= 0 {
@@ -66,8 +65,10 @@ func recvWire(t *testing.T, ep Endpoint) Message {
 }
 
 // TestTCPBinaryAndGobFrames sends, over one connection: a binary-framed
-// payload, a marshaler that refuses (gob fallback mid-stream), and a
-// payload with no marshaler. All three must arrive intact and in order.
+// payload, a marshaler that refuses, and a control message with no
+// marshaler. The refusal fails its first Send with ErrUnencodable, is
+// not retried and sends nothing; the other two arrive intact and in
+// order on the same connection.
 func TestTCPBinaryAndGobFrames(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
@@ -81,30 +82,28 @@ func TestTCPBinaryAndGobFrames(t *testing.T) {
 	}
 	sent := []Message{
 		{Kind: "k1", Payload: binPayload{A: -42, B: "fast path"}, Size: 10},
-		{Kind: "k2", Payload: binPayload{A: 7, B: "refused", Refuse: true}, Size: 20},
 		{Kind: "k3", Payload: gobOnlyPayload{N: 3, S: []string{"x", "y"}}, Size: 30},
 	}
-	for _, m := range sent {
-		if err := a.Send("b", m); err != nil {
-			t.Fatal(err)
-		}
+	if err := a.Send("b", sent[0]); err != nil {
+		t.Fatal(err)
+	}
+	refused := Message{Kind: "k2", Payload: binPayload{A: 7, B: "refused", Refuse: true}, Size: 20}
+	if attempts, err := ReliableSend(a, "b", refused, 3, time.Millisecond); attempts != 1 || !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("refused payload: %d attempts, err %v; want 1 attempt and ErrUnencodable", attempts, err)
+	}
+	if err := a.Send("b", sent[1]); err != nil {
+		t.Fatal(err)
 	}
 	for i, want := range sent {
 		got := recvWire(t, b)
 		if got.From != "a" || got.To != "b" || got.Kind != want.Kind || got.Size != want.Size {
 			t.Fatalf("message %d header mismatch: %+v", i, got)
 		}
-		wantPayload := want.Payload
-		if bp, ok := wantPayload.(binPayload); ok && bp.Refuse {
-			// The refusing marshaler travels by gob, arriving intact
-			// including the Refuse field.
-			wantPayload = bp
-		}
-		if !reflect.DeepEqual(got.Payload, wantPayload) {
-			t.Fatalf("message %d payload: got %#v want %#v", i, got.Payload, wantPayload)
+		if !reflect.DeepEqual(got.Payload, want.Payload) {
+			t.Fatalf("message %d payload: got %#v want %#v", i, got.Payload, want.Payload)
 		}
 	}
-	if n.Messages() != 3 {
+	if n.Messages() != 2 {
 		t.Fatalf("message count %d", n.Messages())
 	}
 	if n.Dials() != 1 {
@@ -113,8 +112,8 @@ func TestTCPBinaryAndGobFrames(t *testing.T) {
 }
 
 // TestTCPCoalescedBytesAccounted: BytesSent must converge to the full
-// framed byte count once the flusher drains, and binary framing must
-// cost fewer wire bytes than gob for the same records.
+// framed byte count once the flusher drains, and binary frames must cost
+// what they encode, not gob's per-frame type descriptors.
 func TestTCPCoalescedBytesAccounted(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
@@ -137,9 +136,9 @@ func TestTCPCoalescedBytesAccounted(t *testing.T) {
 	if got == 0 {
 		t.Fatal("no bytes accounted after flush")
 	}
-	// Hello frame + 64 binary frames of ~30 bytes each; a gob stream of
-	// the same messages costs several times that.
+	// Hello frame + 64 binary frames of ~30 bytes each; gob frames of the
+	// same messages would cost several times that.
 	if got > int64(sends*80) {
-		t.Fatalf("binary frames cost %d bytes for %d sends — fallback suspected", got, sends)
+		t.Fatalf("binary frames cost %d bytes for %d sends — gob framing suspected", got, sends)
 	}
 }
