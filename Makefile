@@ -87,14 +87,17 @@ bench-test:
 	cd bench && $(GO) test -count=1 -timeout 5m ./...
 
 # Short fuzzing leg: FuzzNamespaceOps checks random DFS write/rename/
-# delete/List sequences against a flat-map reference, and
-# FuzzDecodePairs holds the heap and slab record decoders to each other
-# and to the encoder on arbitrary bytes. Each starts from its seed corpus
-# under the package's testdata/fuzz; a failing input is written there,
-# ready to be re-run by go test and checked in.
+# delete/List sequences against a flat-map reference, FuzzDecodePairs
+# holds the record decoder's heap and slab forms to each other and to
+# the encoder on arbitrary bytes, and FuzzFrames runs arbitrary bytes
+# through a TCP connection's frame reader, which must not panic and must
+# allocate in proportion to what it read. Each starts from its seed
+# corpus under the package's testdata/fuzz; a failing input is written
+# there, ready to be re-run by go test and checked in.
 fuzz-smoke:
 	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzNamespaceOps -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodePairs -fuzztime 10s
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzFrames -fuzztime 10s
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,8 +37,8 @@ type failureMode int
 
 const (
 	clean failureMode = iota
-	crash // announced worker kill (FailWorker)
-	hang  // silent stall, recovered via heartbeat detection
+	crash             // announced worker kill (FailWorker)
+	hang              // silent stall, recovered via heartbeat detection
 )
 
 func (m failureMode) String() string {
@@ -71,15 +72,20 @@ func main() {
 func run(g *graph.Graph, iters int, mode failureMode) map[int64]float64 {
 	spec := cluster.Uniform(4)
 	copts := core.Options{}
+	var eng *core.Engine
 	if mode == hang {
-		// Schedule the silent hang in the cluster spec and arm heartbeat
-		// detection: worker-2 freezes 40ms in, announces nothing, and the
-		// master must notice its missed beats. Note there is no
-		// FailWorker call anywhere on this path.
-		spec.Nodes[2].StallAfter = 40 * time.Millisecond
-		spec.Nodes[2].StallFor = 1500 * time.Millisecond
+		// Arm heartbeat detection and freeze worker-2 once iteration 2 is
+		// committed: it announces nothing, and the master must notice its
+		// missed beats. Note there is no FailWorker call anywhere on this
+		// path.
+		var stall sync.Once
 		copts.HeartbeatInterval = 20 * time.Millisecond
 		copts.HeartbeatMisses = 4
+		copts.OnIteration = func(it core.IterInfo) {
+			if it.Iter == 2 {
+				stall.Do(func() { eng.StallWorker("worker-2", 1500*time.Millisecond) })
+			}
+		}
 	}
 	m := metrics.NewSet()
 	fs := dfs.New(dfs.DefaultConfig(), spec.IDs(), m)

@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,14 +29,20 @@ func TestChaosPageRankDropsAndHang(t *testing.T) {
 	g := testGraph(400, 11)
 	const iters = 10
 
-	spec := cluster.Uniform(3)
-	spec.Nodes[1].StallAfter = 80 * time.Millisecond // undetected hang:
-	spec.Nodes[1].StallFor = 900 * time.Millisecond  // tasks freeze, beats stop
-	env, fnet, err := enginetest.NewChaos(spec, core.Options{
+	// Undetected hang: once iteration 2 is committed, worker-1's tasks
+	// freeze and its beats stop.
+	var env *enginetest.Env
+	var stall sync.Once
+	env, fnet, err := enginetest.NewChaos(cluster.Uniform(3), core.Options{
 		Timeout:           30 * time.Second,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatMisses:   4,
 		SendRetries:       6,
+		OnIteration: func(it core.IterInfo) {
+			if it.Iter == 2 {
+				stall.Do(func() { env.Core.StallWorker("worker-1", 900*time.Millisecond) })
+			}
+		},
 	}, &transport.FaultyOptions{
 		Seed: 1, DropRate: 0.02, DupRate: 0.01, ReorderRate: 0.02,
 	})

@@ -22,19 +22,6 @@ type Node struct {
 	// stretch compute phases, emulating the heterogeneous EC2 hardware
 	// the paper's load balancer targets.
 	Speed float64
-
-	// CrashAfter, when positive, schedules a self-announced crash: the
-	// engine injects a worker failure (as FailWorker does) this long
-	// after a run starts. Chaos-schedule knob for fault-tolerance
-	// experiments.
-	CrashAfter time.Duration
-	// StallAfter/StallFor, when both positive, schedule an *undetected*
-	// hang: StallAfter into a run, every task bound to this node freezes
-	// for StallFor — no crash report, no heartbeats — so only
-	// heartbeat-based detection can notice. Models GC pauses, swap
-	// storms, and partial failures.
-	StallAfter time.Duration
-	StallFor   time.Duration
 }
 
 // Spec configures a cluster for one engine run.

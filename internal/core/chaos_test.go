@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,12 +138,17 @@ func TestHeartbeatDetectsStalledWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
 	}
-	spec := cluster.Uniform(3)
-	spec.Nodes[1].StallAfter = 60 * time.Millisecond
-	spec.Nodes[1].StallFor = 700 * time.Millisecond
-	v := newEnvSpec(t, spec, Options{
+	// worker-1 freezes once iteration 2 is committed.
+	var v *env
+	var stall sync.Once
+	v = newEnvSpec(t, cluster.Uniform(3), Options{
 		HeartbeatInterval: 15 * time.Millisecond,
 		HeartbeatMisses:   3,
+		OnIteration: func(it IterInfo) {
+			if it.Iter == 2 {
+				stall.Do(func() { v.e.StallWorker("worker-1", 700*time.Millisecond) })
+			}
+		},
 	})
 	v.writeState(t, "/state", 24)
 	job := slowHalvingJob("halve-stall", 40, 2)

@@ -576,29 +576,6 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	e.activeMaster = master
 	e.mu.Unlock()
 
-	// Arm the spec's chaos schedule: self-announced crashes and
-	// undetected hangs, relative to the start of the run.
-	var chaosTimers []*time.Timer
-	for _, nd := range e.spec.Nodes {
-		id := nd.ID
-		if nd.CrashAfter > 0 {
-			chaosTimers = append(chaosTimers, time.AfterFunc(nd.CrashAfter, func() {
-				_ = e.FailWorker(id) // run may already be over
-			}))
-		}
-		if nd.StallAfter > 0 && nd.StallFor > 0 {
-			stallFor := nd.StallFor
-			chaosTimers = append(chaosTimers, time.AfterFunc(nd.StallAfter, func() {
-				e.StallWorker(id, stallFor)
-			}))
-		}
-	}
-	defer func() {
-		for _, tm := range chaosTimers {
-			tm.Stop()
-		}
-	}()
-
 	initTime := time.Since(start)
 	// The one-time init (§3.1) is charged to iteration 1, the way the
 	// paper's first-iteration curves embed it.

@@ -207,8 +207,8 @@ func (j *Job) validate(phaseIdx int, isAux bool) error {
 	if j.Map == nil || j.Reduce == nil {
 		return fmt.Errorf("%s: Map and Reduce are required", where)
 	}
-	if j.Ops.Hash == nil || j.Ops.Less == nil {
-		return fmt.Errorf("%s: incomplete kv.Ops", where)
+	if !j.Ops.Valid() {
+		return fmt.Errorf("%s: Ops not built by kv.OpsFor", where)
 	}
 	if phaseIdx == 0 && !isAux && j.StatePath == "" {
 		return fmt.Errorf("%s: first phase needs StatePath", where)

@@ -67,6 +67,23 @@ func TestJobConfErrors(t *testing.T) {
 	}
 }
 
+// TestZeroOpsRejected: a job whose Ops did not come from kv.OpsFor is
+// refused before the run starts, and the error says where Ops come from.
+func TestZeroOpsRejected(t *testing.T) {
+	job, err := NewJobConf("no-ops").
+		Set(ConfStatePath, "/state").
+		SetMap(func(key, state, static any, emit kv.Emit) error { return nil }).
+		SetReduce(func(key any, states []any) (any, error) { return nil, nil }).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := newEnv(t, 1, Options{})
+	if _, err := v.e.Run(job); err == nil || !strings.Contains(err.Error(), "kv.OpsFor") {
+		t.Fatalf("zero Ops: Run error %v, want one naming kv.OpsFor", err)
+	}
+}
+
 func TestJobConfUnknownKeySuggestion(t *testing.T) {
 	_, err := NewJobConf("t").Set("mapred.iterjob.statepaths", "/s").Build()
 	if err == nil {

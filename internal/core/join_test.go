@@ -18,12 +18,10 @@ import (
 // a cursor: state in shuffled order (the first iteration reads it in DFS
 // order), state keys the static data lacks and static keys no state
 // carries, static keys written twice (the last record wins), a static
-// file with no records — under typed int64 and string keys and an Ops
-// with nothing but Less, serial and sharded loops, streamed and
-// whole-iteration map input.
+// file with no records — under int64 and string keys, serial and
+// sharded loops, streamed and whole-iteration map input.
 func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	guard(t, 2*time.Minute)
-	lessOnly := kv.Ops{Hash: kv.HashOf, Less: kv.LessOf, KeySize: kv.KeySizeOf, ValSize: kv.DefaultSize}
 	kinds := []struct {
 		name string
 		key  func(i int) any
@@ -31,7 +29,6 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	}{
 		{"int64", func(i int) any { return int64(i) }, f64Ops()},
 		{"string", func(i int) any { return fmt.Sprintf("k%05d", i) }, kv.OpsFor[string, float64](nil)},
-		{"less-only", func(i int) any { return int64(i) }, lessOnly},
 	}
 	const iters = 3
 	for _, kind := range kinds {

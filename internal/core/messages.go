@@ -59,12 +59,12 @@ type stateChunk struct {
 // release recycles the chunk's decode arena, if any, and sends its chunk
 // buffer home, if it holds one. Pairs (and any slices of it) must not be
 // used afterwards; boxed keys and values that escaped into accumulators
-// stay valid (ReleaseRetainValues, and a buffer is only cleared). Handlers
+// stay valid (a slab release keeps them, and a buffer is only cleared). Handlers
 // call this exactly once, via defer, when they are done with Pairs.
 func (c stateChunk) release() {
 	c.lease.giveBack()
 	if c.slab != nil {
-		c.slab.ReleaseRetainValues()
+		c.slab.Release()
 	}
 }
 
@@ -87,7 +87,7 @@ type shuffleChunk struct {
 func (c shuffleChunk) release() {
 	c.lease.giveBack()
 	if c.slab != nil {
-		c.slab.ReleaseRetainValues()
+		c.slab.Release()
 	}
 }
 

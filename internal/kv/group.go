@@ -3,7 +3,6 @@ package kv
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
 // Grouper is the grouping kernel with its scratch memory attached: the
@@ -41,46 +40,17 @@ func GroupPairs(pairs []Pair, ops Ops) []Group {
 }
 
 // Group groups pairs by key exactly as GroupPairs documents, reusing the
-// Grouper's scratch. The result is invalidated by the next Group or
-// Reset call.
+// Grouper's scratch, and leaves pairs untouched. The result is
+// invalidated by the next Group or Reset call.
 //
-// Ops built by OpsFor take a typed path that leaves pairs untouched:
-// integer keys over a dense range are ordered by counting scatter with
+// Integer keys over a dense range are ordered by counting scatter with
 // no comparisons (see groupInts), everything else by a hash probe or a
-// sort over (key, index). Hand-rolled Ops with only Compare stably sort the pairs
-// slice IN PLACE; callers that need the original order must copy first.
-// Ops with neither fall back to the legacy map-based path, which also
-// leaves pairs untouched.
+// sort over (key, index).
 func (g *Grouper) Group(pairs []Pair, ops Ops) []Group {
 	if len(pairs) == 0 {
 		return nil
 	}
-	switch {
-	case ops.group != nil:
-		return ops.group(g, pairs)
-	case ops.Compare == nil && ops.sortStable == nil:
-		return groupPairsMap(pairs, ops)
-	}
-	ops.SortPairs(pairs)
-	cmp := ops.KeyOrder()
-	distinct := 1
-	for i := 1; i < len(pairs); i++ {
-		if cmp(pairs[i].Key, pairs[i-1].Key) != 0 {
-			distinct++
-		}
-	}
-	vals, groups := g.result(len(pairs), distinct)
-	for i, p := range pairs {
-		vals[i] = p.Value
-	}
-	start := 0
-	for i := 1; i <= len(pairs); i++ {
-		if i == len(pairs) || cmp(pairs[i].Key, pairs[start].Key) != 0 {
-			groups = append(groups, Group{Key: pairs[start].Key, Values: vals[start:i:i]})
-			start = i
-		}
-	}
-	return groups
+	return ops.group(g, pairs)
 }
 
 // Reset drops every reference the scratch holds to the last input's keys
@@ -356,38 +326,4 @@ func groupFewKeys[K cmp.Ordered](g *Grouper, pairs []Pair) ([]Group, bool) {
 		groups = append(groups, Group{Key: pairs[metas[gi].first].Key, Values: vals[offs[pos]:offs[pos+1]:offs[pos+1]]})
 	}
 	return groups, true
-}
-
-// groupPairsMap is the legacy grouping used when no comparator is
-// available: hash by key, then sort the group headers.
-func groupPairsMap(pairs []Pair, ops Ops) []Group {
-	byKey := make(map[any][]any, len(pairs))
-	for _, p := range pairs {
-		byKey[p.Key] = append(byKey[p.Key], p.Value)
-	}
-	groups := make([]Group, 0, len(byKey))
-	for k, vs := range byKey {
-		groups = append(groups, Group{Key: k, Values: vs})
-	}
-	sort.Slice(groups, func(i, j int) bool { return ops.Less(groups[i].Key, groups[j].Key) })
-	return groups
-}
-
-// MergeSortedPairs merges two key-sorted pair slices into one key-sorted
-// slice. Used by the shuffle merge and by checkpoint compaction.
-func MergeSortedPairs(a, b []Pair, ops Ops) []Pair {
-	out := make([]Pair, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if ops.Less(b[j].Key, a[i].Key) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

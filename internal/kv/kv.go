@@ -1,19 +1,19 @@
 // Package kv provides the key-value record substrate shared by the
 // baseline MapReduce engine and the iMapReduce engine: untyped pairs, the
-// per-job operation bundle (hashing, ordering, byte sizing), and helpers
-// to build that bundle from concrete Go types.
+// per-job operation bundle (hashing, ordering, grouping, byte sizing),
+// and the one binary record encoding with its one decoder, which boxes
+// values on the heap or, given a pooled Slab, into arena memory.
 //
 // The engines move records as kv.Pair with any-typed keys and values, the
-// way Hadoop moves Writables; type safety is restored at the edges by the
-// generic constructors (OpsFor, SizerFor) that algorithm packages use.
+// way Hadoop moves Writables; type safety is restored at the edges by
+// OpsFor, the only constructor of the operation bundle, which algorithm
+// packages call with their concrete key and value types.
 package kv
 
 import (
 	"cmp"
-	"fmt"
 	"hash/maphash"
 	"slices"
-	"sort"
 )
 
 // Pair is a single key-value record flowing between map and reduce tasks
@@ -34,39 +34,38 @@ type Group struct {
 type Emit func(key, value any)
 
 // Ops bundles the per-job operations the engines need to move records
-// around without knowing their concrete types: partition hashing, output
-// ordering, and byte-size estimation for communication accounting.
+// around without knowing their concrete types: partition hashing, key
+// ordering, grouping, and byte-size estimation for communication
+// accounting. OpsFor builds it; the zero Ops is invalid (see Valid).
+//
+// Partitioning hashes with HashOf, so it is deterministic within a run
+// and identical for the static and state data of one job (iMapReduce
+// joins them by partition). Sizes feed the shuffle and communication
+// counters: keys are charged KeySizeOf, values the job's estimate. They
+// do not have to be exact, only consistent.
 type Ops struct {
-	// Hash maps a key to a uint64 used for partitioning. Must be
-	// deterministic within a run and identical for the static and state
-	// data of one job (iMapReduce joins them by partition).
-	Hash func(key any) uint64
-	// Less orders keys; used for deterministic output and (through
-	// KeyOrder) for the sorted-merge join of static and state data.
-	Less func(a, b any) bool
-	// KeySize and ValSize estimate serialized sizes in bytes. They feed
-	// the shuffle/communication counters; they do not have to be exact,
-	// only consistent.
-	KeySize func(key any) int
-	ValSize func(value any) int
-	// Compare is the three-way form of Less. When set, Grouper.Group and
-	// SortPairs take the sort-based fast path. Optional; OpsFor fills it.
-	Compare func(a, b any) int
-	// sortStable is the concrete-key-type stable sort installed by OpsFor;
-	// it avoids the interface-compare indirection of Less/Compare.
+	// compare is the three-way key order: deterministic output and the
+	// sorted-merge join of static and state data.
+	compare func(a, b any) int
+	// sortStable is the concrete-key-type stable sort; it avoids the
+	// interface-compare indirection of compare.
 	sortStable func(ps []Pair)
-	// group is the concrete-key-type grouping installed by OpsFor (see
-	// groupFor): typed key access inlines and the 32-byte Pair structs
-	// never move.
+	// group is the concrete-key-type grouping (see groupFor): typed key
+	// access inlines and the 32-byte Pair structs never move.
 	group func(g *Grouper, ps []Pair) []Group
+	// valSize estimates a value's serialized size in bytes.
+	valSize func(value any) int
 }
+
+// Valid reports whether o was built by OpsFor.
+func (o *Ops) Valid() bool { return o.compare != nil }
 
 // PairSize returns the estimated serialized size of p under o.
 //
-// PairSize and Partition run once per record and take a pointer: Ops is
-// seven funcs wide, and a value receiver would copy all 56 bytes per call.
+// PairSize and Partition run once per record and take a pointer: a value
+// receiver would copy all four funcs per call.
 func (o *Ops) PairSize(p Pair) int {
-	return o.KeySize(p.Key) + o.ValSize(p.Value)
+	return KeySizeOf(p.Key) + o.valSize(p.Value)
 }
 
 // Partition returns the partition in [0, n) for key.
@@ -74,42 +73,16 @@ func (o *Ops) Partition(key any, n int) int {
 	if n <= 0 {
 		panic("kv: Partition with non-positive partition count")
 	}
-	return int(o.Hash(key) % uint64(n))
+	return int(HashOf(key) % uint64(n))
 }
 
 // SortPairs orders ps by key (stable, so equal keys keep their relative
-// value order). Ops built by OpsFor sort with a concrete-type comparator;
-// hand-rolled Ops fall back to o.Less.
-func (o Ops) SortPairs(ps []Pair) {
-	switch {
-	case o.sortStable != nil:
-		o.sortStable(ps)
-	case o.Compare != nil:
-		slices.SortStableFunc(ps, func(a, b Pair) int { return o.Compare(a.Key, b.Key) })
-	default:
-		sort.SliceStable(ps, func(i, j int) bool { return o.Less(ps[i].Key, ps[j].Key) })
-	}
-}
+// value order).
+func (o Ops) SortPairs(ps []Pair) { o.sortStable(ps) }
 
-// KeyOrder returns o's three-way key comparison: Compare when set,
-// otherwise one derived from Less (two calls per comparison), so
-// hand-rolled Ops that only order their keys work wherever a merge or a
-// binary search needs equality as well as order.
-func (o Ops) KeyOrder() func(a, b any) int {
-	if o.Compare != nil {
-		return o.Compare
-	}
-	less := o.Less
-	return func(a, b any) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		}
-		return 0
-	}
-}
+// KeyOrder returns o's three-way key comparison, for the merges and
+// binary searches that need equality as well as order.
+func (o Ops) KeyOrder() func(a, b any) int { return o.compare }
 
 var hashSeed = maphash.MakeSeed()
 
@@ -155,28 +128,6 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// LessOf compares two keys of the same ordered dynamic type. It supports
-// the scalar key types the algorithms use; other types must supply a
-// custom Ops.Less.
-func LessOf(a, b any) bool {
-	switch x := a.(type) {
-	case int:
-		return x < b.(int)
-	case int32:
-		return x < b.(int32)
-	case int64:
-		return x < b.(int64)
-	case uint64:
-		return x < b.(uint64)
-	case float64:
-		return x < b.(float64)
-	case string:
-		return x < b.(string)
-	default:
-		panic(fmt.Sprintf("kv: no default ordering for key type %T", a))
-	}
-}
-
 // KeySizeOf estimates the serialized size of a key.
 func KeySizeOf(key any) int {
 	switch k := key.(type) {
@@ -192,7 +143,7 @@ func KeySizeOf(key any) int {
 // Values of other dynamic types (jobs routinely mix message and carrier
 // values under one Ops) fall back to DefaultSize.
 func OpsFor[K cmp.Ordered, V any](valSize func(V) int) Ops {
-	vs := func(v any) int { return DefaultSize(v) }
+	vs := DefaultSize
 	if valSize != nil {
 		vs = func(v any) int {
 			if tv, ok := v.(V); ok {
@@ -202,15 +153,12 @@ func OpsFor[K cmp.Ordered, V any](valSize func(V) int) Ops {
 		}
 	}
 	return Ops{
-		Hash:    HashOf,
-		Less:    func(a, b any) bool { return cmp.Less(a.(K), b.(K)) },
-		Compare: func(a, b any) int { return cmp.Compare(a.(K), b.(K)) },
-		KeySize: KeySizeOf,
-		ValSize: vs,
+		compare: func(a, b any) int { return cmp.Compare(a.(K), b.(K)) },
 		sortStable: func(ps []Pair) {
 			slices.SortStableFunc(ps, func(a, b Pair) int { return cmp.Compare(a.Key.(K), b.Key.(K)) })
 		},
-		group: groupFor[K](),
+		group:   groupFor[K](),
+		valSize: vs,
 	}
 }
 

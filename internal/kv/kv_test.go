@@ -2,7 +2,6 @@ package kv
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -81,34 +80,6 @@ func TestHashOfStringStable(t *testing.T) {
 	}
 }
 
-func TestLessOfTypes(t *testing.T) {
-	cases := []struct {
-		a, b any
-		want bool
-	}{
-		{1, 2, true}, {2, 1, false},
-		{int32(3), int32(4), true},
-		{int64(-1), int64(0), true},
-		{uint64(1), uint64(2), true},
-		{1.5, 2.5, true},
-		{"a", "b", true}, {"b", "a", false},
-	}
-	for _, c := range cases {
-		if got := LessOf(c.a, c.b); got != c.want {
-			t.Errorf("LessOf(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLessOfPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unordered key type")
-		}
-	}()
-	LessOf(struct{ X int }{1}, struct{ X int }{2})
-}
-
 func TestGroupPairs(t *testing.T) {
 	ops := intOps()
 	pairs := []Pair{
@@ -138,40 +109,11 @@ func TestGroupPairsProperty(t *testing.T) {
 		total := 0
 		for i, g := range groups {
 			total += len(g.Values)
-			if i > 0 && !ops.Less(groups[i-1].Key, g.Key) {
+			if i > 0 && ops.KeyOrder()(groups[i-1].Key, g.Key) >= 0 {
 				return false
 			}
 		}
 		return total == len(pairs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeSortedPairs(t *testing.T) {
-	ops := intOps()
-	f := func(as, bs []int64) bool {
-		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-		a := make([]Pair, len(as))
-		for i, k := range as {
-			a[i] = Pair{k, 0.0}
-		}
-		b := make([]Pair, len(bs))
-		for i, k := range bs {
-			b[i] = Pair{k, 0.0}
-		}
-		m := MergeSortedPairs(a, b, ops)
-		if len(m) != len(a)+len(b) {
-			return false
-		}
-		for i := 1; i < len(m); i++ {
-			if ops.Less(m[i].Key, m[i-1].Key) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -231,7 +173,7 @@ func TestPairSizeAndOpsFor(t *testing.T) {
 		t.Fatalf("PairSize = %d, want %d", got, want)
 	}
 	custom := OpsFor[int64, int](func(int) int { return 100 })
-	if got := custom.ValSize(7); got != 100 {
+	if got := custom.PairSize(Pair{int64(1), 7}); got != 8+100 {
 		t.Fatalf("custom valSize ignored: %d", got)
 	}
 }

@@ -12,19 +12,12 @@ import (
 // the receive path. Strings are interned into a byte arena.
 //
 // Ownership protocol (mirrors the sendShuffle buffer-ownership rule):
-// the caller that acquired the slab owns everything decoded through it
-// until it releases the slab, and must release it exactly once.
-//
-//   - Release recycles every block. All pairs AND all boxed values
-//     decoded through the slab become invalid — the next decode
-//     overwrites them in place. Only for callers with strictly bounded
-//     lifetimes (benchmarks, tests, decode-verify-discard loops).
-//
-//   - ReleaseRetainValues recycles only the []Pair backing and detaches
-//     the value arenas to the garbage collector. The pair slices become
-//     invalid, but boxed keys and values stay valid forever — the mode
-//     the engine uses, because decoded values escape into accumulators,
-//     user reduce state, and re-emitted pairs.
+// the caller that acquired the slab owns the decoded pair list until it
+// releases the slab, and must release it exactly once. Release recycles
+// the pair block and hands the value arenas to the garbage collector, so
+// the pair slices die with the slab while every boxed key and value
+// stays valid for as long as something refers to it — decoded values
+// escape into accumulators, user reduce state and re-emitted pairs.
 //
 // A Slab is not safe for concurrent use; the pool it comes from is.
 type Slab struct {
@@ -49,40 +42,26 @@ const (
 var slabPool = sync.Pool{New: func() any { return new(Slab) }}
 
 // AcquireSlab returns a decode arena from the shared pool. Pair it with
-// exactly one Release or ReleaseRetainValues.
+// exactly one Release.
 func AcquireSlab() *Slab {
 	s := slabPool.Get().(*Slab)
 	s.released = false
 	return s
 }
 
-// Release recycles the slab and every block it owns. Everything decoded
-// through it — pair slices and boxed values alike — is invalid from
-// this point on.
+// Release returns the slab to the pool. The pair slices decoded through
+// it must not be used again — the next decode overwrites their block —
+// but boxed keys and values that escaped into longer-lived structures
+// stay valid: the value arenas are detached, not reused.
 func (s *Slab) Release() {
-	s.recycle(false)
-}
-
-// ReleaseRetainValues recycles the slab's []Pair backing but hands the
-// value arenas to the garbage collector, so boxed keys and values that
-// escaped into longer-lived structures stay valid indefinitely. The
-// decoded pair slices themselves must not be used again.
-func (s *Slab) ReleaseRetainValues() {
-	s.recycle(true)
-}
-
-func (s *Slab) recycle(retainValues bool) {
 	if s.released {
 		panic("kv: slab released twice")
 	}
 	s.released = true
-	// Drop the pair entries' references into the value arenas: the pair
-	// block is about to be reused and must not pin retired arenas (or,
-	// in the retain-values case, the detached ones) beyond this point.
+	// Drop the pair entries' references into the detached arenas: the
+	// pair block is about to be reused and must not pin them.
 	clear(s.pairs[:s.np])
-	if retainValues {
-		s.words, s.strs, s.bts = nil, nil, nil
-	}
+	s.words, s.strs, s.bts = nil, nil, nil
 	s.np, s.nw, s.ns, s.nb = 0, 0, 0, 0
 	slabPool.Put(s)
 }
@@ -98,42 +77,32 @@ func (s *Slab) takePairs(n int) []Pair {
 		return emptyPairs
 	}
 	if len(s.pairs)-s.np < n {
-		c := 2 * len(s.pairs)
-		if c < minPairBlock {
-			c = minPairBlock
-		}
-		if c < n {
-			c = n
-		}
-		s.pairs, s.np = make([]Pair, c), 0
+		s.pairs, s.np = make([]Pair, max(2*len(s.pairs), minPairBlock, n)), 0
 	}
 	out := s.pairs[s.np : s.np+n : s.np+n]
 	s.np += n
 	return out
 }
 
-// word returns the next free 8-byte scalar cell.
+// word returns the next free 8-byte scalar cell. The block growth lives
+// in growWords so that word, and box with it, stay inlinable.
 func (s *Slab) word() *uint64 {
 	if s.nw == len(s.words) {
-		c := 2 * len(s.words)
-		if c < minWordBlock {
-			c = minWordBlock
-		}
-		s.words, s.nw = make([]uint64, c), 0
+		s.growWords()
 	}
 	p := &s.words[s.nw]
 	s.nw++
 	return p
 }
 
+func (s *Slab) growWords() {
+	s.words, s.nw = make([]uint64, max(2*len(s.words), minWordBlock)), 0
+}
+
 // strCell returns the next free string header cell.
 func (s *Slab) strCell() *string {
 	if s.ns == len(s.strs) {
-		c := 2 * len(s.strs)
-		if c < minStrBlock {
-			c = minStrBlock
-		}
-		s.strs, s.ns = make([]string, c), 0
+		s.strs, s.ns = make([]string, max(2*len(s.strs), minStrBlock)), 0
 	}
 	p := &s.strs[s.ns]
 	s.ns++
@@ -147,14 +116,7 @@ func (s *Slab) internBytes(src []byte) string {
 		return ""
 	}
 	if len(s.bts)-s.nb < len(src) {
-		c := 2 * len(s.bts)
-		if c < minByteBlock {
-			c = minByteBlock
-		}
-		if c < len(src) {
-			c = len(src)
-		}
-		s.bts, s.nb = make([]byte, c), 0
+		s.bts, s.nb = make([]byte, max(2*len(s.bts), minByteBlock, len(src))), 0
 	}
 	dst := s.bts[s.nb : s.nb+len(src)]
 	copy(dst, src)
@@ -194,68 +156,29 @@ func boxAt(typ, data unsafe.Pointer) (v any) {
 	return
 }
 
-// Box helpers, exported so custom ValueCodec.DecodeSlab implementations
-// compose from the same cells the builtin decodings use. Each boxed
-// value consumes one arena cell and follows the slab's release rules.
+// scalar is every type box stores in one 8-byte cell.
+type scalar interface {
+	bool | int | int32 | int64 | uint64 | float32 | float64
+}
 
-// BoxBool boxes v in arena memory.
-func (s *Slab) BoxBool(v bool) any {
+// box returns v as an interface value: boxed on the heap when s is nil,
+// otherwise in one of s's cells. typ must be v's type word.
+func box[T scalar](s *Slab, typ unsafe.Pointer, v T) any {
+	if s == nil {
+		return v
+	}
 	p := s.word()
-	*(*bool)(unsafe.Pointer(p)) = v
-	return boxAt(typBool, unsafe.Pointer(p))
+	*(*T)(unsafe.Pointer(p)) = v
+	return boxAt(typ, unsafe.Pointer(p))
 }
 
-// BoxInt boxes v in arena memory.
-func (s *Slab) BoxInt(v int) any {
-	p := s.word()
-	*(*int)(unsafe.Pointer(p)) = v
-	return boxAt(typInt, unsafe.Pointer(p))
-}
-
-// BoxInt32 boxes v in arena memory.
-func (s *Slab) BoxInt32(v int32) any {
-	p := s.word()
-	*(*int32)(unsafe.Pointer(p)) = v
-	return boxAt(typInt32, unsafe.Pointer(p))
-}
-
-// BoxInt64 boxes v in arena memory.
-func (s *Slab) BoxInt64(v int64) any {
-	p := s.word()
-	*(*int64)(unsafe.Pointer(p)) = v
-	return boxAt(typInt64, unsafe.Pointer(p))
-}
-
-// BoxUint64 boxes v in arena memory.
-func (s *Slab) BoxUint64(v uint64) any {
-	p := s.word()
-	*p = v
-	return boxAt(typUint64, unsafe.Pointer(p))
-}
-
-// BoxFloat32 boxes v in arena memory.
-func (s *Slab) BoxFloat32(v float32) any {
-	p := s.word()
-	*(*float32)(unsafe.Pointer(p)) = v
-	return boxAt(typFloat32, unsafe.Pointer(p))
-}
-
-// BoxFloat64 boxes v in arena memory.
-func (s *Slab) BoxFloat64(v float64) any {
-	p := s.word()
-	*(*float64)(unsafe.Pointer(p)) = v
-	return boxAt(typFloat64, unsafe.Pointer(p))
-}
-
-// BoxString copies v's bytes into the byte arena and boxes the interned
-// string in a header cell.
-func (s *Slab) BoxString(v string) any {
-	return s.BoxStringBytes(unsafe.Slice(unsafe.StringData(v), len(v)))
-}
-
-// BoxStringBytes interns src (typically a window of a wire frame that
-// will be reused) as an arena string and boxes it.
-func (s *Slab) BoxStringBytes(src []byte) any {
+// boxString returns src as a string value: copied to the heap when s is
+// nil, otherwise interned into the byte arena and boxed in a header
+// cell.
+func (s *Slab) boxString(src []byte) any {
+	if s == nil {
+		return string(src)
+	}
 	p := s.strCell()
 	*p = s.internBytes(src)
 	return boxAt(typString, unsafe.Pointer(p))

@@ -84,20 +84,16 @@ func TestDecodePairsSlabRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: slab decode diverges:\n got %v\nwant %v", round, got, want)
 		}
-		if round%2 == 0 {
-			s.Release()
-		} else {
-			s.ReleaseRetainValues()
-		}
+		s.Release()
 		s = AcquireSlab()
 	}
 	s.Release()
 }
 
-// TestSlabReleaseRetainValues checks the engine's release mode: pairs
-// copied out of a slab-decoded chunk must stay valid after the slab is
-// recycled and reused by later decodes that overwrite its pair block.
-func TestSlabReleaseRetainValues(t *testing.T) {
+// TestSlabReleaseKeepsValues checks the release rule: pairs copied out
+// of a slab-decoded chunk must stay valid after the slab is recycled and
+// reused by later decodes that overwrite its pair block.
+func TestSlabReleaseKeepsValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	src := randPairs(rng, 500, 1)
 	enc, ok := AppendPairs(nil, src)
@@ -115,9 +111,9 @@ func TestSlabReleaseRetainValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The accumulator pattern: copy the Pair structs out, then release
-	// the chunk's slab with values retained.
+	// the chunk's slab.
 	kept := append([]Pair(nil), decoded...)
-	s.ReleaseRetainValues()
+	s.Release()
 
 	// Grind the recycled slab through decodes that trample the pair
 	// block and fill fresh value arenas.
@@ -187,11 +183,7 @@ func TestSlabPoolStress(t *testing.T) {
 					s.Release()
 					return
 				}
-				if i%3 == 0 {
-					s.ReleaseRetainValues()
-				} else {
-					s.Release()
-				}
+				s.Release()
 			}
 		}(int64(w))
 	}
@@ -204,9 +196,10 @@ func TestSlabPoolStress(t *testing.T) {
 
 // TestDecodePairsAllocBudget is the CI gate on the receive path's
 // steady-state allocation count: a full 4096-pair scalar decode through
-// a recycled slab must stay within a handful of allocations (occasional
-// pool misses after a GC are amortized across the runs). The allocating
-// path measured 6132 allocs for the same input.
+// a recycled slab reuses the pair block and allocates only the few value
+// arena blocks the previous Release handed to the collector (occasional
+// pool misses after a GC are amortized across the runs). The heap decode
+// measured 6132 allocs for the same input.
 func TestDecodePairsAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race sweep")

@@ -49,13 +49,9 @@ type ValueCodec struct {
 	// or block.
 	Append func(buf []byte, v any) ([]byte, bool)
 	// Decode reads one value back and returns it with the number of
-	// bytes consumed.
+	// bytes consumed. A slab decode calls it too: what it returns lives
+	// on the heap.
 	Decode func(data []byte) (any, int, error)
-	// DecodeSlab, when set, is the arena-aware variant of Decode used by
-	// DecodePairsSlab: scratch and boxed scalars should come from the
-	// slab's Box helpers so a steady-state decode allocates nothing.
-	// Optional; absent, slab decodes fall back to Decode for this type.
-	DecodeSlab func(data []byte, s *Slab) (any, int, error)
 }
 
 var wireReg = struct {
@@ -335,9 +331,17 @@ func AppendValue(buf []byte, v any) ([]byte, bool) {
 	}
 }
 
-// DecodeValue reads one tagged value, returning it and the bytes
-// consumed.
-func DecodeValue(data []byte) (any, int, error) {
+// DecodeValue reads one tagged value onto the heap, returning it and the
+// bytes consumed.
+func DecodeValue(data []byte) (any, int, error) { return decodeValue(data, nil) }
+
+// decodeValue is the one reader of a tagged value. With a nil slab every
+// value is boxed on the heap; with a slab, scalars are boxed into its
+// cells and strings interned into its byte arena, so a steady-state
+// decode allocates nothing for them. Byte and slice shapes and custom
+// codecs allocate either way. What it returns outlives the slab (see
+// Slab.Release).
+func decodeValue(data []byte, s *Slab) (any, int, error) {
 	tag, n, err := Uvarint(data)
 	if err != nil {
 		return nil, 0, err
@@ -350,25 +354,43 @@ func DecodeValue(data []byte) (any, int, error) {
 		if len(rest) < 1 {
 			return nil, 0, fmt.Errorf("kv: truncated bool")
 		}
-		return rest[0] != 0, n + 1, nil
+		return box(s, typBool, rest[0] != 0), n + 1, nil
 	case tagInt:
 		x, m, err := Varint(rest)
-		return int(x), n + m, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return box(s, typInt, int(x)), n + m, nil
 	case tagInt32:
 		x, m, err := Varint(rest)
-		return int32(x), n + m, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return box(s, typInt32, int32(x)), n + m, nil
 	case tagInt64:
 		x, m, err := Varint(rest)
-		return x, n + m, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return box(s, typInt64, x), n + m, nil
 	case tagUint64:
 		x, m, err := Uvarint(rest)
-		return x, n + m, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return box(s, typUint64, x), n + m, nil
 	case tagFloat32:
 		x, m, err := Float32At(rest)
-		return x, n + m, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return box(s, typFloat32, x), n + m, nil
 	case tagFloat64:
 		x, m, err := Float64At(rest)
-		return x, n + m, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return box(s, typFloat64, x), n + m, nil
 	case tagString:
 		l, m, err := Uvarint(rest)
 		if err != nil {
@@ -377,7 +399,7 @@ func DecodeValue(data []byte) (any, int, error) {
 		if uint64(len(rest)-m) < l {
 			return nil, 0, fmt.Errorf("kv: truncated string")
 		}
-		return string(rest[m : m+int(l)]), n + m + int(l), nil
+		return s.boxString(rest[m : m+int(l)]), n + m + int(l), nil
 	case tagBytes:
 		l, m, err := Uvarint(rest)
 		if err != nil {
@@ -413,8 +435,8 @@ func DecodeValue(data []byte) (any, int, error) {
 		xs, m, err := Float64SliceAt(rest)
 		return tagged(n, xs, m, err)
 	case tagPairs:
-		ps, m, err := DecodePairs(rest)
-		return ps, n + m, err
+		ps, m, err := decodePairs(rest, s, false)
+		return tagged(n, ps, m, err)
 	default:
 		c, ok := codecFor(tag)
 		if !ok {
@@ -425,129 +447,13 @@ func DecodeValue(data []byte) (any, int, error) {
 	}
 }
 
-// tagged returns an untagged slice helper's result the way DecodeValue
-// does: boxed, with the tag's n bytes counted, and no value on error.
+// tagged returns an untagged helper's result the way decodeValue does:
+// boxed, with the tag's n bytes counted, and no value on error.
 func tagged[T any](n int, x T, m int, err error) (any, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
 	return x, n + m, nil
-}
-
-// DecodeValueSlab is DecodeValue with arena allocation: scalar values
-// are boxed into s's cells and strings interned into its byte arena, so
-// the steady-state cost is zero heap allocations. Tags without an arena
-// path (byte/slice shapes, codecs without DecodeSlab) fall back to the
-// allocating DecodeValue — correctness never depends on slab support.
-// Everything returned follows s's release rules (see Slab).
-func DecodeValueSlab(data []byte, s *Slab) (any, int, error) {
-	tag, n, err := Uvarint(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	rest := data[n:]
-	switch tag {
-	case tagNil:
-		return nil, n, nil
-	case tagBool:
-		if len(rest) < 1 {
-			return nil, 0, fmt.Errorf("kv: truncated bool")
-		}
-		return s.BoxBool(rest[0] != 0), n + 1, nil
-	case tagInt:
-		x, m, err := Varint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s.BoxInt(int(x)), n + m, nil
-	case tagInt32:
-		x, m, err := Varint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s.BoxInt32(int32(x)), n + m, nil
-	case tagInt64:
-		x, m, err := Varint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s.BoxInt64(x), n + m, nil
-	case tagUint64:
-		x, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s.BoxUint64(x), n + m, nil
-	case tagFloat32:
-		x, m, err := Float32At(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s.BoxFloat32(x), n + m, nil
-	case tagFloat64:
-		x, m, err := Float64At(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s.BoxFloat64(x), n + m, nil
-	case tagString:
-		l, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		if uint64(len(rest)-m) < l {
-			return nil, 0, fmt.Errorf("kv: truncated string")
-		}
-		return s.BoxStringBytes(rest[m : m+int(l)]), n + m + int(l), nil
-	case tagPairs:
-		// A nested pair list is a *value*, so it must survive
-		// ReleaseRetainValues — which recycles the slab's pair block. The
-		// slice header therefore comes from the heap; only its elements'
-		// keys and values use the (retainable) value arenas.
-		ps, m, err := decodeNestedPairsSlab(rest, s)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ps, n + m, nil
-	default:
-		if tag >= customTagBase {
-			if c, ok := codecFor(tag); ok && c.DecodeSlab != nil {
-				v, m, err := c.DecodeSlab(rest, s)
-				return v, n + m, err
-			}
-		}
-		// Slice shapes and slab-unaware codecs: the allocating path.
-		return DecodeValue(data)
-	}
-}
-
-// decodeNestedPairsSlab decodes a pair list that appears as a value
-// inside another pair list. The slice backing is heap-allocated (values
-// outlive the slab's pair block under ReleaseRetainValues) while the
-// elements still box through the slab's value arenas.
-func decodeNestedPairsSlab(data []byte, s *Slab) ([]Pair, int, error) {
-	count, n, err := Uvarint(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	if count > uint64(len(data)) {
-		return nil, 0, fmt.Errorf("kv: pair count %d exceeds frame", count)
-	}
-	ps := make([]Pair, count)
-	for i := range ps {
-		k, m, err := DecodeValueSlab(data[n:], s)
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		v, m, err := DecodeValueSlab(data[n:], s)
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		ps[i] = Pair{Key: k, Value: v}
-	}
-	return ps, n, nil
 }
 
 // AppendPairs appends the binary encoding of ps: a uvarint count and
@@ -590,41 +496,21 @@ func Unencodable(ps []Pair) error {
 	return nil
 }
 
-// DecodePairs reads an AppendPairs encoding back, returning the pairs
-// and the bytes consumed.
-func DecodePairs(data []byte) ([]Pair, int, error) {
-	count, n, err := Uvarint(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	if count > uint64(len(data)) {
-		// Each encoded pair takes at least two bytes; a count beyond the
-		// remaining length is corruption, not a huge allocation request.
-		return nil, 0, fmt.Errorf("kv: pair count %d exceeds frame", count)
-	}
-	ps := make([]Pair, count)
-	for i := range ps {
-		k, m, err := DecodeValue(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		v, m, err := DecodeValue(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		ps[i] = Pair{Key: k, Value: v}
-	}
-	return ps, n, nil
-}
+// DecodePairs reads an AppendPairs encoding back onto the heap,
+// returning the pairs and the bytes consumed.
+func DecodePairs(data []byte) ([]Pair, int, error) { return decodePairs(data, nil, true) }
 
 // DecodePairsSlab reads an AppendPairs encoding into s: the pair list
-// and the boxed keys/values all live in arena memory, so a decode that
-// reuses a released slab allocates nothing in steady state. data is not
-// retained — string payloads are copied into the arena. The result
-// follows s's release rules (see Slab).
-func DecodePairsSlab(data []byte, s *Slab) ([]Pair, int, error) {
+// comes from the slab's pooled block and the boxed keys and values from
+// its arenas, so a decode that reuses a released slab allocates nothing
+// in steady state. data is not retained — string payloads are copied
+// into the arena. The pair list follows s's release rule (see Slab).
+func DecodePairsSlab(data []byte, s *Slab) ([]Pair, int, error) { return decodePairs(data, s, true) }
+
+// decodePairs is the one pair-list loop. Only a top-level list decoded
+// into a slab takes the pooled pair block: a nested list is a value, and
+// values outlive the slab, so its backing comes from the heap.
+func decodePairs(data []byte, s *Slab, top bool) ([]Pair, int, error) {
 	count, n, err := Uvarint(data)
 	if err != nil {
 		return nil, 0, err
@@ -634,14 +520,19 @@ func DecodePairsSlab(data []byte, s *Slab) ([]Pair, int, error) {
 		// remaining length is corruption, not a huge allocation request.
 		return nil, 0, fmt.Errorf("kv: pair count %d exceeds frame", count)
 	}
-	ps := s.takePairs(int(count))
+	var ps []Pair
+	if top && s != nil {
+		ps = s.takePairs(int(count))
+	} else {
+		ps = make([]Pair, count)
+	}
 	for i := range ps {
-		k, m, err := DecodeValueSlab(data[n:], s)
+		k, m, err := decodeValue(data[n:], s)
 		if err != nil {
 			return nil, 0, err
 		}
 		n += m
-		v, m, err := DecodeValueSlab(data[n:], s)
+		v, m, err := decodeValue(data[n:], s)
 		if err != nil {
 			return nil, 0, err
 		}

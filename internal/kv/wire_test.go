@@ -173,8 +173,8 @@ func TestHostileSliceLengths(t *testing.T) {
 			}
 			s := AcquireSlab()
 			defer s.Release()
-			if _, _, err := DecodeValueSlab(tc.data, s); err == nil {
-				t.Fatal("DecodeValueSlab accepted a hostile length")
+			if _, _, err := decodeValue(tc.data, s); err == nil {
+				t.Fatal("slab decode accepted a hostile length")
 			}
 		})
 	}
@@ -191,28 +191,13 @@ func TestHostileSliceLengths(t *testing.T) {
 	}
 }
 
-func TestGroupPairsMapFallback(t *testing.T) {
-	// Hand-rolled Ops without Compare must still group correctly and
-	// leave the input order untouched.
-	ops := Ops{Hash: HashOf, Less: LessOf, KeySize: KeySizeOf, ValSize: DefaultSize}
-	pairs := []Pair{{int64(2), 1.0}, {int64(1), 2.0}, {int64(2), 3.0}}
-	orig := make([]Pair, len(pairs))
-	copy(orig, pairs)
-	groups := GroupPairs(pairs, ops)
-	if len(groups) != 2 || groups[0].Key != int64(1) || len(groups[1].Values) != 2 {
-		t.Fatalf("fallback grouping wrong: %v", groups)
-	}
-	if !reflect.DeepEqual(orig, pairs) {
-		t.Fatalf("map fallback mutated input: %v", pairs)
-	}
-}
-
-// FuzzDecodePairs feeds arbitrary bytes to the pair decoders that every
-// record off a socket, a spill file or an RPC goes through. The heap and
-// slab decoders must agree — both fail, or both succeed after consuming
-// the same bytes with the same pairs — and what decodes must survive
-// AppendPairs and a second decode unchanged. Pairs are compared by their
-// encoding, which names each value's type and keeps NaN bits.
+// FuzzDecodePairs feeds arbitrary bytes to the pair decoder that every
+// record off a socket, a spill file or an RPC goes through. Its heap
+// form (a nil slab) and its slab form must agree — both fail, or both
+// succeed after consuming the same bytes with the same pairs — and what
+// decodes must survive AppendPairs and a second decode unchanged. Pairs
+// are compared by their encoding, which names each value's type and
+// keeps NaN bits.
 func FuzzDecodePairs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		heap, hn, herr := DecodePairs(data)

@@ -9,24 +9,23 @@ import (
 
 // SlabRetain flags uses of a kv.Slab — or of pairs decoded through one —
 // after the slab has been released back to the pool in the same
-// function. Release/ReleaseRetainValues recycle the slab's pair block
-// (Release recycles the value arenas too), so any read through a
-// retained reference observes memory a concurrent decode may already be
-// overwriting. The rules, scanned linearly per function the way
+// function. Release recycles the slab's pair block, so any read through
+// a retained reference observes memory a concurrent decode may already
+// be overwriting. The rules, scanned linearly per function the way
 // lockedsend tracks mutexes:
 //
 //   - a variable assigned from AcquireSlab is a slab; after
-//     X.Release() / X.ReleaseRetainValues() executes (a deferred release
-//     runs at return and is exempt), any further use of X is flagged;
-//   - a variable assigned from DecodePairsSlab(..., X) or
-//     DecodeValueSlab(..., X) is derived from slab X and dies with it;
+//     X.Release() executes (a deferred release runs at return and is
+//     exempt), any further use of X is flagged;
+//   - a variable assigned from DecodePairsSlab(..., X) is derived from
+//     slab X and dies with it;
 //   - after a chunk's c.release() executes, further reads of c.Pairs are
 //     flagged (other chunk fields stay valid — release only returns the
 //     slab).
 var SlabRetain = &Analyzer{
 	Name: "slabretain",
 	Doc: "use of a kv.Slab, or of pairs decoded through it, after " +
-		"Release/ReleaseRetainValues returned it to the pool " +
+		"Release returned it to the pool " +
 		"(use-after-free on pooled memory; deferred releases are exempt)",
 	Run: runSlabRetain,
 }
@@ -35,17 +34,13 @@ var SlabRetain = &Analyzer{
 // back to the pool. The lowercase release is the state/shuffle chunk
 // helper, which only invalidates the chunk's Pairs.
 var slabReleaseNames = map[string]bool{
-	"Release":             true,
-	"ReleaseRetainValues": true,
-	"release":             true,
+	"Release": true,
+	"release": true,
 }
 
-// slabDecodeNames are the calls whose first result aliases the slab
-// passed as their final argument.
-var slabDecodeNames = map[string]bool{
-	"DecodePairsSlab": true,
-	"DecodeValueSlab": true,
-}
+// slabDecodeName is the call whose first result aliases the slab passed
+// as its final argument.
+const slabDecodeName = "DecodePairsSlab"
 
 func runSlabRetain(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
@@ -295,7 +290,7 @@ func (ss *slabScan) trackAssign(st *ast.AssignStmt) {
 	if !ok {
 		return
 	}
-	// Typed gate: AcquireSlab/Decode*Slab must resolve to internal/kv —
+	// Typed gate: AcquireSlab/DecodePairsSlab must resolve to internal/kv —
 	// a same-named helper in another package does not hand out pooled
 	// memory.
 	if callee := calleeOf(ss.info, call); callee != nil {
@@ -307,7 +302,7 @@ func (ss *slabScan) trackAssign(st *ast.AssignStmt) {
 	case name == "AcquireSlab":
 		// s := kv.AcquireSlab() — s is a slab; nothing to do beyond the
 		// reassignment reset above (it becomes trackable by releaseOp).
-	case slabDecodeNames[name] && len(call.Args) > 0:
+	case name == slabDecodeName && len(call.Args) > 0:
 		slab, ok := call.Args[len(call.Args)-1].(*ast.Ident)
 		if !ok {
 			return
@@ -326,10 +321,10 @@ func (ss *slabScan) releaseOp(call *ast.CallExpr) bool {
 	if !ok || recv == "" || !slabReleaseNames[name] {
 		return false
 	}
-	// Typed gate: an exported Release/ReleaseRetainValues must be a
-	// method on a type named Slab — sync.Pool-style Release methods on
-	// other types are not slab ownership transfers. The lowercase
-	// release stays name-based: it is the chunk helper's private idiom.
+	// Typed gate: an exported Release must be a method on a type named
+	// Slab — sync.Pool-style Release methods on other types are not slab
+	// ownership transfers. The lowercase release stays name-based: it is
+	// the chunk helper's private idiom.
 	if name != "release" {
 		if callee := calleeOf(ss.info, call); callee != nil {
 			sig, ok := callee.Type().(*types.Signature)

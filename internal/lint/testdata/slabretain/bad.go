@@ -22,13 +22,13 @@ func useAfterRelease(data []byte) {
 	sink(pairs) // want "use of pairs in useAfterRelease after s.Release at line 21"
 }
 
-// The slab itself is pooled memory too: no boxing through it after
-// ReleaseRetainValues handed it back.
-func boxAfterRelease(data []byte) {
+// The slab itself is pooled memory too: no decoding into it after
+// Release handed it back.
+func decodeAfterRelease(data []byte) {
 	s := kv.AcquireSlab()
 	_, _, _ = kv.DecodePairsSlab(data, s)
-	s.ReleaseRetainValues()
-	_ = s.BoxInt64(7) // want "use of s in boxAfterRelease after s.ReleaseRetainValues at line 30"
+	s.Release()
+	_, _, _ = kv.DecodePairsSlab(data, s) // want "use of s in decodeAfterRelease after s.Release at line 30"
 }
 
 // A second release of the same slab panics at runtime.

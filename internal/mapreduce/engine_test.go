@@ -363,6 +363,18 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
+// TestZeroOpsNamesOpsFor: the refusal of a job without Ops says where
+// Ops come from.
+func TestZeroOpsNamesOpsFor(t *testing.T) {
+	e, fs, _ := testEnv(t, 1, Options{})
+	writeWords(t, fs, "/in", []string{"a"})
+	job := wordCountJob("/in", "/out", false)
+	job.Ops = kv.Ops{}
+	if _, err := e.Submit(job); err == nil || !strings.Contains(err.Error(), "kv.OpsFor") {
+		t.Fatalf("zero Ops: Submit error %v, want one naming kv.OpsFor", err)
+	}
+}
+
 func TestWordCountOnDiskBackedDFS(t *testing.T) {
 	spec := cluster.Uniform(2)
 	m := metrics.NewSet()

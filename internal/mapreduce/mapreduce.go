@@ -81,8 +81,8 @@ func (j *Job) validate() error {
 	if j.NumReduce <= 0 {
 		return fmt.Errorf("mapreduce: job %s needs NumReduce > 0", j.Name)
 	}
-	if j.Ops.Hash == nil || j.Ops.Less == nil {
-		return fmt.Errorf("mapreduce: job %s has incomplete kv.Ops", j.Name)
+	if !j.Ops.Valid() {
+		return fmt.Errorf("mapreduce: job %s: Ops not built by kv.OpsFor", j.Name)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,6 +190,16 @@ const (
 // maxFrameSize bounds a single frame; larger length prefixes are treated
 // as stream corruption.
 const maxFrameSize = 1 << 30
+
+// minFrameRead is the first allocation for a frame body the receive
+// buffer cannot already hold; past it the buffer at most doubles what has
+// arrived (see readFrameBody).
+const minFrameRead = 64 << 10
+
+// maxInflateRatio is DEFLATE's largest expansion: no compressed byte
+// inflates to more than 1032 bytes, so a frameDeflate declaring more is
+// corrupt.
+const maxInflateRatio = 1032
 
 // VersionMismatchError reports a hello handshake that failed because the
 // two processes speak different protocol generations.
@@ -512,16 +523,13 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		if n == 0 || n > maxFrameSize {
 			return
 		}
-		if uint32(cap(body)) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
+		var err error
+		if body, err = readFrameBody(br, body, int(n)); err != nil {
 			return
 		}
 		if body[0] == frameDeflate {
 			dn, m := binary.Uvarint(body[1:])
-			if m <= 0 || dn == 0 || dn > maxFrameSize {
+			if m <= 0 || dn == 0 || dn > maxFrameSize || dn > maxInflateRatio*uint64(len(body)-1-m) {
 				return
 			}
 			if uint64(cap(infBuf)) < dn {
@@ -575,6 +583,25 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 			return // unknown frame type: stream corruption
 		}
 	}
+}
+
+// readFrameBody reads an n-byte frame body into buf's storage. A buffer
+// too small grows only as bytes arrive — to minFrameRead, then by at
+// most what has been read — so a length prefix alone cannot make the
+// reader allocate much more than its peer really sent.
+func readFrameBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(max(len(buf), minFrameRead), n-len(buf)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 func appendLPString(buf []byte, s string) []byte {
