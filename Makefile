@@ -73,11 +73,11 @@ bench:
 # idle service may allocate at most 0.6 MB a job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core ./internal/dfs
-	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs' -count=1 -timeout 2m
-	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs|TestFirstBuffersStartSmall' -count=1 -timeout 2m
+	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs|TestColGrouperSteadyStateAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs|TestScalarSuperstepSteadyStateAllocs|TestFirstBuffersStartSmall' -count=1 -timeout 2m
 	$(GO) test ./internal/serve -run 'TestServeJobAllocBytes' -count=1 -timeout 2m
 	$(GO) test ./internal/mapreduce -run 'TestMapAttemptAllocs|TestReduceAttemptAllocs' -count=1 -timeout 2m
-	$(GO) test ./internal/jobs -run 'TestPageRankReduceAllocsOnlyResult' -count=1 -timeout 2m
+	$(GO) test ./internal/jobs -run 'TestPageRankReduceAllocsOnlyResult|TestPageRankTypedReduceAllocsNothing' -count=1 -timeout 2m
 	$(GO) test ./internal/dfs -run 'TestNamespaceCostIndependentOfUnrelatedFiles' -count=1 -timeout 2m
 
 # The benchmark module's own tests: its workload catalogue against
@@ -91,13 +91,18 @@ bench-test:
 # holds the record decoder's heap and slab forms to each other and to
 # the encoder on arbitrary bytes, and FuzzFrames runs arbitrary bytes
 # through a TCP connection's frame reader, which must not panic and must
-# allocate in proportion to what it read. Each starts from its seed
+# allocate in proportion to what it read. FuzzDecodeCols does the same
+# for the column codec of scalar shuffles and round-trips what it
+# decodes; FuzzManifest feeds arbitrary manifest records to Resume, which
+# must never resume one that disagrees with the job. Each starts from its seed
 # corpus under the package's testdata/fuzz; a failing input is written
 # there, ready to be re-run by go test and checked in.
 fuzz-smoke:
 	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzNamespaceOps -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodePairs -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzFrames -fuzztime 10s
+	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodeCols -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzManifest -fuzztime 10s
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.

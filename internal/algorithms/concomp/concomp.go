@@ -63,32 +63,34 @@ func WriteInputs(fs *dfs.DFS, at string, g *graph.Graph, staticPath, statePath s
 	return fs.WriteFile(statePath, at, StatePairs(g.N), StateOps())
 }
 
-func mapFn(key, state, static any, emit kv.Emit) error {
-	var label any = state.(int64) // boxed once per node, not once per edge
-	emit(key, label)
-	if static == nil {
-		return nil
-	}
-	for _, v := range static.(graph.Adj).Dst {
+// mapFn sends u's label to u itself and to every neighbor.
+func mapFn(u int64, label int64, adj graph.Adj, emit func(int64, int64)) error {
+	emit(u, label)
+	for _, v := range adj.Dst {
 		emit(int64(v), label)
 	}
 	return nil
 }
 
-func reduceFn(key any, states []any) (any, error) {
-	min := states[0].(int64)
-	for _, s := range states[1:] {
-		if v := s.(int64); v < min {
+func reduceFn(_ int64, labels []int64) (int64, error) {
+	min := labels[0]
+	for _, v := range labels[1:] {
+		if v < min {
 			min = v
 		}
 	}
 	return min, nil
 }
 
-// DistanceFn counts label changes, so a threshold below 1 stops the
-// computation exactly when labels are stable.
+// DistanceFn is distance over boxed states, for the baseline chain.
 func DistanceFn(key, prev, curr any) float64 {
-	if prev.(int64) == curr.(int64) {
+	return distance(0, prev.(int64), curr.(int64))
+}
+
+// distance counts label changes, so a threshold below 1 stops the
+// computation exactly when labels are stable.
+func distance(_ int64, prev, curr int64) float64 {
+	if prev == curr {
 		return 0
 	}
 	return 1
@@ -108,20 +110,21 @@ type IMRConfig struct {
 
 // IMRJob builds the iMapReduce connected-components job.
 func IMRJob(cfg IMRConfig) *core.Job {
-	return &core.Job{
-		Name:            cfg.Name,
-		StatePath:       cfg.StatePath,
-		StaticPath:      cfg.StaticPath,
-		OutputPath:      cfg.OutputPath,
-		Map:             mapFn,
-		Reduce:          reduceFn,
-		Distance:        DistanceFn,
-		MaxIter:         cfg.MaxIter,
-		DistThreshold:   cfg.DistThreshold,
-		NumTasks:        cfg.NumTasks,
-		CheckpointEvery: cfg.Checkpoint,
-		Ops:             StateOps(),
-	}
+	return core.ScalarJob[int64, graph.Adj]{
+		Job: core.Job{
+			Name:            cfg.Name,
+			StatePath:       cfg.StatePath,
+			StaticPath:      cfg.StaticPath,
+			OutputPath:      cfg.OutputPath,
+			MaxIter:         cfg.MaxIter,
+			DistThreshold:   cfg.DistThreshold,
+			NumTasks:        cfg.NumTasks,
+			CheckpointEvery: cfg.Checkpoint,
+		},
+		Map:      mapFn,
+		Reduce:   reduceFn,
+		Distance: distance,
+	}.Build()
 }
 
 // CombinedPairs builds the baseline's label+adjacency records.

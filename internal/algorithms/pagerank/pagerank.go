@@ -43,21 +43,16 @@ func WriteInputs(fs *dfs.DFS, at string, g *graph.Graph, staticPath, statePath s
 	return fs.WriteFile(statePath, at, StatePairs(g.N), StateOps())
 }
 
-// The values a map call emits more than once are boxed once — retained
-// per job, share per node — not once per emit: an any-typed parameter
-// would otherwise allocate a copy of the float for every edge.
-func mapFnFor(n int) core.MapFunc {
-	var retained any = (1 - Damping) / float64(n)
-	return func(key, state, static any, emit kv.Emit) error {
-		emit(key, retained)
-		if static == nil {
-			return nil
-		}
-		adj := static.(graph.Adj)
+// mapFnFor is the map of an n-node graph: u retains (1−d)/n and sends
+// each out-neighbor an equal share of d·R(u).
+func mapFnFor(n int) func(int64, float64, graph.Adj, func(int64, float64)) error {
+	retained := (1 - Damping) / float64(n)
+	return func(u int64, rank float64, adj graph.Adj, emit func(int64, float64)) error {
+		emit(u, retained)
 		if len(adj.Dst) == 0 {
 			return nil
 		}
-		var share any = Damping * state.(float64) / float64(len(adj.Dst))
+		share := Damping * rank / float64(len(adj.Dst))
 		for _, v := range adj.Dst {
 			emit(int64(v), share)
 		}
@@ -65,17 +60,22 @@ func mapFnFor(n int) core.MapFunc {
 	}
 }
 
-func reduceFn(key any, states []any) (any, error) {
+func reduceFn(_ int64, shares []float64) (float64, error) {
 	var sum float64
-	for _, s := range states {
-		sum += s.(float64)
+	for _, s := range shares {
+		sum += s
 	}
 	return sum, nil
 }
 
-// DistanceFn is the Manhattan distance the paper's example uses.
+// DistanceFn is distance over boxed states, for the baseline chain.
 func DistanceFn(key, prev, curr any) float64 {
-	return math.Abs(prev.(float64) - curr.(float64))
+	return distance(0, prev.(float64), curr.(float64))
+}
+
+// distance is the Manhattan distance the paper's example uses.
+func distance(_ int64, prev, curr float64) float64 {
+	return math.Abs(prev - curr)
 }
 
 // IMRConfig parameterizes the iMapReduce job.
@@ -92,25 +92,30 @@ type IMRConfig struct {
 	Checkpoint    int
 }
 
-// IMRJob builds the iMapReduce PageRank job (the paper's Fig. 3
-// example).
-func IMRJob(cfg IMRConfig) *core.Job {
-	return &core.Job{
-		Name:            cfg.Name,
-		StatePath:       cfg.StatePath,
-		StaticPath:      cfg.StaticPath,
-		OutputPath:      cfg.OutputPath,
-		Map:             mapFnFor(cfg.Nodes),
-		Reduce:          reduceFn,
-		Distance:        DistanceFn,
-		MaxIter:         cfg.MaxIter,
-		DistThreshold:   cfg.DistThreshold,
-		NumTasks:        cfg.NumTasks,
-		SyncMap:         cfg.SyncMap,
-		CheckpointEvery: cfg.Checkpoint,
-		Ops:             StateOps(),
+// IMRSpec is the typed definition of the iMapReduce PageRank job (the
+// paper's Fig. 3 example), for callers that adapt its functions before
+// building it.
+func IMRSpec(cfg IMRConfig) core.ScalarJob[float64, graph.Adj] {
+	return core.ScalarJob[float64, graph.Adj]{
+		Job: core.Job{
+			Name:            cfg.Name,
+			StatePath:       cfg.StatePath,
+			StaticPath:      cfg.StaticPath,
+			OutputPath:      cfg.OutputPath,
+			MaxIter:         cfg.MaxIter,
+			DistThreshold:   cfg.DistThreshold,
+			NumTasks:        cfg.NumTasks,
+			SyncMap:         cfg.SyncMap,
+			CheckpointEvery: cfg.Checkpoint,
+		},
+		Map:      mapFnFor(cfg.Nodes),
+		Reduce:   reduceFn,
+		Distance: distance,
 	}
 }
+
+// IMRJob builds the iMapReduce PageRank job.
+func IMRJob(cfg IMRConfig) *core.Job { return IMRSpec(cfg).Build() }
 
 // CombinedPairs builds the baseline's combined rank+adjacency records.
 func CombinedPairs(g *graph.Graph) []kv.Pair {

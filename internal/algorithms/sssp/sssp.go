@@ -48,13 +48,8 @@ func WriteInputs(fs *dfs.DFS, at string, g *graph.Graph, source int64, staticPat
 
 // mapFn relaxes u's outgoing edges and re-emits u's own distance so the
 // reduce sees every node each iteration.
-func mapFn(key, state, static any, emit kv.Emit) error {
-	d := state.(float64)
-	emit(key, d)
-	if static == nil {
-		return nil
-	}
-	adj := static.(graph.Adj)
+func mapFn(u int64, d float64, adj graph.Adj, emit func(int64, float64)) error {
+	emit(u, d)
 	if math.IsInf(d, 1) {
 		return nil // nothing to relax yet
 	}
@@ -64,20 +59,24 @@ func mapFn(key, state, static any, emit kv.Emit) error {
 	return nil
 }
 
-func reduceFn(key any, states []any) (any, error) {
+func reduceFn(_ int64, ds []float64) (float64, error) {
 	min := Inf
-	for _, s := range states {
-		if d := s.(float64); d < min {
+	for _, d := range ds {
+		if d < min {
 			min = d
 		}
 	}
 	return min, nil
 }
 
-// DistanceFn measures per-node change; unreached-to-unreached counts as
-// no change, a node becoming reached counts as 1.
+// DistanceFn is distance over boxed states, for the baseline chain.
 func DistanceFn(key, prev, curr any) float64 {
-	p, c := prev.(float64), curr.(float64)
+	return distance(0, prev.(float64), curr.(float64))
+}
+
+// distance measures per-node change; unreached-to-unreached counts as
+// no change, a node becoming reached counts as 1.
+func distance(_ int64, p, c float64) float64 {
 	pInf, cInf := math.IsInf(p, 1), math.IsInf(c, 1)
 	switch {
 	case pInf && cInf:
@@ -104,21 +103,22 @@ type IMRConfig struct {
 
 // IMRJob builds the iMapReduce SSSP job.
 func IMRJob(cfg IMRConfig) *core.Job {
-	return &core.Job{
-		Name:            cfg.Name,
-		StatePath:       cfg.StatePath,
-		StaticPath:      cfg.StaticPath,
-		OutputPath:      cfg.OutputPath,
-		Map:             mapFn,
-		Reduce:          reduceFn,
-		Distance:        DistanceFn,
-		MaxIter:         cfg.MaxIter,
-		DistThreshold:   cfg.DistThreshold,
-		NumTasks:        cfg.NumTasks,
-		SyncMap:         cfg.SyncMap,
-		CheckpointEvery: cfg.Checkpoint,
-		Ops:             StateOps(),
-	}
+	return core.ScalarJob[float64, graph.Adj]{
+		Job: core.Job{
+			Name:            cfg.Name,
+			StatePath:       cfg.StatePath,
+			StaticPath:      cfg.StaticPath,
+			OutputPath:      cfg.OutputPath,
+			MaxIter:         cfg.MaxIter,
+			DistThreshold:   cfg.DistThreshold,
+			NumTasks:        cfg.NumTasks,
+			SyncMap:         cfg.SyncMap,
+			CheckpointEvery: cfg.Checkpoint,
+		},
+		Map:      mapFn,
+		Reduce:   reduceFn,
+		Distance: distance,
+	}.Build()
 }
 
 // CombinedPairs builds the baseline's input records: state and static

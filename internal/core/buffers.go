@@ -18,9 +18,11 @@ import (
 // and the receiving handler's deferred release everywhere else. A chunk
 // that two tasks receive carries no lease, and its buffer is the GC's.
 
-// chunkBuf is one chunk buffer and the free list it belongs to.
+// chunkBuf is one chunk buffer and the free list it belongs to. It holds
+// pairs, or — a map buffer of a job on the column loops — a column batch.
 type chunkBuf struct {
 	pairs []kv.Pair
+	cols  colRecords
 	home  *freeList
 	// lease numbers the buffer's trips. A chunk carries the number it was
 	// sent under, and the one return whose CompareAndSwap moves it on is
@@ -33,6 +35,25 @@ type chunkBuf struct {
 func (b *chunkBuf) empty() {
 	clear(b.pairs)
 	b.pairs = b.pairs[:0]
+	if b.cols != nil {
+		b.cols.Reset()
+	}
+}
+
+// len is the number of records in b.
+func (b *chunkBuf) len() int {
+	if b.cols != nil {
+		return b.cols.Len()
+	}
+	return len(b.pairs)
+}
+
+// capacity is the number of records b holds without growing.
+func (b *chunkBuf) capacity() int {
+	if b.cols != nil {
+		return b.cols.Cap()
+	}
+	return cap(b.pairs)
 }
 
 // bufLease is a chunk's claim on the buffer its Pairs were sent in. The
@@ -75,9 +96,11 @@ func (l bufLease) giveBack() {
 // outgrows its buffer grows it, up to BufferThreshold, where it is sent.
 type freeList struct {
 	size int // BufferThreshold: no chunk carries more
-	mu   sync.Mutex
-	free []*chunkBuf
-	want int // under mu: the most records a buffer has carried home
+	// newCols, when set, makes the list's buffers column batches.
+	newCols func(n int) colRecords
+	mu      sync.Mutex
+	free    []*chunkBuf
+	want    int // under mu: the most records a buffer has carried home
 	// The owner's takes, folded into the run's metrics when it exits.
 	reused, allocated int64
 }
@@ -100,7 +123,7 @@ func (l *freeList) get() *chunkBuf {
 		l.free = l.free[:n-1]
 	}
 	l.mu.Unlock()
-	if b != nil && (want == 0 || cap(b.pairs) <= 2*want) {
+	if b != nil && (want == 0 || b.capacity() <= 2*want) {
 		l.reused++
 		return b
 	}
@@ -109,12 +132,15 @@ func (l *freeList) get() *chunkBuf {
 	if want > 0 {
 		size = want
 	}
+	if l.newCols != nil {
+		return &chunkBuf{cols: l.newCols(size), home: l}
+	}
 	return &chunkBuf{pairs: make([]kv.Pair, 0, size), home: l}
 }
 
 // recycle empties b and keeps it if the list has room.
 func (l *freeList) recycle(b *chunkBuf) {
-	used := len(b.pairs)
+	used := b.len()
 	b.empty()
 	l.mu.Lock()
 	l.want = max(l.want, used)
@@ -130,14 +156,16 @@ func (l *freeList) report(m *metrics.Set) {
 	m.Add(metrics.ChunkBufsAlloc, l.allocated)
 }
 
-// accum gathers one iteration's input at a task: the records, the
-// senders whose every chunk is here, the chunks taken from each sender
+// accum gathers one iteration's input at a task: the records (pairs, or
+// the column batch of a reduce on the column loops), the senders whose
+// every chunk is here, the chunks taken from each sender
 // and the total its End announced, and the chunks already taken, by
 // which network duplicates are dropped. A task keeps the accumulator of
 // its last finished iteration as its spare, so the record buffer and the
 // maps' buckets are allocated once, not once per iteration.
 type accum struct {
 	pairs []kv.Pair
+	cols  colRecords
 	ends  int
 	seen  map[chunkKey]bool
 	tally map[int]chunkTally
@@ -148,14 +176,32 @@ type accum struct {
 type chunkTally struct{ got, want int }
 
 // takeAccum takes the spare for a new iteration, or — when there is none
-// — makes an accumulator with room for n records.
-func takeAccum(spare **accum, n int) *accum {
+// — makes an accumulator. Its records are made on the first append.
+func takeAccum(spare **accum) *accum {
 	a := *spare
 	*spare = nil
 	if a == nil {
-		a = &accum{pairs: make([]kv.Pair, 0, n), seen: make(map[chunkKey]bool), tally: make(map[int]chunkTally)}
+		a = &accum{seen: make(map[chunkKey]bool), tally: make(map[int]chunkTally)}
 	}
 	return a
+}
+
+// addPairs appends ps to the accumulated pairs, making room for presize
+// records first when there are none yet: iterative jobs move nearly the
+// same record count every round.
+func (a *accum) addPairs(ps []kv.Pair, presize int) {
+	if a.pairs == nil {
+		a.pairs = make([]kv.Pair, 0, max(presize, len(ps)))
+	}
+	a.pairs = append(a.pairs, ps...)
+}
+
+// len is the number of records accumulated.
+func (a *accum) len() int {
+	if a.cols != nil {
+		return a.cols.Len()
+	}
+	return len(a.pairs)
 }
 
 // take accounts a chunk from sender from with sequence number seq and
@@ -187,6 +233,9 @@ func (a *accum) take(from int, seq int64, end int) bool {
 func (a *accum) reset() {
 	clear(a.pairs)
 	a.pairs = a.pairs[:0]
+	if a.cols != nil {
+		a.cols.Reset()
+	}
 	clear(a.seen)
 	clear(a.tally)
 	a.ends = 0

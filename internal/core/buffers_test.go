@@ -28,6 +28,7 @@ func TestStaleDuplicateReturnsNoBuffer(t *testing.T) {
 		return shuffleChunk{Gen: 1, Iter: 1, FromMap: 0, Seq: seq, Pairs: b.pairs, lease: leaseOf(b)}
 	}
 	rt := &reduceTask{e: &Engine{}, gen: 1, iter: 1, numMaps: 2, pend: map[int]*accum{}}
+	rt.loops = &pairReduceLoops{t: rt}
 
 	first := send(1, 10)
 	dup := first // what a duplicating network delivers twice
@@ -376,6 +377,156 @@ func TestSuperstepSteadyStateAllocs(t *testing.T) {
 	if want := ringChordDistances(n); !slices.Equal(dist, want) {
 		t.Fatalf("distances %v, want %v", dist, want)
 	}
+}
+
+// TestScalarSuperstepSteadyStateAllocs is TestSuperstepSteadyStateAllocs
+// on the column loops: a warm superstep of a 64-node SSSP built by
+// ScalarJob allocates nothing to emit, shuffle, group or reduce — the
+// typed map emits into columns and the reduce's groups are columns — so
+// beyond the interface box of each message it sends, the only
+// allocations left are the new state's value boxes, one per key whose
+// value changed. Past convergence that is none; on a job whose every
+// value changes every superstep it is n.
+func TestScalarSuperstepSteadyStateAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, messages = 64, 3
+	sssp := ringSSSP("sssp-col-allocs").Build()
+	if !columnLoops(sssp) {
+		t.Fatal("the job does not run the column loops")
+	}
+	superstep, state := scalarSuperstep(t, sssp, n)
+	for i := 0; i < 3*n; i++ { // past convergence, every scratch at size
+		superstep()
+	}
+	got := testing.AllocsPerRun(50, superstep)
+	t.Logf("converged superstep: %v allocations", got)
+	if got > messages {
+		t.Errorf("a warm converged superstep allocates %v times; only its %d messages box their headers", got, messages)
+	}
+	var dist []float64
+	for _, p := range state() {
+		dist = append(dist, p.Value.(float64))
+	}
+	if want := ringChordDistances(n); !slices.Equal(dist, want) {
+		t.Fatalf("distances %v, want %v", dist, want)
+	}
+
+	count := ScalarJob[float64, []int64]{
+		Job: Job{Name: "count-col-allocs"},
+		Map: func(k int64, c float64, adj []int64, emit func(int64, float64)) error {
+			if math.IsInf(c, 1) {
+				c = 0 // the counts start where SSSP's distances are ∞
+			}
+			emit(k, c)
+			for _, v := range adj {
+				emit(v, 0)
+			}
+			return nil
+		},
+		Reduce: func(_ int64, cs []float64) (float64, error) { return slices.Max(cs) + 1, nil },
+	}.Build()
+	superstep, _ = scalarSuperstep(t, count, n)
+	for i := 0; i < 3; i++ {
+		superstep()
+	}
+	got = testing.AllocsPerRun(50, superstep)
+	t.Logf("superstep changing every value: %v allocations", got)
+	if got > n+messages {
+		t.Errorf("a warm superstep that changes all %d values allocates %v times; want at most their boxes and %d message headers", n, got, messages)
+	}
+}
+
+// ringSSSP is an unweighted SSSP over the static adjacency lists of
+// scalarSuperstep.
+func ringSSSP(name string) ScalarJob[float64, []int64] {
+	return ScalarJob[float64, []int64]{
+		Job: Job{Name: name},
+		Map: func(k int64, d float64, adj []int64, emit func(int64, float64)) error {
+			emit(k, d)
+			if math.IsInf(d, 1) {
+				return nil
+			}
+			for _, v := range adj {
+				emit(v, d+1)
+			}
+			return nil
+		},
+		Reduce: func(_ int64, ds []float64) (float64, error) { return slices.Min(ds), nil },
+	}
+}
+
+// BenchmarkSuperstepLoops times one warm, converged superstep of a
+// 256-node SSSP — one map/reduce pair driven handler by handler, 768
+// shuffle records — on each set of record loops: the column loops, and
+// the pair loops the same job runs with its Reduce wrapped.
+func BenchmarkSuperstepLoops(b *testing.B) {
+	for _, loops := range []string{"columns", "pairs"} {
+		b.Run(loops, func(b *testing.B) {
+			job := ringSSSP("sssp-loops").Build()
+			if loops == "pairs" {
+				r := job.Reduce
+				job.Reduce = func(k any, s []any) (any, error) { return r(k, s) }
+			}
+			superstep, _ := scalarSuperstep(b, job, 256)
+			for i := 0; i < 1024; i++ {
+				superstep()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				superstep()
+			}
+		})
+	}
+}
+
+// scalarSuperstep wires one map/reduce pair of job over channels, with
+// the static ring with chords of n nodes and state ∞ but 0 at node 0, and
+// returns a superstep driven handler by handler, as the tasks' loops
+// drive them, and the current state. Every superstep's shuffle and state
+// travel as one chunk each.
+func scalarSuperstep(t testing.TB, job *Job, n int) (superstep func(), state func() []kv.Pair) {
+	t.Helper()
+	job.MaxIter = 1 << 30
+	job.BufferThreshold = 3*n + 1 // a full buffer would be sent ahead of the End
+	spec := cluster.Uniform(1)
+	net := transport.NewChanNetwork()
+	t.Cleanup(func() { net.Close() })
+	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := newRunState(runMeta{Name: job.Name, MainPhases: 1, MainTasks: 1, Placement: spec.IDs()}, newWorkerPool(1))
+	f := &taskFactory{e: e, job: job, phases: job.Phases(), run: run, n: 1}
+	endpoint := func(addr string) transport.Endpoint {
+		ep, err := net.Endpoint(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	mep, rep, master := endpoint(mapAddr(job.Name, 0, 0)), endpoint(redAddr(job.Name, 0, 0)), endpoint(masterAddr(job.Name))
+	mt, rt := f.buildMapTask(0, 0, mep), f.buildReduceTask(0, 0, rep)
+	adj := make([]kv.Pair, n)
+	init := make([]kv.Pair, n)
+	for i := range adj {
+		adj[i] = kv.Pair{Key: int64(i), Value: []int64{int64((i + 1) % n), int64((i + 9) % n)}}
+		init[i] = kv.Pair{Key: int64(i), Value: math.Inf(1)}
+	}
+	init[0].Value = 0.0
+	mt.static = keyedRun(adj, job.Ops)
+	rt.prev.load(slices.Clone(init), job.Ops)
+	mt.iter, rt.iter = 1, 1
+	in := stateChunk{Iter: 1, Seq: 1, Pairs: init, End: 1}
+	superstep = func() {
+		mt.handleState(in)
+		rt.handleShuffle((<-rep.Recv()).Payload.(shuffleChunk))
+		<-master.Recv() // the iteration report
+		in = (<-mep.Recv()).Payload.(stateChunk)
+	}
+	return superstep, func() []kv.Pair { return in.Pairs }
 }
 
 // ringChordDistances is the BFS distance from node 0 in the ring with

@@ -307,8 +307,12 @@ func newRunState(meta runMeta, pool *workerPool) *runState {
 	return run
 }
 
-func (r *runState) ckptPath(iter, part int) string {
-	return fmt.Sprintf("/_imr/%s/ckpt-%06d/part-%d", r.name, iter, part)
+func (r *runState) ckptPath(iter, part int) string { return ckptPath(r.name, iter, part) }
+
+// ckptPath is the checkpoint file of partition part at iteration iter of
+// the job named name.
+func ckptPath(name string, iter, part int) string {
+	return fmt.Sprintf("/_imr/%s/ckpt-%06d/part-%d", name, iter, part)
 }
 
 func (r *runState) staticPartPath(phase, part int) string {

@@ -21,18 +21,18 @@ type env struct {
 	spec cluster.Spec
 }
 
-func newEnv(t *testing.T, workers int, opts Options) *env {
+func newEnv(t testing.TB, workers int, opts Options) *env {
 	t.Helper()
 	return newEnvSpec(t, cluster.Uniform(workers), opts)
 }
 
-func newEnvSpec(t *testing.T, spec cluster.Spec, opts Options) *env {
+func newEnvSpec(t testing.TB, spec cluster.Spec, opts Options) *env {
 	t.Helper()
 	return newEnvNet(t, spec, transport.NewChanNetwork(), opts)
 }
 
 // newEnvNet builds an engine over net for a fresh cluster of spec.
-func newEnvNet(t *testing.T, spec cluster.Spec, net transport.Network, opts Options) *env {
+func newEnvNet(t testing.TB, spec cluster.Spec, net transport.Network, opts Options) *env {
 	t.Helper()
 	m := metrics.NewSet()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)

@@ -156,6 +156,8 @@ type Job struct {
 
 	successor *Job
 	auxiliary *Job
+	// scalar is set by ScalarJob.Build (see columnLoops).
+	scalar scalarLoops
 }
 
 // OutputDir is the directory a run of j writes its final state to:

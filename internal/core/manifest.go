@@ -240,13 +240,17 @@ func (e *Engine) loadManifest(path string) (*manifest, error) {
 	return &m, nil
 }
 
-// verifyManifest checks that every partition file the manifest names
-// still exists with the recorded size, record count, and CRC.
+// verifyManifest checks that the manifest names exactly its iteration's
+// partition files, one per task, and that each still exists with the
+// recorded size, record count, and CRC.
 func (e *Engine) verifyManifest(m *manifest) error {
 	if len(m.Parts) != m.Tasks {
 		return fmt.Errorf("core: manifest %d lists %d parts, want %d", m.Iter, len(m.Parts), m.Tasks)
 	}
-	for _, p := range m.Parts {
+	for i, p := range m.Parts {
+		if want := ckptPath(m.Job, m.Iter, i); p.Path != want {
+			return fmt.Errorf("core: manifest %d: part %d is %q, want %q", m.Iter, i, p.Path, want)
+		}
 		st, err := e.fs.StatFile(p.Path)
 		if err != nil {
 			return fmt.Errorf("core: manifest %d: %w", m.Iter, err)
@@ -295,6 +299,10 @@ func (e *Engine) findManifest(job *Job, n, auxN, phases int) (*manifest, error) 
 		m, err := e.loadManifest(c.path)
 		if err != nil {
 			lastErr = err
+			continue
+		}
+		if m.Job != job.Name || m.Iter != c.iter {
+			lastErr = fmt.Errorf("core: manifest %s names job %q iteration %d", c.path, m.Job, m.Iter)
 			continue
 		}
 		if m.Fingerprint != fp {

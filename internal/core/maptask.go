@@ -69,14 +69,9 @@ type mapTask struct {
 	// command was already obeyed, making duplicated cmdGo a no-op.
 	seq       int64
 	loadedGen int
-	// Task-lifetime scratch, reused every iteration and released with the
-	// task: the combiner's grouping kernel, the sharded loops' emit rows
-	// and the serial loop's emit callback. Only the task goroutine touches
-	// grouper; emits rows are written by the pool's shards inside
-	// runSharded.
-	grouper kv.Grouper
-	emits   shardedEmits
-	emit    kv.Emit
+	// loops are the task's record loops (loops.go): the pair loops, or
+	// the column loops of a job columnLoops picks.
+	loops mapLoops
 	// idleAt marks when the task last went idle; set only when tracing,
 	// it anchors the per-iteration wait span. Compute spans emitted for
 	// streamed chunks inside the window are carved out of the wait by
@@ -251,11 +246,7 @@ func (t *mapTask) handleState(c stateChunk) {
 	}
 	a := t.pend[c.Iter]
 	if a == nil {
-		presize := t.lastIn
-		if t.stream {
-			presize = 0 // streamed input is mapped on arrival, not kept
-		}
-		a = takeAccum(&t.spare, presize)
+		a = takeAccum(&t.spare)
 		t.pend[c.Iter] = a
 	}
 	if !a.take(c.From, c.Seq, c.End) {
@@ -266,7 +257,11 @@ func (t *mapTask) handleState(c stateChunk) {
 			// Asynchronous execution: join + map immediately (§3.3).
 			t.process(c.Iter, c.Pairs)
 		} else {
-			a.pairs = append(a.pairs, c.Pairs...)
+			presize := t.lastIn
+			if t.stream {
+				presize = 0 // streamed input is mapped on arrival, not kept
+			}
+			a.addPairs(c.Pairs, presize)
 		}
 	}
 	t.tryComplete()
@@ -310,20 +305,12 @@ func (t *mapTask) tryComplete() {
 }
 
 // process joins state records with this task's static records and runs
-// the user map, partitioning emitted pairs toward the phase's reduces.
+// the user map, partitioning emitted records toward the phase's reduces.
 // Large inputs shard across the run's worker pool; the merged output is
 // identical to the serial loop's (contiguous shards, merged in order).
 func (t *mapTask) process(iter int, pairs []kv.Pair) {
 	start := time.Now()
-	if t.run.pool.shardsFor(len(pairs)) > 1 {
-		err := t.runSharded(iter, len(pairs), func(lo, hi int, em kv.Emit) error {
-			return t.mapRange(pairs[lo:hi], em)
-		})
-		if err != nil {
-			t.fatal(err)
-			return
-		}
-	} else if err := t.mapRange(pairs, t.emitter()); err != nil {
+	if err := t.loops.mapState(iter, pairs); err != nil {
 		t.fatal(err)
 		return
 	}
@@ -332,16 +319,24 @@ func (t *mapTask) process(iter int, pairs []kv.Pair) {
 }
 
 // mapRange runs the user map over one range of state pairs, each joined
-// with the static record of its key. The cursor is the range's own:
-// shards of one input run side by side.
+// with the static record of its key.
 func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
+	return t.joinStatic(pairs, func(p kv.Pair, static any) error {
+		return t.job.Map(p.Key, p.Value, static, em)
+	})
+}
+
+// joinStatic calls fn on every state pair of a range, in order, with the
+// static value of its key (nil when the key has none). The cursor is the
+// range's own: shards of one input run side by side.
+func (t *mapTask) joinStatic(pairs []kv.Pair, fn func(p kv.Pair, static any) error) error {
 	run, cmp, cur := t.static, t.job.Ops.KeyOrder(), 0
 	for _, p := range pairs {
 		var static any
 		if len(run) > 0 {
 			static, cur = seek(run, cmp, cur, p.Key)
 		}
-		if err := t.job.Map(p.Key, p.Value, static, em); err != nil {
+		if err := fn(p, static); err != nil {
 			return fmt.Errorf("map %d/%d key %v: %w", t.phase, t.idx, p.Key, err)
 		}
 	}
@@ -350,18 +345,20 @@ func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
 
 // processBroadcast runs the user map once per static record with the
 // complete state list (OneToAll); large static sets shard like process.
+// A broadcast job runs the pair loops (see columnLoops).
 func (t *mapTask) processBroadcast(iter int, statePairs []kv.Pair) {
 	start := time.Now()
 	t.job.Ops.SortPairs(statePairs) // deterministic state order across runs
+	l := t.loops.(*pairMapLoops)
 	if t.run.pool.shardsFor(len(t.static)) > 1 {
-		err := t.runSharded(iter, len(t.static), func(lo, hi int, em kv.Emit) error {
+		err := l.sharded(iter, len(t.static), func(lo, hi int, em kv.Emit) error {
 			return t.broadcastRange(t.static[lo:hi], statePairs, em)
 		})
 		if err != nil {
 			t.fatal(err)
 			return
 		}
-	} else if err := t.broadcastRange(t.static, statePairs, t.emitter()); err != nil {
+	} else if err := t.broadcastRange(t.static, statePairs, l.emitter()); err != nil {
 		t.fatal(err)
 		return
 	}
@@ -381,47 +378,51 @@ func (t *mapTask) broadcastRange(static, statePairs []kv.Pair, em kv.Emit) error
 }
 
 // runSharded runs an n-record map loop in windows of shardWindowPairs
-// records. Each window splits into contiguous shards run on the pool,
-// each emitting into its own rows of t.emits; the rows are then merged
-// in shard order through the regular buffered send path before the next
-// window starts. Every partition therefore sees its records in exactly
-// the serial loop's order, and chunk contents and boundaries are the
-// serial loop's whatever the window and shard counts. The user map must
-// be safe to call concurrently (Options.Parallelism).
-func (t *mapTask) runSharded(iter, n int, body func(lo, hi int, em kv.Emit) error) error {
-	part := func(k any) int { return t.job.Ops.Partition(k, t.numReduce) }
-	se := &t.emits
+// records. Each window splits into contiguous shards run on the pool:
+// body(sh, lo, hi) maps records [lo, hi) into shard sh's rows, and the
+// rows are then drained partition by partition, in shard order, into the
+// chunk buffers before the next window starts. Every partition therefore
+// sees its records in exactly the serial loop's order, and chunk contents
+// and boundaries are the serial loop's whatever the window and shard
+// counts. The user map must be safe to call concurrently
+// (Options.Parallelism).
+func (t *mapTask) runSharded(iter, n int, rows shardRows, body func(sh, lo, hi int) error) error {
 	errs := make([]error, t.run.pool.shardsFor(min(n, shardWindowPairs)))
 	for base := 0; base < n; base += shardWindowPairs {
 		w := min(shardWindowPairs, n-base)
 		shards := t.run.pool.shardsFor(w) // the last window may be narrower
-		se.size(shards)
+		rows.size(shards)
 		t.run.pool.runShards(shards, func(sh int) {
 			lo, hi := shardRange(w, shards, sh)
-			errs[sh] = body(base+lo, base+hi, se.emit(sh, part))
+			errs[sh] = body(sh, base+lo, base+hi)
 		})
 		for _, err := range errs[:shards] {
 			if err != nil {
-				se.recycle()
+				rows.recycle()
 				return err
 			}
 		}
 		for r := 0; r < t.numReduce; r++ {
-			se.forPartition(r, func(ps []kv.Pair) {
-				for len(ps) > 0 {
-					b := t.out(r)
-					take := min(t.bufThresh-len(b.pairs), len(ps))
-					b.pairs = append(b.pairs, ps[:take]...)
-					ps = ps[take:]
-					if len(b.pairs) >= t.bufThresh {
-						t.sendShuffle(iter, r, false)
-					}
-				}
-			})
+			rows.drain(t, iter, r)
 		}
-		se.recycle()
+		rows.recycle()
 	}
 	return nil
+}
+
+// fill moves n records into reduce r's chunk buffers, sending each one
+// that reaches BufferThreshold: move(b, lo, hi) appends records [lo, hi)
+// of the caller's source to b.
+func (t *mapTask) fill(iter, r, n int, move func(b *chunkBuf, lo, hi int)) {
+	for lo := 0; lo < n; {
+		b := t.out(r)
+		hi := min(n, lo+t.bufThresh-b.len())
+		move(b, lo, hi)
+		lo = hi
+		if b.len() >= t.bufThresh {
+			t.sendShuffle(iter, r, false)
+		}
+	}
 }
 
 // out returns the chunk buffer being filled for reduce r, taking one
@@ -433,34 +434,14 @@ func (t *mapTask) out(r int) *chunkBuf {
 	return t.outBuf[r]
 }
 
-// emitter returns the serial map loops' emit callback: pairs are
-// partitioned by the phase's Ops and flushed to the reduce tasks in
-// BufferThreshold-sized chunks. It is made once per task — a closure per
-// map pass would cost an allocation per pass — so it files its output
-// under t.iter: a task only ever maps the iteration it is on.
-func (t *mapTask) emitter() kv.Emit {
-	if t.emit == nil {
-		t.emit = func(k, v any) {
-			r := t.job.Ops.Partition(k, t.numReduce)
-			b := t.out(r)
-			b.pairs = append(b.pairs, kv.Pair{Key: k, Value: v})
-			if len(b.pairs) >= t.bufThresh {
-				t.sendShuffle(t.iter, r, false)
-			}
-		}
-	}
-	return t.emit
-}
-
-// sendShuffle flushes the buffer for reduce r, running the combiner
-// over the chunk first when one is configured.
+// sendShuffle flushes the buffer for reduce r, its records packed by the
+// task's loops (a combiner runs there).
 //
 // Ownership (DESIGN §7): the buffer travels with the chunk and comes
 // home to t.bufs — from the reduce once it has copied the records out,
 // or from here right after Send when the endpoint serializes. Until then
-// it is never written. When the combiner shrinks the chunk the fresh
-// combined slice is sent instead, and the buffer stays for the next
-// batch.
+// it is never written. A chunk packed into a fresh payload carries no
+// lease, and the buffer stays for the next batch.
 func (t *mapTask) sendShuffle(iter, r int, end bool) {
 	var sstart time.Time
 	if tr := t.e.opts.Trace; tr != nil {
@@ -470,48 +451,24 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 		}()
 	}
 	b := t.outBuf[r]
-	var pairs []kv.Pair
-	if b != nil {
-		pairs = b.pairs
+	c := shuffleChunk{Gen: t.gen, Iter: iter, FromMap: t.idx, lease: leaseOf(b)}
+	c, size, err := t.loops.pack(c, b)
+	if err != nil {
+		t.fatal(err)
+		return
 	}
-	lease := leaseOf(b)
-	if t.job.Combine != nil && len(pairs) > 1 {
-		groups := t.grouper.Group(pairs, t.job.Ops)
-		defer t.grouper.Reset()
-		if len(groups) < len(pairs) {
-			combined := make([]kv.Pair, 0, len(groups))
-			for _, g := range groups {
-				v, err := t.job.Combine(g.Key, g.Values)
-				if err != nil {
-					t.fatal(fmt.Errorf("map %d/%d combine key %v: %w", t.phase, t.idx, g.Key, err))
-					return
-				}
-				combined = append(combined, kv.Pair{Key: g.Key, Value: v})
-			}
-			b.empty()
-			pairs, lease = combined, bufLease{}
-		}
-		// Every key unique: combining cannot shrink the chunk, and reduce
-		// functions accept uncombined values (the Hadoop combiner
-		// contract), so skip the pass and ship the buffer itself.
-	}
-	if lease.buf != nil {
+	if c.lease.buf != nil {
 		t.outBuf[r] = nil
-	}
-	var size int64
-	for _, p := range pairs {
-		size += int64(t.job.Ops.PairSize(p))
 	}
 	t.e.m.Add(metrics.ShuffleBytes, size)
 	if t.run.workerOfPhasePair(t.phase, r) != t.worker {
 		t.e.m.Add(metrics.ShuffleRemote, size)
 	}
 	t.seq++
-	t.send(t.redAddrs[r], kindShuffle, shuffleChunk{
-		Gen: t.gen, Iter: iter, FromMap: t.idx, Seq: t.seq, Pairs: pairs, End: t.sent[r].next(end), lease: lease,
-	}, size)
+	c.Seq, c.End = t.seq, t.sent[r].next(end)
+	t.send(t.redAddrs[r], kindShuffle, c, size)
 	if t.serializes {
-		lease.giveBack()
+		c.lease.giveBack()
 	}
 }
 

@@ -69,18 +69,23 @@ func (c stateChunk) release() {
 }
 
 // shuffleChunk carries map output to a reduce task of the same phase.
-// (FromMap, Seq) deduplicates and End counts, as for stateChunk.
+// (FromMap, Seq) deduplicates and End counts, as for stateChunk. Its
+// records are Pairs, or Cols from a map on the column loops; an End chunk
+// with no records carries neither.
 type shuffleChunk struct {
 	Gen     int
 	Iter    int
 	FromMap int
 	Seq     int64
 	Pairs   []kv.Pair
+	Cols    colRecords
 	End     int
 
-	// slab, lease: see stateChunk.
-	slab  *kv.Slab
-	lease bufLease
+	// slab, lease: see stateChunk. pooled marks Cols as a decode batch
+	// from the kv pool, which release returns there.
+	slab   *kv.Slab
+	lease  bufLease
+	pooled bool
 }
 
 // release: see stateChunk.release.
@@ -88,6 +93,9 @@ func (c shuffleChunk) release() {
 	c.lease.giveBack()
 	if c.slab != nil {
 		c.slab.Release()
+	}
+	if c.pooled {
+		c.Cols.Release()
 	}
 }
 
@@ -194,9 +202,15 @@ type taskErrMsg struct {
 // no kv codec makes AppendWire refuse, the send fails with
 // transport.ErrUnencodable, and the task fails the run (see
 // refusedRecord).
+//
+// A shuffle chunk of column records is its own frame, one tag per value
+// type: the chunk header, then kv.AppendCols — a count, the keys as
+// varints, the values as 8-byte words (float64) or varints (int64).
 const (
 	wireTagState   = "imr.state"
 	wireTagShuffle = "imr.shuffle"
+	wireTagColsF64 = "imr.shuffle.f64"
+	wireTagColsI64 = "imr.shuffle.i64"
 	wireTagAuxOut  = "imr.auxout"
 )
 
@@ -241,10 +255,25 @@ func (c stateChunk) AppendWire(buf []byte) ([]byte, bool) {
 	return kv.AppendPairs(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End), c.Pairs)
 }
 
-func (c shuffleChunk) WireTag() string { return wireTagShuffle }
+func (c shuffleChunk) WireTag() string {
+	switch c.Cols.(type) {
+	case *kv.Cols[float64]:
+		return wireTagColsF64
+	case *kv.Cols[int64]:
+		return wireTagColsI64
+	}
+	return wireTagShuffle
+}
 
 func (c shuffleChunk) AppendWire(buf []byte) ([]byte, bool) {
-	return kv.AppendPairs(appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End), c.Pairs)
+	buf = appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End)
+	switch cs := c.Cols.(type) {
+	case *kv.Cols[float64]:
+		return kv.AppendCols(buf, cs), true
+	case *kv.Cols[int64]:
+		return kv.AppendCols(buf, cs), true
+	}
+	return kv.AppendPairs(buf, c.Pairs)
 }
 
 func (m auxOutMsg) WireTag() string { return wireTagAuxOut }
@@ -283,6 +312,21 @@ func decodeShuffleChunk(data []byte) (any, error) {
 	return shuffleChunk{Gen: gen, Iter: iter, FromMap: from, Seq: seq, Pairs: pairs, End: end, slab: s}, nil
 }
 
+// decodeColShuffle decodes a column shuffle frame into a pooled batch,
+// which the receiving reduce returns when it releases the chunk.
+func decodeColShuffle[V kv.Scalar](data []byte) (any, error) {
+	gen, iter, from, seq, end, n, err := decodeChunkHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	cols := kv.AcquireCols[V]()
+	if _, err := kv.DecodeCols(data[n:], cols); err != nil {
+		cols.Release()
+		return nil, err
+	}
+	return shuffleChunk{Gen: gen, Iter: iter, FromMap: from, Seq: seq, Cols: cols, End: end, pooled: true}, nil
+}
+
 // decodeAuxOut decodes onto the heap, not a slab: the master keeps the
 // pairs until the auxiliary phase's decision.
 func decodeAuxOut(data []byte) (any, error) {
@@ -319,6 +363,8 @@ func refusedRecord(payload any, err error) error {
 func init() {
 	transport.RegisterWireUnmarshaler(wireTagState, decodeStateChunk)
 	transport.RegisterWireUnmarshaler(wireTagShuffle, decodeShuffleChunk)
+	transport.RegisterWireUnmarshaler(wireTagColsF64, decodeColShuffle[float64])
+	transport.RegisterWireUnmarshaler(wireTagColsI64, decodeColShuffle[int64])
 	transport.RegisterWireUnmarshaler(wireTagAuxOut, decodeAuxOut)
 	transport.RegisterMessage(reportMsg{})
 	transport.RegisterMessage(ckptMsg{})

@@ -150,10 +150,10 @@ func (p *workerPool) runShards(shards int, fn func(shard int)) {
 	wg.Wait()
 }
 
-// shardedEmits collects one emit buffer per (shard, reduce partition):
-// workers append into their own shard's row, the task goroutine merges
-// rows in shard order so the merged stream is byte-identical to the
-// serial loop's. It belongs to one map task for the task's lifetime:
+// shardedEmits are the pair loops' shardRows: one emit buffer per
+// (shard, reduce partition). Workers append into their own shard's row,
+// the task goroutine drains rows in shard order so the merged stream is
+// byte-identical to the serial loop's. It belongs to one map task for the task's lifetime:
 // rows are emptied and refilled, not rebuilt, from one sharded loop to
 // the next.
 type shardedEmits struct {
@@ -178,13 +178,13 @@ func (se *shardedEmits) emit(shard int, partition func(k any) int) kv.Emit {
 	}
 }
 
-// forPartition calls visit over every shard's buffer for reduce
-// partition r, in shard order.
-func (se *shardedEmits) forPartition(r int, visit func(ps []kv.Pair)) {
+// drain moves reduce r's rows, shard by shard, into r's chunk buffers.
+func (se *shardedEmits) drain(t *mapTask, iter, r int) {
 	for s := 0; s*se.nred < len(se.bufs); s++ {
-		if ps := se.bufs[s*se.nred+r]; len(ps) > 0 {
-			visit(ps)
-		}
+		ps := se.bufs[s*se.nred+r]
+		t.fill(iter, r, len(ps), func(b *chunkBuf, lo, hi int) {
+			b.pairs = append(b.pairs, ps[lo:hi]...)
+		})
 	}
 }
 

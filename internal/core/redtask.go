@@ -74,17 +74,17 @@ type reduceTask struct {
 	// presize the next accumulator — iterative jobs move nearly the same
 	// record count every round.
 	lastIn int
-	// Task-lifetime scratch, reused every iteration and released with the
-	// task: spare is the last finished iteration's (emptied) accumulator,
-	// which the next iteration takes instead of allocating one; grouper is
-	// the grouping kernel with its key index, values array and group
-	// headers; nvals the parallel reduce's result slots. All are sized by
-	// one iteration's input and hold no record references between
-	// iterations.
-	spare   *accum
-	grouper kv.Grouper
-	nvals   []any
-	prev    stateRun
+	// spare is the last finished iteration's (emptied) accumulator, which
+	// the next iteration takes instead of allocating one.
+	spare *accum
+	// loops are the task's record loops (loops.go): the pair loops, or
+	// the column loops of a job columnLoops picks.
+	loops reduceLoops
+	prev  stateRun
+	// whole collects the iteration's whole new state while it is reduced,
+	// when something consumes it as a whole (see finishIteration); nil
+	// otherwise.
+	whole []kv.Pair
 	// feedMain gates loop-back delivery: once the iteration bound is
 	// reached the termination reduce stops feeding the next iteration,
 	// so the final state is exactly iteration MaxIter.
@@ -218,13 +218,16 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 	}
 	a := t.pend[c.Iter]
 	if a == nil {
-		a = takeAccum(&t.spare, t.lastIn)
+		a = takeAccum(&t.spare)
 		t.pend[c.Iter] = a
 	}
 	if !a.take(c.FromMap, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	a.pairs = append(a.pairs, c.Pairs...)
+	if err := t.loops.accumulate(a, c); err != nil {
+		t.fatal(fmt.Errorf("reduce %d/%d: %w", t.phase, t.idx, err))
+		return
+	}
 	if c.End > 0 {
 		if t.e.opts.Trace != nil && c.FromMap == t.idx {
 			if t.ownDone == nil {
@@ -255,8 +258,8 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 					start, time.Since(start))
 			}
 		}
-		t.lastIn = len(a.pairs)
-		t.finishIteration(t.iter, a.pairs)
+		t.lastIn = a.len()
+		t.finishIteration(t.iter, a)
 		// Nothing keeps the input past the reduce (groups reference the
 		// boxed records, not this slice): the accumulator is the next
 		// iteration's.
@@ -272,85 +275,25 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 
 // finishIteration groups, reduces, measures distance, streams the new
 // state out, checkpoints, and reports.
-func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
+func (t *reduceTask) finishIteration(iter int, a *accum) {
 	start := time.Now()
 	t.feedMain = !(t.isTermination && t.job.MaxIter > 0 && iter >= t.job.MaxIter)
-	groups := t.grouper.Group(pairs, t.job.Ops)
-	// The groups live in the grouper's scratch: valid until this returns,
-	// then emptied so the scratch pins none of this iteration's records.
-	defer t.grouper.Reset()
+	groups := t.loops.group(a)
 	t.e.opts.Trace.RecordSpan(trace.SpanSortGroup, t.worker, t.tid(), iter, start, time.Since(start))
-	// Large group sets run the user reduce across the pool first (the
-	// user function must be safe to call concurrently — see
-	// Options.Parallelism); distance, prev-state, and output streaming
-	// then apply serially in group order, so results and chunk boundaries
-	// are identical to the all-serial path.
-	var nvals []any
-	if shards := t.run.pool.shardsFor(len(groups)); shards > 1 {
-		if cap(t.nvals) < len(groups) {
-			t.nvals = make([]any, len(groups))
-		}
-		nvals = t.nvals[:len(groups)]
-		defer clear(nvals)
-		errs := make([]error, shards)
-		t.run.pool.runShards(shards, func(sh int) {
-			lo, hi := shardRange(len(groups), shards, sh)
-			for i := lo; i < hi; i++ {
-				ns, err := t.job.Reduce(groups[i].Key, groups[i].Values)
-				if err != nil {
-					errs[sh] = fmt.Errorf("reduce %d/%d key %v: %w", t.phase, t.idx, groups[i].Key, err)
-					return
-				}
-				nvals[i] = ns
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				t.fatal(err)
-				return
-			}
-		}
-	}
 	// The whole new state is kept only when something consumes it as a
 	// whole — a held loop-back or auxiliary copy, the master's auxiliary
 	// decision, a checkpoint due this iteration; otherwise it leaves in
 	// outBuf chunks alone.
 	ckptDue := t.isTermination && t.job.CheckpointEvery > 0 && iter%t.job.CheckpointEvery == 0
-	var out []kv.Pair
 	if t.gated || t.toMaster || ckptDue {
-		out = make([]kv.Pair, 0, len(groups))
+		t.whole = make([]kv.Pair, 0, groups)
 	}
-	var dist float64
-	cmp := t.job.Ops.KeyOrder()
-	for gi, g := range groups {
-		var ns any
-		if nvals != nil {
-			ns = nvals[gi]
-		} else {
-			var err error
-			if ns, err = t.job.Reduce(g.Key, g.Values); err != nil {
-				t.fatal(fmt.Errorf("reduce %d/%d key %v: %w", t.phase, t.idx, g.Key, err))
-				return
-			}
-		}
-		if t.isTermination {
-			// Groups are key-ascending: one merge pass over the run.
-			if pv, ok := t.prev.put(cmp, g.Key, ns); ok && t.job.Distance != nil {
-				dist += t.job.Distance(g.Key, pv, ns)
-			}
-		}
-		if out != nil {
-			out = append(out, kv.Pair{Key: g.Key, Value: ns})
-		}
-		if !t.gated {
-			if t.outBuf == nil {
-				t.outBuf = t.bufs.get()
-			}
-			t.outBuf.pairs = append(t.outBuf.pairs, kv.Pair{Key: g.Key, Value: ns})
-			if len(t.outBuf.pairs) >= t.bufThresh {
-				t.flushStreaming(iter, false)
-			}
-		}
+	dist, err := t.loops.reduce(iter)
+	out := t.whole
+	t.whole = nil
+	if err != nil {
+		t.fatal(err)
+		return
 	}
 	if t.isTermination {
 		t.prev.end()
@@ -389,6 +332,30 @@ func (t *reduceTask) finishIteration(iter int, pairs []kv.Pair) {
 		Gen: t.gen, Iter: iter, Task: t.idx, Dist: dist,
 		ElapsedNanos: int64(elapsed), Worker: t.worker,
 	}, 0)
+}
+
+// newState adds one key's new state to the iteration's output: to the
+// whole-state copy when one is kept, and to the loop-back chunk buffer
+// unless the output is gated.
+func (t *reduceTask) newState(iter int, p kv.Pair) {
+	if t.whole != nil {
+		t.whole = append(t.whole, p)
+	}
+	if t.gated {
+		return
+	}
+	if t.outBuf == nil {
+		t.outBuf = t.bufs.get()
+	}
+	t.outBuf.pairs = append(t.outBuf.pairs, p)
+	if len(t.outBuf.pairs) >= t.bufThresh {
+		t.flushStreaming(iter, false)
+	}
+}
+
+// reduceErr wraps a user reduce's error with the task and the key.
+func (t *reduceTask) reduceErr(key any, err error) error {
+	return fmt.Errorf("reduce %d/%d key %v: %w", t.phase, t.idx, key, err)
 }
 
 // flushStreaming sends buffered new-state records to the next phase's

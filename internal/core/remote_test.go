@@ -197,6 +197,9 @@ type scenario struct {
 	options func(fail func(worker string)) core.Options
 	// m receives an in-process run's metrics; nil means a fresh set.
 	m *metrics.Set
+	// onEngine, if set, is handed an in-process run's engine before the
+	// run starts.
+	onEngine func(*core.Engine)
 }
 
 var calm = scenario{name: "calm", spec: cluster.Uniform(remoteWorkers), build: jobs.Build,
@@ -224,6 +227,9 @@ func (sc scenario) runInProcess(t *testing.T, net transport.Network, key string,
 	opts.Timeout = 30 * time.Second
 	if eng, err = core.NewEngine(fs, net, sc.spec, m, opts); err != nil {
 		t.Fatal(err)
+	}
+	if sc.onEngine != nil {
+		sc.onEngine(eng)
 	}
 	res, err := eng.Run(job)
 	if err != nil {

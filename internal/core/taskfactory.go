@@ -43,7 +43,7 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 		if f.aux.Mapping == OneToAll {
 			feeders, broadcast = f.n, true // fed by all main termination reduces
 		}
-		return &mapTask{
+		t := &mapTask{
 			e: f.e, run: f.run, master: masterAddr(f.job.Name), job: f.aux,
 			phase: phase, idx: idx, isAux: true,
 			broadcast:  broadcast,
@@ -59,8 +59,9 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 			sent:       make([]chunkCount, f.auxN),
 			serializes: transport.SerializesOnSend(ep),
 			pend:       make(map[int]*accum),
-			emits:      shardedEmits{nred: f.auxN},
 		}
+		t.loops = newPairMapLoops(t)
+		return t
 	}
 	p := f.phases[phase]
 	redAddrs := make([]string, f.n)
@@ -72,7 +73,7 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 	if phase == 0 && p.Mapping == OneToAll {
 		feeders, broadcast = f.n, true
 	}
-	return &mapTask{
+	t := &mapTask{
 		e: f.e, run: f.run, master: masterAddr(f.job.Name), job: p,
 		phase: phase, idx: idx,
 		selfLoads:  phase == 0,
@@ -89,8 +90,14 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 		sent:       make([]chunkCount, f.n),
 		serializes: transport.SerializesOnSend(ep),
 		pend:       make(map[int]*accum),
-		emits:      shardedEmits{nred: f.n},
 	}
+	if phase == 0 && columnLoops(p) {
+		t.bufs.newCols = p.scalar.newCols
+		t.loops = p.scalar.mapLoops(t)
+	} else {
+		t.loops = newPairMapLoops(t)
+	}
+	return t
 }
 
 // buildReduceTask constructs (without starting) the reduce task of
@@ -98,7 +105,7 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 // auxiliary fan-out routing of its output state.
 func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *reduceTask {
 	if phase == f.auxPhaseIndex() {
-		return &reduceTask{
+		rt := &reduceTask{
 			e: f.e, run: f.run, master: masterAddr(f.job.Name), job: f.aux,
 			phase: phase, idx: idx, isAux: true,
 			toMaster:   true,
@@ -110,6 +117,8 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 			serializes: transport.SerializesOnSend(ep),
 			pend:       make(map[int]*accum),
 		}
+		rt.loops = &pairReduceLoops{t: rt}
+		return rt
 	}
 	p := f.phases[phase]
 	last := len(f.phases) - 1
@@ -129,6 +138,11 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 		serializes:    transport.SerializesOnSend(ep),
 		pend:          make(map[int]*accum),
 		held:          make(map[int][]kv.Pair),
+	}
+	if phase == 0 && columnLoops(p) {
+		rt.loops = p.scalar.reduceLoops(rt)
+	} else {
+		rt.loops = &pairReduceLoops{t: rt}
 	}
 	// Route the new state: phase pi feeds phase pi+1's maps within the
 	// iteration; the last phase loops back to phase 0's maps for the

@@ -6,19 +6,20 @@
 //
 // Registered jobs are deterministic end to end: inputs are seeded
 // generators, and reduces are order-independent (PageRank sorts its
-// float contributions before summing), so a multi-process run's output
-// can be compared bit for bit against an in-process run of the same
-// key and parameters.
+// float contributions before summing; SSSP and connected components
+// take a minimum), so a multi-process run's output can be compared bit
+// for bit against an in-process run of the same key and parameters.
+// All three are core.ScalarJobs and run the column loops.
 package jobs
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
 
+	"imapreduce/internal/algorithms/concomp"
 	"imapreduce/internal/algorithms/pagerank"
 	"imapreduce/internal/algorithms/sssp"
 	"imapreduce/internal/core"
@@ -178,34 +179,43 @@ func (c common) statePath() string  { return "/jobs/" + c.name + "/state" }
 // state — exported so harnesses know where to diff.
 func OutputPath(name string) string { return "/jobs/" + name + "/out" }
 
+// pagerankSpec is the registry PageRank's typed definition. Float
+// addition is not associative: its reduce sorts each key's contributions
+// before summing, so the result is independent of arrival order — the
+// property that makes multi-process output bit-identical to in-process
+// output.
+func pagerankSpec(p map[string]string) (core.ScalarJob[float64, graph.Adj], error) {
+	c, err := commonParams("pagerank", p)
+	if err != nil {
+		return core.ScalarJob[float64, graph.Adj]{}, err
+	}
+	spec := pagerank.IMRSpec(pagerank.IMRConfig{
+		Name:          c.name,
+		Nodes:         c.nodes,
+		StaticPath:    c.staticPath(),
+		StatePath:     c.statePath(),
+		OutputPath:    OutputPath(c.name),
+		MaxIter:       c.maxIter,
+		DistThreshold: c.dthresh,
+		NumTasks:      c.tasks,
+		Checkpoint:    c.ckpt,
+	})
+	sum := spec.Reduce
+	spec.Reduce = func(k int64, shares []float64) (float64, error) {
+		slices.Sort(shares)
+		return sum(k, shares)
+	}
+	return spec, nil
+}
+
 func init() {
 	Register("pagerank", Entry{
 		Build: func(p map[string]string) (*core.Job, error) {
-			c, err := commonParams("pagerank", p)
+			spec, err := pagerankSpec(p)
 			if err != nil {
 				return nil, err
 			}
-			job := pagerank.IMRJob(pagerank.IMRConfig{
-				Name:          c.name,
-				Nodes:         c.nodes,
-				StaticPath:    c.staticPath(),
-				StatePath:     c.statePath(),
-				OutputPath:    OutputPath(c.name),
-				MaxIter:       c.maxIter,
-				DistThreshold: c.dthresh,
-				NumTasks:      c.tasks,
-				Checkpoint:    c.ckpt,
-			})
-			// Float addition is not associative: sort each key's
-			// contributions before summing so the result is independent
-			// of arrival order — the property that makes multi-process
-			// output bit-identical to in-process output.
-			base := job.Reduce
-			job.Reduce = func(key any, states []any) (any, error) {
-				slices.SortFunc(states, func(a, b any) int { return cmp.Compare(a.(float64), b.(float64)) })
-				return base(key, states)
-			}
-			return job, nil
+			return spec.Build(), nil
 		},
 		Seed: func(fs *dfs.DFS, at string, p map[string]string) error {
 			c, err := commonParams("pagerank", p)
@@ -249,6 +259,34 @@ func init() {
 				Weighted: true, Weight: graph.SSSPWeight, Seed: c.seed,
 			})
 			return sssp.WriteInputs(fs, at, g, source, c.staticPath(), c.statePath())
+		},
+	})
+
+	Register("concomp", Entry{
+		Build: func(p map[string]string) (*core.Job, error) {
+			c, err := commonParams("concomp", p)
+			if err != nil {
+				return nil, err
+			}
+			// Min is order-independent already.
+			return concomp.IMRJob(concomp.IMRConfig{
+				Name:          c.name,
+				StaticPath:    c.staticPath(),
+				StatePath:     c.statePath(),
+				OutputPath:    OutputPath(c.name),
+				MaxIter:       c.maxIter,
+				DistThreshold: c.dthresh,
+				NumTasks:      c.tasks,
+				Checkpoint:    c.ckpt,
+			}), nil
+		},
+		Seed: func(fs *dfs.DFS, at string, p map[string]string) error {
+			c, err := commonParams("concomp", p)
+			if err != nil {
+				return err
+			}
+			g := graph.Generate(graph.GenConfig{Nodes: c.nodes, Degree: graph.PageRankDegree, Seed: c.seed})
+			return concomp.WriteInputs(fs, at, g, c.staticPath(), c.statePath())
 		},
 	})
 }

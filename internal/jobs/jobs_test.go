@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -44,6 +45,45 @@ func TestPageRankReduceAllocsOnlyResult(t *testing.T) {
 		t.Errorf("the PageRank reduce allocates %v times a call, want 1 (its result box)", allocs)
 	}
 	if got.(float64) != want {
+		t.Errorf("sum %v, want %v (the ascending-order sum)", got, want)
+	}
+}
+
+// TestPageRankTypedReduceAllocsNothing is the typed twin of
+// TestPageRankReduceAllocsOnlyResult: the reduce the column loops call
+// takes and returns unboxed floats, so a call allocates nothing at all,
+// and it sums the ascending contributions whatever their order.
+func TestPageRankTypedReduceAllocsNothing(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	spec, err := pagerankSpec(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	contribs := make([]float64, 64)
+	for i := range contribs {
+		contribs[i] = rng.Float64() * 1e-3
+	}
+	ascending := slices.Clone(contribs)
+	sort.Float64s(ascending)
+	var want float64
+	for _, c := range ascending {
+		want += c
+	}
+	shares := make([]float64, len(contribs))
+	var got float64
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(shares, contribs)
+		if got, err = spec.Reduce(7, shares); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the typed PageRank reduce allocates %v times a call, want 0", allocs)
+	}
+	if got != want {
 		t.Errorf("sum %v, want %v (the ascending-order sum)", got, want)
 	}
 }

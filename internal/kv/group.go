@@ -20,9 +20,7 @@ type Grouper struct {
 	vals   []any   // every group's Values is a window of this array
 	groups []Group // backing array of the returned group headers
 
-	// Integer-key scratch (see groupInts).
-	u       []uint64 // order-preserving image of each pair's key
-	buckets []bucket // one slot per key in [min, max]
+	dense denseScratch // integer-key scratch (see groupInts)
 
 	// Comparison-path scratch, a *keyScratch[K] for the key type last
 	// grouped.
@@ -123,7 +121,7 @@ type bucket struct {
 // get their sign bit flipped) and one pass records the images and their
 // range. When the range is dense — node ids, cluster ids, matrix rows:
 // what a partition of an id space looks like — the pairs are grouped in
-// O(n) by counting scatter (groupDense), with no comparison sort; it is
+// O(n) by counting scatter (scatterDense), with no comparison sort; it is
 // ahead of the sort from the first pair, so there is no size cutoff.
 // Sparse ranges take groupCompared like any other ordered key.
 func groupInts[K int | int32 | int64 | uint64](g *Grouper, pairs []Pair) []Group {
@@ -132,8 +130,9 @@ func groupInts[K int | int32 | int64 | uint64](g *Grouper, pairs []Pair) []Group
 	if ^K(0) < 0 {
 		flip = 1 << 63
 	}
-	g.u = grown(g.u, n)
-	u := g.u
+	d := &g.dense
+	d.u = grown(d.u, n)
+	u := d.u
 	lo, hi := ^uint64(0), uint64(0)
 	for i, p := range pairs {
 		k := uint64(int64(p.Key.(K))) ^ flip
@@ -144,21 +143,33 @@ func groupInts[K int | int32 | int64 | uint64](g *Grouper, pairs []Pair) []Group
 	if span >= uint64(n)*denseSpanFactor {
 		return groupCompared[K](g, pairs)
 	}
-	return g.groupDense(pairs, lo, int(span)+1)
+	vals, groups := g.result(n, d.count(lo, int(span)+1))
+	scatterDense(d, vals, func(_ int, first int32, window []any) {
+		groups = append(groups, Group{Key: pairs[first].Key, Values: window})
+	})
+	at := d.cursor(lo)
+	for i, k := range d.u {
+		vals[at.place(k)] = pairs[i].Value
+	}
+	return groups
 }
 
-// groupDense is the counting scatter of groupInts over g.u, whose keys
-// all lie in [lo, lo+slots): count per key, prefix-sum the counts into
-// value offsets, scatter the values straight into place. Pairs are
-// visited in arrival order and equal keys never reordered, so the output
-// is what a stable sort + cut produces: groups key-ascending, values in
-// arrival order, Group.Key the first-seen boxed key.
-func (g *Grouper) groupDense(pairs []Pair, lo uint64, slots int) []Group {
-	g.buckets = grown(g.buckets, slots)
-	bk := g.buckets
+// denseScratch is the counting scatter's scratch: the order-preserving
+// image of every record's key and one bucket per key in the input's
+// range. Both groupings of integer keys — pairs (groupInts) and columns
+// (ColGrouper) — run it.
+type denseScratch struct {
+	u       []uint64 // order-preserving image of each record's key
+	buckets []bucket // one slot per key in [lo, lo+slots)
+}
+
+// count sizes the bucket table for keys in [lo, lo+slots), counts every
+// key of s.u into it, and returns the number of distinct keys.
+func (s *denseScratch) count(lo uint64, slots int) (distinct int) {
+	s.buckets = grown(s.buckets, slots)
+	bk := s.buckets
 	clear(bk)
-	distinct := 0
-	for i, k := range g.u {
+	for i, k := range s.u {
 		b := &bk[k-lo]
 		if b.n == 0 {
 			b.first = int32(i)
@@ -166,23 +177,49 @@ func (g *Grouper) groupDense(pairs []Pair, lo uint64, slots int) []Group {
 		}
 		b.n++
 	}
-	vals, groups := g.result(len(pairs), distinct)
+	return distinct
+}
+
+// scatterDense is the counting scatter, after count: it prefix-sums the
+// counts into offsets in vals and hands every distinct key to group in
+// key order — its slot, the index of its first record and its window of
+// vals — leaving each bucket's count turned into its window's write
+// cursor. The caller then visits its records in arrival order and writes
+// record i's value to vals[s.cursor(lo).place(s.u[i])]. Equal keys are
+// never reordered, so the output is what a stable sort + cut produces:
+// groups key-ascending, values in arrival order. (The value loop is the
+// caller's own so that reading a value is a field load, not a call.)
+func scatterDense[V any](s *denseScratch, vals []V, group func(slot int, first int32, window []V)) {
 	off := int32(0)
-	for i := range bk {
-		b := &bk[i]
+	for i := range s.buckets {
+		b := &s.buckets[i]
 		if b.n == 0 {
 			continue
 		}
 		end := off + b.n
-		groups = append(groups, Group{Key: pairs[b.first].Key, Values: vals[off:end:end]})
+		group(i, b.first, vals[off:end:end])
 		b.n, off = off, end
 	}
-	for i, k := range g.u {
-		b := &bk[k-lo]
-		vals[b.n] = pairs[i].Value
-		b.n++
-	}
-	return groups
+}
+
+// scatterCursor holds scatterDense's write cursors by value, so that the
+// caller's value stores do not make it reload them.
+type scatterCursor struct {
+	bk []bucket
+	lo uint64
+}
+
+func (s *denseScratch) cursor(lo uint64) scatterCursor {
+	return scatterCursor{bk: s.buckets, lo: lo}
+}
+
+// place returns where the next value of the key whose image is k goes,
+// and advances that key's cursor.
+func (c scatterCursor) place(k uint64) int32 {
+	b := &c.bk[k-c.lo]
+	p := b.n
+	b.n++
+	return p
 }
 
 // keyAt pairs a concrete key with the index of its record, so grouping
@@ -226,23 +263,7 @@ func groupSorted[K cmp.Ordered](g *Grouper, pairs []Pair) []Group {
 	for i, p := range pairs {
 		ks[i] = keyAt[K]{p.Key.(K), int32(i)}
 	}
-	// Sort by key alone so pdqsort's equal-element handling kicks in on
-	// duplicate-heavy input, then restore arrival order within each
-	// equal-key run; the two steps together are what a stable sort with
-	// an index tie-break would produce, but much cheaper.
-	slices.SortFunc(ks, func(a, b keyAt[K]) int { return cmp.Compare(a.k, b.k) })
-	distinct, runStart := 0, 0
-	for i := 1; i <= len(ks); i++ {
-		if i == len(ks) || ks[i].k != ks[runStart].k {
-			if i-runStart > 1 {
-				run := ks[runStart:i]
-				slices.SortFunc(run, func(a, b keyAt[K]) int { return cmp.Compare(a.i, b.i) })
-			}
-			distinct++
-			runStart = i
-		}
-	}
-	vals, groups := g.result(len(ks), distinct)
+	vals, groups := g.result(len(ks), sortKeys(ks))
 	for i := range ks {
 		vals[i] = pairs[ks[i].i].Value
 	}
@@ -256,6 +277,27 @@ func groupSorted[K cmp.Ordered](g *Grouper, pairs []Pair) []Group {
 		}
 	}
 	return groups
+}
+
+// sortKeys orders ks by key and, within a key, by record index — what a
+// stable sort by key produces — and returns the number of distinct keys.
+// It sorts by key alone so pdqsort's equal-element handling kicks in on
+// duplicate-heavy input, then restores arrival order within each
+// equal-key run: much cheaper than the index tie-break in one sort.
+func sortKeys[K cmp.Ordered](ks []keyAt[K]) (distinct int) {
+	slices.SortFunc(ks, func(a, b keyAt[K]) int { return cmp.Compare(a.k, b.k) })
+	runStart := 0
+	for i := 1; i <= len(ks); i++ {
+		if i == len(ks) || ks[i].k != ks[runStart].k {
+			if i-runStart > 1 {
+				run := ks[runStart:i]
+				slices.SortFunc(run, func(a, b keyAt[K]) int { return cmp.Compare(a.i, b.i) })
+			}
+			distinct++
+			runStart = i
+		}
+	}
+	return distinct
 }
 
 // Few-keys grouping thresholds: the probe path wins when many pairs
@@ -326,4 +368,100 @@ func groupFewKeys[K cmp.Ordered](g *Grouper, pairs []Pair) ([]Group, bool) {
 		groups = append(groups, Group{Key: pairs[metas[gi].first].Key, Values: vals[offs[pos]:offs[pos+1]:offs[pos+1]]})
 	}
 	return groups, true
+}
+
+// ColGroups is a column batch grouped by key: Keys holds the distinct
+// keys ascending, and group i's values, in arrival order, are
+// Vals[Ends[i-1]:Ends[i]] (from 0 for the first group).
+type ColGroups[V Scalar] struct {
+	Keys []int64
+	Ends []int32
+	Vals []V
+}
+
+// Values returns group i's values.
+func (g ColGroups[V]) Values(i int) []V {
+	lo := int32(0)
+	if i > 0 {
+		lo = g.Ends[i-1]
+	}
+	return g.Vals[lo:g.Ends[i]:g.Ends[i]]
+}
+
+// ColGrouper is Grouper for column batches: the same groups, in the same
+// order, with no key or value boxed. Ownership is Grouper's: one
+// goroutine, scratch kept from call to call, a result valid until the
+// next Group. The zero value is ready to use.
+type ColGrouper[V Scalar] struct {
+	dense  denseScratch
+	sorted []keyAt[int64]
+	out    ColGroups[V]
+}
+
+// Group groups c by key and leaves c untouched. Keys over a dense range
+// take the counting scatter, others the comparison sort, exactly as
+// Grouper chooses for int64-keyed pairs.
+func (g *ColGrouper[V]) Group(c *Cols[V]) ColGroups[V] {
+	n := c.Len()
+	if n == 0 {
+		return ColGroups[V]{}
+	}
+	const flip = 1 << 63
+	d := &g.dense
+	d.u = grown(d.u, n)
+	lo, hi := ^uint64(0), uint64(0)
+	for i, k := range c.Keys {
+		x := uint64(k) ^ flip
+		d.u[i] = x
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	span := hi - lo
+	if span >= uint64(n)*denseSpanFactor {
+		return g.groupSorted(c)
+	}
+	distinct := d.count(lo, int(span)+1)
+	out := g.reset(n, distinct)
+	end := int32(0)
+	scatterDense(d, out.Vals, func(slot int, _ int32, window []V) {
+		end += int32(len(window))
+		out.Keys = append(out.Keys, int64((lo+uint64(slot))^flip))
+		out.Ends = append(out.Ends, end)
+	})
+	at, vals := d.cursor(lo), out.Vals
+	for i, k := range d.u {
+		vals[at.place(k)] = c.Vals[i]
+	}
+	return *out
+}
+
+// groupSorted groups a batch whose keys span too wide a range for the
+// scatter, by the comparison sort Grouper uses.
+func (g *ColGrouper[V]) groupSorted(c *Cols[V]) ColGroups[V] {
+	g.sorted = grown(g.sorted, c.Len())
+	ks := g.sorted
+	for i, k := range c.Keys {
+		ks[i] = keyAt[int64]{k, int32(i)}
+	}
+	out := g.reset(len(ks), sortKeys(ks))
+	for i := range ks {
+		out.Vals[i] = c.Vals[ks[i].i]
+		if i+1 == len(ks) || ks[i+1].k != ks[i].k {
+			out.Keys = append(out.Keys, ks[i].k)
+			out.Ends = append(out.Ends, int32(i+1))
+		}
+	}
+	return *out
+}
+
+// reset sizes the result for n records in distinct groups and empties
+// its key and end columns.
+func (g *ColGrouper[V]) reset(n, distinct int) *ColGroups[V] {
+	out := &g.out
+	out.Vals = grown(out.Vals, n)
+	if cap(out.Keys) < distinct {
+		out.Keys = make([]int64, 0, distinct)
+		out.Ends = make([]int32, 0, distinct)
+	}
+	out.Keys, out.Ends = out.Keys[:0], out.Ends[:0]
+	return out
 }

@@ -28,7 +28,8 @@ import (
 // v3 made a data chunk's End a uvarint chunk count instead of a flag byte.
 // v4 carries records only in the kv codec: an auxiliary output is a
 // binary frame, and a DFS RPC holds its records as an encoded block.
-const ProtocolVersion byte = 4
+// v5 added the column shuffle frames of int64-keyed scalar jobs.
+const ProtocolVersion byte = 5
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
