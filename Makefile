@@ -94,7 +94,9 @@ bench-test:
 # allocate in proportion to what it read. FuzzDecodeCols does the same
 # for the column codec of scalar shuffles and round-trips what it
 # decodes; FuzzManifest feeds arbitrary manifest records to Resume, which
-# must never resume one that disagrees with the job. Each starts from its seed
+# must never resume one that disagrees with the job; FuzzImage opens
+# arbitrary bytes as a DFS namenode image, which must fail or list exactly
+# the image's files. Each starts from its seed
 # corpus under the package's testdata/fuzz; a failing input is written
 # there, ready to be re-run by go test and checked in.
 fuzz-smoke:
@@ -103,6 +105,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzFrames -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodeCols -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzManifest -fuzztime 10s
+	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzImage -fuzztime 10s
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.

@@ -23,9 +23,6 @@ type Options struct {
 	// LBThreshold is the relative deviation of the slowest worker from
 	// the trimmed average that triggers a migration. Default 0.25.
 	LBThreshold float64
-	// LBMinIter is the first iteration at which migration may happen
-	// (early iterations are noisy). Default 3.
-	LBMinIter int
 	// Timeout aborts a run whose master hears nothing for this long —
 	// a deadlock/livelock backstop. Default 2 minutes.
 	Timeout time.Duration
@@ -44,18 +41,8 @@ type Options struct {
 	// SendRetries bounds how many times the engine retries a failed
 	// transport send (control commands, data chunks, reports) before
 	// abandoning the frame and counting it in metrics.SendFailures.
-	// Retries back off exponentially from SendRetryBackoff. Default 3.
+	// Retries back off exponentially from sendRetryBackoff. Default 3.
 	SendRetries int
-	// SendRetryBackoff is the initial retry backoff. Default 1ms.
-	SendRetryBackoff time.Duration
-	// CheckpointRetries bounds how many times a reduce task retries a
-	// failed checkpoint DFS write (with exponential backoff and node
-	// re-placement) before abandoning that checkpoint — the run then
-	// continues with an older rollback target instead of dying. Default 4.
-	CheckpointRetries int
-	// CheckpointRetryBackoff is the initial checkpoint retry backoff.
-	// Default 2ms.
-	CheckpointRetryBackoff time.Duration
 
 	// Parallelism bounds how many pair-loop shards one task may execute
 	// concurrently (the task goroutine plus Parallelism-1 run-scoped pool
@@ -115,9 +102,6 @@ func NewEngine(fs dfs.FS, net transport.Network, spec cluster.Spec, m *metrics.S
 	if opts.LBThreshold <= 0 {
 		opts.LBThreshold = 0.25
 	}
-	if opts.LBMinIter <= 0 {
-		opts.LBMinIter = 3
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 2 * time.Minute
 	}
@@ -127,17 +111,23 @@ func NewEngine(fs dfs.FS, net transport.Network, spec cluster.Spec, m *metrics.S
 	if opts.SendRetries <= 0 {
 		opts.SendRetries = 3
 	}
-	if opts.SendRetryBackoff <= 0 {
-		opts.SendRetryBackoff = time.Millisecond
-	}
-	if opts.CheckpointRetries <= 0 {
-		opts.CheckpointRetries = 4
-	}
-	if opts.CheckpointRetryBackoff <= 0 {
-		opts.CheckpointRetryBackoff = 2 * time.Millisecond
-	}
 	return &Engine{fs: fs, net: net, spec: spec, m: m, opts: opts, stalls: make(map[string]time.Time)}, nil
 }
+
+const (
+	// lbMinIter is the first iteration at which migration may happen
+	// (early iterations are noisy).
+	lbMinIter = 3
+	// sendRetryBackoff is the initial backoff of a retried send.
+	sendRetryBackoff = time.Millisecond
+	// checkpointRetries bounds how many times a reduce task retries a
+	// failed checkpoint DFS write (with exponential backoff from
+	// checkpointRetryBackoff and node re-placement) before abandoning
+	// that checkpoint — the run then continues with an older rollback
+	// target instead of dying.
+	checkpointRetries      = 4
+	checkpointRetryBackoff = 2 * time.Millisecond
+)
 
 // sendReliable sends through the endpoint with the engine's bounded
 // retry policy, counting retries and abandoned frames. It returns the
@@ -145,7 +135,7 @@ func NewEngine(fs dfs.FS, net transport.Network, spec cluster.Spec, m *metrics.S
 // task-side callers escalate only transport.ErrUnencodable (shutdown
 // races are expected).
 func (e *Engine) sendReliable(ep transport.Endpoint, to string, msg transport.Message) error {
-	attempts, err := transport.ReliableSend(ep, to, msg, e.opts.SendRetries, e.opts.SendRetryBackoff)
+	attempts, err := transport.ReliableSend(ep, to, msg, e.opts.SendRetries, sendRetryBackoff)
 	if attempts > 1 {
 		e.m.Add(metrics.SendRetries, int64(attempts-1))
 		e.opts.Trace.Emit(trace.KindSendRetry, "", -1, 0, trace.Attr{Key: "to", Value: to})

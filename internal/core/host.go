@@ -64,7 +64,7 @@ func (h *host) serve() {
 // the deploy (or the move) until its deadline.
 func (h *host) reply(to string, p planMsg, ack planAckMsg) {
 	_, _ = transport.ReliableSend(h.ctl, to, transport.Message{Kind: kindPlanAck, Payload: ack},
-		p.Tuning.SendRetries, p.Tuning.SendRetryBackoff)
+		p.Tuning.SendRetries, sendRetryBackoff)
 }
 
 // applyPlan deploys (or re-deploys) a plan: build the run context if

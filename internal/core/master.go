@@ -503,7 +503,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 // moves it).
 func (e *Engine) maybeMigrate(run *runState, reps map[int]reportMsg,
 	live map[string]bool, iter, lastMigIter int, migratedCount map[int]int) bool {
-	if !e.opts.LoadBalance || iter < e.opts.LBMinIter || iter <= lastMigIter+1 || len(reps) < 3 {
+	if !e.opts.LoadBalance || iter < lbMinIter || iter <= lastMigIter+1 || len(reps) < 3 {
 		return false
 	}
 	type te struct {

@@ -42,14 +42,11 @@ type PairAssign struct {
 // workerTuning is the scalar subset of Options a worker's task-context
 // engine needs; the function-valued fields stay master-side.
 type workerTuning struct {
-	Timeout                time.Duration
-	HeartbeatInterval      time.Duration
-	HeartbeatMisses        int
-	SendRetries            int
-	SendRetryBackoff       time.Duration
-	CheckpointRetries      int
-	CheckpointRetryBackoff time.Duration
-	Parallelism            int
+	Timeout           time.Duration
+	HeartbeatInterval time.Duration
+	HeartbeatMisses   int
+	SendRetries       int
+	Parallelism       int
 }
 
 // runMeta is the host-side reconstruction recipe for runState.
@@ -140,14 +137,11 @@ func (e *Engine) newPlanner(job *Job, meta runMeta, run *runState, master transp
 		Params: job.Params,
 		Spec:   e.spec,
 		Tuning: workerTuning{
-			Timeout:                e.opts.Timeout,
-			HeartbeatInterval:      e.opts.HeartbeatInterval,
-			HeartbeatMisses:        e.opts.HeartbeatMisses,
-			SendRetries:            e.opts.SendRetries,
-			SendRetryBackoff:       e.opts.SendRetryBackoff,
-			CheckpointRetries:      e.opts.CheckpointRetries,
-			CheckpointRetryBackoff: e.opts.CheckpointRetryBackoff,
-			Parallelism:            e.opts.Parallelism,
+			Timeout:           e.opts.Timeout,
+			HeartbeatInterval: e.opts.HeartbeatInterval,
+			HeartbeatMisses:   e.opts.HeartbeatMisses,
+			SendRetries:       e.opts.SendRetries,
+			Parallelism:       e.opts.Parallelism,
 		},
 		Run: meta,
 	}}

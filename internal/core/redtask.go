@@ -458,9 +458,9 @@ func (t *reduceTask) checkpoint(iter int, out []kv.Pair) {
 		// rollback never collide on the same uncommitted file.
 		tmp := fmt.Sprintf("%s.tmp-g%d", path, gen)
 		at := worker
-		backoff := t.e.opts.CheckpointRetryBackoff
+		backoff := checkpointRetryBackoff
 		var err error
-		for attempt := 0; attempt <= t.e.opts.CheckpointRetries; attempt++ {
+		for attempt := 0; attempt <= checkpointRetries; attempt++ {
 			if attempt > 0 {
 				time.Sleep(backoff)
 				backoff *= 2

@@ -112,11 +112,11 @@ func startWorker(t *testing.T, id, masterHP string, build core.JobBuilder) *work
 		// but with margin for the race detector's scheduling drag.
 		PingInterval: 50 * time.Millisecond,
 		PingMisses:   6,
-		JoinBackoff:  25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.SetJoinBackoff(host, 25*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &workerProc{host: host, cancel: cancel, done: make(chan struct{})}
 	go func() {
@@ -305,7 +305,7 @@ func TestOneMovePathAcrossDeployments(t *testing.T) {
 			}},
 		{name: "migrate", spec: cluster.Heterogeneous([]float64{1, 0.2, 1}), build: paced,
 			options: func(func(string)) core.Options {
-				return core.Options{LoadBalance: true, LBThreshold: 1.5, LBMinIter: 3}
+				return core.Options{LoadBalance: true, LBThreshold: 1.5}
 			}},
 	}
 	for _, key := range []string{"pagerank", "sssp"} {

@@ -38,11 +38,14 @@ type WorkerHostOptions struct {
 	// loop.
 	PingInterval time.Duration
 	PingMisses   int
-	// JoinBackoff/JoinBackoffMax bound the jittered exponential backoff
-	// between registration attempts (defaults 100ms / 3s).
-	JoinBackoff    time.Duration
-	JoinBackoffMax time.Duration
 }
+
+const (
+	// joinBackoff and joinBackoffMax bound the jittered exponential
+	// backoff between registration attempts.
+	joinBackoff    = 100 * time.Millisecond
+	joinBackoffMax = 3 * time.Second
+)
 
 // WorkerHost is one worker process: it registers with the master,
 // hosts the task pairs plans assign to it (the embedded host), pings
@@ -55,6 +58,9 @@ type WorkerHost struct {
 	net  *transport.TCPNetwork
 	fsEp transport.Endpoint
 	fs   *dfs.Client
+	// joinBase is the first registration backoff: joinBackoff except in
+	// tests that need the join loop faster.
+	joinBase time.Duration
 	host
 }
 
@@ -69,12 +75,6 @@ func NewWorkerHost(opts WorkerHostOptions) (*WorkerHost, error) {
 	}
 	if opts.PingMisses <= 0 {
 		opts.PingMisses = 6
-	}
-	if opts.JoinBackoff <= 0 {
-		opts.JoinBackoff = 100 * time.Millisecond
-	}
-	if opts.JoinBackoffMax <= 0 {
-		opts.JoinBackoffMax = 3 * time.Second
 	}
 	dir := transport.NewDirectory()
 	dir.Set(CtlMasterAddr, opts.MasterAddr)
@@ -96,8 +96,8 @@ func NewWorkerHost(opts WorkerHostOptions) (*WorkerHost, error) {
 		net.Close()
 		return nil, err
 	}
-	fs := dfs.NewClient(fsEp, DFSAddr, dfs.ClientOptions{})
-	w := &WorkerHost{opts: opts, dir: dir, net: net, fsEp: fsEp, fs: fs}
+	fs := dfs.NewClient(fsEp, DFSAddr)
+	w := &WorkerHost{opts: opts, dir: dir, net: net, fsEp: fsEp, fs: fs, joinBase: joinBackoff}
 	// Tasks of a run torn down because the master vanished may be wedged
 	// in DFS calls that only this process's own shutdown (net.Close; the
 	// DFS endpoint belongs to the process, not to a run) fails: the join
@@ -127,7 +127,7 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 	lastPong := time.Now()
 	var lastTick time.Time
 	nextJoin := time.Now()
-	joinBackoff := w.opts.JoinBackoff
+	backoff := w.joinBase
 	// The join pacing rides the ping ticker: at PingInterval granularity
 	// the worker either re-sends a registration (gated by the jittered
 	// backoff) or probes the master it is registered with.
@@ -137,7 +137,7 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 	unregister := func() {
 		w.teardownRun()
 		joined = false
-		joinBackoff = w.opts.JoinBackoff
+		backoff = w.joinBase
 		nextJoin = time.Now()
 		lastPong = time.Now()
 	}
@@ -170,9 +170,9 @@ func (w *WorkerHost) Run(ctx context.Context) error {
 				// the master answers; dial failures additionally sit behind
 				// the transport's own dial gate.
 				_ = w.ctl.Send(CtlMasterAddr, transport.Message{Kind: kindJoin, Payload: join})
-				nextJoin = time.Now().Add(joinBackoff/2 + time.Duration(rand.Int63n(int64(joinBackoff/2)+1)))
-				if joinBackoff *= 2; joinBackoff > w.opts.JoinBackoffMax {
-					joinBackoff = w.opts.JoinBackoffMax
+				nextJoin = time.Now().Add(backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1)))
+				if backoff *= 2; backoff > joinBackoffMax {
+					backoff = joinBackoffMax
 				}
 				continue
 			}
@@ -259,14 +259,11 @@ func (w *WorkerHost) openRun(p planMsg) (*Job, *Engine, *workerPool, error) {
 		return nil, nil, nil, fmt.Errorf("core: worker %s: build job %q: %w", w.opts.ID, p.JobKey, err)
 	}
 	eng, err := NewEngine(w.fs, w.net, p.Spec, w.opts.Metrics, Options{
-		Timeout:                p.Tuning.Timeout,
-		HeartbeatInterval:      p.Tuning.HeartbeatInterval,
-		HeartbeatMisses:        p.Tuning.HeartbeatMisses,
-		SendRetries:            p.Tuning.SendRetries,
-		SendRetryBackoff:       p.Tuning.SendRetryBackoff,
-		CheckpointRetries:      p.Tuning.CheckpointRetries,
-		CheckpointRetryBackoff: p.Tuning.CheckpointRetryBackoff,
-		Parallelism:            p.Tuning.Parallelism,
+		Timeout:           p.Tuning.Timeout,
+		HeartbeatInterval: p.Tuning.HeartbeatInterval,
+		HeartbeatMisses:   p.Tuning.HeartbeatMisses,
+		SendRetries:       p.Tuning.SendRetries,
+		Parallelism:       p.Tuning.Parallelism,
 	})
 	if err != nil {
 		return nil, nil, nil, err

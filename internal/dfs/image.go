@@ -92,15 +92,27 @@ func Open(cfg Config, nodeIDs []string, m *metrics.Set) (*DFS, error) {
 	if err := json.Unmarshal(data, &img); err != nil {
 		return nil, fmt.Errorf("dfs: decode image %s: %w", cfg.ImagePath, err)
 	}
+	if img.NextPos < 0 {
+		return nil, fmt.Errorf("dfs: image %s: negative next_pos %d", cfg.ImagePath, img.NextPos)
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.seq = img.Seq
 	fs.nextPos = img.NextPos
 	for _, imf := range img.Files {
+		if _, dup := fs.ns.get(imf.Path); dup {
+			return nil, fmt.Errorf("dfs: image %s: %q listed twice", cfg.ImagePath, imf.Path)
+		}
+		if imf.Bytes < 0 {
+			return nil, fmt.Errorf("dfs: image %s: %s has %d bytes", cfg.ImagePath, imf.Path, imf.Bytes)
+		}
 		f := &file{bytes: imf.Bytes, blocks: make([]*block, len(imf.Blocks))}
 		for i, ib := range imf.Blocks {
 			if ib.DiskPath == "" {
 				return nil, fmt.Errorf("dfs: image %s: %s block %d has no spill file", cfg.ImagePath, imf.Path, i)
+			}
+			if ib.Count < 0 || ib.Bytes < 0 {
+				return nil, fmt.Errorf("dfs: image %s: %s block %d has %d records of %d bytes", cfg.ImagePath, imf.Path, i, ib.Count, ib.Bytes)
 			}
 			if _, err := os.Stat(ib.DiskPath); err != nil {
 				return nil, fmt.Errorf("dfs: image %s: %s block %d: %w", cfg.ImagePath, imf.Path, i, err)

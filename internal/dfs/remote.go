@@ -211,24 +211,20 @@ func reqSize(r *rpcReq) int64 {
 // endpoint closes underneath them (worker teardown).
 var ErrClientClosed = errors.New("dfs: client closed")
 
-// ClientOptions tunes the remote FS client.
-type ClientOptions struct {
-	// CallTimeout bounds one logical call including all re-sends
-	// (default 15s).
-	CallTimeout time.Duration
-	// SendRetries and SendBackoff shape the transport-level retry of
-	// each request frame (defaults 4 and 5ms; see
-	// transport.ReliableSend).
-	SendRetries int
-	SendBackoff time.Duration
-}
+const (
+	// callTimeout bounds one logical call including all re-sends.
+	callTimeout = 15 * time.Second
+	// clientSendRetries and clientSendBackoff shape the transport-level
+	// retry of each request frame (see transport.ReliableSend).
+	clientSendRetries = 4
+	clientSendBackoff = 5 * time.Millisecond
+)
 
 // Client is the worker-side FS: every call is one RPC to the master's
 // Service. Safe for concurrent use by all tasks of a worker.
 type Client struct {
 	ep     transport.Endpoint
 	server string
-	opts   ClientOptions
 
 	mu      sync.Mutex
 	nextID  int64
@@ -239,17 +235,8 @@ type Client struct {
 // NewClient returns a client whose calls go from ep to the Service
 // listening on logical address server. Closing ep stops the client;
 // in-flight and later calls fail with ErrClientClosed.
-func NewClient(ep transport.Endpoint, server string, opts ClientOptions) *Client {
-	if opts.CallTimeout <= 0 {
-		opts.CallTimeout = 15 * time.Second
-	}
-	if opts.SendRetries <= 0 {
-		opts.SendRetries = 4
-	}
-	if opts.SendBackoff <= 0 {
-		opts.SendBackoff = 5 * time.Millisecond
-	}
-	c := &Client{ep: ep, server: server, opts: opts, waiters: make(map[int64]chan *rpcResp), closed: make(chan struct{})}
+func NewClient(ep transport.Endpoint, server string) *Client {
+	c := &Client{ep: ep, server: server, waiters: make(map[int64]chan *rpcResp), closed: make(chan struct{})}
 	go c.pump()
 	return c
 }
@@ -284,17 +271,17 @@ func (c *Client) call(req *rpcReq) (*rpcResp, error) {
 		c.mu.Unlock()
 	}()
 
-	deadline := time.NewTimer(c.opts.CallTimeout)
+	deadline := time.NewTimer(callTimeout)
 	defer deadline.Stop()
 	msg := transport.Message{Kind: KindDFSReq, Payload: req, Size: reqSize(req)}
 	var lastErr error
 	// Re-send the request until the deadline: a response lost to a
 	// connection death is recovered by the service's replay cache.
 	for attempt := 0; ; attempt++ {
-		if _, err := transport.ReliableSend(c.ep, c.server, msg, c.opts.SendRetries, c.opts.SendBackoff); err != nil {
+		if _, err := transport.ReliableSend(c.ep, c.server, msg, clientSendRetries, clientSendBackoff); err != nil {
 			lastErr = err
 		}
-		wait := time.NewTimer(c.opts.CallTimeout / 3)
+		wait := time.NewTimer(callTimeout / 3)
 		select {
 		case resp := <-ch:
 			wait.Stop()
@@ -307,9 +294,9 @@ func (c *Client) call(req *rpcReq) (*rpcResp, error) {
 		case <-deadline.C:
 			wait.Stop()
 			if lastErr != nil {
-				return nil, fmt.Errorf("dfs: %s %s: no response within %v (last send error: %v)", req.Op, req.Path, c.opts.CallTimeout, lastErr)
+				return nil, fmt.Errorf("dfs: %s %s: no response within %v (last send error: %v)", req.Op, req.Path, callTimeout, lastErr)
 			}
-			return nil, fmt.Errorf("dfs: %s %s: no response within %v", req.Op, req.Path, c.opts.CallTimeout)
+			return nil, fmt.Errorf("dfs: %s %s: no response within %v", req.Op, req.Path, callTimeout)
 		case <-c.closed:
 			wait.Stop()
 			return nil, ErrClientClosed

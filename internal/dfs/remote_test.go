@@ -32,7 +32,7 @@ func TestRemoteFSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfs FS = NewClient(cep, "dfs/nn", ClientOptions{CallTimeout: 5 * time.Second})
+	var cfs FS = NewClient(cep, "dfs/nn")
 
 	recs := testPairs(40)
 	if err := cfs.WriteFile("/t/data", "w1", recs, testOps()); err != nil {

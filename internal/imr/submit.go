@@ -230,9 +230,12 @@ func (c *Cluster) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) 
 		status: StatusRunning,
 	}
 	go func() {
-		defer c.releaseName(name)
-		defer cancel(nil)
-		h.finish(c.execute(runCtx, kind, spec, opts))
+		res, err := c.execute(runCtx, kind, spec, opts)
+		cancel(nil)
+		// Free the name before the handle reports the end: a caller that
+		// waited may resubmit the job at once (a resume after a kill).
+		c.releaseName(name)
+		h.finish(res, err)
 	}()
 	return h, nil
 }

@@ -26,8 +26,6 @@ type Options struct {
 	// backed up when its elapsed time exceeds this multiple of the
 	// median completed-task time. Default 2.
 	SpeculativeSlowdown float64
-	// MaxAttempts bounds per-task retries (default 4, like Hadoop).
-	MaxAttempts int
 	// FailTask, if set, injects a failure into the given attempt; used
 	// by fault-tolerance tests.
 	FailTask func(job, kind string, task, attempt int) bool
@@ -48,9 +46,6 @@ type Engine struct {
 func NewEngine(fs *dfs.DFS, spec cluster.Spec, m *metrics.Set, opts Options) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 4
 	}
 	if opts.SpeculativeSlowdown <= 0 {
 		opts.SpeculativeSlowdown = 2.0
@@ -265,58 +260,70 @@ func (e *Engine) assignSplits(splits []dfs.Split, workers []string) []string {
 	return assignment
 }
 
-// attemptOutcome carries one task attempt's completion.
-type attemptOutcome struct {
-	task   int
-	worker string
-	result mapResult
-	err    error
-}
+// maxAttempts bounds a task's attempts, backups included, as Hadoop's
+// default does.
+const maxAttempts = 4
 
-// runMapPhase executes all map tasks with slot limits, retry, and
-// optional speculative backups.
-func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, assignment, workers []string, jobStart time.Time) ([]mapResult, int, error) {
+// runWave runs one phase's tasks, task t first on placement[t], with at
+// most slotsPerWorker attempts at a time on each worker. A failed attempt
+// is retried on another worker until the task has had maxAttempts; with
+// Speculative set, a task running longer than SpeculativeSlowdown times
+// the median finished task gets one backup attempt on another worker.
+// The first attempt of a task to succeed wins and the others are
+// discarded. It returns the winning results by task and how many
+// attempts it launched.
+func runWave[R any](ctx context.Context, e *Engine, job, kind string, workers, placement []string, slotsPerWorker int,
+	run func(task, attempt int, worker string, slot chan struct{}) (R, error)) ([]R, int, error) {
 	slots := make(map[string]chan struct{}, len(workers))
 	for _, w := range workers {
-		slots[w] = make(chan struct{}, e.spec.MapSlots)
+		slots[w] = make(chan struct{}, slotsPerWorker)
 	}
 
+	type outcome struct {
+		task   int
+		worker string
+		result R
+		err    error
+	}
 	type taskState struct {
 		done       bool
 		attempts   int
 		backup     bool
 		launchedAt time.Time
 	}
-	states := make([]taskState, len(splits))
-	results := make([]mapResult, len(splits))
-	outcomes := make(chan attemptOutcome, len(splits)*2)
+	n := len(placement)
+	states := make([]taskState, n)
+	results := make([]R, n)
+	outcomes := make(chan outcome, n*2)
 
 	var mu sync.Mutex
-	totalAttempts := 0
-
+	launched := 0
 	launch := func(task int, worker string) {
 		mu.Lock()
 		states[task].attempts++
 		attempt := states[task].attempts
 		states[task].launchedAt = time.Now()
-		totalAttempts++
+		launched++
 		mu.Unlock()
 		e.m.Add(metrics.TasksLaunched, 1)
 		go func() {
-			mr, err := e.runMapAttempt(job, splits[task], worker, attempt, task, slots[worker], jobStart)
-			outcomes <- attemptOutcome{task: task, worker: worker, result: mr, err: err}
+			r, err := run(task, attempt, worker, slots[worker])
+			outcomes <- outcome{task: task, worker: worker, result: r, err: err}
 		}()
 	}
-
-	for i := range splits {
-		launch(i, assignment[i])
+	attempts := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return launched
 	}
 
-	remaining := len(splits)
-	var durations []time.Duration
+	for t, w := range placement {
+		launch(t, w)
+	}
 
-	// Straggler monitor (speculative execution).
+	var durations []time.Duration
 	stopMon := make(chan struct{})
+	defer close(stopMon)
 	if e.opts.Speculative {
 		go func() {
 			tick := time.NewTicker(2 * time.Millisecond)
@@ -327,7 +334,7 @@ func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, 
 					return
 				case <-tick.C:
 					mu.Lock()
-					if len(durations)*2 < len(splits) {
+					if len(durations)*2 < n {
 						mu.Unlock()
 						continue
 					}
@@ -343,7 +350,7 @@ func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, 
 						}
 						if time.Since(st.launchedAt) > threshold {
 							st.backup = true
-							other := otherWorker(workers, assignment[t])
+							other := otherWorker(workers, placement[t])
 							e.m.Add(metrics.SpeculativeTasks, 1)
 							mu.Unlock()
 							launch(t, other)
@@ -356,14 +363,12 @@ func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, 
 		}()
 	}
 
-	var firstErr error
-	for remaining > 0 {
-		var oc attemptOutcome
+	for remaining := n; remaining > 0; {
+		var oc outcome
 		select {
 		case oc = <-outcomes:
 		case <-ctx.Done():
-			close(stopMon)
-			return nil, totalAttempts, fmt.Errorf("mapreduce: job %s: canceled: %w", job.Name, context.Cause(ctx))
+			return nil, attempts(), fmt.Errorf("mapreduce: job %s: canceled: %w", job, context.Cause(ctx))
 		}
 		mu.Lock()
 		st := &states[oc.task]
@@ -372,11 +377,10 @@ func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, 
 			continue // a backup or original already finished this task
 		}
 		if oc.err != nil {
-			if st.attempts >= e.opts.MaxAttempts {
-				firstErr = fmt.Errorf("mapreduce: job %s map task %d failed after %d attempts: %w",
-					job.Name, oc.task, st.attempts, oc.err)
+			if tried := st.attempts; tried >= maxAttempts {
 				mu.Unlock()
-				break
+				return nil, attempts(), fmt.Errorf("mapreduce: job %s %s task %d failed after %d attempts: %w",
+					job, kind, oc.task, tried, oc.err)
 			}
 			e.m.Add(metrics.TaskRetries, 1)
 			mu.Unlock()
@@ -389,11 +393,15 @@ func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, 
 		remaining--
 		mu.Unlock()
 	}
-	close(stopMon)
-	if firstErr != nil {
-		return nil, totalAttempts, firstErr
-	}
-	return results, totalAttempts, nil
+	return results, attempts(), nil
+}
+
+// runMapPhase executes all map tasks, each first on its assigned worker.
+func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, assignment, workers []string, jobStart time.Time) ([]mapResult, int, error) {
+	return runWave(ctx, e, job.Name, "map", workers, assignment, e.spec.MapSlots,
+		func(task, attempt int, worker string, slot chan struct{}) (mapResult, error) {
+			return e.runMapAttempt(job, splits[task], worker, attempt, task, slot, jobStart)
+		})
 }
 
 // runMapAttempt executes one attempt of one map task on worker.
@@ -455,127 +463,35 @@ func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt
 	return mapResult{worker: worker, parts: parts, partBytes: partBytes, opStartAt: opStart, counters: counters}, nil
 }
 
+// reduceResult is one completed reduce task's output and shuffle counts.
+type reduceResult struct {
+	records       int
+	bytes, remote int64
+	counters      *Counters // attempt-local; merged only if this attempt wins
+}
+
 // runReducePhase shuffles map outputs to reduce tasks and runs them,
-// with the same retry and speculative-backup policy as the map phase.
-// Duplicate attempts are safe: a reduce attempt is deterministic given
-// the map outputs and writes the same part file.
+// reduce task r first on worker r mod the worker count. Duplicate
+// attempts are safe: a reduce attempt is deterministic given the map
+// outputs and writes the same part file.
 func (e *Engine) runReducePhase(ctx context.Context, job *Job, mapResults []mapResult, workers []string, jobCounters *Counters) (outRecords, attempts int, shuffleBytes, shuffleRemote int64, err error) {
-	slots := make(map[string]chan struct{}, len(workers))
-	for _, w := range workers {
-		slots[w] = make(chan struct{}, e.spec.ReduceSlots)
+	placement := make([]string, job.NumReduce)
+	for r := range placement {
+		placement[r] = workers[r%len(workers)]
 	}
-
-	type redOutcome struct {
-		task     int
-		worker   string
-		records  int
-		bytes    int64
-		remote   int64
-		counters *Counters
-		err      error
+	results, attempts, err := runWave(ctx, e, job.Name, "reduce", workers, placement, e.spec.ReduceSlots,
+		func(task, attempt int, worker string, slot chan struct{}) (reduceResult, error) {
+			records, bytes, remote, counters, err := e.runReduceAttempt(job, task, attempt, worker, mapResults, slot)
+			return reduceResult{records: records, bytes: bytes, remote: remote, counters: counters}, err
+		})
+	if err != nil {
+		return 0, attempts, 0, 0, err
 	}
-	type taskState struct {
-		done       bool
-		attempts   int
-		backup     bool
-		launchedAt time.Time
-	}
-	states := make([]taskState, job.NumReduce)
-	outcomes := make(chan redOutcome, job.NumReduce*2)
-	var mu sync.Mutex
-
-	launch := func(task int, worker string) {
-		mu.Lock()
-		states[task].attempts++
-		attempt := states[task].attempts
-		states[task].launchedAt = time.Now()
-		attempts++
-		mu.Unlock()
-		e.m.Add(metrics.TasksLaunched, 1)
-		go func() {
-			records, bytes, remote, counters, err := e.runReduceAttempt(job, task, attempt, worker, mapResults, slots[worker])
-			outcomes <- redOutcome{task: task, worker: worker, records: records, bytes: bytes, remote: remote, counters: counters, err: err}
-		}()
-	}
-	for r := 0; r < job.NumReduce; r++ {
-		launch(r, workers[r%len(workers)])
-	}
-
-	remaining := job.NumReduce
-	var durations []time.Duration
-	stopMon := make(chan struct{})
-	defer close(stopMon)
-	if e.opts.Speculative {
-		go func() {
-			tick := time.NewTicker(2 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopMon:
-					return
-				case <-tick.C:
-					mu.Lock()
-					if len(durations)*2 < job.NumReduce {
-						mu.Unlock()
-						continue
-					}
-					med := median(durations)
-					threshold := time.Duration(float64(med) * e.opts.SpeculativeSlowdown)
-					if threshold <= 0 {
-						threshold = time.Millisecond
-					}
-					for t := range states {
-						st := &states[t]
-						if st.done || st.backup {
-							continue
-						}
-						if time.Since(st.launchedAt) > threshold {
-							st.backup = true
-							other := otherWorker(workers, workers[t%len(workers)])
-							e.m.Add(metrics.SpeculativeTasks, 1)
-							mu.Unlock()
-							launch(t, other)
-							mu.Lock()
-						}
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-
-	for remaining > 0 {
-		var oc redOutcome
-		select {
-		case oc = <-outcomes:
-		case <-ctx.Done():
-			return 0, attempts, 0, 0, fmt.Errorf("mapreduce: job %s: canceled: %w", job.Name, context.Cause(ctx))
-		}
-		mu.Lock()
-		st := &states[oc.task]
-		if st.done {
-			mu.Unlock()
-			continue
-		}
-		if oc.err != nil {
-			if st.attempts >= e.opts.MaxAttempts {
-				mu.Unlock()
-				return 0, attempts, 0, 0, fmt.Errorf("mapreduce: job %s reduce task %d failed after %d attempts: %w",
-					job.Name, oc.task, st.attempts, oc.err)
-			}
-			e.m.Add(metrics.TaskRetries, 1)
-			mu.Unlock()
-			launch(oc.task, otherWorker(workers, oc.worker))
-			continue
-		}
-		st.done = true
-		durations = append(durations, time.Since(st.launchedAt))
-		remaining--
-		mu.Unlock()
-		outRecords += oc.records
-		shuffleBytes += oc.bytes
-		shuffleRemote += oc.remote
-		jobCounters.merge(oc.counters)
+	for _, r := range results {
+		outRecords += r.records
+		shuffleBytes += r.bytes
+		shuffleRemote += r.remote
+		jobCounters.merge(r.counters)
 	}
 	return outRecords, attempts, shuffleBytes, shuffleRemote, nil
 }

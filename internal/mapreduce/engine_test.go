@@ -234,20 +234,20 @@ func TestReduceRetry(t *testing.T) {
 
 func TestJobFailsAfterMaxAttempts(t *testing.T) {
 	opts := Options{
-		MaxAttempts: 2,
 		FailTask: func(job, kind string, task, attempt int) bool {
 			return kind == "map" && task == 0
 		},
 	}
 	e, fs, _ := testEnv(t, 2, opts)
 	writeWords(t, fs, "/in", []string{"a"})
-	if _, err := e.Submit(wordCountJob("/in", "/out", false)); err == nil {
-		t.Fatal("job should fail after exhausting attempts")
+	_, err := e.Submit(wordCountJob("/in", "/out", false))
+	if want := fmt.Sprintf("map task 0 failed after %d attempts", maxAttempts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
 func TestUserMapErrorFailsJob(t *testing.T) {
-	e, fs, _ := testEnv(t, 2, Options{MaxAttempts: 2})
+	e, fs, _ := testEnv(t, 2, Options{})
 	writeWords(t, fs, "/in", []string{"a"})
 	job := wordCountJob("/in", "/out", false)
 	job.Map = func(key, value any, emit kv.Emit) error {

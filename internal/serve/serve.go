@@ -95,11 +95,9 @@ type Config struct {
 	// QueueLimit bounds the total queued jobs across all tenants
 	// (default 64); admissions beyond it fail with ErrQueueFull.
 	QueueLimit int
-	// Tenants assigns per-tenant quotas; tenants not listed get
-	// DefaultQuota.
+	// Tenants assigns per-tenant quotas; tenants not listed get the
+	// zero Quota.
 	Tenants map[string]Quota
-	// DefaultQuota applies to tenants absent from Tenants.
-	DefaultQuota Quota
 	// Metrics receives the service counters (serve.* constants in
 	// internal/metrics) and the folded per-job counters; defaults to
 	// the cluster's set.
@@ -178,12 +176,7 @@ func New(cfg Config) (*Service, error) {
 }
 
 // quotaFor resolves tenant's quota.
-func (s *Service) quotaFor(tenant string) Quota {
-	if q, ok := s.cfg.Tenants[tenant]; ok {
-		return q
-	}
-	return s.cfg.DefaultQuota
-}
+func (s *Service) quotaFor(tenant string) Quota { return s.cfg.Tenants[tenant] }
 
 // TenantUsage reports the bytes tenant currently stores in its
 // accounted DFS namespaces: TenantRoot(tenant) and the run-artifact

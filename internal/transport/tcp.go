@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -24,12 +23,14 @@ import (
 // mixed-version peers then fail fast with a VersionMismatchError instead
 // of a confusing decode failure mid-stream.
 //
-// v2 added the frameDeflate frame type (optional per-frame compression).
+// v2 added a deflate frame type (optional per-frame compression).
 // v3 made a data chunk's End a uvarint chunk count instead of a flag byte.
 // v4 carries records only in the kv codec: an auxiliary output is a
 // binary frame, and a DFS RPC holds its records as an encoded block.
 // v5 added the column shuffle frames of int64-keyed scalar jobs.
-const ProtocolVersion byte = 5
+// v6 removed the deflate frame (type byte 5 is now an unknown frame)
+// and the plan's retry tunings.
+const ProtocolVersion byte = 6
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
@@ -50,29 +51,22 @@ type TCPOptions struct {
 	// network — the bridge that lets endpoints live in different
 	// processes. Nil restricts dialing to in-process endpoints.
 	Resolver AddrResolver
-	// DialTimeout bounds one dial plus its hello handshake (default 3s).
-	DialTimeout time.Duration
-	// DialBackoffBase is the first delay after a failed dial to a peer
-	// (default 25ms). Subsequent failures double it up to DialBackoffMax;
-	// sends inside the window fail fast with a DialBackoffError rather
-	// than hammering the kernel with connection attempts.
-	DialBackoffBase time.Duration
-	// DialBackoffMax caps the per-peer dial backoff (default 2s).
-	DialBackoffMax time.Duration
-	// ReadBufferSize and WriteBufferSize size each connection's buffered
-	// reader/writer (default 256 KiB). Bigger buffers let a burst of
-	// shuffle chunks share one syscall; the write side also bounds how
-	// much a single coalesced flush writes at once.
-	ReadBufferSize  int
-	WriteBufferSize int
-	// CompressThreshold enables per-frame flate compression for data
-	// frames whose body reaches this many bytes. 0 (the default)
-	// disables compression — on fast links the CPU usually costs more
-	// than the bytes save; enable it when the network is the bottleneck.
-	// A compressed frame that fails to shrink is sent uncompressed, so
-	// the threshold never makes traffic bigger.
-	CompressThreshold int
 }
+
+const (
+	// dialTimeout bounds one dial plus its hello handshake.
+	dialTimeout = 3 * time.Second
+	// dialBackoffBase is the first delay after a failed dial to a peer.
+	// Subsequent failures double it up to dialBackoffMax; sends inside
+	// the window fail fast with a DialBackoffError rather than hammering
+	// the kernel with connection attempts.
+	dialBackoffBase = 25 * time.Millisecond
+	dialBackoffMax  = 2 * time.Second
+	// connBufferSize sizes each connection's buffered reader and writer.
+	// Big buffers let a burst of shuffle chunks share one syscall; the
+	// write side also bounds how much a single flush writes at once.
+	connBufferSize = 256 << 10
+)
 
 // TCPNetwork is the real-socket backend. Every endpoint owns a listener;
 // the first Send from A to B dials one connection that stays open for
@@ -101,25 +95,24 @@ type TCPNetwork struct {
 	// helloVersion is what this network advertises and accepts; it is
 	// ProtocolVersion except in tests that force a skew.
 	helloVersion byte
-	rngMu        sync.Mutex
-	rng          *rand.Rand // dial-backoff jitter
-	bytes        atomic.Int64
-	msgs         atomic.Int64
-	dials        atomic.Int64
-	dialTries    atomic.Int64
-	flushes      atomic.Int64
-	compFrames   atomic.Int64
-	compSaved    atomic.Int64
-	tr           atomic.Pointer[trace.Recorder]
+	// The dial timings and the read buffer size are the constants above
+	// except in tests that need them shorter or smaller.
+	dialTimeout, backoffBase, backoffMax time.Duration
+	readBufferSize                       int
+
+	rngMu     sync.Mutex
+	rng       *rand.Rand // dial-backoff jitter
+	bytes     atomic.Int64
+	msgs      atomic.Int64
+	dials     atomic.Int64
+	dialTries atomic.Int64
+	flushes   atomic.Int64
+	tr        atomic.Pointer[trace.Recorder]
 }
 
-// CompressedFrames reports how many data frames went out flate-wrapped
-// (CompressThreshold reached and compression shrank the frame).
-func (n *TCPNetwork) CompressedFrames() int64 { return n.compFrames.Load() }
-
-// CompressionSaved reports the cumulative bytes compression removed from
-// the stream (original frame size minus compressed frame size).
-func (n *TCPNetwork) CompressionSaved() int64 { return n.compSaved.Load() }
+// CompressedFrames always returns 0: frames are never compressed. It
+// stays for the benchmark's transport.tcp_compressed_frames probe.
+func (n *TCPNetwork) CompressedFrames() int64 { return 0 }
 
 // SetTrace attaches a recorder; connection flushes emit KindNetFlush
 // events into it.
@@ -138,26 +131,15 @@ func NewTCPNetworkOpts(opts TCPOptions) *TCPNetwork {
 	if opts.ListenHost == "" {
 		opts.ListenHost = "127.0.0.1"
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 3 * time.Second
-	}
-	if opts.DialBackoffBase <= 0 {
-		opts.DialBackoffBase = 25 * time.Millisecond
-	}
-	if opts.DialBackoffMax <= 0 {
-		opts.DialBackoffMax = 2 * time.Second
-	}
-	if opts.ReadBufferSize <= 0 {
-		opts.ReadBufferSize = 256 << 10
-	}
-	if opts.WriteBufferSize <= 0 {
-		opts.WriteBufferSize = 256 << 10
-	}
 	return &TCPNetwork{
-		endpoints:    make(map[string]*tcpEndpoint),
-		opts:         opts,
-		helloVersion: ProtocolVersion,
-		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
+		endpoints:      make(map[string]*tcpEndpoint),
+		opts:           opts,
+		helloVersion:   ProtocolVersion,
+		dialTimeout:    dialTimeout,
+		backoffBase:    dialBackoffBase,
+		backoffMax:     dialBackoffMax,
+		readBufferSize: connBufferSize,
+		rng:            rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
 
@@ -175,11 +157,6 @@ const (
 	frameGob      byte = 2 // body: stateless gob encoding of wireMessage
 	frameBin      byte = 3 // body: binary header + WireMarshaler payload
 	frameHelloAck byte = 4 // body: acceptor's version byte, then status byte
-	// frameDeflate wraps a frameGob or frameBin frame: the body is a
-	// uvarint decompressed length followed by a flate stream of the
-	// original [type byte][body]. Sent only when CompressThreshold is
-	// set and compressing actually shrank the frame.
-	frameDeflate byte = 5
 )
 
 // Hello-ack status bytes.
@@ -196,11 +173,6 @@ const maxFrameSize = 1 << 30
 // buffer cannot already hold; past it the buffer at most doubles what has
 // arrived (see readFrameBody).
 const minFrameRead = 64 << 10
-
-// maxInflateRatio is DEFLATE's largest expansion: no compressed byte
-// inflates to more than 1032 bytes, so a frameDeflate declaring more is
-// corrupt.
-const maxInflateRatio = 1032
 
 // VersionMismatchError reports a hello handshake that failed because the
 // two processes speak different protocol generations.
@@ -310,59 +282,11 @@ type tcpConn struct {
 	c      net.Conn
 	bw     *bufio.Writer
 	dead   bool
-	buf    []byte        // frame scratch, reused under mu
-	gobBuf bytes.Buffer  // control-message scratch, reused under mu
-	fw     *flate.Writer // per-conn compressor, created on first use, reused via Reset
-	cw     appendWriter  // compressed-frame scratch, reused under mu
+	buf    []byte       // frame scratch, reused under mu
+	gobBuf bytes.Buffer // control-message scratch, reused under mu
 	net    *TCPNetwork
 	owner  string // local endpoint address, for flush attribution
 	peer   string
-}
-
-// appendWriter adapts an append-grown byte slice to io.Writer for the
-// flate compressor.
-type appendWriter struct{ buf []byte }
-
-func (aw *appendWriter) Write(p []byte) (int, error) {
-	aw.buf = append(aw.buf, p...)
-	return len(p), nil
-}
-
-// maybeCompress flate-wraps a data frame when the network's threshold
-// says so and the result is actually smaller; otherwise the frame is
-// returned untouched. Called under conn.mu; the returned slice is valid
-// until the next buildFrame/maybeCompress on this connection.
-func (conn *tcpConn) maybeCompress(frame []byte) []byte {
-	th := conn.net.opts.CompressThreshold
-	if th <= 0 || len(frame)-4 < th {
-		return frame
-	}
-	if t := frame[4]; t != frameBin && t != frameGob {
-		return frame
-	}
-	conn.cw.buf = append(conn.cw.buf[:0], 0, 0, 0, 0, frameDeflate)
-	conn.cw.buf = binary.AppendUvarint(conn.cw.buf, uint64(len(frame)-4))
-	if conn.fw == nil {
-		// BestSpeed: the point is shedding bytes cheaper than sending
-		// them, not archival ratios.
-		conn.fw, _ = flate.NewWriter(&conn.cw, flate.BestSpeed)
-	} else {
-		conn.fw.Reset(&conn.cw)
-	}
-	if _, err := conn.fw.Write(frame[4:]); err != nil {
-		return frame
-	}
-	if err := conn.fw.Close(); err != nil {
-		return frame
-	}
-	out := conn.cw.buf
-	if len(out) >= len(frame) {
-		return frame // incompressible: ship the original
-	}
-	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-	conn.net.compFrames.Add(1)
-	conn.net.compSaved.Add(int64(len(frame) - len(out)))
-	return out
 }
 
 type countingWriter struct {
@@ -507,15 +431,12 @@ func (e *tcpEndpoint) accept() {
 
 func (e *tcpEndpoint) readLoop(c net.Conn) {
 	defer c.Close()
-	br := bufio.NewReaderSize(c, e.net.opts.ReadBufferSize)
+	br := bufio.NewReaderSize(c, e.net.readBufferSize)
 	var hdr [4]byte
 	// Frame bodies land in a grow-only buffer reused across frames —
 	// each frame's payload is fully consumed (decoded with copies; see
-	// RegisterWireUnmarshaler) before the next read overwrites it. A
-	// second buffer holds inflated bodies, and the inflater itself is
-	// reused via flate.Resetter.
-	var body, infBuf []byte
-	var inflater io.ReadCloser
+	// RegisterWireUnmarshaler) before the next read overwrites it.
+	var body []byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
@@ -527,26 +448,6 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		var err error
 		if body, err = readFrameBody(br, body, int(n)); err != nil {
 			return
-		}
-		if body[0] == frameDeflate {
-			dn, m := binary.Uvarint(body[1:])
-			if m <= 0 || dn == 0 || dn > maxFrameSize || dn > maxInflateRatio*uint64(len(body)-1-m) {
-				return
-			}
-			if uint64(cap(infBuf)) < dn {
-				infBuf = make([]byte, dn)
-			}
-			infBuf = infBuf[:dn]
-			src := bytes.NewReader(body[1+m:])
-			if inflater == nil {
-				inflater = flate.NewReader(src)
-			} else if err := inflater.(flate.Resetter).Reset(src, nil); err != nil {
-				return
-			}
-			if _, err := io.ReadFull(inflater, infBuf); err != nil {
-				return
-			}
-			body, infBuf = infBuf, body // decode the inflated frame; reuse both
 		}
 		switch body[0] {
 		case frameHello:
@@ -562,13 +463,16 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 				status = helloReject
 			}
 			ack := []byte{0, 0, 0, 3, frameHelloAck, e.net.helloVersion, status}
-			c.SetWriteDeadline(time.Now().Add(e.net.opts.DialTimeout))
+			c.SetWriteDeadline(time.Now().Add(e.net.dialTimeout))
 			_, err := c.Write(ack)
 			c.SetWriteDeadline(time.Time{})
 			if err != nil || status == helloReject {
 				return
 			}
 		case frameGob:
+			if !gobFits(body[1:]) {
+				return
+			}
 			var wm wireMessage
 			if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&wm); err != nil {
 				return
@@ -603,6 +507,34 @@ func readFrameBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// gobFits reports whether every message a gob stream's length prefixes
+// declare lies within b. The gob decoder allocates a message's declared
+// length, up to 10 MB, before reading it, so a frame's prefixes are
+// checked first.
+func gobFits(b []byte) bool {
+	for len(b) > 0 {
+		n := uint64(b[0])
+		b = b[1:]
+		if n >= 0x80 {
+			// A byte count, negated: the length follows big-endian.
+			w := 0x100 - int(n)
+			if w > 8 || w > len(b) {
+				return false
+			}
+			n = 0
+			for _, c := range b[:w] {
+				n = n<<8 | uint64(c)
+			}
+			b = b[w:]
+		}
+		if n > uint64(len(b)) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 func appendLPString(buf []byte, s string) []byte {
@@ -694,7 +626,6 @@ func (e *tcpEndpoint) sendOnce(to string, msg Message) error {
 		// is the caller's problem, not the connection's.
 		return fmt.Errorf("transport: encode %s->%s: %w", e.addr, to, err)
 	}
-	frame = conn.maybeCompress(frame)
 	if _, err := conn.bw.Write(frame); err != nil {
 		conn.dead = true
 		conn.c.Close()
@@ -887,12 +818,9 @@ func (e *tcpEndpoint) armGate(peer string, err error) {
 		e.gates[peer] = g
 	}
 	if g.backoff == 0 {
-		g.backoff = e.net.opts.DialBackoffBase
-	} else if g.backoff < e.net.opts.DialBackoffMax {
-		g.backoff *= 2
-		if g.backoff > e.net.opts.DialBackoffMax {
-			g.backoff = e.net.opts.DialBackoffMax
-		}
+		g.backoff = e.net.backoffBase
+	} else if g.backoff < e.net.backoffMax {
+		g.backoff = min(2*g.backoff, e.net.backoffMax)
 	}
 	// Equal jitter: half the backoff is deterministic, half uniform.
 	wait := g.backoff/2 + e.net.jitter(g.backoff/2)
@@ -914,7 +842,7 @@ func (n *TCPNetwork) jitter(max time.Duration) time.Duration {
 // its own version, which surfaces as a typed VersionMismatchError.
 func (e *tcpEndpoint) dial(peer, target string) (*tcpConn, error) {
 	e.net.dialTries.Add(1)
-	raw, err := net.DialTimeout("tcp", target, e.net.opts.DialTimeout)
+	raw, err := net.DialTimeout("tcp", target, e.net.dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %q at %s: %w", peer, target, err)
 	}
@@ -926,7 +854,7 @@ func (e *tcpEndpoint) dial(peer, target string) (*tcpConn, error) {
 	cw := &countingWriter{w: raw, n: &e.net.bytes}
 	conn := &tcpConn{
 		c:     raw,
-		bw:    bufio.NewWriterSize(cw, e.net.opts.WriteBufferSize),
+		bw:    bufio.NewWriterSize(cw, connBufferSize),
 		net:   e.net,
 		owner: e.addr,
 		peer:  peer,
@@ -938,7 +866,7 @@ func (e *tcpEndpoint) dial(peer, target string) (*tcpConn, error) {
 // acceptor's ack, so a dead listener or a version skew is caught at
 // dial time rather than surfacing as a decode failure mid-stream.
 func (e *tcpEndpoint) handshake(raw net.Conn, peer string) error {
-	raw.SetDeadline(time.Now().Add(e.net.opts.DialTimeout))
+	raw.SetDeadline(time.Now().Add(e.net.dialTimeout))
 	defer raw.SetDeadline(time.Time{})
 	hello := []byte{0, 0, 0, 0, frameHello, e.net.helloVersion}
 	hello = append(hello, e.addr...)

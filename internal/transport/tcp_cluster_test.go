@@ -91,31 +91,35 @@ func TestTCPEndpointAt(t *testing.T) {
 }
 
 // TestTCPVersionMismatch proves a protocol skew is a typed, actionable
-// dial-time failure, not a decode error mid-stream.
+// dial-time failure, not a decode error mid-stream — whether the dialer
+// is a build from a newer tree or from a v5 tree, which could still send
+// deflate frames.
 func TestTCPVersionMismatch(t *testing.T) {
-	dir := &directory{}
-	oldProc := NewTCPNetworkOpts(TCPOptions{Resolver: dir.resolve})
-	defer oldProc.Close()
-	newProc := NewTCPNetworkOpts(TCPOptions{Resolver: dir.resolve})
-	defer newProc.Close()
-	newProc.helloVersion = ProtocolVersion + 1 // a build from a newer tree
+	for _, remote := range []byte{ProtocolVersion + 1, 5} {
+		dir := &directory{}
+		oldProc := NewTCPNetworkOpts(TCPOptions{Resolver: dir.resolve})
+		defer oldProc.Close()
+		newProc := NewTCPNetworkOpts(TCPOptions{Resolver: dir.resolve})
+		defer newProc.Close()
+		newProc.helloVersion = remote
 
-	if _, err := oldProc.Endpoint("old/ep"); err != nil {
-		t.Fatal(err)
-	}
-	src, err := newProc.Endpoint("new/ep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, _ := oldProc.ListenAddr("old/ep")
-	dir.set("old/ep", hp)
+		if _, err := oldProc.Endpoint("old/ep"); err != nil {
+			t.Fatal(err)
+		}
+		src, err := newProc.Endpoint("new/ep")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp, _ := oldProc.ListenAddr("old/ep")
+		dir.set("old/ep", hp)
 
-	err = src.Send("old/ep", Message{Kind: "k", Payload: "x", Size: 1})
-	var vme *VersionMismatchError
-	if !errors.As(err, &vme) {
-		t.Fatalf("send across version skew: got %v, want VersionMismatchError", err)
-	}
-	if vme.Local != ProtocolVersion+1 || vme.Remote != ProtocolVersion || vme.Peer != "old/ep" {
-		t.Fatalf("mismatch error fields wrong: %+v", vme)
+		err = src.Send("old/ep", Message{Kind: "k", Payload: "x", Size: 1})
+		var vme *VersionMismatchError
+		if !errors.As(err, &vme) {
+			t.Fatalf("v%d send across version skew: got %v, want VersionMismatchError", remote, err)
+		}
+		if vme.Local != remote || vme.Remote != ProtocolVersion || vme.Peer != "old/ep" {
+			t.Fatalf("v%d: mismatch error fields wrong: %+v", remote, vme)
+		}
 	}
 }

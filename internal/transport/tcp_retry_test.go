@@ -107,6 +107,13 @@ func deadTarget(t *testing.T) string {
 	return addr
 }
 
+// withDialTimings gives n a shorter dial timeout and backoff schedule
+// than the defaults, before any endpoint dials.
+func withDialTimings(n *TCPNetwork, timeout, base, max time.Duration) *TCPNetwork {
+	n.dialTimeout, n.backoffBase, n.backoffMax = timeout, base, max
+	return n
+}
+
 // TestDialBackoffCapsAttempts hammers Send at an unreachable peer and
 // proves the per-peer gate turns the hot loop into a bounded, spaced
 // dial schedule: attempts are exponentially separated (each gap at
@@ -117,10 +124,7 @@ func TestDialBackoffCapsAttempts(t *testing.T) {
 	target := deadTarget(t)
 	var mu sync.Mutex
 	var attemptTimes []time.Time
-	nw := NewTCPNetworkOpts(TCPOptions{
-		DialTimeout:     250 * time.Millisecond,
-		DialBackoffBase: 10 * time.Millisecond,
-		DialBackoffMax:  40 * time.Millisecond,
+	nw := withDialTimings(NewTCPNetworkOpts(TCPOptions{
 		Resolver: func(logical string) (string, bool) {
 			if logical != "ghost" {
 				return "", false
@@ -130,7 +134,7 @@ func TestDialBackoffCapsAttempts(t *testing.T) {
 			mu.Unlock()
 			return target, true
 		},
-	})
+	}), 250*time.Millisecond, 10*time.Millisecond, 40*time.Millisecond)
 	defer nw.Close()
 	a, err := nw.Endpoint("a")
 	if err != nil {
@@ -226,10 +230,8 @@ func TestInvalidateDuringDialSettlesWithoutEffect(t *testing.T) {
 
 			entered, release := make(chan struct{}), make(chan struct{})
 			var resolves atomic.Int64
-			nw := NewTCPNetworkOpts(TCPOptions{
-				// A gate armed by the stale dial would outlive the test.
-				DialBackoffBase: time.Minute,
-				DialBackoffMax:  time.Minute,
+			// A gate armed by the stale dial would outlive the test.
+			nw := withDialTimings(NewTCPNetworkOpts(TCPOptions{
 				Resolver: func(string) (string, bool) {
 					if resolves.Add(1) == 1 {
 						close(entered)
@@ -238,7 +240,7 @@ func TestInvalidateDuringDialSettlesWithoutEffect(t *testing.T) {
 					}
 					return newHP, true
 				},
-			})
+			}), dialTimeout, time.Minute, time.Minute)
 			defer nw.Close()
 			a, err := nw.Endpoint("a")
 			if err != nil {
@@ -281,12 +283,9 @@ func TestInvalidateDuringDialSettlesWithoutEffect(t *testing.T) {
 // Every send must fail, and inside the window with the typed error.
 func TestDialGateConcurrentSenders(t *testing.T) {
 	target := deadTarget(t)
-	nw := NewTCPNetworkOpts(TCPOptions{
-		DialTimeout:     250 * time.Millisecond,
-		DialBackoffBase: time.Millisecond,
-		DialBackoffMax:  2 * time.Millisecond,
-		Resolver:        func(string) (string, bool) { return target, true },
-	})
+	nw := withDialTimings(NewTCPNetworkOpts(TCPOptions{
+		Resolver: func(string) (string, bool) { return target, true },
+	}), 250*time.Millisecond, time.Millisecond, 2*time.Millisecond)
 	defer nw.Close()
 	a, err := nw.Endpoint("a")
 	if err != nil {
