@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race short race-short bench bench-smoke bench-test fuzz-smoke trace-smoke serve-smoke soak proc-smoke ci clean
+.PHONY: all build vet lint test race short race-short bench bench-smoke bench-test fuzz-smoke trace-smoke run-smoke serve-smoke soak proc-smoke ci clean
 
 all: ci
 
@@ -112,6 +112,17 @@ fuzz-smoke:
 trace-smoke:
 	$(GO) run ./cmd/imrbench -trace /tmp/imr-trace.json
 
+# Kill-and-resume in a binary: imrrun -resume cancels its own 2 000-node
+# PageRank run halfway with the cause core.ErrKilled (from OnIteration),
+# then resumes it from the newest durable checkpoint. The run must
+# report the kill and exit 0.
+run-smoke:
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o $$d ./cmd/imrgen ./cmd/imrrun && \
+	$$d/imrgen -kind pagerank -nodes 2000 -out $$d/g.txt && \
+	{ $$d/imrrun -graph $$d/g.txt -resume > $$d/out.txt; s=$$?; cat $$d/out.txt; test $$s -eq 0; } && \
+	grep -q 'run killed at iteration' $$d/out.txt
+
 # Multi-tenant job-service smoke: the serve test suite (fair-share
 # scheduling, quotas, cancel semantics, bit-identical concurrent
 # outputs). Its load behaviour is the serve-open workload of
@@ -138,7 +149,7 @@ soak:
 proc-smoke:
 	$(GO) test -tags procsmoke ./internal/proctest -run TestProc -count=1 -v -timeout 10m
 
-ci: vet lint build race-short bench-smoke bench-test fuzz-smoke trace-smoke serve-smoke soak proc-smoke
+ci: vet lint build race-short bench-smoke bench-test fuzz-smoke trace-smoke run-smoke serve-smoke soak proc-smoke
 
 clean:
 	$(GO) clean ./...

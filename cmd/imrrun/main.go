@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"imapreduce/internal/algorithms/concomp"
@@ -111,9 +110,19 @@ func runIMR(g *graph.Graph, algo string, source int64, iters int, threshold floa
 		rec = trace.NewRecorder(0)
 	}
 	copts := core.Options{Timeout: 10 * time.Minute}
-	var iterNow atomic.Int64
+	// With -resume the first run is killed halfway: its master cancels
+	// the run's context with core.ErrKilled at the target iteration.
+	runCtx, kill := context.WithCancelCause(context.Background())
+	defer kill(nil)
+	killedAt := 0
 	if resume {
-		copts.OnIteration = func(it core.IterInfo) { iterNow.Store(int64(it.Iter)) }
+		target := max(iters/2, 1)
+		copts.OnIteration = func(it core.IterInfo) {
+			if killedAt == 0 && it.Iter >= target {
+				killedAt = it.Iter
+				kill(core.ErrKilled)
+			}
+		}
 	}
 	c := newCluster(workers, tcp, rec, &copts)
 	spec, m, fs := c.Spec, c.Metrics, c.FS
@@ -159,26 +168,14 @@ func runIMR(g *graph.Graph, algo string, source int64, iters int, threshold floa
 		if job.CheckpointEvery <= 0 {
 			job.CheckpointEvery = ckpt
 		}
-		target := int64(iters / 2)
-		if target < 1 {
-			target = 1
-		}
-		go func() {
-			for iterNow.Load() < target {
-				time.Sleep(time.Millisecond)
-			}
-			for c.KillRun() != nil {
-				time.Sleep(time.Millisecond)
-			}
-		}()
-		h, err2 := c.Submit(ctx, imr.JobSpec{Iterative: job}, imr.SubmitOptions{})
+		h, err2 := c.Submit(runCtx, imr.JobSpec{Iterative: job}, imr.SubmitOptions{})
 		if err2 != nil {
 			fatal(err2)
 		}
 		_, err = h.Result()
 		switch {
 		case errors.Is(err, core.ErrKilled):
-			fmt.Printf("run killed at iteration %d; cold-restarting from the newest durable checkpoint\n", iterNow.Load())
+			fmt.Printf("run killed at iteration %d; cold-restarting from the newest durable checkpoint\n", killedAt)
 		case err != nil:
 			fatal(err)
 		default:

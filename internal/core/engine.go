@@ -83,9 +83,6 @@ type Engine struct {
 	mu           sync.Mutex
 	running      bool
 	activeMaster transport.Endpoint
-	// cancelRun cancels the active run's context; Kill uses it to
-	// emulate a whole-process crash (master included).
-	cancelRun context.CancelCauseFunc
 
 	// stallMu guards stalls: per-worker wake-up times for injected
 	// undetected hangs (StallWorker). Tasks consult it at every
@@ -160,25 +157,14 @@ func (e *Engine) stretch(worker string, d time.Duration) {
 	}
 }
 
-// ErrKilled is the cause a killed run's error wraps: Kill emulates the
-// whole engine process dying mid-run.
+// ErrKilled is the cancel cause that emulates the whole engine process
+// dying mid-run. Cancel a run's context with it
+// (context.WithCancelCause): the master stops coordinating, every task
+// aborts *without* writing final output, and the run returns an error
+// wrapping ErrKilled. The DFS contents — checkpoints and committed
+// manifests — survive untouched, so a fresh engine over the same DFS
+// can Resume the job.
 var ErrKilled = errors.New("core: engine killed")
-
-// Kill tears the active run down as if the engine process crashed: the
-// master stops coordinating, every task aborts *without* writing final
-// output, and the run returns an error wrapping ErrKilled. The DFS
-// contents — checkpoints and committed manifests — survive untouched,
-// so a fresh engine over the same DFS can Resume the job.
-func (e *Engine) Kill() error {
-	e.mu.Lock()
-	cancel := e.cancelRun
-	e.mu.Unlock()
-	if cancel == nil {
-		return fmt.Errorf("core: no active run")
-	}
-	cancel(ErrKilled)
-	return nil
-}
 
 // FailWorker injects a worker crash into the active run: the master
 // recovers by re-placing the worker's task pairs and rolling every task
@@ -338,7 +324,8 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 
 // RunCtx is Run with cancellation: when ctx is done the master aborts
 // every task and returns an error wrapping ctx's cause, so
-// errors.Is(err, context.Canceled) (or DeadlineExceeded) holds. A
+// errors.Is(err, context.Canceled) (or DeadlineExceeded, or ErrKilled
+// for a kill) holds, also when ctx was done before the run started. A
 // canceled run writes no final output.
 func (e *Engine) RunCtx(ctx context.Context, job *Job) (*Result, error) {
 	return e.runCtx(ctx, job, false)
@@ -368,19 +355,13 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	}
 	e.running = true
 	e.mu.Unlock()
-	ctx, cancel := context.WithCancelCause(ctx)
-	e.mu.Lock()
-	e.cancelRun = cancel
-	e.mu.Unlock()
 	defer func() {
-		cancel(nil)
 		e.mu.Lock()
 		e.running = false
-		e.cancelRun = nil
 		e.mu.Unlock()
 	}()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: job %s: %w", job.Name, err)
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("core: job %s: %w", job.Name, context.Cause(ctx))
 	}
 	start := time.Now()
 	e.opts.Trace.Emit(trace.KindRunStart, "master", -1, 0, trace.Attr{Key: "job", Value: job.Name})

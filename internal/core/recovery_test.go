@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -32,10 +33,12 @@ func restartEngine(t *testing.T, v *env, opts Options) *Engine {
 	return e
 }
 
-// killAfterManifest kills the run as soon as a manifest for iter (or
-// later) is durable, so Resume is guaranteed a checkpoint to restart
-// from. Returns a channel closed once the kill landed (or gave up).
-func killAfterManifest(v *env, jobName string, iter int) chan struct{} {
+// killAfterManifest returns a run context that it cancels with
+// ErrKilled as soon as a manifest for iter (or later) is durable, so
+// Resume is guaranteed a checkpoint to restart from, and a channel
+// closed once the kill landed (or gave up).
+func killAfterManifest(v *env, jobName string, iter int) (context.Context, chan struct{}) {
+	ctx, kill := context.WithCancelCause(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -54,14 +57,13 @@ func killAfterManifest(v *env, jobName string, iter int) chan struct{} {
 				}
 			}
 			if committed {
-				if v.e.Kill() == nil {
-					return
-				}
+				kill(ErrKilled)
+				return
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	return done
+	return ctx, done
 }
 
 // TestKillAndResumeBitIdentical is the headline recovery contract: the
@@ -90,8 +92,8 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	// Chaos cluster: kill once checkpoint 6 is durable.
 	v := newEnv(t, 3, Options{})
 	v.writeState(t, "/state", keys)
-	killed := killAfterManifest(v, "halve-kill", 6)
-	_, err = v.e.Run(slowHalvingJob("halve-kill", maxIter, ckpt))
+	ctx, killed := killAfterManifest(v, "halve-kill", 6)
+	_, err = v.e.RunCtx(ctx, slowHalvingJob("halve-kill", maxIter, ckpt))
 	<-killed
 	if !errors.Is(err, ErrKilled) {
 		t.Fatalf("killed run error = %v, want ErrKilled", err)
@@ -444,8 +446,8 @@ func TestKilledRunStragglerCannotPoisonResume(t *testing.T) {
 		return job
 	}
 
-	killed := killAfterManifest(v, name, 2)
-	_, err = e1.Run(build())
+	ctx, killed := killAfterManifest(v, name, 2)
+	_, err = e1.RunCtx(ctx, build())
 	<-killed
 	if !errors.Is(err, ErrKilled) {
 		t.Fatalf("first run: %v, want ErrKilled", err)

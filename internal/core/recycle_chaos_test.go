@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"testing"
-	"time"
 
 	"imapreduce/internal/cluster"
 	"imapreduce/internal/core"
@@ -30,7 +29,7 @@ func chaosMatchesCalm(t *testing.T, key string, threshold int) *metrics.Set {
 	want, _ := calmRun.runInProcess(t, transport.NewChanNetwork(), key, params)
 
 	fnet := transport.NewFaultyNetwork(transport.NewChanNetwork(),
-		transport.FaultyOptions{Seed: 23, DropRate: 0.02, DupRate: 0.05, ReorderRate: 0.05, HoldMax: time.Millisecond})
+		transport.FaultyOptions{Seed: 23, DropRate: 0.02, DupRate: 0.05, ReorderRate: 0.05})
 	chaos := calmRun
 	chaos.m = metrics.NewSet()
 	got, _ := chaos.runInProcess(t, fnet, key, params)

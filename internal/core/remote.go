@@ -84,19 +84,18 @@ type RemoteClusterOptions struct {
 	// Listen is the host:port the control endpoint binds — the address
 	// workers are pointed at. Required.
 	Listen string
-	// Epoch identifies this master process; 0 means derive one from the
-	// wall clock. A restarted master presents a new epoch, which is how
-	// surviving workers learn their registration is void.
-	Epoch int64
 }
 
 // RemoteCluster is the master-side membership service: it owns the
 // fixed control endpoint, admits joining workers, answers their
 // liveness pings, and surfaces departures to the engine's failure path.
 type RemoteCluster struct {
-	net   *transport.TCPNetwork
-	dir   *transport.Directory
-	ep    transport.Endpoint
+	net *transport.TCPNetwork
+	dir *transport.Directory
+	ep  transport.Endpoint
+	// epoch identifies this master process, from the wall clock at
+	// start: a restarted master presents a new epoch, which is how
+	// surviving workers learn their registration is void.
 	epoch int64
 
 	mu      sync.Mutex
@@ -114,15 +113,12 @@ func NewRemoteCluster(net *transport.TCPNetwork, dir *transport.Directory, opts 
 	if opts.Listen == "" {
 		return nil, fmt.Errorf("core: RemoteClusterOptions.Listen is required")
 	}
-	if opts.Epoch == 0 {
-		opts.Epoch = time.Now().UnixNano()
-	}
 	ep, err := net.EndpointAt(CtlMasterAddr, opts.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("core: bind control endpoint: %w", err)
 	}
 	rc := &RemoteCluster{
-		net: net, dir: dir, ep: ep, epoch: opts.Epoch,
+		net: net, dir: dir, ep: ep, epoch: time.Now().UnixNano(),
 		members: make(map[string]bool),
 		changed: make(chan struct{}),
 	}
@@ -133,9 +129,6 @@ func NewRemoteCluster(net *transport.TCPNetwork, dir *transport.Directory, opts 
 	go rc.loop()
 	return rc, nil
 }
-
-// Epoch identifies this master process to workers.
-func (rc *RemoteCluster) Epoch() int64 { return rc.epoch }
 
 // Workers lists the registered worker IDs, sorted.
 func (rc *RemoteCluster) Workers() []string {

@@ -629,15 +629,14 @@ func TestRemoteMasterRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	runCtx, kill := context.WithCancelCause(context.Background())
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := rm1.eng.Run(job)
+		_, err := rm1.eng.RunCtx(runCtx, job)
 		runErr <- err
 	}()
 	waitForManifest(t, fs1, "pr-mrestart", 3)
-	if err := rm1.eng.Kill(); err != nil {
-		t.Fatal(err)
-	}
+	kill(core.ErrKilled)
 	close(gate)
 	if err := <-runErr; !errors.Is(err, core.ErrKilled) {
 		t.Fatalf("killed run error = %v, want ErrKilled", err)

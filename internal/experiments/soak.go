@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -286,22 +287,32 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 			}
 		}
 	})
+	// The current run's engine, and the cancel of its context; kill is
+	// nil between runs.
 	var engMu sync.Mutex
 	var eng *core.Engine
-	current := func() *core.Engine {
+	var kill context.CancelCauseFunc
+	current := func() (*core.Engine, context.CancelCauseFunc) {
 		engMu.Lock()
 		defer engMu.Unlock()
-		return eng
+		return eng, kill
 	}
-	newEngine := func() (*core.Engine, error) {
+	newRun := func() (*core.Engine, context.Context, error) {
 		e, err := core.NewEngine(fs, fnet, spec, m, opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		ctx, cancel := context.WithCancelCause(context.Background())
 		engMu.Lock()
-		eng = e
+		eng, kill = e, cancel
 		engMu.Unlock()
-		return e, nil
+		return e, ctx, nil
+	}
+	endRun := func() {
+		engMu.Lock()
+		kill(nil)
+		kill = nil
+		engMu.Unlock()
 	}
 
 	done := make(chan struct{})
@@ -313,13 +324,13 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 			// trying until an active run accepts the fault.
 			deadline := time.After(2 * time.Second)
 			for {
-				var err error
+				e, kill := current()
 				if ev.Kind == SoakCrash {
-					err = current().FailWorker(ev.Worker)
-				} else {
-					err = current().Kill()
-				}
-				if err == nil {
+					if e.FailWorker(ev.Worker) == nil {
+						return
+					}
+				} else if kill != nil {
+					kill(core.ErrKilled)
 					return
 				}
 				select {
@@ -331,7 +342,8 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 				}
 			}
 		case SoakStall:
-			current().StallWorker(ev.Worker, ev.Dur)
+			e, _ := current()
+			e.StallWorker(ev.Worker, ev.Dur)
 		case SoakPartition:
 			a := job.Name + "/master"
 			b := fmt.Sprintf("%s/red/0/%d", job.Name, ev.Task)
@@ -372,16 +384,17 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	var res *core.Result
 	resume := false
 	for {
-		e, err := newEngine()
+		e, ctx, err := newRun()
 		if err != nil {
 			close(done)
 			return rep, err
 		}
 		if resume {
-			res, err = e.Resume(job)
+			res, err = e.ResumeCtx(ctx, job)
 		} else {
-			res, err = e.Run(job)
+			res, err = e.RunCtx(ctx, job)
 		}
+		endRun()
 		if errors.Is(err, core.ErrKilled) {
 			rep.Restarts++
 			resume = true

@@ -46,15 +46,10 @@ type Options struct {
 	// Network overrides the task transport entirely — e.g. a
 	// transport.FaultyNetwork for chaos testing. TCP is then ignored.
 	Network transport.Network
-	// DFS overrides the file system configuration.
-	DFS *dfs.Config
 	// JobInitOverhead / TaskStartOverhead emulate Hadoop scheduling
 	// costs (0 = free, the default).
 	JobInitOverhead   time.Duration
 	TaskStartOverhead time.Duration
-	// MapReduce tunes the baseline engine (locality scheduling defaults
-	// to on).
-	MapReduce *mapreduce.Options
 	// Core tunes the iMapReduce engine.
 	Core *core.Options
 	// Metrics receives the run counters (a fresh set by default).
@@ -69,8 +64,8 @@ type Options struct {
 
 // Cluster bundles one simulated cluster with both execution engines
 // over a shared DFS and metrics set. Submit is the front door; many
-// jobs may run concurrently (the cluster grows per-run engines over
-// the shared substrate on demand), as long as their names differ.
+// jobs may run concurrently (each run gets an engine of its own over
+// the shared substrate), as long as their names differ.
 type Cluster struct {
 	Spec    cluster.Spec
 	FS      *dfs.DFS
@@ -83,12 +78,9 @@ type Cluster struct {
 	mr   *mapreduce.Engine
 	core *core.Engine
 
-	// engMu guards the engine pools and the active-run name registry
-	// that Submit maintains.
-	engMu       sync.Mutex
-	coreFree    []*core.Engine
-	coreActive  []*core.Engine
-	mrFree      []*mapreduce.Engine
+	// namesMu guards activeNames, the names of the jobs Submit is
+	// running.
+	namesMu     sync.Mutex
 	activeNames map[string]bool
 }
 
@@ -111,19 +103,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if m == nil {
 		m = metrics.NewSet()
 	}
-	dcfg := dfs.DefaultConfig()
-	if opts.DFS != nil {
-		dcfg = *opts.DFS
-	}
-	fs := dfs.New(dcfg, spec.IDs(), m)
+	fs := dfs.New(dfs.DefaultConfig(), spec.IDs(), m)
 
-	mrOpts := mapreduce.Options{LocalityAware: true}
-	if opts.MapReduce != nil {
-		mrOpts = *opts.MapReduce
-	}
-	if mrOpts.Trace == nil {
-		mrOpts.Trace = opts.Trace
-	}
+	mrOpts := mapreduce.Options{LocalityAware: true, Trace: opts.Trace}
 	mrEngine, err := mapreduce.NewEngine(fs, spec, m, mrOpts)
 	if err != nil {
 		return nil, err
@@ -152,80 +134,22 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{
+	return &Cluster{
 		Spec: spec, FS: fs, Metrics: m,
 		net: net, coreOpts: coreOpts, mrOpts: mrOpts,
 		mr: mrEngine, core: coreEngine,
 		activeNames: make(map[string]bool),
-	}
-	// The engines built above seed the Submit pools.
-	c.coreFree = []*core.Engine{coreEngine}
-	c.mrFree = []*mapreduce.Engine{mrEngine}
-	return c, nil
+	}, nil
 }
 
-// ErrNoActiveRun is returned by KillRun when no iterative run is
-// active. It wraps core.ErrKilled so callers probing for "the kill
-// path" with errors.Is(err, core.ErrKilled) see both the no-run
-// rejection and a killed run's error uniformly.
-var ErrNoActiveRun = fmt.Errorf("imr: no active iterative run: %w", core.ErrKilled)
-
-// KillRun tears down an active iterative run as if the engine process
-// crashed: no final output, checkpoints and manifests left in place for
-// a later resume. With several concurrent runs the earliest-acquired
-// engine's run is killed. The killed run returns an error wrapping
-// core.ErrKilled; when no run is active KillRun returns ErrNoActiveRun
-// (never a silent nil).
-func (c *Cluster) KillRun() error {
-	c.engMu.Lock()
-	engines := append([]*core.Engine(nil), c.coreActive...)
-	c.engMu.Unlock()
-	for _, eng := range engines {
-		if eng.Kill() == nil {
-			return nil
-		}
-	}
-	return ErrNoActiveRun
-}
-
-// MapReduceEngine exposes the baseline engine for advanced use.
+// MapReduceEngine exposes a baseline engine over the cluster for
+// advanced use. Submit runs its jobs on engines of their own.
 func (c *Cluster) MapReduceEngine() *mapreduce.Engine { return c.mr }
 
-// CoreEngine exposes the iMapReduce engine for advanced use.
+// CoreEngine exposes an iMapReduce engine over the cluster for advanced
+// use. Submit runs its jobs on engines of their own, so a run here does
+// not block one there.
 func (c *Cluster) CoreEngine() *core.Engine { return c.core }
-
-// FailWorker injects a worker crash into an active iterative run (with
-// several concurrent runs, the earliest-acquired engine's run).
-func (c *Cluster) FailWorker(id string) error {
-	c.engMu.Lock()
-	engines := append([]*core.Engine(nil), c.coreActive...)
-	c.engMu.Unlock()
-	var last error = ErrNoActiveRun
-	for _, eng := range engines {
-		if err := eng.FailWorker(id); err == nil {
-			return nil
-		} else {
-			last = err
-		}
-	}
-	return last
-}
-
-// StallWorker freezes worker id's tasks for d without any announcement
-// — an undetected hang, recoverable only through heartbeat detection
-// (core.Options.HeartbeatInterval). The stall applies to every engine
-// with an active run.
-func (c *Cluster) StallWorker(id string, d time.Duration) {
-	c.engMu.Lock()
-	engines := append([]*core.Engine(nil), c.coreActive...)
-	c.engMu.Unlock()
-	if len(engines) == 0 {
-		engines = []*core.Engine{c.core}
-	}
-	for _, eng := range engines {
-		eng.StallWorker(id, d)
-	}
-}
 
 // Write stores records as a DFS file at the first worker.
 func (c *Cluster) Write(path string, recs []kv.Pair, ops kv.Ops) error {

@@ -10,7 +10,6 @@ import (
 
 	"imapreduce/internal/cluster"
 	"imapreduce/internal/core"
-	"imapreduce/internal/dfs"
 	"imapreduce/internal/kv"
 	"imapreduce/internal/mapreduce"
 	"imapreduce/internal/metrics"
@@ -164,7 +163,6 @@ func TestOptionsPlumbing(t *testing.T) {
 	c, err := NewCluster(Options{
 		Workers: 5,
 		TCP:     true,
-		DFS:     &dfs.Config{BlockSize: 1 << 10, Replication: 2},
 		Core:    &core.Options{Timeout: 7 * time.Second},
 		Metrics: m,
 	})
@@ -180,15 +178,11 @@ func TestOptionsPlumbing(t *testing.T) {
 	if c.MapReduceEngine() == nil || c.CoreEngine() == nil {
 		t.Fatal("engines missing")
 	}
-	if err := c.FailWorker("worker-0"); err == nil {
-		t.Fatal("FailWorker with no active run should error")
-	}
 }
 
-// TestNetworkOverrideAndStall runs an iterative job through the facade
-// over a duplicating FaultyNetwork, with heartbeats on and a short
-// undetected stall injected mid-run via the passthrough.
-func TestNetworkOverrideAndStall(t *testing.T) {
+// TestNetworkOverride runs an iterative job through the facade over a
+// duplicating FaultyNetwork, with heartbeats on.
+func TestNetworkOverride(t *testing.T) {
 	fnet := transport.NewFaultyNetwork(transport.NewChanNetwork(),
 		transport.FaultyOptions{Seed: 5, DupRate: 0.1})
 	c, err := NewCluster(Options{
@@ -209,9 +203,6 @@ func TestNetworkOverrideAndStall(t *testing.T) {
 	if err := c.Write("/state", recs, kv.OpsFor[int64, float64](nil)); err != nil {
 		t.Fatal(err)
 	}
-	// A stall shorter than the detection window: the run just rides it
-	// out; nothing may be lost or double-applied.
-	time.AfterFunc(5*time.Millisecond, func() { c.StallWorker("worker-1", 15*time.Millisecond) })
 	res, err := run(context.Background(), c, JobSpec{Iterative: &core.Job{
 		Name: "halve-faulty", StatePath: "/state", MaxIter: 8, CheckpointEvery: 2,
 		Map: func(key, state, static any, emit kv.Emit) error {
@@ -344,6 +335,12 @@ func TestRunIterativeCtxCancel(t *testing.T) {
 	if _, err := run(ctx, c, JobSpec{Iterative: halveJob("canceled", 100000)}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
+	// A run killed before it starts reports the kill, not a bare cancel.
+	killed, kill := context.WithCancelCause(context.Background())
+	kill(core.ErrKilled)
+	if _, err := run(killed, c, JobSpec{Iterative: halveJob("killed-early", 100000)}, SubmitOptions{}); !errors.Is(err, core.ErrKilled) {
+		t.Fatalf("killed before start: want core.ErrKilled, got %v", err)
+	}
 	// The engine must be reusable after a canceled run.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel2)
@@ -383,6 +380,12 @@ func TestRunJobCtxCancel(t *testing.T) {
 	if _, err := run(ctx, c, JobSpec{Batch: job}, SubmitOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
+	// A job killed before it starts reports the kill, not a bare cancel.
+	killed, kill := context.WithCancelCause(context.Background())
+	kill(core.ErrKilled)
+	if _, err := run(killed, c, JobSpec{Batch: job}, SubmitOptions{}); !errors.Is(err, core.ErrKilled) {
+		t.Fatalf("killed before start: want core.ErrKilled, got %v", err)
+	}
 	if res, err := run(context.Background(), c, JobSpec{Batch: job}, SubmitOptions{}); err != nil || res.Batch.OutputRecords != 2 {
 		t.Fatalf("engine not reusable after cancel: %v %v", res, err)
 	}
@@ -399,7 +402,14 @@ func TestInvalidSpecRejected(t *testing.T) {
 // surface: kill the active run mid-flight, then resume from the newest
 // durable checkpoint manifest and finish with the exact result.
 func TestKillRunAndResumeIterative(t *testing.T) {
-	c, err := NewCluster(Options{Workers: 2})
+	// The first run is killed from its master at iteration 5. The
+	// resumed run calls kill too, but its context is another.
+	ctx, kill := context.WithCancelCause(context.Background())
+	c, err := NewCluster(Options{Workers: 2, OnIteration: func(it core.IterInfo) {
+		if it.Iter >= 5 {
+			kill(core.ErrKilled)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,21 +424,7 @@ func TestKillRunAndResumeIterative(t *testing.T) {
 	const maxIter = 20
 	job := halveJob("killed", maxIter)
 	job.CheckpointEvery = 2
-	go func() {
-		deadline := time.After(5 * time.Second)
-		for {
-			select {
-			case <-deadline:
-				return
-			default:
-			}
-			if c.KillRun() == nil {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	if _, err := run(context.Background(), c, JobSpec{Iterative: job}, SubmitOptions{}); !errors.Is(err, core.ErrKilled) {
+	if _, err := run(ctx, c, JobSpec{Iterative: job}, SubmitOptions{}); !errors.Is(err, core.ErrKilled) {
 		t.Fatalf("want core.ErrKilled, got %v", err)
 	}
 

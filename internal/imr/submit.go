@@ -204,10 +204,12 @@ func (h *JobHandle) finish(res *JobResult, err error) {
 // Submit starts the job described by spec and returns a handle to it
 // without blocking. The ctx bounds the whole run: when it is done the
 // engine aborts the job and the handle finishes with an error wrapping
-// ctx's cause. Concurrent Submits run concurrently — the cluster grows
-// a per-run engine pool over the shared DFS, transport and spec — with
-// one restriction: two active jobs cannot share a name, because a job's
-// name namespaces its transport endpoints, checkpoints and manifests.
+// ctx's cause; canceling ctx with the cause core.ErrKilled emulates an
+// engine crash, leaving the job's checkpoints for a later Resume.
+// Concurrent Submits run concurrently, each on an engine of its own over
+// the shared DFS, transport and spec, with one restriction: two active
+// jobs cannot share a name, because a job's name namespaces its
+// transport endpoints, checkpoints and manifests.
 func (c *Cluster) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) (*JobHandle, error) {
 	kind, err := spec.validate()
 	if err != nil {
@@ -240,15 +242,24 @@ func (c *Cluster) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) 
 	return h, nil
 }
 
-// execute runs the job on an engine acquired from the matching pool.
+// execute runs the job on an engine of its own, wired to the job's
+// metrics and trace or else to the cluster's. An engine holds no more
+// than its configuration, so one per run costs next to nothing, and no
+// run ever finds its engine busy.
 func (c *Cluster) execute(ctx context.Context, kind specKind, spec JobSpec, opts SubmitOptions) (*JobResult, error) {
-	switch kind {
-	case specIterative:
-		eng, release, err := c.acquireCore(opts)
+	m := opts.Metrics
+	if m == nil {
+		m = c.Metrics
+	}
+	if kind == specIterative {
+		o := c.coreOpts
+		if opts.Trace != nil {
+			o.Trace = opts.Trace
+		}
+		eng, err := core.NewEngine(c.FS, c.net, c.Spec, m, o)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
 		var res *core.Result
 		if opts.Resume {
 			res, err = eng.ResumeCtx(ctx, spec.Iterative)
@@ -259,35 +270,33 @@ func (c *Cluster) execute(ctx context.Context, kind specKind, spec JobSpec, opts
 			return nil, err
 		}
 		return &JobResult{Iterative: res}, nil
-	case specBatch:
-		eng, release, err := c.acquireMR(opts)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
+	}
+	o := c.mrOpts
+	if opts.Trace != nil {
+		o.Trace = opts.Trace
+	}
+	eng, err := mapreduce.NewEngine(c.FS, c.Spec, m, o)
+	if err != nil {
+		return nil, err
+	}
+	if kind == specBatch {
 		res, err := eng.SubmitCtx(ctx, spec.Batch)
 		if err != nil {
 			return nil, err
 		}
 		return &JobResult{Batch: res}, nil
-	default: // specChain
-		eng, release, err := c.acquireMR(opts)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		res, err := mapreduce.RunIterativeCtx(ctx, eng, *spec.Chain)
-		if err != nil {
-			return nil, err
-		}
-		return &JobResult{Chain: res}, nil
 	}
+	res, err := mapreduce.RunIterativeCtx(ctx, eng, *spec.Chain)
+	if err != nil {
+		return nil, err
+	}
+	return &JobResult{Chain: res}, nil
 }
 
 // claimName reserves a job name for the duration of its run.
 func (c *Cluster) claimName(name string) error {
-	c.engMu.Lock()
-	defer c.engMu.Unlock()
+	c.namesMu.Lock()
+	defer c.namesMu.Unlock()
 	if c.activeNames[name] {
 		return fmt.Errorf("imr: job %q is already active on this cluster", name)
 	}
@@ -296,108 +305,7 @@ func (c *Cluster) claimName(name string) error {
 }
 
 func (c *Cluster) releaseName(name string) {
-	c.engMu.Lock()
+	c.namesMu.Lock()
 	delete(c.activeNames, name)
-	c.engMu.Unlock()
-}
-
-// acquireCore hands out an idle core engine, creating one when the pool
-// is empty or when per-job metrics/trace isolation asks for a dedicated
-// instance. The release closure returns poolable engines to the free
-// list; dedicated ones are dropped. Every engine with an active run is
-// tracked in coreActive so KillRun can find it.
-func (c *Cluster) acquireCore(opts SubmitOptions) (*core.Engine, func(), error) {
-	dedicated := opts.Metrics != nil || opts.Trace != nil
-	var eng *core.Engine
-	if dedicated {
-		o := c.coreOpts
-		if opts.Trace != nil {
-			o.Trace = opts.Trace
-		}
-		m := opts.Metrics
-		if m == nil {
-			m = c.Metrics
-		}
-		e, err := core.NewEngine(c.FS, c.net, c.Spec, m, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng = e
-	} else {
-		c.engMu.Lock()
-		if n := len(c.coreFree); n > 0 {
-			eng = c.coreFree[n-1]
-			c.coreFree = c.coreFree[:n-1]
-		}
-		c.engMu.Unlock()
-		if eng == nil {
-			e, err := core.NewEngine(c.FS, c.net, c.Spec, c.Metrics, c.coreOpts)
-			if err != nil {
-				return nil, nil, err
-			}
-			eng = e
-		}
-	}
-	c.engMu.Lock()
-	c.coreActive = append(c.coreActive, eng)
-	c.engMu.Unlock()
-	release := func() {
-		c.engMu.Lock()
-		for i, e := range c.coreActive {
-			if e == eng {
-				c.coreActive = append(c.coreActive[:i], c.coreActive[i+1:]...)
-				break
-			}
-		}
-		if !dedicated {
-			c.coreFree = append(c.coreFree, eng)
-		}
-		c.engMu.Unlock()
-	}
-	return eng, release, nil
-}
-
-// acquireMR is acquireCore for the baseline engine (which also runs one
-// job at a time per instance).
-func (c *Cluster) acquireMR(opts SubmitOptions) (*mapreduce.Engine, func(), error) {
-	dedicated := opts.Metrics != nil || opts.Trace != nil
-	var eng *mapreduce.Engine
-	if dedicated {
-		o := c.mrOpts
-		if opts.Trace != nil {
-			o.Trace = opts.Trace
-		}
-		m := opts.Metrics
-		if m == nil {
-			m = c.Metrics
-		}
-		e, err := mapreduce.NewEngine(c.FS, c.Spec, m, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng = e
-	} else {
-		c.engMu.Lock()
-		if n := len(c.mrFree); n > 0 {
-			eng = c.mrFree[n-1]
-			c.mrFree = c.mrFree[:n-1]
-		}
-		c.engMu.Unlock()
-		if eng == nil {
-			e, err := mapreduce.NewEngine(c.FS, c.Spec, c.Metrics, c.mrOpts)
-			if err != nil {
-				return nil, nil, err
-			}
-			eng = e
-		}
-	}
-	release := func() {
-		if dedicated {
-			return
-		}
-		c.engMu.Lock()
-		c.mrFree = append(c.mrFree, eng)
-		c.engMu.Unlock()
-	}
-	return eng, release, nil
+	c.namesMu.Unlock()
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"imapreduce/internal/core"
 	"imapreduce/internal/kv"
 	"imapreduce/internal/mapreduce"
 	"imapreduce/internal/metrics"
@@ -169,19 +168,38 @@ func TestSubmitValidation(t *testing.T) {
 
 var batchJobForTest = mapreduce.Job{Name: "b"}
 
-// TestKillRunNoActive: KillRun with nothing running returns the typed
-// ErrNoActiveRun, which wraps core.ErrKilled.
-func TestKillRunNoActive(t *testing.T) {
+// TestCoreEngineRunBesideSubmit: a run on the engine CoreEngine returns
+// does not make a concurrent Submit fail, because Submit runs its jobs
+// on engines of their own.
+func TestCoreEngineRunBesideSubmit(t *testing.T) {
 	c, err := NewCluster(Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.KillRun()
-	if !errors.Is(err, ErrNoActiveRun) {
-		t.Fatalf("err = %v, want ErrNoActiveRun", err)
+	seedHalveState(t, c)
+	slow := halveJob("bare", 40)
+	started := make(chan struct{})
+	var once sync.Once
+	userMap := slow.Map
+	slow.Map = func(key, state, static any, emit kv.Emit) error {
+		once.Do(func() { close(started) })
+		return userMap(key, state, static, emit)
 	}
-	if !errors.Is(err, core.ErrKilled) {
-		t.Fatalf("ErrNoActiveRun does not wrap core.ErrKilled: %v", err)
+	bare := make(chan error, 1)
+	go func() {
+		_, err := c.CoreEngine().RunCtx(context.Background(), slow)
+		bare <- err
+	}()
+	<-started
+	res, err := run(context.Background(), c, JobSpec{Iterative: halveJob("submitted", 3)}, SubmitOptions{})
+	if err != nil {
+		t.Fatalf("Submit beside a CoreEngine run: %v", err)
+	}
+	if res.Iterative.Iterations != 3 {
+		t.Fatalf("submitted run: %d iterations, want 3", res.Iterative.Iterations)
+	}
+	if err := <-bare; err != nil {
+		t.Fatalf("CoreEngine run: %v", err)
 	}
 }
 

@@ -152,8 +152,8 @@ func (e *Engine) SubmitCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("mapreduce: job %s: %w", job.Name, err)
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("mapreduce: job %s: %w", job.Name, context.Cause(ctx))
 	}
 	e.m.Add(metrics.JobsLaunched, 1)
 	start := time.Now()

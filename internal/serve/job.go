@@ -26,7 +26,7 @@ type Job struct {
 	svc    *Service
 
 	runCtx    context.Context
-	cancelRun context.CancelCauseFunc
+	cancel    context.CancelCauseFunc
 	metrics   *metrics.Set
 	tr        *trace.Recorder
 	submitted time.Time
@@ -52,7 +52,7 @@ func (s *Service) newJob(ctx context.Context, tenant string, seq int64, spec imr
 	if opts.Trace == nil && s.cfg.JobTraceEvents > 0 {
 		opts.Trace = trace.NewRecorder(s.cfg.JobTraceEvents)
 	}
-	runCtx, cancelRun := context.WithCancelCause(ctx)
+	runCtx, cancel := context.WithCancelCause(ctx)
 	return &Job{
 		id:        fmt.Sprintf("%s/%d", tenant, seq),
 		name:      ns,
@@ -63,7 +63,7 @@ func (s *Service) newJob(ctx context.Context, tenant string, seq int64, spec imr
 		opts:      opts,
 		svc:       s,
 		runCtx:    runCtx,
-		cancelRun: cancelRun,
+		cancel:    cancel,
 		metrics:   opts.Metrics,
 		tr:        opts.Trace,
 		submitted: time.Now(),
@@ -141,7 +141,7 @@ func (j *Job) Cancel() {
 		j.svc.settle(j)
 		return
 	}
-	j.cancelRun(context.Canceled)
+	j.cancel(context.Canceled)
 }
 
 // cancelQueued records a still-queued job as canceled; it reports

@@ -23,8 +23,8 @@
 //     run's is deleted before its handle completes, all but its output;
 //     a failed or canceled run's is kept for Resume, up to Slots a tenant.
 //
-// Execution itself is delegated to imr.Cluster.Submit, which grows a
-// per-run engine pool over the shared DFS, transport and cluster spec.
+// Execution itself is delegated to imr.Cluster.Submit, which builds an
+// engine per run over the shared DFS, transport and cluster spec.
 package serve
 
 import (
@@ -98,10 +98,6 @@ type Config struct {
 	// Tenants assigns per-tenant quotas; tenants not listed get the
 	// zero Quota.
 	Tenants map[string]Quota
-	// Metrics receives the service counters (serve.* constants in
-	// internal/metrics) and the folded per-job counters; defaults to
-	// the cluster's set.
-	Metrics *metrics.Set
 	// Trace, if set, receives serve.* lifecycle events.
 	Trace *trace.Recorder
 	// JobTraceEvents, if > 0, gives every job its own trace.Recorder
@@ -119,7 +115,7 @@ func TenantRoot(tenant string) string { return "/tenants/" + tenant }
 type Service struct {
 	cfg     Config
 	cluster *imr.Cluster
-	m       *metrics.Set
+	m       *metrics.Set // the cluster's: service counters and folded per-job counters
 	tr      *trace.Recorder
 	seq     atomic.Int64
 
@@ -153,14 +149,10 @@ func New(cfg Config) (*Service, error) {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 64
 	}
-	m := cfg.Metrics
-	if m == nil {
-		m = cfg.Cluster.Metrics
-	}
 	s := &Service{
 		cfg:        cfg,
 		cluster:    cfg.Cluster,
-		m:          m,
+		m:          cfg.Cluster.Metrics,
 		tr:         cfg.Trace,
 		kick:       make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
@@ -359,7 +351,7 @@ func (s *Service) Close() {
 		}
 	}
 	for _, j := range active {
-		j.cancelRun(context.Canceled)
+		j.cancel(context.Canceled)
 	}
 	s.wg.Wait()
 }

@@ -37,12 +37,13 @@ type FaultyOptions struct {
 	DupRate float64
 	// ReorderRate is the probability a message is held back and
 	// delivered after the link's next message (adjacent swap). A held
-	// message with no successor is flushed after HoldMax.
+	// message with no successor is flushed after holdMax.
 	ReorderRate float64
-	// HoldMax bounds how long a reorder-held message waits for a
-	// successor before being flushed anyway. Default 2ms.
-	HoldMax time.Duration
 }
+
+// holdMax bounds how long a reorder-held message waits for a successor
+// before being flushed anyway.
+const holdMax = 2 * time.Millisecond
 
 // FaultyNetwork wraps another Network and injects message drops,
 // duplicates, adjacent reordering, and per-link partitions — the chaos
@@ -65,9 +66,6 @@ type FaultyNetwork struct {
 
 // NewFaultyNetwork wraps inner with fault injection per opts.
 func NewFaultyNetwork(inner Network, opts FaultyOptions) *FaultyNetwork {
-	if opts.HoldMax <= 0 {
-		opts.HoldMax = 2 * time.Millisecond
-	}
 	return &FaultyNetwork{
 		inner: inner,
 		opts:  opts,
@@ -205,7 +203,7 @@ func (e *faultyEndpoint) Send(to string, msg Message) error {
 		held := msg
 		ln.held = &held
 		e.net.reorders.Add(1)
-		ln.timer = time.AfterFunc(opts.HoldMax, func() { e.flushHeld(ln, to) })
+		ln.timer = time.AfterFunc(holdMax, func() { e.flushHeld(ln, to) })
 	}
 	ln.mu.Unlock()
 

@@ -123,8 +123,8 @@ func TestFaultyReordersAdjacentAndLosesNothing(t *testing.T) {
 
 func TestFaultyHeldFrameFlushedWithoutSuccessor(t *testing.T) {
 	// ReorderRate 1 with a single message: the frame is held, no
-	// successor ever comes, and the HoldMax timer must flush it.
-	nw := NewFaultyNetwork(NewChanNetwork(), FaultyOptions{Seed: 1, ReorderRate: 1, HoldMax: 5 * time.Millisecond})
+	// successor ever comes, and the holdMax timer must flush it.
+	nw := NewFaultyNetwork(NewChanNetwork(), FaultyOptions{Seed: 1, ReorderRate: 1})
 	defer nw.Close()
 	a, _ := nw.Endpoint("a")
 	b, _ := nw.Endpoint("b")
