@@ -62,7 +62,8 @@ bench:
 # within single-digit allocations per 4096-pair chunk, and a warm
 # Grouper, a warm static join and a warm previous-state merge must
 # handle a same-sized input with none at all, and a warm SSSP superstep
-# may allocate only what its map boxes and one box per message sent. In
+# may allocate only what its map boxes and one box per message sent —
+# on the column loops only the message boxes, whatever changes. In
 # the baseline engine a map attempt may allocate only its spill runs and
 # a few headers, and a reduce attempt the same count whatever its input.
 # The registry PageRank's sorted-sum reduce may allocate only its result
@@ -96,9 +97,13 @@ bench-test:
 # decodes; FuzzManifest feeds arbitrary manifest records to Resume, which
 # must never resume one that disagrees with the job; FuzzImage opens
 # arbitrary bytes as a DFS namenode image, which must fail or list exactly
-# the image's files. Each starts from its seed
-# corpus under the package's testdata/fuzz; a failing input is written
-# there, ready to be re-run by go test and checked in.
+# the image's files; FuzzChunkFrames runs arbitrary bytes through the
+# decoder of every frame core registers — pair, column state and column
+# shuffle chunks, auxiliary output — which must not panic, must bound the
+# records by the bytes, and must re-encode what it accepts stably. Each
+# starts from its seed corpus (under the package's testdata/fuzz, or
+# added in the test); a failing input is written to testdata/fuzz, ready
+# to be re-run by go test and checked in.
 fuzz-smoke:
 	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzNamespaceOps -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodePairs -fuzztime 10s
@@ -106,6 +111,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodeCols -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzManifest -fuzztime 10s
 	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzImage -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzChunkFrames -fuzztime 10s
 
 # Traced quick run: records a real SSSP job, exports Chrome trace JSON,
 # validates it parses, and prints the factor decomposition.

@@ -39,3 +39,29 @@ func TestJoinCodecsRoundTrip(t *testing.T) {
 		t.Fatal("re-encoding decoded pairs changed the bytes")
 	}
 }
+
+// TestHostileEntryCounts: an entry count the bytes left cannot hold — the
+// 14-byte frame FuzzChunkFrames found declared 7.7e9 entries and
+// exhausted memory — fails every entry-list decoder before it allocates.
+func TestHostileEntryCounts(t *testing.T) {
+	for _, sample := range []any{Row{}, []Entry{}, joined{}} {
+		enc, ok := kv.AppendValue(nil, sample)
+		if !ok {
+			t.Fatalf("%T did not encode", sample)
+		}
+		// The value's type tag, then a count of 2^62 entries (past what
+		// make can allocate, so an unbounded decoder panics rather than
+		// exhausting memory) and a few bytes of body.
+		tag := enc[:len(enc)-1]
+		if _, isJoined := sample.(joined); isJoined {
+			tag = enc[:len(enc)-2]
+		}
+		data := append(kv.AppendUvarint(bytes.Clone(tag), 1<<62), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+		if _, _, err := kv.DecodeValue(data); err == nil {
+			t.Errorf("%T: a count of 2^62 entries decoded", sample)
+		}
+	}
+	if _, _, err := entriesAt(kv.AppendUvarint(nil, 2)); err == nil {
+		t.Error("two entries decoded from no bytes")
+	}
+}

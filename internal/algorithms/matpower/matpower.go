@@ -64,6 +64,11 @@ func entriesAt(data []byte) ([]Entry, int, error) {
 	if l == 0 {
 		return nil, n, nil
 	}
+	// An entry takes at least 9 bytes: a count the bytes left cannot
+	// hold fails before anything is allocated.
+	if l > uint64(len(data)-n)/9 {
+		return nil, 0, fmt.Errorf("matpower: %d entries exceed the %d bytes left", l, len(data)-n)
+	}
 	out := make([]Entry, l)
 	for i := range out {
 		k, m, err := kv.Varint(data[n:])
@@ -339,6 +344,10 @@ func taggedAt(data []byte) ([]taggedEntry, int, error) {
 	}
 	if l == 0 {
 		return nil, n, nil
+	}
+	// A tagged entry takes at least 10 bytes (see entriesAt).
+	if l > uint64(len(data)-n)/10 {
+		return nil, 0, fmt.Errorf("matpower: %d tagged entries exceed the %d bytes left", l, len(data)-n)
 	}
 	out := make([]taggedEntry, l)
 	for j := range out {

@@ -18,34 +18,49 @@ import (
 // and the receiving handler's deferred release everywhere else. A chunk
 // that two tasks receive carries no lease, and its buffer is the GC's.
 
-// chunkBuf is one chunk buffer and the free list it belongs to. It holds
-// pairs, or — a map buffer of a job on the column loops — a column batch.
-type chunkBuf struct {
+// records are a batch of records on either loops: pairs, or — on the
+// column loops — a column batch.
+type records struct {
 	pairs []kv.Pair
 	cols  colRecords
-	home  *freeList
+}
+
+// newRecords returns an empty batch with room for n records: a column
+// batch when newCols is set, pairs otherwise.
+func newRecords(n int, newCols func(n int) colRecords) records {
+	if newCols != nil {
+		return records{cols: newCols(n)}
+	}
+	return records{pairs: make([]kv.Pair, 0, n)}
+}
+
+// len is the number of records in r.
+func (r *records) len() int {
+	if r.cols != nil {
+		return r.cols.Len()
+	}
+	return len(r.pairs)
+}
+
+// empty clears the used records — a stale pair would pin its box, and
+// with it a decode arena (§12.1) — and truncates.
+func (r *records) empty() {
+	clear(r.pairs)
+	r.pairs = r.pairs[:0]
+	if r.cols != nil {
+		r.cols.Reset()
+	}
+}
+
+// chunkBuf is one chunk buffer and the free list it belongs to: pairs,
+// or the column batch of a task on the column loops.
+type chunkBuf struct {
+	records
+	home *freeList
 	// lease numbers the buffer's trips. A chunk carries the number it was
 	// sent under, and the one return whose CompareAndSwap moves it on is
 	// the only one that takes effect.
 	lease atomic.Uint64
-}
-
-// empty clears the used records — a stale one would pin its box, and
-// with it a decode arena (§12.1) — and truncates.
-func (b *chunkBuf) empty() {
-	clear(b.pairs)
-	b.pairs = b.pairs[:0]
-	if b.cols != nil {
-		b.cols.Reset()
-	}
-}
-
-// len is the number of records in b.
-func (b *chunkBuf) len() int {
-	if b.cols != nil {
-		return b.cols.Len()
-	}
-	return len(b.pairs)
 }
 
 // capacity is the number of records b holds without growing.
@@ -132,10 +147,7 @@ func (l *freeList) get() *chunkBuf {
 	if want > 0 {
 		size = want
 	}
-	if l.newCols != nil {
-		return &chunkBuf{cols: l.newCols(size), home: l}
-	}
-	return &chunkBuf{pairs: make([]kv.Pair, 0, size), home: l}
+	return &chunkBuf{records: newRecords(size, l.newCols), home: l}
 }
 
 // recycle empties b and keeps it if the list has room.
@@ -156,16 +168,14 @@ func (l *freeList) report(m *metrics.Set) {
 	m.Add(metrics.ChunkBufsAlloc, l.allocated)
 }
 
-// accum gathers one iteration's input at a task: the records (pairs, or
-// the column batch of a reduce on the column loops), the senders whose
-// every chunk is here, the chunks taken from each sender
+// accum gathers one iteration's input at a task: the records, the
+// senders whose every chunk is here, the chunks taken from each sender
 // and the total its End announced, and the chunks already taken, by
-// which network duplicates are dropped. A task keeps the accumulator of
-// its last finished iteration as its spare, so the record buffer and the
-// maps' buckets are allocated once, not once per iteration.
+// which network duplicates are dropped. A task keeps the accumulators of
+// its finished iterations as spares, so the record buffers and the maps'
+// buckets are allocated once, not once per iteration.
 type accum struct {
-	pairs []kv.Pair
-	cols  colRecords
+	records
 	ends  int
 	seen  map[chunkKey]bool
 	tally map[int]chunkTally
@@ -175,33 +185,31 @@ type accum struct {
 // the total its End chunk announced (0 until the End is here).
 type chunkTally struct{ got, want int }
 
-// takeAccum takes the spare for a new iteration, or — when there is none
-// — makes an accumulator. Its records are made on the first append.
-func takeAccum(spare **accum) *accum {
-	a := *spare
-	*spare = nil
-	if a == nil {
-		a = &accum{seen: make(map[chunkKey]bool), tally: make(map[int]chunkTally)}
+// maxSpares is how many finished accumulators a task keeps: one per
+// iteration that can be in flight at once. A reduce can take the next
+// iteration's first chunks before the slowest map's End of this one, and
+// the iteration after that cannot start until this one is done.
+const maxSpares = 2
+
+// takeAccum takes a spare for a new iteration, or — when there is none —
+// makes an accumulator. Its records are made on the first append.
+func takeAccum(spares *[]*accum) *accum {
+	if n := len(*spares); n > 0 {
+		a := (*spares)[n-1]
+		(*spares)[n-1] = nil
+		*spares = (*spares)[:n-1]
+		return a
 	}
-	return a
+	return &accum{seen: make(map[chunkKey]bool), tally: make(map[int]chunkTally)}
 }
 
-// addPairs appends ps to the accumulated pairs, making room for presize
-// records first when there are none yet: iterative jobs move nearly the
-// same record count every round.
-func (a *accum) addPairs(ps []kv.Pair, presize int) {
-	if a.pairs == nil {
-		a.pairs = make([]kv.Pair, 0, max(presize, len(ps)))
+// retire empties a finished accumulator and keeps it as a spare, if the
+// task has room for one more.
+func (a *accum) retire(spares *[]*accum) {
+	a.reset()
+	if len(*spares) < maxSpares {
+		*spares = append(*spares, a)
 	}
-	a.pairs = append(a.pairs, ps...)
-}
-
-// len is the number of records accumulated.
-func (a *accum) len() int {
-	if a.cols != nil {
-		return a.cols.Len()
-	}
-	return len(a.pairs)
 }
 
 // take accounts a chunk from sender from with sequence number seq and
@@ -227,15 +235,11 @@ func (a *accum) take(from int, seq int64, end int) bool {
 	return true
 }
 
-// reset empties a finished accumulator for reuse as the spare. Clearing
-// matters: stale records would pin the iteration's decode arenas until
+// reset empties a finished accumulator for reuse. Clearing matters:
+// stale records would pin the iteration's decode arenas until
 // overwritten.
 func (a *accum) reset() {
-	clear(a.pairs)
-	a.pairs = a.pairs[:0]
-	if a.cols != nil {
-		a.cols.Reset()
-	}
+	a.empty()
 	clear(a.seen)
 	clear(a.tally)
 	a.ends = 0

@@ -1,18 +1,24 @@
 package core
 
 import (
-	"cmp"
+	"fmt"
+	"slices"
 
 	"imapreduce/internal/kv"
 )
 
-// The column loops: the record loops of a job columnLoops picks. What
-// the typed map emits goes into int64 and V columns, is partitioned by
-// kv.PartitionInt64 (the reduce Ops.Partition picks for the boxed key),
-// crosses the network as a column batch (a column frame on a socket),
-// and is grouped by kv.ColGrouper for the typed reduce. No record is
-// boxed between the user map and the user reduce; the state path — the
-// reduce→map chunks, checkpoints and the final output — stays on pairs.
+// The column loops: the record loops of a job columnLoops picks. Its
+// records stay in int64 and V columns the whole way round the loop. What
+// the typed map emits is partitioned by kv.PartitionInt64 (the reduce
+// Ops.Partition picks for the boxed key), crosses the network as a column
+// batch (a column frame on a socket), and is grouped by kv.ColGrouper for
+// the typed reduce. The reduce merges each new state into a typed
+// previous-state run (colRun) and sends it back to the map as a column
+// batch too, where it is joined with the static partition, unboxed once
+// into a key column and an S column when the task loads it. Records are
+// boxed into pairs only where the state meets the DFS: the checkpoint
+// writer and the final output box the state, and the initial, recovery
+// and rollback loads unbox it, so every file reads as the pair loops'.
 
 // colRecords is a column batch of a job's state type: a *kv.Cols[V].
 type colRecords interface {
@@ -20,6 +26,7 @@ type colRecords interface {
 	Cap() int
 	Reset()
 	Release()
+	Box(dst []kv.Pair) []kv.Pair
 }
 
 // colMapLoops are the column loops of a map task.
@@ -31,13 +38,16 @@ type colMapLoops[V kv.Scalar, S any] struct {
 	recSize int64
 	emit    func(int64, V) // the serial loop's emit, made once
 	rows    colRows[V]
+	// The static partition, unboxed: skeys[i]'s static value is svals[i],
+	// the keys ascending and unique.
+	skeys []int64
+	svals []S
 }
 
 func newColMapLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *mapTask) *colMapLoops[V, S] {
-	var zero V
 	l := &colMapLoops[V, S]{
 		t: t, d: d,
-		recSize: int64(t.job.Ops.PairSize(kv.Pair{Key: int64(0), Value: zero})),
+		recSize: colRecSize[V](&t.job.Ops),
 		rows:    colRows[V]{nred: t.numReduce},
 	}
 	l.emit = func(k int64, v V) {
@@ -51,26 +61,114 @@ func newColMapLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *mapTask) *colMapL
 	return l
 }
 
-func (l *colMapLoops[V, S]) mapState(iter int, pairs []kv.Pair) error {
-	t := l.t
-	if t.run.pool.shardsFor(len(pairs)) > 1 {
-		return t.runSharded(iter, len(pairs), &l.rows, func(sh, lo, hi int) error {
-			return l.mapRange(pairs[lo:hi], l.rows.emits[sh])
-		})
-	}
-	return l.mapRange(pairs, l.emit)
+// colRecSize is what a column record of V is charged: what ops charges
+// its pair.
+func colRecSize[V kv.Scalar](ops *kv.Ops) int64 {
+	var zero V
+	return int64(ops.PairSize(kv.Pair{Key: int64(0), Value: zero}))
 }
 
-// mapRange runs the typed map over one range of state pairs, each joined
-// with the static record of its key.
-func (l *colMapLoops[V, S]) mapRange(pairs []kv.Pair, emit func(int64, V)) error {
-	return l.t.joinStatic(pairs, func(p kv.Pair, static any) error {
-		k, v, s, err := l.d.unbox(p.Key, p.Value, static)
-		if err != nil {
-			return err
+func (l *colMapLoops[V, S]) setStatic(static []kv.Pair) error {
+	l.skeys, l.svals = make([]int64, len(static)), make([]S, len(static))
+	for i, p := range static {
+		k, ok := p.Key.(int64)
+		if !ok {
+			return scalarRecordErr[V](p.Key, nil)
 		}
-		return l.d.mapFn(k, v, s, emit)
-	})
+		s, ok := p.Value.(S)
+		if !ok && p.Value != nil {
+			return fmt.Errorf("core: scalar job static value %T, want %T", p.Value, s)
+		}
+		l.skeys[i], l.svals[i] = k, s
+	}
+	return nil
+}
+
+func (l *colMapLoops[V, S]) unbox(pairs []kv.Pair) (records, error) {
+	c := kv.NewCols[V](len(pairs))
+	if err := c.Unbox(pairs); err != nil {
+		return records{}, err
+	}
+	return records{cols: c}, nil
+}
+
+func (l *colMapLoops[V, S]) accumulate(a *accum, in records, presize int) error {
+	return addCols[V](a, in, presize)
+}
+
+// addCols is the column loops' accumulate. It presizes as addPairs does.
+func addCols[V kv.Scalar](a *accum, in records, presize int) error {
+	src, ok := in.cols.(*kv.Cols[V])
+	if !ok {
+		if in.cols != nil || len(in.pairs) > 0 {
+			return errMixedLoops
+		}
+		return nil // an End chunk with no records may travel as an empty pair chunk
+	}
+	dst, _ := a.cols.(*kv.Cols[V])
+	if dst == nil {
+		dst = kv.NewCols[V](max(presize, src.Len()))
+		a.cols = dst
+	}
+	dst.AppendRange(src, 0, src.Len())
+	return nil
+}
+
+func (l *colMapLoops[V, S]) mapState(iter int, in records) error {
+	src, ok := in.cols.(*kv.Cols[V])
+	if !ok {
+		if len(in.pairs) > 0 {
+			return errMixedLoops
+		}
+		return nil
+	}
+	t, keys, vals := l.t, src.Keys, src.Vals
+	if t.run.pool.shardsFor(len(keys)) > 1 {
+		return t.runSharded(iter, len(keys), &l.rows, func(sh, lo, hi int) error {
+			return l.mapRange(keys[lo:hi], vals[lo:hi], l.rows.emits[sh])
+		})
+	}
+	return l.mapRange(keys, vals, l.emit)
+}
+
+// mapRange runs the typed map over one range of state records, each
+// joined with the static value of its key (S's zero value when it has
+// none). The cursor is the range's own: shards of one input run side by
+// side.
+func (l *colMapLoops[V, S]) mapRange(keys []int64, vals []V, emit func(int64, V)) error {
+	sk, cur := l.skeys, 0
+	for i, k := range keys {
+		var s S
+		if len(sk) > 0 {
+			var found bool
+			if cur, found = seekInt64(sk, cur, k); found {
+				s = l.svals[cur]
+				cur++
+			}
+		}
+		if err := l.d.mapFn(k, vals[i], s, emit); err != nil {
+			return fmt.Errorf("map %d/%d key %v: %w", l.t.phase, l.t.idx, k, err)
+		}
+	}
+	return nil
+}
+
+// seekInt64 is seek over a key column: it returns where key is in keys
+// (or would be), whether it is there, looking at the cursor cur first.
+func seekInt64(keys []int64, cur int, key int64) (int, bool) {
+	lo, hi := 0, len(keys)
+	if cur < len(keys) {
+		switch k := keys[cur]; {
+		case k == key:
+			return cur, true
+		case k < key:
+			lo = cur + 1
+		default:
+			hi = cur
+		}
+	}
+	i, found := slices.BinarySearch(keys[lo:hi], key)
+	return lo + i, found
 }
 
 func (l *colMapLoops[V, S]) pack(c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error) {
@@ -119,30 +217,23 @@ func (cr *colRows[V]) recycle() {
 // colReduceLoops are the column loops of a reduce task. A column job has
 // one phase, so its reduce is always the termination phase's.
 type colReduceLoops[V kv.Scalar, S any] struct {
-	t *reduceTask
-	d *scalarDef[V, S]
+	t       *reduceTask
+	d       *scalarDef[V, S]
+	recSize int64 // see colMapLoops
 	// Task-lifetime scratch: the grouping kernel, the groups of the
 	// iteration being reduced, and the parallel reduce's result slots.
 	grouper kv.ColGrouper[V]
 	groups  kv.ColGroups[V]
 	nvals   []V
+	prev    colRun[V]
 }
 
-func (l *colReduceLoops[V, S]) accumulate(a *accum, c shuffleChunk) error {
-	src, ok := c.Cols.(*kv.Cols[V])
-	if !ok {
-		if c.Cols != nil || len(c.Pairs) > 0 {
-			return errMixedLoops
-		}
-		return nil // an End chunk with no records travels as an empty pair chunk
-	}
-	dst, _ := a.cols.(*kv.Cols[V])
-	if dst == nil {
-		dst = kv.NewCols[V](max(l.t.lastIn, src.Len()))
-		a.cols = dst
-	}
-	dst.AppendRange(src, 0, src.Len())
-	return nil
+func newColReduceLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *reduceTask) *colReduceLoops[V, S] {
+	return &colReduceLoops[V, S]{t: t, d: d, recSize: colRecSize[V](&t.job.Ops)}
+}
+
+func (l *colReduceLoops[V, S]) accumulate(a *accum, in records, presize int) error {
+	return addCols[V](a, in, presize)
 }
 
 func (l *colReduceLoops[V, S]) group(a *accum) int {
@@ -171,6 +262,10 @@ func (l *colReduceLoops[V, S]) reduce(iter int) (float64, error) {
 			return 0, err
 		}
 	}
+	var whole *kv.Cols[V]
+	if t.whole != nil {
+		whole = t.whole.cols.(*kv.Cols[V])
+	}
 	var dist float64
 	for i, k := range g.Keys {
 		var ns V
@@ -182,22 +277,78 @@ func (l *colReduceLoops[V, S]) reduce(iter int) (float64, error) {
 				return 0, t.reduceErr(k, err)
 			}
 		}
-		// The new state leaves as a pair. Its key is boxed once, in the
-		// previous-state run; its value is boxed only when it changed.
-		p, had := t.prev.seek(func(rk any) int { return cmp.Compare(rk.(int64), k) })
-		if had {
-			old, _ := p.Value.(V)
-			if !kv.SameBits(old, ns) {
-				p.Value = ns
-			}
-			if l.d.distFn != nil {
-				dist += l.d.distFn(k, old, ns)
-			}
-		} else {
-			p = kv.Pair{Key: k, Value: ns}
+		if old, had := l.prev.put(k, ns); had && l.d.distFn != nil {
+			dist += l.d.distFn(k, old, ns)
 		}
-		t.prev.add(p)
-		t.newState(iter, p)
+		if whole != nil {
+			whole.Append(k, ns)
+		}
+		if !t.gated {
+			l.send(iter, k, ns)
+		}
 	}
+	l.prev.end()
 	return dist, nil
+}
+
+// send adds one key's new state to the loop-back chunk buffer.
+func (l *colReduceLoops[V, S]) send(iter int, k int64, v V) {
+	t := l.t
+	if t.outBuf == nil {
+		t.outBuf = t.bufs.get()
+	}
+	out := t.outBuf.cols.(*kv.Cols[V])
+	out.Append(k, v)
+	if out.Len() >= t.bufThresh {
+		t.flushStreaming(iter, false)
+	}
+}
+
+func (l *colReduceLoops[V, S]) bytes(r records) int64 { return int64(r.len()) * l.recSize }
+
+func (l *colReduceLoops[V, S]) loadPrev(pairs []kv.Pair) error {
+	l.prev.run.Reset()
+	l.prev.next.Reset()
+	l.prev.pos = 0
+	return l.prev.run.Unbox(keyedRun(pairs, l.t.job.Ops))
+}
+
+func (l *colReduceLoops[V, S]) final() []kv.Pair { return l.prev.run.Box(nil) }
+
+// colRun is stateRun on the column loops: the previous state as a key
+// column and a value column, merged with an iteration's key-ascending
+// reduce results in one pass (put per group, then end) that writes a
+// second pair of columns, recycled across iterations.
+type colRun[V kv.Scalar] struct {
+	run, next kv.Cols[V]
+	pos       int // first record of run the pass has not consumed
+}
+
+// put records v as k's new state and returns its previous state, if it
+// had one. Keys must arrive in ascending order within a pass: the records
+// of the run it passes over carry into the pass.
+func (s *colRun[V]) put(k int64, v V) (old V, existed bool) {
+	keys, i := s.run.Keys, s.pos
+	for i < len(keys) && keys[i] < k {
+		i++
+	}
+	if i > s.pos {
+		s.next.AppendRange(&s.run, s.pos, i)
+		s.pos = i
+	}
+	if i < len(keys) && keys[i] == k {
+		old, existed = s.run.Vals[i], true
+		s.pos++
+	}
+	s.next.Append(k, v)
+	return old, existed
+}
+
+// end closes the pass: the records past the last put carry over and the
+// merged columns become the run.
+func (s *colRun[V]) end() {
+	s.next.AppendRange(&s.run, s.pos, s.run.Len())
+	s.run, s.next = s.next, s.run
+	s.next.Reset()
+	s.pos = 0
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"imapreduce/internal/cluster"
 	"imapreduce/internal/core"
+	"imapreduce/internal/dfs"
 	"imapreduce/internal/jobs"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/transport"
@@ -92,10 +94,11 @@ func TestRegistryJobsColumnLoopsMatchPairLoops(t *testing.T) {
 // TestColumnLoopsRecover: a column-loop run with a checkpoint every 2
 // iterations, hit at iteration 3 by an announced worker failure or by a
 // silent stall the heartbeats must detect, rolls back, finishes, and
-// writes output bit-identical to a calm run — over channels and TCP. A
-// distance threshold gates every iteration on the master, so the fault
-// lands mid-run however fast the tasks are (SSSP converges at iteration
-// 8 on this graph, PageRank runs to MaxIter).
+// leaves output and checkpoint files bit-identical to a calm run on the
+// pair loops — over channels and TCP. A distance threshold gates every
+// iteration on the master, so the fault lands mid-run however fast the
+// tasks are (SSSP converges at iteration 8 on this graph, PageRank runs
+// to MaxIter).
 func TestColumnLoopsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stall recovery takes a stall's length")
@@ -103,7 +106,10 @@ func TestColumnLoopsRecover(t *testing.T) {
 	for _, key := range []string{"pagerank", "sssp"} {
 		params := map[string]string{"name": key + "-recover", "nodes": "200", "maxiter": "8", "ckpt": "2", "tasks": "4", "dthresh": "1e-9"}
 		spec := cluster.Uniform(4)
-		want, _ := scenario{name: "calm", spec: spec, build: jobs.Build, options: calm.options}.runInProcess(t, transport.NewChanNetwork(), key, params)
+		var wantSums map[string]uint32
+		ref := scenario{name: "calm", spec: spec, build: onPairLoops, options: calm.options}
+		ref.onDone = func(fs *dfs.DFS, res *core.Result) { wantSums = core.FileSums(t, fs, params["name"], res.OutputPath) }
+		want, _ := ref.runInProcess(t, transport.NewChanNetwork(), key, params)
 		for _, fault := range []string{"fail", "stall"} {
 			for _, tcp := range []bool{false, true} {
 				var eng *core.Engine
@@ -127,12 +133,16 @@ func TestColumnLoopsRecover(t *testing.T) {
 					}
 				}}
 				sc.onEngine = func(e *core.Engine) { eng = e }
+				what := fmt.Sprintf("%s %s tcp=%v", key, fault, tcp)
+				sc.onDone = func(fs *dfs.DFS, res *core.Result) {
+					core.SameFiles(t, what, core.FileSums(t, fs, params["name"], res.OutputPath), wantSums)
+				}
 				got, res := sc.runInProcess(t, newNet(tcp), key, params)
 				if res.Recoveries < 1 {
-					t.Errorf("%s %s tcp=%v: no recovery", key, fault, tcp)
+					t.Errorf("%s: no recovery", what)
 				}
 				if !sameBits(got, want) {
-					t.Errorf("%s %s tcp=%v: output differs from the calm run", key, fault, tcp)
+					t.Errorf("%s: output differs from the calm run on the pair loops", what)
 				}
 			}
 		}

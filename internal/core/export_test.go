@@ -5,5 +5,8 @@ import "time"
 // ColumnLoops exposes columnLoops to the package's external tests.
 var ColumnLoops = columnLoops
 
+// FileSums and SameFiles expose fileSums and sameFiles to them.
+var FileSums, SameFiles = fileSums, sameFiles
+
 // SetJoinBackoff sets w's first registration backoff; call it before Run.
 func SetJoinBackoff(w *WorkerHost, d time.Duration) { w.joinBase = d }

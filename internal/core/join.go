@@ -74,41 +74,28 @@ func (s *stateRun) load(ps []kv.Pair, ops kv.Ops) {
 }
 
 // put records val as key's new state and returns its previous state, if
-// it had one. Keys must arrive in ascending order within a pass.
+// it had one. Keys must arrive in ascending order within a pass: the
+// records of the run it passes over carry into the pass.
 func (s *stateRun) put(cmp func(a, b any) int, key, val any) (old any, existed bool) {
-	p, ok := s.seek(func(k any) int { return cmp(k, key) })
-	if ok {
-		// The run keeps its own box of the key: the incoming one may sit
-		// in this iteration's decode arena, which the run would then pin
-		// for as long as the key lives.
-		key = p.Key
-	}
-	s.add(kv.Pair{Key: key, Value: val})
-	return p.Value, ok
-}
-
-// seek advances the pass to the next key of the iteration — order
-// compares a run key with it — carrying the records it passes over, and
-// takes the key's own record out of the run when it has one. The caller
-// then adds the key's new record.
-func (s *stateRun) seek(order func(runKey any) int) (kv.Pair, bool) {
 	for s.pos < len(s.run) {
 		p := s.run[s.pos]
-		c := order(p.Key)
+		c := cmp(p.Key, key)
 		if c > 0 {
 			break
 		}
 		s.pos++
 		if c == 0 {
-			return p, true
+			// The run keeps its own box of the key: the incoming one may sit
+			// in this iteration's decode arena, which the run would then pin
+			// for as long as the key lives.
+			s.next = append(s.next, kv.Pair{Key: p.Key, Value: val})
+			return p.Value, true
 		}
 		s.next = append(s.next, p)
 	}
-	return kv.Pair{}, false
+	s.next = append(s.next, kv.Pair{Key: key, Value: val})
+	return nil, false
 }
-
-// add appends the current key's new record to the pass.
-func (s *stateRun) add(p kv.Pair) { s.next = append(s.next, p) }
 
 // end closes the pass: the records past the last put carry over and the
 // merged buffer becomes the run.

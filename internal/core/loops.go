@@ -8,22 +8,33 @@ import (
 )
 
 // The record loops (DESIGN §5, "Typed records over an untyped core").
-// Everything a task does once per shuffle record sits behind mapLoops and
-// reduceLoops: the user map's emit and partition, the chunk's payload and
-// its byte charge, adding a chunk to the reduce's accumulator, grouping,
-// and the user reduce. The pair loops below move kv.Pair and serve every
-// job; the column loops (colloops.go) move kv.Cols and serve the jobs
-// columnLoops picks. Everything around them is the tasks' own and shared
-// by both: generations, Seq and End counts, accumulators, buffer leases
-// and free lists, gating, reports, checkpoints, rollback, and intra-task
-// sharding.
+// Everything a task does once per record sits behind mapLoops and
+// reduceLoops: the static partition and the join against it, the user
+// map's emit and partition, the chunk's payload and its byte charge,
+// adding a chunk to an accumulator, grouping, the user reduce, the
+// previous-state run and the new state's way back to the map, and the
+// form records take where they meet the DFS. The pair loops below move
+// kv.Pair and serve every job; the column loops (colloops.go) move
+// kv.Cols and serve the jobs columnLoops picks. Everything around them is
+// the tasks' own and shared by both: generations, Seq and End counts,
+// accumulators, buffer leases and free lists, gating, reports,
+// checkpoints, rollback, and intra-task sharding.
 
 // mapLoops is a map task's record loops.
 type mapLoops interface {
+	// setStatic installs the task's static partition: a keyedRun, or a
+	// broadcast task's records in file order.
+	setStatic(static []kv.Pair) error
+	// unbox returns state records read from the DFS in the loops' form.
+	unbox(pairs []kv.Pair) (records, error)
+	// accumulate adds state records to a, making room for presize records
+	// first when it has none. Records of the other loops are an error:
+	// their sender built the job differently.
+	accumulate(a *accum, in records, presize int) error
 	// mapState runs the user map over one iteration's state records,
 	// filing what it emits into the task's chunk buffers (fill,
 	// sendShuffle).
-	mapState(iter int, pairs []kv.Pair) error
+	mapState(iter int, in records) error
 	// pack returns c with b's records — none when b is nil — as its
 	// payload, and the bytes they are charged. It may pack a fresh payload
 	// instead, clearing c's lease.
@@ -32,17 +43,25 @@ type mapLoops interface {
 
 // reduceLoops is a reduce task's record loops.
 type reduceLoops interface {
-	// accumulate adds chunk c's records to a. A chunk of the other
-	// loops' records is an error: its sender built the job differently.
-	accumulate(a *accum, c shuffleChunk) error
+	// accumulate adds a shuffle chunk's records to a, as mapLoops does.
+	accumulate(a *accum, in records, presize int) error
 	// group groups a's records by key for reduce and returns the number
 	// of groups.
 	group(a *accum) int
 	// reduce runs the user reduce over the groups in key order, merges
 	// each new state into the previous-state run on a termination phase,
-	// and hands it to the task's newState. It returns the iteration's
-	// distance sum and releases the grouping scratch.
+	// and hands it to the task's output (the loop-back chunks, and the
+	// whole state when one is kept). It returns the iteration's distance
+	// sum and releases the grouping scratch.
 	reduce(iter int) (float64, error)
+	// bytes is what the task's new-state records r are charged.
+	bytes(r records) int64
+	// loadPrev replaces the previous-state run with a checkpoint part's
+	// records, in file order.
+	loadPrev(pairs []kv.Pair) error
+	// final returns the previous-state run as key-ordered pairs: the
+	// task's part of the output.
+	final() []kv.Pair
 }
 
 // shardRows are a sharded map loop's emit rows, one per (shard, reduce):
@@ -99,8 +118,38 @@ func newPairMapLoops(t *mapTask) *pairMapLoops {
 	return &pairMapLoops{t: t, emits: shardedEmits{nred: t.numReduce}}
 }
 
-func (l *pairMapLoops) mapState(iter int, pairs []kv.Pair) error {
-	t := l.t
+func (l *pairMapLoops) setStatic(static []kv.Pair) error {
+	l.t.static = static
+	return nil
+}
+
+func (l *pairMapLoops) unbox(pairs []kv.Pair) (records, error) {
+	return records{pairs: pairs}, nil
+}
+
+func (l *pairMapLoops) accumulate(a *accum, in records, presize int) error {
+	return addPairs(a, in, presize)
+}
+
+// addPairs is the pair loops' accumulate. It makes room for presize
+// records when a has none yet: iterative jobs move nearly the same record
+// count every round.
+func addPairs(a *accum, in records, presize int) error {
+	if in.cols != nil {
+		return errMixedLoops
+	}
+	if a.pairs == nil {
+		a.pairs = make([]kv.Pair, 0, max(presize, len(in.pairs)))
+	}
+	a.pairs = append(a.pairs, in.pairs...)
+	return nil
+}
+
+func (l *pairMapLoops) mapState(iter int, in records) error {
+	if in.cols != nil {
+		return errMixedLoops
+	}
+	t, pairs := l.t, in.pairs
 	if t.run.pool.shardsFor(len(pairs)) > 1 {
 		return l.sharded(iter, len(pairs), func(lo, hi int, em kv.Emit) error {
 			return t.mapRange(pairs[lo:hi], em)
@@ -185,19 +234,32 @@ type pairReduceLoops struct {
 	grouper kv.Grouper
 	groups  []kv.Group
 	nvals   []any
+	// prev is a termination phase's previous-state run.
+	prev stateRun
 }
 
-func (l *pairReduceLoops) accumulate(a *accum, c shuffleChunk) error {
-	if c.Cols != nil {
-		return errMixedLoops
+func (l *pairReduceLoops) accumulate(a *accum, in records, presize int) error {
+	return addPairs(a, in, presize)
+}
+
+// errMixedLoops fails a task that receives the other loops' records: the
+// sending task's job was built differently (see columnLoops).
+var errMixedLoops = errors.New("core: chunk from a task on the other record loops; every process must build the job alike")
+
+func (l *pairReduceLoops) bytes(r records) int64 {
+	var size int64
+	for _, p := range r.pairs {
+		size += int64(l.t.job.Ops.PairSize(p))
 	}
-	a.addPairs(c.Pairs, l.t.lastIn)
+	return size
+}
+
+func (l *pairReduceLoops) loadPrev(pairs []kv.Pair) error {
+	l.prev.load(pairs, l.t.job.Ops)
 	return nil
 }
 
-// errMixedLoops fails a reduce that receives the other loops' records:
-// the sending map's job was built differently (see columnLoops).
-var errMixedLoops = errors.New("core: shuffle chunk from a map on the other record loops; every process must build the job alike")
+func (l *pairReduceLoops) final() []kv.Pair { return l.prev.run }
 
 func (l *pairReduceLoops) group(a *accum) int {
 	l.groups = l.grouper.Group(a.pairs, l.t.job.Ops)
@@ -248,13 +310,36 @@ func (l *pairReduceLoops) reduce(iter int) (float64, error) {
 		}
 		if t.isTermination {
 			// Groups are key-ascending: one merge pass over the run.
-			if pv, ok := t.prev.put(cmp, g.Key, ns); ok && t.job.Distance != nil {
+			if pv, ok := l.prev.put(cmp, g.Key, ns); ok && t.job.Distance != nil {
 				dist += t.job.Distance(g.Key, pv, ns)
 			}
 		}
-		t.newState(iter, kv.Pair{Key: g.Key, Value: ns})
+		l.newState(iter, kv.Pair{Key: g.Key, Value: ns})
+	}
+	if t.isTermination {
+		l.prev.end()
 	}
 	return dist, nil
+}
+
+// newState adds one key's new state to the iteration's output: to the
+// whole-state copy when one is kept, and to the loop-back chunk buffer
+// unless the output is gated.
+func (l *pairReduceLoops) newState(iter int, p kv.Pair) {
+	t := l.t
+	if t.whole != nil {
+		t.whole.pairs = append(t.whole.pairs, p)
+	}
+	if t.gated {
+		return
+	}
+	if t.outBuf == nil {
+		t.outBuf = t.bufs.get()
+	}
+	t.outBuf.pairs = append(t.outBuf.pairs, p)
+	if len(t.outBuf.pairs) >= t.bufThresh {
+		t.flushStreaming(iter, false)
+	}
 }
 
 // grown returns s at length n, reallocating only when its capacity is

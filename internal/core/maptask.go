@@ -55,12 +55,13 @@ type mapTask struct {
 	// sent counts, per reduce, the shuffle chunks of the iteration being
 	// mapped, for the End chunk to announce.
 	sent []chunkCount
-	// static is this task's static partition, loaded once (§3.1): a
-	// keyedRun that mapRange joins state against — or, for a broadcast
-	// task, the records in file order, each mapped once per iteration.
+	// static is this task's static partition on the pair loops, loaded
+	// once (§3.1): a keyedRun that mapRange joins state against — or, for
+	// a broadcast task, the records in file order, each mapped once per
+	// iteration. The column loops keep theirs unboxed.
 	static []kv.Pair
 	pend   map[int]*accum
-	spare  *accum
+	spares []*accum
 	// lastIn is the previous iteration's state-input size, used to
 	// presize the next accumulator.
 	lastIn int
@@ -151,7 +152,8 @@ func (t *mapTask) send(to, kind string, payload any, size int64) {
 	}
 }
 
-// loadStatic reads this task's static partition from the DFS.
+// loadStatic reads this task's static partition from the DFS and hands
+// it to the task's loops.
 func (t *mapTask) loadStatic() error {
 	t.static = nil
 	if t.job.StaticPath == "" {
@@ -164,7 +166,9 @@ func (t *mapTask) loadStatic() error {
 	if !t.broadcast {
 		pairs = keyedRun(pairs, t.job.Ops)
 	}
-	t.static = pairs
+	if err := t.loops.setStatic(pairs); err != nil {
+		return fmt.Errorf("map %d/%d: load static: %w", t.phase, t.idx, err)
+	}
 	return nil
 }
 
@@ -221,11 +225,16 @@ func (t *mapTask) selfLoad(cmd cmdMsg) {
 		}
 		pairs = append(pairs, recs...)
 	}
+	in, err := t.loops.unbox(pairs)
+	if err != nil {
+		t.fatal(fmt.Errorf("map %d/%d: load checkpoint %d: %w", t.phase, t.idx, toIter, err))
+		return
+	}
 	if tr := t.e.opts.Trace; tr != nil {
 		tr.RecordSpan(trace.SpanLoad, t.worker, t.tid(), t.iter, lstart, time.Since(lstart))
 	}
 	t.seq++
-	t.handleState(stateChunk{Gen: t.gen, Iter: t.iter, From: -1, Seq: t.seq, Pairs: pairs, End: 1})
+	t.handleState(stateChunk{Gen: t.gen, Iter: t.iter, From: -1, Seq: t.seq, Pairs: in.pairs, Cols: in.cols, End: 1})
 	if t.broadcast {
 		// The self-load stands in for all feeders at once.
 		if a := t.pend[t.iter]; a != nil {
@@ -237,31 +246,34 @@ func (t *mapTask) selfLoad(cmd cmdMsg) {
 
 // handleState ingests one chunk of iterated state.
 func (t *mapTask) handleState(c stateChunk) {
-	// This handler owns the chunk's decode arena: c.Pairs is only read
-	// within this call (streamed straight into process, or copied into
-	// the accumulator), so the arena goes back to the pool on return.
+	// This handler owns the chunk's decode arena or batch: its records are
+	// only read within this call (streamed straight into process, or
+	// copied into the accumulator), so they go back to the pool on return.
 	defer c.release()
 	if c.Gen != t.gen || c.Iter < t.iter {
 		return // stale: pre-rollback traffic
 	}
 	a := t.pend[c.Iter]
 	if a == nil {
-		a = takeAccum(&t.spare)
+		a = takeAccum(&t.spares)
 		t.pend[c.Iter] = a
 	}
 	if !a.take(c.From, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	if len(c.Pairs) > 0 {
+	if in := c.records(); in.len() > 0 {
 		if t.stream && c.Iter == t.iter {
 			// Asynchronous execution: join + map immediately (§3.3).
-			t.process(c.Iter, c.Pairs)
+			t.process(c.Iter, in)
 		} else {
 			presize := t.lastIn
 			if t.stream {
 				presize = 0 // streamed input is mapped on arrival, not kept
 			}
-			a.addPairs(c.Pairs, presize)
+			if err := t.loops.accumulate(a, in, presize); err != nil {
+				t.fatal(fmt.Errorf("map %d/%d: %w", t.phase, t.idx, err))
+				return
+			}
 		}
 	}
 	t.tryComplete()
@@ -282,11 +294,11 @@ func (t *mapTask) tryComplete() {
 			tr.RecordSpan(trace.SpanWait, t.worker, t.tid(), t.iter,
 				t.idleAt, time.Since(t.idleAt))
 		}
-		t.lastIn = len(a.pairs)
+		t.lastIn = a.len()
 		if t.broadcast {
 			t.processBroadcast(t.iter, a.pairs)
-		} else if len(a.pairs) > 0 {
-			t.process(t.iter, a.pairs)
+		} else if a.len() > 0 {
+			t.process(t.iter, a.records)
 		}
 		t.flushEnds(t.iter)
 		delete(t.pend, t.iter)
@@ -295,8 +307,7 @@ func (t *mapTask) tryComplete() {
 			// it is not the task's to refill.
 			a.pairs = make([]kv.Pair, 0, t.lastIn)
 		}
-		a.reset()
-		t.spare = a
+		a.retire(&t.spares)
 		t.iter++
 		if t.e.opts.Trace != nil {
 			t.idleAt = time.Now()
@@ -308,9 +319,9 @@ func (t *mapTask) tryComplete() {
 // the user map, partitioning emitted records toward the phase's reduces.
 // Large inputs shard across the run's worker pool; the merged output is
 // identical to the serial loop's (contiguous shards, merged in order).
-func (t *mapTask) process(iter int, pairs []kv.Pair) {
+func (t *mapTask) process(iter int, in records) {
 	start := time.Now()
-	if err := t.loops.mapState(iter, pairs); err != nil {
+	if err := t.loops.mapState(iter, in); err != nil {
 		t.fatal(err)
 		return
 	}
@@ -319,24 +330,16 @@ func (t *mapTask) process(iter int, pairs []kv.Pair) {
 }
 
 // mapRange runs the user map over one range of state pairs, each joined
-// with the static record of its key.
+// with the static value of its key (nil when the key has none). The
+// cursor is the range's own: shards of one input run side by side.
 func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
-	return t.joinStatic(pairs, func(p kv.Pair, static any) error {
-		return t.job.Map(p.Key, p.Value, static, em)
-	})
-}
-
-// joinStatic calls fn on every state pair of a range, in order, with the
-// static value of its key (nil when the key has none). The cursor is the
-// range's own: shards of one input run side by side.
-func (t *mapTask) joinStatic(pairs []kv.Pair, fn func(p kv.Pair, static any) error) error {
 	run, cmp, cur := t.static, t.job.Ops.KeyOrder(), 0
 	for _, p := range pairs {
 		var static any
 		if len(run) > 0 {
 			static, cur = seek(run, cmp, cur, p.Key)
 		}
-		if err := fn(p, static); err != nil {
+		if err := t.job.Map(p.Key, p.Value, static, em); err != nil {
 			return fmt.Errorf("map %d/%d key %v: %w", t.phase, t.idx, p.Key, err)
 		}
 	}

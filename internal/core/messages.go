@@ -37,34 +37,46 @@ const (
 // reordered the End ahead of a data chunk waits for the rest (see
 // accum.take). Seq is a per-sender monotone counter: together with From
 // it lets the receiver discard network-duplicated chunks, so data flows
-// stay correct over at-least-once transports.
+// stay correct over at-least-once transports. Its records are Pairs, or
+// Cols from a reduce on the column loops; an End chunk with no records
+// may carry neither.
 type stateChunk struct {
 	Gen   int
 	Iter  int
 	From  int
 	Seq   int64
 	Pairs []kv.Pair
+	Cols  colRecords
 	End   int
 
 	// slab is the decode arena Pairs was carved from when the chunk came
 	// off the wire (nil for a chunk passed by reference). lease is the
-	// claim on the sender's chunk buffer Pairs lives in, when the chunk
-	// travels by reference to a single receiver (see buffers.go). The
-	// wire encoding carries neither: a decoded chunk has a slab and no
-	// lease. The receiving handler owns the chunk and must release() it.
-	slab  *kv.Slab
-	lease bufLease
+	// claim on the sender's chunk buffer the records live in, when the
+	// chunk travels by reference to a single receiver (see buffers.go).
+	// The wire encoding carries neither: a decoded chunk has a slab and no
+	// lease. pooled marks Cols as a decode batch from the kv pool. The
+	// receiving handler owns the chunk and must release() it.
+	slab   *kv.Slab
+	lease  bufLease
+	pooled bool
 }
 
-// release recycles the chunk's decode arena, if any, and sends its chunk
-// buffer home, if it holds one. Pairs (and any slices of it) must not be
-// used afterwards; boxed keys and values that escaped into accumulators
-// stay valid (a slab release keeps them, and a buffer is only cleared). Handlers
-// call this exactly once, via defer, when they are done with Pairs.
+// records returns the chunk's records.
+func (c stateChunk) records() records { return records{pairs: c.Pairs, cols: c.Cols} }
+
+// release recycles the chunk's decode arena or batch, if any, and sends
+// its chunk buffer home, if it holds one. The records (and any slices of
+// them) must not be used afterwards; boxed keys and values that escaped
+// into accumulators stay valid (a slab release keeps them, and a buffer
+// is only cleared). Handlers call this exactly once, via defer, when
+// they are done with the records.
 func (c stateChunk) release() {
 	c.lease.giveBack()
 	if c.slab != nil {
 		c.slab.Release()
+	}
+	if c.pooled {
+		c.Cols.Release()
 	}
 }
 
@@ -81,12 +93,14 @@ type shuffleChunk struct {
 	Cols    colRecords
 	End     int
 
-	// slab, lease: see stateChunk. pooled marks Cols as a decode batch
-	// from the kv pool, which release returns there.
+	// slab, lease, pooled: see stateChunk.
 	slab   *kv.Slab
 	lease  bufLease
 	pooled bool
 }
+
+// records returns the chunk's records.
+func (c shuffleChunk) records() records { return records{pairs: c.Pairs, cols: c.Cols} }
 
 // release: see stateChunk.release.
 func (c shuffleChunk) release() {
@@ -203,15 +217,18 @@ type taskErrMsg struct {
 // transport.ErrUnencodable, and the task fails the run (see
 // refusedRecord).
 //
-// A shuffle chunk of column records is its own frame, one tag per value
-// type: the chunk header, then kv.AppendCols — a count, the keys as
-// varints, the values as 8-byte words (float64) or varints (int64).
+// A state or shuffle chunk of column records is its own frame, one tag
+// per chunk kind and value type: the chunk header, then kv.AppendCols — a
+// count, the keys as varints, the values as 8-byte words (float64) or
+// varints (int64).
 const (
-	wireTagState   = "imr.state"
-	wireTagShuffle = "imr.shuffle"
-	wireTagColsF64 = "imr.shuffle.f64"
-	wireTagColsI64 = "imr.shuffle.i64"
-	wireTagAuxOut  = "imr.auxout"
+	wireTagState        = "imr.state"
+	wireTagStateColsF64 = "imr.state.f64"
+	wireTagStateColsI64 = "imr.state.i64"
+	wireTagShuffle      = "imr.shuffle"
+	wireTagColsF64      = "imr.shuffle.f64"
+	wireTagColsI64      = "imr.shuffle.i64"
+	wireTagAuxOut       = "imr.auxout"
 )
 
 // appendChunkHeader encodes the common chunk header: Gen, Iter, sender
@@ -249,31 +266,44 @@ func decodeChunkHeader(data []byte) (gen, iter, from int, seq int64, end int, n 
 	return
 }
 
-func (c stateChunk) WireTag() string { return wireTagState }
+// colsTag picks a chunk's tag by its records: pairs, or a column batch
+// of either value type.
+func colsTag(cols colRecords, pairs, f64, i64 string) string {
+	switch cols.(type) {
+	case *kv.Cols[float64]:
+		return f64
+	case *kv.Cols[int64]:
+		return i64
+	}
+	return pairs
+}
+
+// appendRecords encodes a chunk's records after its header: a column
+// batch with kv.AppendCols, pairs with kv.AppendPairs.
+func appendRecords(buf []byte, r records) ([]byte, bool) {
+	switch cs := r.cols.(type) {
+	case *kv.Cols[float64]:
+		return kv.AppendCols(buf, cs), true
+	case *kv.Cols[int64]:
+		return kv.AppendCols(buf, cs), true
+	}
+	return kv.AppendPairs(buf, r.pairs)
+}
+
+func (c stateChunk) WireTag() string {
+	return colsTag(c.Cols, wireTagState, wireTagStateColsF64, wireTagStateColsI64)
+}
 
 func (c stateChunk) AppendWire(buf []byte) ([]byte, bool) {
-	return kv.AppendPairs(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End), c.Pairs)
+	return appendRecords(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End), c.records())
 }
 
 func (c shuffleChunk) WireTag() string {
-	switch c.Cols.(type) {
-	case *kv.Cols[float64]:
-		return wireTagColsF64
-	case *kv.Cols[int64]:
-		return wireTagColsI64
-	}
-	return wireTagShuffle
+	return colsTag(c.Cols, wireTagShuffle, wireTagColsF64, wireTagColsI64)
 }
 
 func (c shuffleChunk) AppendWire(buf []byte) ([]byte, bool) {
-	buf = appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End)
-	switch cs := c.Cols.(type) {
-	case *kv.Cols[float64]:
-		return kv.AppendCols(buf, cs), true
-	case *kv.Cols[int64]:
-		return kv.AppendCols(buf, cs), true
-	}
-	return kv.AppendPairs(buf, c.Pairs)
+	return appendRecords(appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End), c.records())
 }
 
 func (m auxOutMsg) WireTag() string { return wireTagAuxOut }
@@ -315,16 +345,36 @@ func decodeShuffleChunk(data []byte) (any, error) {
 // decodeColShuffle decodes a column shuffle frame into a pooled batch,
 // which the receiving reduce returns when it releases the chunk.
 func decodeColShuffle[V kv.Scalar](data []byte) (any, error) {
-	gen, iter, from, seq, end, n, err := decodeChunkHeader(data)
+	gen, iter, from, seq, end, cols, err := decodeColChunk[V](data)
 	if err != nil {
 		return nil, err
 	}
-	cols := kv.AcquireCols[V]()
-	if _, err := kv.DecodeCols(data[n:], cols); err != nil {
-		cols.Release()
+	return shuffleChunk{Gen: gen, Iter: iter, FromMap: from, Seq: seq, Cols: cols, End: end, pooled: true}, nil
+}
+
+// decodeColState decodes a column state frame into a pooled batch, which
+// the receiving map returns when it releases the chunk.
+func decodeColState[V kv.Scalar](data []byte) (any, error) {
+	gen, iter, from, seq, end, cols, err := decodeColChunk[V](data)
+	if err != nil {
 		return nil, err
 	}
-	return shuffleChunk{Gen: gen, Iter: iter, FromMap: from, Seq: seq, Cols: cols, End: end, pooled: true}, nil
+	return stateChunk{Gen: gen, Iter: iter, From: from, Seq: seq, Cols: cols, End: end, pooled: true}, nil
+}
+
+// decodeColChunk decodes a column frame's header and its records, into
+// a batch from the kv pool.
+func decodeColChunk[V kv.Scalar](data []byte) (gen, iter, from int, seq int64, end int, cols *kv.Cols[V], err error) {
+	var n int
+	if gen, iter, from, seq, end, n, err = decodeChunkHeader(data); err != nil {
+		return
+	}
+	cols = kv.AcquireCols[V]()
+	if _, err = kv.DecodeCols(data[n:], cols); err != nil {
+		cols.Release()
+		cols = nil
+	}
+	return
 }
 
 // decodeAuxOut decodes onto the heap, not a slab: the master keeps the
@@ -360,12 +410,21 @@ func refusedRecord(payload any, err error) error {
 	return err
 }
 
+// wireDecoders are the decoders of every binary frame core sends, by tag.
+var wireDecoders = map[string]func(data []byte) (any, error){
+	wireTagState:        decodeStateChunk,
+	wireTagStateColsF64: decodeColState[float64],
+	wireTagStateColsI64: decodeColState[int64],
+	wireTagShuffle:      decodeShuffleChunk,
+	wireTagColsF64:      decodeColShuffle[float64],
+	wireTagColsI64:      decodeColShuffle[int64],
+	wireTagAuxOut:       decodeAuxOut,
+}
+
 func init() {
-	transport.RegisterWireUnmarshaler(wireTagState, decodeStateChunk)
-	transport.RegisterWireUnmarshaler(wireTagShuffle, decodeShuffleChunk)
-	transport.RegisterWireUnmarshaler(wireTagColsF64, decodeColShuffle[float64])
-	transport.RegisterWireUnmarshaler(wireTagColsI64, decodeColShuffle[int64])
-	transport.RegisterWireUnmarshaler(wireTagAuxOut, decodeAuxOut)
+	for tag, decode := range wireDecoders {
+		transport.RegisterWireUnmarshaler(tag, decode)
+	}
 	transport.RegisterMessage(reportMsg{})
 	transport.RegisterMessage(ckptMsg{})
 	transport.RegisterMessage(finalMsg{})

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"imapreduce/internal/kv"
+	"imapreduce/internal/transport"
 )
 
 // TestChunkHeaderEndCount: the End count crosses the binary wire as a
@@ -46,4 +51,141 @@ func TestChunkHeaderEndCount(t *testing.T) {
 	if _, err := decodeShuffleChunk(kv.AppendUvarint(bad, 0)); err == nil {
 		t.Fatal("an End count past MaxInt32 was accepted")
 	}
+}
+
+// TestColumnStateChunkRoundTrip: a state chunk of column records travels
+// as its own frame — tag by value type — and decodes to the same header
+// and the same records bit for bit, into a batch from the kv pool; its
+// re-encoding is the same bytes.
+func TestColumnStateChunkRoundTrip(t *testing.T) {
+	f64 := &kv.Cols[float64]{Keys: []int64{-3, 0, 7, 1 << 40}, Vals: []float64{math.Inf(1), math.Copysign(0, -1), math.NaN(), 0.15}}
+	i64 := &kv.Cols[int64]{Keys: []int64{2, 5, 9}, Vals: []int64{math.MinInt64, -1, math.MaxInt64}}
+	for _, c := range []struct {
+		cols colRecords
+		tag  string
+	}{{f64, wireTagStateColsF64}, {i64, wireTagStateColsI64}, {&kv.Cols[float64]{}, wireTagStateColsF64}} {
+		in := stateChunk{Gen: 3, Iter: 9, From: 2, Seq: 41, Cols: c.cols, End: 5}
+		if tag := in.WireTag(); tag != c.tag {
+			t.Fatalf("%T: tag %q, want %q", c.cols, tag, c.tag)
+		}
+		data, ok := in.AppendWire(nil)
+		if !ok {
+			t.Fatalf("%T: did not encode", c.cols)
+		}
+		got, err := wireDecoders[c.tag](data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := got.(stateChunk)
+		if out.Gen != 3 || out.Iter != 9 || out.From != 2 || out.Seq != 41 || out.End != 5 || out.Pairs != nil || !out.pooled {
+			t.Fatalf("%T: decoded as %+v", c.cols, out)
+		}
+		if want, have := fmt.Sprintf("%#v", boxedBits(in.Cols)), fmt.Sprintf("%#v", boxedBits(out.Cols)); want != have {
+			t.Fatalf("%T: records %s, want %s", c.cols, have, want)
+		}
+		re, _ := out.AppendWire(nil)
+		out.release()
+		if !bytes.Equal(re, data) {
+			t.Fatalf("%T: the re-encoding differs", c.cols)
+		}
+	}
+}
+
+// boxedBits is a column batch's records with float64 values as their
+// bit patterns, so NaNs and signed zeros compare exactly.
+func boxedBits(c colRecords) []kv.Pair {
+	ps := c.Box(nil)
+	for i, p := range ps {
+		if f, ok := p.Value.(float64); ok {
+			ps[i].Value = math.Float64bits(f)
+		}
+	}
+	return ps
+}
+
+// FuzzChunkFrames feeds arbitrary bytes to the decoder of every binary
+// frame core registers (which selects it): state and shuffle chunks of
+// pairs, both value types of column state and shuffle chunks, and the
+// auxiliary output. A decoder must not panic, must hold a decoded chunk
+// to at most one record per two bytes of input, and what it accepts must
+// re-encode under the tag it came in by, to bytes that decode and
+// re-encode to themselves.
+func FuzzChunkFrames(f *testing.F) {
+	tags := slices.Sorted(maps.Keys(wireDecoders))
+	header := appendChunkHeader(nil, 1, 2, 3, 4, 1)
+	seed := func(tag string, data []byte) { f.Add(uint8(slices.Index(tags, tag)), data) }
+	for _, msg := range []transport.WireMarshaler{
+		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Pairs: []kv.Pair{{Key: int64(5), Value: 0.5}}, End: 1},
+		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Cols: &kv.Cols[float64]{Keys: []int64{5, 6}, Vals: []float64{0.5, 1.5}}, End: 1},
+		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Cols: &kv.Cols[int64]{Keys: []int64{5, 6}, Vals: []int64{-5, 6}}, End: 1},
+		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Pairs: []kv.Pair{{Key: "k", Value: int64(7)}}},
+		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Cols: &kv.Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}},
+		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Cols: &kv.Cols[int64]{Keys: []int64{1}, Vals: []int64{2}}},
+		auxOutMsg{Gen: 1, Iter: 2, Task: 3, Pairs: []kv.Pair{{Key: int64(1), Value: []float64{1, 2}}}},
+	} {
+		data, ok := msg.AppendWire(nil)
+		if !ok {
+			f.Fatalf("seed %T did not encode", msg)
+		}
+		seed(msg.WireTag(), data)
+	}
+	for _, tag := range tags {
+		seed(tag, header[:3]) // a truncated header
+		// A hostile count: far more records than the bytes that follow.
+		seed(tag, append(kv.AppendUvarint(slices.Clone(header), 1<<40), 2, 4))
+	}
+	// Wrong-width values: a float64 column of 4-byte values, and an int64
+	// column whose varint value runs off the end.
+	seed(wireTagStateColsF64, append(kv.AppendUvarint(slices.Clone(header), 1), 2, 0, 0, 0x80, 0x3f))
+	seed(wireTagColsI64, append(kv.AppendUvarint(slices.Clone(header), 1), 2, 0x80))
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		tag := tags[int(which)%len(tags)]
+		first := decodeFrame(t, tag, data)
+		if first == nil {
+			return
+		}
+		second := decodeFrame(t, tag, first)
+		if second == nil {
+			t.Fatalf("%s: the re-encoding of an accepted frame does not decode", tag)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: re-encoding is not stable:\n%x\n%x", tag, first, second)
+		}
+	})
+}
+
+// decodeFrame decodes data as a tag frame and returns its re-encoding,
+// or nil when the decoder refuses it. It fails t on a decoded frame with
+// more records than half its bytes, or one that re-encodes under another
+// tag or not at all.
+func decodeFrame(t *testing.T, tag string, data []byte) []byte {
+	msg, err := wireDecoders[tag](data)
+	if err != nil {
+		return nil
+	}
+	var recs records
+	switch m := msg.(type) {
+	case stateChunk:
+		defer m.release()
+		recs = m.records()
+	case shuffleChunk:
+		defer m.release()
+		recs = m.records()
+	case auxOutMsg:
+		recs.pairs = m.Pairs
+	default:
+		t.Fatalf("%s: decoded a %T", tag, msg)
+	}
+	if n := recs.len(); n > len(data)/2 {
+		t.Fatalf("%s: %d records out of %d bytes", tag, n, len(data))
+	}
+	wm := msg.(transport.WireMarshaler)
+	if got := wm.WireTag(); got != tag {
+		t.Fatalf("%s: decoded frame re-encodes as %s", tag, got)
+	}
+	out, ok := wm.AppendWire(nil)
+	if !ok {
+		t.Fatalf("%s: decoded frame does not re-encode", tag)
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,17 +75,17 @@ type reduceTask struct {
 	// presize the next accumulator — iterative jobs move nearly the same
 	// record count every round.
 	lastIn int
-	// spare is the last finished iteration's (emptied) accumulator, which
-	// the next iteration takes instead of allocating one.
-	spare *accum
+	// spares are finished iterations' (emptied) accumulators, which the
+	// next iterations take instead of allocating one.
+	spares []*accum
 	// loops are the task's record loops (loops.go): the pair loops, or
-	// the column loops of a job columnLoops picks.
+	// the column loops of a job columnLoops picks. A termination phase's
+	// previous-state run is theirs.
 	loops reduceLoops
-	prev  stateRun
 	// whole collects the iteration's whole new state while it is reduced,
 	// when something consumes it as a whole (see finishIteration); nil
 	// otherwise.
-	whole []kv.Pair
+	whole *records
 	// feedMain gates loop-back delivery: once the iteration bound is
 	// reached the termination reduce stops feeding the next iteration,
 	// so the final state is exactly iteration MaxIter.
@@ -94,7 +95,7 @@ type reduceTask struct {
 	// loop-back output is held until the master's proceed command so
 	// the computation never runs past the decided stop.
 	gated bool
-	held  map[int][]kv.Pair
+	held  map[int]records
 	// seq numbers outgoing state chunks for receiver-side duplicate
 	// suppression; mainSent and auxSent count the chunks of the iteration
 	// being sent to the next phase's maps and to the auxiliary maps, for
@@ -153,9 +154,9 @@ func (t *reduceTask) loop() {
 				case cmdRollback:
 					t.rollback(pl)
 				case cmdProceed:
-					if pairs, ok := t.held[pl.ToIter]; ok {
+					if out, ok := t.held[pl.ToIter]; ok {
 						delete(t.held, pl.ToIter)
-						t.deliverChunk(t.targetAddrs, t.targetPhase, pl.ToIter, pl.ToIter+t.targetIterDelta, pairs, &t.mainSent, true, bufLease{})
+						t.deliverChunk(t.targetAddrs, t.targetPhase, pl.ToIter, pl.ToIter+t.targetIterDelta, out, &t.mainSent, true, bufLease{})
 					}
 				}
 			}
@@ -191,7 +192,7 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 	t.pend = make(map[int]*accum)
 	t.outBuf = nil
 	t.mainSent, t.auxSent = 0, 0
-	t.held = make(map[int][]kv.Pair)
+	t.held = make(map[int]records)
 	t.ownDone = nil
 	if t.e.opts.Trace != nil {
 		t.idleSince = time.Now()
@@ -201,30 +202,31 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 		return
 	}
 	pairs, err := t.e.fs.ReadFile(t.run.ckptPath(cmd.ToIter, t.idx), t.worker)
+	if err == nil {
+		err = t.loops.loadPrev(pairs)
+	}
 	if err != nil {
 		t.fatal(fmt.Errorf("reduce %d/%d: load checkpoint %d: %w", t.phase, t.idx, cmd.ToIter, err))
-		return
 	}
-	t.prev.load(pairs, t.job.Ops)
 }
 
 func (t *reduceTask) handleShuffle(c shuffleChunk) {
-	// The chunk's pairs are copied into the accumulator below; the decode
-	// arena is recycled on return (boxed values stay valid — see
-	// stateChunk.release).
+	// The chunk's records are copied into the accumulator below; the
+	// decode arena or batch is recycled on return (boxed values stay
+	// valid — see stateChunk.release).
 	defer c.release()
 	if c.Gen != t.gen || c.Iter < t.iter {
 		return
 	}
 	a := t.pend[c.Iter]
 	if a == nil {
-		a = takeAccum(&t.spare)
+		a = takeAccum(&t.spares)
 		t.pend[c.Iter] = a
 	}
 	if !a.take(c.FromMap, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	if err := t.loops.accumulate(a, c); err != nil {
+	if err := t.loops.accumulate(a, c.records(), t.lastIn); err != nil {
 		t.fatal(fmt.Errorf("reduce %d/%d: %w", t.phase, t.idx, err))
 		return
 	}
@@ -261,10 +263,9 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 		t.lastIn = a.len()
 		t.finishIteration(t.iter, a)
 		// Nothing keeps the input past the reduce (groups reference the
-		// boxed records, not this slice): the accumulator is the next
+		// boxed records, not this slice): the accumulator is a later
 		// iteration's.
-		a.reset()
-		t.spare = a
+		a.retire(&t.spares)
 		delete(t.pend, t.iter)
 		t.iter++
 		if t.e.opts.Trace != nil {
@@ -286,17 +287,17 @@ func (t *reduceTask) finishIteration(iter int, a *accum) {
 	// outBuf chunks alone.
 	ckptDue := t.isTermination && t.job.CheckpointEvery > 0 && iter%t.job.CheckpointEvery == 0
 	if t.gated || t.toMaster || ckptDue {
-		t.whole = make([]kv.Pair, 0, groups)
+		whole := newRecords(groups, t.bufs.newCols)
+		t.whole = &whole
 	}
 	dist, err := t.loops.reduce(iter)
-	out := t.whole
-	t.whole = nil
+	var out records
+	if t.whole != nil {
+		out, t.whole = *t.whole, nil
+	}
 	if err != nil {
 		t.fatal(err)
 		return
-	}
-	if t.isTermination {
-		t.prev.end()
 	}
 	compute := time.Since(start)
 	t.e.stretch(t.worker, compute)
@@ -319,7 +320,7 @@ func (t *reduceTask) finishIteration(iter int, a *accum) {
 
 	if t.toMaster {
 		t.send(t.master, kindAuxOut,
-			auxOutMsg{Gen: t.gen, Iter: iter, Task: t.idx, Pairs: out}, 0)
+			auxOutMsg{Gen: t.gen, Iter: iter, Task: t.idx, Pairs: out.pairs}, 0)
 		return
 	}
 	if !t.isTermination {
@@ -332,25 +333,6 @@ func (t *reduceTask) finishIteration(iter int, a *accum) {
 		Gen: t.gen, Iter: iter, Task: t.idx, Dist: dist,
 		ElapsedNanos: int64(elapsed), Worker: t.worker,
 	}, 0)
-}
-
-// newState adds one key's new state to the iteration's output: to the
-// whole-state copy when one is kept, and to the loop-back chunk buffer
-// unless the output is gated.
-func (t *reduceTask) newState(iter int, p kv.Pair) {
-	if t.whole != nil {
-		t.whole = append(t.whole, p)
-	}
-	if t.gated {
-		return
-	}
-	if t.outBuf == nil {
-		t.outBuf = t.bufs.get()
-	}
-	t.outBuf.pairs = append(t.outBuf.pairs, p)
-	if len(t.outBuf.pairs) >= t.bufThresh {
-		t.flushStreaming(iter, false)
-	}
 }
 
 // reduceErr wraps a user reduce's error with the task and the key.
@@ -380,10 +362,10 @@ func (t *reduceTask) flushStreaming(iter int, end bool) {
 	if main {
 		receivers += len(t.targetAddrs)
 	}
-	var pairs []kv.Pair
+	var out records
 	var lease bufLease
 	if b != nil {
-		pairs = b.pairs
+		out = b.records
 		switch receivers {
 		case 0:
 			t.bufs.recycle(b)
@@ -392,10 +374,10 @@ func (t *reduceTask) flushStreaming(iter int, end bool) {
 		}
 	}
 	if main {
-		t.deliverChunk(t.targetAddrs, t.targetPhase, iter, iter+t.targetIterDelta, pairs, &t.mainSent, end, lease)
+		t.deliverChunk(t.targetAddrs, t.targetPhase, iter, iter+t.targetIterDelta, out, &t.mainSent, end, lease)
 	}
 	if len(t.auxAddrs) > 0 {
-		t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, pairs, &t.auxSent, end, lease)
+		t.deliverChunk(t.auxAddrs, t.auxPhase, iter, iter, out, &t.auxSent, end, lease)
 	}
 }
 
@@ -404,9 +386,9 @@ func (t *reduceTask) flushStreaming(iter int, end bool) {
 // chunk (its trace attribution); tagIter is the iteration the receiver
 // files it under (srcIter+1 across the loop-back). sent counts the
 // chunks this iteration has sent addrs; end closes the count. lease, when
-// set, is the claim on the buffer pairs lives in, and addrs names its one
+// set, is the claim on the buffer out lives in, and addrs names its one
 // receiver.
-func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, pairs []kv.Pair, sent *chunkCount, end bool, lease bufLease) {
+func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, out records, sent *chunkCount, end bool, lease bufLease) {
 	var sstart time.Time
 	if tr := t.e.opts.Trace; tr != nil {
 		sstart = time.Now()
@@ -414,10 +396,7 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, p
 			tr.RecordSpan(trace.SpanStateSend, t.worker, t.tid(), srcIter, sstart, time.Since(sstart))
 		}()
 	}
-	var size int64
-	for _, p := range pairs {
-		size += int64(t.job.Ops.PairSize(p))
-	}
+	size := t.loops.bytes(out)
 	t.seq++
 	endCount := sent.next(end)
 	for i, addr := range addrs {
@@ -430,7 +409,7 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, p
 			t.e.m.Add(metrics.StateRemote, size)
 		}
 		t.send(addr, kindState, stateChunk{
-			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: pairs, End: endCount, lease: lease,
+			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: out.pairs, Cols: out.cols, End: endCount, lease: lease,
 		}, size)
 	}
 	if t.serializes {
@@ -443,10 +422,11 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, p
 // durable. The write goes temp-then-rename so readers only ever see a
 // complete file; a failed write is retried with backoff and node
 // re-placement, and an abandoned checkpoint degrades the rollback
-// target instead of killing the run.
-func (t *reduceTask) checkpoint(iter int, out []kv.Pair) {
-	snapshot := make([]kv.Pair, len(out))
-	copy(snapshot, out)
+// target instead of killing the run. A column batch is boxed by the
+// writer: it is the iteration's own, and whoever else holds it only
+// reads it.
+func (t *reduceTask) checkpoint(iter int, out records) {
+	snapshot := slices.Clone(out.pairs)
 	path := t.run.ckptPath(iter, t.idx)
 	gen := t.gen
 	worker := t.worker
@@ -454,6 +434,9 @@ func (t *reduceTask) checkpoint(iter int, out []kv.Pair) {
 	t.ckptWG.Add(1)
 	go func() {
 		defer t.ckptWG.Done()
+		if out.cols != nil {
+			snapshot = out.cols.Box(nil)
+		}
 		// The temp name carries the generation so writers racing across a
 		// rollback never collide on the same uncommitted file.
 		tmp := fmt.Sprintf("%s.tmp-g%d", path, gen)
@@ -517,7 +500,7 @@ func (t *reduceTask) writeFinal() {
 			tr.Emit(trace.KindTaskFinish, t.worker, t.tid(), t.iter)
 		}()
 	}
-	out := t.prev.run // key-ordered already; WriteFile copies the records
+	out := t.loops.final() // key-ordered already; WriteFile copies the records
 	path := fmt.Sprintf("%s/part-%d", t.run.outputPath, t.idx)
 	if err := t.e.fs.WriteFile(path, t.worker, out, t.job.Ops); err != nil {
 		t.send(t.master, kindFinal, finalMsg{Task: t.idx, Err: err.Error()}, 0)

@@ -200,6 +200,9 @@ type scenario struct {
 	// onEngine, if set, is handed an in-process run's engine before the
 	// run starts.
 	onEngine func(*core.Engine)
+	// onDone, if set, is handed an in-process run's DFS and result once
+	// the run has returned.
+	onDone func(*dfs.DFS, *core.Result)
 }
 
 var calm = scenario{name: "calm", spec: cluster.Uniform(remoteWorkers), build: jobs.Build,
@@ -238,6 +241,9 @@ func (sc scenario) runInProcess(t *testing.T, net transport.Network, key string,
 	out := readParts(t, fs, sc.spec.IDs()[0], res.OutputPath)
 	if len(out) == 0 {
 		t.Fatal("run produced no output")
+	}
+	if sc.onDone != nil {
+		sc.onDone(fs, res)
 	}
 	return out, res
 }

@@ -12,8 +12,8 @@ import (
 // fixed-width scalar per key — PageRank's ranks, SSSP's distances,
 // connected components' labels — with typed map, reduce and distance
 // functions. Build makes it an ordinary *Job; while its functions stand
-// as Build left them, the engine shuffles its records as typed columns
-// instead of boxed pairs (see columnLoops and DESIGN §5).
+// as Build left them, the engine moves its shuffle and its state as
+// typed columns instead of boxed pairs (see columnLoops and DESIGN §5).
 type ScalarJob[V kv.Scalar, S any] struct {
 	// Job carries the usual fields. Build sets its Map, Reduce, Distance
 	// and Ops.
@@ -89,7 +89,7 @@ func (d *scalarDef[V, S]) adapters(j *Job) bool {
 
 func (d *scalarDef[V, S]) mapLoops(t *mapTask) mapLoops { return newColMapLoops(d, t) }
 func (d *scalarDef[V, S]) reduceLoops(t *reduceTask) reduceLoops {
-	return &colReduceLoops[V, S]{t: t, d: d}
+	return newColReduceLoops(d, t)
 }
 func (d *scalarDef[V, S]) newCols(n int) colRecords { return kv.NewCols[V](n) }
 

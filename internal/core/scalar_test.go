@@ -3,12 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"imapreduce/internal/cluster"
+	"imapreduce/internal/dfs"
 	"imapreduce/internal/kv"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/transport"
@@ -51,6 +55,48 @@ func (v *env) ringStatic(t *testing.T, n int) {
 	}
 	if err := v.fs.WriteFile("/static", v.spec.IDs()[0], adj, kv.OpsFor[int64, []int64](nil)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fileSums returns the DFS checksum of every checkpoint file a run of the
+// job named name left and of every part of its output directory, by path.
+func fileSums(t testing.TB, fs *dfs.DFS, name, output string) map[string]uint32 {
+	t.Helper()
+	ckpt := regexp.MustCompile(`/ckpt-[0-9]+/part-[0-9]+$`)
+	paths := fs.List(output + "/")
+	for _, p := range fs.List("/_imr/" + name + "/") {
+		if ckpt.MatchString(p) {
+			paths = append(paths, p)
+		}
+	}
+	sums := map[string]uint32{}
+	for _, p := range paths {
+		sum, err := fs.Checksum(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[p] = sum
+	}
+	return sums
+}
+
+// sameFiles fails t unless two runs left the same checkpoint files and
+// output parts, byte for byte, and at least one of each.
+func sameFiles(t testing.TB, what string, got, want map[string]uint32) {
+	t.Helper()
+	var ckpts, parts int
+	for p := range want {
+		if strings.Contains(p, "/ckpt-") {
+			ckpts++
+		} else {
+			parts++
+		}
+	}
+	if ckpts == 0 || parts == 0 {
+		t.Fatalf("%s: the reference run left %d checkpoint files and %d output parts", what, ckpts, parts)
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("%s: checkpoint and output checksums %v, want %v", what, got, want)
 	}
 }
 
@@ -101,11 +147,13 @@ func TestColumnLoopsPicked(t *testing.T) {
 // and, with its Reduce wrapped in an identity closure, on the pair loops:
 // over channels and TCP, serial and with the map and reduce loops sharded
 // across the pool, the outputs are bit-identical and so is every byte
-// counter — a column record is charged what its pair is.
+// counter — a column record is charged what its pair is — and every
+// checkpoint file and output part the run leaves has the same DFS
+// checksum: the column loops box their state into the same bytes.
 func TestColumnLoopsMatchPairLoops(t *testing.T) {
 	const n, iters = 2048, 4
 	counters := []string{metrics.ShuffleBytes, metrics.ShuffleRemote, metrics.StateBytes, metrics.StateRemote}
-	run := func(tcp bool, parallelism int, pairs bool) (map[int64]any, map[string]int64) {
+	run := func(tcp bool, parallelism int, pairs bool) (map[int64]any, map[string]int64, map[string]uint32) {
 		var net transport.Network = transport.NewChanNetwork()
 		if tcp {
 			net = transport.NewTCPNetwork()
@@ -114,6 +162,7 @@ func TestColumnLoopsMatchPairLoops(t *testing.T) {
 		v := newEnvNet(t, cluster.Uniform(4), net, Options{Parallelism: parallelism})
 		v.ringStatic(t, n)
 		job := rankJob("loops", iters).Build()
+		job.CheckpointEvery = 3
 		if pairs {
 			r := job.Reduce
 			job.Reduce = func(k any, s []any) (any, error) { return r(k, s) }
@@ -129,16 +178,17 @@ func TestColumnLoopsMatchPairLoops(t *testing.T) {
 		for _, c := range counters {
 			got[c] = v.m.Get(c)
 		}
-		return v.readOutput(t, res.OutputPath), got
+		return v.readOutput(t, res.OutputPath), got, fileSums(t, v.fs, job.Name, res.OutputPath)
 	}
-	want, wantBytes := run(false, 1, true)
+	want, wantBytes, wantSums := run(false, 1, true)
 	if len(want) != n || wantBytes[metrics.ShuffleBytes] == 0 || wantBytes[metrics.ShuffleRemote] == 0 {
 		t.Fatalf("reference run: %d outputs, counters %v", len(want), wantBytes)
 	}
 	for _, tcp := range []bool{false, true} {
 		for _, par := range []int{1, 4} {
 			for _, pairs := range []bool{false, true} {
-				got, bytes := run(tcp, par, pairs)
+				got, bytes, sums := run(tcp, par, pairs)
+				sameFiles(t, fmt.Sprintf("tcp=%v parallelism=%d pairs=%v", tcp, par, pairs), sums, wantSums)
 				for k, w := range want {
 					if math.Float64bits(got[k].(float64)) != math.Float64bits(w.(float64)) {
 						t.Fatalf("tcp=%v parallelism=%d pairs=%v: key %d = %v, want %v", tcp, par, pairs, k, got[k], w)
@@ -224,6 +274,48 @@ func TestMixedRecordLoopsFailTheReduce(t *testing.T) {
 		msg := <-master.Recv()
 		if fail, ok := msg.Payload.(taskErrMsg); !ok || !strings.Contains(fail.Err, "other record loops") {
 			t.Fatalf("case %d: the master got %#v, want the reduce's failure", i, msg.Payload)
+		}
+	}
+}
+
+// TestMixedRecordLoopsFailTheMap: a map task handed the other loops'
+// state chunk fails the run the same way, whether it maps the chunk on
+// arrival (stream) or keeps it for the iteration's end.
+func TestMixedRecordLoopsFailTheMap(t *testing.T) {
+	net := transport.NewChanNetwork()
+	defer net.Close()
+	master, err := net.Endpoint("master")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := rankJob("mixed", 3).Build()
+	cases := []struct {
+		loops func(mt *mapTask) mapLoops
+		chunk stateChunk
+	}{
+		{func(mt *mapTask) mapLoops { return job.scalar.mapLoops(mt) },
+			stateChunk{Gen: 1, Iter: 1, Seq: 1, Pairs: []kv.Pair{{Key: int64(1), Value: 2.0}}}},
+		{func(mt *mapTask) mapLoops { return &pairMapLoops{t: mt} },
+			stateChunk{Gen: 1, Iter: 1, Seq: 1, Cols: &kv.Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}}},
+	}
+	for i, c := range cases {
+		for _, stream := range []bool{false, true} {
+			ep, err := net.Endpoint(fmt.Sprint("map-", i, stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt := &mapTask{e: &Engine{m: metrics.NewSet()}, job: job, master: "master", ep: ep, gen: 1, iter: 1,
+				stream: stream, feeders: 2, numReduce: 2, bufThresh: DefaultBufferThreshold, pend: map[int]*accum{}}
+			mt.loops = c.loops(mt)
+			mt.handleState(c.chunk)
+			select {
+			case msg := <-master.Recv():
+				if fail, ok := msg.Payload.(taskErrMsg); !ok || !strings.Contains(fail.Err, "other record loops") {
+					t.Fatalf("case %d stream %v: the master got %#v, want the map's failure", i, stream, msg.Payload)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("case %d stream %v: the map took the chunk without failing", i, stream)
+			}
 		}
 	}
 }

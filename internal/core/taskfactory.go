@@ -1,9 +1,6 @@
 package core
 
-import (
-	"imapreduce/internal/kv"
-	"imapreduce/internal/transport"
-)
+import "imapreduce/internal/transport"
 
 // taskFactory builds persistent map/reduce tasks with their routing
 // wired up, for the pairs a plan assigns to a host.
@@ -137,9 +134,10 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 		bufs:          newFreeList(bufThreshOf(p), 1),
 		serializes:    transport.SerializesOnSend(ep),
 		pend:          make(map[int]*accum),
-		held:          make(map[int][]kv.Pair),
+		held:          make(map[int]records),
 	}
 	if phase == 0 && columnLoops(p) {
+		rt.bufs.newCols = p.scalar.newCols
 		rt.loops = p.scalar.reduceLoops(rt)
 	} else {
 		rt.loops = &pairReduceLoops{t: rt}

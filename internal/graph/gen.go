@@ -67,19 +67,21 @@ func Generate(cfg GenConfig) *Graph {
 		maxDeg = cfg.Nodes - 1
 	}
 	b := NewBuilder(cfg.Nodes, cfg.Weighted)
-	seen := make(map[int32]bool, 64)
+	// seen[v] == u+1 marks v as a target of u already: a stamp per node,
+	// so nothing is cleared between nodes.
+	seen := make([]int32, cfg.Nodes)
 	for u := 0; u < cfg.Nodes; u++ {
 		deg := int(math.Round(cfg.Degree.Sample(rng)))
 		if deg > maxDeg {
 			deg = maxDeg
 		}
-		clear(seen)
+		stamp := int32(u + 1)
 		for d := 0; d < deg; d++ {
 			v := int32(rng.Intn(cfg.Nodes))
-			if int(v) == u || seen[v] {
+			if int(v) == u || seen[v] == stamp {
 				continue // collapse duplicates rather than retry: keeps generation O(E)
 			}
-			seen[v] = true
+			seen[v] = stamp
 			w := float32(0)
 			if cfg.Weighted {
 				w = float32(cfg.Weight.Sample(rng))

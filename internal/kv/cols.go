@@ -46,6 +46,34 @@ func (c *Cols[V]) AppendRange(src *Cols[V], lo, hi int) {
 	c.Vals = append(c.Vals, src.Vals[lo:hi]...)
 }
 
+// Box appends c's records to dst as pairs, each key an int64 and each
+// value a V: the form the DFS and the pair loops take.
+func (c *Cols[V]) Box(dst []Pair) []Pair {
+	dst = slices.Grow(dst, len(c.Keys))
+	for i, k := range c.Keys {
+		dst = append(dst, Pair{Key: k, Value: c.Vals[i]})
+	}
+	return dst
+}
+
+// Unbox appends pairs whose keys are int64 and whose values are V. A
+// pair of any other types fails it, and c is left as it was.
+func (c *Cols[V]) Unbox(ps []Pair) error {
+	base := len(c.Keys)
+	c.Keys = slices.Grow(c.Keys, len(ps))
+	c.Vals = slices.Grow(c.Vals, len(ps))
+	for _, p := range ps {
+		k, kok := p.Key.(int64)
+		v, vok := p.Value.(V)
+		if !kok || !vok {
+			c.Keys, c.Vals = c.Keys[:base], c.Vals[:base]
+			return fmt.Errorf("kv: record (%T, %T) in a column batch of (int64, %T)", p.Key, p.Value, v)
+		}
+		c.Append(k, v)
+	}
+	return nil
+}
+
 // Reset empties c and keeps its capacity; the columns hold no pointers,
 // so nothing needs clearing.
 func (c *Cols[V]) Reset() {

@@ -131,6 +131,49 @@ func TestColsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestColsBoxUnbox: Box appends a batch's records as (int64, V) pairs,
+// which encode as the pair loops' records do and Unbox takes back bit for
+// bit, appending; a pair of any other types fails Unbox and leaves the
+// batch as it was.
+func TestColsBoxUnbox(t *testing.T) {
+	f := &Cols[float64]{Keys: []int64{-1, 0, 9}, Vals: []float64{math.NaN(), math.Copysign(0, -1), 2.5}}
+	pairs := f.Box([]Pair{{Key: "kept", Value: 1}})
+	if len(pairs) != 4 || pairs[0].Key != "kept" {
+		t.Fatalf("Box did not append: %v", pairs)
+	}
+	pairs = pairs[1:]
+	for i, p := range pairs {
+		if p.Key != f.Keys[i] || !SameBits(p.Value.(float64), f.Vals[i]) {
+			t.Fatalf("pair %d = %v, want (%d, %v)", i, p, f.Keys[i], f.Vals[i])
+		}
+	}
+	boxed, _ := AppendPairs(nil, pairs)
+	want, _ := AppendPairs(nil, []Pair{{Key: int64(-1), Value: math.NaN()}, {Key: int64(0), Value: math.Copysign(0, -1)}, {Key: int64(9), Value: 2.5}})
+	if !bytes.Equal(boxed, want) {
+		t.Fatal("boxed records encode differently from the same pairs")
+	}
+	back := &Cols[float64]{Keys: []int64{-7}, Vals: []float64{7}}
+	if err := back.Unbox(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != 4 || back.Keys[0] != -7 {
+		t.Fatalf("Unbox did not append: %v", back.Keys)
+	}
+	for i := range f.Keys {
+		if back.Keys[i+1] != f.Keys[i] || !SameBits(back.Vals[i+1], f.Vals[i]) {
+			t.Fatalf("record %d: (%d, %v), want (%d, %v)", i, back.Keys[i+1], back.Vals[i+1], f.Keys[i], f.Vals[i])
+		}
+	}
+	for _, bad := range []Pair{{Key: int32(1), Value: 1.0}, {Key: int64(1), Value: int64(1)}, {Key: int64(1), Value: nil}} {
+		if err := back.Unbox([]Pair{{Key: int64(3), Value: 3.0}, bad}); err == nil {
+			t.Fatalf("Unbox took %#v", bad)
+		}
+		if back.Len() != 4 {
+			t.Fatalf("a failed Unbox left %d records, want 4", back.Len())
+		}
+	}
+}
+
 // TestDecodeColsRejectsHostileCounts: a count the bytes left cannot hold
 // fails before anything grows, and a failed decode leaves the batch as
 // it was.

@@ -30,7 +30,8 @@ import (
 // v5 added the column shuffle frames of int64-keyed scalar jobs.
 // v6 removed the deflate frame (type byte 5 is now an unknown frame)
 // and the plan's retry tunings.
-const ProtocolVersion byte = 6
+// v7 added the column state frames of int64-keyed scalar jobs.
+const ProtocolVersion byte = 7
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
