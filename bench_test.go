@@ -159,7 +159,7 @@ func BenchmarkAblationLoadBalancing(b *testing.B) {
 				m := metrics.NewSet()
 				fs := dfs.New(dfs.Config{BlockSize: 1 << 18, Replication: 2}, spec.IDs(), m)
 				eng, err := core.NewEngine(fs, transport.NewChanNetwork(), spec, m,
-					core.Options{Timeout: 2 * time.Minute, LoadBalance: lb, LBThreshold: 0.5})
+					core.Options{Timeout: 2 * time.Minute, LoadBalance: lb})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -268,35 +268,6 @@ func BenchmarkAblationTransport(b *testing.B) {
 				}
 				job := pagerank.IMRJob(pagerank.IMRConfig{
 					Name: "ab-net", Nodes: g.N, StaticPath: "/s", StatePath: "/st", MaxIter: 4,
-				})
-				b.StartTimer()
-				if _, err := eng.Run(job); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationNetworkLatency measures sensitivity to per-message
-// network latency: persistent connections amortize it, but the
-// maps→reduce barrier still pays it once per iteration.
-func BenchmarkAblationNetworkLatency(b *testing.B) {
-	g := graph.Generate(graph.GenConfig{Nodes: 1500, Degree: graph.PageRankDegree, Seed: 82})
-	for _, lat := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
-		b.Run(fmt.Sprintf("latency=%v", lat), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				var net transport.Network = transport.NewChanNetwork()
-				if lat > 0 {
-					net = transport.NewLatencyNetwork(net, lat, 0)
-				}
-				eng, fs := benchEnv(b, cluster.Uniform(2), net)
-				if err := pagerank.WriteInputs(fs, "worker-0", g, "/s", "/st"); err != nil {
-					b.Fatal(err)
-				}
-				job := pagerank.IMRJob(pagerank.IMRConfig{
-					Name: "ab-lat", Nodes: g.N, StaticPath: "/s", StatePath: "/st", MaxIter: 5,
 				})
 				b.StartTimer()
 				if _, err := eng.Run(job); err != nil {

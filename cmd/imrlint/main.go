@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	imrlint [-json] [-json-out file] [-tests] [-list]
+//	imrlint [-json] [-json-out file] [-list]
 //	        [-baseline file] [-write-baseline] [packages]
 //
 // Packages are directories, optionally suffixed with /... for a
@@ -63,13 +63,12 @@ type baselineKey struct {
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	jsonFile := flag.String("json-out", "", "also write findings as JSON to this file")
-	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	baseline := flag.String("baseline", "", "tolerate findings recorded in this JSON baseline; fail only on new ones")
 	writeBaseline := flag.Bool("write-baseline", false, "rewrite -baseline from the current findings (ratchet down only)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: imrlint [-json] [-json-out file] [-tests] [-list] [-baseline file] [-write-baseline] [packages]\n")
+			"usage: imrlint [-json] [-json-out file] [-list] [-baseline file] [-write-baseline] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -85,7 +84,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := lint.LoadPackages(patterns, lint.LoadOptions{Tests: *tests})
+	pkgs, err := lint.LoadPackages(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "imrlint: %v\n", err)
 		os.Exit(2)

@@ -4,9 +4,11 @@
 // deployment needs: admission control (bounded queue, per-tenant
 // quotas), weighted fair-share scheduling over a fixed slot pool, and
 // per-job isolation (namespaced DFS paths, private metrics). Here two
-// tenants — "research" with weight 2 and "batch" with weight 1 — each
-// submit six PageRank jobs into a two-slot service and get slots in a
-// 2:1 ratio, while a third tenant bounces off its quota.
+// tenants — "research" with weight 2 and "batch" with weight 1 and at
+// most one job running — each submit six PageRank jobs into a two-slot
+// service and get slots in a 2:1 ratio. A third tenant bounces off its
+// queue quota, and a fourth off its DFS byte quota once its first
+// job's output fills it.
 //
 //	go run ./examples/multitenant
 package main
@@ -22,6 +24,7 @@ import (
 	"imapreduce/internal/imr"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/serve"
+	"imapreduce/internal/trace"
 )
 
 func main() {
@@ -38,17 +41,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. The service: two slots, weighted tenants, a strict quota for
-	// "guest".
+	// 2. The service: two slots, weighted tenants, one running job at a
+	// time for "batch", one queued job for "guest", 16 KiB of DFS for
+	// "archive". The service's trace records every dispatch and finish.
+	tr := trace.NewRecorder(0)
 	s, err := serve.New(serve.Config{
 		Cluster:    c,
 		Slots:      2,
 		QueueLimit: 32,
 		Tenants: map[string]serve.Quota{
 			"research": {Weight: 2},
-			"batch":    {Weight: 1},
+			"batch":    {Weight: 1, MaxConcurrent: 1},
 			"guest":    {MaxQueued: 1},
+			"archive":  {MaxDFSBytes: 16 << 10},
 		},
+		Trace: tr,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -93,11 +100,29 @@ func main() {
 	}
 	guest.Cancel() // queued jobs cancel instantly, without ever running
 
+	// The DFS byte quota is checked at admission: archive's first job
+	// is admitted into an empty namespace and writes its output there.
+	archive := func(i int) (*serve.Job, error) {
+		cfg := job(200 + i)
+		cfg.OutputPath = fmt.Sprintf("%s/pr-%d/out", serve.TenantRoot("archive"), i)
+		return s.Submit(context.Background(),
+			imr.JobSpec{Iterative: pagerank.IMRJob(*cfg)},
+			imr.SubmitOptions{Tenant: "archive"})
+	}
+	first, err := archive(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// 5. Wait, then look at who got dispatched when.
-	for _, h := range handles {
+	for _, h := range append(handles, first) {
 		if err := h.Wait(context.Background()); err != nil {
 			log.Fatalf("%s: %v", h.ID(), err)
 		}
+	}
+	fmt.Printf("archive holds %d bytes after one job\n", s.TenantUsage("archive"))
+	if _, err := archive(1); errors.Is(err, serve.ErrQuotaExceeded) {
+		fmt.Println("archive over quota:", err)
 	}
 	fmt.Println("dispatch order (ordinal: tenant/seq):")
 	for _, h := range handles {
@@ -105,8 +130,31 @@ func main() {
 			h.DispatchSeq(), h.Tenant(), h.Name(),
 			h.Metrics().Get(metrics.Iterations))
 	}
+	fmt.Printf("most jobs running at once: research %d, batch %d (MaxConcurrent 1)\n",
+		peakRunning(tr, "research"), peakRunning(tr, "batch"))
 	fmt.Printf("service totals: %d dispatched, %d completed, %d canceled\n",
 		c.Metrics.Get(metrics.ServeDispatched),
 		c.Metrics.Get(metrics.ServeCompleted),
 		c.Metrics.Get(metrics.ServeCanceled))
+}
+
+// peakRunning replays the service trace: the most jobs of tenant that
+// held a slot at the same time. A job's finish is recorded before its
+// slot is released, so the replay never overlaps a job with its
+// successor.
+func peakRunning(tr *trace.Recorder, tenant string) int {
+	running, peak := 0, 0
+	for _, ev := range tr.Events() {
+		if ev.Worker != tenant {
+			continue
+		}
+		switch ev.Kind {
+		case trace.KindServeDispatch:
+			running++
+			peak = max(peak, running)
+		case trace.KindServeDone:
+			running--
+		}
+	}
+	return peak
 }

@@ -103,7 +103,7 @@ func TestForgedStaleDuplicatesAfterRefill(t *testing.T) {
 			return nil
 		}
 		defer net.Close()
-		v := newEnvNet(t, cluster.Uniform(3), net, Options{Parallelism: 4})
+		v := newEnvNet(t, cluster.Uniform(3), net, Options{parallelism: 4})
 		job, _ := ringSetup(t, v, n)
 		job.MaxIter = iters
 		job.BufferThreshold = 16
@@ -164,7 +164,7 @@ func TestSharedChunksCarryNoLease(t *testing.T) {
 				return nil
 			}
 			defer net.Close()
-			v := newEnvNet(t, cluster.Uniform(3), net, Options{Parallelism: 4})
+			v := newEnvNet(t, cluster.Uniform(3), net, Options{parallelism: 4})
 			var job *Job
 			if name == "one-to-all" {
 				job = miniKMeans(t, v)
@@ -202,7 +202,7 @@ func TestTCPBuffersComeHomeAtSender(t *testing.T) {
 	net := transport.NewTCPNetwork()
 	defer net.Close()
 	const workers, n, iters = 3, 300, 20
-	v := newEnvNet(t, cluster.Uniform(workers), net, Options{Parallelism: 4, Timeout: 30 * time.Second})
+	v := newEnvNet(t, cluster.Uniform(workers), net, Options{parallelism: 4, Timeout: 30 * time.Second})
 	job, vals := ringSetup(t, v, n)
 	job.MaxIter = iters
 	job.BufferThreshold = 16
@@ -302,7 +302,7 @@ func TestFirstBuffersStartSmall(t *testing.T) {
 			}
 			return nil
 		}
-		v := newEnvNet(t, cluster.Uniform(3), net, Options{Parallelism: parallelism})
+		v := newEnvNet(t, cluster.Uniform(3), net, Options{parallelism: parallelism})
 		job, vals := ringSetup(t, v, 900)
 		job.MaxIter = 3
 		job.BufferThreshold = thresh
@@ -366,7 +366,7 @@ func TestSuperstepSteadyStateAllocs(t *testing.T) {
 	spec := cluster.Uniform(1)
 	net := transport.NewChanNetwork()
 	defer net.Close()
-	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{Parallelism: 1})
+	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func scalarSuperstep(t testing.TB, job *Job, n int) (superstep func(), state fun
 	spec := cluster.Uniform(1)
 	net := transport.NewChanNetwork()
 	t.Cleanup(func() { net.Close() })
-	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{Parallelism: 1})
+	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,9 @@ import (
 
 // Options tunes the engine.
 type Options struct {
-	// LoadBalance enables per-iteration task-pair migration (§3.4.2).
+	// LoadBalance enables per-iteration task-pair migration (§3.4.2)
+	// when the slowest task exceeds the trimmed average by lbThreshold.
 	LoadBalance bool
-	// LBThreshold is the relative deviation of the slowest worker from
-	// the trimmed average that triggers a migration. Default 0.25.
-	LBThreshold float64
 	// Timeout aborts a run whose master hears nothing for this long —
 	// a deadlock/livelock backstop. Default 2 minutes.
 	Timeout time.Duration
@@ -44,14 +42,6 @@ type Options struct {
 	// Retries back off exponentially from sendRetryBackoff. Default 3.
 	SendRetries int
 
-	// Parallelism bounds how many pair-loop shards one task may execute
-	// concurrently (the task goroutine plus Parallelism-1 run-scoped pool
-	// workers). 0 (the default) means runtime.GOMAXPROCS(0); 1 forces the
-	// serial path. Sharding preserves output order exactly — shards are
-	// contiguous ranges merged in order — so results are identical to the
-	// serial execution for any value.
-	Parallelism int
-
 	// Trace receives the run's structured events: task lifecycle,
 	// per-iteration spans per task pair, transport retries. nil (the
 	// default) disables tracing; every emission site is behind a nil
@@ -61,6 +51,14 @@ type Options struct {
 	// committed iteration boundary with that iteration's merged info.
 	// It must return quickly: the master loop blocks on it.
 	OnIteration func(IterInfo)
+
+	// parallelism bounds how many pair-loop shards one task may execute
+	// concurrently (the task goroutine plus parallelism-1 run-scoped pool
+	// workers). 0 means runtime.GOMAXPROCS(0); 1 forces the serial path.
+	// Sharding preserves output order exactly — shards are contiguous
+	// ranges merged in order — so results are identical to the serial
+	// execution for any value. Only the package's tests set it.
+	parallelism int
 }
 
 // Engine executes iMapReduce jobs over a DFS, a transport network and a
@@ -96,9 +94,6 @@ func NewEngine(fs dfs.FS, net transport.Network, spec cluster.Spec, m *metrics.S
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.LBThreshold <= 0 {
-		opts.LBThreshold = 0.25
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 2 * time.Minute
 	}
@@ -115,6 +110,9 @@ const (
 	// lbMinIter is the first iteration at which migration may happen
 	// (early iterations are noisy).
 	lbMinIter = 3
+	// lbThreshold is the relative deviation of the slowest task from the
+	// trimmed average that triggers a migration.
+	lbThreshold = 0.5
 	// sendRetryBackoff is the initial backoff of a retried send.
 	sendRetryBackoff = time.Millisecond
 	// checkpointRetries bounds how many times a reduce task retries a
@@ -425,7 +423,7 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	}
 
 	meta := runMeta{Name: job.Name, MainPhases: len(phases), MainTasks: n, AuxTasks: auxN, OutputPath: job.OutputDir()}
-	run := newRunState(meta, newWorkerPool(e.opts.Parallelism))
+	run := newRunState(meta, newWorkerPool(e.opts.parallelism))
 	// The pool is owned here, where it is created: every return below —
 	// a rejected manifest, a failed partition write, a failed deploy, the
 	// end of the run — releases its workers. This defer runs after the

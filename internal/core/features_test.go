@@ -285,7 +285,7 @@ func TestAuxiliaryWithMultiPhase(t *testing.T) {
 // result must stay exact.
 func TestMigrationDuringMultiPhase(t *testing.T) {
 	spec := cluster.Heterogeneous([]float64{1, 0.05, 1, 1})
-	v := newEnvSpec(t, spec, Options{LoadBalance: true, LBThreshold: 0.5})
+	v := newEnvSpec(t, spec, Options{LoadBalance: true})
 	v.writeState(t, "/state", 24)
 	id := func(key, state, static any, emit kv.Emit) error {
 		emit(key, state)
@@ -397,7 +397,7 @@ func TestLoadBalancingMigration(t *testing.T) {
 	// worker-1 runs at 1/20 speed; with load balancing on, its pair
 	// should migrate to a fast worker and the run should still be exact.
 	spec := cluster.Heterogeneous([]float64{1, 0.05, 1, 1})
-	v := newEnvSpec(t, spec, Options{LoadBalance: true, LBThreshold: 0.5})
+	v := newEnvSpec(t, spec, Options{LoadBalance: true})
 	v.writeState(t, "/state", 40)
 	job := slowHalvingJob("halve-lb", 8, 2)
 	res, err := v.e.Run(job)
@@ -425,7 +425,7 @@ func TestLoadBalancingMigration(t *testing.T) {
 // is skewed (not because its worker is) must stop migrating after
 // MaxPairMigrations moves (§3.4.2's confinement).
 func TestConfinedLoadBalancing(t *testing.T) {
-	v := newEnvSpec(t, cluster.Uniform(4), Options{LoadBalance: true, LBThreshold: 0.5})
+	v := newEnvSpec(t, cluster.Uniform(4), Options{LoadBalance: true})
 	v.writeState(t, "/state", 40)
 	job := halvingJob("halve-confined", 14, 0)
 	job.CheckpointEvery = 2

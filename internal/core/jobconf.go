@@ -33,8 +33,7 @@ type JobConf struct {
 
 // Key is a typed JobConf configuration key. Using a distinct type makes
 // a misspelled literal fail loudly at Build time with a suggestion,
-// while untyped string constants (the Conf* aliases below, and string
-// literals at call sites) still convert implicitly.
+// while untyped string literals at call sites still convert implicitly.
 type Key string
 
 // Configuration keys, named as in the paper.
@@ -49,21 +48,6 @@ const (
 	KeyNumTasks   Key = "mapred.iterjob.numtasks"
 	KeyBuffer     Key = "mapred.iterjob.buffer"
 	KeyCheckpoint Key = "mapred.iterjob.checkpoint"
-)
-
-// Aliases of the typed keys under their original names, kept for
-// source compatibility.
-const (
-	ConfStatePath  = KeyStatePath
-	ConfStaticPath = KeyStaticPath
-	ConfOutputPath = KeyOutputPath
-	ConfMaxIter    = KeyMaxIter
-	ConfDistThresh = KeyDistThresh
-	ConfMapping    = KeyMapping
-	ConfSync       = KeySync
-	ConfNumTasks   = KeyNumTasks
-	ConfBuffer     = KeyBuffer
-	ConfCheckpoint = KeyCheckpoint
 )
 
 // knownKeys lists every valid key, for the unknown-key suggestion.
@@ -125,36 +109,36 @@ func (c *JobConf) fail(format string, args ...any) {
 // are collected and reported at Build time.
 func (c *JobConf) Set(key Key, value string) *JobConf {
 	switch key {
-	case ConfStatePath:
+	case KeyStatePath:
 		c.job.StatePath = value
-	case ConfStaticPath:
+	case KeyStaticPath:
 		c.job.StaticPath = value
-	case ConfOutputPath:
+	case KeyOutputPath:
 		c.job.OutputPath = value
-	case ConfMapping:
+	case KeyMapping:
 		switch value {
 		case "one2one":
 			c.job.Mapping = OneToOne
 		case "one2all":
 			c.job.Mapping = OneToAll
 		default:
-			c.fail("core: %s must be one2one or one2all, got %q", ConfMapping, value)
+			c.fail("core: %s must be one2one or one2all, got %q", KeyMapping, value)
 		}
-	case ConfMaxIter, ConfNumTasks, ConfBuffer, ConfCheckpoint:
+	case KeyMaxIter, KeyNumTasks, KeyBuffer, KeyCheckpoint:
 		n, err := strconv.Atoi(value)
 		if err != nil {
 			c.fail("core: %s: %v", key, err)
 			return c
 		}
 		c.SetInt(key, n)
-	case ConfDistThresh:
+	case KeyDistThresh:
 		f, err := strconv.ParseFloat(value, 64)
 		if err != nil {
 			c.fail("core: %s: %v", key, err)
 			return c
 		}
 		c.SetFloat(key, f)
-	case ConfSync:
+	case KeySync:
 		b, err := strconv.ParseBool(value)
 		if err != nil {
 			c.fail("core: %s: %v", key, err)
@@ -171,13 +155,13 @@ func (c *JobConf) Set(key Key, value string) *JobConf {
 // (job.setInt("mapred.iterjob.maxiter", n) in the paper).
 func (c *JobConf) SetInt(key Key, v int) *JobConf {
 	switch key {
-	case ConfMaxIter:
+	case KeyMaxIter:
 		c.job.MaxIter = v
-	case ConfNumTasks:
+	case KeyNumTasks:
 		c.job.NumTasks = v
-	case ConfBuffer:
+	case KeyBuffer:
 		c.job.BufferThreshold = v
-	case ConfCheckpoint:
+	case KeyCheckpoint:
 		c.job.CheckpointEvery = v
 	default:
 		c.fail("core: %q is not an integer key", key)
@@ -189,7 +173,7 @@ func (c *JobConf) SetInt(key Key, v int) *JobConf {
 // (job.setFloat("mapred.iterjob.disthresh", eps)).
 func (c *JobConf) SetFloat(key Key, v float64) *JobConf {
 	switch key {
-	case ConfDistThresh:
+	case KeyDistThresh:
 		c.job.DistThreshold = v
 	default:
 		c.fail("core: %q is not a float key", key)
@@ -201,7 +185,7 @@ func (c *JobConf) SetFloat(key Key, v float64) *JobConf {
 // (job.setBoolean("mapred.iterjob.sync", true)).
 func (c *JobConf) SetBool(key Key, v bool) *JobConf {
 	switch key {
-	case ConfSync:
+	case KeySync:
 		c.job.SyncMap = v
 	default:
 		c.fail("core: %q is not a boolean key", key)

@@ -10,15 +10,15 @@ import (
 
 func TestJobConfBuild(t *testing.T) {
 	conf := NewJobConf("pr").
-		Set(ConfStatePath, "/state").
-		Set(ConfStaticPath, "/static").
-		Set(ConfOutputPath, "/out").
-		SetInt(ConfMaxIter, 7).
-		SetFloat(ConfDistThresh, 0.01).
-		SetBool(ConfSync, true).
-		SetInt(ConfNumTasks, 3).
-		SetInt(ConfBuffer, 128).
-		SetInt(ConfCheckpoint, 2).
+		Set(KeyStatePath, "/state").
+		Set(KeyStaticPath, "/static").
+		Set(KeyOutputPath, "/out").
+		SetInt(KeyMaxIter, 7).
+		SetFloat(KeyDistThresh, 0.01).
+		SetBool(KeySync, true).
+		SetInt(KeyNumTasks, 3).
+		SetInt(KeyBuffer, 128).
+		SetInt(KeyCheckpoint, 2).
 		SetMap(func(key, state, static any, emit kv.Emit) error { return nil }).
 		SetReduce(func(key any, states []any) (any, error) { return nil, nil }).
 		SetDistance(func(key, prev, curr any) float64 { return 0 }).
@@ -36,10 +36,10 @@ func TestJobConfBuild(t *testing.T) {
 
 func TestJobConfStringForms(t *testing.T) {
 	conf := NewJobConf("x").
-		Set(ConfMaxIter, "9").
-		Set(ConfDistThresh, "0.5").
-		Set(ConfSync, "true").
-		Set(ConfMapping, "one2all")
+		Set(KeyMaxIter, "9").
+		Set(KeyDistThresh, "0.5").
+		Set(KeySync, "true").
+		Set(KeyMapping, "one2all")
 	job, err := conf.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -52,13 +52,13 @@ func TestJobConfStringForms(t *testing.T) {
 func TestJobConfErrors(t *testing.T) {
 	cases := []*JobConf{
 		NewJobConf("a").Set("bogus.key", "v"),
-		NewJobConf("b").Set(ConfMaxIter, "notanumber"),
-		NewJobConf("c").Set(ConfDistThresh, "x"),
-		NewJobConf("d").Set(ConfSync, "maybe"),
-		NewJobConf("e").Set(ConfMapping, "one2many"),
-		NewJobConf("f").SetInt(ConfDistThresh, 1),
-		NewJobConf("g").SetFloat(ConfMaxIter, 1),
-		NewJobConf("h").SetBool(ConfMaxIter, true),
+		NewJobConf("b").Set(KeyMaxIter, "notanumber"),
+		NewJobConf("c").Set(KeyDistThresh, "x"),
+		NewJobConf("d").Set(KeySync, "maybe"),
+		NewJobConf("e").Set(KeyMapping, "one2many"),
+		NewJobConf("f").SetInt(KeyDistThresh, 1),
+		NewJobConf("g").SetFloat(KeyMaxIter, 1),
+		NewJobConf("h").SetBool(KeyMaxIter, true),
 	}
 	for i, c := range cases {
 		if _, err := c.Build(); err == nil {
@@ -71,7 +71,7 @@ func TestJobConfErrors(t *testing.T) {
 // refused before the run starts, and the error says where Ops come from.
 func TestZeroOpsRejected(t *testing.T) {
 	job, err := NewJobConf("no-ops").
-		Set(ConfStatePath, "/state").
+		Set(KeyStatePath, "/state").
 		SetMap(func(key, state, static any, emit kv.Emit) error { return nil }).
 		SetReduce(func(key any, states []any) (any, error) { return nil, nil }).
 		Build()
@@ -102,7 +102,7 @@ func TestJobConfUnknownKeySuggestion(t *testing.T) {
 func TestJobConfJoinsAllErrors(t *testing.T) {
 	_, err := NewJobConf("t").
 		Set("bogus.key", "v").
-		Set(ConfMaxIter, "notanumber").
+		Set(KeyMaxIter, "notanumber").
 		Build()
 	if err == nil {
 		t.Fatal("errors swallowed")
@@ -117,10 +117,10 @@ func TestJobConfChaining(t *testing.T) {
 	p2 := NewJobConf("p2").
 		SetMap(func(key, state, static any, emit kv.Emit) error { return nil }).
 		SetReduce(func(key any, states []any) (any, error) { return nil, nil }).
-		SetInt(ConfMaxIter, 3).
+		SetInt(KeyMaxIter, 3).
 		SetOps(kv.OpsFor[int64, float64](nil))
 	p1 := NewJobConf("p1").
-		Set(ConfStatePath, "/state").
+		Set(KeyStatePath, "/state").
 		SetMap(func(key, state, static any, emit kv.Emit) error { return nil }).
 		SetReduce(func(key any, states []any) (any, error) { return nil, nil }).
 		SetOps(kv.OpsFor[int64, float64](nil)).
@@ -146,7 +146,7 @@ func TestJobConfCombineAndAuxiliary(t *testing.T) {
 		SetReduce(func(key any, states []any) (any, error) { return nil, nil }).
 		SetOps(kv.OpsFor[int64, float64](nil))
 	conf := NewJobConf("main").
-		Set(ConfStatePath, "/s").
+		Set(KeyStatePath, "/s").
 		SetMap(func(key, state, static any, emit kv.Emit) error { return nil }).
 		SetReduce(func(key any, states []any) (any, error) { return nil, nil }).
 		SetCombine(func(key any, values []any) (any, error) { return values[0], nil }).
@@ -173,8 +173,8 @@ func TestJobConfEndToEnd(t *testing.T) {
 	v := newEnv(t, 2, Options{})
 	v.writeState(t, "/state", 10)
 	conf := NewJobConf("conf-halve").
-		Set(ConfStatePath, "/state").
-		SetInt(ConfMaxIter, 4).
+		Set(KeyStatePath, "/state").
+		SetInt(KeyMaxIter, 4).
 		SetMap(func(key, state, static any, emit kv.Emit) error {
 			emit(key, state)
 			return nil

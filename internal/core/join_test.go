@@ -66,7 +66,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 							}
 						}
 
-						v := newEnv(t, 2, Options{Parallelism: par})
+						v := newEnv(t, 2, Options{parallelism: par})
 						if err := v.fs.WriteFile("/static", "worker-0", static, kind.ops); err != nil {
 							t.Fatal(err)
 						}

@@ -79,7 +79,7 @@ type shardRows interface {
 
 // reduceSharded runs reduce(i) for every group i in [0, len(vals)) on the
 // pool, each shard a contiguous range, into vals[i]. The user reduce must
-// be safe to call concurrently (Options.Parallelism).
+// be safe to call concurrently (Options.parallelism).
 func reduceSharded[V any](t *reduceTask, vals []V, reduce func(i int) (V, error)) error {
 	shards := t.run.pool.shardsFor(len(vals))
 	errs := make([]error, shards)

@@ -388,7 +388,7 @@ func (t *mapTask) broadcastRange(static, statePairs []kv.Pair, em kv.Emit) error
 // sees its records in exactly the serial loop's order, and chunk contents
 // and boundaries are the serial loop's whatever the window and shard
 // counts. The user map must be safe to call concurrently
-// (Options.Parallelism).
+// (Options.parallelism).
 func (t *mapTask) runSharded(iter, n int, rows shardRows, body func(sh, lo, hi int) error) error {
 	errs := make([]error, t.run.pool.shardsFor(min(n, shardWindowPairs)))
 	for base := 0; base < n; base += shardWindowPairs {

@@ -522,7 +522,7 @@ func (e *Engine) maybeMigrate(run *runState, reps map[int]reportMsg,
 	}
 	avg := sum / time.Duration(len(all)-2)
 	slow := all[len(all)-1]
-	if avg <= 0 || float64(slow.elapsed-avg)/float64(avg) <= e.opts.LBThreshold {
+	if avg <= 0 || float64(slow.elapsed-avg)/float64(avg) <= lbThreshold {
 		return false
 	}
 	if migratedCount[slow.task] >= MaxPairMigrations {

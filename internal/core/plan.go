@@ -141,7 +141,7 @@ func (e *Engine) newPlanner(job *Job, meta runMeta, run *runState, master transp
 			HeartbeatInterval: e.opts.HeartbeatInterval,
 			HeartbeatMisses:   e.opts.HeartbeatMisses,
 			SendRetries:       e.opts.SendRetries,
-			Parallelism:       e.opts.Parallelism,
+			Parallelism:       e.opts.parallelism,
 		},
 		Run: meta,
 	}}

@@ -38,7 +38,7 @@ type workerPool struct {
 	done chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
-	n    int // target shard-count ceiling (Options.Parallelism)
+	n    int // target shard-count ceiling (Options.parallelism)
 }
 
 // newWorkerPool starts parallelism-1 workers (the task goroutine is the

@@ -97,7 +97,7 @@ func TestRunShardsExecutesEveryShardOnce(t *testing.T) {
 func TestParallelismMatchesSerial(t *testing.T) {
 	const n = 2000 // >> parallelMinPairs with NumTasks 1
 	run := func(parallelism int) (map[int64]any, int) {
-		v := newEnv(t, 2, Options{Parallelism: parallelism})
+		v := newEnv(t, 2, Options{parallelism: parallelism})
 		v.writeState(t, "/state", n)
 		job := halvingJob("par-eq", 4, 0)
 		job.NumTasks = 1
@@ -125,7 +125,7 @@ func TestParallelismMatchesSerial(t *testing.T) {
 // TestParallelReduceErrorSurfaces checks that a user reduce error from a
 // pool shard still aborts the run with the key in the message.
 func TestParallelReduceErrorSurfaces(t *testing.T) {
-	v := newEnv(t, 2, Options{Parallelism: 4})
+	v := newEnv(t, 2, Options{parallelism: 4})
 	v.writeState(t, "/state", 1000)
 	job := halvingJob("par-err", 4, 0)
 	job.NumTasks = 1
@@ -147,7 +147,7 @@ func TestParallelReduceErrorSurfaces(t *testing.T) {
 // is explicit so the pool has workers to strand even on a one-core box.
 func TestEarlyErrorReleasesPool(t *testing.T) {
 	defer leaktest.Check(t)()
-	v := newEnv(t, 2, Options{Parallelism: 4})
+	v := newEnv(t, 2, Options{parallelism: 4})
 	if _, err := v.e.Resume(halvingJob("pool-own", 4, 0)); err == nil {
 		t.Fatal("Resume with no manifest succeeded")
 	}
@@ -200,7 +200,7 @@ func TestWindowedShardingMatchesSerial(t *testing.T) {
 		m := metrics.NewSet()
 		fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
 		net := &chunkLog{Network: transport.NewChanNetwork(), streams: map[string][]string{}}
-		e, err := NewEngine(fs, net, spec, m, Options{Parallelism: parallelism, Timeout: 20 * time.Second})
+		e, err := NewEngine(fs, net, spec, m, Options{parallelism: parallelism, Timeout: 20 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

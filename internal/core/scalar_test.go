@@ -159,7 +159,7 @@ func TestColumnLoopsMatchPairLoops(t *testing.T) {
 			net = transport.NewTCPNetwork()
 		}
 		defer net.Close()
-		v := newEnvNet(t, cluster.Uniform(4), net, Options{Parallelism: parallelism})
+		v := newEnvNet(t, cluster.Uniform(4), net, Options{parallelism: parallelism})
 		v.ringStatic(t, n)
 		job := rankJob("loops", iters).Build()
 		job.CheckpointEvery = 3

@@ -253,39 +253,6 @@ func TestDiskBackedDFS(t *testing.T) {
 	}
 }
 
-// TestLatencyNetworkEndToEnd runs a full job over the latency-injecting
-// transport wrapper: correctness must be unaffected by message delays.
-func TestLatencyNetworkEndToEnd(t *testing.T) {
-	guard(t, 2*time.Minute)
-	spec := cluster.Uniform(2)
-	m := metrics.NewSet()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
-	net := transport.NewLatencyNetwork(transport.NewChanNetwork(), 2*time.Millisecond, 0)
-	e, err := NewEngine(fs, net, spec, m, Options{Timeout: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := &env{e: e, fs: fs, m: m, spec: spec}
-	job, vals := ringSetup(t, v, 32)
-	job.MaxIter = 4
-	res, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ringReference(vals, 4)
-	out := v.readOutput(t, res.OutputPath)
-	for i := 0; i < 32; i++ {
-		if math.Abs(out[int64(i)].(float64)-want[i]) > 1e-9 {
-			t.Fatalf("latency run diverged at key %d", i)
-		}
-	}
-	// Four iterations of barriered messaging with 2ms per hop cannot
-	// complete instantly.
-	if res.TotalWall < 8*time.Millisecond {
-		t.Fatalf("latency not felt: %v", res.TotalWall)
-	}
-}
-
 // TestRepeatedFailures injects two worker failures at different points
 // of one run; the result must still be exact and every failure must be
 // recovered.

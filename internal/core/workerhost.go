@@ -263,7 +263,7 @@ func (w *WorkerHost) openRun(p planMsg) (*Job, *Engine, *workerPool, error) {
 		HeartbeatInterval: p.Tuning.HeartbeatInterval,
 		HeartbeatMisses:   p.Tuning.HeartbeatMisses,
 		SendRetries:       p.Tuning.SendRetries,
-		Parallelism:       p.Tuning.Parallelism,
+		parallelism:       p.Tuning.Parallelism,
 	})
 	if err != nil {
 		return nil, nil, nil, err

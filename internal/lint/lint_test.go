@@ -213,7 +213,7 @@ func TestLoadPackagesStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(wd)
-	_, err = LoadPackages([]string{"."}, LoadOptions{})
+	_, err = LoadPackages([]string{"."})
 	if err == nil {
 		t.Fatal("LoadPackages must fail on code that does not type-check")
 	}

@@ -16,14 +16,6 @@ import (
 	"sync"
 )
 
-// LoadOptions tunes LoadPackages.
-type LoadOptions struct {
-	// Tests includes _test.go files (excluded by default: the invariants
-	// guard production code, and tests deliberately exercise bad
-	// patterns).
-	Tests bool
-}
-
 // ModulePath reads the module path from the go.mod at or above dir,
 // returning the module path and the module root directory.
 func ModulePath(dir string) (string, string, error) {
@@ -192,8 +184,9 @@ func typeCheck(te *typeEnv, pkgPath string, files []*File, checked map[string]*t
 // pattern into lint Packages. A pattern is a directory, or a directory
 // suffixed with "/..." for a recursive walk. Directories named
 // testdata, vendor, or starting with "." or "_" are skipped, matching
-// the go tool's rules. File paths in findings are reported relative to
-// the module root.
+// the go tool's rules. _test.go files are left out: the invariants
+// guard production code, and tests deliberately exercise bad patterns.
+// File paths in findings are reported relative to the module root.
 //
 // Packages are checked from source in dependency order, so a loaded
 // package's objects are identical to those its loaded importers see;
@@ -202,7 +195,7 @@ func typeCheck(te *typeEnv, pkgPath string, files []*File, checked map[string]*t
 // facts about them are invisible — run over ./... for the full view).
 // Type-check errors are load errors: the analyzers' typed facts are
 // meaningless on code that does not compile.
-func LoadPackages(patterns []string, opts LoadOptions) ([]*Package, error) {
+func LoadPackages(patterns []string) ([]*Package, error) {
 	modPath, modRoot, err := ModulePath(".")
 	if err != nil {
 		return nil, err
@@ -255,7 +248,7 @@ func LoadPackages(patterns []string, opts LoadOptions) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, dir := range sorted {
-		pkg, err := parseDir(dir, modPath, modRoot, opts)
+		pkg, err := parseDir(dir, modPath, modRoot)
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +313,7 @@ func checkInOrder(pkgs []*Package, modPath string) error {
 
 // parseDir parses one directory into a Package (nil when it holds no
 // eligible Go files). Type checking happens later, in import order.
-func parseDir(dir, modPath, modRoot string, opts LoadOptions) (*Package, error) {
+func parseDir(dir, modPath, modRoot string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -329,10 +322,8 @@ func parseDir(dir, modPath, modRoot string, opts LoadOptions) (*Package, error) 
 	var files []*File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if !opts.Tests && strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
+			strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		path := filepath.Join(dir, name)

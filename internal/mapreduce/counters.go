@@ -11,7 +11,7 @@ import (
 // increment them through the *WithCounters job variants, and the engine
 // aggregates them per job with Hadoop's winner-only semantics — a
 // counter update only lands if its task attempt is the one whose output
-// is used, so retries and speculative backups never double-count.
+// is used, so retries never double-count.
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]int64

@@ -3,11 +3,9 @@ package mapreduce
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
-	"imapreduce/internal/cluster"
-	"imapreduce/internal/dfs"
 	"imapreduce/internal/kv"
 	"imapreduce/internal/metrics"
 )
@@ -75,60 +73,46 @@ func TestJobCounters(t *testing.T) {
 	}
 }
 
-// TestCountersWinnerOnlyUnderRetry: the failed first attempt's counter
-// increments must not leak into the job totals.
+// TestCountersWinnerOnlyUnderRetry: a failed attempt's counter
+// increments must not leak into the job totals. The first map attempt to
+// run and the first reduce attempt to run each count their records and
+// then fail, so their retries redo the work the totals must count once.
 func TestCountersWinnerOnlyUnderRetry(t *testing.T) {
-	opts := Options{
-		FailTask: func(job, kind string, task, attempt int) bool {
-			return attempt == 1 // every first attempt dies (after the injector check, before work)
-		},
-	}
-	e, fs, _ := testEnv(t, 2, opts)
+	e, fs, m := testEnv(t, 2, Options{})
 	writeWords(t, fs, "/in", []string{"x y", "y z"})
-	res, err := e.Submit(counterWordCount("/in", "/out"))
+	job := counterWordCount("/in", "/out")
+	var mapFailed, reduceFailed atomic.Bool
+	baseMap, baseReduce := job.MapCnt, job.ReduceCnt
+	job.MapCnt = func(c *Counters, key, value any, emit kv.Emit) error {
+		if err := baseMap(c, key, value, emit); err != nil {
+			return err
+		}
+		if mapFailed.CompareAndSwap(false, true) {
+			return fmt.Errorf("map attempt fails after counting")
+		}
+		return nil
+	}
+	job.ReduceCnt = func(c *Counters, key any, values []any, emit kv.Emit) error {
+		if err := baseReduce(c, key, values, emit); err != nil {
+			return err
+		}
+		if reduceFailed.CompareAndSwap(false, true) {
+			return fmt.Errorf("reduce attempt fails after counting")
+		}
+		return nil
+	}
+	res, err := e.Submit(job)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := m.Get(metrics.TaskRetries); got != 2 {
+		t.Fatalf("retries = %d, want 2 (one map, one reduce)", got)
 	}
 	if got := res.Counters.Get("words.mapped"); got != 4 {
 		t.Fatalf("words.mapped = %d after retries, want 4", got)
 	}
 	if got := res.Counters.Get("groups.reduced"); got != 3 {
 		t.Fatalf("groups.reduced = %d after retries, want 3", got)
-	}
-}
-
-// TestCountersWinnerOnlyUnderSpeculation: duplicate (backup) attempts
-// must not double-count even when both run to completion.
-func TestCountersWinnerOnlyUnderSpeculation(t *testing.T) {
-	spec := cluster.Heterogeneous([]float64{1, 0.04, 1})
-	m := metrics.NewSet()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 3}, spec.IDs(), m)
-	var lines []string
-	const n = 40
-	for i := 0; i < n; i++ {
-		lines = append(lines, fmt.Sprintf("w%02d w%02d", i, (i+1)%n))
-	}
-	writeWords(t, fs, "/in", lines)
-	e, _ := NewEngine(fs, spec, m, Options{Speculative: true, SpeculativeSlowdown: 2})
-	job := counterWordCount("/in", "/out")
-	job.NumReduce = 9
-	base := job.ReduceCnt
-	job.ReduceCnt = func(c *Counters, key any, values []any, emit kv.Emit) error {
-		time.Sleep(300 * time.Microsecond)
-		return base(c, key, values, emit)
-	}
-	res, err := e.Submit(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Get(metrics.SpeculativeTasks) == 0 {
-		t.Skip("no speculation triggered this run; winner-only property not exercised")
-	}
-	if got := res.Counters.Get("words.mapped"); got != 2*n {
-		t.Fatalf("words.mapped = %d with speculation, want %d", got, 2*n)
-	}
-	if got := res.Counters.Get("groups.reduced"); got != n {
-		t.Fatalf("groups.reduced = %d with speculation, want %d", got, n)
 	}
 }
 

@@ -3,8 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"imapreduce/internal/cluster"
@@ -19,16 +17,6 @@ type Options struct {
 	// LocalityAware schedules map tasks on workers holding a replica of
 	// their split when possible (Hadoop's locality optimization).
 	LocalityAware bool
-	// Speculative enables backup attempts for straggling tasks
-	// (Hadoop's speculative execution).
-	Speculative bool
-	// SpeculativeSlowdown is the straggler threshold: a running task is
-	// backed up when its elapsed time exceeds this multiple of the
-	// median completed-task time. Default 2.
-	SpeculativeSlowdown float64
-	// FailTask, if set, injects a failure into the given attempt; used
-	// by fault-tolerance tests.
-	FailTask func(job, kind string, task, attempt int) bool
 	// Trace receives job-phase spans (init, map wave, shuffle, reduce
 	// wave). nil disables tracing at no cost.
 	Trace *trace.Recorder
@@ -40,15 +28,15 @@ type Engine struct {
 	spec cluster.Spec
 	m    *metrics.Set
 	opts Options
+	// failTask, if set, fails the given attempt before it reads its
+	// input; the package's retry tests set it.
+	failTask func(job, kind string, task, attempt int) bool
 }
 
 // NewEngine creates an engine. m may be nil.
 func NewEngine(fs *dfs.DFS, spec cluster.Spec, m *metrics.Set, opts Options) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.SpeculativeSlowdown <= 0 {
-		opts.SpeculativeSlowdown = 2.0
 	}
 	return &Engine{fs: fs, spec: spec, m: m, opts: opts}, nil
 }
@@ -260,18 +248,14 @@ func (e *Engine) assignSplits(splits []dfs.Split, workers []string) []string {
 	return assignment
 }
 
-// maxAttempts bounds a task's attempts, backups included, as Hadoop's
-// default does.
+// maxAttempts bounds a task's attempts, as Hadoop's default does.
 const maxAttempts = 4
 
 // runWave runs one phase's tasks, task t first on placement[t], with at
 // most slotsPerWorker attempts at a time on each worker. A failed attempt
-// is retried on another worker until the task has had maxAttempts; with
-// Speculative set, a task running longer than SpeculativeSlowdown times
-// the median finished task gets one backup attempt on another worker.
-// The first attempt of a task to succeed wins and the others are
-// discarded. It returns the winning results by task and how many
-// attempts it launched.
+// is retried on another worker until the task has had maxAttempts; a task
+// has one attempt running at a time, so its first success is its result.
+// It returns the results by task and how many attempts it launched.
 func runWave[R any](ctx context.Context, e *Engine, job, kind string, workers, placement []string, slotsPerWorker int,
 	run func(task, attempt int, worker string, slot chan struct{}) (R, error)) ([]R, int, error) {
 	slots := make(map[string]chan struct{}, len(workers))
@@ -285,82 +269,27 @@ func runWave[R any](ctx context.Context, e *Engine, job, kind string, workers, p
 		result R
 		err    error
 	}
-	type taskState struct {
-		done       bool
-		attempts   int
-		backup     bool
-		launchedAt time.Time
-	}
 	n := len(placement)
-	states := make([]taskState, n)
+	attempts := make([]int, n)
 	results := make([]R, n)
-	outcomes := make(chan outcome, n*2)
+	// A task has at most one attempt in flight, so n slots take every
+	// attempt's send even after a cancel returns early.
+	outcomes := make(chan outcome, n)
 
-	var mu sync.Mutex
 	launched := 0
 	launch := func(task int, worker string) {
-		mu.Lock()
-		states[task].attempts++
-		attempt := states[task].attempts
-		states[task].launchedAt = time.Now()
+		attempts[task]++
+		attempt := attempts[task]
 		launched++
-		mu.Unlock()
 		e.m.Add(metrics.TasksLaunched, 1)
 		go func() {
 			r, err := run(task, attempt, worker, slots[worker])
 			outcomes <- outcome{task: task, worker: worker, result: r, err: err}
 		}()
 	}
-	attempts := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return launched
-	}
 
 	for t, w := range placement {
 		launch(t, w)
-	}
-
-	var durations []time.Duration
-	stopMon := make(chan struct{})
-	defer close(stopMon)
-	if e.opts.Speculative {
-		go func() {
-			tick := time.NewTicker(2 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopMon:
-					return
-				case <-tick.C:
-					mu.Lock()
-					if len(durations)*2 < n {
-						mu.Unlock()
-						continue
-					}
-					med := median(durations)
-					threshold := time.Duration(float64(med) * e.opts.SpeculativeSlowdown)
-					if threshold <= 0 {
-						threshold = time.Millisecond
-					}
-					for t := range states {
-						st := &states[t]
-						if st.done || st.backup {
-							continue
-						}
-						if time.Since(st.launchedAt) > threshold {
-							st.backup = true
-							other := otherWorker(workers, placement[t])
-							e.m.Add(metrics.SpeculativeTasks, 1)
-							mu.Unlock()
-							launch(t, other)
-							mu.Lock()
-						}
-					}
-					mu.Unlock()
-				}
-			}
-		}()
 	}
 
 	for remaining := n; remaining > 0; {
@@ -368,32 +297,21 @@ func runWave[R any](ctx context.Context, e *Engine, job, kind string, workers, p
 		select {
 		case oc = <-outcomes:
 		case <-ctx.Done():
-			return nil, attempts(), fmt.Errorf("mapreduce: job %s: canceled: %w", job, context.Cause(ctx))
-		}
-		mu.Lock()
-		st := &states[oc.task]
-		if st.done {
-			mu.Unlock()
-			continue // a backup or original already finished this task
+			return nil, launched, fmt.Errorf("mapreduce: job %s: canceled: %w", job, context.Cause(ctx))
 		}
 		if oc.err != nil {
-			if tried := st.attempts; tried >= maxAttempts {
-				mu.Unlock()
-				return nil, attempts(), fmt.Errorf("mapreduce: job %s %s task %d failed after %d attempts: %w",
+			if tried := attempts[oc.task]; tried >= maxAttempts {
+				return nil, launched, fmt.Errorf("mapreduce: job %s %s task %d failed after %d attempts: %w",
 					job, kind, oc.task, tried, oc.err)
 			}
 			e.m.Add(metrics.TaskRetries, 1)
-			mu.Unlock()
 			launch(oc.task, otherWorker(workers, oc.worker))
 			continue
 		}
-		st.done = true
 		results[oc.task] = oc.result
-		durations = append(durations, time.Since(st.launchedAt))
 		remaining--
-		mu.Unlock()
 	}
-	return results, attempts(), nil
+	return results, launched, nil
 }
 
 // runMapPhase executes all map tasks, each first on its assigned worker.
@@ -412,7 +330,7 @@ func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt
 	// Task process launch cost (Hadoop's per-task JVM start).
 	time.Sleep(e.spec.TaskStartOverhead)
 
-	if f := e.opts.FailTask; f != nil && f(job.Name, "map", task, attempt) {
+	if f := e.failTask; f != nil && f(job.Name, "map", task, attempt) {
 		return mapResult{}, fmt.Errorf("injected failure (map task %d attempt %d)", task, attempt)
 	}
 
@@ -504,7 +422,7 @@ func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, ma
 
 	time.Sleep(e.spec.TaskStartOverhead)
 
-	if f := e.opts.FailTask; f != nil && f(job.Name, "reduce", task, attempt) {
+	if f := e.failTask; f != nil && f(job.Name, "reduce", task, attempt) {
 		return 0, 0, 0, nil, fmt.Errorf("injected failure (reduce task %d attempt %d)", task, attempt)
 	}
 
@@ -561,15 +479,6 @@ func runReduceFunc(fn ReduceFunc, pairs []kv.Pair, ops kv.Ops) ([]kv.Pair, error
 		}
 	}
 	return out, nil
-}
-
-func median(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
 }
 
 // otherWorker picks a worker different from avoid when possible.

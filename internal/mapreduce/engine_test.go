@@ -186,16 +186,14 @@ func TestLocalityPreference(t *testing.T) {
 
 func TestTaskRetryOnInjectedFailure(t *testing.T) {
 	var failures atomic.Int64
-	opts := Options{
-		FailTask: func(job, kind string, task, attempt int) bool {
-			if kind == "map" && task == 0 && attempt == 1 {
-				failures.Add(1)
-				return true
-			}
-			return false
-		},
+	e, fs, m := testEnv(t, 2, Options{})
+	e.failTask = func(job, kind string, task, attempt int) bool {
+		if kind == "map" && task == 0 && attempt == 1 {
+			failures.Add(1)
+			return true
+		}
+		return false
 	}
-	e, fs, m := testEnv(t, 2, opts)
 	writeWords(t, fs, "/in", []string{"a b", "b c"})
 	if _, err := e.Submit(wordCountJob("/in", "/out", false)); err != nil {
 		t.Fatal(err)
@@ -213,12 +211,10 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 }
 
 func TestReduceRetry(t *testing.T) {
-	opts := Options{
-		FailTask: func(job, kind string, task, attempt int) bool {
-			return kind == "reduce" && attempt == 1
-		},
+	e, fs, m := testEnv(t, 2, Options{})
+	e.failTask = func(job, kind string, task, attempt int) bool {
+		return kind == "reduce" && attempt == 1
 	}
-	e, fs, m := testEnv(t, 2, opts)
 	writeWords(t, fs, "/in", []string{"a b c d e f"})
 	if _, err := e.Submit(wordCountJob("/in", "/out", false)); err != nil {
 		t.Fatal(err)
@@ -233,12 +229,10 @@ func TestReduceRetry(t *testing.T) {
 }
 
 func TestJobFailsAfterMaxAttempts(t *testing.T) {
-	opts := Options{
-		FailTask: func(job, kind string, task, attempt int) bool {
-			return kind == "map" && task == 0
-		},
+	e, fs, _ := testEnv(t, 2, Options{})
+	e.failTask = func(job, kind string, task, attempt int) bool {
+		return kind == "map" && task == 0
 	}
-	e, fs, _ := testEnv(t, 2, opts)
 	writeWords(t, fs, "/in", []string{"a"})
 	_, err := e.Submit(wordCountJob("/in", "/out", false))
 	if want := fmt.Sprintf("map task 0 failed after %d attempts", maxAttempts); err == nil || !strings.Contains(err.Error(), want) {
@@ -255,66 +249,6 @@ func TestUserMapErrorFailsJob(t *testing.T) {
 	}
 	if _, err := e.Submit(job); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSpeculativeExecution(t *testing.T) {
-	// worker-1 runs at 1/50 speed; with speculation a backup on a fast
-	// worker should rescue its tasks.
-	spec := cluster.Heterogeneous([]float64{1, 0.02, 1})
-	spec.JobInitOverhead = 0
-	m := metrics.NewSet()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 9, Replication: 3}, spec.IDs(), m)
-	lines := make([]string, 64)
-	for i := range lines {
-		lines[i] = strings.Repeat("alpha beta gamma delta ", 8)
-	}
-	writeWords(t, fs, "/in", lines)
-	e, _ := NewEngine(fs, spec, m, Options{Speculative: true, SpeculativeSlowdown: 1.5, LocalityAware: false})
-	res, err := e.Submit(wordCountJob("/in", "/out", false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Get(metrics.SpeculativeTasks) == 0 {
-		t.Fatal("no speculative backups launched for a 50x straggler")
-	}
-	counts := readCounts(t, fs, "/out")
-	if counts["alpha"] != int64(64*8) {
-		t.Fatalf("speculation corrupted results: %v", counts["alpha"])
-	}
-	_ = res
-}
-
-func TestSpeculativeReduceExecution(t *testing.T) {
-	// A 25x-slow worker with many reduce tasks: backups must fire and
-	// results must stay correct. Every reduce group burns a measurable
-	// slice of compute so the straggler detector has real durations to
-	// compare.
-	spec := cluster.Heterogeneous([]float64{1, 0.04, 1})
-	m := metrics.NewSet()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 3}, spec.IDs(), m)
-	var lines []string
-	for i := 0; i < 60; i++ {
-		lines = append(lines, fmt.Sprintf("word%02d word%02d word%02d", i, (i+1)%60, (i+2)%60))
-	}
-	writeWords(t, fs, "/in", lines)
-	e, _ := NewEngine(fs, spec, m, Options{Speculative: true, SpeculativeSlowdown: 2})
-	job := wordCountJob("/in", "/out", false)
-	job.NumReduce = 9 // several waves so stragglers are visible
-	baseReduce := job.Reduce
-	job.Reduce = func(key any, values []any, emit kv.Emit) error {
-		time.Sleep(500 * time.Microsecond) // nominal work, 12.5ms on the slow worker
-		return baseReduce(key, values, emit)
-	}
-	if _, err := e.Submit(job); err != nil {
-		t.Fatal(err)
-	}
-	if m.Get(metrics.SpeculativeTasks) == 0 {
-		t.Fatal("no speculative backups launched")
-	}
-	counts := readCounts(t, fs, "/out")
-	if counts["word00"] != 3 || len(counts) != 60 {
-		t.Fatalf("speculation corrupted results: %d words, word00=%d", len(counts), counts["word00"])
 	}
 }
 

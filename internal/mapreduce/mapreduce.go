@@ -1,10 +1,9 @@
 // Package mapreduce is the from-scratch baseline engine: a Hadoop-like
 // batch MapReduce with a job tracker, per-worker task slots,
-// locality-aware split scheduling, sort/partition/shuffle, combiners,
-// speculative execution and task retry. It is the comparator the paper
-// evaluates iMapReduce against, including the iterative-driver pattern
-// (one job per iteration plus a convergence-check job) whose overheads
-// iMapReduce eliminates.
+// locality-aware split scheduling, sort/partition/shuffle, combiners
+// and task retry. It is the comparator the paper evaluates iMapReduce
+// against, including the iterative-driver pattern (one job per iteration
+// plus a convergence-check job) whose overheads iMapReduce eliminates.
 package mapreduce
 
 import (
@@ -103,8 +102,7 @@ type JobResult struct {
 	// OutputRecords counts reduce output records across partitions.
 	OutputRecords int
 	OutputPath    string
-	// MapAttempts / ReduceAttempts include retries and speculative
-	// backups.
+	// MapAttempts / ReduceAttempts include retries.
 	MapAttempts    int
 	ReduceAttempts int
 	// Counters aggregates the user counters of the winning task

@@ -243,8 +243,8 @@ func TestSpillRunsKeepShuffleOrder(t *testing.T) {
 // fewestAllocs is testing.AllocsPerRun's count for f with the collector
 // off, the fewest of five measurements. The count is process-wide: a
 // collection empties fmt's sync.Pool, whose refill would count, and task
-// attempts other tests' jobs left running (a speculative loser finishing
-// late) allocate beside f; both only ever add.
+// attempts other tests' jobs left running (an attempt of a canceled job
+// finishing late) allocate beside f; both only ever add.
 func fewestAllocs(f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	least := math.Inf(1)

@@ -27,7 +27,6 @@ const (
 	JobsLaunched      = "jobs.launched"        // MapReduce jobs submitted
 	TaskMigrations    = "tasks.migrations"     // iMapReduce load-balancing moves
 	Checkpoints       = "checkpoints.written"  // state checkpoints dumped to DFS
-	SpeculativeTasks  = "tasks.speculative"    // speculative (backup) task launches
 	TaskRetries       = "tasks.retries"        // failed task re-executions
 	SendRetries       = "send.retries"         // transport sends that needed retrying
 	SendFailures      = "send.failures"        // sends abandoned after all retries
