@@ -65,7 +65,10 @@ bench:
 # may allocate only what its map boxes and one box per message sent —
 # on the column loops only the message boxes, whatever changes. In
 # the baseline engine a map attempt may allocate only its spill runs and
-# a few headers, and a reduce attempt the same count whatever its input.
+# a few headers (the headers alone on a warm scratch), a reduce attempt
+# the same count whatever its input (fewer on a warm scratch), and the
+# jobs of a chain after its largest first one no spill run and no reduce
+# scratch at all.
 # The registry PageRank's sorted-sum reduce may allocate only its result
 # box, and listing one job's directory plus a write and a delete beside
 # it must cost under 3x as much among 100 000 unrelated DFS files as
@@ -77,7 +80,7 @@ bench-smoke:
 	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs|TestColGrouperSteadyStateAllocs' -count=1 -timeout 2m
 	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs|TestScalarSuperstepSteadyStateAllocs|TestFirstBuffersStartSmall' -count=1 -timeout 2m
 	$(GO) test ./internal/serve -run 'TestServeJobAllocBytes' -count=1 -timeout 2m
-	$(GO) test ./internal/mapreduce -run 'TestMapAttemptAllocs|TestReduceAttemptAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/mapreduce -run 'TestMapAttemptAllocs|TestReduceAttemptAllocs|TestChainRecyclesShuffleBuffers' -count=1 -timeout 2m
 	$(GO) test ./internal/jobs -run 'TestPageRankReduceAllocsOnlyResult|TestPageRankTypedReduceAllocsNothing' -count=1 -timeout 2m
 	$(GO) test ./internal/dfs -run 'TestNamespaceCostIndependentOfUnrelatedFiles' -count=1 -timeout 2m
 

@@ -133,9 +133,16 @@ func CombinedOps() kv.Ops {
 	return kv.OpsFor[int64, mapreduce.IterValue](mapreduce.IterValue.Bytes)
 }
 
-// MRSpec builds the baseline iterative chain.
+// MRSpec builds the baseline iterative chain for a graph of the given
+// number of nodes; every neighbour id must be below it.
 func MRSpec(name, input, workDir string, nodes, numReduce, maxIter int, distThreshold float64) mapreduce.IterSpec {
 	var retained any = (1 - Damping) / float64(nodes) // boxed once, as in mapFnFor
+	// Every node id boxed once for the whole chain: a share is emitted
+	// under keys[dst], not a fresh int64(dst) box per edge.
+	keys := make([]any, nodes)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
 	return mapreduce.IterSpec{
 		Name:    name,
 		Input:   input,
@@ -143,15 +150,15 @@ func MRSpec(name, input, workDir string, nodes, numReduce, maxIter int, distThre
 		Map: func(key, value any, emit kv.Emit) error {
 			v := value.(mapreduce.IterValue)
 			// Retained score and the neighbor set shuffle to the node
-			// itself (paper §2.1.2).
-			adj := v.Static.(graph.Adj)
-			emit(key, mapreduce.IterValue{State: retained, Static: adj})
-			if len(adj.Dst) == 0 {
+			// itself (paper §2.1.2); the set travels in the box it came in.
+			emit(key, mapreduce.IterValue{State: retained, Static: v.Static})
+			dst := v.Static.(graph.Adj).Dst
+			if len(dst) == 0 {
 				return nil
 			}
-			var share any = Damping * v.State.(float64) / float64(len(adj.Dst))
-			for _, dst := range adj.Dst {
-				emit(int64(dst), share)
+			var share any = Damping * v.State.(float64) / float64(len(dst))
+			for _, d := range dst {
+				emit(keys[d], share)
 			}
 			return nil
 		},
@@ -185,7 +192,10 @@ func MRSpec(name, input, workDir string, nodes, numReduce, maxIter int, distThre
 }
 
 // Reference runs iters synchronous power iterations — the exact state
-// the engines must produce.
+// the engines must produce. A node's rank is summed from zero in node
+// order, its own retained share at its own place: the order in which
+// the baseline's map emits them over records in key order, so a
+// one-reducer MRSpec chain reproduces it bit for bit.
 func Reference(g *graph.Graph, iters int) []float64 {
 	n := g.N
 	cur := make([]float64, n)
@@ -195,10 +205,8 @@ func Reference(g *graph.Graph, iters int) []float64 {
 	retained := (1 - Damping) / float64(n)
 	for k := 0; k < iters; k++ {
 		next := make([]float64, n)
-		for i := range next {
-			next[i] = retained
-		}
 		for u := 0; u < n; u++ {
+			next[u] += retained
 			dst, _ := g.Neighbors(int32(u))
 			if len(dst) == 0 {
 				continue

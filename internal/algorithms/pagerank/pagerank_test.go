@@ -55,29 +55,35 @@ func TestIMRMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMRChainMatchesReference: the baseline chain reproduces the
+// sequential reference — bit for bit with one reducer, whose input stays
+// in key order, the reference's summation order, and to 1e-9 with three,
+// whose part files reorder the sums.
 func TestMRChainMatchesReference(t *testing.T) {
-	env, err := enginetest.New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := testGraph(200, 12)
-	if err := env.FS.WriteFile("/pr/init", env.At(), CombinedPairs(g), CombinedOps()); err != nil {
-		t.Fatal(err)
-	}
 	const iters = 8
-	res, err := mapreduce.RunIterativeCtx(context.Background(), env.MR, MRSpec("pr-mr", "/pr/init", "/pr/work", g.N, 3, iters, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := Reference(g, iters)
-	out, err := env.ReadDir(res.OutputPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < g.N; i++ {
-		got := out[int64(i)].(mapreduce.IterValue).State.(float64)
-		if math.Abs(got-want[i]) > 1e-9 {
-			t.Fatalf("node %d: baseline %v, reference %v", i, got, want[i])
+	for _, numReduce := range []int{1, 3} {
+		env, err := enginetest.New(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.FS.WriteFile("/pr/init", env.At(), CombinedPairs(g), CombinedOps()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := mapreduce.RunIterativeCtx(context.Background(), env.MR, MRSpec("pr-mr", "/pr/init", "/pr/work", g.N, numReduce, iters, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := env.ReadDir(res.OutputPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < g.N; i++ {
+			got := out[int64(i)].(mapreduce.IterValue).State.(float64)
+			if numReduce == 1 && got != want[i] || math.Abs(got-want[i]) > 1e-9 {
+				t.Fatalf("%d reducers, node %d: baseline %v, reference %v", numReduce, i, got, want[i])
+			}
 		}
 	}
 }

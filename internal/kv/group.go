@@ -11,11 +11,13 @@ import (
 // or reduce task grouping a same-sized input every iteration) pays for
 // them once. The zero value is ready to use.
 //
-// Ownership: a Grouper belongs to one goroutine and dies with its owner;
-// it is never parked in a pool. Its scratch is sized by the largest
-// input it has grouped. The groups returned by Group — the slice, every
-// Values slice cut from the shared array — are valid only until the next
-// Group or Reset call on the same Grouper.
+// Ownership: a Grouper belongs to one goroutine at a time and is never
+// parked in a package-level pool. An owner may hand it on once Reset,
+// through a lock or channel — the baseline engine passes its reduce
+// scratch from attempt to attempt of one chain that way. Its scratch is
+// sized by the largest input it has grouped. The groups returned by
+// Group — the slice, every Values slice cut from the shared array — are
+// valid only until the next Group or Reset call on the same Grouper.
 type Grouper struct {
 	vals   []any   // every group's Values is a window of this array
 	groups []Group // backing array of the returned group headers

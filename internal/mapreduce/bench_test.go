@@ -43,7 +43,8 @@ func BenchmarkSubmitWordCount(b *testing.B) {
 	b.ReportMetric(float64(words*int64(b.N))/b.Elapsed().Seconds(), "words/s")
 }
 
-// BenchmarkGroupAndReduce isolates the reduce-side group+apply path.
+// BenchmarkGroupAndReduce isolates the reduce-side group+apply path on
+// a reduce scratch that each iteration returns for the next.
 func BenchmarkGroupAndReduce(b *testing.B) {
 	ops := kv.OpsFor[int64, float64](nil)
 	pairs := make([]kv.Pair, 50000)
@@ -58,11 +59,14 @@ func BenchmarkGroupAndReduce(b *testing.B) {
 		emit(key, sum)
 		return nil
 	}
+	sc := new(scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReduceFunc(red, pairs, ops); err != nil {
+		rs := sc.takeReduce()
+		if _, err := runReduceFunc(red, pairs, ops, rs); err != nil {
 			b.Fatal(err)
 		}
+		sc.putReduce(rs)
 	}
 }

@@ -75,6 +75,12 @@ type IterResult struct {
 // aborts the chain between (and inside) its constituent jobs, and the
 // returned error wraps ctx's cause.
 func RunIterativeCtx(ctx context.Context, e *Engine, spec IterSpec) (*IterResult, error) {
+	return e.runIterative(ctx, spec, new(scratch))
+}
+
+// runIterative runs the chain with every job, the convergence checks
+// included, on the shuffle memory in sc.
+func (e *Engine) runIterative(ctx context.Context, spec IterSpec, sc *scratch) (*IterResult, error) {
 	if spec.MaxIter <= 0 && spec.DistThreshold <= 0 {
 		return nil, fmt.Errorf("mapreduce: iterative %s needs MaxIter or DistThreshold", spec.Name)
 	}
@@ -96,7 +102,7 @@ func RunIterativeCtx(ctx context.Context, e *Engine, spec IterSpec) (*IterResult
 			NumReduce: spec.NumReduce,
 			Ops:       spec.Ops,
 		}
-		jr, err := e.SubmitCtx(ctx, job)
+		jr, err := e.submit(ctx, job, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +117,7 @@ func RunIterativeCtx(ctx context.Context, e *Engine, spec IterSpec) (*IterResult
 		converged := false
 		if spec.DistThreshold > 0 && i >= 2 {
 			prev := fmt.Sprintf("%s/iter-%03d", spec.WorkDir, i-1)
-			dist, cw, ci, err := e.runDistanceJob(ctx, spec, prev, out, i)
+			dist, cw, ci, err := e.runDistanceJob(ctx, spec, prev, out, i, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -147,7 +153,7 @@ func RunIterativeCtx(ctx context.Context, e *Engine, spec IterSpec) (*IterResult
 // reads the previous and current outputs, tags records by source file,
 // joins them by key in reduce, and emits per-key distances that the
 // driver sums at the client.
-func (e *Engine) runDistanceJob(ctx context.Context, spec IterSpec, prevDir, curDir string, iter int) (float64, time.Duration, time.Duration, error) {
+func (e *Engine) runDistanceJob(ctx context.Context, spec IterSpec, prevDir, curDir string, iter int, sc *scratch) (float64, time.Duration, time.Duration, error) {
 	inputs := append(e.fs.List(prevDir+"/"), e.fs.List(curDir+"/")...)
 	if len(inputs) == 0 {
 		return 0, 0, 0, fmt.Errorf("mapreduce: no outputs to compare under %s and %s", prevDir, curDir)
@@ -192,7 +198,7 @@ func (e *Engine) runDistanceJob(ctx context.Context, spec IterSpec, prevDir, cur
 		NumReduce: spec.NumReduce,
 		Ops:       spec.Ops,
 	}
-	jr, err := e.SubmitCtx(ctx, job)
+	jr, err := e.submit(ctx, job, sc)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -3,6 +3,8 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"imapreduce/internal/cluster"
@@ -71,18 +73,18 @@ type run struct {
 // spill is one partition of a map task's output: a chain of runs holding
 // the records in emit order, every run but the last full. A run is never
 // copied or grown, and being linked, neither is a list of them; the
-// reduce copies each partition once, into a buffer of the exact total
+// reduce copies each partition once, into a buffer of the total size
 // (runReduceAttempt).
 type spill struct {
 	head, tail *run
 	n          int // records in the chain
 }
 
-// add appends one record, starting a run when the last one is full.
-func (s *spill) add(p kv.Pair) {
+// add appends one record, taking a run from sc when the last one is full.
+func (s *spill) add(p kv.Pair, sc *scratch) {
 	i := s.n % spillRun
 	if i == 0 {
-		r := new(run)
+		r := sc.takeRun()
 		if s.tail == nil {
 			s.head = r
 		} else {
@@ -119,6 +121,85 @@ func (s *spill) bytes(ops *kv.Ops) int64 {
 	return b
 }
 
+// scratch is the shuffle memory the jobs of one chain share: spill runs
+// and reduce scratch a finished job hands back for the next, the way a
+// Hadoop task reuses its sort buffer from record to record. A chain
+// driver (runIterative) makes one for all its jobs and a lone SubmitCtx
+// one for its job; it is never kept in the Engine or in package state,
+// so an engine retains nothing between calls. Both lists hold only
+// cleared memory: what goes back is emptied of references first.
+type scratch struct {
+	mu      sync.Mutex
+	runs    []*run
+	reduces []*reduceScratch
+	// newRuns and newReduces count what the lists could not supply.
+	newRuns, newReduces int
+}
+
+// reduceScratch is one reduce or combine step's memory: the fetched
+// partition, the grouping scratch and the output.
+type reduceScratch struct {
+	fetched []kv.Pair
+	g       kv.Grouper
+	out     []kv.Pair
+}
+
+// takeRun returns a cleared run, from the list when it has one.
+func (sc *scratch) takeRun() *run {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if n := len(sc.runs); n > 0 {
+		r := sc.runs[n-1]
+		sc.runs = sc.runs[:n-1]
+		return r
+	}
+	sc.newRuns++
+	return new(run)
+}
+
+// putRuns clears s's runs and returns them to the list. Nothing may
+// read them afterwards: s is emptied too.
+func (sc *scratch) putRuns(s *spill) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	left := s.n
+	for r := s.head; r != nil; {
+		clear(r.recs[:min(left, spillRun)])
+		left -= spillRun
+		next := r.next
+		r.next = nil
+		sc.runs = append(sc.runs, r)
+		r = next
+	}
+	*s = spill{}
+}
+
+// takeReduce returns an empty reduce scratch, from the list when it has
+// one.
+func (sc *scratch) takeReduce() *reduceScratch {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if n := len(sc.reduces); n > 0 {
+		rs := sc.reduces[n-1]
+		sc.reduces = sc.reduces[:n-1]
+		return rs
+	}
+	sc.newReduces++
+	return new(reduceScratch)
+}
+
+// putReduce clears rs to its capacity and returns it to the list.
+func (sc *scratch) putReduce(rs *reduceScratch) {
+	clear(rs.fetched[:cap(rs.fetched)])
+	rs.fetched = rs.fetched[:0]
+	rs.g.Reset()
+	clear(rs.out[:cap(rs.out)])
+	rs.out = rs.out[:0]
+	sc.mu.Lock()
+	sc.reduces = append(sc.reduces, rs)
+	sc.mu.Unlock()
+}
+
 // mapResult is one completed map task's partitioned output.
 type mapResult struct {
 	worker    string
@@ -137,6 +218,14 @@ func (e *Engine) Submit(job *Job) (*JobResult, error) {
 // SubmitCtx is Submit with cancellation: a done ctx aborts the job
 // between task completions and returns an error wrapping ctx's cause.
 func (e *Engine) SubmitCtx(ctx context.Context, job *Job) (*JobResult, error) {
+	return e.submit(ctx, job, new(scratch))
+}
+
+// submit runs job on the shuffle memory in sc. The job's spill runs go
+// back to sc once its reduce phase has succeeded, when no attempt can
+// read them any more; a failed or canceled phase may leave attempts
+// running that still read them, so they are left to the collector.
+func (e *Engine) submit(ctx context.Context, job *Job, sc *scratch) (*JobResult, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
@@ -184,7 +273,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	res := &JobResult{Name: job.Name, OutputPath: job.Output, Counters: NewCounters()}
 
 	mapPending := e.opts.Trace.Begin(trace.SpanMapWave, "master", -1, 0)
-	mapResults, mapAttempts, err := e.runMapPhase(ctx, job, splits, assignment, workers, start)
+	mapResults, mapAttempts, err := e.runMapPhase(ctx, job, splits, assignment, workers, start, sc)
 	mapPending.End()
 	if err != nil {
 		return nil, err
@@ -201,10 +290,15 @@ func (e *Engine) SubmitCtx(ctx context.Context, job *Job) (*JobResult, error) {
 	res.Init = initSum / time.Duration(len(mapResults))
 
 	redPending := e.opts.Trace.Begin(trace.SpanReduceWave, "master", -1, 0)
-	outRecords, redAttempts, shuffleBytes, shuffleRemote, err := e.runReducePhase(ctx, job, mapResults, workers, res.Counters)
+	outRecords, redAttempts, shuffleBytes, shuffleRemote, err := e.runReducePhase(ctx, job, mapResults, workers, res.Counters, sc)
 	redPending.End()
 	if err != nil {
 		return nil, err
+	}
+	for _, mr := range mapResults {
+		for p := range mr.parts {
+			sc.putRuns(&mr.parts[p])
+		}
 	}
 	res.ReduceAttempts = redAttempts
 	res.OutputRecords = outRecords
@@ -315,15 +409,16 @@ func runWave[R any](ctx context.Context, e *Engine, job, kind string, workers, p
 }
 
 // runMapPhase executes all map tasks, each first on its assigned worker.
-func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, assignment, workers []string, jobStart time.Time) ([]mapResult, int, error) {
+func (e *Engine) runMapPhase(ctx context.Context, job *Job, splits []dfs.Split, assignment, workers []string, jobStart time.Time, sc *scratch) ([]mapResult, int, error) {
 	return runWave(ctx, e, job.Name, "map", workers, assignment, e.spec.MapSlots,
 		func(task, attempt int, worker string, slot chan struct{}) (mapResult, error) {
-			return e.runMapAttempt(job, splits[task], worker, attempt, task, slot, jobStart)
+			return e.runMapAttempt(job, splits[task], worker, attempt, task, slot, jobStart, sc)
 		})
 }
 
-// runMapAttempt executes one attempt of one map task on worker.
-func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt, task int, slot chan struct{}, jobStart time.Time) (mapResult, error) {
+// runMapAttempt executes one attempt of one map task on worker, its
+// spill runs taken from sc.
+func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt, task int, slot chan struct{}, jobStart time.Time, sc *scratch) (mapResult, error) {
 	slot <- struct{}{}
 	defer func() { <-slot }()
 
@@ -343,7 +438,7 @@ func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt
 	computeStart := time.Now()
 	parts := make([]spill, job.NumReduce)
 	emit := func(k, v any) {
-		parts[job.Ops.Partition(k, job.NumReduce)].add(kv.Pair{Key: k, Value: v})
+		parts[job.Ops.Partition(k, job.NumReduce)].add(kv.Pair{Key: k, Value: v}, sc)
 	}
 	counters := NewCounters()
 	for _, rec := range recs {
@@ -361,15 +456,20 @@ func (e *Engine) runMapAttempt(job *Job, split dfs.Split, worker string, attempt
 		}
 	}
 	if job.Combine != nil {
+		// A partition is flattened into the scratch's fetch buffer, its
+		// runs go back to sc, and the combined records fill new ones.
+		rs := sc.takeReduce()
+		defer sc.putReduce(rs)
 		for p := range parts {
 			s := &parts[p]
-			combined, err := runReduceFunc(job.Combine, s.appendTo(make([]kv.Pair, 0, s.n)), job.Ops)
+			rs.fetched = s.appendTo(slices.Grow(rs.fetched[:0], s.n))
+			sc.putRuns(s)
+			combined, err := runReduceFunc(job.Combine, rs.fetched, job.Ops, rs)
 			if err != nil {
 				return mapResult{}, fmt.Errorf("combine: %w", err)
 			}
-			*s = spill{}
 			for _, c := range combined {
-				s.add(c)
+				s.add(c, sc)
 			}
 		}
 	}
@@ -392,14 +492,14 @@ type reduceResult struct {
 // reduce task r first on worker r mod the worker count. Duplicate
 // attempts are safe: a reduce attempt is deterministic given the map
 // outputs and writes the same part file.
-func (e *Engine) runReducePhase(ctx context.Context, job *Job, mapResults []mapResult, workers []string, jobCounters *Counters) (outRecords, attempts int, shuffleBytes, shuffleRemote int64, err error) {
+func (e *Engine) runReducePhase(ctx context.Context, job *Job, mapResults []mapResult, workers []string, jobCounters *Counters, sc *scratch) (outRecords, attempts int, shuffleBytes, shuffleRemote int64, err error) {
 	placement := make([]string, job.NumReduce)
 	for r := range placement {
 		placement[r] = workers[r%len(workers)]
 	}
 	results, attempts, err := runWave(ctx, e, job.Name, "reduce", workers, placement, e.spec.ReduceSlots,
 		func(task, attempt int, worker string, slot chan struct{}) (reduceResult, error) {
-			records, bytes, remote, counters, err := e.runReduceAttempt(job, task, attempt, worker, mapResults, slot)
+			records, bytes, remote, counters, err := e.runReduceAttempt(job, task, attempt, worker, mapResults, slot, sc)
 			return reduceResult{records: records, bytes: bytes, remote: remote, counters: counters}, err
 		})
 	if err != nil {
@@ -415,8 +515,9 @@ func (e *Engine) runReducePhase(ctx context.Context, job *Job, mapResults []mapR
 }
 
 // runReduceAttempt fetches partition task from every map output, groups,
-// reduces, and writes the part file.
-func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, mapResults []mapResult, slot chan struct{}) (int, int64, int64, *Counters, error) {
+// reduces, and writes the part file, on a reduce scratch taken from sc
+// and returned cleared; the DFS copies what it writes.
+func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, mapResults []mapResult, slot chan struct{}, sc *scratch) (int, int64, int64, *Counters, error) {
 	slot <- struct{}{}
 	defer func() { <-slot }()
 
@@ -426,17 +527,21 @@ func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, ma
 		return 0, 0, 0, nil, fmt.Errorf("injected failure (reduce task %d attempt %d)", task, attempt)
 	}
 
-	// One buffer of the exact total, filled map result by map result and
-	// run by run: every key's values arrive in map-task, then emit, order.
+	rs := sc.takeReduce()
+	defer sc.putReduce(rs)
+
+	// One buffer of at least the total, filled map result by map result
+	// and run by run: every key's values arrive in map-task, then emit,
+	// order.
 	fetchStart := time.Now()
 	n := 0
 	for _, mr := range mapResults {
 		n += mr.parts[task].n
 	}
-	fetched := make([]kv.Pair, 0, n)
+	rs.fetched = slices.Grow(rs.fetched[:0], n)
 	var bytes, remote int64
 	for _, mr := range mapResults {
-		fetched = mr.parts[task].appendTo(fetched)
+		rs.fetched = mr.parts[task].appendTo(rs.fetched)
 		bytes += mr.partBytes[task]
 		if mr.worker != worker {
 			remote += mr.partBytes[task]
@@ -454,7 +559,7 @@ func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, ma
 		}
 	}
 	computeStart := time.Now()
-	out, err := runReduceFunc(red, fetched, job.Ops)
+	out, err := runReduceFunc(red, rs.fetched, job.Ops, rs)
 	if err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("reduce task %d: %w", task, err)
 	}
@@ -467,18 +572,20 @@ func (e *Engine) runReduceAttempt(job *Job, task, attempt int, worker string, ma
 	return len(out), bytes, remote, counters, nil
 }
 
-// runReduceFunc groups pairs by key and applies fn, collecting emitted
-// output.
-func runReduceFunc(fn ReduceFunc, pairs []kv.Pair, ops kv.Ops) ([]kv.Pair, error) {
-	groups := kv.GroupPairs(pairs, ops)
-	out := make([]kv.Pair, 0, len(groups))
-	emit := func(k, v any) { out = append(out, kv.Pair{Key: k, Value: v}) }
+// runReduceFunc groups pairs by key on rs's Grouper and applies fn,
+// collecting what it emits in rs.out, which it returns; the reduce and
+// the combine step both run it. The result is valid until rs is put
+// back.
+func runReduceFunc(fn ReduceFunc, pairs []kv.Pair, ops kv.Ops, rs *reduceScratch) ([]kv.Pair, error) {
+	groups := rs.g.Group(pairs, ops)
+	rs.out = slices.Grow(rs.out[:0], len(groups))
+	emit := func(k, v any) { rs.out = append(rs.out, kv.Pair{Key: k, Value: v}) }
 	for _, g := range groups {
 		if err := fn(g.Key, g.Values, emit); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return rs.out, nil
 }
 
 // otherWorker picks a worker different from avoid when possible.

@@ -26,7 +26,10 @@ type SourceMapFunc func(path string, key, value any, emit kv.Emit) error
 // key group. The values slice belongs to the grouping that produced it
 // (kv.Grouper's shared values array): the function may read it, reorder
 // it and keep its elements, but must not retain the slice itself past
-// its return — Hadoop's contract for the values iterator.
+// its return — Hadoop's contract for the values iterator. The array
+// outlives the job: it is cleared when the attempt ends and regrouped
+// by later attempts of the same chain, so a retained slice would read
+// nils or another job's values.
 type ReduceFunc func(key any, values []any, emit kv.Emit) error
 
 // Job configures one MapReduce job.

@@ -255,9 +255,11 @@ func fewestAllocs(f func()) float64 {
 }
 
 // TestMapAttemptAllocs gates the map side: beyond what the user map boxes
-// (nothing here — its keys and values are boxed up front), a map attempt
-// allocates its spill runs, at most ⌈emitted/spillRun⌉ + NumReduce, and a
-// constant few headers, whatever it emits.
+// (nothing here — its keys and values are boxed up front), a cold map
+// attempt allocates its spill runs, at most ⌈emitted/spillRun⌉ +
+// NumReduce, and a constant few headers, whatever it emits. A warm one —
+// on a scratch its predecessor's runs went back to — allocates the
+// headers alone.
 func TestMapAttemptAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -296,31 +298,46 @@ func TestMapAttemptAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		attempt := func() mapResult {
-			mr, err := e.runMapAttempt(job, splits[0], "worker-0", 1, 0, slot, time.Now())
+		attempt := func(sc *scratch) mapResult {
+			mr, err := e.runMapAttempt(job, splits[0], "worker-0", 1, 0, slot, time.Now(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return mr
 		}
 		emitted := records * perRecord
-		if mr := attempt(); mr.parts[0].n+mr.parts[1].n+mr.parts[2].n != emitted {
+		if mr := attempt(new(scratch)); mr.parts[0].n+mr.parts[1].n+mr.parts[2].n != emitted {
 			t.Fatalf("map output holds %d records, want %d", mr.parts[0].n+mr.parts[1].n+mr.parts[2].n, emitted)
 		}
 		const fixed = 8 // parts, partBytes, the emit closure, the counters
 		bound := (emitted+spillRun-1)/spillRun + numReduce + fixed
-		a := fewestAllocs(func() { attempt() })
-		t.Logf("%d records emitted: %v allocations, bound %d", emitted, a, bound)
+		cold := new(scratch) // its runs never come back
+		a := fewestAllocs(func() { attempt(cold) })
+		t.Logf("%d records emitted, cold: %v allocations, bound %d", emitted, a, bound)
 		if a > float64(bound) {
-			t.Errorf("a map attempt emitting %d records allocates %v times, want at most %d", emitted, a, bound)
+			t.Errorf("a cold map attempt emitting %d records allocates %v times, want at most %d", emitted, a, bound)
+		}
+		const warmBound = 5 // the headers of the cold bound
+		warm := new(scratch)
+		w := fewestAllocs(func() {
+			mr := attempt(warm)
+			for p := range mr.parts {
+				warm.putRuns(&mr.parts[p])
+			}
+		})
+		t.Logf("%d records emitted, warm: %v allocations, bound %d", emitted, w, warmBound)
+		if w > warmBound {
+			t.Errorf("a warm map attempt emitting %d records allocates %v times, want at most %d", emitted, w, warmBound)
 		}
 	}
 }
 
-// TestReduceAttemptAllocs gates the reduce side: a reduce attempt
-// allocates the fetch buffer, the output slice, the one-shot grouping
-// scratch and the part file's one block — each once, at its final size —
-// so its allocation count does not depend on how many records it reduces.
+// TestReduceAttemptAllocs gates the reduce side: a cold reduce attempt
+// allocates its scratch — the fetch buffer, the output slice, the
+// grouping scratch — and the part file's one block, each once, at its
+// final size, so its allocation count does not depend on how many
+// records it reduces. A warm one, on a scratch its predecessor returned,
+// allocates the block and a few headers alone.
 func TestReduceAttemptAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -344,27 +361,36 @@ func TestReduceAttemptAllocs(t *testing.T) {
 		boxed[i] = int64(i)
 	}
 	slot := make(chan struct{}, 1)
-	counts := map[int]float64{}
+	cold, warm := map[int]float64{}, map[int]float64{}
 	for _, perMap := range []int{1000, 9000} { // one run a map, and five
 		results := make([]mapResult, maps)
+		mapSide := new(scratch)
 		for m := range results {
 			results[m] = mapResult{worker: "worker-0", parts: make([]spill, 1), partBytes: make([]int64, 1)}
 			for i := 0; i < perMap; i++ {
-				results[m].parts[0].add(kv.Pair{Key: boxed[i%keys], Value: boxed[i%keys]})
+				results[m].parts[0].add(kv.Pair{Key: boxed[i%keys], Value: boxed[i%keys]}, mapSide)
 			}
 		}
-		counts[perMap] = fewestAllocs(func() {
-			if n, _, _, _, err := e.runReduceAttempt(job, 0, 1, "worker-0", results, slot); err != nil || n != keys {
+		attempt := func(sc *scratch) {
+			if n, _, _, _, err := e.runReduceAttempt(job, 0, 1, "worker-0", results, slot, sc); err != nil || n != keys {
 				t.Fatalf("reduce wrote %d records (err %v), want %d", n, err, keys)
 			}
-		})
+		}
+		cold[perMap] = fewestAllocs(func() { attempt(new(scratch)) })
+		sc := new(scratch)
+		warm[perMap] = fewestAllocs(func() { attempt(sc) })
 	}
-	if counts[1000] != counts[9000] {
-		t.Errorf("a reduce attempt allocates %v times over 4×1000 records and %v over 4×9000: something grows", counts[1000], counts[9000])
+	for _, counts := range []map[int]float64{cold, warm} {
+		if counts[1000] != counts[9000] {
+			t.Errorf("a reduce attempt allocates %v times over 4×1000 records and %v over 4×9000: something grows", counts[1000], counts[9000])
+		}
 	}
-	t.Logf("allocations per reduce attempt: %v", counts)
-	const most = 24
-	if counts[9000] > most {
-		t.Errorf("a reduce attempt allocates %v times, want at most %d", counts[9000], most)
+	t.Logf("allocations per reduce attempt: cold %v, warm %v", cold, warm)
+	const most, warmMost = 24, 11
+	if cold[9000] > most {
+		t.Errorf("a cold reduce attempt allocates %v times, want at most %d", cold[9000], most)
+	}
+	if warm[9000] > warmMost {
+		t.Errorf("a warm reduce attempt allocates %v times, want at most %d", warm[9000], warmMost)
 	}
 }
