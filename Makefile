@@ -59,9 +59,10 @@ bench:
 # One-iteration benchmark compile-and-run: catches bit-rot in every
 # benchmark without paying for steady-state timing. The alloc-budget
 # tests then gate the allocation-flat paths: DecodePairsSlab must stay
-# within single-digit allocations per 4096-pair chunk, and a warm
-# Grouper, a warm static join and a warm previous-state merge must
-# handle a same-sized input with none at all, and a warm SSSP superstep
+# within single-digit allocations per 4096-pair chunk and DecodeCols
+# within none per column chunk into a warm batch, and a warm Grouper, a
+# warm static join and a warm previous-state merge must handle a
+# same-sized input with none at all, and a warm SSSP superstep
 # may allocate only what its map boxes and one box per message sent —
 # on the column loops only the message boxes, whatever changes. In
 # the baseline engine a map attempt may allocate only its spill runs and
@@ -77,7 +78,7 @@ bench:
 # idle service may allocate at most 0.6 MB a job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/kv ./internal/graph ./internal/mapreduce ./internal/core ./internal/dfs
-	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestGrouperSteadyStateAllocs|TestColGrouperSteadyStateAllocs' -count=1 -timeout 2m
+	$(GO) test ./internal/kv -run 'TestDecodePairsAllocBudget|TestDecodeColsAllocs|TestGrouperSteadyStateAllocs|TestColGrouperSteadyStateAllocs' -count=1 -timeout 2m
 	$(GO) test ./internal/core -run 'TestJoinSteadyStateAllocs|TestSuperstepSteadyStateAllocs|TestScalarSuperstepSteadyStateAllocs|TestFirstBuffersStartSmall' -count=1 -timeout 2m
 	$(GO) test ./internal/serve -run 'TestServeJobAllocBytes' -count=1 -timeout 2m
 	$(GO) test ./internal/mapreduce -run 'TestMapAttemptAllocs|TestReduceAttemptAllocs|TestChainRecyclesShuffleBuffers' -count=1 -timeout 2m

@@ -96,10 +96,11 @@ func benchGraph() *graph.Graph {
 }
 
 // BenchmarkAblationBufferThreshold isolates §3.3's send-buffer design:
-// eager per-record triggering (threshold 1) vs buffered flushing.
+// eager per-record triggering (threshold 1) vs buffered flushing, the
+// default (core.DefaultBufferThreshold, 2048) among the buffered sizes.
 func BenchmarkAblationBufferThreshold(b *testing.B) {
 	g := benchGraph()
-	for _, thresh := range []int{1, 16, 512, 8192} {
+	for _, thresh := range []int{1, 16, 512, 2048, 8192} {
 		b.Run(fmt.Sprintf("buf=%d", thresh), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

@@ -199,7 +199,7 @@ func (j *Job) Phases() []*Job {
 
 // DefaultBufferThreshold is the reduce→map send buffer size in records
 // when Job.BufferThreshold is zero.
-const DefaultBufferThreshold = 512
+const DefaultBufferThreshold = 2048
 
 func (j *Job) validate(phaseIdx int, isAux bool) error {
 	where := fmt.Sprintf("core: job %s (phase %d)", j.Name, phaseIdx)

@@ -219,8 +219,8 @@ type taskErrMsg struct {
 //
 // A state or shuffle chunk of column records is its own frame, one tag
 // per chunk kind and value type: the chunk header, then kv.AppendCols — a
-// count, the keys as varints, the values as 8-byte words (float64) or
-// varints (int64).
+// count, the keys as a base and fixed-width offsets, the values as 8-byte
+// words (float64) or like the keys (int64).
 const (
 	wireTagState        = "imr.state"
 	wireTagStateColsF64 = "imr.state.f64"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"regexp"
 	"slices"
 	"strings"
@@ -202,6 +203,125 @@ func TestColumnLoopsMatchPairLoops(t *testing.T) {
 			}
 		}
 	}
+}
+
+// labelJob is a connected-components-shaped ScalarJob with int64 state
+// over ringStatic's adjacency lists: every node keeps the smallest label
+// it or a neighbour holds.
+func labelJob(name string, maxIter int) ScalarJob[int64, []int64] {
+	return ScalarJob[int64, []int64]{
+		Job: Job{Name: name, StatePath: "/state", StaticPath: "/static", MaxIter: maxIter, NumTasks: 4},
+		Map: func(k int64, label int64, adj []int64, emit func(int64, int64)) error {
+			emit(k, label)
+			for _, v := range adj {
+				emit(v, label)
+			}
+			return nil
+		},
+		Reduce: func(_ int64, labels []int64) (int64, error) { return slices.Min(labels), nil },
+		Distance: func(_ int64, prev, cur int64) float64 {
+			if prev == cur {
+				return 0
+			}
+			return 1
+		},
+	}
+}
+
+// TestWideKeyColumnsMatchPairLoops runs both column value types over the
+// column loops on rings whose node ids are spread so that a chunk's keys
+// need 3-, 5- and 8-byte offsets, negative ids included and, at 8 bytes,
+// a span past 2^63; the int64 job's labels are the ids themselves, so its
+// value column is as wide. Over channels and TCP, the outputs, every
+// checkpoint file and output part, and the byte counters match the pair
+// loops' bit for bit.
+func TestWideKeyColumnsMatchPairLoops(t *testing.T) {
+	const n, iters = 512, 4
+	counters := []string{metrics.ShuffleBytes, metrics.ShuffleRemote, metrics.StateBytes, metrics.StateRemote}
+	for _, ids := range []struct {
+		width int
+		id    func(i int) int64
+	}{
+		{3, func(i int) int64 { return int64(i)*10_000 - 5_000_000 }},
+		{5, func(i int) int64 { return int64(i)*1e9 - 5e9 }},
+		{8, func(i int) int64 { return math.MinInt64 + int64(i)<<55 }},
+	} {
+		if span := uint64(ids.id(n-1) - ids.id(0)); (bits.Len64(span)+7)/8 != ids.width {
+			t.Fatalf("ids %d..%d do not need %d-byte offsets", ids.id(0), ids.id(n-1), ids.width)
+		}
+		for _, float := range []bool{true, false} {
+			run := func(tcp, pairs bool) (map[int64]any, map[string]int64, map[string]uint32) {
+				net := transport.Network(transport.NewChanNetwork())
+				if tcp {
+					net = transport.NewTCPNetwork()
+				}
+				defer net.Close()
+				v := newEnvNet(t, cluster.Uniform(4), net, Options{})
+				state, adj := make([]kv.Pair, n), make([]kv.Pair, n)
+				for i := range n {
+					state[i] = kv.Pair{Key: ids.id(i), Value: 1.0}
+					if !float {
+						state[i].Value = ids.id(i)
+					}
+					adj[i] = kv.Pair{Key: ids.id(i), Value: []int64{ids.id((i + 1) % n), ids.id((i + 2) % n), ids.id((i + n/3) % n)}}
+				}
+				job := labelJob("wide", iters).Build()
+				if float {
+					job = rankJob("wide", iters).Build()
+				}
+				if err := v.fs.WriteFile("/state", v.spec.IDs()[0], state, job.Ops); err != nil {
+					t.Fatal(err)
+				}
+				if err := v.fs.WriteFile("/static", v.spec.IDs()[0], adj, kv.OpsFor[int64, []int64](nil)); err != nil {
+					t.Fatal(err)
+				}
+				job.CheckpointEvery = 3
+				if pairs {
+					r := job.Reduce
+					job.Reduce = func(k any, s []any) (any, error) { return r(k, s) }
+				}
+				if columnLoops(job) == pairs {
+					t.Fatalf("pairs=%v: columnLoops says %v", pairs, columnLoops(job))
+				}
+				res, err := v.e.Run(job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := map[string]int64{}
+				for _, c := range counters {
+					got[c] = v.m.Get(c)
+				}
+				return v.readOutput(t, res.OutputPath), got, fileSums(t, v.fs, job.Name, res.OutputPath)
+			}
+			want, wantBytes, wantSums := run(false, true)
+			if len(want) != n || wantBytes[metrics.StateBytes] == 0 || wantBytes[metrics.ShuffleRemote] == 0 {
+				t.Fatalf("reference run: %d outputs, counters %v", len(want), wantBytes)
+			}
+			for _, c := range []struct{ tcp, pairs bool }{{false, false}, {true, false}, {true, true}} {
+				what := fmt.Sprintf("%d-byte ids float=%v tcp=%v pairs=%v", ids.width, float, c.tcp, c.pairs)
+				got, bytes, sums := run(c.tcp, c.pairs)
+				sameFiles(t, what, sums, wantSums)
+				for k, w := range want {
+					if g, ok := got[k]; !ok || !kv.SameBits(toBits(g), toBits(w)) {
+						t.Fatalf("%s: key %d = %v, want %v", what, k, g, w)
+					}
+				}
+				for _, c := range counters {
+					if bytes[c] != wantBytes[c] {
+						t.Errorf("%s: %s = %d, want %d", what, c, bytes[c], wantBytes[c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// toBits is a float64 or int64 output value as int64 bits.
+func toBits(v any) int64 {
+	if f, ok := v.(float64); ok {
+		return int64(math.Float64bits(f))
+	}
+	return v.(int64)
 }
 
 // TestWrappedScalarReduceTakesEffect: a wrapper put around a scalar

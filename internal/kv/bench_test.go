@@ -102,3 +102,40 @@ func BenchmarkGroupPairs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColsCodec encodes and decodes one 2048-record column chunk of
+// node ids (core.DefaultBufferThreshold records, the unit a full send
+// buffer ships) and reports the cost and the wire size per record.
+func BenchmarkColsCodec(b *testing.B) {
+	f, i := nodeChunk(2048)
+	b.Run("f64", func(b *testing.B) { benchColsCodec(b, f) })
+	b.Run("i64", func(b *testing.B) { benchColsCodec(b, i) })
+}
+
+func benchColsCodec[V Scalar](b *testing.B, c *Cols[V]) {
+	enc := AppendCols(nil, c)
+	perRec := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Len()), "ns/rec")
+		b.ReportMetric(float64(len(enc))/float64(c.Len()), "B/rec")
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(enc))
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			buf = AppendCols(buf[:0], c)
+		}
+		perRec(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		dst := AcquireCols[V]()
+		defer dst.Release()
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			dst.Reset()
+			if _, err := DecodeCols(enc, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRec(b)
+	})
+}

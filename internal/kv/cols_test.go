@@ -2,8 +2,10 @@ package kv
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -129,6 +131,138 @@ func TestColsRoundTrip(t *testing.T) {
 	if back.Len() != 2 || back.Vals[0] != math.MinInt64 || back.Vals[1] != 255 || back.Keys[1] != -3 {
 		t.Fatalf("int64 columns round trip to %v %v", back.Keys, back.Vals)
 	}
+}
+
+// TestColsGolden pins the column encoding byte for byte — the count,
+// each integer column's zigzag base, width byte and little-endian
+// offsets, the float64 words — at key and value widths 1 to 5 and 8,
+// with negative keys, one record, all-equal records and no records, and
+// every case decodes back to its records, consuming every byte.
+func TestColsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cols interface{ Len() int }
+		hex  string
+	}{
+		{"empty", &Cols[float64]{}, "00"},
+		{"one record", &Cols[float64]{Keys: []int64{1}, Vals: []float64{1.5}},
+			"01" + "0201" + "00" + "000000000000f83f"},
+		{"all equal", &Cols[int64]{Keys: []int64{9, 9, 9}, Vals: []int64{4, 4, 4}},
+			"03" + "1201" + "000000" + "0801" + "000000"},
+		{"width 1, negative keys", &Cols[int64]{Keys: []int64{-2, -1, -3}, Vals: []int64{0, 1, -1}},
+			"03" + "0501" + "010200" + "0101" + "010200"},
+		{"width 2", &Cols[int64]{Keys: []int64{0, 256}, Vals: []int64{7, 7}},
+			"02" + "0002" + "0000" + "0001" + "0e01" + "00" + "00"},
+		{"width 3, negative base", &Cols[float64]{Keys: []int64{-5, 1 << 16}, Vals: []float64{0, math.Copysign(0, -1)}},
+			"02" + "0903" + "000000" + "050001" + "0000000000000000" + "0000000000000080"},
+		{"width 4, int64 values of width 4", &Cols[int64]{Keys: []int64{100, 100 + 1<<24}, Vals: []int64{math.MinInt32, math.MaxInt32}},
+			"02" + "c80104" + "00000000" + "00000001" + "ffffffff0f04" + "00000000" + "ffffffff"},
+		{"width 5", &Cols[float64]{Keys: []int64{1 << 32, 0}, Vals: []float64{2, 1}},
+			"02" + "0005" + "0000000001" + "0000000000" + "0000000000000040" + "000000000000f03f"},
+		{"width 8, the whole int64 range", &Cols[float64]{Keys: []int64{math.MaxInt64, math.MinInt64}, Vals: []float64{1, 2}},
+			"02" + "ffffffffffffffffff0108" + "ffffffffffffffff" + "0000000000000000" + "000000000000f03f" + "0000000000000040"},
+	} {
+		var enc []byte
+		var back interface{ Len() int }
+		var err error
+		var n int
+		switch c := tc.cols.(type) {
+		case *Cols[float64]:
+			enc = AppendCols(nil, c)
+			got := new(Cols[float64])
+			n, err = DecodeCols(enc, got)
+			if err == nil && !slices.Equal(got.Keys, c.Keys) {
+				t.Errorf("%s: keys decode to %v, want %v", tc.name, got.Keys, c.Keys)
+			}
+			for i := range got.Vals {
+				if !SameBits(got.Vals[i], c.Vals[i]) {
+					t.Errorf("%s: value %d decodes to %v, want %v", tc.name, i, got.Vals[i], c.Vals[i])
+				}
+			}
+			back = got
+		case *Cols[int64]:
+			enc = AppendCols(nil, c)
+			got := new(Cols[int64])
+			n, err = DecodeCols(enc, got)
+			if err == nil && (!slices.Equal(got.Keys, c.Keys) || !slices.Equal(got.Vals, c.Vals)) {
+				t.Errorf("%s: decodes to %v %v, want %v %v", tc.name, got.Keys, got.Vals, c.Keys, c.Vals)
+			}
+			back = got
+		}
+		if got := hex.EncodeToString(enc); got != tc.hex {
+			t.Errorf("%s: encodes to %s, want %s", tc.name, got, tc.hex)
+		}
+		if err != nil || n != len(enc) || back.Len() != tc.cols.Len() {
+			t.Errorf("%s: decoded %d records from %d of %d bytes, %v", tc.name, back.Len(), n, len(enc), err)
+		}
+	}
+}
+
+// TestDecodeColsRejectsBadWidths: a column width outside 1–8, or missing,
+// in the key column or an int64 value column, fails the decode of either
+// value type, and the batch is left as it was.
+func TestDecodeColsRejectsBadWidths(t *testing.T) {
+	for _, data := range [][]byte{
+		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},    // key width 0
+		{1, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // key width 9
+		{1, 0},                               // key width missing
+		{1, 0, 1, 0, 0, 0, 0},                // int64 value width 0
+		{1, 0, 1, 0, 0},                      // int64 value width missing
+	} {
+		f := &Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}
+		i := &Cols[int64]{Keys: []int64{1}, Vals: []int64{2}}
+		if _, err := DecodeCols(data, f); err == nil {
+			t.Fatalf("%x decoded as float64 columns", data)
+		}
+		if _, err := DecodeCols(data, i); err == nil {
+			t.Fatalf("%x decoded as int64 columns", data)
+		}
+		if f.Len() != 1 || i.Len() != 1 {
+			t.Fatalf("%x: a failed decode left %d and %d records", data, f.Len(), i.Len())
+		}
+	}
+}
+
+// TestDecodeColsAllocs: decoding a 2048-record chunk into a warm batch
+// from the pool allocates nothing, for either value type.
+func TestDecodeColsAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race sweep")
+	}
+	f, i := nodeChunk(2048)
+	testDecodeAllocs[float64](t, AppendCols(nil, f))
+	testDecodeAllocs[int64](t, AppendCols(nil, i))
+}
+
+func testDecodeAllocs[V Scalar](t *testing.T, enc []byte) {
+	c := AcquireCols[V]()
+	defer c.Release()
+	if _, err := DecodeCols(enc, c); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		c.Reset()
+		if _, err := DecodeCols(enc, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d-byte %T chunk: %v allocs per decode into a warm batch, want 0", len(enc), c, allocs)
+	}
+}
+
+// nodeChunk returns two n-record batches whose keys are uniform node ids
+// of the pagerank-tcp graph (below 91 641), one with float64 values and
+// one with int64 values.
+func nodeChunk(n int) (*Cols[float64], *Cols[int64]) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	f, i := NewCols[float64](n), NewCols[int64](n)
+	for r := 0; r < n; r++ {
+		k := rng.Int63n(91_641)
+		f.Append(k, rng.Float64())
+		i.Append(k, rng.Int63n(1<<20))
+	}
+	return f, i
 }
 
 // TestColsBoxUnbox: Box appends a batch's records as (int64, V) pairs,

@@ -31,7 +31,9 @@ import (
 // v6 removed the deflate frame (type byte 5 is now an unknown frame)
 // and the plan's retry tunings.
 // v7 added the column state frames of int64-keyed scalar jobs.
-const ProtocolVersion byte = 7
+// v8 made a column frame's integer columns a base, a width byte and
+// fixed-width offsets instead of one varint per element.
+const ProtocolVersion byte = 8
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another

@@ -92,11 +92,11 @@ func TestTCPEndpointAt(t *testing.T) {
 
 // TestTCPVersionMismatch proves a protocol skew is a typed, actionable
 // dial-time failure, not a decode error mid-stream — whether the dialer
-// is a build from a newer tree, from a v6 tree, which cannot decode
-// column state frames, or from a v5 tree, which could still send deflate
-// frames.
+// is a build from a newer tree, from a v7 tree, which writes column
+// frames' keys as varints, from a v6 tree, which cannot decode column
+// state frames, or from a v5 tree, which could still send deflate frames.
 func TestTCPVersionMismatch(t *testing.T) {
-	for _, remote := range []byte{ProtocolVersion + 1, 6, 5} {
+	for _, remote := range []byte{ProtocolVersion + 1, 7, 6, 5} {
 		dir := &directory{}
 		oldProc := NewTCPNetworkOpts(TCPOptions{Resolver: dir.resolve})
 		defer oldProc.Close()
