@@ -2,12 +2,16 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"imapreduce/internal/cluster"
 	"imapreduce/internal/kv"
 	"imapreduce/internal/metrics"
+	"imapreduce/internal/transport"
 )
 
 // TestOneToAllBroadcast runs a miniature K-means (1-D, two well-separated
@@ -197,6 +201,99 @@ func TestAuxiliaryPhase(t *testing.T) {
 	out := v.readOutput(t, res.OutputPath)
 	for k, val := range out {
 		want := math.Pow(2, -float64(res.Iterations))
+		if math.Abs(val.(float64)-want) > 1e-12 {
+			t.Fatalf("key %d = %v, want %v", k, val, want)
+		}
+	}
+}
+
+// TestAuxiliaryOutputsOutOfOrder: the network may complete the auxiliary
+// phase's outputs for iteration 3 before those for iteration 2. The
+// master holds iteration 3's proceed until iteration 2 is evaluated; it
+// used to take the newest evaluated iteration as the point reached, look
+// for a held proceed one past it, find none, and stall until its
+// progress timeout.
+func TestAuxiliaryOutputsOutOfOrder(t *testing.T) {
+	net, held := auxHoldNet(t, 2, 3, 2, 3)
+	v := newEnvNet(t, cluster.Uniform(2), net, Options{Timeout: 5 * time.Second})
+	v.writeState(t, "/state", 6)
+	res, err := v.e.Run(watchedHalvingJob("halve-aux-order"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !held() {
+		t.Fatal("iterations 2 and 3's auxiliary outputs were never held back")
+	}
+	checkWatchedHalving(t, v, res)
+}
+
+// auxHoldNet is a network for a watched halving job on a cluster of
+// tasks workers, one termination reduce and one auxiliary reduce a
+// worker. It holds the auxiliary outputs of iters until every
+// termination reduce has sent its report for iteration after, then sends
+// them, the latest iteration first. held tells whether that happened.
+func auxHoldNet(t *testing.T, tasks, after int, iters ...int) (*tapNet, func() bool) {
+	type heldMsg struct {
+		from transport.Endpoint
+		to   string
+		msg  transport.Message
+		iter int
+	}
+	var mu sync.Mutex
+	var held []heldMsg
+	reports, sent := 0, false
+	flush := func() {
+		if sent || reports < tasks || len(held) < tasks*len(iters) {
+			return
+		}
+		sent = true
+		sort.SliceStable(held, func(i, j int) bool { return held[i].iter > held[j].iter })
+		for _, h := range held {
+			if err := h.from.Send(h.to, h.msg); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(from transport.Endpoint, to string, msg transport.Message) error {
+		mu.Lock()
+		defer mu.Unlock()
+		switch pl := msg.Payload.(type) {
+		case auxOutMsg:
+			if !sent && slices.Contains(iters, pl.Iter) {
+				held = append(held, heldMsg{from, to, msg, pl.Iter})
+				flush()
+				return errTaken
+			}
+		case reportMsg:
+			if !sent && pl.Iter == after {
+				if err := from.Send(to, msg); err != nil {
+					return err
+				}
+				reports++
+				flush()
+				return errTaken
+			}
+		}
+		return nil
+	}}
+	return net, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return sent
+	}
+}
+
+// checkWatchedHalving checks a watchedHalvingJob run that started from
+// all ones: the auxiliary phase stopped it a few iterations after every
+// value fell below 0.1, and the output is the state of the iteration it
+// stopped at.
+func checkWatchedHalving(t *testing.T, v *env, res *Result) {
+	t.Helper()
+	if !res.Converged || res.Iterations < 4 || res.Iterations > 8 {
+		t.Fatalf("converged = %v after %d iterations, want true after 4..8", res.Converged, res.Iterations)
+	}
+	want := math.Pow(2, -float64(res.Iterations))
+	for k, val := range v.readOutput(t, res.OutputPath) {
 		if math.Abs(val.(float64)-want) > 1e-12 {
 			t.Fatalf("key %d = %v, want %v", k, val, want)
 		}

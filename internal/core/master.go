@@ -66,9 +66,13 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	// Auxiliary flow control: the loop-back for iteration k is released
 	// only once the auxiliary phase has evaluated iteration k-1, so the
 	// aux phase overlaps the next iteration (§5.3's parallelism) without
-	// falling arbitrarily far behind the decision point.
+	// falling arbitrarily far behind the decision point. auxDone is the
+	// last iteration up to which every one has been evaluated: the
+	// network may complete iteration k+1's outputs before k's. pending is
+	// the boundary whose proceed waits for it (0: none); there is at most
+	// one, since the next boundary needs that proceed to be reached.
 	auxDone := 0
-	pendingProceed := map[int]bool{}
+	pending := 0
 
 	rollbackAll := func(toIter int) {
 		gen++
@@ -79,10 +83,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		auxBuf = make(map[int]map[int][]kv.Pair)
 		auxHandled = make(map[int]bool)
 		ckpts.reset(gen)
-		pendingProceed = map[int]bool{}
-		if auxDone > toIter {
-			auxDone = toIter
-		}
+		pending = 0
+		// The new generation feeds the auxiliary phase from toIter+1 on;
+		// the iterations before it are never evaluated again.
+		auxDone = toIter
 		// The new generation restarts at toIter+1: the boundaries past it
 		// are recomputed, the ones before it stand.
 		perIter = perIter[:min(len(perIter), toIter+1)]
@@ -371,8 +375,8 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 				}
 				aux.Ops.SortPairs(all)
 				delete(auxBuf, pl.Iter)
-				if pl.Iter > auxDone {
-					auxDone = pl.Iter
+				for auxHandled[auxDone+1] {
+					auxDone++
 				}
 				if job.AuxDecide(pl.Iter, all) {
 					// Termination signal from the auxiliary phase
@@ -381,16 +385,17 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 					auxStop = true
 					converged = true
 				}
-				if pendingProceed[auxDone+1] {
-					delete(pendingProceed, auxDone+1)
+				if pending > 0 && auxDone >= pending-1 {
+					k := pending
+					pending = 0
 					if auxStop {
 						// The held boundary is a consistent snapshot:
 						// stop right here instead of feeding another
 						// iteration.
-						stopIter = auxDone + 1
+						stopIter = k
 						terminate()
 					} else {
-						sendCmd(ts.termReds, cmdMsg{Kind: cmdProceed, ToIter: auxDone + 1})
+						sendCmd(ts.termReds, cmdMsg{Kind: cmdProceed, ToIter: k})
 					}
 				}
 			}
@@ -455,7 +460,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			// and iteration iter+1 may be fed — unless an auxiliary
 			// phase exists and has not yet evaluated iteration iter-1.
 			if auxN > 0 && auxDone < iter-1 {
-				pendingProceed[iter] = true
+				pending = iter
 			} else {
 				sendCmd(ts.termReds, cmdMsg{Kind: cmdProceed, ToIter: iter})
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -16,8 +17,9 @@ import (
 
 // tapNet shows a test every Send before it happens, with the endpoint it
 // leaves from — tap may act on it, send something of its own ahead of
-// it, or return an error in its place, the way a FaultyNetwork surfaces
-// an injected drop — and remembers the first endpoint bound to each
+// it, return an error in its place, the way a FaultyNetwork surfaces an
+// injected drop, or return errTaken to take the message over and send it
+// later itself — and remembers the first endpoint bound to each
 // address. Its endpoints implement nothing beyond transport.Endpoint
 // (not transport.Serializer, so chunk buffers come home from their
 // receivers).
@@ -50,8 +52,15 @@ func (n *tapNet) Endpoint(addr string) (transport.Endpoint, error) {
 	return &tapEndpoint{Endpoint: ep, net: n}, nil
 }
 
+// errTaken, returned by a tap, tells the sender its message went out:
+// the tap holds it and sends it from the endpoint it was given.
+var errTaken = errors.New("taken over by the tap")
+
 func (e *tapEndpoint) Send(to string, msg transport.Message) error {
 	if err := e.net.tap(e.Endpoint, to, msg); err != nil {
+		if err == errTaken {
+			return nil
+		}
 		return err
 	}
 	return e.Endpoint.Send(to, msg)

@@ -123,6 +123,55 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeAuxiliaryJob: a watched job resumed from checkpoint 2 feeds
+// its auxiliary phase from iteration 3 on. The master used to keep
+// counting the auxiliary phase as stuck before iteration 1, hold
+// iteration 3's proceed for an evaluation of iteration 2 that never
+// comes, and stall until its progress timeout.
+func TestResumeAuxiliaryJob(t *testing.T) {
+	const name = "halve-aux-resume"
+	job := func() *Job {
+		j := watchedHalvingJob(name)
+		j.CheckpointEvery = 2
+		return j
+	}
+	// The first run never gets past iteration 3: iteration 2's auxiliary
+	// outputs are lost, so iteration 3's proceed waits for them.
+	lose := &tapNet{Network: transport.NewChanNetwork(), tap: func(_ transport.Endpoint, _ string, msg transport.Message) error {
+		if pl, ok := msg.Payload.(auxOutMsg); ok && pl.Iter == 2 {
+			return errTaken
+		}
+		return nil
+	}}
+	v := newEnvNet(t, cluster.Uniform(2), lose, Options{})
+	v.writeState(t, "/state", 6)
+	ctx, killed := killAfterManifest(v, name, 2)
+	_, err := v.e.RunCtx(ctx, job())
+	<-killed
+	if !errors.Is(err, ErrKilled) {
+		t.Fatalf("first run error = %v, want ErrKilled", err)
+	}
+
+	// Iteration 3's reports reach the master before its auxiliary
+	// outputs, as they usually do.
+	net, held := auxHoldNet(t, 2, 3, 3)
+	e2, err := NewEngine(v.fs, net, v.spec, v.m, Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e2.Resume(job())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !held() {
+		t.Fatal("iteration 3's auxiliary outputs were never held back")
+	}
+	if len(res.PerIter) == 0 || res.PerIter[0].Iter != 3 {
+		t.Fatalf("resume started at %v, want iteration 3", res.PerIter)
+	}
+	checkWatchedHalving(t, v, res)
+}
+
 // TestResumeVerifiesManifest covers the refusal paths: no durable
 // manifest at all, and a manifest written by a different job
 // definition (configuration fingerprint mismatch).
