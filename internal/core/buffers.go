@@ -176,9 +176,12 @@ func (l *freeList) report(m *metrics.Set) {
 // buckets are allocated once, not once per iteration.
 type accum struct {
 	records
-	ends  int
-	seen  map[chunkKey]bool
-	tally map[int]chunkTally
+	// placed holds a column reduce's records instead of records: each
+	// chunk is placed into a key layout as it arrives (colReduceLoops).
+	placed interface{ Reset() }
+	ends   int
+	seen   map[chunkKey]bool
+	tally  map[int]chunkTally
 }
 
 // chunkTally is one sender's account in an iteration: chunks taken, and
@@ -240,6 +243,9 @@ func (a *accum) take(from int, seq int64, end int) bool {
 // overwritten.
 func (a *accum) reset() {
 	a.empty()
+	if a.placed != nil {
+		a.placed.Reset()
+	}
 	clear(a.seen)
 	clear(a.tally)
 	a.ends = 0

@@ -11,14 +11,17 @@ import (
 // records stay in int64 and V columns the whole way round the loop. What
 // the typed map emits is partitioned by kv.PartitionInt64 (the reduce
 // Ops.Partition picks for the boxed key), crosses the network as a column
-// batch (a column frame on a socket), and is grouped by kv.ColGrouper for
-// the typed reduce. The reduce merges each new state into a typed
-// previous-state run (colRun) and sends it back to the map as a column
-// batch too, where it is joined with the static partition, unboxed once
-// into a key column and an S column when the task loads it. Records are
-// boxed into pairs only where the state meets the DFS: the checkpoint
-// writer and the final output box the state, and the initial, recovery
-// and rollback loads unbox it, so every file reads as the pair loops'.
+// batch (a column frame on a socket), and is placed as it arrives into
+// the key layout of the reduce's last grouping (kv.ColPlacement), so the
+// typed reduce's groups are ready at the barrier; where the layout does
+// not hold, kv.ColGrouper regroups exactly. The reduce merges each new
+// state into a typed previous-state run (colRun) and sends it back to the
+// map as a column batch too, where it is joined with the static
+// partition, unboxed once into a key column and an S column when the task
+// loads it. Records are boxed into pairs only where the state meets the
+// DFS: the checkpoint writer and the final output box the state, and the
+// initial, recovery and rollback loads unbox it, so every file reads as
+// the pair loops'.
 
 // colRecords is a column batch of a job's state type: a *kv.Cols[V].
 type colRecords interface {
@@ -96,14 +99,12 @@ func (l *colMapLoops[V, S]) accumulate(a *accum, in records, presize int) error 
 	return addCols[V](a, in, presize)
 }
 
-// addCols is the column loops' accumulate. It presizes as addPairs does.
+// addCols is the column map loops' accumulate. It presizes as addPairs
+// does.
 func addCols[V kv.Scalar](a *accum, in records, presize int) error {
-	src, ok := in.cols.(*kv.Cols[V])
-	if !ok {
-		if in.cols != nil || len(in.pairs) > 0 {
-			return errMixedLoops
-		}
-		return nil // an End chunk with no records may travel as an empty pair chunk
+	src, err := colsIn[V](in)
+	if src == nil {
+		return err
 	}
 	dst, _ := a.cols.(*kv.Cols[V])
 	if dst == nil {
@@ -112,6 +113,17 @@ func addCols[V kv.Scalar](a *accum, in records, presize int) error {
 	}
 	dst.AppendRange(src, 0, src.Len())
 	return nil
+}
+
+// colsIn returns in's column batch: nil and no error for a chunk with no
+// records (an End chunk may travel as an empty pair chunk), errMixedLoops
+// for one of pairs.
+func colsIn[V kv.Scalar](in records) (*kv.Cols[V], error) {
+	src, ok := in.cols.(*kv.Cols[V])
+	if !ok && (in.cols != nil || len(in.pairs) > 0) {
+		return nil, errMixedLoops
+	}
+	return src, nil
 }
 
 func (l *colMapLoops[V, S]) mapState(iter int, in records) error {
@@ -216,32 +228,66 @@ func (cr *colRows[V]) recycle() {
 
 // colReduceLoops are the column loops of a reduce task. A column job has
 // one phase, so its reduce is always the termination phase's.
+//
+// Its input is never copied into the accumulator. The static data is
+// fixed, so an iteration shuffles the keys and value counts the last one
+// did, and each chunk is placed, as handleShuffle takes it, straight into
+// the key layout of the last grouping: a value goes to its final place in
+// its key's window of the grouped values. At the barrier a hit — every
+// window exactly full — leaves group nothing to sort; a miss merges the
+// windows with the overflow exactly and learns the layout again (DESIGN
+// §5).
 type colReduceLoops[V kv.Scalar, S any] struct {
 	t       *reduceTask
 	d       *scalarDef[V, S]
 	recSize int64 // see colMapLoops
-	// Task-lifetime scratch: the grouping kernel, the groups of the
-	// iteration being reduced, and the parallel reduce's result slots.
+	// Task-lifetime scratch: the grouping kernel of a miss, the groups of
+	// the iteration being reduced, and the parallel reduce's result slots.
 	grouper kv.ColGrouper[V]
 	groups  kv.ColGroups[V]
 	nvals   []V
 	prev    colRun[V]
+	// layout is the key layout of the last grouping, nil before the first
+	// (or after one too sparse for a layout). An iteration keeps the
+	// layout it started placing into: a new one is published, never
+	// written, so the next iteration's chunks, which can arrive before
+	// this one's barrier, keep a layout of their own.
+	layout *kv.ColLayout
 }
 
 func newColReduceLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *reduceTask) *colReduceLoops[V, S] {
 	return &colReduceLoops[V, S]{t: t, d: d, recSize: colRecSize[V](&t.job.Ops)}
 }
 
-func (l *colReduceLoops[V, S]) accumulate(a *accum, in records, presize int) error {
-	return addCols[V](a, in, presize)
+// accumulate places a chunk's records into a's placement.
+func (l *colReduceLoops[V, S]) accumulate(a *accum, in records) error {
+	src, err := colsIn[V](in)
+	if src != nil {
+		l.placement(a).Place(src)
+	}
+	return err
 }
 
+// group finishes a's placement: its groups, in the order and with the
+// values kv.ColGrouper gives the iteration's records in arrival order, and
+// the layout the next iteration starts on.
 func (l *colReduceLoops[V, S]) group(a *accum) int {
-	l.groups = kv.ColGroups[V]{}
-	if cols, _ := a.cols.(*kv.Cols[V]); cols != nil {
-		l.groups = l.grouper.Group(cols)
-	}
+	l.groups, l.layout = l.placement(a).Group(&l.grouper)
 	return len(l.groups.Keys)
+}
+
+// placement returns a's placement, started on the task's layout when the
+// iteration has placed nothing yet.
+func (l *colReduceLoops[V, S]) placement(a *accum) *kv.ColPlacement[V] {
+	p, _ := a.placed.(*kv.ColPlacement[V])
+	if p == nil {
+		p = new(kv.ColPlacement[V])
+		a.placed = p
+	}
+	if !p.Started() {
+		p.Start(l.layout)
+	}
+	return p
 }
 
 func (l *colReduceLoops[V, S]) reduce(iter int) (float64, error) {

@@ -43,10 +43,13 @@ type mapLoops interface {
 
 // reduceLoops is a reduce task's record loops.
 type reduceLoops interface {
-	// accumulate adds a shuffle chunk's records to a, as mapLoops does.
-	accumulate(a *accum, in records, presize int) error
-	// group groups a's records by key for reduce and returns the number
-	// of groups.
+	// accumulate takes a shuffle chunk's records into a, in arrival order;
+	// records of the other loops are an error, as in mapLoops. The pair
+	// loops append them, the column loops place them into the key layout
+	// of the last grouping (colReduceLoops.accumulate).
+	accumulate(a *accum, in records) error
+	// group groups a's records by key for reduce — keys ascending, each
+	// key's values in arrival order — and returns the number of groups.
 	group(a *accum) int
 	// reduce runs the user reduce over the groups in key order, merges
 	// each new state into the previous-state run on a termination phase,
@@ -236,10 +239,13 @@ type pairReduceLoops struct {
 	nvals   []any
 	// prev is a termination phase's previous-state run.
 	prev stateRun
+	// lastIn is the last iteration's input record count, which presizes
+	// the next accumulator.
+	lastIn int
 }
 
-func (l *pairReduceLoops) accumulate(a *accum, in records, presize int) error {
-	return addPairs(a, in, presize)
+func (l *pairReduceLoops) accumulate(a *accum, in records) error {
+	return addPairs(a, in, l.lastIn)
 }
 
 // errMixedLoops fails a task that receives the other loops' records: the
@@ -262,6 +268,7 @@ func (l *pairReduceLoops) loadPrev(pairs []kv.Pair) error {
 func (l *pairReduceLoops) final() []kv.Pair { return l.prev.run }
 
 func (l *pairReduceLoops) group(a *accum) int {
+	l.lastIn = len(a.pairs)
 	l.groups = l.grouper.Group(a.pairs, l.t.job.Ops)
 	return len(l.groups)
 }

@@ -71,10 +71,6 @@ type reduceTask struct {
 	bufs       *freeList
 	serializes bool
 	pend       map[int]*accum
-	// lastIn is the previous iteration's total shuffle input, used to
-	// presize the next accumulator — iterative jobs move nearly the same
-	// record count every round.
-	lastIn int
 	// spares are finished iterations' (emptied) accumulators, which the
 	// next iterations take instead of allocating one.
 	spares []*accum
@@ -211,9 +207,9 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 }
 
 func (t *reduceTask) handleShuffle(c shuffleChunk) {
-	// The chunk's records are copied into the accumulator below; the
-	// decode arena or batch is recycled on return (boxed values stay
-	// valid — see stateChunk.release).
+	// The chunk's records are copied into the accumulator below, or placed
+	// into its key layout; the decode arena or batch is recycled on return
+	// (boxed values stay valid — see stateChunk.release).
 	defer c.release()
 	if c.Gen != t.gen || c.Iter < t.iter {
 		return
@@ -226,7 +222,7 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 	if !a.take(c.FromMap, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	if err := t.loops.accumulate(a, c.records(), t.lastIn); err != nil {
+	if err := t.loops.accumulate(a, c.records()); err != nil {
 		t.fatal(fmt.Errorf("reduce %d/%d: %w", t.phase, t.idx, err))
 		return
 	}
@@ -260,11 +256,10 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 					start, time.Since(start))
 			}
 		}
-		t.lastIn = a.len()
 		t.finishIteration(t.iter, a)
-		// Nothing keeps the input past the reduce (groups reference the
-		// boxed records, not this slice): the accumulator is a later
-		// iteration's.
+		// Nothing reads the input past the reduce (pair groups reference
+		// the boxed records, not this slice, and column groups are done
+		// with): the accumulator is a later iteration's.
 		a.retire(&t.spares)
 		delete(t.pend, t.iter)
 		t.iter++

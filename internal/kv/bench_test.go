@@ -139,3 +139,69 @@ func benchColsCodec[V Scalar](b *testing.B, c *Cols[V]) {
 		perRec(b)
 	})
 }
+
+// BenchmarkColReduceInput times a column reduce's input path over one
+// reduce partition of the pagerank-tcp workload — 170 000 records whose
+// keys are the node ids below 91 641 that hash to partition 0 of 4 —
+// arriving in 2048-record chunks: "group" copies the chunks into one
+// batch and groups it, as the first round does; "place" places them into
+// the layout of the previous round as they arrive and finishes a hit, as
+// every later round does.
+func BenchmarkColReduceInput(b *testing.B) {
+	const records, nodes = 170_000, 91_641
+	rng := rand.New(rand.NewSource(1))
+	var chunks []*Cols[float64]
+	c := NewCols[float64](2048)
+	for i := 0; i < records; {
+		k := rng.Int63n(nodes)
+		if PartitionInt64(k, 4) != 0 {
+			continue
+		}
+		c.Append(k, float64(i))
+		if i++; c.Len() == 2048 || i == records {
+			chunks, c = append(chunks, c), NewCols[float64](2048)
+		}
+	}
+	perRec := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/rec")
+	}
+	b.Run("group", func(b *testing.B) {
+		var all Cols[float64]
+		var g ColGrouper[float64]
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			all.Reset()
+			for _, c := range chunks {
+				all.AppendRange(c, 0, c.Len())
+			}
+			g.Group(&all)
+		}
+		perRec(b)
+	})
+	b.Run("place", func(b *testing.B) {
+		var p ColPlacement[float64]
+		var g ColGrouper[float64]
+		var layout *ColLayout
+		for range 2 {
+			p.Reset()
+			p.Start(layout)
+			for _, c := range chunks {
+				p.Place(c)
+			}
+			_, layout = p.Group(&g)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			p.Reset()
+			p.Start(layout)
+			for _, c := range chunks {
+				p.Place(c)
+			}
+			if _, l := p.Group(&g); l != layout {
+				b.Fatal("a round of the same records missed")
+			}
+		}
+		perRec(b)
+	})
+}

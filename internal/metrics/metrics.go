@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -58,36 +59,68 @@ const (
 
 // Set is a registry of counters and timers for one engine run.
 type Set struct {
-	mu       sync.Mutex
-	counters map[string]*int64
-	spans    map[string]*int64 // accumulated nanoseconds
+	counters named
+	spans    named // accumulated nanoseconds
+}
+
+// named maps names to accumulators. An accumulator, once made, is never
+// replaced, and the map holding them is replaced, never written, when a
+// name is added: so looking up a name that exists — what every Add on a
+// task's message path does — takes no lock.
+type named struct {
+	mu sync.Mutex // serializes additions
+	m  atomic.Pointer[map[string]*int64]
+}
+
+// load returns the current map; nil before the first name.
+func (n *named) load() map[string]*int64 {
+	if m := n.m.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// lookup returns name's accumulator, if it has one.
+func (n *named) lookup(name string) (*int64, bool) {
+	c, ok := n.load()[name]
+	return c, ok
+}
+
+// get returns name's accumulator, making it if it has none.
+func (n *named) get(name string) *int64 {
+	if c, ok := n.lookup(name); ok {
+		return c
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if c, ok := n.lookup(name); ok {
+		return c // added since the first look
+	}
+	old := n.load()
+	m := make(map[string]*int64, len(old)+1)
+	maps.Copy(m, old)
+	c := new(int64)
+	m[name] = c
+	n.m.Store(&m)
+	return c
+}
+
+// each calls fn with every name and its accumulator's current value.
+func (n *named) each(fn func(name string, v int64)) {
+	for name, c := range n.load() {
+		fn(name, atomic.LoadInt64(c))
+	}
 }
 
 // NewSet returns an empty metrics set.
-func NewSet() *Set {
-	return &Set{
-		counters: make(map[string]*int64),
-		spans:    make(map[string]*int64),
-	}
-}
-
-func (s *Set) counter(name string) *int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = new(int64)
-		s.counters[name] = c
-	}
-	return c
-}
+func NewSet() *Set { return new(Set) }
 
 // Add increments counter name by delta.
 func (s *Set) Add(name string, delta int64) {
 	if s == nil {
 		return
 	}
-	atomic.AddInt64(s.counter(name), delta)
+	atomic.AddInt64(s.counters.get(name), delta)
 }
 
 // Get returns the current value of counter name (0 if never written).
@@ -95,13 +128,10 @@ func (s *Set) Get(name string) int64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	c, ok := s.counters[name]
-	s.mu.Unlock()
-	if !ok {
-		return 0
+	if c, ok := s.counters.lookup(name); ok {
+		return atomic.LoadInt64(c)
 	}
-	return atomic.LoadInt64(c)
+	return 0
 }
 
 // AddSpan accumulates d into the named duration accumulator.
@@ -109,14 +139,7 @@ func (s *Set) AddSpan(name string, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	c, ok := s.spans[name]
-	if !ok {
-		c = new(int64)
-		s.spans[name] = c
-	}
-	s.mu.Unlock()
-	atomic.AddInt64(c, int64(d))
+	atomic.AddInt64(s.spans.get(name), int64(d))
 }
 
 // Span returns the accumulated duration for name.
@@ -124,13 +147,10 @@ func (s *Set) Span(name string) time.Duration {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.spans[name]
-	if !ok {
-		return 0
+	if c, ok := s.spans.lookup(name); ok {
+		return time.Duration(atomic.LoadInt64(c))
 	}
-	return time.Duration(atomic.LoadInt64(c))
+	return 0
 }
 
 // Timed runs fn and accumulates its wall time under name.
@@ -146,15 +166,10 @@ func (s *Set) Snapshot() map[string]int64 {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counters)+len(s.spans))
-	for name, c := range s.counters {
-		out[name] = atomic.LoadInt64(c)
-	}
-	for name, c := range s.spans {
-		out[name] = atomic.LoadInt64(c)
-	}
+	out := make(map[string]int64)
+	record := func(name string, v int64) { out[name] = v }
+	s.counters.each(record)
+	s.spans.each(record)
 	return out
 }
 

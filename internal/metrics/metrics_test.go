@@ -80,3 +80,45 @@ func TestNilSetIsSafe(t *testing.T) {
 		t.Fatal("nil set should be inert")
 	}
 }
+
+// TestConcurrentNewNames: counters made concurrently — while others read
+// and snapshot the set — are all kept, each with every update.
+func TestConcurrentNewNames(t *testing.T) {
+	s := NewSet()
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	var wg sync.WaitGroup
+	for _, name := range names {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for range 500 {
+				s.Add(name, 1)
+				s.AddSpan(name, 1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				_ = s.Snapshot()
+				_ = s.Get(name)
+			}
+		}()
+	}
+	wg.Wait()
+	snap := s.Snapshot()
+	for _, name := range names {
+		if s.Get(name) != 500 || s.Span(name) != 500 || snap[name] != 500 {
+			t.Fatalf("%s: counter %d, span %d, snapshot %d; want 500 each", name, s.Get(name), s.Span(name), snap[name])
+		}
+	}
+}
+
+// TestAddExistingAllocatesNothing: adding to a counter that exists is
+// free of allocation (the per-message path).
+func TestAddExistingAllocatesNothing(t *testing.T) {
+	s := NewSet()
+	s.Add(StateBytes, 1)
+	if allocs := testing.AllocsPerRun(100, func() { s.Add(StateBytes, 1) }); allocs != 0 {
+		t.Fatalf("%v allocs per Add, want 0", allocs)
+	}
+}
