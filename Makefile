@@ -18,12 +18,10 @@ vet:
 # dropped transport/DFS errors, seeded determinism in the simulator,
 # constant metric/trace names, no pooled-slab memory used after
 # release, protocol emit/dispatch exhaustiveness, acyclic lock order,
-# threaded contexts in blocking code, and errors.Is on sentinels. Exits non-zero on any finding not
-# grandfathered in lint-baseline.json (the baseline can only shrink:
-# regenerate with -write-baseline after paying debt down), and leaves
-# a machine-readable report in lint-findings.json.
+# threaded contexts in blocking code, and errors.Is on sentinels. Fails
+# on any finding; there is no baseline and no suppression directive.
 lint:
-	$(GO) run ./cmd/imrlint -baseline lint-baseline.json -json-out lint-findings.json ./...
+	$(GO) run ./cmd/imrlint ./...
 
 # Full suite, including the chaos tests. Every test target carries an
 # explicit -timeout: the leaktest watchdog (internal/leaktest) panics

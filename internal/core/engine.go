@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"imapreduce/internal/cluster"
@@ -78,9 +79,11 @@ type Engine struct {
 	// host per spec worker itself (see hosts).
 	rc *RemoteCluster
 
-	mu           sync.Mutex
-	running      bool
-	activeMaster transport.Endpoint
+	mu      sync.Mutex
+	running bool
+	// fails is the active run's queue of announced worker failures
+	// (FailWorker); nil while no run is active.
+	fails *failQueue
 
 	// stallMu guards stalls: per-worker wake-up times for injected
 	// undetected hangs (StallWorker). Tasks consult it at every
@@ -169,12 +172,52 @@ var ErrKilled = errors.New("core: engine killed")
 // back to the last durable checkpoint (§3.4.1).
 func (e *Engine) FailWorker(id string) error {
 	e.mu.Lock()
-	ep := e.activeMaster
+	q := e.fails
 	e.mu.Unlock()
-	if ep == nil {
+	if q == nil {
 		return fmt.Errorf("core: no active run")
 	}
-	return ep.Send(ep.Addr(), transport.Message{Kind: kindFail, Payload: failMsg{Worker: id}})
+	q.push(id)
+	return nil
+}
+
+// failQueue hands announced worker failures to the master loop
+// in-process; the loop drains it before it takes its next message. A
+// failure sent as a message, even to the master's own endpoint, could
+// arrive after the run had terminated and be ignored.
+type failQueue struct {
+	mu      sync.Mutex
+	workers []string
+	// queued is len(workers), read without mu: the master loop checks it
+	// before every message it takes.
+	queued atomic.Int32
+	wake   chan struct{} // capacity 1: wakes a master loop parked in its select
+}
+
+func newFailQueue() *failQueue { return &failQueue{wake: make(chan struct{}, 1)} }
+
+func (q *failQueue) push(worker string) {
+	q.mu.Lock()
+	q.workers = append(q.workers, worker)
+	q.queued.Store(int32(len(q.workers)))
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// take returns and clears the queued failures.
+func (q *failQueue) take() []string {
+	if q.queued.Load() == 0 {
+		return nil
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	w := q.workers
+	q.workers = nil
+	q.queued.Store(0)
+	return w
 }
 
 // StallWorker freezes every task currently bound to worker id for d: the
@@ -539,21 +582,22 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 			ckpts.settle(master.Recv())
 		}
 		e.mu.Lock()
-		e.activeMaster = nil
+		e.fails = nil
 		e.mu.Unlock()
 	}()
 	if runErr = plans.deploy(workers); runErr != nil {
 		return nil, runErr
 	}
+	fails := newFailQueue()
 	e.mu.Lock()
-	e.activeMaster = master
+	e.fails = fails
 	e.mu.Unlock()
 
 	initTime := time.Since(start)
 	// The one-time init (§3.1) is charged to iteration 1, the way the
 	// paper's first-iteration curves embed it.
 	e.opts.Trace.RecordSpan(trace.SpanRunInit, "master", -1, 1, start, initTime)
-	res, err := e.masterLoop(ctx, job, phases, aux, n, auxN, plans, start, ckpts)
+	res, err := e.masterLoop(ctx, job, phases, aux, n, auxN, plans, start, ckpts, fails)
 	runErr = err
 	e.opts.Trace.Emit(trace.KindRunFinish, "master", -1, 0, trace.Attr{Key: "job", Value: job.Name})
 	if err != nil {

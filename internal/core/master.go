@@ -17,7 +17,7 @@ import (
 // migrates task pairs off slow workers, and recovers from worker
 // failures by rolling the cluster back to the last durable checkpoint.
 func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *Job,
-	n, auxN int, plans *planner, start time.Time, ckpts *ckptLedger) (*Result, error) {
+	n, auxN int, plans *planner, start time.Time, ckpts *ckptLedger, fails *failQueue) (*Result, error) {
 
 	run, master, ts := plans.run, plans.master, plans.ts
 	last := phases[len(phases)-1]
@@ -225,8 +225,15 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	timer := time.NewTimer(e.opts.Timeout)
 	defer timer.Stop()
 	for {
+		for _, w := range fails.take() {
+			if err := failWorker(w); err != nil {
+				return nil, err
+			}
+		}
 		var msg transport.Message
 		select {
+		case <-fails.wake:
+			continue
 		case m, ok := <-master.Recv():
 			if !ok {
 				return nil, fmt.Errorf("core: job %s: master endpoint closed", job.Name)
@@ -335,11 +342,6 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 		case taskErrMsg:
 			abort()
 			return nil, fmt.Errorf("core: job %s: task %d/%d failed: %s", job.Name, pl.Phase, pl.Task, pl.Err)
-
-		case failMsg:
-			if err := failWorker(pl.Worker); err != nil {
-				return nil, err
-			}
 
 		case planAckMsg:
 			// A move completes when every live worker has applied the plan:

@@ -23,7 +23,7 @@ const (
 	kindCkpt    = "ckpt"    // reduce → master checkpoint completion
 	kindFinal   = "final"   // reduce → master final output written
 	kindCmd     = "cmd"     // master → task control
-	kindFail    = "fail"    // external → master worker failure injection
+	kindFail    = "fail"    // task → master task error (taskErrMsg)
 	kindBeat    = "beat"    // task → master periodic liveness heartbeat
 )
 
@@ -184,11 +184,6 @@ type rbAckMsg struct {
 	Gen   int
 	Phase int
 	Task  int
-}
-
-// failMsg asks the master to treat a worker as crashed.
-type failMsg struct {
-	Worker string
 }
 
 // heartbeatMsg is a task's periodic liveness beat (§3.4.1 extended):
@@ -429,7 +424,6 @@ func init() {
 	transport.RegisterMessage(ckptMsg{})
 	transport.RegisterMessage(finalMsg{})
 	transport.RegisterMessage(cmdMsg{})
-	transport.RegisterMessage(failMsg{})
 	transport.RegisterMessage(taskErrMsg{})
 	transport.RegisterMessage(rbAckMsg{})
 	transport.RegisterMessage(heartbeatMsg{})

@@ -104,6 +104,53 @@ func TestLostPlanAckDoesNotStallDeploy(t *testing.T) {
 	}
 }
 
+// TestFailWorkerReachesTheMasterInProcess: a failure announced from
+// OnIteration is recovered even when no message the master sends itself
+// is ever delivered. The announcement must not travel as such a message:
+// one that arrives after the run has terminated is ignored.
+func TestFailWorkerReachesTheMasterInProcess(t *testing.T) {
+	spec := cluster.Uniform(3)
+	m := metrics.NewSet()
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
+	job := halvingJob("halve-failinproc", 8, 0)
+	job.CheckpointEvery = 2
+	var held atomic.Int64
+	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(from transport.Endpoint, to string, _ transport.Message) error {
+		if to == masterAddr(job.Name) && from.Addr() == to {
+			held.Add(1)
+			return errTaken // held for good
+		}
+		return nil
+	}}
+	var e *Engine
+	var failErr error
+	e, err := NewEngine(fs, net, spec, m, Options{Timeout: 20 * time.Second, OnIteration: func(it IterInfo) {
+		if it.Iter == 3 {
+			failErr = e.FailWorker("worker-1")
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &env{e: e, fs: fs, m: m, spec: spec}
+	v.writeState(t, "/state", 12)
+	res, err := e.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failErr != nil {
+		t.Fatalf("FailWorker at iteration 3: %v", failErr)
+	}
+	if res.Recoveries < 1 {
+		t.Fatalf("recoveries = %d (%d master self-sends held), want at least 1", res.Recoveries, held.Load())
+	}
+	for k, val := range v.readOutput(t, res.OutputPath) {
+		if val.(float64) != math.Pow(2, -8) {
+			t.Fatalf("key %d = %v after recovery, want 2^-8", k, val)
+		}
+	}
+}
+
 // TestConcurrentRunsShareNetwork runs two differently-named jobs at
 // once on two engines over one network and one DFS — how imr.Cluster
 // and the job service run them — and fails a worker in each. A pair's

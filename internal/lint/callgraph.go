@@ -15,8 +15,8 @@ import (
 // caller's goroutine — EXCEPT the body of a `go func(){...}()`: a
 // spawned goroutine neither blocks its spawner nor holds its locks, so
 // its calls and channel operations are not the spawner's. Indirect
-// calls through function values and unresolved names produce no edge;
-// consumers must treat the graph as may-call, not must-call.
+// calls through function values produce no edge; consumers must treat
+// the graph as may-call, not must-call.
 
 // callGraph maps each declared function of the module to the functions
 // it may call, plus the facts the flow analyzers derive from it.
@@ -39,9 +39,6 @@ func buildCallGraph(mod *Module) *callGraph {
 		callees: map[*types.Func]map[*types.Func]bool{},
 	}
 	for _, pkg := range mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, df := range funcDeclsOf(pkg) {
 			if df.obj == nil {
 				continue
@@ -73,13 +70,12 @@ func walkCallerScope(body ast.Node, fn func(ast.Node)) {
 			for _, a := range g.Call.Args {
 				walkCallerScope(a, fn)
 			}
-			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-				_ = lit // spawned body: skipped entirely
-			} else {
+			// A spawned literal's body is skipped entirely. Any other
+			// callee expression is evaluated here, but the call itself
+			// happens on the new goroutine — callers looking at CallExpr
+			// nodes never see g.Call.
+			if _, isLit := g.Call.Fun.(*ast.FuncLit); !isLit {
 				walkCallerScope(g.Call.Fun, fn)
-				// The callee expression is evaluated here, but the call
-				// itself happens on the new goroutine — callers looking
-				// at CallExpr nodes never see g.Call.
 			}
 			return false
 		}
@@ -202,10 +198,8 @@ func bodyBlocks(info *types.Info, body ast.Node) bool {
 		case *ast.SelectStmt:
 			blocks = true // selects with default were marked above
 		case *ast.RangeStmt:
-			if t := exprType(info, x.X); t != nil {
-				if _, isChan := types.Unalias(t).Underlying().(*types.Chan); isChan {
-					blocks = true
-				}
+			if _, isChan := types.Unalias(exprType(info, x.X)).Underlying().(*types.Chan); isChan {
+				blocks = true
 			}
 		}
 	})

@@ -30,9 +30,6 @@ func runCtxFlow(pass *ModulePass) {
 	cg := buildCallGraph(pass.Mod)
 	blocking := cg.blockingFuncs()
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, df := range funcDeclsOf(pkg) {
 			if df.obj == nil || !blocking[df.obj] {
 				continue

@@ -50,7 +50,7 @@ func runErrWrapCheck(pass *Pass) {
 				if x.Tag == nil {
 					return true
 				}
-				if t := exprType(info, x.Tag); t == nil || !isErrorType(t) {
+				if !isErrorType(exprType(info, x.Tag)) {
 					return true
 				}
 				for _, c := range x.Body.List {
@@ -73,8 +73,7 @@ func runErrWrapCheck(pass *Pass) {
 }
 
 // sentinelError resolves e to a package-level error variable named
-// Err*, or nil. Requires type information: without a resolved object
-// there is no way to tell a sentinel from a local.
+// Err*, or nil.
 func sentinelError(info *types.Info, e ast.Expr) *types.Var {
 	v, ok := usedObject(info, e).(*types.Var)
 	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
@@ -91,13 +90,5 @@ func sentinelError(info *types.Info, e ast.Expr) *types.Var {
 
 // isNilExpr reports whether e is the predeclared nil.
 func isNilExpr(info *types.Info, e ast.Expr) bool {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name == "nil" {
-		return true
-	}
-	if info != nil {
-		if tv, ok := info.Types[e]; ok && tv.IsNil() {
-			return true
-		}
-	}
-	return false
+	return info.Types[e].IsNil()
 }

@@ -12,14 +12,10 @@
 // package at once — the call graph, lock-order graph, and wire-protocol
 // dispatch maps live at that level. The cmd/imrlint driver loads every
 // package under the module, runs all registered analyzers, and exits
-// non-zero on any new finding, so CI enforces the invariants on every
-// change.
-//
-// A finding can be suppressed — sparingly, with a reason — by placing
-//
-//	// imrlint:ignore <analyzer> <why this site is safe>
-//
-// on the offending line or on the line directly above it.
+// non-zero on any finding, so CI enforces the invariants on every
+// change. There is no suppression directive: each analyzer's escape is
+// a form of the code itself (sendcheck's `_ =`, ctxflow's `_`
+// parameter, lockedsend's select with a default clause).
 package lint
 
 import (
@@ -27,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -37,8 +32,7 @@ type File struct {
 	// Name is the file's path as handed to the parser (shown in
 	// findings).
 	Name string
-	// AST is the parsed file, with comments (suppression directives are
-	// read from them).
+	// AST is the parsed file, with comments.
 	AST *ast.File
 }
 
@@ -51,16 +45,11 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the package's parsed sources.
 	Files []*File
-	// Types is the checked package (may be incomplete when TypeErrors is
-	// non-empty — fixtures are checked leniently).
+	// Types is the checked package. Every loader fails on a type error,
+	// so it is complete.
 	Types *types.Package
-	// Info holds the resolved uses/defs/types/selections for Files. Nil
-	// only for hand-built packages; analyzers fall back to syntactic
-	// matching for expressions Info cannot resolve.
+	// Info holds the resolved uses/defs/types/selections for Files.
 	Info *types.Info
-	// TypeErrors are the type-check diagnostics (empty for packages
-	// loaded by LoadPackages, which treats them as load errors).
-	TypeErrors []error
 }
 
 // Module is the whole analyzed source set — every loaded Package.
@@ -117,8 +106,7 @@ func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 // Analyzer is one named check. Exactly one of Run (per-package) and
 // RunModule (whole source set) is set.
 type Analyzer struct {
-	// Name identifies the analyzer in findings and in imrlint:ignore
-	// directives.
+	// Name identifies the analyzer in findings.
 	Name string
 	// Doc is the one-paragraph description `imrlint -list` prints.
 	Doc string
@@ -162,15 +150,12 @@ func ByName(name string) *Analyzer {
 }
 
 // Run executes each analyzer over each package (module analyzers run
-// once over the whole set) and returns every unsuppressed finding,
-// sorted by file, line, column, then analyzer.
+// once over the whole set) and returns every finding, sorted by file,
+// line, column, then analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	mod := &Module{Pkgs: pkgs}
-	allSup := suppressionSet{}
 	for _, pkg := range pkgs {
-		sup := suppressions(pkg)
-		allSup.merge(sup)
 		for _, a := range analyzers {
 			if a.Run == nil {
 				continue
@@ -189,15 +174,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			}
 			pass := &Pass{Analyzer: a, Pkg: &Package{
 				Path: pkg.Path, Fset: pkg.Fset, Files: files,
-				Types: pkg.Types, Info: pkg.Info, TypeErrors: pkg.TypeErrors,
+				Types: pkg.Types, Info: pkg.Info,
 			}}
 			a.Run(pass)
-			for _, f := range pass.findings {
-				if sup.covers(f) {
-					continue
-				}
-				out = append(out, f)
-			}
+			out = append(out, pass.findings...)
 		}
 	}
 	for _, a := range analyzers {
@@ -206,12 +186,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 		pass := &ModulePass{Analyzer: a, Mod: mod}
 		a.RunModule(pass)
-		for _, f := range pass.findings {
-			if allSup.covers(f) {
-				continue
-			}
-			out = append(out, f)
-		}
+		out = append(out, pass.findings...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -236,78 +211,6 @@ func baseName(path string) string {
 	return path
 }
 
-// ignoreRe matches "imrlint:ignore name1[,name2] reason..." inside a
-// comment.
-var ignoreRe = regexp.MustCompile(`imrlint:ignore\s+([A-Za-z0-9_,-]+)`)
-
-// suppressionSet records, per file, the lines each analyzer is muted on.
-type suppressionSet map[string]map[int]map[string]bool // file -> line -> analyzer set
-
-func (s suppressionSet) merge(other suppressionSet) {
-	for file, byLine := range other {
-		if s[file] == nil {
-			s[file] = byLine
-			continue
-		}
-		for line, names := range byLine {
-			if s[file][line] == nil {
-				s[file][line] = names
-				continue
-			}
-			for n := range names {
-				s[file][line][n] = true
-			}
-		}
-	}
-}
-
-func (s suppressionSet) covers(f Finding) bool {
-	byLine := s[f.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	names := byLine[f.Pos.Line]
-	return names != nil && (names[f.Analyzer] || names["all"])
-}
-
-// suppressions scans a package's comments for imrlint:ignore directives.
-// A directive mutes the named analyzer(s) on the comment's own line and
-// on the line immediately after it (for comments placed above the
-// offending statement).
-func suppressions(pkg *Package) suppressionSet {
-	out := suppressionSet{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.AST.Comments {
-			for _, c := range cg.List {
-				m := ignoreRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				end := pkg.Fset.Position(c.End())
-				byLine := out[pos.Filename]
-				if byLine == nil {
-					byLine = map[int]map[string]bool{}
-					out[pos.Filename] = byLine
-				}
-				for _, name := range strings.Split(m[1], ",") {
-					name = strings.TrimSpace(name)
-					if name == "" {
-						continue
-					}
-					for _, line := range []int{pos.Line, end.Line + 1} {
-						if byLine[line] == nil {
-							byLine[line] = map[string]bool{}
-						}
-						byLine[line][name] = true
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ---- shared AST helpers used by the analyzers ----
 
 // funcBody is one analyzable function: a declared function/method or a
@@ -315,9 +218,8 @@ func suppressions(pkg *Package) suppressionSet {
 // functions of their own — a goroutine does not hold its spawner's
 // locks, and a closure's spans pair within the closure).
 type funcBody struct {
-	name   string
-	params *ast.FieldList
-	body   *ast.BlockStmt
+	name string
+	body *ast.BlockStmt
 }
 
 // functionBodies collects every function and function-literal body in
@@ -328,10 +230,10 @@ func functionBodies(f *ast.File) []funcBody {
 		switch d := n.(type) {
 		case *ast.FuncDecl:
 			if d.Body != nil {
-				out = append(out, funcBody{name: d.Name.Name, params: d.Type.Params, body: d.Body})
+				out = append(out, funcBody{name: d.Name.Name, body: d.Body})
 			}
 		case *ast.FuncLit:
-			out = append(out, funcBody{name: "func literal", params: d.Type.Params, body: d.Body})
+			out = append(out, funcBody{name: "func literal", body: d.Body})
 		}
 		return true
 	})
@@ -401,21 +303,177 @@ func stringLit(e ast.Expr) (string, bool) {
 	return s, true
 }
 
-// importName returns the local name the file binds the given import
-// path to ("" when the path is not imported). A dot import returns ".".
-func importName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		p, _ := stringLit(imp.Path)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		if i := strings.LastIndexByte(p, '/'); i >= 0 {
-			return p[i+1:]
-		}
-		return p
+// ---- the statement-flow walker ----
+
+// flowState is what a flow walk carries through a function body: the
+// facts one analyzer tracks at a point of it (the locks held, the slabs
+// released).
+type flowState[S any] interface {
+	// clone copies the state for a branch.
+	clone() S
+	// merge adds the facts of another branch that reaches the join.
+	merge(S)
+}
+
+// flow walks one function body in statement order, the one way the
+// analyzers follow a function's control flow. Each branch of an if,
+// switch, type switch or select runs on a clone of the state before
+// it; at the join, the state of every branch that does not exit the
+// function (end in a return or a panic) flows on, merged. An if
+// without an else and a switch without a default also pass on the state
+// from before them, since they may run no branch. A loop body runs
+// once, in sequence. The walk does not enter function literals: an
+// analyzer walks each one as a function of its own.
+type flow[S flowState[S]] struct {
+	// leaf handles each statement that holds no statement list. A select
+	// clause's communication arrives here too, with nonBlocking set when
+	// the select has a default clause and so cannot block.
+	leaf func(s ast.Stmt, st S, nonBlocking bool)
+	// expr handles each expression a compound statement evaluates: an
+	// if or for condition, a switch tag, a range operand.
+	expr func(e ast.Expr, st S)
+}
+
+// stmts walks a statement list from state st and returns the state
+// after it.
+func (f flow[S]) stmts(list []ast.Stmt, st S) S {
+	for _, s := range list {
+		st = f.stmt(s, st)
 	}
-	return ""
+	return st
+}
+
+func (f flow[S]) stmt(s ast.Stmt, st S) S {
+	if s == nil {
+		return st
+	}
+	switch x := s.(type) {
+	case *ast.BlockStmt:
+		return f.stmts(x.List, st)
+	case *ast.LabeledStmt:
+		return f.stmt(x.Stmt, st)
+	case *ast.IfStmt:
+		st = f.stmt(x.Init, st)
+		f.expr(x.Cond, st)
+		var j join[S]
+		j.add(f.stmts(x.Body.List, st.clone()), exits(x.Body.List))
+		if x.Else != nil {
+			j.add(f.stmt(x.Else, st.clone()), elseExits(x.Else))
+		} else {
+			j.add(st, false)
+		}
+		return j.result(st)
+	case *ast.ForStmt:
+		st = f.stmt(x.Init, st)
+		if x.Cond != nil {
+			f.expr(x.Cond, st)
+		}
+		return f.stmt(x.Post, f.stmts(x.Body.List, st))
+	case *ast.RangeStmt:
+		f.expr(x.X, st)
+		return f.stmts(x.Body.List, st)
+	case *ast.SwitchStmt:
+		st = f.stmt(x.Init, st)
+		if x.Tag != nil {
+			f.expr(x.Tag, st)
+		}
+		return f.clauses(x.Body.List, st, false)
+	case *ast.TypeSwitchStmt:
+		st = f.stmt(x.Init, st)
+		return f.clauses(x.Body.List, f.stmt(x.Assign, st), false)
+	case *ast.SelectStmt:
+		return f.clauses(x.Body.List, st, true)
+	}
+	f.leaf(s, st, false)
+	return st
+}
+
+// clauses walks the clauses of a switch, type switch or select. A select
+// runs exactly one clause; a switch without a default may run none.
+func (f flow[S]) clauses(list []ast.Stmt, st S, isSelect bool) S {
+	hasDefault := false
+	for _, c := range list {
+		switch cc := c.(type) {
+		case *ast.CaseClause:
+			hasDefault = hasDefault || cc.List == nil
+		case *ast.CommClause:
+			hasDefault = hasDefault || cc.Comm == nil
+		}
+	}
+	var j join[S]
+	if !hasDefault && !isSelect {
+		j.add(st.clone(), false)
+	}
+	for _, c := range list {
+		b := st.clone()
+		var body []ast.Stmt
+		switch cc := c.(type) {
+		case *ast.CaseClause:
+			body = cc.Body
+		case *ast.CommClause:
+			if cc.Comm != nil {
+				f.leaf(cc.Comm, b, hasDefault)
+			}
+			body = cc.Body
+		}
+		j.add(f.stmts(body, b), exits(body))
+	}
+	return j.result(st)
+}
+
+// join merges the branch states that reach the end of a compound
+// statement.
+type join[S flowState[S]] struct {
+	out   S
+	flows bool
+}
+
+func (j *join[S]) add(st S, exits bool) {
+	switch {
+	case exits:
+	case !j.flows:
+		j.out, j.flows = st, true
+	default:
+		j.out.merge(st)
+	}
+}
+
+// result is the merged state; when every branch exits, the code after
+// is unreachable and the state before stands.
+func (j *join[S]) result(before S) S {
+	if !j.flows {
+		return before
+	}
+	return j.out
+}
+
+// exits reports whether a statement list always leaves the function:
+// its last statement is a return or a call to panic.
+func exits(stmts []ast.Stmt) bool {
+	if len(stmts) == 0 {
+		return false
+	}
+	switch last := stmts[len(stmts)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if id, isIdent := call.Fun.(*ast.Ident); isIdent && id.Name == "panic" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// elseExits reports whether an else branch (a block or an else-if chain)
+// always leaves the function.
+func elseExits(s ast.Stmt) bool {
+	switch e := s.(type) {
+	case *ast.BlockStmt:
+		return exits(e.List)
+	case *ast.IfStmt:
+		return exits(e.Body.List) && e.Else != nil && elseExits(e.Else)
+	}
+	return false
 }

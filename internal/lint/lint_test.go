@@ -137,42 +137,11 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestSuppressionDirective checks the imrlint:ignore forms the fixtures
-// don't cover: same-line placement, the multi-name list, and the "all"
-// wildcard. The endpoint type is deliberately undefined — the lenient
-// fixture check records the type error and sendcheck falls back to its
-// syntactic matching, which is itself part of the contract.
-func TestSuppressionDirective(t *testing.T) {
-	const src = `package p
-
-func f(ep endpoint) {
-	ep.Send(1, "a") // imrlint:ignore sendcheck same-line directive
-	ep.Send(2, "b") // imrlint:ignore all wildcard mutes every analyzer
-	// imrlint:ignore sendcheck,lockedsend list names both analyzers
-	ep.Send(3, "c")
-	ep.Send(4, "d") // imrlint:ignore lockedsend wrong analyzer does not mute sendcheck
-}
-`
-	pkg, err := ParseSource("imapreduce/internal/core", "sup.go", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkg.TypeErrors) == 0 {
-		t.Fatal("expected lenient type errors for the undefined endpoint type")
-	}
-	findings := Run([]*Package{pkg}, []*Analyzer{SendCheck})
-	if len(findings) != 1 {
-		t.Fatalf("want exactly 1 surviving finding, got %d: %v", len(findings), findings)
-	}
-	if findings[0].Pos.Line != 8 {
-		t.Errorf("surviving finding on line %d, want line 8 (the wrong-analyzer directive)", findings[0].Pos.Line)
-	}
-}
-
-// TestLenientTypeErrors pins the fixture loader's contract: source that
-// does not type-check still parses, the errors are recorded with
-// positions, and the package is still analyzable.
-func TestLenientTypeErrors(t *testing.T) {
+// TestLoadersFailOnTypeErrors pins the contract of the two in-memory
+// and fixture loaders: source that does not type-check is a load error
+// naming the file, as it is for LoadPackages — no analyzer ever sees a
+// partially typed package.
+func TestLoadersFailOnTypeErrors(t *testing.T) {
 	const src = `package p
 
 func f() {
@@ -181,20 +150,19 @@ func f() {
 	_ = x
 }
 `
-	pkg, err := ParseSource("imapreduce/internal/core", "broken.go", src)
-	if err != nil {
-		t.Fatalf("lenient parse must not fail on type errors: %v", err)
+	if _, err := ParseSource("imapreduce/internal/core", "broken.go", src); err == nil {
+		t.Error("ParseSource accepted source that does not type-check")
+	} else if !strings.Contains(err.Error(), "broken.go") || !strings.Contains(err.Error(), "undefinedThing") {
+		t.Errorf("ParseSource error should name the file and the failure, got: %v", err)
 	}
-	if len(pkg.TypeErrors) < 2 {
-		t.Fatalf("want at least 2 recorded type errors, got %d: %v", len(pkg.TypeErrors), pkg.TypeErrors)
-	}
-	for _, e := range pkg.TypeErrors {
-		if !strings.Contains(e.Error(), "broken.go") {
-			t.Errorf("type error lacks a file position: %v", e)
-		}
-	}
-	if pkg.Info == nil || pkg.Types == nil {
-		t.Fatal("lenient check must still produce Types and Info")
+
+	dir := t.TempDir()
+	writeTestFile(t, filepath.Join(dir, "ok.go"), "package p\n\nfunc g() int { return 1 }\n")
+	writeTestFile(t, filepath.Join(dir, "broken.go"), src)
+	if _, err := LoadFixtureDir("imapreduce/internal/core", dir); err == nil {
+		t.Error("LoadFixtureDir accepted a fixture that does not type-check")
+	} else if !strings.Contains(err.Error(), "broken.go") || !strings.Contains(err.Error(), "undefinedThing") {
+		t.Errorf("LoadFixtureDir error should name the file and the failure, got: %v", err)
 	}
 }
 

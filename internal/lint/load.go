@@ -161,10 +161,8 @@ func newInfo() *types.Info {
 }
 
 // typeCheck checks one package's parsed files. checked maps already
-// type-checked source packages by import path; type errors are
-// collected, not fatal — the caller decides how strict to be (the
-// module load treats them as load failures, fixtures tolerate them and
-// the analyzers degrade to syntactic matching where info is missing).
+// type-checked source packages by import path. Type errors are
+// collected so one load can report all of them (typeCheckError).
 func typeCheck(te *typeEnv, pkgPath string, files []*File, checked map[string]*types.Package) (*types.Package, *types.Info, []error) {
 	var errs []error
 	conf := types.Config{
@@ -288,7 +286,7 @@ func checkInOrder(pkgs []*Package, modPath string) error {
 			}
 		}
 		tpkg, info, errs := typeCheck(te, p.Path, p.Files, checked)
-		p.Types, p.Info, p.TypeErrors = tpkg, info, errs
+		p.Types, p.Info = tpkg, info
 		checked[p.Path] = tpkg
 		allErrs = append(allErrs, errs...)
 		state[p.Path] = 2
@@ -296,19 +294,27 @@ func checkInOrder(pkgs []*Package, modPath string) error {
 	for _, p := range pkgs {
 		visit(p)
 	}
-	if len(allErrs) > 0 {
-		const max = 8
-		msgs := make([]string, 0, max+1)
-		for i, e := range allErrs {
-			if i == max {
-				msgs = append(msgs, fmt.Sprintf("... and %d more", len(allErrs)-max))
-				break
-			}
-			msgs = append(msgs, e.Error())
-		}
-		return fmt.Errorf("lint: type check failed:\n\t%s", strings.Join(msgs, "\n\t"))
+	return typeCheckError(allErrs)
+}
+
+// typeCheckError folds type-check diagnostics, each of which names its
+// file and line, into one load error (nil when there are none). Every
+// loader fails on a type error: the analyzers' typed facts mean nothing
+// on code that does not compile.
+func typeCheckError(errs []error) error {
+	if len(errs) == 0 {
+		return nil
 	}
-	return nil
+	const max = 8
+	msgs := make([]string, 0, max+1)
+	for i, e := range errs {
+		if i == max {
+			msgs = append(msgs, fmt.Sprintf("... and %d more", len(errs)-max))
+			break
+		}
+		msgs = append(msgs, e.Error())
+	}
+	return fmt.Errorf("lint: type check failed:\n\t%s", strings.Join(msgs, "\n\t"))
 }
 
 // parseDir parses one directory into a Package (nil when it holds no
@@ -359,28 +365,34 @@ func mustRead(path string) []byte {
 	return data
 }
 
-// ParseSource builds a single-file Package from in-memory source — the
-// fixture tests and documentation examples use it. The file is
-// type-checked leniently: imports (the stdlib, or real module packages
-// via their compiled export data) resolve, unresolved names are
-// tolerated, and analyzers fall back to syntactic matching where type
-// information is missing. Type errors are recorded on the returned
-// Package, not fatal.
+// ParseSource builds a single-file Package from in-memory source.
+// Imports (the stdlib, or real module packages via their compiled
+// export data) resolve; a type error fails the load, as in
+// LoadPackages.
 func ParseSource(pkgPath, fileName, src string) (*Package, error) {
 	te := sharedEnv()
 	af, err := parser.ParseFile(te.fset, fileName, src, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Path: pkgPath, Fset: te.fset, Files: []*File{{Name: fileName, AST: af}}}
-	pkg.Types, pkg.Info, pkg.TypeErrors = typeCheck(te, pkgPath, pkg.Files, nil)
+	return checkSingle(te, &Package{Path: pkgPath, Fset: te.fset, Files: []*File{{Name: fileName, AST: af}}})
+}
+
+// checkSingle type-checks a package that imports no other source
+// package of the load.
+func checkSingle(te *typeEnv, pkg *Package) (*Package, error) {
+	var errs []error
+	pkg.Types, pkg.Info, errs = typeCheck(te, pkg.Path, pkg.Files, nil)
+	if err := typeCheckError(errs); err != nil {
+		return nil, err
+	}
 	return pkg, nil
 }
 
 // LoadFixtureDir parses every .go file of one fixture directory as a
-// single package under the given import path, with the same lenient
-// type checking as ParseSource. Fixture files may import the stdlib and
-// real module packages; local stand-in types work too.
+// single package under the given import path, and type-checks it the
+// way ParseSource does. Fixture files may import the stdlib and real
+// module packages; local stand-in types work too.
 func LoadFixtureDir(pkgPath, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -403,7 +415,5 @@ func LoadFixtureDir(pkgPath, dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no fixture files in %s", dir)
 	}
-	pkg := &Package{Path: pkgPath, Fset: te.fset, Files: files}
-	pkg.Types, pkg.Info, pkg.TypeErrors = typeCheck(te, pkgPath, pkg.Files, nil)
-	return pkg, nil
+	return checkSingle(te, &Package{Path: pkgPath, Fset: te.fset, Files: files})
 }

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
 // LockedSend flags transport sends performed while a sync.Mutex or
 // RWMutex is held in the same function: a channel send statement, or a
@@ -27,190 +23,74 @@ var LockedSend = &Analyzer{
 }
 
 // sendCallNames are the callee names lockedsend treats as potentially
-// blocking transport sends. With type information the name is only a
-// pre-filter: the resolved callee must also return an error as its last
-// result (every transport-style send does; a same-named method without
-// one is not a send).
+// blocking transport sends. The name is only a pre-filter: the resolved
+// callee must also return an error as its last result (every
+// transport-style send does; a same-named method without one is not a
+// send).
 var sendCallNames = map[string]bool{
 	"Send":         true, // transport.Endpoint.Send
 	"ReliableSend": true, // transport.ReliableSend
 	"sendReliable": true, // core.Engine.sendReliable
 }
 
-// syncLockMethods are the fully-qualified mutex operations. A resolved
-// Lock/Unlock call that is NOT one of these (a cache's Lock method, a
-// lease's Unlock) is no mutex operation at all — the typed port kills
-// that whole name-collision class in both directions.
-var syncLockMethods = map[string]bool{
-	"(*sync.Mutex).Lock":      true,
-	"(*sync.Mutex).Unlock":    true,
-	"(*sync.RWMutex).Lock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(*sync.RWMutex).RLock":   true,
-	"(*sync.RWMutex).RUnlock": true,
-	"(sync.Locker).Lock":      true,
-	"(sync.Locker).Unlock":    true,
-}
-
 func runLockedSend(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, fb := range functionBodies(f.AST) {
-			ls := &lockScan{pass: pass, info: pass.Pkg.Info, fn: fb.name, held: map[string]token.Pos{}}
-			ls.scanStmts(fb.body.List, false)
+			ls := &lockScan{pass: pass, fn: fb.name}
+			flow[heldLocks]{leaf: ls.stmt, expr: ls.checkExpr}.stmts(fb.body.List, heldLocks{})
 		}
 	}
 }
 
-// lockScan walks one function body in statement order, tracking which
-// mutexes are held. Branches of if/switch/select are scanned with a
-// copy of the held set (they are alternatives, not a sequence).
+// lockScan is lockedsend's side of a flow walk over one function body:
+// the walker carries the held locks, lockScan reports the sends made
+// while any is held.
 type lockScan struct {
 	pass *Pass
-	info *types.Info
 	fn   string
-	held map[string]token.Pos // receiver text -> Lock() position
 }
 
-func (ls *lockScan) copyHeld() map[string]token.Pos {
-	c := make(map[string]token.Pos, len(ls.held))
-	for k, v := range ls.held {
-		c[k] = v
-	}
-	return c
-}
-
-// scanStmts processes a statement list. nonBlocking marks statements
-// inside a select that has a default clause, where channel sends cannot
-// block.
-func (ls *lockScan) scanStmts(stmts []ast.Stmt, nonBlocking bool) {
-	for _, s := range stmts {
-		ls.scanStmt(s, nonBlocking)
-	}
-}
-
-func (ls *lockScan) scanStmt(s ast.Stmt, nonBlocking bool) {
+func (ls *lockScan) stmt(s ast.Stmt, held heldLocks, nonBlocking bool) {
+	info := ls.pass.Pkg.Info
 	switch st := s.(type) {
 	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok && ls.lockOp(call, false) {
-			return
+		if call, ok := st.X.(*ast.CallExpr); ok {
+			if _, isLock := held.track(info, call, false); isLock {
+				return
+			}
 		}
-		ls.checkExpr(st.X)
+		ls.checkExpr(st.X, held)
 	case *ast.SendStmt:
-		if !nonBlocking && len(ls.held) > 0 {
-			recv, pos := ls.anyHeld()
+		if !nonBlocking && len(held) > 0 {
+			recv, lk := held.first()
 			ls.pass.Reportf(st.Arrow,
 				"channel send in %s while %s is locked (Lock at line %d); release the lock or use a non-blocking select",
-				ls.fn, recv, ls.pass.Pkg.Fset.Position(pos).Line)
+				ls.fn, recv, ls.pass.Pkg.Fset.Position(lk.pos).Line)
 		}
-		ls.checkExpr(st.Value)
+		ls.checkExpr(st.Value, held)
 	case *ast.DeferStmt:
 		// defer X.Unlock() keeps the lock held for the rest of the
 		// function body — exactly the window we must keep sends out of.
-		// Other deferred calls run at return, outside this linear scan.
-		ls.lockOp(st.Call, true)
+		// Other deferred calls run at return, outside this walk.
+		held.track(info, st.Call, true)
 	case *ast.AssignStmt:
 		for _, r := range st.Rhs {
-			ls.checkExpr(r)
+			ls.checkExpr(r, held)
 		}
 	case *ast.ReturnStmt:
 		for _, r := range st.Results {
-			ls.checkExpr(r)
+			ls.checkExpr(r, held)
 		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			ls.scanStmt(st.Init, nonBlocking)
-		}
-		ls.checkExpr(st.Cond)
-		saved := ls.copyHeld()
-		ls.scanStmts(st.Body.List, nonBlocking)
-		bodyHeld := ls.held
-		ls.held = saved
-		if st.Else != nil {
-			ls.scanStmt(st.Else, nonBlocking)
-		}
-		// Conservative join: a lock taken in either branch stays
-		// suspect afterwards; an unlock in either branch clears only if
-		// both branches cleared it.
-		for k, v := range bodyHeld {
-			if _, ok := ls.held[k]; !ok {
-				ls.held[k] = v
-			}
-		}
-	case *ast.BlockStmt:
-		ls.scanStmts(st.List, nonBlocking)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			ls.scanStmt(st.Init, nonBlocking)
-		}
-		if st.Cond != nil {
-			ls.checkExpr(st.Cond)
-		}
-		ls.scanStmts(st.Body.List, nonBlocking)
-	case *ast.RangeStmt:
-		ls.checkExpr(st.X)
-		ls.scanStmts(st.Body.List, nonBlocking)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			ls.scanStmt(st.Init, nonBlocking)
-		}
-		if st.Tag != nil {
-			ls.checkExpr(st.Tag)
-		}
-		saved := ls.copyHeld()
-		for _, c := range st.Body.List {
-			ls.held = saved
-			saved = ls.copyHeld()
-			if cc, ok := c.(*ast.CaseClause); ok {
-				ls.scanStmts(cc.Body, nonBlocking)
-			}
-		}
-		ls.held = saved
-	case *ast.TypeSwitchStmt:
-		saved := ls.copyHeld()
-		for _, c := range st.Body.List {
-			ls.held = saved
-			saved = ls.copyHeld()
-			if cc, ok := c.(*ast.CaseClause); ok {
-				ls.scanStmts(cc.Body, nonBlocking)
-			}
-		}
-		ls.held = saved
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		saved := ls.copyHeld()
-		for _, c := range st.Body.List {
-			ls.held = saved
-			saved = ls.copyHeld()
-			cc, ok := c.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if cc.Comm != nil {
-				// The comm op itself (send or receive) blocks only when
-				// the select has no default.
-				ls.scanStmt(cc.Comm, hasDefault)
-			}
-			ls.scanStmts(cc.Body, nonBlocking)
-		}
-		ls.held = saved
-	case *ast.GoStmt:
-		// The spawned goroutine does not hold this goroutine's locks;
-		// its body is analyzed as its own function.
-	case *ast.LabeledStmt:
-		ls.scanStmt(st.Stmt, nonBlocking)
 	}
+	// A go statement's goroutine does not hold this goroutine's locks;
+	// its body is analyzed as its own function.
 }
 
 // checkExpr reports blocking send calls appearing anywhere in an
 // expression while a lock is held (it does not descend into function
 // literals).
-func (ls *lockScan) checkExpr(e ast.Expr) {
-	if e == nil || len(ls.held) == 0 {
+func (ls *lockScan) checkExpr(e ast.Expr, held heldLocks) {
+	if len(held) == 0 {
 		return
 	}
 	walkShallow(e, func(n ast.Node) bool {
@@ -218,62 +98,23 @@ func (ls *lockScan) checkExpr(e ast.Expr) {
 		if !ok {
 			return true
 		}
-		if recv, name, ok := selectorCall(call); ok && sendCallNames[name] {
-			if callee := calleeOf(ls.info, call); callee != nil {
-				if !lastResultIsError(callee) {
-					return true // a Send without an error result is not a transport send
-				}
-			} else if resolvedCall(ls.info, call) {
-				return true // resolved to a non-function (field, conversion)
-			}
-			held, pos := ls.anyHeld()
-			target := name
-			if recv != "" {
-				target = recv + "." + name
-			}
-			ls.pass.Reportf(call.Pos(),
-				"call to %s in %s while %s is locked (Lock at line %d); transport sends can block — release the lock first",
-				target, ls.fn, held, ls.pass.Pkg.Fset.Position(pos).Line)
-		}
-		return true
-	})
-}
-
-// lockOp updates the held set when call is a Lock/RLock/Unlock/RUnlock
-// on some receiver, returning true when it was one. isDefer marks
-// `defer X.Unlock()`, which does NOT release for the linear scan (the
-// unlock happens at return).
-func (ls *lockScan) lockOp(call *ast.CallExpr, isDefer bool) bool {
-	recv, name, ok := selectorCall(call)
-	if !ok || recv == "" {
-		return false
-	}
-	if callee := calleeOf(ls.info, call); callee != nil && !syncLockMethods[callee.FullName()] {
-		return false // Lock/Unlock by name on something that is not a mutex
-	}
-	switch name {
-	case "Lock", "RLock":
-		if isDefer {
+		recv, name, ok := selectorCall(call)
+		if !ok || !sendCallNames[name] {
 			return true
 		}
-		ls.held[recv] = call.Pos()
-		return true
-	case "Unlock", "RUnlock":
-		if !isDefer {
-			delete(ls.held, recv)
+		// A Send without an error result, or a call through a function
+		// value, is not a transport send.
+		if callee := calleeOf(ls.pass.Pkg.Info, call); callee == nil || !lastResultIsError(callee) {
+			return true
 		}
-		return true
-	}
-	return false
-}
-
-// anyHeld returns one held mutex (the earliest-locked) for messages.
-func (ls *lockScan) anyHeld() (string, token.Pos) {
-	bestName, bestPos := "", token.Pos(0)
-	for k, v := range ls.held {
-		if bestPos == 0 || v < bestPos || (v == bestPos && k < bestName) {
-			bestName, bestPos = k, v
+		lockRecv, lk := held.first()
+		target := name
+		if recv != "" {
+			target = recv + "." + name
 		}
-	}
-	return bestName, bestPos
+		ls.pass.Reportf(call.Pos(),
+			"call to %s in %s while %s is locked (Lock at line %d); transport sends can block — release the lock first",
+			target, ls.fn, lockRecv, ls.pass.Pkg.Fset.Position(lk.pos).Line)
+		return true
+	})
 }

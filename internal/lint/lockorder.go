@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -21,10 +22,11 @@ import (
 // acquisition (or call) site.
 //
 // Local mutex variables are untracked — they cannot participate in a
-// cross-goroutine cycle. Goroutine bodies spawned with `go` are scanned
-// as their own scope by the call-graph walk, so a spawner's held set
-// does not leak into them. TryLock establishes no edge: it fails rather
-// than waits.
+// cross-goroutine cycle. Every function body and function literal is
+// walked on its own by the shared flow walker (lint.go), so the held set
+// follows branches, and a spawned goroutine starts with nothing held;
+// what it acquires is not its spawner's. TryLock establishes no edge: it
+// fails rather than waits.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "mutex acquisition order must be acyclic across the module " +
@@ -66,50 +68,26 @@ func runLockOrder(pass *ModulePass) {
 	}
 
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, df := range funcDeclsOf(pkg) {
 			if df.obj == nil {
 				continue
 			}
 			acquired := map[string]bool{}
 			direct[df.obj] = acquired
-			held := map[string]bool{}
-			deferredCalls := map[*ast.CallExpr]bool{}
-			walkCallerScope(df.decl.Body, func(n ast.Node) {
-				switch x := n.(type) {
-				case *ast.DeferStmt:
-					deferredCalls[x.Call] = true
-				case *ast.CallExpr:
-					if key, acquire, ok := lockKeyOp(pkg.Info, x); ok {
-						if deferredCalls[x] {
-							return // defer mu.Unlock(): held until return
-						}
-						if acquire {
-							for h := range held {
-								if h != key {
-									addEdge(orderEdge{from: h, to: key, pkg: pkg, pos: x.Pos()})
-								}
-							}
-							held[key] = true
-							acquired[key] = true
-						} else {
-							delete(held, key)
-						}
-						return
-					}
-					if len(held) == 0 {
-						return
-					}
-					if callee := calleeOf(pkg.Info, x); callee != nil {
-						hc := heldCall{callee: callee, pkg: pkg, pos: x.Pos()}
-						for h := range held {
-							hc.held = append(hc.held, h)
-						}
-						calls = append(calls, hc)
-					}
+			walk := func(body *ast.BlockStmt, into map[string]bool) {
+				o := &orderScan{pkg: pkg, acquired: into, edge: addEdge, calls: &calls}
+				flow[heldLocks]{leaf: o.stmt, expr: o.expr}.stmts(body.List, heldLocks{})
+			}
+			walk(df.decl.Body, acquired)
+			// Each function literal is walked on its own. What one a go
+			// statement spawns acquires is not its declaring function's:
+			// the caller never holds or waits for those locks.
+			funcLits(df.decl.Body, false, func(lit *ast.FuncLit, spawned bool) {
+				into := acquired
+				if spawned {
+					into = nil
 				}
+				walk(lit.Body, into)
 			})
 		}
 	}
@@ -251,30 +229,194 @@ func lockSCCs(edges map[[2]string]orderEdge) [][]string {
 	return sccs
 }
 
-// lockKeyOp classifies call as a tracked mutex operation: ok reports
-// whether it is one, acquire distinguishes Lock/RLock from
-// Unlock/RUnlock, and key names the mutex. Resolution is required —
-// lockorder has no syntactic fallback; an unresolved Lock is somebody
-// else's Lock.
-func lockKeyOp(info *types.Info, call *ast.CallExpr) (key string, acquire, ok bool) {
+// orderScan is lockorder's side of a flow walk over one function body:
+// each acquisition adds an edge from every held mutex, and each call
+// made with locks held is kept for the call-graph edges.
+type orderScan struct {
+	pkg *Package
+	// acquired collects the declaring function's direct acquisitions;
+	// nil in the body of a spawned goroutine.
+	acquired map[string]bool
+	edge     func(orderEdge)
+	calls    *[]heldCall
+}
+
+func (o *orderScan) stmt(s ast.Stmt, held heldLocks, _ bool) {
+	switch st := s.(type) {
+	case *ast.ExprStmt:
+		call, isCall := st.X.(*ast.CallExpr)
+		if !isCall {
+			break
+		}
+		op, isLock := held.track(o.pkg.Info, call, false)
+		if !isLock {
+			break
+		}
+		if op.acquire && op.class != "" {
+			for _, h := range held {
+				if h.class != "" && h.class != op.class {
+					o.edge(orderEdge{from: h.class, to: op.class, pkg: o.pkg, pos: call.Pos()})
+				}
+			}
+			if o.acquired != nil {
+				o.acquired[op.class] = true
+			}
+		}
+		return
+	case *ast.DeferStmt:
+		if _, isLock := held.track(o.pkg.Info, st.Call, true); isLock {
+			return // defer mu.Unlock(): held until return
+		}
+	case *ast.GoStmt:
+		// Only the arguments evaluate here; the call runs on the new
+		// goroutine.
+		for _, a := range st.Call.Args {
+			o.expr(a, held)
+		}
+		return
+	}
+	o.callsIn(s, held)
+}
+
+func (o *orderScan) expr(e ast.Expr, held heldLocks) { o.callsIn(e, held) }
+
+// callsIn records each static call in n made while a tracked mutex is
+// held (not descending into function literals).
+func (o *orderScan) callsIn(n ast.Node, held heldLocks) {
+	var classes []string
+	for _, h := range held {
+		if h.class != "" {
+			classes = append(classes, h.class)
+		}
+	}
+	if len(classes) == 0 {
+		return
+	}
+	walkShallow(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := calleeOf(o.pkg.Info, call); callee != nil {
+				*o.calls = append(*o.calls, heldCall{callee: callee, held: classes, pkg: o.pkg, pos: call.Pos()})
+			}
+		}
+		return true
+	})
+}
+
+// funcLits calls fn for every function literal nested in n, outermost
+// first. spawned is set for the literal a go statement runs and for
+// everything nested in it.
+func funcLits(n ast.Node, spawned bool, fn func(lit *ast.FuncLit, spawned bool)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.GoStmt:
+			lit, ok := x.Call.Fun.(*ast.FuncLit)
+			if !ok {
+				return true
+			}
+			fn(lit, true)
+			funcLits(lit.Body, true, fn)
+			for _, a := range x.Call.Args {
+				funcLits(a, spawned, fn)
+			}
+			return false
+		case *ast.FuncLit:
+			fn(x, spawned)
+			funcLits(x.Body, spawned, fn)
+			return false
+		}
+		return true
+	})
+}
+
+// syncLockMethods are the fully-qualified mutex operations. A Lock or
+// Unlock that is NOT one of these (a cache's Lock method, a lease's
+// Unlock) is no mutex operation at all.
+var syncLockMethods = map[string]bool{
+	"(*sync.Mutex).Lock":      true,
+	"(*sync.Mutex).Unlock":    true,
+	"(*sync.RWMutex).Lock":    true,
+	"(*sync.RWMutex).Unlock":  true,
+	"(*sync.RWMutex).RLock":   true,
+	"(*sync.RWMutex).RUnlock": true,
+	"(sync.Locker).Lock":      true,
+	"(sync.Locker).Unlock":    true,
+}
+
+// lockOp is one mutex operation: the mutex, by its receiver's source
+// text; its node in the lock-order graph ("" for a local mutex, which
+// takes no part in a cross-goroutine cycle); and whether it acquires
+// (Lock, RLock) or releases (Unlock, RUnlock).
+type lockOp struct {
+	recv, class string
+	acquire     bool
+}
+
+// lockKeyOp classifies call as a mutex operation: ok is false for any
+// call that is not a sync mutex method.
+func lockKeyOp(info *types.Info, call *ast.CallExpr) (op lockOp, ok bool) {
 	callee := calleeOf(info, call)
 	if callee == nil || !syncLockMethods[callee.FullName()] {
-		return "", false, false
+		return lockOp{}, false
 	}
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", false, false
+		return lockOp{}, false
 	}
-	key, ok = lockKey(info, sel.X)
-	if !ok {
-		return "", false, false
+	class, _ := lockKey(info, sel.X)
+	name := callee.Name()
+	return lockOp{recv: exprString(sel.X), class: class, acquire: name == "Lock" || name == "RLock"}, true
+}
+
+// heldLocks is the held-lock tracker lockedsend and lockorder share: the
+// mutexes held at a point of a flow walk, keyed by the receiver text of
+// the Lock that took each one.
+type heldLocks map[string]heldLock
+
+// heldLock is one held mutex: where it was locked and its lock-order
+// class.
+type heldLock struct {
+	pos   token.Pos
+	class string
+}
+
+func (h heldLocks) clone() heldLocks { return maps.Clone(h) }
+
+// merge joins another branch: a lock held at the end of either branch
+// stays held.
+func (h heldLocks) merge(o heldLocks) {
+	for k, v := range o {
+		if _, ok := h[k]; !ok {
+			h[k] = v
+		}
 	}
-	switch callee.Name() {
-	case "Lock", "RLock":
-		return key, true, true
-	default: // Unlock, RUnlock
-		return key, false, true
+}
+
+// track applies call to the held set when it is a mutex operation and
+// reports whether it was one. A deferred operation changes nothing: a
+// deferred Unlock runs at return, so the lock stays held for the rest
+// of the body.
+func (h heldLocks) track(info *types.Info, call *ast.CallExpr, deferred bool) (lockOp, bool) {
+	op, ok := lockKeyOp(info, call)
+	if !ok || deferred {
+		return op, ok
 	}
+	if op.acquire {
+		h[op.recv] = heldLock{pos: call.Pos(), class: op.class}
+	} else {
+		delete(h, op.recv)
+	}
+	return op, true
+}
+
+// first returns the earliest-locked held mutex, for messages.
+func (h heldLocks) first() (string, heldLock) {
+	bestName, best := "", heldLock{}
+	for k, v := range h {
+		if bestName == "" || v.pos < best.pos || (v.pos == best.pos && k < bestName) {
+			bestName, best = k, v
+		}
+	}
+	return bestName, best
 }
 
 // lockKey canonicalizes the receiver of a mutex operation. Keys are

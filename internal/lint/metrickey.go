@@ -55,14 +55,17 @@ func runMetricKey(pass *Pass) {
 			if !ok || recv == "" || len(call.Args) == 0 {
 				return true
 			}
-			// Typed gates: a resolved callee must have the shape of the
-			// real API — metric methods take a plain string name first,
-			// trace methods take a defined Kind first. Same-named methods
-			// elsewhere (wg.Add, logger.Emit(msg string)) are exempt.
+			// The callee must have the shape of the real API — metric
+			// methods take a plain string name first, trace methods take a
+			// defined Kind first. Same-named methods elsewhere (wg.Add,
+			// logger.Emit(msg string)) are exempt.
 			callee := calleeOf(pass.Pkg.Info, call)
+			if callee == nil {
+				return true
+			}
 			switch {
 			case metricNameMethods[name]:
-				if callee != nil && !firstParamIs(callee, isBasicString) {
+				if !firstParamIs(callee, isBasicString) {
 					return true
 				}
 				if lit, isLit := stringLit(call.Args[0]); isLit {
@@ -71,7 +74,7 @@ func runMetricKey(pass *Pass) {
 						lit, recv, name)
 				}
 			case traceKindMethods[name]:
-				if callee != nil && !firstParamIs(callee, func(t types.Type) bool {
+				if !firstParamIs(callee, func(t types.Type) bool {
 					return typeName(t) == "Kind"
 				}) {
 					return true

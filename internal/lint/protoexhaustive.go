@@ -64,7 +64,7 @@ type wireConst struct {
 func checkWireConsts(pass *ModulePass) {
 	tracked := map[types.Object]*wireConst{}
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil || !wireConstPkg(pkg.Path) {
+		if !wireConstPkg(pkg.Path) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -95,9 +95,6 @@ func checkWireConsts(pass *ModulePass) {
 	}
 
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, f := range pkg.Files {
 			// First mark the dispatch positions: case arms of a value
 			// switch, operands of ==/!=, and keys of a composite literal
@@ -211,7 +208,7 @@ func checkRegisteredTypes(pass *ModulePass) {
 	}
 	registered := map[*types.TypeName]regSite{}
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil || !(wireConstPkg(pkg.Path) || strings.HasSuffix(pkg.Path, "internal/dfs")) {
+		if !(wireConstPkg(pkg.Path) || strings.HasSuffix(pkg.Path, "internal/dfs")) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -247,9 +244,6 @@ func checkRegisteredTypes(pass *ModulePass) {
 		}
 	}
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, f := range pkg.Files {
 			ast.Inspect(f.AST, func(n ast.Node) bool {
 				switch x := n.(type) {
@@ -289,9 +283,6 @@ func checkDeclaredCatalogs(pass *ModulePass) {
 	}
 	tracked := map[types.Object]catConst{}
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		isTrace := strings.HasSuffix(pkg.Path, "internal/trace")
 		isMetrics := strings.HasSuffix(pkg.Path, "internal/metrics")
 		if !isTrace && !isMetrics {
@@ -332,9 +323,6 @@ func checkDeclaredCatalogs(pass *ModulePass) {
 	}
 
 	for _, pkg := range pass.Mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, f := range pkg.Files {
 			ast.Inspect(f.AST, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {

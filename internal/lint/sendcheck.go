@@ -57,20 +57,18 @@ func runSendCheck(pass *Pass) {
 			if !ok || !checkedCallNames[name] {
 				return true
 			}
-			// Typed gate: the callee must actually return an error, and
+			// The callee must actually return an error, and
 			// WriteFile/Rename must be methods — os.WriteFile and os.Rename
-			// are not the DFS commit path this analyzer guards.
-			if callee := calleeOf(pass.Pkg.Info, call); callee != nil {
-				if !lastResultIsError(callee) {
+			// are not the DFS commit path this analyzer guards. A call
+			// through a function value has no static callee and is exempt.
+			callee := calleeOf(pass.Pkg.Info, call)
+			if callee == nil || !lastResultIsError(callee) {
+				return true
+			}
+			if name == "WriteFile" || name == "Rename" {
+				if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() == nil {
 					return true
 				}
-				if name == "WriteFile" || name == "Rename" {
-					if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() == nil {
-						return true
-					}
-				}
-			} else if resolvedCall(pass.Pkg.Info, call) {
-				return true
 			}
 			target := name
 			if recv != "" {

@@ -39,57 +39,28 @@ var SimDeterminism = &Analyzer{
 	Run: runSimDeterminism,
 }
 
-// wallClockFuncs are the time package functions that read the host
-// clock into a value.
-var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
 // seededRandCtors are the math/rand functions allowed in deterministic
 // code: constructors for an explicitly seeded source.
 var seededRandCtors = map[string]bool{"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true}
 
 func runSimDeterminism(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		timeName := importName(f.AST, "time")
-		randName := importName(f.AST, "math/rand")
-		if randName == "" {
-			randName = importName(f.AST, "math/rand/v2")
-		}
-
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				// Typed path: resolve the callee and classify by package,
-				// which also catches dot-imports and renamed imports the
-				// name match below would miss.
 				if callee := calleeOf(pass.Pkg.Info, call); callee != nil {
 					checkDeterministicCallee(pass, call, callee)
-					return true
-				}
-				recv, name, ok := selectorCall(call)
-				if !ok {
-					return true
-				}
-				if timeName != "" && recv == timeName && wallClockFuncs[name] {
-					pass.Reportf(call.Pos(),
-						"%s.%s reads the wall clock; seeded simulation/soak code must derive every value from the seed",
-						recv, name)
-				}
-				if randName != "" && recv == randName && !seededRandCtors[name] {
-					pass.Reportf(call.Pos(),
-						"%s.%s uses the global math/rand source; use a local rand.New(rand.NewSource(seed)) so the run replays from its seed",
-						recv, name)
 				}
 			}
 			return true
 		})
-
 		checkMapRangeOrder(pass, f.AST)
 	}
 }
 
-// checkDeterministicCallee is the typed half of the clock/rand check:
-// the resolved callee tells us the true package regardless of how it
-// was imported. Methods on *rand.Rand are fine — a Rand is built from
-// an explicit source; only the package-level (global-source) functions
+// checkDeterministicCallee flags clock reads and the global math/rand
+// source. The resolved callee gives the true package however it was
+// imported. Methods on *rand.Rand are fine — a Rand is built from an
+// explicit source; only the package-level (global-source) functions
 // leak nondeterminism.
 func checkDeterministicCallee(pass *Pass, call *ast.CallExpr, callee *types.Func) {
 	full := callee.FullName()
@@ -114,30 +85,22 @@ func checkDeterministicCallee(pass *Pass, call *ast.CallExpr, callee *types.Func
 		exprString(call.Fun))
 }
 
-// checkMapRangeOrder flags `for k := range m` over a map — resolved
-// through type information when available, with the PR-5 syntactic
-// name tracking as fallback — when the loop body accumulates ordered
-// output (append or a channel send): Go randomizes map iteration order
-// per process, so the accumulated sequence differs between runs. The
-// one sanctioned shape — appending into a slice that is later passed
-// to a sort.* or slices.* call in the same function (collect keys,
-// sort, iterate sorted) — is exempt.
+// checkMapRangeOrder flags `for k := range m` over a map when the loop
+// body accumulates ordered output (append or a channel send): Go
+// randomizes map iteration order per process, so the accumulated
+// sequence differs between runs. The one sanctioned shape — appending
+// into a slice that is later passed to a sort.* or slices.* call in the
+// same function (collect keys, sort, iterate sorted) — is exempt.
 func checkMapRangeOrder(pass *Pass, f *ast.File) {
+	info := pass.Pkg.Info
 	for _, fb := range functionBodies(f) {
-		maps := knownMapVars(fb)
-		sorted := sortedVars(fb)
+		sorted := sortedVars(info, fb)
 		walkShallow(fb.body, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			isMap := false
-			if t := exprType(pass.Pkg.Info, rng.X); t != nil {
-				_, isMap = types.Unalias(t).Underlying().(*types.Map)
-			} else if id, ok := rng.X.(*ast.Ident); ok && maps[id.Name] {
-				isMap = true
-			}
-			if !isMap {
+			if _, isMap := types.Unalias(exprType(info, rng.X)).Underlying().(*types.Map); !isMap {
 				return true
 			}
 			if node, kind, target, found := orderedAccumulation(rng.Body); found {
@@ -185,82 +148,24 @@ func orderedAccumulation(body *ast.BlockStmt) (pos ast.Node, kind, target string
 	return hit, what, tgt, true
 }
 
-// sortedVars collects identifiers passed to a sort.* or slices.* call
-// anywhere in the function: appending map keys into a slice sorted
-// afterwards is the sanctioned fix for map-order dependence, not a bug.
-func sortedVars(fb funcBody) map[string]bool {
+// sortedVars collects identifiers passed to a function of package sort
+// or slices anywhere in the function: appending map keys into a slice
+// sorted afterwards is the sanctioned fix for map-order dependence, not
+// a bug.
+func sortedVars(info *types.Info, fb funcBody) map[string]bool {
 	out := map[string]bool{}
 	walkShallow(fb.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		recv, _, ok := selectorCall(call)
-		if !ok || (recv != "sort" && recv != "slices") {
+		callee := calleeOf(info, call)
+		if callee == nil || callee.Pkg() == nil || (callee.Pkg().Path() != "sort" && callee.Pkg().Path() != "slices") {
 			return true
 		}
 		for _, arg := range call.Args {
 			if id, ok := arg.(*ast.Ident); ok {
 				out[id.Name] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// knownMapVars collects identifiers whose map-ness is syntactically
-// certain within fb: parameters declared with a map type, var
-// declarations of map type, and := assignments from make(map...) or a
-// map composite literal.
-func knownMapVars(fb funcBody) map[string]bool {
-	out := map[string]bool{}
-	if fb.params != nil {
-		for _, field := range fb.params.List {
-			if _, isMap := field.Type.(*ast.MapType); isMap {
-				for _, name := range field.Names {
-					out[name.Name] = true
-				}
-			}
-		}
-	}
-	walkShallow(fb.body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range st.Rhs {
-				if i >= len(st.Lhs) {
-					break
-				}
-				id, ok := st.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				switch r := rhs.(type) {
-				case *ast.CallExpr:
-					if fi, ok := r.Fun.(*ast.Ident); ok && fi.Name == "make" && len(r.Args) > 0 {
-						if _, isMap := r.Args[0].(*ast.MapType); isMap {
-							out[id.Name] = true
-						}
-					}
-				case *ast.CompositeLit:
-					if _, isMap := r.Type.(*ast.MapType); isMap {
-						out[id.Name] = true
-					}
-				}
-			}
-		case *ast.DeclStmt:
-			if gd, ok := st.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if _, isMap := vs.Type.(*ast.MapType); isMap {
-						for _, name := range vs.Names {
-							out[name.Name] = true
-						}
-					}
-				}
 			}
 		}
 		return true

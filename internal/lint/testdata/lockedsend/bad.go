@@ -52,3 +52,26 @@ func retryLocked(mu *sync.Mutex, ep endpoint) {
 func ReliableSend(ep endpoint, to int, msg any, retries, base int) (int, error) {
 	return 0, nil
 }
+
+// A lock taken in a switch case is still held after the switch: the
+// send may run locked depending on mode.
+func (n *node) switchLocked(mode int) {
+	switch mode {
+	case 1:
+		n.mu.Lock()
+	case 2:
+	}
+	n.ch <- 3 // want "channel send in switchLocked while n.mu is locked"
+	n.mu.Unlock()
+}
+
+// The same through a select clause.
+func (n *node) selectLocked(tick chan struct{}, to int) {
+	select {
+	case <-tick:
+		n.mu.Lock()
+	default:
+	}
+	_ = n.ep.Send(to, "tick") // want "call to n.ep.Send in selectLocked while n.mu is locked"
+	n.mu.Unlock()
+}

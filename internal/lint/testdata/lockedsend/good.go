@@ -49,3 +49,15 @@ func (c *conn) balancedBranches(cond bool, ep endpoint) {
 	}
 	_ = ep.Send(2, "z")
 }
+
+// A clause that locks and then returns never reaches the send after the
+// switch: its held set does not flow on.
+func (c *conn) lockedEarlyReturn(mode int, ep endpoint) error {
+	switch mode {
+	case 1:
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return nil
+	}
+	return ep.Send(mode, "after")
+}

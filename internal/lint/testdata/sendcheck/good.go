@@ -24,9 +24,9 @@ func retried(ep endpoint) error {
 	return err
 }
 
-// A suppression directive mutes the finding on the line below it —
-// this fixture doubles as the test for imrlint:ignore handling.
-func suppressed(ep endpoint) {
-	// imrlint:ignore sendcheck fire-and-forget probe; loss is counted by the receiver
-	ep.Send(9, "probe")
+// A fire-and-forget send says so in the code itself: there is no
+// suppression directive, the blank assignment is the only escape.
+func fireAndForget(ep endpoint) {
+	// Probe: loss is counted by the receiver.
+	_ = ep.Send(9, "probe")
 }

@@ -7,20 +7,16 @@ import (
 
 // ---- shared typed helpers ----
 //
-// Every analyzer degrades gracefully: when Info is nil or an expression
-// did not resolve (lenient fixture checking tolerates unresolved
-// stand-ins), the helpers return nil/false and the caller falls back to
-// the PR-5 syntactic matching. On module code loaded by LoadPackages
-// resolution is total, so the typed facts are authoritative there.
+// Every loader fails on a type error, so resolution is total and these
+// facts are authoritative. A nil result means the construct has no such
+// fact (an indirect call has no static callee), never that it did not
+// resolve.
 
 // calleeOf resolves the static callee of a call: a declared function,
 // a method (including one promoted through embedding), or an interface
-// method. Nil for indirect calls through function values, conversions,
-// and unresolved names.
+// method. Nil for indirect calls through function values and for
+// conversions.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	if info == nil {
-		return nil
-	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
@@ -32,27 +28,6 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// resolvedCall reports whether the call's callee position resolves to
-// any object at all — false when the fixture's lenient check left it
-// dangling, which is the signal to use the syntactic fallback.
-func resolvedCall(info *types.Info, call *ast.CallExpr) bool {
-	if info == nil {
-		return false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		_, ok := info.Uses[fun]
-		if !ok {
-			_, ok = info.Defs[fun]
-		}
-		return ok
-	case *ast.SelectorExpr:
-		_, ok := info.Uses[fun.Sel]
-		return ok
-	}
-	return true // indirect calls are always "resolved" (to no Func)
 }
 
 // namedOf unwraps pointers and aliases down to the defined type, or nil.
@@ -75,16 +50,6 @@ func typeName(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// typePkgPath returns the import path of the package declaring the
-// defined type behind t ("" for unnamed and universe types).
-func typePkgPath(t types.Type) string {
-	n := namedOf(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path()
 }
 
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
@@ -126,11 +91,9 @@ func isContextType(t types.Type) bool {
 		n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "context"
 }
 
-// exprType returns the resolved type of e, or nil.
+// exprType returns the type of expression e (nil when e is not an
+// expression, e.g. the x.(type) of a type switch).
 func exprType(info *types.Info, e ast.Expr) types.Type {
-	if info == nil {
-		return nil
-	}
 	if tv, ok := info.Types[e]; ok {
 		return tv.Type
 	}
@@ -140,9 +103,6 @@ func exprType(info *types.Info, e ast.Expr) types.Type {
 // usedObject resolves an identifier or selector expression to the
 // object it refers to, or nil.
 func usedObject(info *types.Info, e ast.Expr) types.Object {
-	if info == nil {
-		return nil
-	}
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return info.Uses[x]
@@ -153,7 +113,7 @@ func usedObject(info *types.Info, e ast.Expr) types.Object {
 }
 
 // funcDeclsOf yields every *ast.FuncDecl of the package together with
-// its defined *types.Func (nil when unresolved) and enclosing file.
+// its defined *types.Func and enclosing file.
 type declFunc struct {
 	file *File
 	decl *ast.FuncDecl
@@ -168,10 +128,7 @@ func funcDeclsOf(pkg *Package) []declFunc {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			var obj *types.Func
-			if pkg.Info != nil {
-				obj, _ = pkg.Info.Defs[fd.Name].(*types.Func)
-			}
+			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 			out = append(out, declFunc{file: f, decl: fd, obj: obj})
 		}
 	}
