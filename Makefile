@@ -61,7 +61,8 @@ bench:
 # within none per column chunk into a warm batch, and a warm Grouper, a
 # warm static join and a warm previous-state merge must handle a
 # same-sized input with none at all, as must a column reduce's rounds
-# placed into the layout they share and finished as hits; a warm SSSP
+# placed values-only by the slot map of the layout they share and
+# finished as hits; a warm SSSP
 # superstep may allocate only what its map boxes and one box per message
 # sent — on the column loops only the message boxes, whatever changes. In
 # the baseline engine a map attempt may allocate only its spill runs and
@@ -102,10 +103,12 @@ bench-test:
 # arbitrary bytes as a DFS namenode image, which must fail or list exactly
 # the image's files; FuzzChunkFrames runs arbitrary bytes through the
 # decoder of every frame core registers — pair, column state and column
-# shuffle chunks, auxiliary output — which must not panic, must bound the
-# records by the bytes, and must re-encode what it accepts stably;
-# FuzzColPlacement places arbitrary chunk sequences into a prior key
-# layout, or none, which must group exactly as ColGrouper does. Each
+# shuffle chunks (keyed and values-only), auxiliary output — which must
+# not panic, must bound the records by the bytes, and must re-encode what
+# it accepts stably; FuzzColPlacement places the chunks of arbitrary
+# rounds, keys sent again values-only or not, in any arrival order, by
+# the slot map of a prior layout, or none, which must group exactly in
+# canonical (map, slot, position) order. Each
 # starts from its seed corpus (under the package's testdata/fuzz, or
 # added in the test); a failing input is written to testdata/fuzz, ready
 # to be re-run by go test and checked in.

@@ -182,6 +182,17 @@ type accum struct {
 	ends   int
 	seen   map[chunkKey]bool
 	tally  map[int]chunkTally
+	// A map takes its feeder's chunks in slot order (mapTask.takeInOrder):
+	// next is the slot it takes next, and held the copies of chunks that
+	// came before their turn.
+	next int
+	held []heldState
+}
+
+// heldState is a copy of a state chunk that arrived before its turn.
+type heldState struct {
+	slot int
+	in   records
 }
 
 // chunkTally is one sender's account in an iteration: chunks taken, and
@@ -248,7 +259,7 @@ func (a *accum) reset() {
 	}
 	clear(a.seen)
 	clear(a.tally)
-	a.ends = 0
+	a.ends, a.next, a.held = 0, 0, nil
 }
 
 // chunkCount numbers the chunks a sender sends one receiver (or one set

@@ -11,10 +11,11 @@ import (
 // records stay in int64 and V columns the whole way round the loop. What
 // the typed map emits is partitioned by kv.PartitionInt64 (the reduce
 // Ops.Partition picks for the boxed key), crosses the network as a column
-// batch (a column frame on a socket), and is placed as it arrives into
-// the key layout of the reduce's last grouping (kv.ColPlacement), so the
-// typed reduce's groups are ready at the barrier; where the layout does
-// not hold, kv.ColGrouper regroups exactly. The reduce merges each new
+// batch (a column frame on a socket) — values-only when the reduce already
+// holds its keys — and is placed as it arrives by the slot map of the
+// reduce's last grouping (kv.ColPlacement), so the typed reduce's groups
+// are ready at the barrier; where the layout does not hold, the round is
+// regrouped exactly in canonical order. The reduce merges each new
 // state into a typed previous-state run (colRun) and sends it back to the
 // map as a column batch too, where it is joined with the static
 // partition, unboxed once into a key column and an S column when the task
@@ -45,6 +46,18 @@ type colMapLoops[V kv.Scalar, S any] struct {
 	// the keys ascending and unique.
 	skeys []int64
 	svals []S
+	// keyCols[r][slot] is the key column the task last sent reduce r at
+	// slot, its own copy: a chunk with the same keys goes values-only.
+	keyCols [][]sentKeys
+}
+
+// sentKeys is a key column a map sent one reduce at one slot, and the
+// iteration that sent it (its key epoch). valid is false once the slot
+// has carried no records, or a generation has passed.
+type sentKeys struct {
+	keys  []int64
+	epoch int
+	valid bool
 }
 
 func newColMapLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *mapTask) *colMapLoops[V, S] {
@@ -52,6 +65,7 @@ func newColMapLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *mapTask) *colMapL
 		t: t, d: d,
 		recSize: colRecSize[V](&t.job.Ops),
 		rows:    colRows[V]{nred: t.numReduce},
+		keyCols: make([][]sentKeys, t.numReduce),
 	}
 	l.emit = func(k int64, v V) {
 		r := kv.PartitionInt64(k, t.numReduce)
@@ -183,12 +197,50 @@ func seekInt64(keys []int64, cur int, key int64) (int, bool) {
 	return lo + i, found
 }
 
-func (l *colMapLoops[V, S]) pack(c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error) {
-	if b == nil {
-		return c, 0, nil
+func (l *colMapLoops[V, S]) pack(r int, c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error) {
+	var keys []int64
+	if b != nil {
+		cols := b.cols.(*kv.Cols[V])
+		c.Cols, keys = cols, cols.Keys
 	}
-	c.Cols = b.cols
-	return c, int64(b.cols.Len()) * l.recSize, nil
+	l.elide(r, &c, keys)
+	return c, int64(len(keys)) * l.recSize, nil
+}
+
+// elide marks c SameKeys when keys, its key column, is the one the task
+// last sent reduce r at c's slot, with that column's epoch; otherwise it
+// keeps a copy of keys as the slot's column, of c's epoch. An End chunk
+// forgets the slots past the iteration's last: the reduce learns its next
+// layout from this iteration's chunks alone, so a chunk at a slot this
+// iteration left empty must carry its keys again.
+func (l *colMapLoops[V, S]) elide(r int, c *shuffleChunk, keys []int64) {
+	ks := l.keyCols[r]
+	for len(ks) <= c.Slot {
+		ks = append(ks, sentKeys{})
+	}
+	l.keyCols[r] = ks
+	switch k := &ks[c.Slot]; {
+	case len(keys) == 0:
+		k.valid = false
+	case k.valid && slices.Equal(k.keys, keys):
+		c.KeyEpoch, c.SameKeys = k.epoch, true
+	default:
+		k.keys = append(k.keys[:0], keys...)
+		k.epoch, k.valid = c.KeyEpoch, true
+	}
+	if c.End > 0 {
+		for s := c.End; s < len(ks); s++ {
+			ks[s].valid = false
+		}
+	}
+}
+
+func (l *colMapLoops[V, S]) forget() {
+	for _, ks := range l.keyCols {
+		for s := range ks {
+			ks[s].valid = false
+		}
+	}
 }
 
 // colRows are the column loops' shardRows: a batch per (shard, reduce),
@@ -230,13 +282,12 @@ func (cr *colRows[V]) recycle() {
 // one phase, so its reduce is always the termination phase's.
 //
 // Its input is never copied into the accumulator. The static data is
-// fixed, so an iteration shuffles the keys and value counts the last one
-// did, and each chunk is placed, as handleShuffle takes it, straight into
-// the key layout of the last grouping: a value goes to its final place in
-// its key's window of the grouped values. At the barrier a hit — every
-// window exactly full — leaves group nothing to sort; a miss merges the
-// windows with the overflow exactly and learns the layout again (DESIGN
-// §5).
+// fixed, so an iteration shuffles the chunks the last one did, with the
+// same keys, and each chunk is placed, as handleShuffle takes it, by the
+// slot map of the last grouping: each value goes to its final place in
+// the grouped values. At the barrier a hit — every chunk of the layout
+// placed — leaves group nothing to do; anything else regroups the round
+// exactly in canonical order and learns the layout again (DESIGN §5).
 type colReduceLoops[V kv.Scalar, S any] struct {
 	t       *reduceTask
 	d       *scalarDef[V, S]
@@ -247,11 +298,11 @@ type colReduceLoops[V kv.Scalar, S any] struct {
 	groups  kv.ColGroups[V]
 	nvals   []V
 	prev    colRun[V]
-	// layout is the key layout of the last grouping, nil before the first
-	// (or after one too sparse for a layout). An iteration keeps the
-	// layout it started placing into: a new one is published, never
-	// written, so the next iteration's chunks, which can arrive before
-	// this one's barrier, keep a layout of their own.
+	// layout is the layout of the last grouping, nil before the first
+	// and after a generation change. An iteration keeps the layout it
+	// started placing into: a new one is published, never written, so the
+	// next iteration's chunks, which can arrive before this one's barrier,
+	// keep a layout of their own.
 	layout *kv.ColLayout
 }
 
@@ -260,21 +311,35 @@ func newColReduceLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *reduceTask) *c
 }
 
 // accumulate places a chunk's records into a's placement.
-func (l *colReduceLoops[V, S]) accumulate(a *accum, in records) error {
-	src, err := colsIn[V](in)
-	if src != nil {
-		l.placement(a).Place(src)
+func (l *colReduceLoops[V, S]) accumulate(a *accum, c shuffleChunk) error {
+	src, err := colsIn[V](c.records())
+	if src == nil {
+		return err
 	}
-	return err
+	if c.FromMap < 0 || c.FromMap >= l.t.numMaps {
+		return fmt.Errorf("core: shuffle chunk from map %d of %d", c.FromMap, l.t.numMaps)
+	}
+	ch := kv.ColChunk[V]{Map: c.FromMap, Slot: c.Slot, Epoch: c.KeyEpoch, Same: c.SameKeys, Vals: src.Vals}
+	if len(src.Keys) == len(src.Vals) {
+		ch.Keys = src.Keys
+	}
+	l.placement(a).Place(ch)
+	return nil
 }
 
 // group finishes a's placement: its groups, in the order and with the
-// values kv.ColGrouper gives the iteration's records in arrival order, and
-// the layout the next iteration starts on.
-func (l *colReduceLoops[V, S]) group(a *accum) int {
-	l.groups, l.layout = l.placement(a).Group(&l.grouper)
-	return len(l.groups.Keys)
+// values kv.ColGrouper gives the iteration's records in canonical order,
+// and the layout the next iteration starts on.
+func (l *colReduceLoops[V, S]) group(a *accum) (int, error) {
+	groups, layout, err := l.placement(a).Group(&l.grouper, l.layout)
+	if err != nil {
+		return 0, err
+	}
+	l.groups, l.layout = groups, layout
+	return len(groups.Keys), nil
 }
+
+func (l *colReduceLoops[V, S]) forget() { l.layout = nil }
 
 // placement returns a's placement, started on the task's layout when the
 // iteration has placed nothing yet.

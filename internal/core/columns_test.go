@@ -3,10 +3,12 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"imapreduce/internal/algorithms/pagerank"
 	"imapreduce/internal/cluster"
 	"imapreduce/internal/core"
 	"imapreduce/internal/dfs"
@@ -174,5 +176,51 @@ func TestColumnLoopsUnderChaos(t *testing.T) {
 				t.Errorf("%s tcp=%v: output under chaos differs from the calm run", key, tcp)
 			}
 		}
+	}
+}
+
+// unsortedPageRank builds pagerank.IMRJob — whose reduce sums each key's
+// shares in the order it is handed them — over the registry PageRank's
+// inputs, in 64-record chunks, so that every map sends each reduce
+// several chunks and every reduce sends its map several.
+func unsortedPageRank(_ string, p map[string]string) (*core.Job, error) {
+	nodes, err := strconv.Atoi(p["nodes"])
+	if err != nil {
+		return nil, err
+	}
+	name := p["name"]
+	job := pagerank.IMRJob(pagerank.IMRConfig{
+		Name: name, Nodes: nodes, MaxIter: 8, NumTasks: 4, Checkpoint: 3,
+		StaticPath: "/jobs/" + name + "/static", StatePath: "/jobs/" + name + "/state", OutputPath: jobs.OutputPath(name),
+	})
+	job.BufferThreshold = 64
+	return job, nil
+}
+
+// TestColumnReduceDeterministic: PageRank with an unsorted sum leaves
+// bit-identical checkpoint and output files over channels, over loopback
+// TCP (twice), and over a network that duplicates and reorders frames. A
+// column reduce groups each key's values in canonical (map, slot,
+// position) order, and a map takes its state chunks in slot order, so no
+// network timing reaches the floating-point sums.
+func TestColumnReduceDeterministic(t *testing.T) {
+	params := map[string]string{"name": "pagerank-det", "nodes": "600"}
+	if job, _ := unsortedPageRank("", params); !core.ColumnLoops(job) {
+		t.Fatal("the job does not run the column loops")
+	}
+	run := func(what string, net transport.Network) map[string]uint32 {
+		var sums map[string]uint32
+		sc := scenario{name: what, spec: cluster.Uniform(4), build: unsortedPageRank, options: calm.options}
+		sc.onDone = func(fs *dfs.DFS, res *core.Result) { sums = core.FileSums(t, fs, params["name"], res.OutputPath) }
+		sc.runInProcess(t, net, "pagerank", params)
+		return sums
+	}
+	want := run("chan", transport.NewChanNetwork())
+	core.SameFiles(t, "tcp", run("tcp", transport.NewTCPNetwork()), want)
+	core.SameFiles(t, "tcp again", run("tcp", transport.NewTCPNetwork()), want)
+	fnet := transport.NewFaultyNetwork(transport.NewChanNetwork(), transport.FaultyOptions{Seed: 3, DupRate: 0.05, ReorderRate: 0.2})
+	core.SameFiles(t, "dups and reorders", run("faulty", fnet), want)
+	if fnet.Dups() == 0 || fnet.Reorders() == 0 {
+		t.Fatalf("fault profile inert: %d dups, %d reorders", fnet.Dups(), fnet.Reorders())
 	}
 }

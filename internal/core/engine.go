@@ -612,13 +612,23 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 // partitionToDFS reads a DFS input file, partitions its records with ops
 // into parts, and writes each part at the worker hosting that pair —
 // reads happen at a replica holder (local), writes pin the first replica
-// at the consuming worker.
+// at the consuming worker. Each part starts with room for its share of
+// the file's records and a sixteenth more: the partition hash spreads
+// keys evenly, so a part rarely grows.
 func (e *Engine) partitionToDFS(path string, ops kv.Ops, parts int, run *runState, partPath func(int) string, aux bool) error {
 	splits, err := e.fs.Splits(path)
 	if err != nil {
 		return err
 	}
+	total := 0
+	for _, s := range splits {
+		total += s.Records
+	}
+	share := total / parts
 	out := make([][]kv.Pair, parts)
+	for i := range out {
+		out[i] = make([]kv.Pair, 0, share+share/16+16)
+	}
 	for _, s := range splits {
 		at := ""
 		if len(s.Locations) > 0 {

@@ -414,3 +414,50 @@ func TestNumTasksMoreThanWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionToDFSFiles pins the part files the one-time partitioning
+// writes: a 4-part and a 3-part split of a multi-block input of 5 000
+// int64-keyed records hold exactly the records, in the order, they did
+// before each part was presized from the splits' record counts. The
+// checksums were taken on the tree before the presizing.
+func TestPartitionToDFSFiles(t *testing.T) {
+	spec := cluster.Uniform(4)
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 15}, spec.IDs(), nil)
+	ops := kv.OpsFor[int64, float64](nil)
+	in := make([]kv.Pair, 5000)
+	for i := range in {
+		in[i] = kv.Pair{Key: int64(i*7919%5003 - 100), Value: float64(i) / 3}
+	}
+	if err := fs.WriteFile("/in", "", in, ops); err != nil {
+		t.Fatal(err)
+	}
+	if splits, _ := fs.Splits("/in"); len(splits) < 2 {
+		t.Fatalf("input in %d blocks, want several", len(splits))
+	}
+	net := transport.NewChanNetwork()
+	defer net.Close()
+	e, err := NewEngine(fs, net, spec, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][]uint32{
+		4: {0x182cabf9, 0x8e1294dc, 0x6c521515, 0xe0e76c55},
+		3: {0xae8584b7, 0x5d357c34, 0x1fa86013},
+	}
+	for _, parts := range []int{4, 3} {
+		run := newRunState(runMeta{Name: "parts", MainPhases: 1, MainTasks: parts, Placement: spec.IDs()}, newWorkerPool(1))
+		path := func(i int) string { return fmt.Sprintf("/out-%d/part-%d", parts, i) }
+		if err := e.partitionToDFS("/in", ops, parts, run, path, false); err != nil {
+			t.Fatal(err)
+		}
+		for i := range parts {
+			sum, err := fs.Checksum(path(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum != want[parts][i] {
+				t.Errorf("%d parts: part %d checksum %#08x, want %#08x", parts, i, sum, want[parts][i])
+			}
+		}
+	}
+}

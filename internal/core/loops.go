@@ -35,22 +35,28 @@ type mapLoops interface {
 	// filing what it emits into the task's chunk buffers (fill,
 	// sendShuffle).
 	mapState(iter int, in records) error
-	// pack returns c with b's records — none when b is nil — as its
-	// payload, and the bytes they are charged. It may pack a fresh payload
-	// instead, clearing c's lease.
-	pack(c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error)
+	// pack returns c, bound for reduce r, with b's records — none when b
+	// is nil — as its payload, and the bytes they are charged. It may pack
+	// a fresh payload instead, clearing c's lease, and the column loops
+	// mark a chunk whose keys r already holds (SameKeys).
+	pack(r int, c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error)
+	// forget drops what the loops remember of the chunks they sent — the
+	// column loops' key columns — when the generation changes.
+	forget()
 }
 
 // reduceLoops is a reduce task's record loops.
 type reduceLoops interface {
-	// accumulate takes a shuffle chunk's records into a, in arrival order;
-	// records of the other loops are an error, as in mapLoops. The pair
-	// loops append them, the column loops place them into the key layout
+	// accumulate takes a shuffle chunk's records into a; records of the
+	// other loops are an error, as in mapLoops. The pair loops append
+	// them in arrival order, the column loops place them by the slot map
 	// of the last grouping (colReduceLoops.accumulate).
-	accumulate(a *accum, in records) error
+	accumulate(a *accum, c shuffleChunk) error
 	// group groups a's records by key for reduce — keys ascending, each
-	// key's values in arrival order — and returns the number of groups.
-	group(a *accum) int
+	// key's values in arrival order on the pair loops and in canonical
+	// (map, slot, position) order on the column loops — and returns the
+	// number of groups.
+	group(a *accum) (int, error)
 	// reduce runs the user reduce over the groups in key order, merges
 	// each new state into the previous-state run on a termination phase,
 	// and hands it to the task's output (the loop-back chunks, and the
@@ -65,6 +71,9 @@ type reduceLoops interface {
 	// final returns the previous-state run as key-ordered pairs: the
 	// task's part of the output.
 	final() []kv.Pair
+	// forget drops what the loops learned from the chunks they took — the
+	// column loops' layout — when the generation changes.
+	forget()
 }
 
 // shardRows are a sharded map loop's emit rows, one per (shard, reduce):
@@ -194,7 +203,7 @@ func (l *pairMapLoops) emitter() kv.Emit {
 // pack runs the combiner over the chunk first when one is configured.
 // When it shrinks the chunk the fresh combined slice is sent instead, and
 // the buffer stays for the next batch.
-func (l *pairMapLoops) pack(c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error) {
+func (l *pairMapLoops) pack(_ int, c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error) {
 	if b == nil {
 		return c, 0, nil
 	}
@@ -244,9 +253,13 @@ type pairReduceLoops struct {
 	lastIn int
 }
 
-func (l *pairReduceLoops) accumulate(a *accum, in records) error {
-	return addPairs(a, in, l.lastIn)
+func (l *pairMapLoops) forget() {}
+
+func (l *pairReduceLoops) accumulate(a *accum, c shuffleChunk) error {
+	return addPairs(a, c.records(), l.lastIn)
 }
+
+func (l *pairReduceLoops) forget() {}
 
 // errMixedLoops fails a task that receives the other loops' records: the
 // sending task's job was built differently (see columnLoops).
@@ -267,10 +280,10 @@ func (l *pairReduceLoops) loadPrev(pairs []kv.Pair) error {
 
 func (l *pairReduceLoops) final() []kv.Pair { return l.prev.run }
 
-func (l *pairReduceLoops) group(a *accum) int {
+func (l *pairReduceLoops) group(a *accum) (int, error) {
 	l.lastIn = len(a.pairs)
 	l.groups = l.grouper.Group(a.pairs, l.t.job.Ops)
-	return len(l.groups)
+	return len(l.groups), nil
 }
 
 // release empties the grouping scratch, so it pins none of this

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"imapreduce/internal/kv"
@@ -187,6 +188,7 @@ func (t *mapTask) rollback(cmd cmdMsg) {
 	t.pend = make(map[int]*accum)
 	clear(t.outBuf) // the old generation's half-filled buffers go to the GC
 	clear(t.sent)
+	t.loops.forget()
 	if t.e.opts.Trace != nil {
 		t.idleAt = time.Now()
 	}
@@ -261,22 +263,73 @@ func (t *mapTask) handleState(c stateChunk) {
 	if !a.take(c.From, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	if in := c.records(); in.len() > 0 {
-		if t.stream && c.Iter == t.iter {
-			// Asynchronous execution: join + map immediately (§3.3).
-			t.process(c.Iter, in)
-		} else {
-			presize := t.lastIn
-			if t.stream {
-				presize = 0 // streamed input is mapped on arrival, not kept
-			}
-			if err := t.loops.accumulate(a, in, presize); err != nil {
-				t.fatal(fmt.Errorf("map %d/%d: %w", t.phase, t.idx, err))
-				return
-			}
-		}
+	if t.broadcast {
+		// A broadcast task sorts its whole input before mapping it, so the
+		// order its feeders' chunks arrive in does not matter.
+		t.consume(a, c.Iter, c.records())
+	} else if !t.takeInOrder(a, c) {
+		return
 	}
 	t.tryComplete()
+}
+
+// takeInOrder consumes a chunk from the task's one feeder in slot order:
+// a chunk that arrives before its turn is copied aside until the chunks
+// before it are here. The map so sees its input, and emits its output, in
+// the order the feeder sent it whatever the network did, and a column
+// reduce downstream sees the same chunks every run (DESIGN §5). It
+// reports false when the task failed.
+func (t *mapTask) takeInOrder(a *accum, c stateChunk) bool {
+	if c.Slot != a.next {
+		var early accum
+		if err := t.loops.accumulate(&early, c.records(), 0); err != nil {
+			t.fatal(fmt.Errorf("map %d/%d: %w", t.phase, t.idx, err))
+			return false
+		}
+		a.held = append(a.held, heldState{slot: c.Slot, in: early.records})
+		return true
+	}
+	in := c.records()
+	for {
+		if !t.consume(a, c.Iter, in) {
+			return false
+		}
+		a.next++
+		i := -1
+		for j, h := range a.held {
+			if h.slot == a.next {
+				i = j
+			}
+		}
+		if i < 0 {
+			return true
+		}
+		in = a.held[i].in
+		a.held = slices.Delete(a.held, i, i+1)
+	}
+}
+
+// consume maps records of iteration iter at once when the task streams
+// (§3.3) and is on that iteration, and adds them to a otherwise. It
+// reports false when the task failed.
+func (t *mapTask) consume(a *accum, iter int, in records) bool {
+	if in.len() == 0 {
+		return true
+	}
+	if t.stream && iter == t.iter {
+		// Asynchronous execution: join + map immediately (§3.3).
+		t.process(iter, in)
+		return true
+	}
+	presize := t.lastIn
+	if t.stream {
+		presize = 0 // streamed input is mapped on arrival, not kept
+	}
+	if err := t.loops.accumulate(a, in, presize); err != nil {
+		t.fatal(fmt.Errorf("map %d/%d: %w", t.phase, t.idx, err))
+		return false
+	}
+	return true
 }
 
 // tryComplete finishes every iteration whose input is fully here.
@@ -454,8 +507,11 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 		}()
 	}
 	b := t.outBuf[r]
-	c := shuffleChunk{Gen: t.gen, Iter: iter, FromMap: t.idx, lease: leaseOf(b)}
-	c, size, err := t.loops.pack(c, b)
+	t.seq++
+	slot := int(t.sent[r])
+	c := shuffleChunk{Gen: t.gen, Iter: iter, FromMap: t.idx, Seq: t.seq, End: t.sent[r].next(end),
+		Slot: slot, KeyEpoch: iter, lease: leaseOf(b)}
+	c, size, err := t.loops.pack(r, c, b)
 	if err != nil {
 		t.fatal(err)
 		return
@@ -467,8 +523,6 @@ func (t *mapTask) sendShuffle(iter, r int, end bool) {
 	if t.run.workerOfPhasePair(t.phase, r) != t.worker {
 		t.e.m.Add(metrics.ShuffleRemote, size)
 	}
-	t.seq++
-	c.Seq, c.End = t.seq, t.sent[r].next(end)
 	t.send(t.redAddrs[r], kindShuffle, c, size)
 	if t.serializes {
 		c.lease.giveBack()

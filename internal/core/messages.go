@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -35,11 +36,13 @@ const (
 // this iteration it is the number of chunks the sender sent this receiver
 // in the iteration, the End itself included, so a receiver whose network
 // reordered the End ahead of a data chunk waits for the rest (see
-// accum.take). Seq is a per-sender monotone counter: together with From
-// it lets the receiver discard network-duplicated chunks, so data flows
-// stay correct over at-least-once transports. Its records are Pairs, or
-// Cols from a reduce on the column loops; an End chunk with no records
-// may carry neither.
+// accum.take). Slot is the chunk's index among those: a map takes a
+// sender's chunks in slot order, whatever order the network delivered
+// them in. Seq is a per-sender monotone counter: together with From it
+// lets the receiver discard network-duplicated chunks, so data flows stay
+// correct over at-least-once transports. Its records are Pairs, or Cols
+// from a reduce on the column loops; an End chunk with no records may
+// carry neither.
 type stateChunk struct {
 	Gen   int
 	Iter  int
@@ -48,6 +51,7 @@ type stateChunk struct {
 	Pairs []kv.Pair
 	Cols  colRecords
 	End   int
+	Slot  int
 
 	// slab is the decode arena Pairs was carved from when the chunk came
 	// off the wire (nil for a chunk passed by reference). lease is the
@@ -81,17 +85,27 @@ func (c stateChunk) release() {
 }
 
 // shuffleChunk carries map output to a reduce task of the same phase.
-// (FromMap, Seq) deduplicates and End counts, as for stateChunk. Its
-// records are Pairs, or Cols from a map on the column loops; an End chunk
-// with no records carries neither.
+// (FromMap, Seq) deduplicates and End and Slot count, as for stateChunk.
+// Its records are Pairs, or Cols from a map on the column loops; an End
+// chunk with no records carries neither.
+//
+// KeyEpoch and SameKeys are the column loops' key elision (DESIGN §5).
+// KeyEpoch is the iteration whose chunk from FromMap at Slot last carried
+// these keys — Iter itself when they are new there — and SameKeys says
+// they are that chunk's keys again. Such a chunk crosses a socket
+// values-only, its Cols decoded without keys; over channels it keeps them,
+// and the flag spares the reduce comparing them.
 type shuffleChunk struct {
-	Gen     int
-	Iter    int
-	FromMap int
-	Seq     int64
-	Pairs   []kv.Pair
-	Cols    colRecords
-	End     int
+	Gen      int
+	Iter     int
+	FromMap  int
+	Seq      int64
+	Pairs    []kv.Pair
+	Cols     colRecords
+	End      int
+	Slot     int
+	KeyEpoch int
+	SameKeys bool
 
 	// slab, lease, pooled: see stateChunk.
 	slab   *kv.Slab
@@ -215,7 +229,9 @@ type taskErrMsg struct {
 // A state or shuffle chunk of column records is its own frame, one tag
 // per chunk kind and value type: the chunk header, then kv.AppendCols — a
 // count, the keys as a base and fixed-width offsets, the values as 8-byte
-// words (float64) or like the keys (int64).
+// words (float64) or like the keys (int64). A column shuffle frame puts a
+// form byte between the two: colKeyed, or colValuesOnly followed by the
+// key epoch (a varint) and kv.AppendVals — the count and the values alone.
 const (
 	wireTagState        = "imr.state"
 	wireTagStateColsF64 = "imr.state.f64"
@@ -226,39 +242,65 @@ const (
 	wireTagAuxOut       = "imr.auxout"
 )
 
+// The forms of a column shuffle frame.
+const (
+	colKeyed      byte = 0
+	colValuesOnly byte = 1
+)
+
 // appendChunkHeader encodes the common chunk header: Gen, Iter, sender
-// task id, Seq, and the End count (uvarint, 0 on a data chunk).
-func appendChunkHeader(buf []byte, gen, iter, from int, seq int64, end int) []byte {
+// task id, Seq, the End count (uvarint, 0 on a data chunk) and the slot
+// (uvarint).
+func appendChunkHeader(buf []byte, gen, iter, from int, seq int64, end, slot int) []byte {
 	buf = kv.AppendVarint(buf, int64(gen))
 	buf = kv.AppendVarint(buf, int64(iter))
 	buf = kv.AppendVarint(buf, int64(from))
 	buf = kv.AppendVarint(buf, seq)
-	return kv.AppendUvarint(buf, uint64(end))
+	buf = kv.AppendUvarint(buf, uint64(end))
+	return kv.AppendUvarint(buf, uint64(slot))
 }
 
-func decodeChunkHeader(data []byte) (gen, iter, from int, seq int64, end int, n int, err error) {
+// chunkHead is a decoded chunk header.
+type chunkHead struct {
+	gen, iter, from int
+	seq             int64
+	end, slot       int
+}
+
+func decodeChunkHeader(data []byte) (h chunkHead, n int, err error) {
 	var v int64
 	var m int
-	for _, dst := range []*int{&gen, &iter, &from} {
+	for _, dst := range []*int{&h.gen, &h.iter, &h.from} {
 		if v, m, err = kv.Varint(data[n:]); err != nil {
 			return
 		}
 		*dst, n = int(v), n+m
 	}
-	if seq, m, err = kv.Varint(data[n:]); err != nil {
+	if h.seq, m, err = kv.Varint(data[n:]); err != nil {
 		return
 	}
 	n += m
-	var e uint64
-	if e, m, err = kv.Uvarint(data[n:]); err != nil {
+	if h.end, m, err = headerCount(data[n:], "end count"); err != nil {
 		return
 	}
-	if e > math.MaxInt32 {
-		err = fmt.Errorf("core: chunk header end count %d out of range", e)
+	n += m
+	if h.slot, m, err = headerCount(data[n:], "slot"); err != nil {
 		return
 	}
-	end, n = int(e), n+m
-	return
+	return h, n + m, nil
+}
+
+// headerCount reads one of a chunk header's uvarint counts, which no
+// sender makes past MaxInt32.
+func headerCount(data []byte, what string) (int, int, error) {
+	u, n, err := kv.Uvarint(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	if u > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("core: chunk header %s %d out of range", what, u)
+	}
+	return int(u), n, nil
 }
 
 // colsTag picks a chunk's tag by its records: pairs, or a column batch
@@ -290,7 +332,7 @@ func (c stateChunk) WireTag() string {
 }
 
 func (c stateChunk) AppendWire(buf []byte) ([]byte, bool) {
-	return appendRecords(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End), c.records())
+	return appendRecords(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End, c.Slot), c.records())
 }
 
 func (c shuffleChunk) WireTag() string {
@@ -298,19 +340,36 @@ func (c shuffleChunk) WireTag() string {
 }
 
 func (c shuffleChunk) AppendWire(buf []byte) ([]byte, bool) {
-	return appendRecords(appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End), c.records())
+	buf = appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End, c.Slot)
+	switch cs := c.Cols.(type) {
+	case *kv.Cols[float64]:
+		return appendColShuffle(buf, c, cs), true
+	case *kv.Cols[int64]:
+		return appendColShuffle(buf, c, cs), true
+	}
+	return kv.AppendPairs(buf, c.Pairs)
+}
+
+// appendColShuffle encodes a column shuffle chunk's form and records:
+// values-only when they repeat keys the reduce holds.
+func appendColShuffle[V kv.Scalar](buf []byte, c shuffleChunk, cs *kv.Cols[V]) []byte {
+	if c.SameKeys && cs.Len() > 0 {
+		buf = kv.AppendVarint(append(buf, colValuesOnly), int64(c.KeyEpoch))
+		return kv.AppendVals(buf, cs.Vals)
+	}
+	return kv.AppendCols(append(buf, colKeyed), cs)
 }
 
 func (m auxOutMsg) WireTag() string { return wireTagAuxOut }
 
-// AppendWire reuses the chunk header; an auxiliary output has no Seq and
-// no End.
+// AppendWire reuses the chunk header; an auxiliary output has no Seq, no
+// End and no slot.
 func (m auxOutMsg) AppendWire(buf []byte) ([]byte, bool) {
-	return kv.AppendPairs(appendChunkHeader(buf, m.Gen, m.Iter, m.Task, 0, 0), m.Pairs)
+	return kv.AppendPairs(appendChunkHeader(buf, m.Gen, m.Iter, m.Task, 0, 0, 0), m.Pairs)
 }
 
 func decodeStateChunk(data []byte) (any, error) {
-	gen, iter, from, seq, end, n, err := decodeChunkHeader(data)
+	h, n, err := decodeChunkHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -320,11 +379,11 @@ func decodeStateChunk(data []byte) (any, error) {
 		s.Release()
 		return nil, err
 	}
-	return stateChunk{Gen: gen, Iter: iter, From: from, Seq: seq, Pairs: pairs, End: end, slab: s}, nil
+	return stateChunk{Gen: h.gen, Iter: h.iter, From: h.from, Seq: h.seq, Pairs: pairs, End: h.end, Slot: h.slot, slab: s}, nil
 }
 
 func decodeShuffleChunk(data []byte) (any, error) {
-	gen, iter, from, seq, end, n, err := decodeChunkHeader(data)
+	h, n, err := decodeChunkHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -334,48 +393,65 @@ func decodeShuffleChunk(data []byte) (any, error) {
 		s.Release()
 		return nil, err
 	}
-	return shuffleChunk{Gen: gen, Iter: iter, FromMap: from, Seq: seq, Pairs: pairs, End: end, slab: s}, nil
+	return shuffleChunk{Gen: h.gen, Iter: h.iter, FromMap: h.from, Seq: h.seq, Pairs: pairs, End: h.end, Slot: h.slot, KeyEpoch: h.iter, slab: s}, nil
 }
 
-// decodeColShuffle decodes a column shuffle frame into a pooled batch,
-// which the receiving reduce returns when it releases the chunk.
+// decodeColShuffle decodes a column shuffle frame, keyed or values-only,
+// into a pooled batch, which the receiving reduce returns when it
+// releases the chunk. A values-only frame with no values is refused: no
+// sender elides the keys of an empty chunk.
 func decodeColShuffle[V kv.Scalar](data []byte) (any, error) {
-	gen, iter, from, seq, end, cols, err := decodeColChunk[V](data)
+	h, n, err := decodeChunkHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	return shuffleChunk{Gen: gen, Iter: iter, FromMap: from, Seq: seq, Cols: cols, End: end, pooled: true}, nil
+	if n == len(data) {
+		return nil, errors.New("core: column shuffle frame without a form")
+	}
+	c := shuffleChunk{Gen: h.gen, Iter: h.iter, FromMap: h.from, Seq: h.seq, End: h.end, Slot: h.slot, KeyEpoch: h.iter, pooled: true}
+	cols := kv.AcquireCols[V]()
+	switch form, body := data[n], data[n+1:]; form {
+	case colKeyed:
+		_, err = kv.DecodeCols(body, cols)
+	case colValuesOnly:
+		var epoch int64
+		var m int
+		if epoch, m, err = kv.Varint(body); err == nil {
+			c.KeyEpoch, c.SameKeys = int(epoch), true
+			if _, err = kv.DecodeVals(body[m:], cols); err == nil && cols.Len() == 0 {
+				err = errors.New("core: values-only column frame without values")
+			}
+		}
+	default:
+		err = fmt.Errorf("core: column shuffle frame of form %d", form)
+	}
+	if err != nil {
+		cols.Release()
+		return nil, err
+	}
+	c.Cols = cols
+	return c, nil
 }
 
 // decodeColState decodes a column state frame into a pooled batch, which
 // the receiving map returns when it releases the chunk.
 func decodeColState[V kv.Scalar](data []byte) (any, error) {
-	gen, iter, from, seq, end, cols, err := decodeColChunk[V](data)
+	h, n, err := decodeChunkHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	return stateChunk{Gen: gen, Iter: iter, From: from, Seq: seq, Cols: cols, End: end, pooled: true}, nil
-}
-
-// decodeColChunk decodes a column frame's header and its records, into
-// a batch from the kv pool.
-func decodeColChunk[V kv.Scalar](data []byte) (gen, iter, from int, seq int64, end int, cols *kv.Cols[V], err error) {
-	var n int
-	if gen, iter, from, seq, end, n, err = decodeChunkHeader(data); err != nil {
-		return
-	}
-	cols = kv.AcquireCols[V]()
-	if _, err = kv.DecodeCols(data[n:], cols); err != nil {
+	cols := kv.AcquireCols[V]()
+	if _, err := kv.DecodeCols(data[n:], cols); err != nil {
 		cols.Release()
-		cols = nil
+		return nil, err
 	}
-	return
+	return stateChunk{Gen: h.gen, Iter: h.iter, From: h.from, Seq: h.seq, Cols: cols, End: h.end, Slot: h.slot, pooled: true}, nil
 }
 
 // decodeAuxOut decodes onto the heap, not a slab: the master keeps the
 // pairs until the auxiliary phase's decision.
 func decodeAuxOut(data []byte) (any, error) {
-	gen, iter, task, _, _, n, err := decodeChunkHeader(data)
+	h, n, err := decodeChunkHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +459,7 @@ func decodeAuxOut(data []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return auxOutMsg{Gen: gen, Iter: iter, Task: task, Pairs: pairs}, nil
+	return auxOutMsg{Gen: h.gen, Iter: h.iter, Task: h.from, Pairs: pairs}, nil
 }
 
 // refusedRecord explains a send that failed with

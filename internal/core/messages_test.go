@@ -47,7 +47,7 @@ func TestChunkHeaderEndCount(t *testing.T) {
 		}
 	}
 
-	bad := kv.AppendUvarint(appendChunkHeader(nil, 1, 1, 0, 1, 0)[:4], math.MaxInt32+1)
+	bad := kv.AppendUvarint(appendChunkHeader(nil, 1, 1, 0, 1, 0, 0)[:4], math.MaxInt32+1)
 	if _, err := decodeShuffleChunk(kv.AppendUvarint(bad, 0)); err == nil {
 		t.Fatal("an End count past MaxInt32 was accepted")
 	}
@@ -91,6 +91,77 @@ func TestColumnStateChunkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestColumnShuffleChunkRoundTrip: a column shuffle chunk crosses the
+// wire with its slot, keyed or — when it repeats keys the reduce holds —
+// values-only, a smaller frame that decodes to the same header, the key
+// epoch it names and the same values bit for bit, and no keys; each
+// re-encodes to the same bytes.
+func TestColumnShuffleChunkRoundTrip(t *testing.T) {
+	f64 := &kv.Cols[float64]{Keys: []int64{-3, 0, 7, 1 << 40}, Vals: []float64{math.Inf(1), math.Copysign(0, -1), math.NaN(), 0.15}}
+	i64 := &kv.Cols[int64]{Keys: []int64{2, 5, 9}, Vals: []int64{math.MinInt64, -1, math.MaxInt64}}
+	for _, cols := range []colRecords{f64, i64} {
+		var sizes [2]int
+		for i, same := range []bool{false, true} {
+			in := shuffleChunk{Gen: 3, Iter: 9, FromMap: 2, Seq: 41, End: 5, Slot: 4, KeyEpoch: 9, SameKeys: same, Cols: cols}
+			if same {
+				in.KeyEpoch = 6
+			}
+			data, ok := in.AppendWire(nil)
+			if !ok {
+				t.Fatalf("%T same=%v: did not encode", cols, same)
+			}
+			sizes[i] = len(data)
+			got, err := wireDecoders[in.WireTag()](data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := got.(shuffleChunk)
+			if out.Gen != 3 || out.Iter != 9 || out.FromMap != 2 || out.Seq != 41 || out.End != 5 || out.Slot != 4 ||
+				out.KeyEpoch != in.KeyEpoch || out.SameKeys != same || !out.pooled {
+				t.Fatalf("%T same=%v: decoded as %+v", cols, same, out)
+			}
+			sent, came := in.Cols, out.Cols
+			if same {
+				if len(came.Box(nil)) != 0 {
+					t.Fatalf("%T: a values-only chunk decoded with keys", cols)
+				}
+				sent, came = valsOnly(sent), valsOnly(came)
+			}
+			if want, have := fmt.Sprintf("%#v", boxedBits(sent)), fmt.Sprintf("%#v", boxedBits(came)); want != have {
+				t.Fatalf("%T same=%v: records %s, want %s", cols, same, have, want)
+			}
+			re, _ := out.AppendWire(nil)
+			out.release()
+			if !bytes.Equal(re, data) {
+				t.Fatalf("%T same=%v: the re-encoding differs", cols, same)
+			}
+		}
+		if sizes[1] >= sizes[0] {
+			t.Fatalf("%T: values-only frame of %d bytes, keyed %d", cols, sizes[1], sizes[0])
+		}
+	}
+}
+
+// valsOnly is a batch's values keyed by position, for comparing a
+// values-only chunk with the batch it was sent from.
+func valsOnly(c colRecords) colRecords {
+	switch cs := c.(type) {
+	case *kv.Cols[float64]:
+		out := &kv.Cols[float64]{Vals: cs.Vals}
+		for i := range cs.Vals {
+			out.Keys = append(out.Keys, int64(i))
+		}
+		return out
+	case *kv.Cols[int64]:
+		out := &kv.Cols[int64]{Vals: cs.Vals}
+		for i := range cs.Vals {
+			out.Keys = append(out.Keys, int64(i))
+		}
+		return out
+	}
+	return c
+}
+
 // boxedBits is a column batch's records with float64 values as their
 // bit patterns, so NaNs and signed zeros compare exactly.
 func boxedBits(c colRecords) []kv.Pair {
@@ -105,14 +176,15 @@ func boxedBits(c colRecords) []kv.Pair {
 
 // FuzzChunkFrames feeds arbitrary bytes to the decoder of every binary
 // frame core registers (which selects it): state and shuffle chunks of
-// pairs, both value types of column state and shuffle chunks, and the
-// auxiliary output. A decoder must not panic, must hold a decoded chunk
-// to at most one record per two bytes of input, and what it accepts must
-// re-encode under the tag it came in by, to bytes that decode and
-// re-encode to themselves.
+// pairs, both value types of column state and shuffle chunks — keyed and
+// values-only — and the auxiliary output. A decoder must not panic, must
+// hold a decoded chunk to at most one record per two bytes of input (one
+// per byte for a values-only chunk, which carries no keys), and what it
+// accepts must re-encode under the tag it came in by, to bytes that
+// decode and re-encode to themselves.
 func FuzzChunkFrames(f *testing.F) {
 	tags := slices.Sorted(maps.Keys(wireDecoders))
-	header := appendChunkHeader(nil, 1, 2, 3, 4, 1)
+	header := appendChunkHeader(nil, 1, 2, 3, 4, 1, 0)
 	seed := func(tag string, data []byte) { f.Add(uint8(slices.Index(tags, tag)), data) }
 	for _, msg := range []transport.WireMarshaler{
 		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Pairs: []kv.Pair{{Key: int64(5), Value: 0.5}}, End: 1},
@@ -121,6 +193,8 @@ func FuzzChunkFrames(f *testing.F) {
 		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Pairs: []kv.Pair{{Key: "k", Value: int64(7)}}},
 		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Cols: &kv.Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}},
 		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Cols: &kv.Cols[int64]{Keys: []int64{1}, Vals: []int64{2}}},
+		shuffleChunk{Gen: 1, Iter: 5, FromMap: 3, Seq: 4, Slot: 2, KeyEpoch: 3, SameKeys: true, Cols: &kv.Cols[float64]{Vals: []float64{2, 0.5}}},
+		shuffleChunk{Gen: 1, Iter: 5, FromMap: 3, Seq: 4, Slot: 2, KeyEpoch: 3, SameKeys: true, Cols: &kv.Cols[int64]{Vals: []int64{-2, 7}}},
 		auxOutMsg{Gen: 1, Iter: 2, Task: 3, Pairs: []kv.Pair{{Key: int64(1), Value: []float64{1, 2}}}},
 	} {
 		data, ok := msg.AppendWire(nil)
@@ -138,6 +212,13 @@ func FuzzChunkFrames(f *testing.F) {
 	// column whose varint value runs off the end.
 	seed(wireTagStateColsF64, append(kv.AppendUvarint(slices.Clone(header), 1), 2, 0, 0, 0x80, 0x3f))
 	seed(wireTagColsI64, append(kv.AppendUvarint(slices.Clone(header), 1), 2, 0x80))
+	// Values-only column shuffle frames: a hostile count, a form byte with
+	// no epoch after it, and a slot past MaxInt32.
+	for _, tag := range []string{wireTagColsF64, wireTagColsI64} {
+		seed(tag, kv.AppendUvarint(append(slices.Clone(header), colValuesOnly, 6), 1<<40))
+		seed(tag, append(slices.Clone(header), colValuesOnly))
+		seed(tag, append(kv.AppendUvarint(appendChunkHeader(nil, 1, 2, 3, 4, 1, 0)[:5], math.MaxInt32+1), colValuesOnly, 6, 1, 0, 0, 0, 0, 0, 0, 0, 0))
+	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		tag := tags[int(which)%len(tags)]
 		first := decodeFrame(t, tag, data)
@@ -164,6 +245,7 @@ func decodeFrame(t *testing.T, tag string, data []byte) []byte {
 		return nil
 	}
 	var recs records
+	perRecord := 2 // bytes a record takes at least
 	switch m := msg.(type) {
 	case stateChunk:
 		defer m.release()
@@ -171,12 +253,15 @@ func decodeFrame(t *testing.T, tag string, data []byte) []byte {
 	case shuffleChunk:
 		defer m.release()
 		recs = m.records()
+		if m.SameKeys {
+			perRecord = 1
+		}
 	case auxOutMsg:
 		recs.pairs = m.Pairs
 	default:
 		t.Fatalf("%s: decoded a %T", tag, msg)
 	}
-	if n := recs.len(); n > len(data)/2 {
+	if n := recs.len(); n > len(data)/perRecord {
 		t.Fatalf("%s: %d records out of %d bytes", tag, n, len(data))
 	}
 	wm := msg.(transport.WireMarshaler)

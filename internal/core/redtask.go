@@ -190,6 +190,7 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 	t.mainSent, t.auxSent = 0, 0
 	t.held = make(map[int]records)
 	t.ownDone = nil
+	t.loops.forget()
 	if t.e.opts.Trace != nil {
 		t.idleSince = time.Now()
 	}
@@ -222,7 +223,7 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 	if !a.take(c.FromMap, c.Seq, c.End) {
 		return // network-duplicated delivery
 	}
-	if err := t.loops.accumulate(a, c.records()); err != nil {
+	if err := t.loops.accumulate(a, c); err != nil {
 		t.fatal(fmt.Errorf("reduce %d/%d: %w", t.phase, t.idx, err))
 		return
 	}
@@ -274,7 +275,11 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 func (t *reduceTask) finishIteration(iter int, a *accum) {
 	start := time.Now()
 	t.feedMain = !(t.isTermination && t.job.MaxIter > 0 && iter >= t.job.MaxIter)
-	groups := t.loops.group(a)
+	groups, err := t.loops.group(a)
+	if err != nil {
+		t.fatal(fmt.Errorf("reduce %d/%d: %w", t.phase, t.idx, err))
+		return
+	}
 	t.e.opts.Trace.RecordSpan(trace.SpanSortGroup, t.worker, t.tid(), iter, start, time.Since(start))
 	// The whole new state is kept only when something consumes it as a
 	// whole — a held loop-back or auxiliary copy, the master's auxiliary
@@ -393,6 +398,7 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, o
 	}
 	size := t.loops.bytes(out)
 	t.seq++
+	slot := int(*sent)
 	endCount := sent.next(end)
 	for i, addr := range addrs {
 		tgt := i
@@ -404,7 +410,7 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, o
 			t.e.m.Add(metrics.StateRemote, size)
 		}
 		t.send(addr, kindState, stateChunk{
-			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: out.pairs, Cols: out.cols, End: endCount, lease: lease,
+			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: out.pairs, Cols: out.cols, End: endCount, Slot: slot, lease: lease,
 		}, size)
 	}
 	if t.serializes {

@@ -105,7 +105,9 @@ func BenchmarkGroupPairs(b *testing.B) {
 
 // BenchmarkColsCodec encodes and decodes one 2048-record column chunk of
 // node ids (core.DefaultBufferThreshold records, the unit a full send
-// buffer ships) and reports the cost and the wire size per record.
+// buffer ships) and reports the cost and the wire size per record: keyed,
+// and values-only ("-vals"), as a chunk whose keys the reduce holds
+// travels.
 func BenchmarkColsCodec(b *testing.B) {
 	f, i := nodeChunk(2048)
 	b.Run("f64", func(b *testing.B) { benchColsCodec(b, f) })
@@ -113,40 +115,49 @@ func BenchmarkColsCodec(b *testing.B) {
 }
 
 func benchColsCodec[V Scalar](b *testing.B, c *Cols[V]) {
-	enc := AppendCols(nil, c)
-	perRec := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Len()), "ns/rec")
-		b.ReportMetric(float64(len(enc))/float64(c.Len()), "B/rec")
-	}
-	b.Run("encode", func(b *testing.B) {
-		buf := make([]byte, 0, len(enc))
-		b.ReportAllocs()
-		for n := 0; n < b.N; n++ {
-			buf = AppendCols(buf[:0], c)
+	for _, form := range []struct {
+		name   string
+		encode func(buf []byte) []byte
+		decode func(data []byte, dst *Cols[V]) (int, error)
+	}{
+		{"", func(buf []byte) []byte { return AppendCols(buf, c) }, DecodeCols[V]},
+		{"-vals", func(buf []byte) []byte { return AppendVals(buf, c.Vals) }, DecodeVals[V]},
+	} {
+		enc := form.encode(nil)
+		perRec := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Len()), "ns/rec")
+			b.ReportMetric(float64(len(enc))/float64(c.Len()), "B/rec")
 		}
-		perRec(b)
-	})
-	b.Run("decode", func(b *testing.B) {
-		dst := AcquireCols[V]()
-		defer dst.Release()
-		b.ReportAllocs()
-		for n := 0; n < b.N; n++ {
-			dst.Reset()
-			if _, err := DecodeCols(enc, dst); err != nil {
-				b.Fatal(err)
+		b.Run("encode"+form.name, func(b *testing.B) {
+			buf := make([]byte, 0, len(enc))
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				buf = form.encode(buf[:0])
 			}
-		}
-		perRec(b)
-	})
+			perRec(b)
+		})
+		b.Run("decode"+form.name, func(b *testing.B) {
+			dst := AcquireCols[V]()
+			defer dst.Release()
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				dst.Reset()
+				if _, err := form.decode(enc, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRec(b)
+		})
+	}
 }
 
 // BenchmarkColReduceInput times a column reduce's input path over one
 // reduce partition of the pagerank-tcp workload — 170 000 records whose
 // keys are the node ids below 91 641 that hash to partition 0 of 4 —
 // arriving in 2048-record chunks: "group" copies the chunks into one
-// batch and groups it, as the first round does; "place" places them into
-// the layout of the previous round as they arrive and finishes a hit, as
-// every later round does.
+// batch and groups it, as a regrouped round does; "place" scatters them
+// values-only by the slot maps of the previous round's layout as they
+// arrive and finishes a hit, as every later round does.
 func BenchmarkColReduceInput(b *testing.B) {
 	const records, nodes = 170_000, 91_641
 	rng := rand.New(rand.NewSource(1))
@@ -179,26 +190,33 @@ func BenchmarkColReduceInput(b *testing.B) {
 		perRec(b)
 	})
 	b.Run("place", func(b *testing.B) {
+		// Four maps' chunks, keyed in the first round and values-only after.
+		in := make([]ColChunk[float64], len(chunks))
+		for i, c := range chunks {
+			in[i] = ColChunk[float64]{Map: i % 4, Slot: i / 4, Keys: c.Keys, Vals: c.Vals}
+		}
 		var p ColPlacement[float64]
 		var g ColGrouper[float64]
-		var layout *ColLayout
-		for range 2 {
-			p.Reset()
-			p.Start(layout)
-			for _, c := range chunks {
-				p.Place(c)
-			}
-			_, layout = p.Group(&g)
+		p.Start(nil)
+		for _, c := range in {
+			p.Place(c)
+		}
+		_, layout, err := p.Group(&g, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range in {
+			in[i].Keys, in[i].Same = nil, true
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			p.Reset()
 			p.Start(layout)
-			for _, c := range chunks {
+			for _, c := range in {
 				p.Place(c)
 			}
-			if _, l := p.Group(&g); l != layout {
+			if _, l, _ := p.Group(&g, layout); l != layout {
 				b.Fatal("a round of the same records missed")
 			}
 		}

@@ -158,7 +158,7 @@ func groupInts[K int | int32 | int64 | uint64](g *Grouper, pairs []Pair) []Group
 
 // denseScratch is the pairs' counting scatter's scratch: the
 // order-preserving image of every record's key and one bucket per key in
-// the input's range. (Columns scatter through a key layout instead; see
+// the input's range. (Columns count into a table of their own; see
 // ColGrouper.)
 type denseScratch struct {
 	u       []uint64 // order-preserving image of each record's key
@@ -370,295 +370,4 @@ func groupFewKeys[K cmp.Ordered](g *Grouper, pairs []Pair) ([]Group, bool) {
 		groups = append(groups, Group{Key: pairs[metas[gi].first].Key, Values: vals[offs[pos]:offs[pos+1]:offs[pos+1]]})
 	}
 	return groups, true
-}
-
-// ColGroups is a column batch grouped by key: Keys holds the distinct
-// keys ascending, and group i's values, in arrival order, are
-// Vals[Ends[i-1]:Ends[i]] (from 0 for the first group). Groups that a
-// ColPlacement hit produced share Keys and Ends with its ColLayout: they
-// are read, never written.
-type ColGroups[V Scalar] struct {
-	Keys []int64
-	Ends []int32
-	Vals []V
-}
-
-// Values returns group i's values.
-func (g ColGroups[V]) Values(i int) []V {
-	lo := int32(0)
-	if i > 0 {
-		lo = g.Ends[i-1]
-	}
-	return g.Vals[lo:g.Ends[i]:g.Ends[i]]
-}
-
-// colWindow is one key's window of a values array: the next free slot
-// and the window's end. A key offset with no key in the layout has the
-// empty window {0, 0}, which is always full.
-type colWindow struct{ at, end int32 }
-
-// placeCols is the column scatter, the one kernel behind both groupings
-// of columns: every record of c whose key has room left in its window,
-// found at offset k-lo of win, is written to vals at the window's cursor
-// and the cursor advanced; the others — a key outside the span, one with
-// no window, one whose window is full — are appended to over, in arrival
-// order. It returns how many records it placed. Records of one key are
-// never reordered: its earliest arrivals fill its window, and only later
-// ones overflow.
-func placeCols[V Scalar](win []colWindow, lo int64, c *Cols[V], vals []V, over *Cols[V]) (placed int) {
-	vs := c.Vals[:len(c.Keys)]
-	for i, k := range c.Keys {
-		if s := uint64(k) - uint64(lo); s < uint64(len(win)) {
-			if w := &win[s]; w.at < w.end {
-				vals[w.at] = vs[i]
-				w.at++
-				placed++
-				continue
-			}
-		}
-		over.Append(k, vs[i])
-	}
-	return placed
-}
-
-// ColGrouper is Grouper for column batches: the same groups, in the same
-// order, with no key or value boxed. Ownership is Grouper's: one
-// goroutine, scratch kept from call to call, a result valid until the
-// next Group. The zero value is ready to use.
-type ColGrouper[V Scalar] struct {
-	win    []colWindow // one window per key offset of a dense batch
-	sorted []keyAt[int64]
-	out    ColGroups[V]
-}
-
-// Group groups c by key and leaves c untouched. Keys over a dense range —
-// a span under denseSpanFactor × the records, as Grouper chooses for
-// int64-keyed pairs — are counted into a key layout, one window per key
-// offset, and placed into it by placeCols; others take the comparison
-// sort.
-func (g *ColGrouper[V]) Group(c *Cols[V]) ColGroups[V] {
-	n := c.Len()
-	if n == 0 {
-		return ColGroups[V]{}
-	}
-	lo, hi := c.Keys[0], c.Keys[0]
-	for _, k := range c.Keys {
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	span := uint64(hi) - uint64(lo)
-	if span >= uint64(n)*denseSpanFactor {
-		return g.groupSorted(c)
-	}
-	g.win = grown(g.win, int(span)+1)
-	win := g.win
-	clear(win)
-	distinct := 0
-	for _, k := range c.Keys {
-		w := &win[uint64(k)-uint64(lo)]
-		if w.end == 0 {
-			distinct++
-		}
-		w.end++
-	}
-	out := g.reset(n, distinct)
-	off := int32(0)
-	for s, w := range win {
-		if w.end == 0 {
-			continue
-		}
-		end := off + w.end
-		win[s] = colWindow{at: off, end: end}
-		out.Keys = append(out.Keys, lo+int64(s))
-		out.Ends = append(out.Ends, end)
-		off = end
-	}
-	placeCols(win, lo, c, out.Vals, nil) // every record has room: nothing overflows
-	return *out
-}
-
-// groupSorted groups a batch whose keys span too wide a range for the
-// scatter, by the comparison sort Grouper uses.
-func (g *ColGrouper[V]) groupSorted(c *Cols[V]) ColGroups[V] {
-	g.sorted = grown(g.sorted, c.Len())
-	ks := g.sorted
-	for i, k := range c.Keys {
-		ks[i] = keyAt[int64]{k, int32(i)}
-	}
-	out := g.reset(len(ks), sortKeys(ks))
-	for i := range ks {
-		out.Vals[i] = c.Vals[ks[i].i]
-		if i+1 == len(ks) || ks[i+1].k != ks[i].k {
-			out.Keys = append(out.Keys, ks[i].k)
-			out.Ends = append(out.Ends, int32(i+1))
-		}
-	}
-	return *out
-}
-
-// reset sizes the result for n records in distinct groups and empties
-// its key and end columns.
-func (g *ColGrouper[V]) reset(n, distinct int) *ColGroups[V] {
-	out := &g.out
-	out.Vals = grown(out.Vals, n)
-	if cap(out.Keys) < distinct {
-		out.Keys = make([]int64, 0, distinct)
-		out.Ends = make([]int32, 0, distinct)
-	}
-	out.Keys, out.Ends = out.Keys[:0], out.Ends[:0]
-	return out
-}
-
-// ColLayout is the key layout a grouping produced: its keys ascending,
-// their value windows (Ends, as in ColGroups), and a dense table of those
-// windows indexed by key offset from the smallest key. An iterative job
-// shuffles the same keys with the same value counts every round, so the
-// layout of one round's grouping is a good guess at the next one's, and
-// a ColPlacement places a round's records into it as they arrive.
-//
-// A layout is only a guess: ColPlacement.Group trusts it only when every
-// window came out exactly full. It is immutable once made, so any number
-// of placements — iterations in flight side by side — may share it.
-type ColLayout struct {
-	lo   int64
-	keys []int64
-	ends []int32
-	win  []colWindow // at is the window's start
-}
-
-// newColLayout returns the layout of groups with keys and ends, taking
-// both slices, or nil when there are none or their key span is too wide
-// for a dense window table (the bound ColGrouper's scatter uses).
-func newColLayout(keys []int64, ends []int32) *ColLayout {
-	if len(keys) == 0 {
-		return nil
-	}
-	lo := keys[0]
-	span := uint64(keys[len(keys)-1]) - uint64(lo)
-	if span >= uint64(ends[len(ends)-1])*denseSpanFactor {
-		return nil
-	}
-	l := &ColLayout{lo: lo, keys: keys, ends: ends, win: make([]colWindow, span+1)}
-	start := int32(0)
-	for i, k := range keys {
-		l.win[uint64(k)-uint64(lo)] = colWindow{at: start, end: ends[i]}
-		start = ends[i]
-	}
-	return l
-}
-
-// records is the number of records the layout holds.
-func (l *ColLayout) records() int { return int(l.ends[len(l.ends)-1]) }
-
-// ColPlacement is one round's records, placed into a ColLayout as they
-// arrive: a record whose key has room left in its window goes straight to
-// its final place in the grouped values, and the rest to an overflow
-// batch. Group then hands out the round's groups — at once when the guess
-// held, with nothing left to sort. Its scratch (the values array, the
-// window cursors, the overflow batch) is kept from round to round.
-// Ownership is ColGrouper's; the zero value is not started.
-type ColPlacement[V Scalar] struct {
-	started bool
-	layout  *ColLayout
-	win     []colWindow // the layout's windows, cursors moved by Place
-	vals    []V
-	placed  int
-	over    Cols[V]
-}
-
-// Start begins a round on layout l, which the round keeps whatever
-// layout later rounds learn; nil sends every record to the overflow.
-func (p *ColPlacement[V]) Start(l *ColLayout) {
-	p.started, p.layout, p.placed = true, l, 0
-	p.over.Reset()
-	if l == nil {
-		p.win = p.win[:0]
-		return
-	}
-	p.win = grown(p.win, len(l.win))
-	copy(p.win, l.win)
-	p.vals = grown(p.vals, l.records())
-}
-
-// Started reports whether Start has been called since the last Reset.
-func (p *ColPlacement[V]) Started() bool { return p.started }
-
-// Place places c's records and leaves c untouched; call it in arrival
-// order, after Start.
-func (p *ColPlacement[V]) Place(c *Cols[V]) {
-	if p.layout == nil {
-		p.over.reserve(c.Len())
-		p.over.AppendRange(c, 0, c.Len())
-		return
-	}
-	p.placed += placeCols(p.win, p.layout.lo, c, p.vals, &p.over)
-}
-
-// Group returns the round's groups — exactly what ColGrouper.Group gives
-// for its records concatenated in arrival order — and the layout the next
-// round should start on. The groups are valid until p's next Start or
-// Reset, or g's next Group.
-//
-// A hit — nothing overflowed and every window is exactly full, which the
-// record count proves since no window takes more than its size — returns
-// the layout's keys and windows over p's values, and the layout again.
-// It also drops g's scratch and the overflow batch's: a task whose layout
-// holds needs neither again. Anything else is a miss: each key's window
-// (its earliest arrivals) is merged with its group of the overflow (its
-// later ones), and the result's layout, a new one, is returned.
-func (p *ColPlacement[V]) Group(g *ColGrouper[V]) (ColGroups[V], *ColLayout) {
-	l := p.layout
-	if l != nil && p.over.Len() == 0 && p.placed == l.records() {
-		*g, p.over = ColGrouper[V]{}, Cols[V]{}
-		return ColGroups[V]{Keys: l.keys, Ends: l.ends, Vals: p.vals[:p.placed]}, l
-	}
-	over := g.Group(&p.over)
-	if p.placed == 0 {
-		// Every record overflowed: its grouping is the round's.
-		return over, newColLayout(slices.Clone(over.Keys), slices.Clone(over.Ends))
-	}
-	n := p.placed + p.over.Len()
-	out := ColGroups[V]{
-		Keys: make([]int64, 0, len(l.keys)+len(over.Keys)),
-		Ends: make([]int32, 0, len(l.keys)+len(over.Keys)),
-		Vals: make([]V, 0, n),
-	}
-	i, j := 0, 0
-	for i < len(l.keys) || j < len(over.Keys) {
-		var k int64
-		var early, late []V
-		laid := j == len(over.Keys) || i < len(l.keys) && l.keys[i] <= over.Keys[j]
-		if laid {
-			k, early = l.keys[i], p.window(i)
-			i++
-		}
-		if j < len(over.Keys) && (!laid || over.Keys[j] == k) {
-			k, late = over.Keys[j], over.Values(j)
-			j++
-		}
-		if len(early)+len(late) == 0 {
-			continue // a key of the layout that did not come this round
-		}
-		out.Vals = append(append(out.Vals, early...), late...)
-		out.Keys = append(out.Keys, k)
-		out.Ends = append(out.Ends, int32(len(out.Vals)))
-	}
-	p.vals = out.Vals
-	return out, newColLayout(out.Keys, out.Ends)
-}
-
-// window returns what the round placed in the window of the layout's
-// key i.
-func (p *ColPlacement[V]) window(i int) []V {
-	l, start := p.layout, int32(0)
-	if i > 0 {
-		start = l.ends[i-1]
-	}
-	return p.vals[start:p.win[uint64(l.keys[i])-uint64(l.lo)].at]
-}
-
-// Reset ends the round: p is not started again until Start, and keeps its
-// scratch. The groups Group returned are invalid afterwards.
-func (p *ColPlacement[V]) Reset() {
-	p.started, p.layout, p.placed = false, nil, 0
-	p.over.Reset()
 }

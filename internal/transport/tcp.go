@@ -33,7 +33,9 @@ import (
 // v7 added the column state frames of int64-keyed scalar jobs.
 // v8 made a column frame's integer columns a base, a width byte and
 // fixed-width offsets instead of one varint per element.
-const ProtocolVersion byte = 8
+// v9 added a slot to every chunk header and a form byte to the column
+// shuffle frame, whose values-only form carries a key epoch and no keys.
+const ProtocolVersion byte = 9
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
@@ -292,6 +294,61 @@ type tcpConn struct {
 	peer   string
 }
 
+// retire marks c dead — flushing what it buffered first when flush is
+// set — closes its socket and sends its writer back to the pool. The
+// caller holds c.mu. A dead connection's writer is never touched again
+// (every user checks dead under c.mu first), so the pool may hand it to
+// the next dial at once.
+func (c *tcpConn) retire(flush bool) {
+	if c.dead {
+		return
+	}
+	c.dead = true
+	if flush {
+		c.bw.Flush()
+	}
+	c.c.Close()
+	releaseConnWriter(c.bw)
+	c.bw = nil
+}
+
+// The connections' buffered readers and writers, connBufferSize each,
+// are recycled: a run dials dozens of connections, and a fresh pair per
+// connection is most of what a short job allocates. A reader goes back
+// when its readLoop returns, a writer when its connection is retired. A
+// reader of another size (tests shrink readBufferSize) is not pooled.
+var readerPool, writerPool sync.Pool
+
+func newConnReader(r io.Reader, size int) *bufio.Reader {
+	if size == connBufferSize {
+		if br, ok := readerPool.Get().(*bufio.Reader); ok {
+			br.Reset(r)
+			return br
+		}
+	}
+	return bufio.NewReaderSize(r, size)
+}
+
+func releaseConnReader(br *bufio.Reader) {
+	if br.Size() == connBufferSize {
+		br.Reset(nil)
+		readerPool.Put(br)
+	}
+}
+
+func newConnWriter(w io.Writer) *bufio.Writer {
+	if bw, ok := writerPool.Get().(*bufio.Writer); ok {
+		bw.Reset(w)
+		return bw
+	}
+	return bufio.NewWriterSize(w, connBufferSize)
+}
+
+func releaseConnWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	writerPool.Put(bw)
+}
+
 type countingWriter struct {
 	w io.Writer
 	n *atomic.Int64
@@ -390,12 +447,8 @@ func (n *TCPNetwork) Invalidate(peer string) {
 		if c, ok := e.conns[peer]; ok {
 			delete(e.conns, peer)
 			c.mu.Lock()
-			if !c.dead {
-				c.dead = true
-				c.bw.Flush()
-			}
+			c.retire(true)
 			c.mu.Unlock()
-			c.c.Close()
 		}
 		delete(e.gates, peer)
 		e.epochs[peer]++
@@ -434,7 +487,8 @@ func (e *tcpEndpoint) accept() {
 
 func (e *tcpEndpoint) readLoop(c net.Conn) {
 	defer c.Close()
-	br := bufio.NewReaderSize(c, e.net.readBufferSize)
+	br := newConnReader(c, e.net.readBufferSize)
+	defer releaseConnReader(br)
 	var hdr [4]byte
 	// Frame bodies land in a grow-only buffer reused across frames —
 	// each frame's payload is fully consumed (decoded with copies; see
@@ -630,8 +684,7 @@ func (e *tcpEndpoint) sendOnce(to string, msg Message) error {
 		return fmt.Errorf("transport: encode %s->%s: %w", e.addr, to, err)
 	}
 	if _, err := conn.bw.Write(frame); err != nil {
-		conn.dead = true
-		conn.c.Close()
+		conn.retire(false)
 		return fmt.Errorf("transport: send %s->%s: %w", e.addr, to, err)
 	}
 	// Flush inline. A loopback write syscall is cheaper than waking a
@@ -640,8 +693,7 @@ func (e *tcpEndpoint) sendOnce(to string, msg Message) error {
 	// an extra scheduling hop per frame is exactly what the engine
 	// benchmarks show as "syncwait".
 	if err := conn.bw.Flush(); err != nil {
-		conn.dead = true
-		conn.c.Close()
+		conn.retire(false)
 		return fmt.Errorf("transport: flush %s->%s: %w", e.addr, to, err)
 	}
 	e.net.flushes.Add(1)
@@ -723,7 +775,7 @@ func (e *tcpEndpoint) connTo(peer string) (*tcpConn, error) {
 		e.mu.Lock()
 		if c, ok := e.conns[peer]; ok {
 			c.mu.Lock()
-			dead := c.dead // the flusher marks connections dead asynchronously
+			dead := c.dead // a failed send on another goroutine retires it
 			c.mu.Unlock()
 			if !dead {
 				e.mu.Unlock()
@@ -857,7 +909,7 @@ func (e *tcpEndpoint) dial(peer, target string) (*tcpConn, error) {
 	cw := &countingWriter{w: raw, n: &e.net.bytes}
 	conn := &tcpConn{
 		c:     raw,
-		bw:    bufio.NewWriterSize(cw, connBufferSize),
+		bw:    newConnWriter(cw),
 		net:   e.net,
 		owner: e.addr,
 		peer:  peer,
@@ -912,12 +964,8 @@ func (e *tcpEndpoint) shutdown() {
 	e.mu.Lock()
 	for _, c := range e.conns {
 		c.mu.Lock()
-		if !c.dead {
-			c.dead = true
-			c.bw.Flush()
-		}
+		c.retire(true)
 		c.mu.Unlock()
-		c.c.Close()
 	}
 	e.mu.Unlock()
 	e.acceptMu.Lock()
