@@ -40,10 +40,11 @@ short:
 	$(GO) test -short -timeout 5m ./...
 
 # Race-enabled quick loop: the short suite under the race detector, once
-# per scheduler width. The intra-task pool starts GOMAXPROCS-1 workers,
-# so at 1 it never runs (the CI box's default) and pool, scratch-sharing
-# and teardown bugs only show at 2 and above; -count=1 because the test
-# cache does not key on GOMAXPROCS.
+# per scheduler width. Task goroutines, TCP connection readers and
+# checkpoint writers only run side by side at 2 and above — at 1 (the CI
+# box's default) handoffs between them, and the teardown that joins them,
+# interleave far less — so races and ordering bugs among them show at 2
+# and 4; -count=1 because the test cache does not key on GOMAXPROCS.
 race-short:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -short -count=1 -timeout 10m ./... || exit 1; done
 

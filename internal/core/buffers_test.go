@@ -103,7 +103,7 @@ func TestForgedStaleDuplicatesAfterRefill(t *testing.T) {
 			return nil
 		}
 		defer net.Close()
-		v := newEnvNet(t, cluster.Uniform(3), net, Options{parallelism: 4})
+		v := newEnvNet(t, cluster.Uniform(3), net, Options{})
 		job, _ := ringSetup(t, v, n)
 		job.MaxIter = iters
 		job.BufferThreshold = 16
@@ -164,7 +164,7 @@ func TestSharedChunksCarryNoLease(t *testing.T) {
 				return nil
 			}
 			defer net.Close()
-			v := newEnvNet(t, cluster.Uniform(3), net, Options{parallelism: 4})
+			v := newEnvNet(t, cluster.Uniform(3), net, Options{})
 			var job *Job
 			if name == "one-to-all" {
 				job = miniKMeans(t, v)
@@ -202,7 +202,7 @@ func TestTCPBuffersComeHomeAtSender(t *testing.T) {
 	net := transport.NewTCPNetwork()
 	defer net.Close()
 	const workers, n, iters = 3, 300, 20
-	v := newEnvNet(t, cluster.Uniform(workers), net, Options{parallelism: 4, Timeout: 30 * time.Second})
+	v := newEnvNet(t, cluster.Uniform(workers), net, Options{Timeout: 30 * time.Second})
 	job, vals := ringSetup(t, v, n)
 	job.MaxIter = iters
 	job.BufferThreshold = 16
@@ -273,56 +273,54 @@ func TestSparesCoverOverlappingIterations(t *testing.T) {
 // most firstBufRecords records, whatever BufferThreshold is. A buffer
 // filled past that grows, and the chunk boundaries stay where they were:
 // every chunk but an iteration's last carries exactly BufferThreshold
-// records, on the serial map loop and on the sharded one.
+// records.
 func TestFirstBuffersStartSmall(t *testing.T) {
 	if b := newFreeList(DefaultBufferThreshold, 2).get(); cap(b.pairs) > firstBufRecords {
 		t.Fatalf("a first miss has room for %d records, want at most %d", cap(b.pairs), firstBufRecords)
 	}
 	const thresh = 3 * firstBufRecords / 2
-	for _, parallelism := range []int{1, 4} {
-		var mu sync.Mutex
-		data := map[int]int{} // records in a chunk that is not an iteration's last → chunks
-		net := &tapNet{Network: transport.NewChanNetwork()}
-		net.tap = func(_ transport.Endpoint, _ string, msg transport.Message) error {
-			var n, end int
-			switch c := msg.Payload.(type) {
-			case shuffleChunk:
-				n, end = len(c.Pairs), c.End
-			case stateChunk:
-				n, end = len(c.Pairs), c.End
-			default:
-				return nil
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if end == 0 {
-				data[n]++
-			} else if n > thresh {
-				data[n]++ // a last chunk past the threshold is as wrong
-			}
+	var mu sync.Mutex
+	data := map[int]int{} // records in a chunk that is not an iteration's last → chunks
+	net := &tapNet{Network: transport.NewChanNetwork()}
+	net.tap = func(_ transport.Endpoint, _ string, msg transport.Message) error {
+		var n, end int
+		switch c := msg.Payload.(type) {
+		case shuffleChunk:
+			n, end = len(c.Pairs), c.End
+		case stateChunk:
+			n, end = len(c.Pairs), c.End
+		default:
 			return nil
 		}
-		v := newEnvNet(t, cluster.Uniform(3), net, Options{parallelism: parallelism})
-		job, vals := ringSetup(t, v, 900)
-		job.MaxIter = 3
-		job.BufferThreshold = thresh
-		res, err := v.e.Run(job)
-		net.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ringReference(vals, 3)
-		for k, got := range v.readOutput(t, res.OutputPath) {
-			if math.Abs(got.(float64)-want[k]) > 1e-9 {
-				t.Fatalf("parallelism %d: key %d = %v, want %v", parallelism, k, got, want[k])
-			}
-		}
 		mu.Lock()
-		if data[thresh] == 0 || len(data) != 1 {
-			t.Errorf("parallelism %d: chunks by record count %v, want only %d-record chunks before an iteration's last", parallelism, data, thresh)
+		defer mu.Unlock()
+		if end == 0 {
+			data[n]++
+		} else if n > thresh {
+			data[n]++ // a last chunk past the threshold is as wrong
 		}
-		mu.Unlock()
+		return nil
 	}
+	v := newEnvNet(t, cluster.Uniform(3), net, Options{})
+	job, vals := ringSetup(t, v, 900)
+	job.MaxIter = 3
+	job.BufferThreshold = thresh
+	res, err := v.e.Run(job)
+	net.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ringReference(vals, 3)
+	for k, got := range v.readOutput(t, res.OutputPath) {
+		if math.Abs(got.(float64)-want[k]) > 1e-9 {
+			t.Fatalf("key %d = %v, want %v", k, got, want[k])
+		}
+	}
+	mu.Lock()
+	if data[thresh] == 0 || len(data) != 1 {
+		t.Errorf("chunks by record count %v, want only %d-record chunks before an iteration's last", data, thresh)
+	}
+	mu.Unlock()
 }
 
 // TestSuperstepSteadyStateAllocs gates a warm superstep of a 64-node SSSP
@@ -366,11 +364,11 @@ func TestSuperstepSteadyStateAllocs(t *testing.T) {
 	spec := cluster.Uniform(1)
 	net := transport.NewChanNetwork()
 	defer net.Close()
-	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{parallelism: 1})
+	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := newRunState(runMeta{Name: job.Name, MainPhases: 1, MainTasks: 1, Placement: spec.IDs()}, newWorkerPool(1))
+	run := newRunState(runMeta{Name: job.Name, MainPhases: 1, MainTasks: 1, Placement: spec.IDs()})
 	f := &taskFactory{e: e, job: job, phases: job.Phases(), run: run, n: 1}
 	endpoint := func(addr string) transport.Endpoint {
 		ep, err := net.Endpoint(addr)
@@ -534,11 +532,11 @@ func scalarSuperstep(t testing.TB, job *Job, n int) (superstep func(), state fun
 	spec := cluster.Uniform(1)
 	net := transport.NewChanNetwork()
 	t.Cleanup(func() { net.Close() })
-	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{parallelism: 1})
+	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := newRunState(runMeta{Name: job.Name, MainPhases: 1, MainTasks: 1, Placement: spec.IDs()}, newWorkerPool(1))
+	run := newRunState(runMeta{Name: job.Name, MainPhases: 1, MainTasks: 1, Placement: spec.IDs()})
 	f := &taskFactory{e: e, job: job, phases: job.Phases(), run: run, n: 1}
 	endpoint := func(addr string) transport.Endpoint {
 		ep, err := net.Endpoint(addr)

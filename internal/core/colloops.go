@@ -40,8 +40,7 @@ type colMapLoops[V kv.Scalar, S any] struct {
 	// recSize is what a record is charged: what Ops charges its pair, so
 	// the byte counters read as they do on the pair loops.
 	recSize int64
-	emit    func(int64, V) // the serial loop's emit, made once
-	rows    colRows[V]
+	emit    func(int64, V) // the map's emit, made once
 	// The static partition, unboxed: skeys[i]'s static value is svals[i],
 	// the keys ascending and unique.
 	skeys []int64
@@ -64,7 +63,6 @@ func newColMapLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *mapTask) *colMapL
 	l := &colMapLoops[V, S]{
 		t: t, d: d,
 		recSize: colRecSize[V](&t.job.Ops),
-		rows:    colRows[V]{nred: t.numReduce},
 		keyCols: make([][]sentKeys, t.numReduce),
 	}
 	l.emit = func(k int64, v V) {
@@ -140,7 +138,7 @@ func colsIn[V kv.Scalar](in records) (*kv.Cols[V], error) {
 	return src, nil
 }
 
-func (l *colMapLoops[V, S]) mapState(iter int, in records) error {
+func (l *colMapLoops[V, S]) mapState(in records) error {
 	src, ok := in.cols.(*kv.Cols[V])
 	if !ok {
 		if len(in.pairs) > 0 {
@@ -148,21 +146,9 @@ func (l *colMapLoops[V, S]) mapState(iter int, in records) error {
 		}
 		return nil
 	}
-	t, keys, vals := l.t, src.Keys, src.Vals
-	if t.run.pool.shardsFor(len(keys)) > 1 {
-		return t.runSharded(iter, len(keys), &l.rows, func(sh, lo, hi int) error {
-			return l.mapRange(keys[lo:hi], vals[lo:hi], l.rows.emits[sh])
-		})
-	}
-	return l.mapRange(keys, vals, l.emit)
-}
-
-// mapRange runs the typed map over one range of state records, each
-// joined with the static value of its key (S's zero value when it has
-// none). The cursor is the range's own: shards of one input run side by
-// side.
-func (l *colMapLoops[V, S]) mapRange(keys []int64, vals []V, emit func(int64, V)) error {
-	sk, cur := l.skeys, 0
+	// Each record is joined with the static value of its key (S's zero
+	// value when it has none).
+	keys, vals, sk, cur := src.Keys, src.Vals, l.skeys, 0
 	for i, k := range keys {
 		var s S
 		if len(sk) > 0 {
@@ -172,7 +158,7 @@ func (l *colMapLoops[V, S]) mapRange(keys []int64, vals []V, emit func(int64, V)
 				cur++
 			}
 		}
-		if err := l.d.mapFn(k, vals[i], s, emit); err != nil {
+		if err := l.d.mapFn(k, vals[i], s, l.emit); err != nil {
 			return fmt.Errorf("map %d/%d key %v: %w", l.t.phase, l.t.idx, k, err)
 		}
 	}
@@ -243,41 +229,6 @@ func (l *colMapLoops[V, S]) forget() {
 	}
 }
 
-// colRows are the column loops' shardRows: a batch per (shard, reduce),
-// and per shard an emit into its batches, made once.
-type colRows[V kv.Scalar] struct {
-	rows  []kv.Cols[V] // [shard*nred + r]
-	emits []func(int64, V)
-	nred  int
-}
-
-func (cr *colRows[V]) size(shards int) {
-	for sh := len(cr.emits); sh < shards; sh++ {
-		base := sh * cr.nred
-		cr.emits = append(cr.emits, func(k int64, v V) {
-			cr.rows[base+kv.PartitionInt64(k, cr.nred)].Append(k, v)
-		})
-	}
-	if need := shards * cr.nred; len(cr.rows) < need {
-		cr.rows = append(cr.rows, make([]kv.Cols[V], need-len(cr.rows))...)
-	}
-}
-
-func (cr *colRows[V]) drain(t *mapTask, iter, r int) {
-	for s := 0; s*cr.nred < len(cr.rows); s++ {
-		row := &cr.rows[s*cr.nred+r]
-		t.fill(iter, r, row.Len(), func(b *chunkBuf, lo, hi int) {
-			b.cols.(*kv.Cols[V]).AppendRange(row, lo, hi)
-		})
-	}
-}
-
-func (cr *colRows[V]) recycle() {
-	for i := range cr.rows {
-		cr.rows[i].Reset()
-	}
-}
-
 // colReduceLoops are the column loops of a reduce task. A column job has
 // one phase, so its reduce is always the termination phase's.
 //
@@ -292,11 +243,10 @@ type colReduceLoops[V kv.Scalar, S any] struct {
 	t       *reduceTask
 	d       *scalarDef[V, S]
 	recSize int64 // see colMapLoops
-	// Task-lifetime scratch: the grouping kernel of a miss, the groups of
-	// the iteration being reduced, and the parallel reduce's result slots.
+	// Task-lifetime scratch: the grouping kernel of a miss and the groups
+	// of the iteration being reduced.
 	grouper kv.ColGrouper[V]
 	groups  kv.ColGroups[V]
-	nvals   []V
 	prev    colRun[V]
 	// layout is the layout of the last grouping, nil before the first
 	// and after a generation change. An iteration keeps the layout it
@@ -329,13 +279,20 @@ func (l *colReduceLoops[V, S]) accumulate(a *accum, c shuffleChunk) error {
 
 // group finishes a's placement: its groups, in the order and with the
 // values kv.ColGrouper gives the iteration's records in canonical order,
-// and the layout the next iteration starts on.
+// and the layout the next iteration starts on. A later iteration whose
+// chunks arrived before this barrier, and which has placed none by the
+// older layout it started on, is rebased onto the new one.
 func (l *colReduceLoops[V, S]) group(a *accum) (int, error) {
 	groups, layout, err := l.placement(a).Group(&l.grouper, l.layout)
 	if err != nil {
 		return 0, err
 	}
 	l.groups, l.layout = groups, layout
+	for iter, next := range l.t.pend {
+		if p, _ := next.placed.(*kv.ColPlacement[V]); p != nil && iter > l.t.iter {
+			p.Rebase(layout)
+		}
+	}
 	return len(groups.Keys), nil
 }
 
@@ -358,35 +315,15 @@ func (l *colReduceLoops[V, S]) placement(a *accum) *kv.ColPlacement[V] {
 func (l *colReduceLoops[V, S]) reduce(iter int) (float64, error) {
 	t, g := l.t, l.groups
 	l.groups = kv.ColGroups[V]{}
-	var nvals []V
-	if t.run.pool.shardsFor(len(g.Keys)) > 1 {
-		l.nvals = grown(l.nvals, len(g.Keys))
-		nvals = l.nvals
-		err := reduceSharded(t, nvals, func(i int) (V, error) {
-			ns, err := l.d.reduceFn(g.Keys[i], g.Values(i))
-			if err != nil {
-				return ns, t.reduceErr(g.Keys[i], err)
-			}
-			return ns, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
 	var whole *kv.Cols[V]
 	if t.whole != nil {
 		whole = t.whole.cols.(*kv.Cols[V])
 	}
 	var dist float64
 	for i, k := range g.Keys {
-		var ns V
-		if nvals != nil {
-			ns = nvals[i]
-		} else {
-			var err error
-			if ns, err = l.d.reduceFn(k, g.Values(i)); err != nil {
-				return 0, t.reduceErr(k, err)
-			}
+		ns, err := l.d.reduceFn(k, g.Values(i))
+		if err != nil {
+			return 0, t.reduceErr(k, err)
 		}
 		if old, had := l.prev.put(k, ns); had && l.d.distFn != nil {
 			dist += l.d.distFn(k, old, ns)

@@ -52,14 +52,6 @@ type Options struct {
 	// committed iteration boundary with that iteration's merged info.
 	// It must return quickly: the master loop blocks on it.
 	OnIteration func(IterInfo)
-
-	// parallelism bounds how many pair-loop shards one task may execute
-	// concurrently (the task goroutine plus parallelism-1 run-scoped pool
-	// workers). 0 means runtime.GOMAXPROCS(0); 1 forces the serial path.
-	// Sharding preserves output order exactly — shards are contiguous
-	// ranges merged in order — so results are identical to the serial
-	// execution for any value. Only the package's tests set it.
-	parallelism int
 }
 
 // Engine executes iMapReduce jobs over a DFS, a transport network and a
@@ -297,10 +289,6 @@ type runState struct {
 	auxTasks   int
 	outputPath string
 
-	// pool is the run-scoped worker pool tasks shard their pair loops
-	// across; closed (and joined) at run teardown.
-	pool *workerPool
-
 	mu         sync.RWMutex
 	pairWorker []string // main task pairs
 	auxWorker  []string
@@ -308,14 +296,13 @@ type runState struct {
 
 // newRunState builds the routing table for the run meta describes, with
 // meta's placement when it carries one.
-func newRunState(meta runMeta, pool *workerPool) *runState {
+func newRunState(meta runMeta) *runState {
 	run := &runState{
 		name:       meta.Name,
 		mainPhases: meta.MainPhases,
 		mainTasks:  meta.MainTasks,
 		auxTasks:   meta.AuxTasks,
 		outputPath: meta.OutputPath,
-		pool:       pool,
 		pairWorker: make([]string, meta.MainTasks),
 		auxWorker:  make([]string, meta.AuxTasks),
 	}
@@ -466,14 +453,7 @@ func (e *Engine) runCtx(ctx context.Context, job *Job, resume bool) (*Result, er
 	}
 
 	meta := runMeta{Name: job.Name, MainPhases: len(phases), MainTasks: n, AuxTasks: auxN, OutputPath: job.OutputDir()}
-	run := newRunState(meta, newWorkerPool(e.opts.parallelism))
-	// The pool is owned here, where it is created: every return below —
-	// a rejected manifest, a failed partition write, a failed deploy, the
-	// end of the run — releases its workers. This defer runs after the
-	// host teardown registered further down, so on a clean return the
-	// tasks are already joined and the workers idle; a failed run may
-	// leave a shard wedged inside a user function, hence the grace.
-	defer run.pool.stop(500 * time.Millisecond)
+	run := newRunState(meta)
 	for i := 0; i < n; i++ {
 		run.pairWorker[i] = workers[i%len(workers)]
 	}
@@ -680,8 +660,7 @@ type taskSet struct {
 // network after a completed Run returns. A failed run may hold a task
 // wedged inside a user function (that is how silence timeouts arise),
 // so its stop waits only a short grace before abandoning the
-// stragglers, whose later shards run inline: runShards never blocks on
-// the stopped pool.
+// stragglers.
 func (e *Engine) hosts(job *Job, plans *planner) (stop func(failed bool), err error) {
 	if rc := e.rc; rc != nil {
 		plans.ctl, plans.dir = ctlAddr, rc.dir
@@ -702,8 +681,8 @@ func (e *Engine) hosts(job *Job, plans *planner) (stop func(failed bool), err er
 			return nil, err
 		}
 		ctls = append(ctls, ctl)
-		h := &host{id: w, net: e.net, ctl: ctl, open: func(planMsg) (*Job, *Engine, *workerPool, error) {
-			return job, e, plans.run.pool, nil
+		h := &host{id: w, net: e.net, ctl: ctl, open: func(planMsg) (*Job, *Engine, error) {
+			return job, e, nil
 		}}
 		wg.Add(1)
 		go func() { defer wg.Done(); h.serve() }()

@@ -9,6 +9,7 @@ import (
 	"imapreduce/internal/cluster"
 	"imapreduce/internal/dfs"
 	"imapreduce/internal/kv"
+	"imapreduce/internal/leaktest"
 	"imapreduce/internal/metrics"
 	"imapreduce/internal/transport"
 )
@@ -363,6 +364,20 @@ func TestUserMapErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestEarlyErrorLeaksNothing: a run that fails before any task is
+// spawned — no manifest to resume from, no state file to partition —
+// leaves no goroutine behind.
+func TestEarlyErrorLeaksNothing(t *testing.T) {
+	defer leaktest.Check(t)()
+	v := newEnv(t, 2, Options{})
+	if _, err := v.e.Resume(halvingJob("early", 4, 0)); err == nil {
+		t.Fatal("Resume with no manifest succeeded")
+	}
+	if _, err := v.e.Run(halvingJob("early", 4, 0)); err == nil {
+		t.Fatal("Run with no state file succeeded")
+	}
+}
+
 func TestCombineErrorPropagates(t *testing.T) {
 	v := newEnv(t, 2, Options{})
 	v.writeState(t, "/state", 40)
@@ -445,7 +460,7 @@ func TestPartitionToDFSFiles(t *testing.T) {
 		3: {0xae8584b7, 0x5d357c34, 0x1fa86013},
 	}
 	for _, parts := range []int{4, 3} {
-		run := newRunState(runMeta{Name: "parts", MainPhases: 1, MainTasks: parts, Placement: spec.IDs()}, newWorkerPool(1))
+		run := newRunState(runMeta{Name: "parts", MainPhases: 1, MainTasks: parts, Placement: spec.IDs()})
 		path := func(i int) string { return fmt.Sprintf("/out-%d/part-%d", parts, i) }
 		if err := e.partitionToDFS("/in", ops, parts, run, path, false); err != nil {
 			t.Fatal(err)

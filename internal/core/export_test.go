@@ -10,9 +10,3 @@ var FileSums, SameFiles = fileSums, sameFiles
 
 // SetJoinBackoff sets w's first registration backoff; call it before Run.
 func SetJoinBackoff(w *WorkerHost, d time.Duration) { w.joinBase = d }
-
-// WithParallelism returns o with its pair-loop shard ceiling set to n.
-func WithParallelism(o Options, n int) Options {
-	o.parallelism = n
-	return o
-}

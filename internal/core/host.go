@@ -20,12 +20,10 @@ type host struct {
 	id  string
 	net transport.Network
 	ctl transport.Endpoint
-	// open resolves a job's first plan to its definition, the engine
+	// open resolves a job's first plan to its definition and the engine
 	// context its tasks execute in (file system, metrics, trace, tuning,
-	// stall hooks) and the pool their pair loops shard across — nil for a
-	// pool of the run's own, which the host then makes and disposes of; the
-	// hosts of an in-process run share one that runCtx owns.
-	open func(p planMsg) (*Job, *Engine, *workerPool, error)
+	// stall hooks).
+	open func(p planMsg) (*Job, *Engine, error)
 	// listenAddr reports where a hosted endpoint listens, for the ack; nil
 	// when master and hosts share one network.
 	listenAddr func(addr string) (string, bool)
@@ -42,10 +40,8 @@ type hostedRun struct {
 	engine  *Engine
 	factory *taskFactory
 	state   *runState
-	// ownsPool: state.pool was made for this run and is stopped with it.
-	ownsPool bool
-	eps      map[string]transport.Endpoint // hosted task address → endpoint
-	wg       sync.WaitGroup
+	eps     map[string]transport.Endpoint // hosted task address → endpoint
+	wg      sync.WaitGroup
 }
 
 // serve applies plans until the control endpoint closes, then drops
@@ -111,7 +107,7 @@ func (h *host) applyPlan(p planMsg) planAckMsg {
 
 // newRun builds the per-job context for the run a plan describes.
 func (h *host) newRun(p planMsg) (*hostedRun, error) {
-	job, eng, pool, err := h.open(p)
+	job, eng, err := h.open(p)
 	if err != nil {
 		return nil, err
 	}
@@ -123,17 +119,12 @@ func (h *host) newRun(p planMsg) (*hostedRun, error) {
 	if (job.auxiliary != nil) != (p.Run.AuxTasks > 0) {
 		return nil, fmt.Errorf("core: worker %s: job %q auxiliary phase mismatch with plan — registry drift", h.id, p.JobKey)
 	}
-	owns := pool == nil
-	if owns {
-		pool = newWorkerPool(p.Tuning.Parallelism)
-	}
-	run := newRunState(p.Run, pool)
+	run := newRunState(p.Run)
 	return &hostedRun{
-		engine:   eng,
-		factory:  &taskFactory{e: eng, job: job, phases: phases, aux: job.auxiliary, run: run, n: p.Run.MainTasks, auxN: p.Run.AuxTasks},
-		state:    run,
-		ownsPool: owns,
-		eps:      make(map[string]transport.Endpoint),
+		engine:  eng,
+		factory: &taskFactory{e: eng, job: job, phases: phases, aux: job.auxiliary, run: run, n: p.Run.MainTasks, auxN: p.Run.AuxTasks},
+		state:   run,
+		eps:     make(map[string]transport.Endpoint),
 	}, nil
 }
 
@@ -237,9 +228,7 @@ func (h *host) bind(r *hostedRun, addr string) (transport.Endpoint, error) {
 // their closed inbox) and joins the task goroutines — each of which has
 // joined its own checkpoint writers — within joinGrace, since a run
 // torn down because the master vanished may hold tasks wedged inside
-// user functions or in-flight DFS calls. A pool the run owns goes with
-// it, whichever way the join ended: its workers are idle once the
-// tasks are gone, and a straggler's later shards fall back to inline.
+// user functions or in-flight DFS calls.
 func (h *host) teardownRun() {
 	r := h.run
 	h.run = nil
@@ -250,9 +239,6 @@ func (h *host) teardownRun() {
 		ep.Close()
 	}
 	joinWithin(&r.wg, h.joinGrace)
-	if r.ownsPool {
-		r.state.pool.stop(500 * time.Millisecond)
-	}
 }
 
 // joinWithin waits for wg — at most grace, when grace is positive.

@@ -43,6 +43,9 @@ import (
 // by key (nil when the key has no static record). In OneToAll mapping it
 // is invoked once per *static* record, and state carries []kv.Pair — the
 // full broadcast state set from all reduce tasks (§5.1.2).
+//
+// A task calls its map on its own goroutine, one call at a time; the
+// job's other tasks in the process call the same function meanwhile.
 type MapFunc func(key, state, static any, emit kv.Emit) error
 
 // ReduceFunc is the iMapReduce reduce interface (§3.5): the input values
@@ -53,7 +56,8 @@ type MapFunc func(key, state, static any, emit kv.Emit) error
 // for the next iteration's groups: a reduce may read it, reorder it and
 // keep any of its elements, but must not retain the slice itself past
 // its return (Hadoop's contract for the values iterator). Copy it to
-// keep it.
+// keep it. A task calls its reduce as it calls its map: one call at a
+// time, beside the job's other tasks.
 type ReduceFunc func(key any, states []any) (any, error)
 
 // DistFunc measures a key's change between consecutive iterations

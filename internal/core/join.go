@@ -34,9 +34,9 @@ func keyedRun(ps []kv.Pair, ops kv.Ops) []kv.Pair {
 // seek looks key up in run with the cursor at cur, and returns the
 // record's value (nil when run has none for key) and the cursor for the
 // next lookup. Input arriving in key order hits at the cursor itself;
-// anything else (the first iteration's DFS order, a shard's first
-// record, a chunk the network reordered) costs one binary search of the
-// side of the cursor the key lies on.
+// anything else (the first iteration's DFS order, a streamed chunk's
+// first record) costs one binary search of the side of the cursor the
+// key lies on.
 func seek(run []kv.Pair, cmp func(a, b any) int, cur int, key any) (val any, next int) {
 	lo, hi := 0, len(run)
 	if cur < len(run) {

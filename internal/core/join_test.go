@@ -18,8 +18,9 @@ import (
 // a cursor: state in shuffled order (the first iteration reads it in DFS
 // order), state keys the static data lacks and static keys no state
 // carries, static keys written twice (the last record wins), a static
-// file with no records — under int64 and string keys, serial and
-// sharded loops, streamed and whole-iteration map input.
+// file with no records — under int64 and string keys, on one task pair
+// and on four (par1 and par4: the data split into that many static and
+// state partitions), streamed and whole-iteration map input.
 func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	guard(t, 2*time.Minute)
 	kinds := []struct {
@@ -66,7 +67,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 							}
 						}
 
-						v := newEnv(t, 2, Options{parallelism: par})
+						v := newEnv(t, 2, Options{})
 						if err := v.fs.WriteFile("/static", "worker-0", static, kind.ops); err != nil {
 							t.Fatal(err)
 						}
@@ -87,6 +88,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 							// The iteration is readable off the state: +1 a round.
 							Reduce:          func(key any, states []any) (any, error) { return states[0].(float64) + 1, nil },
 							MaxIter:         iters,
+							NumTasks:        par,
 							SyncMap:         syncMap,
 							BufferThreshold: 200, // several chunks per iteration
 							Ops:             kind.ops,

@@ -18,7 +18,8 @@ import (
 // kv.Cols and serve the jobs columnLoops picks. Everything around them is
 // the tasks' own and shared by both: generations, Seq and End counts,
 // accumulators, buffer leases and free lists, gating, reports,
-// checkpoints, rollback, and intra-task sharding.
+// checkpoints and rollback. A task runs its loops on its own goroutine,
+// one call of a user function at a time.
 
 // mapLoops is a map task's record loops.
 type mapLoops interface {
@@ -31,10 +32,10 @@ type mapLoops interface {
 	// first when it has none. Records of the other loops are an error:
 	// their sender built the job differently.
 	accumulate(a *accum, in records, presize int) error
-	// mapState runs the user map over one iteration's state records,
-	// filing what it emits into the task's chunk buffers (fill,
-	// sendShuffle).
-	mapState(iter int, in records) error
+	// mapState runs the user map over state records of the iteration the
+	// task is on, filing what it emits into the task's chunk buffers and
+	// sending each that fills (sendShuffle).
+	mapState(in records) error
 	// pack returns c, bound for reduce r, with b's records — none when b
 	// is nil — as its payload, and the bytes they are charged. It may pack
 	// a fresh payload instead, clearing c's lease, and the column loops
@@ -76,58 +77,29 @@ type reduceLoops interface {
 	forget()
 }
 
-// shardRows are a sharded map loop's emit rows, one per (shard, reduce):
-// see runSharded.
-type shardRows interface {
-	// size makes sure there is a row for every (shard, reduce) of a
-	// shards-wide window.
-	size(shards int)
-	// drain moves reduce r's rows, shard by shard, into r's chunk
-	// buffers (fill).
-	drain(t *mapTask, iter, r int)
-	// recycle empties every row.
-	recycle()
-}
-
-// reduceSharded runs reduce(i) for every group i in [0, len(vals)) on the
-// pool, each shard a contiguous range, into vals[i]. The user reduce must
-// be safe to call concurrently (Options.parallelism).
-func reduceSharded[V any](t *reduceTask, vals []V, reduce func(i int) (V, error)) error {
-	shards := t.run.pool.shardsFor(len(vals))
-	errs := make([]error, shards)
-	t.run.pool.runShards(shards, func(sh int) {
-		lo, hi := shardRange(len(vals), shards, sh)
-		for i := lo; i < hi; i++ {
-			v, err := reduce(i)
-			if err != nil {
-				errs[sh] = err
-				return
-			}
-			vals[i] = v
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pairMapLoops are the pair loops of a map task.
 type pairMapLoops struct {
 	t *mapTask
-	// Task-lifetime scratch: the serial loop's emit, the sharded loops'
-	// emit rows, and the combiner's grouping kernel. Only the task
-	// goroutine touches grouper; emits rows are written by the pool's
-	// shards inside runSharded.
+	// Task-lifetime scratch: the map's emit and the combiner's grouping
+	// kernel.
 	emit    kv.Emit
-	emits   shardedEmits
 	grouper kv.Grouper
 }
 
+// newPairMapLoops returns t's pair loops. Their emit partitions a pair by
+// the phase's Ops and sends its reduce's chunk buffer when it reaches
+// BufferThreshold. It is made once per task — a closure per map pass
+// would cost an allocation per pass — so it files its output under
+// t.iter: a task only ever maps the iteration it is on.
 func newPairMapLoops(t *mapTask) *pairMapLoops {
-	return &pairMapLoops{t: t, emits: shardedEmits{nred: t.numReduce}}
+	return &pairMapLoops{t: t, emit: func(k, v any) {
+		r := t.job.Ops.Partition(k, t.numReduce)
+		b := t.out(r)
+		b.pairs = append(b.pairs, kv.Pair{Key: k, Value: v})
+		if len(b.pairs) >= t.bufThresh {
+			t.sendShuffle(t.iter, r, false)
+		}
+	}}
 }
 
 func (l *pairMapLoops) setStatic(static []kv.Pair) error {
@@ -157,47 +129,11 @@ func addPairs(a *accum, in records, presize int) error {
 	return nil
 }
 
-func (l *pairMapLoops) mapState(iter int, in records) error {
+func (l *pairMapLoops) mapState(in records) error {
 	if in.cols != nil {
 		return errMixedLoops
 	}
-	t, pairs := l.t, in.pairs
-	if t.run.pool.shardsFor(len(pairs)) > 1 {
-		return l.sharded(iter, len(pairs), func(lo, hi int, em kv.Emit) error {
-			return t.mapRange(pairs[lo:hi], em)
-		})
-	}
-	return t.mapRange(pairs, l.emitter())
-}
-
-// sharded is runSharded over the pair rows: body maps records [lo, hi)
-// into em.
-func (l *pairMapLoops) sharded(iter, n int, body func(lo, hi int, em kv.Emit) error) error {
-	t := l.t
-	part := func(k any) int { return t.job.Ops.Partition(k, t.numReduce) }
-	return t.runSharded(iter, n, &l.emits, func(sh, lo, hi int) error {
-		return body(lo, hi, l.emits.emit(sh, part))
-	})
-}
-
-// emitter returns the serial map loops' emit callback: pairs are
-// partitioned by the phase's Ops and flushed to the reduce tasks in
-// BufferThreshold-sized chunks. It is made once per task — a closure per
-// map pass would cost an allocation per pass — so it files its output
-// under t.iter: a task only ever maps the iteration it is on.
-func (l *pairMapLoops) emitter() kv.Emit {
-	if l.emit == nil {
-		t := l.t
-		l.emit = func(k, v any) {
-			r := t.job.Ops.Partition(k, t.numReduce)
-			b := t.out(r)
-			b.pairs = append(b.pairs, kv.Pair{Key: k, Value: v})
-			if len(b.pairs) >= t.bufThresh {
-				t.sendShuffle(t.iter, r, false)
-			}
-		}
-	}
-	return l.emit
+	return l.t.mapRange(in.pairs, l.emit)
 }
 
 // pack runs the combiner over the chunk first when one is configured.
@@ -241,11 +177,10 @@ type pairReduceLoops struct {
 	t *reduceTask
 	// Task-lifetime scratch, sized by one iteration's input and holding
 	// no record references between iterations: the grouping kernel with
-	// its key index, values array and group headers, the groups of the
-	// iteration being reduced, and the parallel reduce's result slots.
+	// its key index, values array and group headers, and the groups of
+	// the iteration being reduced.
 	grouper kv.Grouper
 	groups  []kv.Group
-	nvals   []any
 	// prev is a termination phase's previous-state run.
 	prev stateRun
 	// lastIn is the last iteration's input record count, which presizes
@@ -295,38 +230,13 @@ func (l *pairReduceLoops) release() {
 
 func (l *pairReduceLoops) reduce(iter int) (float64, error) {
 	defer l.release()
-	t, groups := l.t, l.groups
-	// Large group sets run the user reduce across the pool first;
-	// distance, prev-state, and output streaming then apply serially in
-	// group order, so results and chunk boundaries are identical to the
-	// all-serial path.
-	var nvals []any
-	if t.run.pool.shardsFor(len(groups)) > 1 {
-		l.nvals = grown(l.nvals, len(groups))
-		nvals = l.nvals
-		defer clear(nvals)
-		err := reduceSharded(t, nvals, func(i int) (any, error) {
-			ns, err := t.job.Reduce(groups[i].Key, groups[i].Values)
-			if err != nil {
-				return nil, t.reduceErr(groups[i].Key, err)
-			}
-			return ns, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
+	t := l.t
 	var dist float64
 	cmp := t.job.Ops.KeyOrder()
-	for gi, g := range groups {
-		var ns any
-		if nvals != nil {
-			ns = nvals[gi]
-		} else {
-			var err error
-			if ns, err = t.job.Reduce(g.Key, g.Values); err != nil {
-				return 0, t.reduceErr(g.Key, err)
-			}
+	for _, g := range l.groups {
+		ns, err := t.job.Reduce(g.Key, g.Values)
+		if err != nil {
+			return 0, t.reduceErr(g.Key, err)
 		}
 		if t.isTermination {
 			// Groups are key-ascending: one merge pass over the run.
@@ -360,13 +270,4 @@ func (l *pairReduceLoops) newState(iter int, p kv.Pair) {
 	if len(t.outBuf.pairs) >= t.bufThresh {
 		t.flushStreaming(iter, false)
 	}
-}
-
-// grown returns s at length n, reallocating only when its capacity is
-// too small. The contents are unspecified.
-func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }

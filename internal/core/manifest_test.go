@@ -61,7 +61,7 @@ func FuzzManifest(f *testing.F) {
 		seed(m)
 	}
 	at := manifestPath(name, iter)
-	if err := v.e.commitManifest(newRunState(runMeta{Name: name, MainPhases: 1, MainTasks: tasks}, nil), valid.Fingerprint, iter, 1); err != nil {
+	if err := v.e.commitManifest(newRunState(runMeta{Name: name, MainPhases: 1, MainTasks: tasks}), valid.Fingerprint, iter, 1); err != nil {
 		f.Fatal(err)
 	}
 	if m, err := v.e.findManifest(job, tasks, 0, 1); err != nil || m.Iter != iter {

@@ -370,11 +370,9 @@ func (t *mapTask) tryComplete() {
 
 // process joins state records with this task's static records and runs
 // the user map, partitioning emitted records toward the phase's reduces.
-// Large inputs shard across the run's worker pool; the merged output is
-// identical to the serial loop's (contiguous shards, merged in order).
 func (t *mapTask) process(iter int, in records) {
 	start := time.Now()
-	if err := t.loops.mapState(iter, in); err != nil {
+	if err := t.loops.mapState(in); err != nil {
 		t.fatal(err)
 		return
 	}
@@ -382,9 +380,8 @@ func (t *mapTask) process(iter int, in records) {
 	t.e.opts.Trace.RecordSpan(trace.SpanMap, t.worker, t.tid(), iter, start, time.Since(start))
 }
 
-// mapRange runs the user map over one range of state pairs, each joined
-// with the static value of its key (nil when the key has none). The
-// cursor is the range's own: shards of one input run side by side.
+// mapRange runs the user map over state pairs, each joined with the
+// static value of its key (nil when the key has none).
 func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
 	run, cmp, cur := t.static, t.job.Ops.KeyOrder(), 0
 	for _, p := range pairs {
@@ -400,85 +397,20 @@ func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
 }
 
 // processBroadcast runs the user map once per static record with the
-// complete state list (OneToAll); large static sets shard like process.
-// A broadcast job runs the pair loops (see columnLoops).
+// complete state list (OneToAll). A broadcast job runs the pair loops
+// (see columnLoops).
 func (t *mapTask) processBroadcast(iter int, statePairs []kv.Pair) {
 	start := time.Now()
 	t.job.Ops.SortPairs(statePairs) // deterministic state order across runs
-	l := t.loops.(*pairMapLoops)
-	if t.run.pool.shardsFor(len(t.static)) > 1 {
-		err := l.sharded(iter, len(t.static), func(lo, hi int, em kv.Emit) error {
-			return t.broadcastRange(t.static[lo:hi], statePairs, em)
-		})
-		if err != nil {
-			t.fatal(err)
+	emit := t.loops.(*pairMapLoops).emit
+	for _, sp := range t.static {
+		if err := t.job.Map(sp.Key, statePairs, sp.Value, emit); err != nil {
+			t.fatal(fmt.Errorf("map %d/%d key %v: %w", t.phase, t.idx, sp.Key, err))
 			return
 		}
-	} else if err := t.broadcastRange(t.static, statePairs, l.emitter()); err != nil {
-		t.fatal(err)
-		return
 	}
 	t.e.stretch(t.worker, time.Since(start))
 	t.e.opts.Trace.RecordSpan(trace.SpanMap, t.worker, t.tid(), iter, start, time.Since(start))
-}
-
-// broadcastRange runs the user map over one range of static pairs with
-// the full state list.
-func (t *mapTask) broadcastRange(static, statePairs []kv.Pair, em kv.Emit) error {
-	for _, sp := range static {
-		if err := t.job.Map(sp.Key, statePairs, sp.Value, em); err != nil {
-			return fmt.Errorf("map %d/%d key %v: %w", t.phase, t.idx, sp.Key, err)
-		}
-	}
-	return nil
-}
-
-// runSharded runs an n-record map loop in windows of shardWindowPairs
-// records. Each window splits into contiguous shards run on the pool:
-// body(sh, lo, hi) maps records [lo, hi) into shard sh's rows, and the
-// rows are then drained partition by partition, in shard order, into the
-// chunk buffers before the next window starts. Every partition therefore
-// sees its records in exactly the serial loop's order, and chunk contents
-// and boundaries are the serial loop's whatever the window and shard
-// counts. The user map must be safe to call concurrently
-// (Options.parallelism).
-func (t *mapTask) runSharded(iter, n int, rows shardRows, body func(sh, lo, hi int) error) error {
-	errs := make([]error, t.run.pool.shardsFor(min(n, shardWindowPairs)))
-	for base := 0; base < n; base += shardWindowPairs {
-		w := min(shardWindowPairs, n-base)
-		shards := t.run.pool.shardsFor(w) // the last window may be narrower
-		rows.size(shards)
-		t.run.pool.runShards(shards, func(sh int) {
-			lo, hi := shardRange(w, shards, sh)
-			errs[sh] = body(sh, base+lo, base+hi)
-		})
-		for _, err := range errs[:shards] {
-			if err != nil {
-				rows.recycle()
-				return err
-			}
-		}
-		for r := 0; r < t.numReduce; r++ {
-			rows.drain(t, iter, r)
-		}
-		rows.recycle()
-	}
-	return nil
-}
-
-// fill moves n records into reduce r's chunk buffers, sending each one
-// that reaches BufferThreshold: move(b, lo, hi) appends records [lo, hi)
-// of the caller's source to b.
-func (t *mapTask) fill(iter, r, n int, move func(b *chunkBuf, lo, hi int)) {
-	for lo := 0; lo < n; {
-		b := t.out(r)
-		hi := min(n, lo+t.bufThresh-b.len())
-		move(b, lo, hi)
-		lo = hi
-		if b.len() >= t.bufThresh {
-			t.sendShuffle(iter, r, false)
-		}
-	}
 }
 
 // out returns the chunk buffer being filled for reduce r, taking one

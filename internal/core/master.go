@@ -21,6 +21,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 
 	run, master, ts := plans.run, plans.master, plans.ts
 	last := phases[len(phases)-1]
+	gated := gatesOutput(last, aux != nil)
 	totalTasks := len(ts.all)
 
 	sendCmd := func(addrs []string, c cmdMsg) {
@@ -65,7 +66,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	migratedCount := make(map[int]int)
 	// Auxiliary flow control: the loop-back for iteration k is released
 	// only once the auxiliary phase has evaluated iteration k-1, so the
-	// aux phase overlaps the next iteration (§5.3's parallelism) without
+	// aux phase runs alongside the next iteration (§5.3) without
 	// falling arbitrarily far behind the decision point. auxDone is the
 	// last iteration up to which every one has been evaluated: the
 	// network may complete iteration k+1's outputs before k's. pending is
@@ -461,9 +462,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			// Release the gated loop-back: the termination check passed
 			// and iteration iter+1 may be fed — unless an auxiliary
 			// phase exists and has not yet evaluated iteration iter-1.
+			// An ungated reduce holds nothing to release.
 			if auxN > 0 && auxDone < iter-1 {
 				pending = iter
-			} else {
+			} else if gated {
 				sendCmd(ts.termReds, cmdMsg{Kind: cmdProceed, ToIter: iter})
 			}
 			delete(reports, iter)

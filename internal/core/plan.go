@@ -46,7 +46,6 @@ type workerTuning struct {
 	HeartbeatInterval time.Duration
 	HeartbeatMisses   int
 	SendRetries       int
-	Parallelism       int
 }
 
 // runMeta is the host-side reconstruction recipe for runState.
@@ -141,7 +140,6 @@ func (e *Engine) newPlanner(job *Job, meta runMeta, run *runState, master transp
 			HeartbeatInterval: e.opts.HeartbeatInterval,
 			HeartbeatMisses:   e.opts.HeartbeatMisses,
 			SendRetries:       e.opts.SendRetries,
-			Parallelism:       e.opts.parallelism,
 		},
 		Run: meta,
 	}}

@@ -208,12 +208,11 @@ func TestConcurrentRunsShareNetwork(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSupersededRunReleasesItsPool: a worker process that missed a
-// run's release learns the run is over from the next job's plan. The
-// stale run goes the way a released one does — pairs closed and joined,
-// and the pool made for it stopped, not left parked for the life of the
-// process.
-func TestSupersededRunReleasesItsPool(t *testing.T) {
+// TestSupersededRunIsTornDown: a worker process that missed a run's
+// release learns the run is over from the next job's plan. The stale run
+// goes the way a released one does — every endpoint closed and every
+// task goroutine joined, not left parked for the life of the process.
+func TestSupersededRunIsTornDown(t *testing.T) {
 	spec := cluster.Uniform(1)
 	net := transport.NewChanNetwork()
 	e, err := NewEngine(dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 1}, spec.IDs(), nil), net, spec, nil, Options{})
@@ -225,17 +224,20 @@ func TestSupersededRunReleasesItsPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	h := &host{id: "worker-0", net: net, ctl: ctl, open: func(p planMsg) (*Job, *Engine, *workerPool, error) {
-		return halvingJob(p.Run.Name, 3, 0), e, nil, nil
+	h := &host{id: "worker-0", net: net, ctl: ctl, open: func(p planMsg) (*Job, *Engine, error) {
+		return halvingJob(p.Run.Name, 3, 0), e, nil
 	}}
 	plan := func(name string) planMsg {
-		return planMsg{Epoch: 1, Tuning: workerTuning{Parallelism: 3}, Assigns: []PairAssign{{Idx: 0}},
+		return planMsg{Epoch: 1, Assigns: []PairAssign{{Idx: 0}},
 			Run: runMeta{Name: name, MainPhases: 1, MainTasks: 1, Placement: []string{"worker-0"}}}
 	}
 	if ack := h.applyPlan(plan("stale")); ack.Err != "" {
 		t.Fatal(ack.Err)
 	}
 	stale := h.run
+	if len(stale.eps) != 2 {
+		t.Fatalf("the stale run hosts %d endpoints, want a map and a reduce", len(stale.eps))
+	}
 	if ack := h.applyPlan(plan("next")); ack.Err != "" {
 		t.Fatal(ack.Err)
 	}
@@ -243,9 +245,74 @@ func TestSupersededRunReleasesItsPool(t *testing.T) {
 	if h.run == stale || h.run.state.name != "next" {
 		t.Fatalf("host still runs %q", h.run.state.name)
 	}
+	for addr, ep := range stale.eps {
+		select {
+		case _, open := <-ep.Recv():
+			if open {
+				t.Fatalf("the superseded run's endpoint %s still delivers", addr)
+			}
+		default:
+			t.Fatalf("the superseded run's endpoint %s is still open", addr)
+		}
+	}
+	joined := make(chan struct{})
+	go func() { stale.wg.Wait(); close(joined) }()
 	select {
-	case <-stale.state.pool.done:
-	default:
-		t.Fatal("the superseded run's pool workers are still parked")
+	case <-joined:
+	case <-time.After(time.Second):
+		t.Fatal("the superseded run's tasks are still running")
+	}
+}
+
+// TestProceedOnlyToGatedReduces counts the cmdProceed commands the master
+// sends. Only a gated termination reduce holds its loop-back output for
+// one: a job that stops on MaxIter alone is sent none, and a job with a
+// DistThreshold one per termination reduce at every boundary it does not
+// stop at.
+func TestProceedOnlyToGatedReduces(t *testing.T) {
+	const tasks, iters = 4, 5
+	for _, gated := range []bool{false, true} {
+		var mu sync.Mutex
+		proceeds := map[string]int{} // reduce address and iteration → proceeds
+		net := &tapNet{Network: transport.NewChanNetwork(), tap: func(_ transport.Endpoint, to string, msg transport.Message) error {
+			if c, ok := msg.Payload.(cmdMsg); ok && c.Kind == cmdProceed {
+				mu.Lock()
+				proceeds[fmt.Sprintf("%s@%d", to, c.ToIter)]++
+				mu.Unlock()
+			}
+			return nil
+		}}
+		v := newEnvNet(t, cluster.Uniform(2), net, Options{})
+		v.ringStatic(t, 64)
+		sssp := ringSSSP("proceed-sssp")
+		sssp.Job.StatePath, sssp.Job.StaticPath = "/state", "/static"
+		sssp.Job.MaxIter, sssp.Job.NumTasks = iters, tasks
+		job := sssp.Build()
+		if gated {
+			job = halvingJob("proceed-halve", iters, 1e-300)
+			job.NumTasks = tasks
+		}
+		res, err := v.e.Run(job)
+		net.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != iters {
+			t.Fatalf("gated=%v: ran %d iterations, want %d", gated, res.Iterations, iters)
+		}
+		want := 0
+		if gated {
+			want = (iters - 1) * tasks // no proceed at the boundary the job stops at
+		}
+		mu.Lock()
+		if len(proceeds) != want {
+			t.Errorf("gated=%v: proceeds to %d (reduce, boundary) pairs, want %d: %v", gated, len(proceeds), want, proceeds)
+		}
+		for k, c := range proceeds {
+			if c != 1 {
+				t.Errorf("gated=%v: %d proceeds to %s", gated, c, k)
+			}
+		}
+		mu.Unlock()
 	}
 }

@@ -23,7 +23,7 @@ func chaosMatchesCalm(t *testing.T, key string, threshold int) *metrics.Set {
 		}
 		return job, err
 	}
-	options := func(func(string)) core.Options { return core.WithParallelism(core.Options{SendRetries: 8}, 4) }
+	options := func(func(string)) core.Options { return core.Options{SendRetries: 8} }
 	params := map[string]string{"name": key + "-chaos", "nodes": "600", "maxiter": "8", "tasks": "3"}
 	calmRun := scenario{name: "calm", spec: cluster.Uniform(remoteWorkers), build: build, options: options}
 	want, _ := calmRun.runInProcess(t, transport.NewChanNetwork(), key, params)

@@ -75,7 +75,8 @@ type scalarDef[V kv.Scalar, S any] struct {
 
 	mapID, reduceID, distID unsafe.Pointer
 	// scratch holds the *[]V reduceAny unboxes a group's values into:
-	// the adapter runs on every shard of a parallel reduce at once.
+	// the reduce tasks of a run share the job, so the adapter may run on
+	// several of them at once.
 	scratch sync.Pool
 }
 

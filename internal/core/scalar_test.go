@@ -154,13 +154,13 @@ func TestColumnLoopsPicked(t *testing.T) {
 func TestColumnLoopsMatchPairLoops(t *testing.T) {
 	const n, iters = 2048, 4
 	counters := []string{metrics.ShuffleBytes, metrics.ShuffleRemote, metrics.StateBytes, metrics.StateRemote}
-	run := func(tcp bool, parallelism int, pairs bool) (map[int64]any, map[string]int64, map[string]uint32) {
+	run := func(tcp, pairs bool) (map[int64]any, map[string]int64, map[string]uint32) {
 		var net transport.Network = transport.NewChanNetwork()
 		if tcp {
 			net = transport.NewTCPNetwork()
 		}
 		defer net.Close()
-		v := newEnvNet(t, cluster.Uniform(4), net, Options{parallelism: parallelism})
+		v := newEnvNet(t, cluster.Uniform(4), net, Options{})
 		v.ringStatic(t, n)
 		job := rankJob("loops", iters).Build()
 		job.CheckpointEvery = 3
@@ -181,24 +181,22 @@ func TestColumnLoopsMatchPairLoops(t *testing.T) {
 		}
 		return v.readOutput(t, res.OutputPath), got, fileSums(t, v.fs, job.Name, res.OutputPath)
 	}
-	want, wantBytes, wantSums := run(false, 1, true)
+	want, wantBytes, wantSums := run(false, true)
 	if len(want) != n || wantBytes[metrics.ShuffleBytes] == 0 || wantBytes[metrics.ShuffleRemote] == 0 {
 		t.Fatalf("reference run: %d outputs, counters %v", len(want), wantBytes)
 	}
 	for _, tcp := range []bool{false, true} {
-		for _, par := range []int{1, 4} {
-			for _, pairs := range []bool{false, true} {
-				got, bytes, sums := run(tcp, par, pairs)
-				sameFiles(t, fmt.Sprintf("tcp=%v parallelism=%d pairs=%v", tcp, par, pairs), sums, wantSums)
-				for k, w := range want {
-					if math.Float64bits(got[k].(float64)) != math.Float64bits(w.(float64)) {
-						t.Fatalf("tcp=%v parallelism=%d pairs=%v: key %d = %v, want %v", tcp, par, pairs, k, got[k], w)
-					}
+		for _, pairs := range []bool{false, true} {
+			got, bytes, sums := run(tcp, pairs)
+			sameFiles(t, fmt.Sprintf("tcp=%v pairs=%v", tcp, pairs), sums, wantSums)
+			for k, w := range want {
+				if math.Float64bits(got[k].(float64)) != math.Float64bits(w.(float64)) {
+					t.Fatalf("tcp=%v pairs=%v: key %d = %v, want %v", tcp, pairs, k, got[k], w)
 				}
-				for _, c := range counters {
-					if bytes[c] != wantBytes[c] {
-						t.Errorf("tcp=%v parallelism=%d pairs=%v: %s = %d, want %d", tcp, par, pairs, c, bytes[c], wantBytes[c])
-					}
+			}
+			for _, c := range counters {
+				if bytes[c] != wantBytes[c] {
+					t.Errorf("tcp=%v pairs=%v: %s = %d, want %d", tcp, pairs, c, bytes[c], wantBytes[c])
 				}
 			}
 		}
@@ -343,6 +341,56 @@ func TestWrappedScalarReduceTakesEffect(t *testing.T) {
 	}
 }
 
+// TestUserFunctionsRunOneCallAtATime: a task calls its user functions on
+// its own goroutine, one call at a time, so a map or a reduce may keep
+// unsynchronised scratch in its closure. One task pair maps and reduces
+// 2048-record partitions with such a map and reduce; under the race
+// detector a concurrent call of either is a reported race, and the
+// output must be the plain job's bit for bit.
+func TestUserFunctionsRunOneCallAtATime(t *testing.T) {
+	const n, iters = 2048, 3
+	run := func(spec ScalarJob[float64, []int64]) map[int64]any {
+		v := newEnv(t, 1, Options{})
+		v.ringStatic(t, n)
+		spec.Job.NumTasks = 1
+		res, err := v.e.Run(spec.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.readOutput(t, res.OutputPath)
+	}
+	want := run(rankJob("plain", iters))
+	var targets []int64  // the map's scratch
+	var shares []float64 // the reduce's scratch
+	spec := rankJob("scratch", iters)
+	spec.Map = func(k int64, r float64, adj []int64, emit func(int64, float64)) error {
+		targets = append(targets[:0], adj...)
+		emit(k, 0.15*r)
+		for _, v := range targets {
+			emit(v, 0.85*r/float64(len(targets)))
+		}
+		return nil
+	}
+	spec.Reduce = func(_ int64, vals []float64) (float64, error) {
+		shares = append(shares[:0], vals...)
+		slices.Sort(shares)
+		var sum float64
+		for _, s := range shares {
+			sum += s
+		}
+		return sum, nil
+	}
+	got := run(spec)
+	if len(got) != n {
+		t.Fatalf("%d keys out, want %d", len(got), n)
+	}
+	for k, w := range want {
+		if math.Float64bits(got[k].(float64)) != math.Float64bits(w.(float64)) {
+			t.Fatalf("key %d = %v, want %v", k, got[k], w)
+		}
+	}
+}
+
 // TestScalarReduceErrorFailsRun: on the column loops a typed reduce's
 // error fails the run too, naming the key.
 func TestScalarReduceErrorFailsRun(t *testing.T) {
@@ -415,7 +463,7 @@ func TestMixedRecordLoopsFailTheMap(t *testing.T) {
 	}{
 		{func(mt *mapTask) mapLoops { return job.scalar.mapLoops(mt) },
 			stateChunk{Gen: 1, Iter: 1, Seq: 1, Pairs: []kv.Pair{{Key: int64(1), Value: 2.0}}}},
-		{func(mt *mapTask) mapLoops { return &pairMapLoops{t: mt} },
+		{func(mt *mapTask) mapLoops { return newPairMapLoops(mt) },
 			stateChunk{Gen: 1, Iter: 1, Seq: 1, Cols: &kv.Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}}},
 	}
 	for i, c := range cases {

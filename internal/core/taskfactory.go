@@ -97,6 +97,15 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 	return t
 }
 
+// gatesOutput reports whether the termination reduces of a job whose
+// last phase is last hold each iteration's loop-back output until the
+// master's cmdProceed. Only a job that may stop at any iteration
+// boundary — on a distance threshold, or on its auxiliary phase's
+// decision — must not feed the next iteration before the verdict.
+func gatesOutput(last *Job, aux bool) bool {
+	return last.DistThreshold > 0 && last.Distance != nil || aux
+}
+
 // buildReduceTask constructs (without starting) the reduce task of
 // (phase, idx) bound to ep, including the loop-back / broadcast /
 // auxiliary fan-out routing of its output state.
@@ -120,8 +129,7 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 	p := f.phases[phase]
 	last := len(f.phases) - 1
 	lastJob := f.phases[last]
-	gated := phase == last &&
-		((lastJob.DistThreshold > 0 && lastJob.Distance != nil) || f.aux != nil)
+	gated := phase == last && gatesOutput(lastJob, f.aux != nil)
 	rt := &reduceTask{
 		e: f.e, run: f.run, master: masterAddr(f.job.Name), job: p,
 		phase: phase, idx: idx,

@@ -249,24 +249,23 @@ func (w *WorkerHost) adoptDirectory(dir map[string]string) {
 // openRun builds the task context a plan's run executes in here: the
 // job from the registry (functions cannot cross the wire) and an engine
 // over the DFS client against the master's block service and this
-// process's network. It names no pool: the run gets one of its own.
-func (w *WorkerHost) openRun(p planMsg) (*Job, *Engine, *workerPool, error) {
+// process's network.
+func (w *WorkerHost) openRun(p planMsg) (*Job, *Engine, error) {
 	if p.JobKey == "" {
-		return nil, nil, nil, fmt.Errorf("core: job %s has no Job.Registry key: a worker process cannot rebuild it (build it through internal/jobs)", p.Run.Name)
+		return nil, nil, fmt.Errorf("core: job %s has no Job.Registry key: a worker process cannot rebuild it (build it through internal/jobs)", p.Run.Name)
 	}
 	job, err := w.opts.Build(p.JobKey, p.Params)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: worker %s: build job %q: %w", w.opts.ID, p.JobKey, err)
+		return nil, nil, fmt.Errorf("core: worker %s: build job %q: %w", w.opts.ID, p.JobKey, err)
 	}
 	eng, err := NewEngine(w.fs, w.net, p.Spec, w.opts.Metrics, Options{
 		Timeout:           p.Tuning.Timeout,
 		HeartbeatInterval: p.Tuning.HeartbeatInterval,
 		HeartbeatMisses:   p.Tuning.HeartbeatMisses,
 		SendRetries:       p.Tuning.SendRetries,
-		parallelism:       p.Tuning.Parallelism,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return job, eng, nil, nil
+	return job, eng, nil
 }

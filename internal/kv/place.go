@@ -281,42 +281,72 @@ func (p *ColPlacement[V]) Start(l *ColLayout) {
 	p.vals = grown(p.vals, l.records())
 }
 
+// Rebase moves a round that started on another layout, and has placed
+// nothing by its slot map yet, onto layout l: the chunks it kept are
+// placed again, by l's slot maps where l knows them, and kept otherwise.
+// A kept chunk that came values-only counts as Same. A round started
+// before the layout of the round ahead of it was learned so still hits.
+// A round that has placed chunks, and a nil l, change nothing.
+func (p *ColPlacement[V]) Rebase(l *ColLayout) {
+	if !p.started || p.placed > 0 || l == nil || p.layout == l {
+		return
+	}
+	kept := p.miss
+	p.miss = nil
+	p.Start(l)
+	p.miss = kept[:0]
+	for _, m := range kept {
+		if !p.scatter(ColChunk[V]{Map: m.m, Slot: m.slot, Epoch: m.epoch, Same: m.keys == nil, Keys: m.keys, Vals: m.vals}) {
+			p.miss = append(p.miss, m)
+		}
+	}
+	clear(kept[len(p.miss):])
+}
+
 // Started reports whether Start has been called since the last Reset.
 func (p *ColPlacement[V]) Started() bool { return p.started }
 
 // Place takes one chunk of the round, after Start, and leaves it
 // untouched. A chunk with no values adds nothing.
 func (p *ColPlacement[V]) Place(c ColChunk[V]) {
-	n := len(c.Vals)
-	if n == 0 {
+	if len(c.Vals) == 0 || p.scatter(c) {
 		return
-	}
-	keyed := len(c.Keys) == n
-	if l := p.layout; l != nil {
-		if id := l.find(c.Map, c.Slot); id >= 0 && !p.hit[id] && len(l.src[id].slots) == n {
-			s := &l.src[id]
-			if c.Same && c.Epoch == s.epoch || keyed && l.sameKeys(s.slots, c.Keys) {
-				if c.Epoch != s.epoch {
-					p.renew(id, c.Epoch)
-				}
-				vals, slots := p.vals, s.slots[:n]
-				for i, v := range c.Vals {
-					vals[slots[i]] = v
-				}
-				p.hit[id] = true
-				p.placed += n
-				return
-			}
-		}
 	}
 	// Each kept chunk is a copy of its own size: a round kept whole (the
 	// first) allocates its records once, where one growing batch would
 	// allocate them at least twice over.
 	m := colMiss[V]{m: c.Map, slot: c.Slot, epoch: c.Epoch, vals: slices.Clone(c.Vals)}
-	if keyed {
+	if len(c.Keys) == len(c.Vals) {
 		m.keys = slices.Clone(c.Keys)
 	}
 	p.miss = append(p.miss, m)
+}
+
+// scatter places c by its slot map when the round's layout knows it, and
+// reports whether it did.
+func (p *ColPlacement[V]) scatter(c ColChunk[V]) bool {
+	l, n := p.layout, len(c.Vals)
+	if l == nil {
+		return false
+	}
+	id := l.find(c.Map, c.Slot)
+	if id < 0 || p.hit[id] || len(l.src[id].slots) != n {
+		return false
+	}
+	s := &l.src[id]
+	if !(c.Same && c.Epoch == s.epoch || len(c.Keys) == n && l.sameKeys(s.slots, c.Keys)) {
+		return false
+	}
+	if c.Epoch != s.epoch {
+		p.renew(id, c.Epoch)
+	}
+	vals, slots := p.vals, s.slots[:n]
+	for i, v := range c.Vals {
+		vals[slots[i]] = v
+	}
+	p.hit[id] = true
+	p.placed += n
+	return true
 }
 
 // dropMisses lets go of the kept chunks' copies and keeps the list.

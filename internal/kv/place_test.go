@@ -254,9 +254,10 @@ func sameLayout(a, b *ColLayout) bool {
 // started on the layout the prior round taught (or none) and placed in
 // their interleaved arrival order, or B only after A is grouped — grouped
 // one after the other through one ColGrouper, each against the layout
-// the round before it taught. The layout the rounds in flight share must
-// come through unchanged, and placing A's chunks again on the layout A
-// taught must be a hit.
+// the round before it taught. B in flight is rebased onto the layout A
+// taught, as the reduce does when A is grouped. The layout the rounds in
+// flight share must come through unchanged, and placing A's chunks again
+// on the layout A taught must be a hit.
 func runPlaceCase(t *testing.T, pc placeCase) {
 	t.Helper()
 	var g ColGrouper[float64]
@@ -290,7 +291,9 @@ func runPlaceCase(t *testing.T, pc placeCase) {
 	}
 	group(1)
 	learnedA := cur
-	if pc.sequential {
+	if !pc.sequential {
+		ps[2].Rebase(cur)
+	} else {
 		ps[2].Start(cur)
 		for _, o := range pc.order {
 			if o[0] == 2 {
@@ -490,6 +493,39 @@ func TestColPlacementRounds(t *testing.T) {
 	if _, _, err := round(l6, l6, same(0, 0, 2, 4, 0)); err == nil {
 		t.Fatal("a values-only chunk with unknown keys was grouped")
 	}
+}
+
+// TestColPlacementRebase: round 2's first chunk reaches a reduce before
+// round 1 is grouped, so round 2 starts on no layout and keeps it. Once
+// round 1 publishes its layout, Rebase places the kept chunk by its slot
+// map — a values-only chunk counts as Same — the later chunk is placed
+// on arrival, and round 2 is a hit on round 1's layout, with no regroup.
+func TestColPlacementRebase(t *testing.T) {
+	k0, k1 := []int64{3, 1, 2, 1}, []int64{2, 3, 3}
+	keyed := func(m int, keys []int64, vals ...float64) ColChunk[float64] {
+		return ColChunk[float64]{Map: m, Slot: 0, Epoch: 1, Keys: keys, Vals: vals}
+	}
+	same := func(m int, vals ...float64) ColChunk[float64] {
+		return ColChunk[float64]{Map: m, Slot: 0, Epoch: 1, Same: true, Vals: vals}
+	}
+	var g ColGrouper[float64]
+	var p1, p2 ColPlacement[float64]
+	p1.Start(nil)
+	p2.Start(nil)
+	p1.Place(keyed(0, k0, 0, 1, 2, 3))
+	p2.Place(same(0, 20, 21, 22, 23))
+	p1.Place(keyed(1, k1, 10, 11, 12))
+	_, l1, err := p1.Group(&g, nil)
+	if err != nil || l1 == nil {
+		t.Fatalf("round 1: layout %v, err %v", l1, err)
+	}
+	p2.Rebase(l1)
+	p2.Place(same(1, 30, 31, 32))
+	got, l2, err := p2.Group(&g, l1)
+	if err != nil || l2 != l1 {
+		t.Fatalf("round 2 regrouped instead of hitting round 1's layout (err %v)", err)
+	}
+	checkColGroups(t, "round 2", got, canonicalGroups([]ColChunk[float64]{keyed(0, k0, 20, 21, 22, 23), keyed(1, k1, 30, 31, 32)}))
 }
 
 // TestColPlacementSteadyStateAllocs gates the steady state: once a layout
