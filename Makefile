@@ -16,10 +16,10 @@ vet:
 # Project-specific type-aware static analysis (internal/lint via
 # cmd/imrlint): no sends under locks, paired trace spans, no silently
 # dropped transport/DFS errors, seeded determinism in the simulator,
-# constant metric/trace names, no pooled-slab memory used after
-# release, protocol emit/dispatch exhaustiveness, acyclic lock order,
-# threaded contexts in blocking code, and errors.Is on sentinels. Fails
-# on any finding; there is no baseline and no suppression directive.
+# constant metric/trace names, protocol emit/dispatch exhaustiveness,
+# acyclic lock order, threaded contexts in blocking code, and errors.Is
+# on sentinels. Fails on any finding; there is no baseline and no
+# suppression directive.
 lint:
 	$(GO) run ./cmd/imrlint ./...
 
@@ -64,8 +64,9 @@ bench:
 # same-sized input with none at all, as must a column reduce's rounds
 # placed values-only by the slot map of the layout they share and
 # finished as hits; a warm SSSP
-# superstep may allocate only what its map boxes and one box per message
-# sent — on the column loops only the message boxes, whatever changes. In
+# superstep on the boxed loops may allocate only what its user map boxes
+# and one box per message sent — no key box, past key 255 too — and on
+# the typed loops only the message boxes, whatever changes. In
 # the baseline engine a map attempt may allocate only its spill runs and
 # a few headers (the headers alone on a warm scratch), a reduce attempt
 # the same count whatever its input (fewer on a warm scratch), and the
@@ -103,8 +104,9 @@ bench-test:
 # must never resume one that disagrees with the job; FuzzImage opens
 # arbitrary bytes as a DFS namenode image, which must fail or list exactly
 # the image's files; FuzzChunkFrames runs arbitrary bytes through the
-# decoder of every frame core registers — pair, column state and column
-# shuffle chunks (keyed and values-only), auxiliary output — which must
+# decoder of every frame core registers — column state and shuffle
+# chunks of each value type, boxed included (shuffle keyed and
+# values-only), auxiliary output — which must
 # not panic, must bound the records by the bytes, and must re-encode what
 # it accepts stably; FuzzColPlacement places the chunks of arbitrary
 # rounds, keys sent again values-only or not, in any arrival order, by

@@ -3,9 +3,9 @@
 // It is wired into `make lint` (and therefore `make ci`) so the
 // invariants the analyzers encode — no sends under locks, paired trace
 // spans, no silently dropped transport/DFS errors, seeded determinism in
-// the simulator, constant metric names, no pooled-slab memory retained
-// past its release, protocol exhaustiveness, acyclic lock order,
-// threaded contexts, errors.Is on sentinels — hold on every change.
+// the simulator, constant metric names, protocol exhaustiveness, acyclic
+// lock order, threaded contexts, errors.Is on sentinels — hold on every
+// change.
 //
 // Usage:
 //

@@ -12,48 +12,31 @@ import (
 // A sending task fills a chunk buffer with up to BufferThreshold records,
 // hands it to the network inside a chunk, and takes another for the next
 // batch. Every buffer belongs to a free list its task owns, and the chunk
-// carries a lease on it; whoever is done with the chunk's Pairs last
+// carries a lease on it; whoever is done with the chunk's records last
 // gives the buffer back. That is the sender itself right after Send on a
 // transport that serializes the payload inside Send (transport.Serializer),
 // and the receiving handler's deferred release everywhere else. A chunk
 // that two tasks receive carries no lease, and its buffer is the GC's.
 
-// records are a batch of records on either loops: pairs, or — on the
-// column loops — a column batch.
-type records struct {
-	pairs []kv.Pair
-	cols  colRecords
+// records are a batch of records: a *kv.Cols[V] of the value type V of
+// the task's loops.
+type records interface {
+	Len() int
+	Cap() int
+	Reset()
+	Release()
+	Box(dst []kv.Pair) []kv.Pair
 }
 
-// newRecords returns an empty batch with room for n records: a column
-// batch when newCols is set, pairs otherwise.
-func newRecords(n int, newCols func(n int) colRecords) records {
-	if newCols != nil {
-		return records{cols: newCols(n)}
+// recLen is the number of records in r, which may be nil.
+func recLen(r records) int {
+	if r == nil {
+		return 0
 	}
-	return records{pairs: make([]kv.Pair, 0, n)}
+	return r.Len()
 }
 
-// len is the number of records in r.
-func (r *records) len() int {
-	if r.cols != nil {
-		return r.cols.Len()
-	}
-	return len(r.pairs)
-}
-
-// empty clears the used records — a stale pair would pin its box, and
-// with it a decode arena (§12.1) — and truncates.
-func (r *records) empty() {
-	clear(r.pairs)
-	r.pairs = r.pairs[:0]
-	if r.cols != nil {
-		r.cols.Reset()
-	}
-}
-
-// chunkBuf is one chunk buffer and the free list it belongs to: pairs,
-// or the column batch of a task on the column loops.
+// chunkBuf is one chunk buffer and the free list it belongs to.
 type chunkBuf struct {
 	records
 	home *freeList
@@ -63,15 +46,7 @@ type chunkBuf struct {
 	lease atomic.Uint64
 }
 
-// capacity is the number of records b holds without growing.
-func (b *chunkBuf) capacity() int {
-	if b.cols != nil {
-		return b.cols.Cap()
-	}
-	return cap(b.pairs)
-}
-
-// bufLease is a chunk's claim on the buffer its Pairs were sent in. The
+// bufLease is a chunk's claim on the buffer its records were sent in. The
 // zero value claims nothing.
 type bufLease struct {
 	buf *chunkBuf
@@ -111,8 +86,9 @@ func (l bufLease) giveBack() {
 // outgrows its buffer grows it, up to BufferThreshold, where it is sent.
 type freeList struct {
 	size int // BufferThreshold: no chunk carries more
-	// newCols, when set, makes the list's buffers column batches.
-	newCols func(n int) colRecords
+	// newCols makes the batches of the list's buffers, of the task's
+	// loops.
+	newCols func(n int) records
 	mu      sync.Mutex
 	free    []*chunkBuf
 	want    int // under mu: the most records a buffer has carried home
@@ -123,8 +99,8 @@ type freeList struct {
 // firstBufRecords sizes a buffer taken before any has come home.
 const firstBufRecords = 64
 
-func newFreeList(size, capacity int) *freeList {
-	return &freeList{size: size, free: make([]*chunkBuf, 0, capacity)}
+func newFreeList(size, capacity int, newCols func(n int) records) *freeList {
+	return &freeList{size: size, newCols: newCols, free: make([]*chunkBuf, 0, capacity)}
 }
 
 // get takes an empty buffer. Owner only.
@@ -138,7 +114,7 @@ func (l *freeList) get() *chunkBuf {
 		l.free = l.free[:n-1]
 	}
 	l.mu.Unlock()
-	if b != nil && (want == 0 || b.capacity() <= 2*want) {
+	if b != nil && (want == 0 || b.Cap() <= 2*want) {
 		l.reused++
 		return b
 	}
@@ -147,13 +123,13 @@ func (l *freeList) get() *chunkBuf {
 	if want > 0 {
 		size = want
 	}
-	return &chunkBuf{records: newRecords(size, l.newCols), home: l}
+	return &chunkBuf{records: l.newCols(size), home: l}
 }
 
 // recycle empties b and keeps it if the list has room.
 func (l *freeList) recycle(b *chunkBuf) {
-	used := b.len()
-	b.empty()
+	used := b.Len()
+	b.Reset()
 	l.mu.Lock()
 	l.want = max(l.want, used)
 	if len(l.free) < cap(l.free) {
@@ -175,9 +151,10 @@ func (l *freeList) report(m *metrics.Set) {
 // its finished iterations as spares, so the record buffers and the maps'
 // buckets are allocated once, not once per iteration.
 type accum struct {
+	// records are a map's input, nil until the first chunk is added.
 	records
-	// placed holds a column reduce's records instead of records: each
-	// chunk is placed into a key layout as it arrives (colReduceLoops).
+	// placed holds a reduce's input instead: each chunk is placed into a
+	// key layout as it arrives (colReduceLoops).
 	placed interface{ Reset() }
 	ends   int
 	seen   map[chunkKey]bool
@@ -250,10 +227,11 @@ func (a *accum) take(from int, seq int64, end int) bool {
 }
 
 // reset empties a finished accumulator for reuse. Clearing matters:
-// stale records would pin the iteration's decode arenas until
-// overwritten.
+// stale boxed values would stay reachable until overwritten.
 func (a *accum) reset() {
-	a.empty()
+	if a.records != nil {
+		a.Reset()
+	}
 	if a.placed != nil {
 		a.placed.Reset()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -21,14 +22,14 @@ import (
 // duplicate is dropped as a duplicate, and its release neither returns
 // the buffer a second time nor clears the records it now carries.
 func TestStaleDuplicateReturnsNoBuffer(t *testing.T) {
-	home := newFreeList(1, 2)
+	home := newFreeList(1, 2, boxedDef{}.newCols)
 	send := func(seq, key int64) shuffleChunk {
 		b := home.get()
-		b.pairs = append(b.pairs, kv.Pair{Key: key, Value: float64(key)})
-		return shuffleChunk{Gen: 1, Iter: 1, FromMap: 0, Seq: seq, Pairs: b.pairs, lease: leaseOf(b)}
+		b.records.(*kv.Cols[any]).Append(key, float64(key))
+		return shuffleChunk{Gen: 1, Iter: 1, FromMap: 0, Seq: seq, Cols: b.records, lease: leaseOf(b)}
 	}
-	rt := &reduceTask{e: &Engine{}, gen: 1, iter: 1, numMaps: 2, pend: map[int]*accum{}}
-	rt.loops = &pairReduceLoops{t: rt}
+	rt := &reduceTask{e: &Engine{}, job: &Job{Ops: f64Ops()}, gen: 1, iter: 1, numMaps: 2, pend: map[int]*accum{}}
+	rt.loops = boxedDef{}.reduceLoops(rt)
 
 	first := send(1, 10)
 	dup := first // what a duplicating network delivers twice
@@ -44,7 +45,7 @@ func TestStaleDuplicateReturnsNoBuffer(t *testing.T) {
 	if len(home.free) != 0 {
 		t.Fatal("the stale duplicate returned the buffer a second time")
 	}
-	if k := second.lease.buf.pairs[0].Key; k != int64(20) {
+	if k := second.lease.buf.records.(*kv.Cols[any]).Keys[0]; k != 20 {
 		t.Fatalf("the refilled buffer holds key %v after the stale release, want 20", k)
 	}
 	rt.handleShuffle(second)
@@ -52,12 +53,11 @@ func TestStaleDuplicateReturnsNoBuffer(t *testing.T) {
 	if len(home.free) != 1 {
 		t.Fatalf("%d buffers home, want 1", len(home.free))
 	}
-	var keys []any
-	for _, p := range rt.pend[1].pairs {
-		keys = append(keys, p.Key)
+	if _, err := rt.loops.group(rt.pend[1]); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(keys, []any{int64(10), int64(20)}) {
-		t.Fatalf("the reduce accumulated keys %v, want [10 20]", keys)
+	if keys := rt.loops.(*colReduceLoops[any]).groups.Keys; !slices.Equal(keys, []int64{10, 20}) {
+		t.Fatalf("the reduce took keys %v, want [10 20]", keys)
 	}
 }
 
@@ -247,13 +247,13 @@ func TestSparesCoverOverlappingIterations(t *testing.T) {
 			continue
 		}
 		a := takeAccum(&spares)
-		if a.len() != 0 || a.ends != 0 || len(a.seen) != 0 || len(a.tally) != 0 {
+		if recLen(a.records) != 0 || a.ends != 0 || len(a.seen) != 0 || len(a.tally) != 0 {
 			t.Fatal("a spare was not emptied")
 		}
-		if a.cols == nil {
-			a.cols = kv.NewCols[float64](64)
+		if a.records == nil {
+			a.records = kv.NewCols[float64](64)
 		}
-		a.cols.(*kv.Cols[float64]).Append(1, 1)
+		a.records.(*kv.Cols[float64]).Append(1, 1)
 		a.take(0, 1, 1)
 		made[a] = true
 		inFlight = append(inFlight, a)
@@ -275,8 +275,8 @@ func TestSparesCoverOverlappingIterations(t *testing.T) {
 // every chunk but an iteration's last carries exactly BufferThreshold
 // records.
 func TestFirstBuffersStartSmall(t *testing.T) {
-	if b := newFreeList(DefaultBufferThreshold, 2).get(); cap(b.pairs) > firstBufRecords {
-		t.Fatalf("a first miss has room for %d records, want at most %d", cap(b.pairs), firstBufRecords)
+	if b := newFreeList(DefaultBufferThreshold, 2, boxedDef{}.newCols).get(); b.Cap() > firstBufRecords {
+		t.Fatalf("a first miss has room for %d records, want at most %d", b.Cap(), firstBufRecords)
 	}
 	const thresh = 3 * firstBufRecords / 2
 	var mu sync.Mutex
@@ -286,9 +286,9 @@ func TestFirstBuffersStartSmall(t *testing.T) {
 		var n, end int
 		switch c := msg.Payload.(type) {
 		case shuffleChunk:
-			n, end = len(c.Pairs), c.End
+			n, end = recLen(c.Cols), c.End
 		case stateChunk:
-			n, end = len(c.Pairs), c.End
+			n, end = recLen(c.Cols), c.End
 		default:
 			return nil
 		}
@@ -323,102 +323,78 @@ func TestFirstBuffersStartSmall(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestSuperstepSteadyStateAllocs gates a warm superstep of a 64-node SSSP
-// over channels — one map/reduce pair driven handler by handler, as their
-// loops drive them. What the user map boxes is measured on its own;
-// beyond that the superstep allocates only the interface box of each
-// message it sends (the shuffle chunk, the state chunk, the iteration
-// report): no chunk buffer, accumulator, seen set or closure.
+// TestSuperstepSteadyStateAllocs gates a warm superstep of an SSSP on the
+// boxed loops over channels — one map/reduce pair driven handler by
+// handler, as their loops drive them. What the user map boxes is measured
+// on its own; beyond that the superstep allocates only the interface box
+// of each message it sends (the shuffle chunk, the state chunk, the
+// iteration report): no chunk buffer, accumulator, seen set or closure,
+// and no key box — the map is handed its static record's key box and the
+// reduce its previous state's, which the 300-node ring needs, since Go
+// boxes an int64 of 256 or more on the heap.
 func TestSuperstepSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const n = 64
-	ops := f64Ops()
-	job := &Job{
-		Name: "sssp-allocs",
-		Map: func(key, state, static any, emit kv.Emit) error {
-			d := state.(float64)
-			emit(key, d)
-			if math.IsInf(d, 1) {
+	for _, n := range []int{64, 300} {
+		job := &Job{
+			Name: fmt.Sprint("sssp-allocs-", n),
+			Map: func(key, state, static any, emit kv.Emit) error {
+				d := state.(float64)
+				emit(key, d)
+				if math.IsInf(d, 1) {
+					return nil
+				}
+				for _, v := range static.([]int64) {
+					emit(v, d+1)
+				}
 				return nil
-			}
-			for _, v := range static.([]int64) {
-				emit(v, d+1)
-			}
-			return nil
-		},
-		// The winning box itself is the new state: the reduce allocates
-		// nothing, so everything past the map's boxing is the engine's.
-		Reduce: func(key any, states []any) (any, error) {
-			best := states[0]
-			for _, s := range states[1:] {
-				if s.(float64) < best.(float64) {
-					best = s
+			},
+			// The winning box itself is the new state: the reduce allocates
+			// nothing, so everything past the map's boxing is the engine's.
+			Reduce: func(key any, states []any) (any, error) {
+				best := states[0]
+				for _, s := range states[1:] {
+					if s.(float64) < best.(float64) {
+						best = s
+					}
+				}
+				return best, nil
+			},
+			Ops: f64Ops(),
+		}
+		superstep, state := scalarSuperstep(t, job, n)
+		for i := 0; i < 3*n; i++ { // past convergence, every scratch at size
+			superstep()
+		}
+		in := state()
+		static := make([]any, n) // scalarSuperstep's ring with chords
+		for i := range static {
+			static[i] = []int64{int64((i + 1) % n), int64((i + 9) % n)}
+		}
+		boxes := testing.AllocsPerRun(50, func() {
+			for _, p := range in {
+				if err := job.Map(p.Key, p.Value, static[p.Key.(int64)], func(k, v any) {}); err != nil {
+					t.Fatal(err)
 				}
 			}
-			return best, nil
-		},
-		Ops: ops,
-	}
-	spec := cluster.Uniform(1)
-	net := transport.NewChanNetwork()
-	defer net.Close()
-	e, err := NewEngine(dfs.New(dfs.Config{}, spec.IDs(), nil), net, spec, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := newRunState(runMeta{Name: job.Name, MainPhases: 1, MainTasks: 1, Placement: spec.IDs()})
-	f := &taskFactory{e: e, job: job, phases: job.Phases(), run: run, n: 1}
-	endpoint := func(addr string) transport.Endpoint {
-		ep, err := net.Endpoint(addr)
-		if err != nil {
-			t.Fatal(err)
+		})
+		const messages = 3
+		if got := testing.AllocsPerRun(50, superstep); got > boxes+messages {
+			t.Errorf("%d nodes: a warm superstep allocates %v times; the map boxes %v and %d messages box their headers", n, got, boxes, messages)
 		}
-		return ep
-	}
-	mep, rep, master := endpoint(mapAddr(job.Name, 0, 0)), endpoint(redAddr(job.Name, 0, 0)), endpoint(masterAddr(job.Name))
-	mt, rt := f.buildMapTask(0, 0, mep), f.buildReduceTask(0, 0, rep)
-	adj := make([]kv.Pair, n) // a ring with chords: i -> i+1, i+9
-	state := make([]kv.Pair, n)
-	for i := range adj {
-		adj[i] = kv.Pair{Key: int64(i), Value: []int64{int64((i + 1) % n), int64((i + 9) % n)}}
-		state[i] = kv.Pair{Key: int64(i), Value: math.Inf(1)}
-	}
-	state[0].Value = 0.0
-	mt.static = keyedRun(adj, ops)
-	mt.iter, rt.iter = 1, 1
-
-	in := stateChunk{Iter: 1, Seq: 1, Pairs: state, End: 1}
-	superstep := func() {
-		mt.handleState(in)
-		rt.handleShuffle((<-rep.Recv()).Payload.(shuffleChunk))
-		<-master.Recv() // the iteration report
-		in = (<-mep.Recv()).Payload.(stateChunk)
-	}
-	for i := 0; i < 3*n; i++ { // past convergence, every scratch at size
-		superstep()
-	}
-	boxes := testing.AllocsPerRun(50, func() {
-		if err := mt.mapRange(in.Pairs, func(k, v any) {}); err != nil {
-			t.Fatal(err)
+		var dist []float64
+		for _, p := range state() {
+			dist = append(dist, p.Value.(float64))
 		}
-	})
-	const messages = 3
-	if got := testing.AllocsPerRun(50, superstep); got > boxes+messages {
-		t.Errorf("a warm superstep allocates %v times; the map boxes %v and %d messages box their headers", got, boxes, messages)
-	}
-	var dist []float64
-	for _, p := range in.Pairs {
-		dist = append(dist, p.Value.(float64))
-	}
-	if want := ringChordDistances(n); !slices.Equal(dist, want) {
-		t.Fatalf("distances %v, want %v", dist, want)
+		if want := ringChordDistances(n); !slices.Equal(dist, want) {
+			t.Fatalf("%d nodes: distances %v, want %v", n, dist, want)
+		}
 	}
 }
 
 // TestScalarSuperstepSteadyStateAllocs is TestSuperstepSteadyStateAllocs
-// on the column loops: a warm superstep of a 64-node SSSP built by
+// on the typed loops: a warm superstep of a 64-node SSSP built by
 // ScalarJob allocates nothing to join, emit, shuffle, group, reduce,
 // merge or send the new state — the static partition is unboxed, the
 // typed map emits into columns, the reduce's groups, the previous-state
@@ -431,8 +407,8 @@ func TestScalarSuperstepSteadyStateAllocs(t *testing.T) {
 	}
 	const n, messages = 64, 3
 	sssp := ringSSSP("sssp-col-allocs").Build()
-	if !columnLoops(sssp) {
-		t.Fatal("the job does not run the column loops")
+	if !typedLoops(sssp) {
+		t.Fatal("the job does not run the typed loops")
 	}
 	superstep, state := scalarSuperstep(t, sssp, n)
 	for i := 0; i < 3*n; i++ { // past convergence, every scratch at size
@@ -497,13 +473,13 @@ func ringSSSP(name string) ScalarJob[float64, []int64] {
 
 // BenchmarkSuperstepLoops times one warm, converged superstep of a
 // 256-node SSSP — one map/reduce pair driven handler by handler, 768
-// shuffle records — on each set of record loops: the column loops, and
-// the pair loops the same job runs with its Reduce wrapped.
+// shuffle records — on each instantiation of the record loops: the typed
+// one, and the boxed one the same job runs with its Reduce wrapped.
 func BenchmarkSuperstepLoops(b *testing.B) {
-	for _, loops := range []string{"columns", "pairs"} {
+	for _, loops := range []string{"typed", "boxed"} {
 		b.Run(loops, func(b *testing.B) {
 			job := ringSSSP("sssp-loops").Build()
-			if loops == "pairs" {
+			if loops == "boxed" {
 				r := job.Reduce
 				job.Reduce = func(k any, s []any) (any, error) { return r(k, s) }
 			}
@@ -565,19 +541,14 @@ func scalarSuperstep(t testing.TB, job *Job, n int) (superstep func(), state fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := stateChunk{Iter: 1, Seq: 1, Pairs: first.pairs, Cols: first.cols, End: 1}
+	in := stateChunk{Iter: 1, Seq: 1, Cols: first, End: 1}
 	superstep = func() {
 		mt.handleState(in)
 		rt.handleShuffle((<-rep.Recv()).Payload.(shuffleChunk))
 		<-master.Recv() // the iteration report
 		in = (<-mep.Recv()).Payload.(stateChunk)
 	}
-	return superstep, func() []kv.Pair {
-		if in.Cols != nil {
-			return in.Cols.Box(nil)
-		}
-		return in.Pairs
-	}
+	return superstep, func() []kv.Pair { return in.Cols.Box(nil) }
 }
 
 // ringChordDistances is the BFS distance from node 0 in the ring with

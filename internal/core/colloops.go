@@ -7,40 +7,36 @@ import (
 	"imapreduce/internal/kv"
 )
 
-// The column loops: the record loops of a job columnLoops picks. Its
-// records stay in int64 and V columns the whole way round the loop. What
-// the typed map emits is partitioned by kv.PartitionInt64 (the reduce
-// Ops.Partition picks for the boxed key), crosses the network as a column
-// batch (a column frame on a socket) — values-only when the reduce already
-// holds its keys — and is placed as it arrives by the slot map of the
-// reduce's last grouping (kv.ColPlacement), so the typed reduce's groups
-// are ready at the barrier; where the layout does not hold, the round is
-// regrouped exactly in canonical order. The reduce merges each new
-// state into a typed previous-state run (colRun) and sends it back to the
-// map as a column batch too, where it is joined with the static
-// partition, unboxed once into a key column and an S column when the task
-// loads it. Records are boxed into pairs only where the state meets the
-// DFS: the checkpoint writer and the final output box the state, and the
-// initial, recovery and rollback loads unbox it, so every file reads as
-// the pair loops'.
-
-// colRecords is a column batch of a job's state type: a *kv.Cols[V].
-type colRecords interface {
-	Len() int
-	Cap() int
-	Reset()
-	Release()
-	Box(dst []kv.Pair) []kv.Pair
-}
+// The column loops: the record loops of every job, instantiated per value
+// type (DESIGN §5, "One loop source"). A job's records stay in an int64
+// key column and a V column the whole way round the loop — V the state
+// type of a typed job (a ScalarJob that typedLoops picks), any for every
+// other job, whose values stay boxed. What the map emits is partitioned
+// by kv.PartitionInt64 (the reduce Ops.Partition picks for the boxed
+// key), crosses the network as a column batch (a column frame on a
+// socket) — values-only when the reduce already holds its keys — and is
+// placed as it arrives by the slot map of the reduce's last grouping
+// (kv.ColPlacement), so the reduce's groups are ready at the barrier;
+// where the layout does not hold, the round is regrouped exactly in
+// canonical order. A termination reduce merges each new state into a
+// previous-state run (colRun) and sends it back to the map as a column
+// batch too, where it is joined with the static partition, unboxed once
+// into a key column and an S column when the task loads it. Records are
+// boxed into pairs only where the state meets the DFS or the master: the
+// checkpoint writer, the final output and the auxiliary output box the
+// state, and the initial, recovery and rollback loads unbox it.
 
 // colMapLoops are the column loops of a map task.
-type colMapLoops[V kv.Scalar, S any] struct {
+type colMapLoops[V, S any] struct {
 	t *mapTask
-	d *scalarDef[V, S]
-	// recSize is what a record is charged: what Ops charges its pair, so
-	// the byte counters read as they do on the pair loops.
-	recSize int64
-	emit    func(int64, V) // the map's emit, made once
+	// mapFn runs the user map on one record, emitting through emit.
+	mapFn func(k int64, v V, s S, emit func(int64, V)) error
+	// staticOf makes a static record's S, or reports that it cannot.
+	staticOf func(p kv.Pair) (S, bool)
+	// size is what records with the values vals are charged: what Ops
+	// charges their pairs.
+	size func(vals []V) int64
+	emit func(int64, V) // the map's emit, made once
 	// The static partition, unboxed: skeys[i]'s static value is svals[i],
 	// the keys ascending and unique.
 	skeys []int64
@@ -59,40 +55,36 @@ type sentKeys struct {
 	valid bool
 }
 
-func newColMapLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *mapTask) *colMapLoops[V, S] {
-	l := &colMapLoops[V, S]{
-		t: t, d: d,
-		recSize: colRecSize[V](&t.job.Ops),
-		keyCols: make([][]sentKeys, t.numReduce),
-	}
-	l.emit = func(k int64, v V) {
-		r := kv.PartitionInt64(k, t.numReduce)
-		c := t.out(r).cols.(*kv.Cols[V])
-		c.Append(k, v)
-		if c.Len() >= t.bufThresh {
-			t.sendShuffle(t.iter, r, false)
-		}
-	}
+// newColMapLoops returns t's column loops without their mapFn, staticOf
+// and size, which the instantiation sets.
+func newColMapLoops[V, S any](t *mapTask) *colMapLoops[V, S] {
+	l := &colMapLoops[V, S]{t: t, keyCols: make([][]sentKeys, t.numReduce)}
+	// Made once per task — a method value per map pass would cost an
+	// allocation per pass.
+	l.emit = l.emitRecord
 	return l
 }
 
-// colRecSize is what a column record of V is charged: what ops charges
-// its pair.
-func colRecSize[V kv.Scalar](ops *kv.Ops) int64 {
-	var zero V
-	return int64(ops.PairSize(kv.Pair{Key: int64(0), Value: zero}))
+// emitRecord is the map's emit: it files a record under t.iter — a task
+// only ever maps the iteration it is on — and sends its reduce's chunk
+// buffer when it reaches BufferThreshold.
+func (l *colMapLoops[V, S]) emitRecord(k int64, v V) {
+	t := l.t
+	r := kv.PartitionInt64(k, t.numReduce)
+	c := t.out(r).records.(*kv.Cols[V])
+	c.Append(k, v)
+	if c.Len() >= t.bufThresh {
+		t.sendShuffle(t.iter, r, false)
+	}
 }
 
-func (l *colMapLoops[V, S]) setStatic(static []kv.Pair) error {
-	l.skeys, l.svals = make([]int64, len(static)), make([]S, len(static))
-	for i, p := range static {
+func (l *colMapLoops[V, S]) setStatic(run []kv.Pair) error {
+	l.skeys, l.svals = make([]int64, len(run)), make([]S, len(run))
+	for i, p := range run {
 		k, ok := p.Key.(int64)
-		if !ok {
-			return scalarRecordErr[V](p.Key, nil)
-		}
-		s, ok := p.Value.(S)
-		if !ok && p.Value != nil {
-			return fmt.Errorf("core: scalar job static value %T, want %T", p.Value, s)
+		s, sok := l.staticOf(p)
+		if !ok || !sok {
+			return fmt.Errorf("core: static record (%T, %T), want (int64, %T)", p.Key, p.Value, s)
 		}
 		l.skeys[i], l.svals[i] = k, s
 	}
@@ -102,49 +94,46 @@ func (l *colMapLoops[V, S]) setStatic(static []kv.Pair) error {
 func (l *colMapLoops[V, S]) unbox(pairs []kv.Pair) (records, error) {
 	c := kv.NewCols[V](len(pairs))
 	if err := c.Unbox(pairs); err != nil {
-		return records{}, err
+		return nil, err
 	}
-	return records{cols: c}, nil
+	return c, nil
 }
 
 func (l *colMapLoops[V, S]) accumulate(a *accum, in records, presize int) error {
 	return addCols[V](a, in, presize)
 }
 
-// addCols is the column map loops' accumulate. It presizes as addPairs
-// does.
-func addCols[V kv.Scalar](a *accum, in records, presize int) error {
+// addCols is the column loops' accumulate. It makes room for presize
+// records when a has none yet: iterative jobs move nearly the same record
+// count every round.
+func addCols[V any](a *accum, in records, presize int) error {
 	src, err := colsIn[V](in)
 	if src == nil {
 		return err
 	}
-	dst, _ := a.cols.(*kv.Cols[V])
+	dst, _ := a.records.(*kv.Cols[V])
 	if dst == nil {
 		dst = kv.NewCols[V](max(presize, src.Len()))
-		a.cols = dst
+		a.records = dst
 	}
 	dst.AppendRange(src, 0, src.Len())
 	return nil
 }
 
 // colsIn returns in's column batch: nil and no error for a chunk with no
-// records (an End chunk may travel as an empty pair chunk), errMixedLoops
-// for one of pairs.
-func colsIn[V kv.Scalar](in records) (*kv.Cols[V], error) {
-	src, ok := in.cols.(*kv.Cols[V])
-	if !ok && (in.cols != nil || len(in.pairs) > 0) {
+// records, errMixedLoops for a batch of another value type.
+func colsIn[V any](in records) (*kv.Cols[V], error) {
+	src, ok := in.(*kv.Cols[V])
+	if !ok && recLen(in) > 0 {
 		return nil, errMixedLoops
 	}
 	return src, nil
 }
 
 func (l *colMapLoops[V, S]) mapState(in records) error {
-	src, ok := in.cols.(*kv.Cols[V])
-	if !ok {
-		if len(in.pairs) > 0 {
-			return errMixedLoops
-		}
-		return nil
+	src, err := colsIn[V](in)
+	if src == nil {
+		return err
 	}
 	// Each record is joined with the static value of its key (S's zero
 	// value when it has none).
@@ -158,15 +147,18 @@ func (l *colMapLoops[V, S]) mapState(in records) error {
 				cur++
 			}
 		}
-		if err := l.d.mapFn(k, vals[i], s, l.emit); err != nil {
+		if err := l.mapFn(k, vals[i], s, l.emit); err != nil {
 			return fmt.Errorf("map %d/%d key %v: %w", l.t.phase, l.t.idx, k, err)
 		}
 	}
 	return nil
 }
 
-// seekInt64 is seek over a key column: it returns where key is in keys
-// (or would be), whether it is there, looking at the cursor cur first.
+// seekInt64 looks key up in keys, ascending and unique, with the cursor
+// at cur: it returns where key is (or would be) and whether it is there.
+// Input arriving in key order hits at the cursor itself; anything else
+// (the first iteration's DFS order, a streamed chunk's first record)
+// costs one binary search of the side of the cursor the key lies on.
 func seekInt64(keys []int64, cur int, key int64) (int, bool) {
 	lo, hi := 0, len(keys)
 	if cur < len(keys) {
@@ -184,13 +176,24 @@ func seekInt64(keys []int64, cur int, key int64) (int, bool) {
 }
 
 func (l *colMapLoops[V, S]) pack(r int, c shuffleChunk, b *chunkBuf) (shuffleChunk, int64, error) {
-	var keys []int64
+	var cols *kv.Cols[V]
 	if b != nil {
-		cols := b.cols.(*kv.Cols[V])
-		c.Cols, keys = cols, cols.Keys
+		cols = b.records.(*kv.Cols[V])
+	}
+	c, size := l.packCols(r, c, cols)
+	return c, size, nil
+}
+
+// packCols returns c with cols — none when nil — as its payload, and the
+// bytes they are charged.
+func (l *colMapLoops[V, S]) packCols(r int, c shuffleChunk, cols *kv.Cols[V]) (shuffleChunk, int64) {
+	var keys []int64
+	var size int64
+	if cols != nil {
+		c.Cols, keys, size = cols, cols.Keys, l.size(cols.Vals)
 	}
 	l.elide(r, &c, keys)
-	return c, int64(len(keys)) * l.recSize, nil
+	return c, size
 }
 
 // elide marks c SameKeys when keys, its key column, is the one the task
@@ -229,8 +232,7 @@ func (l *colMapLoops[V, S]) forget() {
 	}
 }
 
-// colReduceLoops are the column loops of a reduce task. A column job has
-// one phase, so its reduce is always the termination phase's.
+// colReduceLoops are the column loops of a reduce task.
 //
 // Its input is never copied into the accumulator. The static data is
 // fixed, so an iteration shuffles the chunks the last one did, with the
@@ -239,15 +241,22 @@ func (l *colMapLoops[V, S]) forget() {
 // the grouped values. At the barrier a hit — every chunk of the layout
 // placed — leaves group nothing to do; anything else regroups the round
 // exactly in canonical order and learns the layout again (DESIGN §5).
-type colReduceLoops[V kv.Scalar, S any] struct {
-	t       *reduceTask
-	d       *scalarDef[V, S]
-	recSize int64 // see colMapLoops
+type colReduceLoops[V any] struct {
+	t *reduceTask
+	// reduceFn runs the user reduce on one group and distFn, nil when
+	// the job has none, the user Distance; box is the key's box on the
+	// boxed loops (boxKeys) — the previous-state run's when it holds the
+	// key — and nil on the typed ones.
+	reduceFn func(k int64, box any, vals []V) (V, error)
+	distFn   func(k int64, box any, prev, cur V) float64
+	size     func(vals []V) int64 // see colMapLoops
+	boxKeys  bool
 	// Task-lifetime scratch: the grouping kernel of a miss and the groups
 	// of the iteration being reduced.
 	grouper kv.ColGrouper[V]
 	groups  kv.ColGroups[V]
-	prev    colRun[V]
+	// prev is a termination phase's previous-state run.
+	prev colRun[V]
 	// layout is the layout of the last grouping, nil before the first
 	// and after a generation change. An iteration keeps the layout it
 	// started placing into: a new one is published, never written, so the
@@ -256,13 +265,9 @@ type colReduceLoops[V kv.Scalar, S any] struct {
 	layout *kv.ColLayout
 }
 
-func newColReduceLoops[V kv.Scalar, S any](d *scalarDef[V, S], t *reduceTask) *colReduceLoops[V, S] {
-	return &colReduceLoops[V, S]{t: t, d: d, recSize: colRecSize[V](&t.job.Ops)}
-}
-
 // accumulate places a chunk's records into a's placement.
-func (l *colReduceLoops[V, S]) accumulate(a *accum, c shuffleChunk) error {
-	src, err := colsIn[V](c.records())
+func (l *colReduceLoops[V]) accumulate(a *accum, c shuffleChunk) error {
+	src, err := colsIn[V](c.Cols)
 	if src == nil {
 		return err
 	}
@@ -282,7 +287,7 @@ func (l *colReduceLoops[V, S]) accumulate(a *accum, c shuffleChunk) error {
 // and the layout the next iteration starts on. A later iteration whose
 // chunks arrived before this barrier, and which has placed none by the
 // older layout it started on, is rebased onto the new one.
-func (l *colReduceLoops[V, S]) group(a *accum) (int, error) {
+func (l *colReduceLoops[V]) group(a *accum) (int, error) {
 	groups, layout, err := l.placement(a).Group(&l.grouper, l.layout)
 	if err != nil {
 		return 0, err
@@ -296,11 +301,11 @@ func (l *colReduceLoops[V, S]) group(a *accum) (int, error) {
 	return len(groups.Keys), nil
 }
 
-func (l *colReduceLoops[V, S]) forget() { l.layout = nil }
+func (l *colReduceLoops[V]) forget() { l.layout = nil }
 
 // placement returns a's placement, started on the task's layout when the
 // iteration has placed nothing yet.
-func (l *colReduceLoops[V, S]) placement(a *accum) *kv.ColPlacement[V] {
+func (l *colReduceLoops[V]) placement(a *accum) *kv.ColPlacement[V] {
 	p, _ := a.placed.(*kv.ColPlacement[V])
 	if p == nil {
 		p = new(kv.ColPlacement[V])
@@ -312,21 +317,31 @@ func (l *colReduceLoops[V, S]) placement(a *accum) *kv.ColPlacement[V] {
 	return p
 }
 
-func (l *colReduceLoops[V, S]) reduce(iter int) (float64, error) {
+func (l *colReduceLoops[V]) reduce(iter int) (float64, error) {
 	t, g := l.t, l.groups
 	l.groups = kv.ColGroups[V]{}
-	var whole *kv.Cols[V]
-	if t.whole != nil {
-		whole = t.whole.cols.(*kv.Cols[V])
-	}
+	whole, _ := t.whole.(*kv.Cols[V])
 	var dist float64
 	for i, k := range g.Keys {
-		ns, err := l.d.reduceFn(k, g.Values(i))
+		var old V
+		var box any
+		var had bool
+		if t.isTermination {
+			old, box, had = l.prev.find(k)
+		}
+		if box == nil && l.boxKeys {
+			box = k
+		}
+		ns, err := l.reduceFn(k, box, g.Values(i))
 		if err != nil {
 			return 0, t.reduceErr(k, err)
 		}
-		if old, had := l.prev.put(k, ns); had && l.d.distFn != nil {
-			dist += l.d.distFn(k, old, ns)
+		if t.isTermination {
+			// Groups are key-ascending: one merge pass over the run.
+			l.prev.put(k, box, ns, had)
+			if had && l.distFn != nil {
+				dist += l.distFn(k, box, old, ns)
+			}
 		}
 		if whole != nil {
 			whole.Append(k, ns)
@@ -335,68 +350,128 @@ func (l *colReduceLoops[V, S]) reduce(iter int) (float64, error) {
 			l.send(iter, k, ns)
 		}
 	}
-	l.prev.end()
+	if t.isTermination {
+		l.prev.end()
+	}
 	return dist, nil
 }
 
 // send adds one key's new state to the loop-back chunk buffer.
-func (l *colReduceLoops[V, S]) send(iter int, k int64, v V) {
+func (l *colReduceLoops[V]) send(iter int, k int64, v V) {
 	t := l.t
 	if t.outBuf == nil {
 		t.outBuf = t.bufs.get()
 	}
-	out := t.outBuf.cols.(*kv.Cols[V])
+	out := t.outBuf.records.(*kv.Cols[V])
 	out.Append(k, v)
 	if out.Len() >= t.bufThresh {
 		t.flushStreaming(iter, false)
 	}
 }
 
-func (l *colReduceLoops[V, S]) bytes(r records) int64 { return int64(r.len()) * l.recSize }
-
-func (l *colReduceLoops[V, S]) loadPrev(pairs []kv.Pair) error {
-	l.prev.run.Reset()
-	l.prev.next.Reset()
-	l.prev.pos = 0
-	return l.prev.run.Unbox(keyedRun(pairs, l.t.job.Ops))
+func (l *colReduceLoops[V]) bytes(r records) int64 {
+	if c, _ := r.(*kv.Cols[V]); c != nil {
+		return l.size(c.Vals)
+	}
+	return 0
 }
 
-func (l *colReduceLoops[V, S]) final() []kv.Pair { return l.prev.run.Box(nil) }
-
-// colRun is stateRun on the column loops: the previous state as a key
-// column and a value column, merged with an iteration's key-ascending
-// reduce results in one pass (put per group, then end) that writes a
-// second pair of columns, recycled across iterations.
-type colRun[V kv.Scalar] struct {
-	run, next kv.Cols[V]
-	pos       int // first record of run the pass has not consumed
+func (l *colReduceLoops[V]) loadPrev(pairs []kv.Pair) error {
+	return l.prev.load(keyedRun(pairs, l.t.job.Ops))
 }
 
-// put records v as k's new state and returns its previous state, if it
-// had one. Keys must arrive in ascending order within a pass: the records
-// of the run it passes over carry into the pass.
-func (s *colRun[V]) put(k int64, v V) (old V, existed bool) {
+func (l *colReduceLoops[V]) final() []kv.Pair { return l.prev.pairs() }
+
+// colRun is the state a termination reduce carries from one iteration to
+// the next for the Distance test and the final output: a key column and
+// a value column, keys ascending and unique, merged with an iteration's
+// key-ascending reduce results in one pass (find and put per group, then
+// end) that writes a second pair of columns, recycled across iterations.
+// A key absent from an iteration survives with its last value. On the
+// boxed loops (boxed) the run keeps each key's box beside it, so the
+// reduce hands the user the box the run holds instead of boxing the key
+// every iteration.
+type colRun[V any] struct {
+	run, next        kv.Cols[V]
+	boxes, nextBoxes []any
+	boxed            bool
+	pos              int // first record of run the pass has not consumed
+}
+
+// load replaces the run with a key-ordered run of pairs.
+func (s *colRun[V]) load(ps []kv.Pair) error {
+	s.run.Reset()
+	s.next.Reset()
+	clear(s.boxes)
+	s.boxes, s.pos = s.boxes[:0], 0
+	if err := s.run.Unbox(ps); err != nil {
+		return err
+	}
+	if s.boxed {
+		for _, p := range ps {
+			s.boxes = append(s.boxes, p.Key)
+		}
+	}
+	return nil
+}
+
+// find carries the records of the run before k into the pass and returns
+// k's previous state and key box, if it had one. Keys must arrive in
+// ascending order within a pass, each followed by its put.
+func (s *colRun[V]) find(k int64) (old V, box any, had bool) {
 	keys, i := s.run.Keys, s.pos
 	for i < len(keys) && keys[i] < k {
 		i++
 	}
 	if i > s.pos {
 		s.next.AppendRange(&s.run, s.pos, i)
+		if s.boxed {
+			s.nextBoxes = append(s.nextBoxes, s.boxes[s.pos:i]...)
+		}
 		s.pos = i
 	}
 	if i < len(keys) && keys[i] == k {
-		old, existed = s.run.Vals[i], true
+		old, had = s.run.Vals[i], true
+		if s.boxed {
+			box = s.boxes[i]
+		}
+	}
+	return old, box, had
+}
+
+// put records v as k's new state, with its key box on the boxed loops;
+// had is what find reported for k.
+func (s *colRun[V]) put(k int64, box any, v V, had bool) {
+	if had {
 		s.pos++
 	}
 	s.next.Append(k, v)
-	return old, existed
+	if s.boxed {
+		s.nextBoxes = append(s.nextBoxes, box)
+	}
 }
 
 // end closes the pass: the records past the last put carry over and the
-// merged columns become the run.
+// merged columns become the run. The recycled columns pin no state of
+// two iterations ago.
 func (s *colRun[V]) end() {
 	s.next.AppendRange(&s.run, s.pos, s.run.Len())
 	s.run, s.next = s.next, s.run
 	s.next.Reset()
+	if s.boxed {
+		s.nextBoxes = append(s.nextBoxes, s.boxes[s.pos:]...)
+		clear(s.boxes)
+		s.boxes, s.nextBoxes = s.nextBoxes, s.boxes[:0]
+	}
 	s.pos = 0
+}
+
+// pairs returns the run as key-ordered pairs, keys in the boxes the run
+// holds on the boxed loops.
+func (s *colRun[V]) pairs() []kv.Pair {
+	out := s.run.Box(nil)
+	for i, box := range s.boxes {
+		out[i].Key = box
+	}
+	return out
 }

@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"imapreduce/internal/algorithms/jacobi"
+	"imapreduce/internal/algorithms/kmeans"
+	"imapreduce/internal/algorithms/matpower"
 	"imapreduce/internal/algorithms/pagerank"
 	"imapreduce/internal/cluster"
 	"imapreduce/internal/core"
@@ -17,9 +20,9 @@ import (
 	"imapreduce/internal/transport"
 )
 
-// onPairLoops builds key's registry job with its Reduce wrapped in an
-// identity closure: the same job, on the pair loops.
-func onPairLoops(key string, p map[string]string) (*core.Job, error) {
+// onBoxedLoops builds key's registry job with its Reduce wrapped in an
+// identity closure: the same job, on the boxed loops.
+func onBoxedLoops(key string, p map[string]string) (*core.Job, error) {
 	job, err := jobs.Build(key, p)
 	if err != nil {
 		return nil, err
@@ -59,45 +62,44 @@ func newNet(tcp bool) transport.Network {
 }
 
 // TestRegistryJobsColumnLoopsMatchPairLoops: SSSP, connected components
-// and the registry's PageRank (whose sorted sum makes it independent of
-// arrival order) give bit-identical outputs on the column loops and on
-// the pair loops, at 4 tasks over channels and over TCP, and every byte
-// counter reads the same on both.
+// and the registry's PageRank give bit-identical outputs on the typed
+// loops and on the boxed loops, at 4 tasks over channels and over TCP,
+// and every byte counter reads the same on both.
 func TestRegistryJobsColumnLoopsMatchPairLoops(t *testing.T) {
 	counters := []string{metrics.ShuffleBytes, metrics.ShuffleRemote, metrics.StateBytes, metrics.StateRemote}
 	for _, key := range []string{"pagerank", "sssp", "concomp"} {
 		params := map[string]string{"name": key + "-loops", "nodes": "300", "maxiter": "8", "ckpt": "3", "tasks": "4"}
-		if job, _ := jobs.Build(key, params); !core.ColumnLoops(job) {
-			t.Fatalf("%s: the registry job does not run the column loops", key)
+		if job, _ := jobs.Build(key, params); !core.TypedLoops(job) {
+			t.Fatalf("%s: the registry job does not run the typed loops", key)
 		}
-		if job, _ := onPairLoops(key, params); core.ColumnLoops(job) {
-			t.Fatalf("%s: the wrapped job still runs the column loops", key)
+		if job, _ := onBoxedLoops(key, params); core.TypedLoops(job) {
+			t.Fatalf("%s: the wrapped job still runs the typed loops", key)
 		}
 		for _, tcp := range []bool{false, true} {
-			cols := scenario{name: "columns", spec: cluster.Uniform(4), build: jobs.Build, options: calm.options, m: metrics.NewSet()}
-			pairs := scenario{name: "pairs", spec: cluster.Uniform(4), build: onPairLoops, options: calm.options, m: metrics.NewSet()}
-			got, _ := cols.runInProcess(t, newNet(tcp), key, params)
-			want, _ := pairs.runInProcess(t, newNet(tcp), key, params)
+			typed := scenario{name: "typed", spec: cluster.Uniform(4), build: jobs.Build, options: calm.options, m: metrics.NewSet()}
+			boxed := scenario{name: "boxed", spec: cluster.Uniform(4), build: onBoxedLoops, options: calm.options, m: metrics.NewSet()}
+			got, _ := typed.runInProcess(t, newNet(tcp), key, params)
+			want, _ := boxed.runInProcess(t, newNet(tcp), key, params)
 			if !sameBits(got, want) {
-				t.Errorf("%s tcp=%v: the column loops' output differs from the pair loops'", key, tcp)
+				t.Errorf("%s tcp=%v: the typed loops' output differs from the boxed loops'", key, tcp)
 			}
-			if pairs.m.Get(metrics.ShuffleRemote) == 0 {
+			if boxed.m.Get(metrics.ShuffleRemote) == 0 {
 				t.Errorf("%s tcp=%v: no shuffle byte crossed workers", key, tcp)
 			}
 			for _, c := range counters {
-				if g, w := cols.m.Get(c), pairs.m.Get(c); g != w {
-					t.Errorf("%s tcp=%v: %s = %d on the column loops, %d on the pair loops", key, tcp, c, g, w)
+				if g, w := typed.m.Get(c), boxed.m.Get(c); g != w {
+					t.Errorf("%s tcp=%v: %s = %d on the typed loops, %d on the boxed loops", key, tcp, c, g, w)
 				}
 			}
 		}
 	}
 }
 
-// TestColumnLoopsRecover: a column-loop run with a checkpoint every 2
+// TestColumnLoopsRecover: a typed-loop run with a checkpoint every 2
 // iterations, hit at iteration 3 by an announced worker failure or by a
 // silent stall the heartbeats must detect, rolls back, finishes, and
 // leaves output and checkpoint files bit-identical to a calm run on the
-// pair loops — over channels and TCP. A distance threshold gates every
+// boxed loops — over channels and TCP. A distance threshold gates every
 // iteration on the master, so the fault lands mid-run however fast the
 // tasks are (SSSP converges at iteration 8 on this graph, PageRank runs
 // to MaxIter).
@@ -109,7 +111,7 @@ func TestColumnLoopsRecover(t *testing.T) {
 		params := map[string]string{"name": key + "-recover", "nodes": "200", "maxiter": "8", "ckpt": "2", "tasks": "4", "dthresh": "1e-9"}
 		spec := cluster.Uniform(4)
 		var wantSums map[string]uint32
-		ref := scenario{name: "calm", spec: spec, build: onPairLoops, options: calm.options}
+		ref := scenario{name: "calm", spec: spec, build: onBoxedLoops, options: calm.options}
 		ref.onDone = func(fs *dfs.DFS, res *core.Result) { wantSums = core.FileSums(t, fs, params["name"], res.OutputPath) }
 		want, _ := ref.runInProcess(t, transport.NewChanNetwork(), key, params)
 		for _, fault := range []string{"fail", "stall"} {
@@ -144,7 +146,7 @@ func TestColumnLoopsRecover(t *testing.T) {
 					t.Errorf("%s: no recovery", what)
 				}
 				if !sameBits(got, want) {
-					t.Errorf("%s: output differs from the calm run on the pair loops", what)
+					t.Errorf("%s: output differs from the calm run on the boxed loops", what)
 				}
 			}
 		}
@@ -152,7 +154,7 @@ func TestColumnLoopsRecover(t *testing.T) {
 }
 
 // TestColumnLoopsUnderChaos: over a network that drops, duplicates and
-// reorders frames, column chunks — duplicates of a leased batch
+// reorders frames, typed column chunks — duplicates of a leased batch
 // included — are taken exactly once, and the output is bit-identical to
 // a calm run's, over channels and over TCP.
 func TestColumnLoopsUnderChaos(t *testing.T) {
@@ -197,30 +199,90 @@ func unsortedPageRank(_ string, p map[string]string) (*core.Job, error) {
 	return job, nil
 }
 
-// TestColumnReduceDeterministic: PageRank with an unsorted sum leaves
-// bit-identical checkpoint and output files over channels, over loopback
-// TCP (twice), and over a network that duplicates and reorders frames. A
-// column reduce groups each key's values in canonical (map, slot,
-// position) order, and a map takes its state chunks in slot order, so no
-// network timing reaches the floating-point sums.
+// TestColumnReduceDeterministic: PageRank with an unsorted sum on the
+// typed loops, and on the boxed loops MaxIter-only k-means with its
+// combiner (whose reduce averages its points and partial sums in the
+// order it is handed them), Jacobi and matrix power (whose first reduce
+// lists a row's entries in that order, and whose second sums their
+// products), each leave bit-identical checkpoint and output files over
+// channels, over loopback TCP (twice), and over a network that
+// duplicates and reorders frames. A reduce groups each key's values in
+// canonical (map, slot, position) order, and a map takes its state
+// chunks in slot order, so no network timing reaches the floating-point
+// sums.
 func TestColumnReduceDeterministic(t *testing.T) {
 	params := map[string]string{"name": "pagerank-det", "nodes": "600"}
-	if job, _ := unsortedPageRank("", params); !core.ColumnLoops(job) {
-		t.Fatal("the job does not run the column loops")
+	if job, _ := unsortedPageRank("", params); !core.TypedLoops(job) {
+		t.Fatal("the job does not run the typed loops")
 	}
-	run := func(what string, net transport.Network) map[string]uint32 {
+	registry := func(net transport.Network) map[string]uint32 {
 		var sums map[string]uint32
-		sc := scenario{name: what, spec: cluster.Uniform(4), build: unsortedPageRank, options: calm.options}
+		sc := scenario{name: "det", spec: cluster.Uniform(4), build: unsortedPageRank, options: calm.options}
 		sc.onDone = func(fs *dfs.DFS, res *core.Result) { sums = core.FileSums(t, fs, params["name"], res.OutputPath) }
 		sc.runInProcess(t, net, "pagerank", params)
 		return sums
 	}
-	want := run("chan", transport.NewChanNetwork())
-	core.SameFiles(t, "tcp", run("tcp", transport.NewTCPNetwork()), want)
-	core.SameFiles(t, "tcp again", run("tcp", transport.NewTCPNetwork()), want)
-	fnet := transport.NewFaultyNetwork(transport.NewChanNetwork(), transport.FaultyOptions{Seed: 3, DupRate: 0.05, ReorderRate: 0.2})
-	core.SameFiles(t, "dups and reorders", run("faulty", fnet), want)
-	if fnet.Dups() == 0 || fnet.Reorders() == 0 {
-		t.Fatalf("fault profile inert: %d dups, %d reorders", fnet.Dups(), fnet.Reorders())
+	for _, c := range []struct {
+		name string
+		run  func(net transport.Network) map[string]uint32
+	}{
+		{"pagerank", registry},
+		{"kmeans", func(net transport.Network) map[string]uint32 {
+			points, centroids := kmeans.Generate(kmeans.DataConfig{Users: 600, Dim: 4, K: 5, Seed: 11})
+			return untypedRun(t, net, func(fs *dfs.DFS, at string) error {
+				return kmeans.WriteInputs(fs, at, points, centroids, "/km/static", "/km/state")
+			}, kmeans.IMRJob(kmeans.IMRConfig{Name: "kmeans-det", StaticPath: "/km/static", StatePath: "/km/state",
+				MaxIter: 5, NumTasks: 4, UseCombiner: true, Checkpoint: 2}))
+		}},
+		{"jacobi", func(net transport.Network) map[string]uint32 {
+			sys := jacobi.RandomDiagDominant(120, 5)
+			return untypedRun(t, net, func(fs *dfs.DFS, at string) error {
+				return jacobi.WriteInputs(fs, at, sys, "/jac/static", "/jac/state")
+			}, jacobi.IMRJob(jacobi.IMRConfig{Name: "jacobi-det", StaticPath: "/jac/static", StatePath: "/jac/state",
+				MaxIter: 6, NumTasks: 4, Checkpoint: 2}))
+		}},
+		{"matpower", func(net transport.Network) map[string]uint32 {
+			m := matpower.Random(16, 9)
+			return untypedRun(t, net, func(fs *dfs.DFS, at string) error {
+				return matpower.WriteInputs(fs, at, m, "/mp/static", "/mp/state")
+			}, matpower.IMRJob(matpower.IMRConfig{Name: "matpower-det", StaticPath: "/mp/static", StatePath: "/mp/state",
+				MaxIter: 3, NumTasks: 4, Checkpoint: 1}))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := c.run(transport.NewChanNetwork())
+			core.SameFiles(t, "tcp", c.run(transport.NewTCPNetwork()), want)
+			core.SameFiles(t, "tcp again", c.run(transport.NewTCPNetwork()), want)
+			fnet := transport.NewFaultyNetwork(transport.NewChanNetwork(), transport.FaultyOptions{Seed: 3, DupRate: 0.05, ReorderRate: 0.2})
+			core.SameFiles(t, "dups and reorders", c.run(fnet), want)
+			if fnet.Dups() == 0 || fnet.Reorders() == 0 {
+				t.Fatalf("fault profile inert: %d dups, %d reorders", fnet.Dups(), fnet.Reorders())
+			}
+		})
 	}
+}
+
+// untypedRun runs job on 4 workers over net, its inputs written by seed,
+// and returns the checksums of the checkpoint files and output parts it
+// leaves.
+func untypedRun(t *testing.T, net transport.Network, seed func(fs *dfs.DFS, at string) error, job *core.Job) map[string]uint32 {
+	t.Helper()
+	defer net.Close()
+	spec := cluster.Uniform(4)
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), metrics.NewSet())
+	if err := seed(fs, spec.IDs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if core.TypedLoops(job) {
+		t.Fatalf("%s runs the typed loops", job.Name)
+	}
+	eng, err := core.NewEngine(fs, net, spec, nil, core.Options{Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.FileSums(t, fs, job.Name, res.OutputPath)
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -337,6 +339,36 @@ func TestValidationErrors(t *testing.T) {
 	bc.Mapping = OneToAll
 	if _, err := v.e.Run(bc); err == nil {
 		t.Error("OneToAll without StaticPath accepted")
+	}
+}
+
+// TestNonInt64KeysRejected: every phase runs the column loops, whose key
+// column is int64. A job whose Ops — on its first phase, a successor or
+// its auxiliary phase — keys by another type is refused with ErrKeyType
+// before it runs, and a map that emits a key of another type fails the
+// run with it.
+func TestNonInt64KeysRejected(t *testing.T) {
+	v := newEnv(t, 2, Options{})
+	v.writeState(t, "/state", 4)
+	stringKeys := func(j *Job) *Job { j.Ops = kv.OpsFor[string, float64](nil); return j }
+	first := stringKeys(halvingJob("keys-first", 2, 0))
+	successor := halvingJob("keys-successor", 2, 0)
+	successor.AddSuccessor(stringKeys(halvingJob("keys-successor-2", 2, 0)))
+	auxiliary := halvingJob("keys-aux", 2, 0)
+	auxiliary.AddAuxiliary(stringKeys(halvingJob("keys-aux-watch", 0, 0)))
+	auxiliary.AuxDecide = func(int, []kv.Pair) bool { return false }
+	for _, j := range []*Job{first, successor, auxiliary} {
+		if res, err := v.e.Run(j); !errors.Is(err, ErrKeyType) || res != nil {
+			t.Errorf("%s: run error %v, want ErrKeyType", j.Name, err)
+		}
+	}
+	emits := halvingJob("keys-emitted", 2, 0)
+	emits.Map = func(key, state, static any, emit kv.Emit) error {
+		emit(fmt.Sprint(key), state)
+		return nil
+	}
+	if _, err := v.e.Run(emits); err == nil || !strings.Contains(err.Error(), ErrKeyType.Error()) {
+		t.Errorf("a map emitting string keys: run error %v, want ErrKeyType's", err)
 	}
 }
 

@@ -2,8 +2,8 @@ package core
 
 import "time"
 
-// ColumnLoops exposes columnLoops to the package's external tests.
-var ColumnLoops = columnLoops
+// TypedLoops exposes typedLoops to the package's external tests.
+var TypedLoops = typedLoops
 
 // FileSums and SameFiles expose fileSums and sameFiles to them.
 var FileSums, SameFiles = fileSums, sameFiles

@@ -32,7 +32,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 
 	"imapreduce/internal/kv"
 )
@@ -160,9 +162,13 @@ type Job struct {
 
 	successor *Job
 	auxiliary *Job
-	// scalar is set by ScalarJob.Build (see columnLoops).
+	// scalar is set by ScalarJob.Build (see typedLoops).
 	scalar scalarLoops
 }
+
+// ErrKeyType rejects an iterative job whose keys are not int64: every
+// job runs the column loops, whose key column is int64 (DESIGN §5).
+var ErrKeyType = errors.New("core: an iterative job's keys must be int64")
 
 // OutputDir is the directory a run of j writes its final state to:
 // OutputPath, or /_imr/<Name>/output when that is empty.
@@ -215,6 +221,9 @@ func (j *Job) validate(phaseIdx int, isAux bool) error {
 	}
 	if !j.Ops.Valid() {
 		return fmt.Errorf("%s: Ops not built by kv.OpsFor", where)
+	}
+	if kt := j.Ops.KeyType(); kt != reflect.TypeFor[int64]() {
+		return fmt.Errorf("%s: Ops keys are %v: %w", where, kt, ErrKeyType)
 	}
 	if phaseIdx == 0 && !isAux && j.StatePath == "" {
 		return fmt.Errorf("%s: first phase needs StatePath", where)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -18,9 +19,10 @@ import (
 // a cursor: state in shuffled order (the first iteration reads it in DFS
 // order), state keys the static data lacks and static keys no state
 // carries, static keys written twice (the last record wins), a static
-// file with no records — under int64 and string keys, on one task pair
-// and on four (par1 and par4: the data split into that many static and
-// state partitions), streamed and whole-iteration map input.
+// file with no records — on one task pair and on four (par1 and par4: the
+// data split into that many static and state partitions), streamed and
+// whole-iteration map input. The same job with string keys is rejected
+// with ErrKeyType before it starts: the column loops key by int64.
 func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	guard(t, 2*time.Minute)
 	kinds := []struct {
@@ -76,7 +78,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 						}
 						var mu sync.Mutex
 						var got []string
-						_, err := v.e.Run(&Job{
+						res, err := v.e.Run(&Job{
 							Name: "join", StatePath: "/state", StaticPath: "/static",
 							Map: func(key, state, static any, emit kv.Emit) error {
 								mu.Lock()
@@ -93,6 +95,12 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 							BufferThreshold: 200, // several chunks per iteration
 							Ops:             kind.ops,
 						})
+						if kind.name == "string" {
+							if !errors.Is(err, ErrKeyType) || res != nil || len(got) > 0 {
+								t.Fatalf("a string-keyed job ran: error %v, %d map calls", err, len(got))
+							}
+							return
+						}
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -218,8 +226,10 @@ func TestRollbackReloadsPrevState(t *testing.T) {
 }
 
 // TestJoinSteadyStateAllocs gates the two joins' allocation-flat steady
-// state: a warm mapRange over a key-ordered input and a warm merge pass
-// of the previous-state run allocate nothing.
+// state on the boxed loops, over keys past 255, which Go cannot box
+// without allocating: a warm mapState over a key-ordered input — each map
+// call handed its static record's key box — and a warm merge pass of the
+// previous-state run, which keeps its keys' boxes, allocate nothing.
 func TestJoinSteadyStateAllocs(t *testing.T) {
 	const n = 4096
 	ops := f64Ops()
@@ -227,36 +237,47 @@ func TestJoinSteadyStateAllocs(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = kv.Pair{Key: int64(i), Value: float64(i)}
 	}
-	mt := &mapTask{
-		job: &Job{Ops: ops, Map: func(key, state, static any, emit kv.Emit) error {
-			if static == nil {
-				return fmt.Errorf("no static record")
-			}
-			return nil
-		}},
-		static: keyedRun(slices.Clone(pairs), ops),
+	mt := &mapTask{numReduce: 1, job: &Job{Ops: ops, Map: func(key, state, static any, emit kv.Emit) error {
+		if static == nil || key.(int64) != static.(kv.Pair).Key {
+			return fmt.Errorf("key %v joined with %v", key, static)
+		}
+		return nil
+	}}}
+	l := boxedDef{}.mapLoops(mt)
+	static := make([]kv.Pair, n) // each static value the record itself
+	for i, p := range pairs {
+		static[i] = kv.Pair{Key: p.Key, Value: p}
 	}
-	emit := func(k, v any) {}
+	if err := l.setStatic(static); err != nil {
+		t.Fatal(err)
+	}
+	in, err := l.unbox(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a := testing.AllocsPerRun(20, func() {
-		if err := mt.mapRange(pairs, emit); err != nil {
+		if err := l.mapState(in); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {
-		t.Errorf("warm mapRange allocates %v times per %d records, want 0", a, n)
+		t.Errorf("warm mapState allocates %v times per %d records, want 0", a, n)
 	}
 
-	var prev stateRun
-	prev.load(slices.Clone(pairs), ops)
-	cmp := ops.KeyOrder()
+	prev := colRun[any]{boxed: true}
+	if err := prev.load(slices.Clone(pairs)); err != nil {
+		t.Fatal(err)
+	}
 	pass := func() {
 		for _, p := range pairs {
-			if _, ok := prev.put(cmp, p.Key, p.Value); !ok {
-				t.Fatal("key missing from the previous state")
+			_, box, had := prev.find(p.Key.(int64))
+			if !had || box != p.Key {
+				t.Fatal("key missing from the previous state, or its box not kept")
 			}
+			prev.put(p.Key.(int64), box, p.Value, had)
 		}
 		prev.end()
 	}
-	pass() // sizes the second buffer
+	pass() // sizes the second columns
 	if a := testing.AllocsPerRun(20, pass); a != 0 {
 		t.Errorf("warm previous-state merge allocates %v times per %d records, want 0", a, n)
 	}

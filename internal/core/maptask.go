@@ -55,12 +55,7 @@ type mapTask struct {
 	serializes bool
 	// sent counts, per reduce, the shuffle chunks of the iteration being
 	// mapped, for the End chunk to announce.
-	sent []chunkCount
-	// static is this task's static partition on the pair loops, loaded
-	// once (§3.1): a keyedRun that mapRange joins state against — or, for
-	// a broadcast task, the records in file order, each mapped once per
-	// iteration. The column loops keep theirs unboxed.
-	static []kv.Pair
+	sent   []chunkCount
 	pend   map[int]*accum
 	spares []*accum
 	// lastIn is the previous iteration's state-input size, used to
@@ -71,8 +66,8 @@ type mapTask struct {
 	// command was already obeyed, making duplicated cmdGo a no-op.
 	seq       int64
 	loadedGen int
-	// loops are the task's record loops (loops.go): the pair loops, or
-	// the column loops of a job columnLoops picks.
+	// loops are the task's record loops (loops.go), which hold its static
+	// partition, loaded once (§3.1).
 	loops mapLoops
 	// idleAt marks when the task last went idle; set only when tracing,
 	// it anchors the per-iteration wait span. Compute spans emitted for
@@ -99,7 +94,10 @@ type chunkKey struct {
 	seq  int64
 }
 
-// loop is the task body; it returns when the master terminates the run.
+// loop is the task body; it returns when the master aborts the run or
+// the task's endpoint closes. A terminated run's maps have nothing left
+// to do, but stay for a recovery that replays the run's last iterations
+// (see masterLoop's failWorker).
 // With heartbeats enabled the task also beats the master every interval
 // — from this goroutine, so a hung task (stalled worker) stops beating
 // and becomes detectable (§3.4.1 extended).
@@ -123,7 +121,7 @@ func (t *mapTask) loop() {
 				t.handleState(pl)
 			case cmdMsg:
 				switch pl.Kind {
-				case cmdTerminate, cmdAbort:
+				case cmdAbort:
 					return
 				case cmdRollback:
 					t.rollback(pl)
@@ -156,7 +154,6 @@ func (t *mapTask) send(to, kind string, payload any, size int64) {
 // loadStatic reads this task's static partition from the DFS and hands
 // it to the task's loops.
 func (t *mapTask) loadStatic() error {
-	t.static = nil
 	if t.job.StaticPath == "" {
 		return nil
 	}
@@ -236,7 +233,7 @@ func (t *mapTask) selfLoad(cmd cmdMsg) {
 		tr.RecordSpan(trace.SpanLoad, t.worker, t.tid(), t.iter, lstart, time.Since(lstart))
 	}
 	t.seq++
-	t.handleState(stateChunk{Gen: t.gen, Iter: t.iter, From: -1, Seq: t.seq, Pairs: in.pairs, Cols: in.cols, End: 1})
+	t.handleState(stateChunk{Gen: t.gen, Iter: t.iter, From: -1, Seq: t.seq, Cols: in, End: 1})
 	if t.broadcast {
 		// The self-load stands in for all feeders at once.
 		if a := t.pend[t.iter]; a != nil {
@@ -248,9 +245,9 @@ func (t *mapTask) selfLoad(cmd cmdMsg) {
 
 // handleState ingests one chunk of iterated state.
 func (t *mapTask) handleState(c stateChunk) {
-	// This handler owns the chunk's decode arena or batch: its records are
-	// only read within this call (streamed straight into process, or
-	// copied into the accumulator), so they go back to the pool on return.
+	// This handler owns the chunk's decode batch: its records are only
+	// read within this call (streamed straight into process, or copied
+	// into the accumulator), so they go back to the pool on return.
 	defer c.release()
 	if c.Gen != t.gen || c.Iter < t.iter {
 		return // stale: pre-rollback traffic
@@ -266,7 +263,7 @@ func (t *mapTask) handleState(c stateChunk) {
 	if t.broadcast {
 		// A broadcast task sorts its whole input before mapping it, so the
 		// order its feeders' chunks arrive in does not matter.
-		t.consume(a, c.Iter, c.records())
+		t.consume(a, c.Iter, c.Cols)
 	} else if !t.takeInOrder(a, c) {
 		return
 	}
@@ -282,14 +279,14 @@ func (t *mapTask) handleState(c stateChunk) {
 func (t *mapTask) takeInOrder(a *accum, c stateChunk) bool {
 	if c.Slot != a.next {
 		var early accum
-		if err := t.loops.accumulate(&early, c.records(), 0); err != nil {
+		if err := t.loops.accumulate(&early, c.Cols, 0); err != nil {
 			t.fatal(fmt.Errorf("map %d/%d: %w", t.phase, t.idx, err))
 			return false
 		}
 		a.held = append(a.held, heldState{slot: c.Slot, in: early.records})
 		return true
 	}
-	in := c.records()
+	in := c.Cols
 	for {
 		if !t.consume(a, c.Iter, in) {
 			return false
@@ -313,7 +310,7 @@ func (t *mapTask) takeInOrder(a *accum, c stateChunk) bool {
 // (§3.3) and is on that iteration, and adds them to a otherwise. It
 // reports false when the task failed.
 func (t *mapTask) consume(a *accum, iter int, in records) bool {
-	if in.len() == 0 {
+	if recLen(in) == 0 {
 		return true
 	}
 	if t.stream && iter == t.iter {
@@ -347,19 +344,14 @@ func (t *mapTask) tryComplete() {
 			tr.RecordSpan(trace.SpanWait, t.worker, t.tid(), t.iter,
 				t.idleAt, time.Since(t.idleAt))
 		}
-		t.lastIn = a.len()
-		if t.broadcast {
-			t.processBroadcast(t.iter, a.pairs)
-		} else if a.len() > 0 {
+		t.lastIn = recLen(a.records)
+		if t.broadcast || t.lastIn > 0 {
+			// A broadcast map runs once per static record, whatever state
+			// there is.
 			t.process(t.iter, a.records)
 		}
 		t.flushEnds(t.iter)
 		delete(t.pend, t.iter)
-		if t.broadcast {
-			// The user map was handed this list as its state (OneToAll):
-			// it is not the task's to refill.
-			a.pairs = make([]kv.Pair, 0, t.lastIn)
-		}
 		a.retire(&t.spares)
 		t.iter++
 		if t.e.opts.Trace != nil {
@@ -375,39 +367,6 @@ func (t *mapTask) process(iter int, in records) {
 	if err := t.loops.mapState(in); err != nil {
 		t.fatal(err)
 		return
-	}
-	t.e.stretch(t.worker, time.Since(start))
-	t.e.opts.Trace.RecordSpan(trace.SpanMap, t.worker, t.tid(), iter, start, time.Since(start))
-}
-
-// mapRange runs the user map over state pairs, each joined with the
-// static value of its key (nil when the key has none).
-func (t *mapTask) mapRange(pairs []kv.Pair, em kv.Emit) error {
-	run, cmp, cur := t.static, t.job.Ops.KeyOrder(), 0
-	for _, p := range pairs {
-		var static any
-		if len(run) > 0 {
-			static, cur = seek(run, cmp, cur, p.Key)
-		}
-		if err := t.job.Map(p.Key, p.Value, static, em); err != nil {
-			return fmt.Errorf("map %d/%d key %v: %w", t.phase, t.idx, p.Key, err)
-		}
-	}
-	return nil
-}
-
-// processBroadcast runs the user map once per static record with the
-// complete state list (OneToAll). A broadcast job runs the pair loops
-// (see columnLoops).
-func (t *mapTask) processBroadcast(iter int, statePairs []kv.Pair) {
-	start := time.Now()
-	t.job.Ops.SortPairs(statePairs) // deterministic state order across runs
-	emit := t.loops.(*pairMapLoops).emit
-	for _, sp := range t.static {
-		if err := t.job.Map(sp.Key, statePairs, sp.Value, emit); err != nil {
-			t.fatal(fmt.Errorf("map %d/%d key %v: %w", t.phase, t.idx, sp.Key, err))
-			return
-		}
 	}
 	t.e.stretch(t.worker, time.Since(start))
 	t.e.opts.Trace.RecordSpan(trace.SpanMap, t.worker, t.tid(), iter, start, time.Since(start))

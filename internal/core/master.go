@@ -52,9 +52,13 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	}
 
 	terminated := false
+	aborted := false
 	converged := false
 	auxStop := false
 	stopIter := 0
+	// replayTo is the stopIter of a terminated run that a lost worker
+	// rolled back: the replay stops there again (0: no replay).
+	replayTo := 0
 	finals := 0
 	outputRecords := 0
 	migrations, recoveries := 0, 0
@@ -106,7 +110,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	// checkpoint left it — the state a Resume restarts from. Only a run
 	// that ends well terminates.
 	abort := func() {
-		terminated = true
+		terminated, aborted = true, true
 		sendCmd(ts.all, cmdMsg{Kind: cmdAbort})
 	}
 
@@ -154,9 +158,12 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	// failWorker is the single recovery path for crashed, hung, and
 	// injected failures (§3.4.1): mark the worker dead, re-place every
 	// pair that lived on it, move them. Returns a non-nil error only
-	// when no worker is left to recover onto.
+	// when no worker is left to recover onto. A failure matters until
+	// every final is in: one after terminate rolls the run back too, and
+	// the replay stops at the same iteration, its finals of the new
+	// generation.
 	failWorker := func(worker string) error {
-		if !live[worker] || terminated {
+		if !live[worker] || aborted || finals == n {
 			return nil
 		}
 		live[worker] = false
@@ -174,6 +181,11 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			if run.workerOfPhasePair(len(phases), i) == worker {
 				run.setPairWorker(i, leastLoaded(), true)
 			}
+		}
+		if terminated {
+			terminated, auxStop, replayTo = false, false, stopIter
+			finals, outputRecords = 0, 0
+			clear(finalSeen)
 		}
 		recoveries++
 		movePairs()
@@ -337,6 +349,13 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 				for w := range lastBeat {
 					lastBeat[w] = time.Now()
 				}
+				if replayTo > 0 && rbToIter >= replayTo {
+					// The replay rolled back to its own last iteration's
+					// checkpoint, which the termination reduces have just
+					// loaded: nothing is left to recompute.
+					terminate()
+					continue
+				}
 				sendCmd(ts.phase0Maps, cmdMsg{Kind: cmdGo, Gen: gen, ToIter: rbToIter})
 			}
 
@@ -440,7 +459,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			if cb := e.opts.OnIteration; cb != nil {
 				cb(perIter[iter])
 			}
-			stop := auxStop
+			stop := auxStop || replayTo > 0 && iter >= replayTo
 			if last.MaxIter > 0 && iter >= last.MaxIter {
 				stop = true
 			}
@@ -471,6 +490,9 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			delete(reports, iter)
 
 		case finalMsg:
+			if pl.Gen != gen {
+				continue // written before a recovery rolled the run back
+			}
 			if pl.Err != "" {
 				return nil, fmt.Errorf("core: job %s: final write of part %d: %s", job.Name, pl.Task, pl.Err)
 			}

@@ -40,54 +40,44 @@ const (
 // sender's chunks in slot order, whatever order the network delivered
 // them in. Seq is a per-sender monotone counter: together with From it
 // lets the receiver discard network-duplicated chunks, so data flows stay
-// correct over at-least-once transports. Its records are Pairs, or Cols
-// from a reduce on the column loops; an End chunk with no records may
-// carry neither.
+// correct over at-least-once transports. Its records are Cols, a column
+// batch of the sender's loops; an End chunk with no records may carry
+// none.
 type stateChunk struct {
-	Gen   int
-	Iter  int
-	From  int
-	Seq   int64
-	Pairs []kv.Pair
-	Cols  colRecords
-	End   int
-	Slot  int
+	Gen  int
+	Iter int
+	From int
+	Seq  int64
+	Cols records
+	End  int
+	Slot int
 
-	// slab is the decode arena Pairs was carved from when the chunk came
-	// off the wire (nil for a chunk passed by reference). lease is the
-	// claim on the sender's chunk buffer the records live in, when the
-	// chunk travels by reference to a single receiver (see buffers.go).
-	// The wire encoding carries neither: a decoded chunk has a slab and no
-	// lease. pooled marks Cols as a decode batch from the kv pool. The
-	// receiving handler owns the chunk and must release() it.
-	slab   *kv.Slab
+	// lease is the claim on the sender's chunk buffer the records live in,
+	// when the chunk travels by reference to a single receiver (see
+	// buffers.go); the wire encoding does not carry it. pooled marks Cols
+	// as a decode batch from the kv pool. The receiving handler owns the
+	// chunk and must release() it.
 	lease  bufLease
 	pooled bool
 }
 
-// records returns the chunk's records.
-func (c stateChunk) records() records { return records{pairs: c.Pairs, cols: c.Cols} }
+// release returns the chunk's decode batch, if any, to its pool and sends
+// its chunk buffer home, if it holds one. The records must not be used
+// afterwards; boxed values that escaped into accumulators stay valid (a
+// batch is only cleared). Handlers call this exactly once, via defer,
+// when they are done with the records.
+func (c stateChunk) release() { releaseRecords(c.lease, c.Cols, c.pooled) }
 
-// release recycles the chunk's decode arena or batch, if any, and sends
-// its chunk buffer home, if it holds one. The records (and any slices of
-// them) must not be used afterwards; boxed keys and values that escaped
-// into accumulators stay valid (a slab release keeps them, and a buffer
-// is only cleared). Handlers call this exactly once, via defer, when
-// they are done with the records.
-func (c stateChunk) release() {
-	c.lease.giveBack()
-	if c.slab != nil {
-		c.slab.Release()
-	}
-	if c.pooled {
-		c.Cols.Release()
+func releaseRecords(lease bufLease, r records, pooled bool) {
+	lease.giveBack()
+	if pooled {
+		r.Release()
 	}
 }
 
 // shuffleChunk carries map output to a reduce task of the same phase.
 // (FromMap, Seq) deduplicates and End and Slot count, as for stateChunk.
-// Its records are Pairs, or Cols from a map on the column loops; an End
-// chunk with no records carries neither.
+// Its records are Cols; an End chunk with no records may carry none.
 //
 // KeyEpoch and SameKeys are the column loops' key elision (DESIGN §5).
 // KeyEpoch is the iteration whose chunk from FromMap at Slot last carried
@@ -100,32 +90,19 @@ type shuffleChunk struct {
 	Iter     int
 	FromMap  int
 	Seq      int64
-	Pairs    []kv.Pair
-	Cols     colRecords
+	Cols     records
 	End      int
 	Slot     int
 	KeyEpoch int
 	SameKeys bool
 
-	// slab, lease, pooled: see stateChunk.
-	slab   *kv.Slab
+	// lease, pooled: see stateChunk.
 	lease  bufLease
 	pooled bool
 }
 
-// records returns the chunk's records.
-func (c shuffleChunk) records() records { return records{pairs: c.Pairs, cols: c.Cols} }
-
 // release: see stateChunk.release.
-func (c shuffleChunk) release() {
-	c.lease.giveBack()
-	if c.slab != nil {
-		c.slab.Release()
-	}
-	if c.pooled {
-		c.Cols.Release()
-	}
-}
+func (c shuffleChunk) release() { releaseRecords(c.lease, c.Cols, c.pooled) }
 
 // reportMsg is the per-iteration completion report each termination-
 // phase reduce task sends the master (§3.4.2): task id, iteration
@@ -156,8 +133,10 @@ type ckptMsg struct {
 	Task int
 }
 
-// finalMsg acknowledges that a reduce task wrote its final output part.
+// finalMsg acknowledges that a reduce task wrote its final output part
+// in generation Gen.
 type finalMsg struct {
+	Gen     int
 	Task    int
 	Records int
 	Err     string
@@ -221,24 +200,26 @@ type taskErrMsg struct {
 // Wire marshaling: every message that carries records — the two
 // data-plane chunk types and the auxiliary output — implements
 // transport.WireMarshaler, so the TCP backend carries it as a binary
-// frame (header varints + kv codec pair bytes). A record whose type has
-// no kv codec makes AppendWire refuse, the send fails with
-// transport.ErrUnencodable, and the task fails the run (see
-// refusedRecord).
+// frame. A record whose type has no kv codec makes AppendWire refuse, the
+// send fails with transport.ErrUnencodable, and the task fails the run
+// (see refusedRecord).
 //
-// A state or shuffle chunk of column records is its own frame, one tag
-// per chunk kind and value type: the chunk header, then kv.AppendCols — a
-// count, the keys as a base and fixed-width offsets, the values as 8-byte
-// words (float64) or like the keys (int64). A column shuffle frame puts a
-// form byte between the two: colKeyed, or colValuesOnly followed by the
-// key epoch (a varint) and kv.AppendVals — the count and the values alone.
+// A state or shuffle chunk is its own frame, one tag per chunk kind and
+// value type: the chunk header, then the column batch — a count, the keys
+// as a base and fixed-width offsets, and the values as 8-byte words
+// (float64), like the keys (int64), or each in its kv.AppendValue
+// encoding (boxed: kv.AppendBoxedCols). A shuffle frame puts a form byte
+// between the two: colKeyed, or colValuesOnly followed by the key epoch
+// (a varint) and the count and the values alone. A chunk with no records
+// travels as a boxed frame of none. The auxiliary output is the chunk
+// header and kv.AppendPairs.
 const (
-	wireTagState        = "imr.state"
 	wireTagStateColsF64 = "imr.state.f64"
 	wireTagStateColsI64 = "imr.state.i64"
-	wireTagShuffle      = "imr.shuffle"
+	wireTagStateColsAny = "imr.state.any"
 	wireTagColsF64      = "imr.shuffle.f64"
 	wireTagColsI64      = "imr.shuffle.i64"
+	wireTagColsAny      = "imr.shuffle.any"
 	wireTagAuxOut       = "imr.auxout"
 )
 
@@ -303,61 +284,62 @@ func headerCount(data []byte, what string) (int, int, error) {
 	return int(u), n, nil
 }
 
-// colsTag picks a chunk's tag by its records: pairs, or a column batch
-// of either value type.
-func colsTag(cols colRecords, pairs, f64, i64 string) string {
-	switch cols.(type) {
+// colsTag picks a chunk's tag by its value type: f64, i64, or boxed —
+// which a chunk with no records takes too.
+func colsTag(r records, f64, i64, boxed string) string {
+	switch r.(type) {
 	case *kv.Cols[float64]:
 		return f64
 	case *kv.Cols[int64]:
 		return i64
 	}
-	return pairs
+	return boxed
 }
 
-// appendRecords encodes a chunk's records after its header: a column
-// batch with kv.AppendCols, pairs with kv.AppendPairs.
-func appendRecords(buf []byte, r records) ([]byte, bool) {
-	switch cs := r.cols.(type) {
+// appendCols encodes a chunk's records after its header, keys and values.
+func appendCols(buf []byte, r records) ([]byte, bool) {
+	switch cs := r.(type) {
 	case *kv.Cols[float64]:
 		return kv.AppendCols(buf, cs), true
 	case *kv.Cols[int64]:
 		return kv.AppendCols(buf, cs), true
+	case *kv.Cols[any]:
+		return kv.AppendBoxedCols(buf, cs)
 	}
-	return kv.AppendPairs(buf, r.pairs)
+	return kv.AppendUvarint(buf, 0), true
+}
+
+// appendVals encodes a values-only chunk's records: the values alone.
+func appendVals(buf []byte, r records) ([]byte, bool) {
+	switch cs := r.(type) {
+	case *kv.Cols[float64]:
+		return kv.AppendVals(buf, cs.Vals), true
+	case *kv.Cols[int64]:
+		return kv.AppendVals(buf, cs.Vals), true
+	}
+	return kv.AppendBoxedVals(buf, r.(*kv.Cols[any]).Vals)
 }
 
 func (c stateChunk) WireTag() string {
-	return colsTag(c.Cols, wireTagState, wireTagStateColsF64, wireTagStateColsI64)
+	return colsTag(c.Cols, wireTagStateColsF64, wireTagStateColsI64, wireTagStateColsAny)
 }
 
 func (c stateChunk) AppendWire(buf []byte) ([]byte, bool) {
-	return appendRecords(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End, c.Slot), c.records())
+	return appendCols(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End, c.Slot), c.Cols)
 }
 
 func (c shuffleChunk) WireTag() string {
-	return colsTag(c.Cols, wireTagShuffle, wireTagColsF64, wireTagColsI64)
+	return colsTag(c.Cols, wireTagColsF64, wireTagColsI64, wireTagColsAny)
 }
 
+// AppendWire encodes the chunk's form and records: values-only when they
+// repeat keys the reduce holds.
 func (c shuffleChunk) AppendWire(buf []byte) ([]byte, bool) {
 	buf = appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End, c.Slot)
-	switch cs := c.Cols.(type) {
-	case *kv.Cols[float64]:
-		return appendColShuffle(buf, c, cs), true
-	case *kv.Cols[int64]:
-		return appendColShuffle(buf, c, cs), true
+	if c.SameKeys && recLen(c.Cols) > 0 {
+		return appendVals(kv.AppendVarint(append(buf, colValuesOnly), int64(c.KeyEpoch)), c.Cols)
 	}
-	return kv.AppendPairs(buf, c.Pairs)
-}
-
-// appendColShuffle encodes a column shuffle chunk's form and records:
-// values-only when they repeat keys the reduce holds.
-func appendColShuffle[V kv.Scalar](buf []byte, c shuffleChunk, cs *kv.Cols[V]) []byte {
-	if c.SameKeys && cs.Len() > 0 {
-		buf = kv.AppendVarint(append(buf, colValuesOnly), int64(c.KeyEpoch))
-		return kv.AppendVals(buf, cs.Vals)
-	}
-	return kv.AppendCols(append(buf, colKeyed), cs)
+	return appendCols(append(buf, colKeyed), c.Cols)
 }
 
 func (m auxOutMsg) WireTag() string { return wireTagAuxOut }
@@ -368,39 +350,23 @@ func (m auxOutMsg) AppendWire(buf []byte) ([]byte, bool) {
 	return kv.AppendPairs(appendChunkHeader(buf, m.Gen, m.Iter, m.Task, 0, 0, 0), m.Pairs)
 }
 
-func decodeStateChunk(data []byte) (any, error) {
-	h, n, err := decodeChunkHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	s := kv.AcquireSlab()
-	pairs, _, err := kv.DecodePairsSlab(data[n:], s)
-	if err != nil {
-		s.Release()
-		return nil, err
-	}
-	return stateChunk{Gen: h.gen, Iter: h.iter, From: h.from, Seq: h.seq, Pairs: pairs, End: h.end, Slot: h.slot, slab: s}, nil
+// colDecoder is a value type's column decoders: keys and values, and
+// values alone.
+type colDecoder[V any] struct {
+	cols, vals func(data []byte, dst *kv.Cols[V]) (int, error)
 }
 
-func decodeShuffleChunk(data []byte) (any, error) {
-	h, n, err := decodeChunkHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	s := kv.AcquireSlab()
-	pairs, _, err := kv.DecodePairsSlab(data[n:], s)
-	if err != nil {
-		s.Release()
-		return nil, err
-	}
-	return shuffleChunk{Gen: h.gen, Iter: h.iter, FromMap: h.from, Seq: h.seq, Pairs: pairs, End: h.end, Slot: h.slot, KeyEpoch: h.iter, slab: s}, nil
-}
+var (
+	f64Decoder   = colDecoder[float64]{kv.DecodeCols[float64], kv.DecodeVals[float64]}
+	i64Decoder   = colDecoder[int64]{kv.DecodeCols[int64], kv.DecodeVals[int64]}
+	boxedDecoder = colDecoder[any]{kv.DecodeBoxedCols, kv.DecodeBoxedVals}
+)
 
-// decodeColShuffle decodes a column shuffle frame, keyed or values-only,
-// into a pooled batch, which the receiving reduce returns when it
-// releases the chunk. A values-only frame with no values is refused: no
-// sender elides the keys of an empty chunk.
-func decodeColShuffle[V kv.Scalar](data []byte) (any, error) {
+// shuffle decodes a column shuffle frame, keyed or values-only, into a
+// pooled batch, which the receiving reduce returns when it releases the
+// chunk. A values-only frame with no values is refused: no sender elides
+// the keys of an empty chunk.
+func (d colDecoder[V]) shuffle(data []byte) (any, error) {
 	h, n, err := decodeChunkHeader(data)
 	if err != nil {
 		return nil, err
@@ -412,13 +378,13 @@ func decodeColShuffle[V kv.Scalar](data []byte) (any, error) {
 	cols := kv.AcquireCols[V]()
 	switch form, body := data[n], data[n+1:]; form {
 	case colKeyed:
-		_, err = kv.DecodeCols(body, cols)
+		_, err = d.cols(body, cols)
 	case colValuesOnly:
 		var epoch int64
 		var m int
 		if epoch, m, err = kv.Varint(body); err == nil {
 			c.KeyEpoch, c.SameKeys = int(epoch), true
-			if _, err = kv.DecodeVals(body[m:], cols); err == nil && cols.Len() == 0 {
+			if _, err = d.vals(body[m:], cols); err == nil && cols.Len() == 0 {
 				err = errors.New("core: values-only column frame without values")
 			}
 		}
@@ -433,23 +399,23 @@ func decodeColShuffle[V kv.Scalar](data []byte) (any, error) {
 	return c, nil
 }
 
-// decodeColState decodes a column state frame into a pooled batch, which
-// the receiving map returns when it releases the chunk.
-func decodeColState[V kv.Scalar](data []byte) (any, error) {
+// state decodes a column state frame into a pooled batch, which the
+// receiving map returns when it releases the chunk.
+func (d colDecoder[V]) state(data []byte) (any, error) {
 	h, n, err := decodeChunkHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	cols := kv.AcquireCols[V]()
-	if _, err := kv.DecodeCols(data[n:], cols); err != nil {
+	if _, err := d.cols(data[n:], cols); err != nil {
 		cols.Release()
 		return nil, err
 	}
 	return stateChunk{Gen: h.gen, Iter: h.iter, From: h.from, Seq: h.seq, Cols: cols, End: h.end, Slot: h.slot, pooled: true}, nil
 }
 
-// decodeAuxOut decodes onto the heap, not a slab: the master keeps the
-// pairs until the auxiliary phase's decision.
+// decodeAuxOut decodes onto the heap: the master keeps the pairs until
+// the auxiliary phase's decision.
 func decodeAuxOut(data []byte) (any, error) {
 	h, n, err := decodeChunkHeader(data)
 	if err != nil {
@@ -467,13 +433,17 @@ func decodeAuxOut(data []byte) (any, error) {
 // could not encode.
 func refusedRecord(payload any, err error) error {
 	var pairs []kv.Pair
+	var r records
 	switch p := payload.(type) {
 	case stateChunk:
-		pairs = p.Pairs
+		r = p.Cols
 	case shuffleChunk:
-		pairs = p.Pairs
+		r = p.Cols
 	case auxOutMsg:
 		pairs = p.Pairs
+	}
+	if r != nil {
+		pairs = r.Box(nil)
 	}
 	if rerr := kv.Unencodable(pairs); rerr != nil {
 		return fmt.Errorf("%w: %w", err, rerr)
@@ -483,12 +453,12 @@ func refusedRecord(payload any, err error) error {
 
 // wireDecoders are the decoders of every binary frame core sends, by tag.
 var wireDecoders = map[string]func(data []byte) (any, error){
-	wireTagState:        decodeStateChunk,
-	wireTagStateColsF64: decodeColState[float64],
-	wireTagStateColsI64: decodeColState[int64],
-	wireTagShuffle:      decodeShuffleChunk,
-	wireTagColsF64:      decodeColShuffle[float64],
-	wireTagColsI64:      decodeColShuffle[int64],
+	wireTagStateColsF64: f64Decoder.state,
+	wireTagStateColsI64: i64Decoder.state,
+	wireTagStateColsAny: boxedDecoder.state,
+	wireTagColsF64:      f64Decoder.shuffle,
+	wireTagColsI64:      i64Decoder.shuffle,
+	wireTagColsAny:      boxedDecoder.shuffle,
 	wireTagAuxOut:       decodeAuxOut,
 }
 

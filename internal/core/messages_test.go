@@ -16,27 +16,27 @@ import (
 // uvarint — 0 on a data chunk, a multi-byte total intact — and a count
 // no sender could have sent is refused.
 func TestChunkHeaderEndCount(t *testing.T) {
-	pairs := []kv.Pair{{Key: int64(7), Value: 1.5}}
+	cols := &kv.Cols[any]{Keys: []int64{7}, Vals: []any{1.5}}
 	for _, end := range []int{0, 1, 300} {
-		data, ok := shuffleChunk{Gen: 2, Iter: 3, FromMap: 4, Seq: 5, Pairs: pairs, End: end}.AppendWire(nil)
+		data, ok := shuffleChunk{Gen: 2, Iter: 3, FromMap: 4, Seq: 5, Cols: cols, End: end}.AppendWire(nil)
 		if !ok {
 			t.Fatal("shuffle chunk did not encode")
 		}
-		got, err := decodeShuffleChunk(data)
+		got, err := wireDecoders[wireTagColsAny](data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := got.(shuffleChunk)
-		c.release()
-		if c.End != end || c.Gen != 2 || c.Iter != 3 || c.FromMap != 4 || c.Seq != 5 || len(c.Pairs) != 1 {
+		if c.End != end || c.Gen != 2 || c.Iter != 3 || c.FromMap != 4 || c.Seq != 5 || c.Cols.Len() != 1 {
 			t.Fatalf("shuffle chunk with End %d decoded as %+v", end, c)
 		}
+		c.release()
 
-		data, ok = stateChunk{Gen: 2, Iter: 3, From: 4, Seq: 5, Pairs: pairs, End: end}.AppendWire(nil)
+		data, ok = stateChunk{Gen: 2, Iter: 3, From: 4, Seq: 5, Cols: cols, End: end}.AppendWire(nil)
 		if !ok {
 			t.Fatal("state chunk did not encode")
 		}
-		gotState, err := decodeStateChunk(data)
+		gotState, err := wireDecoders[wireTagStateColsAny](data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,9 +48,15 @@ func TestChunkHeaderEndCount(t *testing.T) {
 	}
 
 	bad := kv.AppendUvarint(appendChunkHeader(nil, 1, 1, 0, 1, 0, 0)[:4], math.MaxInt32+1)
-	if _, err := decodeShuffleChunk(kv.AppendUvarint(bad, 0)); err == nil {
+	if _, err := wireDecoders[wireTagColsAny](append(kv.AppendUvarint(bad, 0), colKeyed, 0)); err == nil {
 		t.Fatal("an End count past MaxInt32 was accepted")
 	}
+}
+
+// boxedCols is a boxed batch whose keys need 3-byte offsets and whose
+// values are of several types, one of them a registered codec's.
+func boxedCols() *kv.Cols[any] {
+	return &kv.Cols[any]{Keys: []int64{-3, 70_000, 300}, Vals: []any{math.NaN(), "s", []kv.Pair{{Key: int64(1), Value: []int64{2, 3}}}}}
 }
 
 // TestColumnStateChunkRoundTrip: a state chunk of column records travels
@@ -61,9 +67,12 @@ func TestColumnStateChunkRoundTrip(t *testing.T) {
 	f64 := &kv.Cols[float64]{Keys: []int64{-3, 0, 7, 1 << 40}, Vals: []float64{math.Inf(1), math.Copysign(0, -1), math.NaN(), 0.15}}
 	i64 := &kv.Cols[int64]{Keys: []int64{2, 5, 9}, Vals: []int64{math.MinInt64, -1, math.MaxInt64}}
 	for _, c := range []struct {
-		cols colRecords
+		cols records
 		tag  string
-	}{{f64, wireTagStateColsF64}, {i64, wireTagStateColsI64}, {&kv.Cols[float64]{}, wireTagStateColsF64}} {
+	}{
+		{f64, wireTagStateColsF64}, {i64, wireTagStateColsI64}, {boxedCols(), wireTagStateColsAny},
+		{&kv.Cols[float64]{}, wireTagStateColsF64}, {nil, wireTagStateColsAny},
+	} {
 		in := stateChunk{Gen: 3, Iter: 9, From: 2, Seq: 41, Cols: c.cols, End: 5}
 		if tag := in.WireTag(); tag != c.tag {
 			t.Fatalf("%T: tag %q, want %q", c.cols, tag, c.tag)
@@ -77,10 +86,10 @@ func TestColumnStateChunkRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := got.(stateChunk)
-		if out.Gen != 3 || out.Iter != 9 || out.From != 2 || out.Seq != 41 || out.End != 5 || out.Pairs != nil || !out.pooled {
+		if out.Gen != 3 || out.Iter != 9 || out.From != 2 || out.Seq != 41 || out.End != 5 || !out.pooled {
 			t.Fatalf("%T: decoded as %+v", c.cols, out)
 		}
-		if want, have := fmt.Sprintf("%#v", boxedBits(in.Cols)), fmt.Sprintf("%#v", boxedBits(out.Cols)); want != have {
+		if want, have := fmt.Sprintf("%v", boxedBits(in.Cols)), fmt.Sprintf("%v", boxedBits(out.Cols)); want != have {
 			t.Fatalf("%T: records %s, want %s", c.cols, have, want)
 		}
 		re, _ := out.AppendWire(nil)
@@ -99,7 +108,7 @@ func TestColumnStateChunkRoundTrip(t *testing.T) {
 func TestColumnShuffleChunkRoundTrip(t *testing.T) {
 	f64 := &kv.Cols[float64]{Keys: []int64{-3, 0, 7, 1 << 40}, Vals: []float64{math.Inf(1), math.Copysign(0, -1), math.NaN(), 0.15}}
 	i64 := &kv.Cols[int64]{Keys: []int64{2, 5, 9}, Vals: []int64{math.MinInt64, -1, math.MaxInt64}}
-	for _, cols := range []colRecords{f64, i64} {
+	for _, cols := range []records{f64, i64, boxedCols()} {
 		var sizes [2]int
 		for i, same := range []bool{false, true} {
 			in := shuffleChunk{Gen: 3, Iter: 9, FromMap: 2, Seq: 41, End: 5, Slot: 4, KeyEpoch: 9, SameKeys: same, Cols: cols}
@@ -127,7 +136,7 @@ func TestColumnShuffleChunkRoundTrip(t *testing.T) {
 				}
 				sent, came = valsOnly(sent), valsOnly(came)
 			}
-			if want, have := fmt.Sprintf("%#v", boxedBits(sent)), fmt.Sprintf("%#v", boxedBits(came)); want != have {
+			if want, have := fmt.Sprintf("%v", boxedBits(sent)), fmt.Sprintf("%v", boxedBits(came)); want != have {
 				t.Fatalf("%T same=%v: records %s, want %s", cols, same, have, want)
 			}
 			re, _ := out.AppendWire(nil)
@@ -144,27 +153,32 @@ func TestColumnShuffleChunkRoundTrip(t *testing.T) {
 
 // valsOnly is a batch's values keyed by position, for comparing a
 // values-only chunk with the batch it was sent from.
-func valsOnly(c colRecords) colRecords {
+func valsOnly(c records) records {
 	switch cs := c.(type) {
 	case *kv.Cols[float64]:
-		out := &kv.Cols[float64]{Vals: cs.Vals}
-		for i := range cs.Vals {
-			out.Keys = append(out.Keys, int64(i))
-		}
-		return out
+		return keyedByPosition(cs)
 	case *kv.Cols[int64]:
-		out := &kv.Cols[int64]{Vals: cs.Vals}
-		for i := range cs.Vals {
-			out.Keys = append(out.Keys, int64(i))
-		}
-		return out
+		return keyedByPosition(cs)
+	case *kv.Cols[any]:
+		return keyedByPosition(cs)
 	}
 	return c
 }
 
+func keyedByPosition[V any](cs *kv.Cols[V]) *kv.Cols[V] {
+	out := &kv.Cols[V]{Vals: cs.Vals}
+	for i := range cs.Vals {
+		out.Keys = append(out.Keys, int64(i))
+	}
+	return out
+}
+
 // boxedBits is a column batch's records with float64 values as their
 // bit patterns, so NaNs and signed zeros compare exactly.
-func boxedBits(c colRecords) []kv.Pair {
+func boxedBits(c records) []kv.Pair {
+	if c == nil {
+		return nil
+	}
 	ps := c.Box(nil)
 	for i, p := range ps {
 		if f, ok := p.Value.(float64); ok {
@@ -176,21 +190,23 @@ func boxedBits(c colRecords) []kv.Pair {
 
 // FuzzChunkFrames feeds arbitrary bytes to the decoder of every binary
 // frame core registers (which selects it): state and shuffle chunks of
-// pairs, both value types of column state and shuffle chunks — keyed and
-// values-only — and the auxiliary output. A decoder must not panic, must
-// hold a decoded chunk to at most one record per two bytes of input (one
-// per byte for a values-only chunk, which carries no keys), and what it
-// accepts must re-encode under the tag it came in by, to bytes that
-// decode and re-encode to themselves.
+// each value type — float64, int64 and boxed; keyed and values-only — and
+// the auxiliary output. A decoder must not panic, must hold a decoded
+// chunk to at most one record per two bytes of input (one per byte for a
+// values-only chunk, which carries no keys), and what it accepts must
+// re-encode under the tag it came in by, to bytes that decode and
+// re-encode to themselves.
 func FuzzChunkFrames(f *testing.F) {
 	tags := slices.Sorted(maps.Keys(wireDecoders))
 	header := appendChunkHeader(nil, 1, 2, 3, 4, 1, 0)
 	seed := func(tag string, data []byte) { f.Add(uint8(slices.Index(tags, tag)), data) }
 	for _, msg := range []transport.WireMarshaler{
-		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Pairs: []kv.Pair{{Key: int64(5), Value: 0.5}}, End: 1},
+		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Cols: &kv.Cols[any]{Keys: []int64{5, 300}, Vals: []any{0.5, []int64{1}}}, End: 1},
+		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, End: 1},
 		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Cols: &kv.Cols[float64]{Keys: []int64{5, 6}, Vals: []float64{0.5, 1.5}}, End: 1},
 		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Cols: &kv.Cols[int64]{Keys: []int64{5, 6}, Vals: []int64{-5, 6}}, End: 1},
-		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Pairs: []kv.Pair{{Key: "k", Value: int64(7)}}},
+		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Cols: &kv.Cols[any]{Keys: []int64{7}, Vals: []any{"v"}}},
+		shuffleChunk{Gen: 1, Iter: 5, FromMap: 3, Seq: 4, Slot: 2, KeyEpoch: 3, SameKeys: true, Cols: &kv.Cols[any]{Vals: []any{2.5, nil}}},
 		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Cols: &kv.Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}},
 		shuffleChunk{Gen: 1, Iter: 2, FromMap: 3, Seq: 4, Cols: &kv.Cols[int64]{Keys: []int64{1}, Vals: []int64{2}}},
 		shuffleChunk{Gen: 1, Iter: 5, FromMap: 3, Seq: 4, Slot: 2, KeyEpoch: 3, SameKeys: true, Cols: &kv.Cols[float64]{Vals: []float64{2, 0.5}}},
@@ -214,7 +230,7 @@ func FuzzChunkFrames(f *testing.F) {
 	seed(wireTagColsI64, append(kv.AppendUvarint(slices.Clone(header), 1), 2, 0x80))
 	// Values-only column shuffle frames: a hostile count, a form byte with
 	// no epoch after it, and a slot past MaxInt32.
-	for _, tag := range []string{wireTagColsF64, wireTagColsI64} {
+	for _, tag := range []string{wireTagColsF64, wireTagColsI64, wireTagColsAny} {
 		seed(tag, kv.AppendUvarint(append(slices.Clone(header), colValuesOnly, 6), 1<<40))
 		seed(tag, append(slices.Clone(header), colValuesOnly))
 		seed(tag, append(kv.AppendUvarint(appendChunkHeader(nil, 1, 2, 3, 4, 1, 0)[:5], math.MaxInt32+1), colValuesOnly, 6, 1, 0, 0, 0, 0, 0, 0, 0, 0))
@@ -244,24 +260,24 @@ func decodeFrame(t *testing.T, tag string, data []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	var recs records
+	var n int
 	perRecord := 2 // bytes a record takes at least
 	switch m := msg.(type) {
 	case stateChunk:
 		defer m.release()
-		recs = m.records()
+		n = recLen(m.Cols)
 	case shuffleChunk:
 		defer m.release()
-		recs = m.records()
+		n = recLen(m.Cols)
 		if m.SameKeys {
 			perRecord = 1
 		}
 	case auxOutMsg:
-		recs.pairs = m.Pairs
+		n = len(m.Pairs)
 	default:
 		t.Fatalf("%s: decoded a %T", tag, msg)
 	}
-	if n := recs.len(); n > len(data)/perRecord {
+	if n > len(data)/perRecord {
 		t.Fatalf("%s: %d records out of %d bytes", tag, n, len(data))
 	}
 	wm := msg.(transport.WireMarshaler)

@@ -316,3 +316,58 @@ func TestProceedOnlyToGatedReduces(t *testing.T) {
 		mu.Unlock()
 	}
 }
+
+// TestWorkerLostAfterTerminateRecovers: a worker lost after the master
+// terminated the run, before every final is in, is recovered like one
+// lost mid-run — its pairs move, the run rolls back, and the replay stops
+// at the same iteration — and the run ends with the checkpoint and output
+// files a calm run leaves. The tap holds the terminate of pair 1's reduce
+// for good and fails its worker in its place, so that final cannot come
+// in before the failure does. With a checkpoint every 4 iterations the
+// run rolls back to iteration 4 and replays 5 and 6; with one every 6 it
+// rolls back to the last iteration itself, when that checkpoint is
+// durable, and has nothing to replay.
+func TestWorkerLostAfterTerminateRecovers(t *testing.T) {
+	guard(t, time.Minute)
+	spec := cluster.Uniform(3)
+	run := func(every int, lose bool) (*Result, map[string]uint32) {
+		m := metrics.NewSet()
+		fs := dfs.New(dfs.Config{BlockSize: 1 << 14, Replication: 2}, spec.IDs(), m)
+		job := halvingJob("halve-lostlate", 6, 0)
+		job.CheckpointEvery = every
+		var e *Engine
+		var held atomic.Bool
+		net := &tapNet{Network: transport.NewChanNetwork(), tap: func(_ transport.Endpoint, to string, msg transport.Message) error {
+			c, ok := msg.Payload.(cmdMsg)
+			if !lose || !ok || c.Kind != cmdTerminate || to != redAddr(job.Name, 0, 1) || !held.CompareAndSwap(false, true) {
+				return nil
+			}
+			if err := e.FailWorker(spec.IDs()[1]); err != nil { // pair 1's worker, by round-robin placement
+				t.Error(err)
+			}
+			return errTaken
+		}}
+		defer net.Close()
+		var err error
+		if e, err = NewEngine(fs, net, spec, m, Options{Timeout: 5 * time.Second}); err != nil {
+			t.Fatal(err)
+		}
+		(&env{e: e, fs: fs, m: m, spec: spec}).writeState(t, "/state", 12)
+		res, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lose != held.Load() {
+			t.Fatalf("lose=%v: a terminate held: %v", lose, held.Load())
+		}
+		return res, fileSums(t, fs, job.Name, res.OutputPath)
+	}
+	for _, every := range []int{4, 6} {
+		calm, want := run(every, false)
+		lost, got := run(every, true)
+		if lost.Recoveries < 1 || lost.Iterations != calm.Iterations {
+			t.Fatalf("checkpoint every %d: %d recoveries and %d iterations, want at least 1 and %d", every, lost.Recoveries, lost.Iterations, calm.Iterations)
+		}
+		sameFiles(t, fmt.Sprint("worker lost after terminate, checkpoint every ", every), got, want)
+	}
+}

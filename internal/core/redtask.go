@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,14 +73,13 @@ type reduceTask struct {
 	// spares are finished iterations' (emptied) accumulators, which the
 	// next iterations take instead of allocating one.
 	spares []*accum
-	// loops are the task's record loops (loops.go): the pair loops, or
-	// the column loops of a job columnLoops picks. A termination phase's
+	// loops are the task's record loops (loops.go). A termination phase's
 	// previous-state run is theirs.
 	loops reduceLoops
 	// whole collects the iteration's whole new state while it is reduced,
 	// when something consumes it as a whole (see finishIteration); nil
 	// otherwise.
-	whole *records
+	whole records
 	// feedMain gates loop-back delivery: once the iteration bound is
 	// reached the termination reduce stops feeding the next iteration,
 	// so the final state is exactly iteration MaxIter.
@@ -92,6 +90,10 @@ type reduceTask struct {
 	// the computation never runs past the decided stop.
 	gated bool
 	held  map[int]records
+	// finalGen is the generation whose final output the task wrote, 0
+	// before it wrote any: a termination reduce writes its final once per
+	// generation, and keeps serving after it (see loop).
+	finalGen int
 	// seq numbers outgoing state chunks for receiver-side duplicate
 	// suppression; mainSent and auxSent count the chunks of the iteration
 	// being sent to the next phase's maps and to the auxiliary maps, for
@@ -143,8 +145,10 @@ func (t *reduceTask) loop() {
 			case cmdMsg:
 				switch pl.Kind {
 				case cmdTerminate:
+					// The task stays: a worker lost before every final is in
+					// rolls the run back, and this task replays its last
+					// iterations and writes its final again.
 					t.writeFinal()
-					return
 				case cmdAbort:
 					return
 				case cmdRollback:
@@ -208,9 +212,9 @@ func (t *reduceTask) rollback(cmd cmdMsg) {
 }
 
 func (t *reduceTask) handleShuffle(c shuffleChunk) {
-	// The chunk's records are copied into the accumulator below, or placed
-	// into its key layout; the decode arena or batch is recycled on return
-	// (boxed values stay valid — see stateChunk.release).
+	// The chunk's records are placed into the accumulator's key layout;
+	// the decode batch is recycled on return (boxed values stay valid —
+	// see stateChunk.release).
 	defer c.release()
 	if c.Gen != t.gen || c.Iter < t.iter {
 		return
@@ -258,9 +262,8 @@ func (t *reduceTask) handleShuffle(c shuffleChunk) {
 			}
 		}
 		t.finishIteration(t.iter, a)
-		// Nothing reads the input past the reduce (pair groups reference
-		// the boxed records, not this slice, and column groups are done
-		// with): the accumulator is a later iteration's.
+		// Nothing reads the input past the reduce: the accumulator is a
+		// later iteration's.
 		a.retire(&t.spares)
 		delete(t.pend, t.iter)
 		t.iter++
@@ -287,14 +290,11 @@ func (t *reduceTask) finishIteration(iter int, a *accum) {
 	// outBuf chunks alone.
 	ckptDue := t.isTermination && t.job.CheckpointEvery > 0 && iter%t.job.CheckpointEvery == 0
 	if t.gated || t.toMaster || ckptDue {
-		whole := newRecords(groups, t.bufs.newCols)
-		t.whole = &whole
+		t.whole = t.bufs.newCols(groups)
 	}
 	dist, err := t.loops.reduce(iter)
-	var out records
-	if t.whole != nil {
-		out, t.whole = *t.whole, nil
-	}
+	out := t.whole
+	t.whole = nil
 	if err != nil {
 		t.fatal(err)
 		return
@@ -320,7 +320,7 @@ func (t *reduceTask) finishIteration(iter int, a *accum) {
 
 	if t.toMaster {
 		t.send(t.master, kindAuxOut,
-			auxOutMsg{Gen: t.gen, Iter: iter, Task: t.idx, Pairs: out.pairs}, 0)
+			auxOutMsg{Gen: t.gen, Iter: iter, Task: t.idx, Pairs: out.Box(nil)}, 0)
 		return
 	}
 	if !t.isTermination {
@@ -410,7 +410,7 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, o
 			t.e.m.Add(metrics.StateRemote, size)
 		}
 		t.send(addr, kindState, stateChunk{
-			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Pairs: out.pairs, Cols: out.cols, End: endCount, Slot: slot, lease: lease,
+			Gen: t.gen, Iter: tagIter, From: t.idx, Seq: t.seq, Cols: out, End: endCount, Slot: slot, lease: lease,
 		}, size)
 	}
 	if t.serializes {
@@ -423,11 +423,9 @@ func (t *reduceTask) deliverChunk(addrs []string, phase, srcIter, tagIter int, o
 // durable. The write goes temp-then-rename so readers only ever see a
 // complete file; a failed write is retried with backoff and node
 // re-placement, and an abandoned checkpoint degrades the rollback
-// target instead of killing the run. A column batch is boxed by the
-// writer: it is the iteration's own, and whoever else holds it only
-// reads it.
+// target instead of killing the run. The state is boxed by the writer:
+// it is the iteration's own, and whoever else holds it only reads it.
 func (t *reduceTask) checkpoint(iter int, out records) {
-	snapshot := slices.Clone(out.pairs)
 	path := t.run.ckptPath(iter, t.idx)
 	gen := t.gen
 	worker := t.worker
@@ -435,9 +433,7 @@ func (t *reduceTask) checkpoint(iter int, out records) {
 	t.ckptWG.Add(1)
 	go func() {
 		defer t.ckptWG.Done()
-		if out.cols != nil {
-			snapshot = out.cols.Box(nil)
-		}
+		snapshot := out.Box(nil)
 		// The temp name carries the generation so writers racing across a
 		// rollback never collide on the same uncommitted file.
 		tmp := fmt.Sprintf("%s.tmp-g%d", path, gen)
@@ -487,12 +483,13 @@ func (t *reduceTask) checkpoint(iter int, out records) {
 }
 
 // writeFinal writes this partition of the converged state to the output
-// path (the single DFS write of the whole run, §3.1) and acknowledges
-// the master.
+// path (the single DFS write of the whole run, §3.1, unless a recovery
+// replays its end) and acknowledges the master, once per generation.
 func (t *reduceTask) writeFinal() {
-	if !t.isTermination {
+	if !t.isTermination || t.finalGen == t.gen {
 		return
 	}
+	t.finalGen = t.gen
 	var fstart time.Time
 	if tr := t.e.opts.Trace; tr != nil {
 		fstart = time.Now()
@@ -504,7 +501,7 @@ func (t *reduceTask) writeFinal() {
 	out := t.loops.final() // key-ordered already; WriteFile copies the records
 	path := fmt.Sprintf("%s/part-%d", t.run.outputPath, t.idx)
 	if err := t.e.fs.WriteFile(path, t.worker, out, t.job.Ops); err != nil {
-		t.send(t.master, kindFinal, finalMsg{Task: t.idx, Err: err.Error()}, 0)
+		t.send(t.master, kindFinal, finalMsg{Gen: t.gen, Task: t.idx, Err: err.Error()}, 0)
 		return
 	}
 	// The final is this task's last word: its checkpoint writers finish
@@ -513,5 +510,9 @@ func (t *reduceTask) writeFinal() {
 	// checkpoints they complete. The host closes this endpoint right after
 	// the last final, and a closed endpoint sends nothing.
 	t.ckptWG.Wait()
-	t.send(t.master, kindFinal, finalMsg{Task: t.idx, Records: len(out)}, 0)
+	t.send(t.master, kindFinal, finalMsg{Gen: t.gen, Task: t.idx, Records: len(out)}, 0)
+	// The task stays for a replay, whose rollback rebuilds these: until
+	// then they would only hold memory while the other finals are written.
+	t.pend, t.spares = make(map[int]*accum), nil
+	t.loops.forget()
 }

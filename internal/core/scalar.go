@@ -12,8 +12,8 @@ import (
 // fixed-width scalar per key — PageRank's ranks, SSSP's distances,
 // connected components' labels — with typed map, reduce and distance
 // functions. Build makes it an ordinary *Job; while its functions stand
-// as Build left them, the engine moves its shuffle and its state as
-// typed columns instead of boxed pairs (see columnLoops and DESIGN §5).
+// as Build left them, the engine runs it on the typed instantiation of
+// the column loops, its values unboxed (see typedLoops and DESIGN §5).
 type ScalarJob[V kv.Scalar, S any] struct {
 	// Job carries the usual fields. Build sets its Map, Reduce, Distance
 	// and Ops.
@@ -47,21 +47,21 @@ func (s ScalarJob[V, S]) Build() *Job {
 }
 
 // scalarLoops is what Build leaves on a Job for the engine: whether the
-// adapters still stand, and the column loops over the typed functions.
+// adapters still stand, and the typed instantiation of the column loops
+// over the typed functions.
 type scalarLoops interface {
+	loopsDef
 	adapters(j *Job) bool
-	mapLoops(t *mapTask) mapLoops
-	reduceLoops(t *reduceTask) reduceLoops
-	newCols(n int) colRecords
 }
 
-// columnLoops reports whether job runs the column loops. It must have
-// been built by ScalarJob.Build, with its Map, Reduce and Distance still
-// the adapters Build set — a wrapper put in their place must take effect,
-// and only the pair loops call it — and have the one shape the column
-// loops serve: a single OneToOne phase, no auxiliary phase and no
-// combiner. Every other job runs the pair loops.
-func columnLoops(job *Job) bool {
+// typedLoops reports whether job runs the typed instantiation of the
+// column loops. It must have been built by ScalarJob.Build, with its Map,
+// Reduce and Distance still the adapters Build set — a wrapper put in
+// their place must take effect, and only the boxed instantiation calls
+// it — and have the one shape the typed loops serve: a single OneToOne
+// phase, no auxiliary phase and no combiner. Every other job runs the
+// boxed instantiation.
+func typedLoops(job *Job) bool {
 	return job.scalar != nil && job.successor == nil && job.auxiliary == nil &&
 		job.Mapping == OneToOne && job.Combine == nil && job.scalar.adapters(job)
 }
@@ -88,11 +88,34 @@ func (d *scalarDef[V, S]) adapters(j *Job) bool {
 	return funcID(j.Map) == d.mapID && funcID(j.Reduce) == d.reduceID && funcID(j.Distance) == d.distID
 }
 
-func (d *scalarDef[V, S]) mapLoops(t *mapTask) mapLoops { return newColMapLoops(d, t) }
-func (d *scalarDef[V, S]) reduceLoops(t *reduceTask) reduceLoops {
-	return newColReduceLoops(d, t)
+// typedSize charges a typed record what ops charges its pair: one size
+// for every record.
+func typedSize[V kv.Scalar](ops *kv.Ops) func([]V) int64 {
+	var zero V
+	per := int64(ops.PairSize(kv.Pair{Key: int64(0), Value: zero}))
+	return func(vals []V) int64 { return int64(len(vals)) * per }
 }
-func (d *scalarDef[V, S]) newCols(n int) colRecords { return kv.NewCols[V](n) }
+
+func (d *scalarDef[V, S]) mapLoops(t *mapTask) mapLoops {
+	l := newColMapLoops[V, S](t)
+	l.mapFn, l.size = d.mapFn, typedSize[V](&t.job.Ops)
+	l.staticOf = func(p kv.Pair) (S, bool) {
+		s, ok := p.Value.(S)
+		return s, ok || p.Value == nil // no static value: S's zero value
+	}
+	return l
+}
+
+func (d *scalarDef[V, S]) reduceLoops(t *reduceTask) reduceLoops {
+	l := &colReduceLoops[V]{t: t, size: typedSize[V](&t.job.Ops)}
+	l.reduceFn = func(k int64, _ any, vals []V) (V, error) { return d.reduceFn(k, vals) }
+	if d.distFn != nil {
+		l.distFn = func(k int64, _ any, prev, cur V) float64 { return d.distFn(k, prev, cur) }
+	}
+	return l
+}
+
+func (d *scalarDef[V, S]) newCols(n int) records { return kv.NewCols[V](n) }
 
 // scalarRecordErr reports a record the typed functions cannot take.
 func scalarRecordErr[V kv.Scalar](key, state any) error {

@@ -101,18 +101,19 @@ func sameFiles(t testing.TB, what string, got, want map[string]uint32) {
 	}
 }
 
-// TestColumnLoopsPicked: the job's definition alone decides its loops.
-// A built ScalarJob — or a copy of it — runs the column loops; wrapping
-// or replacing its Map, Reduce or Distance, a combiner, a second phase,
-// an auxiliary phase or OneToAll mapping puts it on the pair loops.
+// TestColumnLoopsPicked: the job's definition alone decides its loops'
+// instantiation. A built ScalarJob — or a copy of it — runs the typed
+// loops; wrapping or replacing its Map, Reduce or Distance, a combiner, a
+// second phase, an auxiliary phase or OneToAll mapping puts it on the
+// boxed loops.
 func TestColumnLoopsPicked(t *testing.T) {
 	fresh := func() *Job { return rankJob("picked", 3).Build() }
-	if !columnLoops(fresh()) {
-		t.Fatal("a built ScalarJob does not run the column loops")
+	if !typedLoops(fresh()) {
+		t.Fatal("a built ScalarJob does not run the typed loops")
 	}
 	cp := *fresh()
-	if !columnLoops(&cp) {
-		t.Fatal("a copy of a built ScalarJob does not run the column loops")
+	if !typedLoops(&cp) {
+		t.Fatal("a copy of a built ScalarJob does not run the typed loops")
 	}
 	other := rankJob("other", 3).Build()
 	for name, change := range map[string]func(j *Job){
@@ -138,23 +139,26 @@ func TestColumnLoopsPicked(t *testing.T) {
 	} {
 		j := fresh()
 		change(j)
-		if columnLoops(j) {
-			t.Errorf("%s: the job still runs the column loops", name)
+		if typedLoops(j) {
+			t.Errorf("%s: the job still runs the typed loops", name)
+		}
+		if _, ok := loopsOf(j, 0).(boxedDef); !ok {
+			t.Errorf("%s: the job's first phase is not on the boxed loops", name)
 		}
 	}
 }
 
-// TestColumnLoopsMatchPairLoops runs one scalar job on the column loops
-// and, with its Reduce wrapped in an identity closure, on the pair loops:
-// over channels and TCP, serial and with the map and reduce loops sharded
-// across the pool, the outputs are bit-identical and so is every byte
-// counter — a column record is charged what its pair is — and every
+// TestColumnLoopsMatchPairLoops runs one scalar job on the typed loops
+// and, with its Reduce wrapped in an identity closure, on the boxed loops:
+// over channels and TCP the outputs are bit-identical and so is every
+// byte counter — a typed record is charged what its pair is — and every
 // checkpoint file and output part the run leaves has the same DFS
-// checksum: the column loops box their state into the same bytes.
+// checksum, the one both left before the boxed loops replaced the pair
+// loops (goldenLoopsSums): both box their state into the same bytes.
 func TestColumnLoopsMatchPairLoops(t *testing.T) {
 	const n, iters = 2048, 4
 	counters := []string{metrics.ShuffleBytes, metrics.ShuffleRemote, metrics.StateBytes, metrics.StateRemote}
-	run := func(tcp, pairs bool) (map[int64]any, map[string]int64, map[string]uint32) {
+	run := func(tcp, boxed bool) (map[int64]any, map[string]int64, map[string]uint32) {
 		var net transport.Network = transport.NewChanNetwork()
 		if tcp {
 			net = transport.NewTCPNetwork()
@@ -164,12 +168,12 @@ func TestColumnLoopsMatchPairLoops(t *testing.T) {
 		v.ringStatic(t, n)
 		job := rankJob("loops", iters).Build()
 		job.CheckpointEvery = 3
-		if pairs {
+		if boxed {
 			r := job.Reduce
 			job.Reduce = func(k any, s []any) (any, error) { return r(k, s) }
 		}
-		if columnLoops(job) == pairs {
-			t.Fatalf("pairs=%v: columnLoops says %v", pairs, columnLoops(job))
+		if typedLoops(job) == boxed {
+			t.Fatalf("boxed=%v: typedLoops says %v", boxed, typedLoops(job))
 		}
 		res, err := v.e.Run(job)
 		if err != nil {
@@ -185,22 +189,33 @@ func TestColumnLoopsMatchPairLoops(t *testing.T) {
 	if len(want) != n || wantBytes[metrics.ShuffleBytes] == 0 || wantBytes[metrics.ShuffleRemote] == 0 {
 		t.Fatalf("reference run: %d outputs, counters %v", len(want), wantBytes)
 	}
+	sameFiles(t, "golden", wantSums, goldenLoopsSums)
 	for _, tcp := range []bool{false, true} {
-		for _, pairs := range []bool{false, true} {
-			got, bytes, sums := run(tcp, pairs)
-			sameFiles(t, fmt.Sprintf("tcp=%v pairs=%v", tcp, pairs), sums, wantSums)
+		for _, boxed := range []bool{false, true} {
+			got, bytes, sums := run(tcp, boxed)
+			sameFiles(t, fmt.Sprintf("tcp=%v boxed=%v", tcp, boxed), sums, wantSums)
 			for k, w := range want {
 				if math.Float64bits(got[k].(float64)) != math.Float64bits(w.(float64)) {
-					t.Fatalf("tcp=%v pairs=%v: key %d = %v, want %v", tcp, pairs, k, got[k], w)
+					t.Fatalf("tcp=%v boxed=%v: key %d = %v, want %v", tcp, boxed, k, got[k], w)
 				}
 			}
 			for _, c := range counters {
 				if bytes[c] != wantBytes[c] {
-					t.Errorf("tcp=%v pairs=%v: %s = %d, want %d", tcp, pairs, c, bytes[c], wantBytes[c])
+					t.Errorf("tcp=%v boxed=%v: %s = %d, want %d", tcp, boxed, c, bytes[c], wantBytes[c])
 				}
 			}
 		}
 	}
+}
+
+// goldenLoopsSums are the checkpoint and output checksums of
+// TestColumnLoopsMatchPairLoops' run, as the column loops and the pair
+// loops both left them before the pair loops were removed.
+var goldenLoopsSums = map[string]uint32{
+	"/_imr/loops/ckpt-000003/part-0": 0x133a3a30, "/_imr/loops/ckpt-000003/part-1": 0x2015ec09,
+	"/_imr/loops/ckpt-000003/part-2": 0x6bb4cd1f, "/_imr/loops/ckpt-000003/part-3": 0x3dc54af,
+	"/_imr/loops/output/part-0": 0x133a3a30, "/_imr/loops/output/part-1": 0x2015ec09,
+	"/_imr/loops/output/part-2": 0x6bb4cd1f, "/_imr/loops/output/part-3": 0x3dc54af,
 }
 
 // labelJob is a connected-components-shaped ScalarJob with int64 state
@@ -226,13 +241,14 @@ func labelJob(name string, maxIter int) ScalarJob[int64, []int64] {
 	}
 }
 
-// TestWideKeyColumnsMatchPairLoops runs both column value types over the
-// column loops on rings whose node ids are spread so that a chunk's keys
-// need 3-, 5- and 8-byte offsets, negative ids included and, at 8 bytes,
-// a span past 2^63; the int64 job's labels are the ids themselves, so its
-// value column is as wide. Over channels and TCP, the outputs, every
-// checkpoint file and output part, and the byte counters match the pair
-// loops' bit for bit.
+// TestWideKeyColumnsMatchPairLoops runs both typed value types on rings
+// whose node ids are spread so that a chunk's keys need 3-, 5- and 8-byte
+// offsets, negative ids included and, at 8 bytes, a span past 2^63; the
+// int64 job's labels are the ids themselves, so its value column is as
+// wide. Over channels and TCP, the outputs, every checkpoint file and
+// output part, and the byte counters of the typed loops match the boxed
+// loops' bit for bit, and the files match what both left before the boxed
+// loops replaced the pair loops (goldenWideSums).
 func TestWideKeyColumnsMatchPairLoops(t *testing.T) {
 	const n, iters = 512, 4
 	counters := []string{metrics.ShuffleBytes, metrics.ShuffleRemote, metrics.StateBytes, metrics.StateRemote}
@@ -248,7 +264,7 @@ func TestWideKeyColumnsMatchPairLoops(t *testing.T) {
 			t.Fatalf("ids %d..%d do not need %d-byte offsets", ids.id(0), ids.id(n-1), ids.width)
 		}
 		for _, float := range []bool{true, false} {
-			run := func(tcp, pairs bool) (map[int64]any, map[string]int64, map[string]uint32) {
+			run := func(tcp, boxed bool) (map[int64]any, map[string]int64, map[string]uint32) {
 				net := transport.Network(transport.NewChanNetwork())
 				if tcp {
 					net = transport.NewTCPNetwork()
@@ -274,12 +290,12 @@ func TestWideKeyColumnsMatchPairLoops(t *testing.T) {
 					t.Fatal(err)
 				}
 				job.CheckpointEvery = 3
-				if pairs {
+				if boxed {
 					r := job.Reduce
 					job.Reduce = func(k any, s []any) (any, error) { return r(k, s) }
 				}
-				if columnLoops(job) == pairs {
-					t.Fatalf("pairs=%v: columnLoops says %v", pairs, columnLoops(job))
+				if typedLoops(job) == boxed {
+					t.Fatalf("boxed=%v: typedLoops says %v", boxed, typedLoops(job))
 				}
 				res, err := v.e.Run(job)
 				if err != nil {
@@ -295,12 +311,13 @@ func TestWideKeyColumnsMatchPairLoops(t *testing.T) {
 			if len(want) != n || wantBytes[metrics.StateBytes] == 0 || wantBytes[metrics.ShuffleRemote] == 0 {
 				t.Fatalf("reference run: %d outputs, counters %v", len(want), wantBytes)
 			}
-			for _, c := range []struct{ tcp, pairs bool }{{false, false}, {true, false}, {true, true}} {
-				what := fmt.Sprintf("%d-byte ids float=%v tcp=%v pairs=%v", ids.width, float, c.tcp, c.pairs)
-				got, bytes, sums := run(c.tcp, c.pairs)
+			sameFiles(t, fmt.Sprintf("%d-byte ids float=%v golden", ids.width, float), wantSums, goldenWideSums(ids.width, float))
+			for _, c := range []struct{ tcp, boxed bool }{{false, false}, {true, false}, {true, true}} {
+				what := fmt.Sprintf("%d-byte ids float=%v tcp=%v boxed=%v", ids.width, float, c.tcp, c.boxed)
+				got, bytes, sums := run(c.tcp, c.boxed)
 				sameFiles(t, what, sums, wantSums)
 				for k, w := range want {
-					if g, ok := got[k]; !ok || !kv.SameBits(toBits(g), toBits(w)) {
+					if g, ok := got[k]; !ok || toBits(g) != toBits(w) {
 						t.Fatalf("%s: key %d = %v, want %v", what, k, g, w)
 					}
 				}
@@ -312,6 +329,37 @@ func TestWideKeyColumnsMatchPairLoops(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenWideSums are the checkpoint and output checksums of
+// TestWideKeyColumnsMatchPairLoops' runs of width-byte ids, by value
+// type, as the column loops and the pair loops both left them before the
+// pair loops were removed. Every part is one checkpoint's or one output's
+// in the order ckpt-000003/part-0..3, output/part-0..3.
+func goldenWideSums(width int, float bool) map[string]uint32 {
+	sums := map[struct {
+		width int
+		float bool
+	}][8]uint32{
+		{3, true}:  {0x578c9abc, 0xe50ea46, 0xb4654320, 0x30a44d40, 0x578c9abc, 0xe50ea46, 0xb4654320, 0x30a44d40},
+		{3, false}: {0x80eb6a4b, 0xf529a283, 0x29482f19, 0x17a12fb, 0x2f938dd5, 0xe1eb8a80, 0x66e59ed5, 0xcfbc2de8},
+		{5, true}:  {0x4154133c, 0x24bd3cfd, 0x7d51b872, 0xe41a1f70, 0x4154133c, 0x24bd3cfd, 0x7d51b872, 0xe41a1f70},
+		{5, false}: {0xb7f65fb0, 0xed3f487b, 0x4c5b1ad1, 0xc70358c9, 0xa4faff68, 0xbfff8d81, 0x91c188fd, 0x9a2b71f6},
+		{8, true}:  {0x6d8547d1, 0xeae45b92, 0xe1fb7058, 0x689e9d6d, 0x6d8547d1, 0xeae45b92, 0xe1fb7058, 0x689e9d6d},
+		{8, false}: {0x4d64ef5f, 0x60882e52, 0xa487d922, 0x3eb41061, 0xc709fc25, 0x9e14f1e6, 0xffc98586, 0x1c5e16cb},
+	}[struct {
+		width int
+		float bool
+	}{width, float}]
+	out := map[string]uint32{}
+	for i, sum := range sums {
+		dir := "ckpt-000003"
+		if i >= 4 {
+			dir = "output"
+		}
+		out[fmt.Sprintf("/_imr/wide/%s/part-%d", dir, i%4)] = sum
+	}
+	return out
 }
 
 // toBits is a float64 or int64 output value as int64 bits.
@@ -391,7 +439,7 @@ func TestUserFunctionsRunOneCallAtATime(t *testing.T) {
 	}
 }
 
-// TestScalarReduceErrorFailsRun: on the column loops a typed reduce's
+// TestScalarReduceErrorFailsRun: on the typed loops a typed reduce's
 // error fails the run too, naming the key.
 func TestScalarReduceErrorFailsRun(t *testing.T) {
 	v := newEnv(t, 4, Options{})
@@ -404,17 +452,17 @@ func TestScalarReduceErrorFailsRun(t *testing.T) {
 		return 1, nil
 	}
 	job := spec.Build()
-	if !columnLoops(job) {
-		t.Fatal("not on the column loops")
+	if !typedLoops(job) {
+		t.Fatal("not on the typed loops")
 	}
 	if _, err := v.e.Run(job); err == nil || !strings.Contains(err.Error(), "key 17: typed boom") {
 		t.Fatalf("run error %v, want the typed reduce's, with its key", err)
 	}
 }
 
-// TestMixedRecordLoopsFailTheReduce: a reduce handed the other loops'
-// records — a map whose process built the job differently — fails the
-// run instead of dropping them.
+// TestMixedRecordLoopsFailTheReduce: a reduce handed the other
+// instantiation's records — a map whose process built the job
+// differently — fails the run instead of dropping them.
 func TestMixedRecordLoopsFailTheReduce(t *testing.T) {
 	net := transport.NewChanNetwork()
 	defer net.Close()
@@ -427,10 +475,10 @@ func TestMixedRecordLoopsFailTheReduce(t *testing.T) {
 		loops func(rt *reduceTask) reduceLoops
 		chunk shuffleChunk
 	}{
-		{func(rt *reduceTask) reduceLoops { return &pairReduceLoops{t: rt} },
+		{func(rt *reduceTask) reduceLoops { return boxedDef{}.reduceLoops(rt) },
 			shuffleChunk{Gen: 1, Iter: 1, Seq: 1, Cols: &kv.Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}}},
 		{func(rt *reduceTask) reduceLoops { return job.scalar.reduceLoops(rt) },
-			shuffleChunk{Gen: 1, Iter: 1, Seq: 1, Pairs: []kv.Pair{{Key: int64(1), Value: 2.0}}}},
+			shuffleChunk{Gen: 1, Iter: 1, Seq: 1, Cols: &kv.Cols[any]{Keys: []int64{1}, Vals: []any{2.0}}}},
 	} {
 		ep, err := net.Endpoint(fmt.Sprint("red-", i))
 		if err != nil {
@@ -462,8 +510,8 @@ func TestMixedRecordLoopsFailTheMap(t *testing.T) {
 		chunk stateChunk
 	}{
 		{func(mt *mapTask) mapLoops { return job.scalar.mapLoops(mt) },
-			stateChunk{Gen: 1, Iter: 1, Seq: 1, Pairs: []kv.Pair{{Key: int64(1), Value: 2.0}}}},
-		{func(mt *mapTask) mapLoops { return newPairMapLoops(mt) },
+			stateChunk{Gen: 1, Iter: 1, Seq: 1, Cols: &kv.Cols[any]{Keys: []int64{1}, Vals: []any{2.0}}}},
+		{func(mt *mapTask) mapLoops { return boxedDef{}.mapLoops(mt) },
 			stateChunk{Gen: 1, Iter: 1, Seq: 1, Cols: &kv.Cols[float64]{Keys: []int64{1}, Vals: []float64{2}}}},
 	}
 	for i, c := range cases {

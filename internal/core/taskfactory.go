@@ -30,6 +30,7 @@ func bufThreshOf(j *Job) int {
 // job. loadStatic is not called here; the caller decides when the DFS
 // read happens.
 func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTask {
+	def := loopsOf(f.job, phase)
 	if phase == f.auxPhaseIndex() {
 		redAddrs := make([]string, f.auxN)
 		for i := range redAddrs {
@@ -52,12 +53,12 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 			numReduce:  f.auxN,
 			bufThresh:  bufThreshOf(f.aux),
 			outBuf:     make([]*chunkBuf, f.auxN),
-			bufs:       newFreeList(bufThreshOf(f.aux), f.auxN),
+			bufs:       newFreeList(bufThreshOf(f.aux), f.auxN, def.newCols),
 			sent:       make([]chunkCount, f.auxN),
 			serializes: transport.SerializesOnSend(ep),
 			pend:       make(map[int]*accum),
 		}
-		t.loops = newPairMapLoops(t)
+		t.loops = def.mapLoops(t)
 		return t
 	}
 	p := f.phases[phase]
@@ -83,17 +84,12 @@ func (f *taskFactory) buildMapTask(phase, idx int, ep transport.Endpoint) *mapTa
 		numReduce:  f.n,
 		bufThresh:  bufThreshOf(p),
 		outBuf:     make([]*chunkBuf, f.n),
-		bufs:       newFreeList(bufThreshOf(p), f.n),
+		bufs:       newFreeList(bufThreshOf(p), f.n, def.newCols),
 		sent:       make([]chunkCount, f.n),
 		serializes: transport.SerializesOnSend(ep),
 		pend:       make(map[int]*accum),
 	}
-	if phase == 0 && columnLoops(p) {
-		t.bufs.newCols = p.scalar.newCols
-		t.loops = p.scalar.mapLoops(t)
-	} else {
-		t.loops = newPairMapLoops(t)
-	}
+	t.loops = def.mapLoops(t)
 	return t
 }
 
@@ -110,6 +106,7 @@ func gatesOutput(last *Job, aux bool) bool {
 // (phase, idx) bound to ep, including the loop-back / broadcast /
 // auxiliary fan-out routing of its output state.
 func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *reduceTask {
+	def := loopsOf(f.job, phase)
 	if phase == f.auxPhaseIndex() {
 		rt := &reduceTask{
 			e: f.e, run: f.run, master: masterAddr(f.job.Name), job: f.aux,
@@ -119,11 +116,11 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 			ep:         ep,
 			numMaps:    f.auxN,
 			bufThresh:  bufThreshOf(f.aux),
-			bufs:       newFreeList(bufThreshOf(f.aux), 1),
+			bufs:       newFreeList(bufThreshOf(f.aux), 1, def.newCols),
 			serializes: transport.SerializesOnSend(ep),
 			pend:       make(map[int]*accum),
 		}
-		rt.loops = &pairReduceLoops{t: rt}
+		rt.loops = def.reduceLoops(rt)
 		return rt
 	}
 	p := f.phases[phase]
@@ -139,17 +136,12 @@ func (f *taskFactory) buildReduceTask(phase, idx int, ep transport.Endpoint) *re
 		ep:            ep,
 		numMaps:       f.n,
 		bufThresh:     bufThreshOf(p),
-		bufs:          newFreeList(bufThreshOf(p), 1),
+		bufs:          newFreeList(bufThreshOf(p), 1, def.newCols),
 		serializes:    transport.SerializesOnSend(ep),
 		pend:          make(map[int]*accum),
 		held:          make(map[int]records),
 	}
-	if phase == 0 && columnLoops(p) {
-		rt.bufs.newCols = p.scalar.newCols
-		rt.loops = p.scalar.reduceLoops(rt)
-	} else {
-		rt.loops = &pairReduceLoops{t: rt}
-	}
+	rt.loops = def.reduceLoops(rt)
 	// Route the new state: phase pi feeds phase pi+1's maps within the
 	// iteration; the last phase loops back to phase 0's maps for the
 	// next iteration.

@@ -9,23 +9,24 @@ import (
 	"sync"
 )
 
-// Column records: the shuffle form of a job whose keys are int64 and
-// whose state is one fixed-width scalar per key (DESIGN §5, "Typed
-// records over an untyped core"). A batch is two parallel columns, so a
-// record costs 16 bytes and no interface box between the user map and
-// the user reduce.
+// Column records: the form every iterative job's records take between
+// the user map and the user reduce (DESIGN §5, "One loop source"). A
+// batch is two parallel columns: the int64 keys, and the values — one
+// fixed-width Scalar per key for a typed job, so a record costs 16 bytes
+// and no interface box, or the boxed values of any other job.
 
-// Scalar is the value type a column batch holds.
+// Scalar is the value type of a typed column batch, which AppendCols
+// encodes as a column of its own.
 type Scalar interface{ float64 | int64 }
 
 // Cols is a batch of int64-keyed records: Keys[i] is the key of Vals[i].
-type Cols[V Scalar] struct {
+type Cols[V any] struct {
 	Keys []int64
 	Vals []V
 }
 
 // NewCols returns an empty batch with room for n records.
-func NewCols[V Scalar](n int) *Cols[V] {
+func NewCols[V any](n int) *Cols[V] {
 	return &Cols[V]{Keys: make([]int64, 0, n), Vals: make([]V, 0, n)}
 }
 
@@ -49,7 +50,7 @@ func (c *Cols[V]) AppendRange(src *Cols[V], lo, hi int) {
 }
 
 // Box appends c's records to dst as pairs, each key an int64 and each
-// value a V: the form the DFS and the pair loops take.
+// value a V: the form the DFS takes.
 func (c *Cols[V]) Box(dst []Pair) []Pair {
 	dst = slices.Grow(dst, len(c.Keys))
 	for i, k := range c.Keys {
@@ -76,21 +77,25 @@ func (c *Cols[V]) Unbox(ps []Pair) error {
 	return nil
 }
 
-// Reset empties c and keeps its capacity; the columns hold no pointers,
-// so nothing needs clearing.
+// Reset empties c and keeps its capacity. Boxed values are cleared, so a
+// kept batch pins none of them.
 func (c *Cols[V]) Reset() {
+	clear(c.Vals)
 	c.Keys = c.Keys[:0]
 	c.Vals = c.Vals[:0]
 }
 
-// colPools hold decode batches, one pool per Scalar type.
-var colPools [2]sync.Pool
+// colPools hold decode batches: float64, int64 and boxed values.
+var colPools [3]sync.Pool
 
-func colPool[V Scalar]() *sync.Pool {
-	if isFloat[V]() {
+func colPool[V any]() *sync.Pool {
+	switch any((*Cols[V])(nil)).(type) {
+	case *Cols[float64]:
 		return &colPools[0]
+	case *Cols[int64]:
+		return &colPools[1]
 	}
-	return &colPools[1]
+	return &colPools[2]
 }
 
 // isFloat reports whether V is float64.
@@ -101,7 +106,7 @@ func isFloat[V Scalar]() bool {
 
 // AcquireCols returns an empty batch from the pool of V's batches. Pair
 // it with exactly one Release.
-func AcquireCols[V Scalar]() *Cols[V] {
+func AcquireCols[V any]() *Cols[V] {
 	if c, ok := colPool[V]().Get().(*Cols[V]); ok {
 		return c
 	}
@@ -119,15 +124,6 @@ func (c *Cols[V]) Release() {
 // hash, so a record lands on the partition its boxed key would.
 func PartitionInt64(k int64, n int) int {
 	return int(mix64(uint64(k)) % uint64(n))
-}
-
-// SameBits reports whether a and b are the same value bit for bit: for
-// float64, +0 and -0 differ and a NaN equals itself.
-func SameBits[V Scalar](a, b V) bool {
-	if isFloat[V]() {
-		return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
-	}
-	return a == b
 }
 
 // AppendCols appends c's column encoding: a uvarint record count and,
@@ -257,6 +253,81 @@ func DecodeVals[V Scalar](data []byte, dst *Cols[V]) (int, error) {
 		return 0, err
 	}
 	return n + readValCol(vc, dst, data[n:], l), nil
+}
+
+// AppendBoxedCols is AppendCols for boxed values: the count and the key
+// column as AppendCols writes them, then each value's AppendValue
+// encoding. ok=false means a value has no codec: buf is truncated back to
+// its original length, and Unencodable names the type.
+func AppendBoxedCols(buf []byte, c *Cols[any]) ([]byte, bool) {
+	return appendBoxedVals(AppendVals(buf, c.Keys), c.Vals, len(buf))
+}
+
+// AppendBoxedVals is AppendVals for boxed values.
+func AppendBoxedVals(buf []byte, vals []any) ([]byte, bool) {
+	return appendBoxedVals(binary.AppendUvarint(buf, uint64(len(vals))), vals, len(buf))
+}
+
+func appendBoxedVals(buf []byte, vals []any, start int) ([]byte, bool) {
+	for _, v := range vals {
+		var ok bool
+		if buf, ok = AppendValue(buf, v); !ok {
+			return buf[:start], false
+		}
+	}
+	return buf, true
+}
+
+// DecodeBoxedCols is DecodeCols for boxed values, each read onto the heap
+// by DecodeValue. The count and the key column are read as DecodeVals
+// reads an int64 value column, the bytes a value needs — at least one —
+// are checked before the values grow, and a failed decode leaves dst as
+// it was.
+func DecodeBoxedCols(data []byte, dst *Cols[any]) (int, error) {
+	keys := Cols[int64]{Vals: dst.Keys}
+	n, err := DecodeVals(data, &keys)
+	if err != nil {
+		return 0, err
+	}
+	m, err := decodeBoxedVals(data[n:], dst, len(keys.Vals)-len(dst.Keys))
+	if err != nil {
+		return 0, err
+	}
+	dst.Keys = keys.Vals
+	return n + m, nil
+}
+
+// DecodeBoxedVals is DecodeVals for boxed values.
+func DecodeBoxedVals(data []byte, dst *Cols[any]) (int, error) {
+	l, n, err := sliceLen(data, 1)
+	if err != nil {
+		return 0, fmt.Errorf("kv: value count: %w", err)
+	}
+	m, err := decodeBoxedVals(data[n:], dst, l)
+	if err != nil {
+		return 0, err
+	}
+	return n + m, nil
+}
+
+// decodeBoxedVals appends the l values at the head of data to dst.Vals,
+// or none when one fails to decode, and returns the bytes they took.
+func decodeBoxedVals(data []byte, dst *Cols[any], l int) (int, error) {
+	if l > len(data) {
+		return 0, fmt.Errorf("kv: %d values exceed the frame", l)
+	}
+	base, n := len(dst.Vals), 0
+	dst.Vals = slices.Grow(dst.Vals, l)
+	for range l {
+		v, m, err := DecodeValue(data[n:])
+		if err != nil {
+			clear(dst.Vals[base:])
+			dst.Vals = dst.Vals[:base]
+			return 0, err
+		}
+		dst.Vals, n = append(dst.Vals, v), n+m
+	}
+	return n, nil
 }
 
 // valCol is the head of a value column of l records: where its values

@@ -119,7 +119,7 @@ func TestColsRoundTrip(t *testing.T) {
 		t.Fatalf("decode did not append: %v", got.Keys)
 	}
 	for i := range f.Keys {
-		if got.Keys[i+1] != f.Keys[i] || !SameBits(got.Vals[i+1], f.Vals[i]) {
+		if got.Keys[i+1] != f.Keys[i] || !sameBits(got.Vals[i+1], f.Vals[i]) {
 			t.Fatalf("record %d: (%d, %v), want (%d, %v)", i, got.Keys[i+1], got.Vals[i+1], f.Keys[i], f.Vals[i])
 		}
 	}
@@ -175,7 +175,7 @@ func TestColsGolden(t *testing.T) {
 				t.Errorf("%s: keys decode to %v, want %v", tc.name, got.Keys, c.Keys)
 			}
 			for i := range got.Vals {
-				if !SameBits(got.Vals[i], c.Vals[i]) {
+				if !sameBits(got.Vals[i], c.Vals[i]) {
 					t.Errorf("%s: value %d decodes to %v, want %v", tc.name, i, got.Vals[i], c.Vals[i])
 				}
 			}
@@ -266,7 +266,7 @@ func nodeChunk(n int) (*Cols[float64], *Cols[int64]) {
 }
 
 // TestColsBoxUnbox: Box appends a batch's records as (int64, V) pairs,
-// which encode as the pair loops' records do and Unbox takes back bit for
+// which encode as any pairs of those types do and Unbox takes back bit for
 // bit, appending; a pair of any other types fails Unbox and leaves the
 // batch as it was.
 func TestColsBoxUnbox(t *testing.T) {
@@ -277,7 +277,7 @@ func TestColsBoxUnbox(t *testing.T) {
 	}
 	pairs = pairs[1:]
 	for i, p := range pairs {
-		if p.Key != f.Keys[i] || !SameBits(p.Value.(float64), f.Vals[i]) {
+		if p.Key != f.Keys[i] || !sameBits(p.Value.(float64), f.Vals[i]) {
 			t.Fatalf("pair %d = %v, want (%d, %v)", i, p, f.Keys[i], f.Vals[i])
 		}
 	}
@@ -294,7 +294,7 @@ func TestColsBoxUnbox(t *testing.T) {
 		t.Fatalf("Unbox did not append: %v", back.Keys)
 	}
 	for i := range f.Keys {
-		if back.Keys[i+1] != f.Keys[i] || !SameBits(back.Vals[i+1], f.Vals[i]) {
+		if back.Keys[i+1] != f.Keys[i] || !sameBits(back.Vals[i+1], f.Vals[i]) {
 			t.Fatalf("record %d: (%d, %v), want (%d, %v)", i, back.Keys[i+1], back.Vals[i+1], f.Keys[i], f.Vals[i])
 		}
 	}
@@ -362,4 +362,13 @@ func fuzzColsRoundTrip[V Scalar](t *testing.T, data []byte) {
 	if enc2 := AppendCols(nil, again); !bytes.Equal(enc, enc2) {
 		t.Fatalf("round trip changed the records: %x then %x", enc, enc2)
 	}
+}
+
+// sameBits reports whether a and b are the same value bit for bit: for
+// float64, +0 and -0 differ and a NaN equals itself.
+func sameBits[V Scalar](a, b V) bool {
+	if isFloat[V]() {
+		return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+	}
+	return a == b
 }

@@ -13,6 +13,7 @@ package kv
 import (
 	"cmp"
 	"hash/maphash"
+	"reflect"
 	"slices"
 )
 
@@ -44,21 +45,23 @@ type Emit func(key, value any)
 // counters: keys are charged KeySizeOf, values the job's estimate. They
 // do not have to be exact, only consistent.
 type Ops struct {
-	// compare is the three-way key order: deterministic output and the
-	// sorted-merge join of static and state data.
-	compare func(a, b any) int
-	// sortStable is the concrete-key-type stable sort; it avoids the
-	// interface-compare indirection of compare.
+	// sortStable is the concrete-key-type stable sort: deterministic
+	// output, with typed key access instead of an interface compare.
 	sortStable func(ps []Pair)
 	// group is the concrete-key-type grouping (see groupFor): typed key
 	// access inlines and the 32-byte Pair structs never move.
 	group func(g *Grouper, ps []Pair) []Group
 	// valSize estimates a value's serialized size in bytes.
 	valSize func(value any) int
+	// key is the key type OpsFor was given.
+	key reflect.Type
 }
 
 // Valid reports whether o was built by OpsFor.
-func (o *Ops) Valid() bool { return o.compare != nil }
+func (o *Ops) Valid() bool { return o.key != nil }
+
+// KeyType is the key type o was built for.
+func (o *Ops) KeyType() reflect.Type { return o.key }
 
 // PairSize returns the estimated serialized size of p under o.
 //
@@ -79,10 +82,6 @@ func (o *Ops) Partition(key any, n int) int {
 // SortPairs orders ps by key (stable, so equal keys keep their relative
 // value order).
 func (o Ops) SortPairs(ps []Pair) { o.sortStable(ps) }
-
-// KeyOrder returns o's three-way key comparison, for the merges and
-// binary searches that need equality as well as order.
-func (o Ops) KeyOrder() func(a, b any) int { return o.compare }
 
 var hashSeed = maphash.MakeSeed()
 
@@ -153,12 +152,12 @@ func OpsFor[K cmp.Ordered, V any](valSize func(V) int) Ops {
 		}
 	}
 	return Ops{
-		compare: func(a, b any) int { return cmp.Compare(a.(K), b.(K)) },
 		sortStable: func(ps []Pair) {
 			slices.SortStableFunc(ps, func(a, b Pair) int { return cmp.Compare(a.Key.(K), b.Key.(K)) })
 		},
 		group:   groupFor[K](),
 		valSize: vs,
+		key:     reflect.TypeFor[K](),
 	}
 }
 

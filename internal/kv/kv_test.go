@@ -109,7 +109,7 @@ func TestGroupPairsProperty(t *testing.T) {
 		total := 0
 		for i, g := range groups {
 			total += len(g.Values)
-			if i > 0 && ops.KeyOrder()(groups[i-1].Key, g.Key) >= 0 {
+			if i > 0 && groups[i-1].Key.(int64) >= g.Key.(int64) {
 				return false
 			}
 		}

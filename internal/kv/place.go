@@ -21,7 +21,7 @@ import (
 // keys ascending, and group i's values are Vals[Ends[i-1]:Ends[i]] (from
 // 0 for the first group). Groups that a ColPlacement hit produced share
 // Keys and Ends with its ColLayout: they are read, never written.
-type ColGroups[V Scalar] struct {
+type ColGroups[V any] struct {
 	Keys []int64
 	Ends []int32
 	Vals []V
@@ -37,10 +37,10 @@ func (g ColGroups[V]) Values(i int) []V {
 }
 
 // ColGrouper is Grouper for column batches: the same groups, in the same
-// order, with no key or value boxed. Ownership is Grouper's: one
+// order, with no key boxed. Ownership is Grouper's: one
 // goroutine, scratch kept from call to call, a result valid until the
 // next Group. The zero value is ready to use.
-type ColGrouper[V Scalar] struct {
+type ColGrouper[V any] struct {
 	count  []int32 // per key offset of a dense batch: its count, then its cursor
 	sorted []keyAt[int64]
 	slots  []int32 // each record's value slot in the last index
@@ -150,7 +150,7 @@ func (g *ColGrouper[V]) reset(distinct int) *ColGroups[V] {
 // there before, an earlier round's otherwise. A chunk with Same set
 // repeats the keys (Map, Slot) carried at Epoch; it may still carry them
 // (Keys, as long as Vals), or travel values-only (Keys nil).
-type ColChunk[V Scalar] struct {
+type ColChunk[V any] struct {
 	Map, Slot int
 	Epoch     int
 	Same      bool
@@ -249,7 +249,7 @@ func (l *ColLayout) renewed(epochs []int) *ColLayout {
 // layout. Its placed values array is kept from round to round, the kept
 // copies only until the round is grouped. Ownership is ColGrouper's; the
 // zero value is not started.
-type ColPlacement[V Scalar] struct {
+type ColPlacement[V any] struct {
 	started bool
 	layout  *ColLayout
 	vals    []V    // the layout's records, placed by their slot maps
@@ -262,7 +262,7 @@ type ColPlacement[V Scalar] struct {
 // colMiss is a chunk a placement kept, in arrival order: its source, slot
 // and key epoch, and copies of its keys (nil for a values-only chunk) and
 // its values.
-type colMiss[V Scalar] struct {
+type colMiss[V any] struct {
 	m, slot, epoch int
 	keys           []int64
 	vals           []V
@@ -488,7 +488,7 @@ func appendKnownKeys(dst *[]int64, m colPart, layouts ...*ColLayout) error {
 // value slots of its records in canonical order, and its chunks. A round
 // with no records, or with two chunks from one map at one slot — no sender
 // does that — teaches none.
-func learnLayout[V Scalar](out *ColGroups[V], slots []int32, parts []colPart) *ColLayout {
+func learnLayout[V any](out *ColGroups[V], slots []int32, parts []colPart) *ColLayout {
 	if len(parts) == 0 {
 		return nil
 	}

@@ -131,7 +131,6 @@ func All() []*Analyzer {
 		SendCheck,
 		SimDeterminism,
 		MetricKey,
-		SlabRetain,
 		ProtoExhaustive,
 		LockOrder,
 		CtxFlow,
@@ -306,8 +305,7 @@ func stringLit(e ast.Expr) (string, bool) {
 // ---- the statement-flow walker ----
 
 // flowState is what a flow walk carries through a function body: the
-// facts one analyzer tracks at a point of it (the locks held, the slabs
-// released).
+// facts one analyzer tracks at a point of it (the locks held).
 type flowState[S any] interface {
 	// clone copies the state for a branch.
 	clone() S

@@ -20,7 +20,6 @@ var fixturePkg = map[string]string{
 	"sendcheck":       "imapreduce/internal/core",
 	"simdeterminism":  "imapreduce/internal/sim",
 	"metrickey":       "imapreduce/internal/core",
-	"slabretain":      "imapreduce/internal/core",
 	"protoexhaustive": "imapreduce/internal/transport",
 	"lockorder":       "imapreduce/internal/core",
 	"ctxflow":         "imapreduce/internal/core",

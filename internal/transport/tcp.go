@@ -35,7 +35,9 @@ import (
 // fixed-width offsets instead of one varint per element.
 // v9 added a slot to every chunk header and a form byte to the column
 // shuffle frame, whose values-only form carries a key epoch and no keys.
-const ProtocolVersion byte = 9
+// v10 removed the pair state and shuffle frames: every job's chunks are
+// column frames, an untyped job's values each in its kv codec encoding.
+const ProtocolVersion byte = 10
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
