@@ -98,7 +98,9 @@ bench-test:
 # holds the record decoder's heap and slab forms to each other and to
 # the encoder on arbitrary bytes, and FuzzFrames runs arbitrary bytes
 # through a TCP connection's frame reader, which must not panic and must
-# allocate in proportion to what it read. FuzzDecodeCols does the same
+# allocate in proportion to what it read; FuzzControlMessages feeds them
+# to every registered control message's decoder, which must also
+# re-encode what it accepts to the same bytes. FuzzDecodeCols does the same
 # for the column codec of scalar shuffles and round-trips what it
 # decodes; FuzzManifest feeds arbitrary manifest records to Resume, which
 # must never resume one that disagrees with the job; FuzzImage opens
@@ -119,6 +121,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzNamespaceOps -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodePairs -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzFrames -fuzztime 10s
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzControlMessages -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzDecodeCols -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzManifest -fuzztime 10s
 	$(GO) test ./internal/dfs -run '^$$' -fuzz FuzzImage -fuzztime 10s

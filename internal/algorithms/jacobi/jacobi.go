@@ -30,36 +30,7 @@ type Row struct {
 func (r Row) Bytes() int { return 16 + 12*len(r.Idx) + 4 }
 
 func init() {
-	kv.RegisterValueCodec(Row{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			r := v.(Row)
-			buf = kv.AppendFloat64(buf, r.B)
-			buf = kv.AppendFloat64(buf, r.Diag)
-			buf = kv.AppendInt32Slice(buf, r.Idx)
-			return kv.AppendFloat64Slice(buf, r.Val), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			var r Row
-			b, n, err := kv.Float64At(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			d, m, err := kv.Float64At(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m
-			r.B, r.Diag = b, d
-			if r.Idx, m, err = kv.Int32SliceAt(data[n:]); err != nil {
-				return nil, 0, err
-			}
-			n += m
-			if r.Val, m, err = kv.Float64SliceAt(data[n:]); err != nil {
-				return nil, 0, err
-			}
-			return r, n + m, nil
-		},
-	})
+	kv.Register(func(f *kv.Fields, r *Row) { f.F64(&r.B); f.F64(&r.Diag); f.Int32s(&r.Idx); f.F64s(&r.Val) })
 }
 
 // System is a dense linear system Ax = b.

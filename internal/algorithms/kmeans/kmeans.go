@@ -36,32 +36,8 @@ type PartialSum struct {
 func (s PartialSum) Bytes() int { return 8*len(s.Vec) + 12 }
 
 func init() {
-	kv.RegisterValueCodec(Point{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			return kv.AppendFloat64Slice(buf, v.(Point)), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			xs, n, err := kv.Float64SliceAt(data)
-			return Point(xs), n, err
-		},
-	})
-	kv.RegisterValueCodec(PartialSum{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			s := v.(PartialSum)
-			return kv.AppendVarint(kv.AppendFloat64Slice(buf, s.Vec), s.Count), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			vec, n, err := kv.Float64SliceAt(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			count, m, err := kv.Varint(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return PartialSum{Vec: vec, Count: count}, n + m, nil
-		},
-	})
+	kv.Register(func(f *kv.Fields, p *Point) { f.F64s((*[]float64)(p)) })
+	kv.Register(func(f *kv.Fields, s *PartialSum) { f.F64s(&s.Vec); f.Varint(&s.Count) })
 }
 
 // PointOps is the kv.Ops for (id → Point) records.

@@ -344,12 +344,13 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestAuxOnTCPMatchesChannels runs K-means with the auxiliary
 // convergence phase over real sockets, so every auxiliary output reaches
 // the master as a binary frame, and over channels: both runs converge to
-// bit-identical centroids. One main task keeps the reduce's float sums
-// in one order on both networks. The iteration the auxiliary verdict
-// stops at is not compared: it can differ between the two networks.
+// bit-identical centroids after the same number of iterations. One main
+// task keeps the reduce's float sums in one order on both networks; the
+// iteration the auxiliary verdict stops at must not depend on the order
+// its messages reach the master in.
 func TestAuxOnTCPMatchesChannels(t *testing.T) {
 	points, cents := Generate(DataConfig{Users: 300, Dim: 3, K: 4, Seed: 23})
-	run := func(net transport.Network) []byte {
+	run := func(net transport.Network) ([]byte, int) {
 		spec := cluster.Uniform(2)
 		m := metrics.NewSet()
 		fs := dfs.New(dfs.Config{BlockSize: 1 << 16, Replication: 2}, spec.IDs(), m)
@@ -383,10 +384,14 @@ func TestAuxOnTCPMatchesChannels(t *testing.T) {
 		if !ok {
 			t.Fatal(kv.Unencodable(out))
 		}
-		return enc
+		return enc, res.Iterations
 	}
-	chanOut := run(transport.NewChanNetwork())
-	if tcpOut := run(transport.NewTCPNetwork()); !bytes.Equal(tcpOut, chanOut) {
+	chanOut, chanIters := run(transport.NewChanNetwork())
+	tcpOut, tcpIters := run(transport.NewTCPNetwork())
+	if !bytes.Equal(tcpOut, chanOut) {
 		t.Fatalf("centroids over TCP %x, over channels %x", tcpOut, chanOut)
+	}
+	if tcpIters != chanIters {
+		t.Fatalf("stopped after %d iterations over TCP, %d over channels", tcpIters, chanIters)
 	}
 }

@@ -48,96 +48,19 @@ type Col struct {
 // Bytes implements kv.Sized.
 func (c Col) Bytes() int { return 12*len(c.Idx) + 4 }
 
-func appendEntries(buf []byte, es []Entry) []byte {
-	buf = kv.AppendUvarint(buf, uint64(len(es)))
-	for _, e := range es {
-		buf = kv.AppendFloat64(kv.AppendVarint(buf, int64(e.K)), e.V)
-	}
-	return buf
-}
+func walkEntry(f *kv.Fields, e *Entry) { f.Int32(&e.K); f.F64(&e.V) }
 
-func entriesAt(data []byte) ([]Entry, int, error) {
-	l, n, err := kv.Uvarint(data)
-	if err != nil {
-		return nil, 0, err
+func walkEntries(f *kv.Fields, es *[]Entry) {
+	for s, i := kv.Elems(f, es), 0; i < len(s); i++ {
+		walkEntry(f, &s[i])
 	}
-	if l == 0 {
-		return nil, n, nil
-	}
-	// An entry takes at least 9 bytes: a count the bytes left cannot
-	// hold fails before anything is allocated.
-	if l > uint64(len(data)-n)/9 {
-		return nil, 0, fmt.Errorf("matpower: %d entries exceed the %d bytes left", l, len(data)-n)
-	}
-	out := make([]Entry, l)
-	for i := range out {
-		k, m, err := kv.Varint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		v, m, err := kv.Float64At(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		out[i] = Entry{K: int32(k), V: v}
-	}
-	return out, n, nil
 }
 
 func init() {
-	kv.RegisterValueCodec(Entry{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			e := v.(Entry)
-			return kv.AppendFloat64(kv.AppendVarint(buf, int64(e.K)), e.V), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			k, n, err := kv.Varint(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			v, m, err := kv.Float64At(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return Entry{K: int32(k), V: v}, n + m, nil
-		},
-	})
-	kv.RegisterValueCodec(Row{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			return appendEntries(buf, v.(Row).Entries), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			es, n, err := entriesAt(data)
-			return Row{Entries: es}, n, err
-		},
-	})
-	kv.RegisterValueCodec([]Entry{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			return appendEntries(buf, v.([]Entry)), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			return entriesAt(data)
-		},
-	})
-	kv.RegisterValueCodec(Col{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			c := v.(Col)
-			return kv.AppendFloat64Slice(kv.AppendInt32Slice(buf, c.Idx), c.Val), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			idx, n, err := kv.Int32SliceAt(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			val, m, err := kv.Float64SliceAt(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return Col{Idx: idx, Val: val}, n + m, nil
-		},
-	})
+	kv.Register(walkEntry)
+	kv.Register(func(f *kv.Fields, r *Row) { walkEntries(f, &r.Entries) })
+	kv.Register(walkEntries)
+	kv.Register(func(f *kv.Fields, c *Col) { f.Int32s(&c.Idx); f.F64s(&c.Val) })
 }
 
 // Dense is a square matrix in row-major order.
@@ -325,95 +248,17 @@ type joined struct {
 
 func (j joined) Bytes() int { return 16 * (len(j.Ms) + len(j.Ns)) }
 
-func appendTagged(buf []byte, es []taggedEntry) []byte {
-	buf = kv.AppendUvarint(buf, uint64(len(es)))
-	for _, e := range es {
-		f := byte(0)
-		if e.FromM {
-			f = 1
-		}
-		buf = kv.AppendFloat64(kv.AppendVarint(append(buf, f), int64(e.I)), e.V)
-	}
-	return buf
-}
+func walkTagged(f *kv.Fields, e *taggedEntry) { f.Bool(&e.FromM); f.Int32(&e.I); f.F64(&e.V) }
 
-func taggedAt(data []byte) ([]taggedEntry, int, error) {
-	l, n, err := kv.Uvarint(data)
-	if err != nil {
-		return nil, 0, err
+func walkTaggeds(f *kv.Fields, es *[]taggedEntry) {
+	for s, i := kv.Elems(f, es), 0; i < len(s); i++ {
+		walkTagged(f, &s[i])
 	}
-	if l == 0 {
-		return nil, n, nil
-	}
-	// A tagged entry takes at least 10 bytes (see entriesAt).
-	if l > uint64(len(data)-n)/10 {
-		return nil, 0, fmt.Errorf("matpower: %d tagged entries exceed the %d bytes left", l, len(data)-n)
-	}
-	out := make([]taggedEntry, l)
-	for j := range out {
-		if len(data) <= n {
-			return nil, 0, fmt.Errorf("matpower: truncated tagged entry")
-		}
-		fromM := data[n] != 0
-		n++
-		i, m, err := kv.Varint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		v, m, err := kv.Float64At(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		out[j] = taggedEntry{FromM: fromM, I: int32(i), V: v}
-	}
-	return out, n, nil
 }
 
 func init() {
-	kv.RegisterValueCodec(taggedEntry{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			e := v.(taggedEntry)
-			f := byte(0)
-			if e.FromM {
-				f = 1
-			}
-			return kv.AppendFloat64(kv.AppendVarint(append(buf, f), int64(e.I)), e.V), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			if len(data) == 0 {
-				return nil, 0, fmt.Errorf("matpower: truncated tagged entry")
-			}
-			fromM := data[0] != 0
-			i, n, err := kv.Varint(data[1:])
-			if err != nil {
-				return nil, 0, err
-			}
-			v, m, err := kv.Float64At(data[1+n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return taggedEntry{FromM: fromM, I: int32(i), V: v}, 1 + n + m, nil
-		},
-	})
-	kv.RegisterValueCodec(joined{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			j := v.(joined)
-			return appendTagged(appendTagged(buf, j.Ms), j.Ns), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			ms, n, err := taggedAt(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			ns, m, err := taggedAt(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return joined{Ms: ms, Ns: ns}, n + m, nil
-		},
-	})
+	kv.Register(walkTagged)
+	kv.Register(func(f *kv.Fields, j *joined) { walkTaggeds(f, &j.Ms); walkTaggeds(f, &j.Ns) })
 }
 
 // RunMR executes the baseline: each iteration is TWO chained MapReduce

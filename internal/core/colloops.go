@@ -380,7 +380,11 @@ func (l *colReduceLoops[V]) loadPrev(pairs []kv.Pair) error {
 	return l.prev.load(keyedRun(pairs, l.t.job.Ops))
 }
 
-func (l *colReduceLoops[V]) final() []kv.Pair { return l.prev.pairs() }
+func (l *colReduceLoops[V]) final() []kv.Pair {
+	out := l.prev.pairs()
+	l.prev = colRun[V]{boxed: l.prev.boxed}
+	return out
+}
 
 // colRun is the state a termination reduce carries from one iteration to
 // the next for the Distance test and the final output: a key column and

@@ -193,10 +193,10 @@ func TestAuxiliaryPhase(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("aux decision did not mark convergence")
 	}
-	// 2^-4 = 0.0625 < 0.1: decidable at iteration 4; applied at the next
-	// boundary, so allow a small overshoot but not a runaway.
-	if res.Iterations < 4 || res.Iterations > 8 {
-		t.Fatalf("iterations = %d, want 4..8", res.Iterations)
+	// 2^-4 = 0.0625 < 0.1: decided at iteration 4, applied at the next
+	// boundary.
+	if res.Iterations != 5 {
+		t.Fatalf("iterations = %d, want 5", res.Iterations)
 	}
 	out := v.readOutput(t, res.OutputPath)
 	for k, val := range out {
@@ -283,14 +283,87 @@ func auxHoldNet(t *testing.T, tasks, after int, iters ...int) (*tapNet, func() b
 	}
 }
 
+// TestAuxiliaryStopIgnoresMessageOrder: iteration 4's verdict stops the
+// run at boundary 5 whether iteration 4's reports reach the master before
+// its auxiliary outputs or after them. The master used to stop at the
+// first boundary it handled after a true verdict: 4 when the reports came
+// last.
+func TestAuxiliaryStopIgnoresMessageOrder(t *testing.T) {
+	for _, hold := range []bool{false, true} {
+		net, held := reportHoldNet(t, 2, 4, hold)
+		v := newEnvNet(t, cluster.Uniform(2), net, Options{Timeout: 5 * time.Second})
+		v.writeState(t, "/state", 6)
+		res, err := v.e.Run(watchedHalvingJob("halve-aux-stop"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held() != hold {
+			t.Fatalf("hold %v: iteration 4's reports held back: %v", hold, held())
+		}
+		checkWatchedHalving(t, v, res)
+	}
+}
+
+// reportHoldNet is a network for a watched halving job on a cluster of
+// tasks workers, one termination reduce and one auxiliary reduce a
+// worker. With hold it holds the reports of iteration iter until every
+// auxiliary output of iter has gone out, then sends them. held tells
+// whether that happened.
+func reportHoldNet(t *testing.T, tasks, iter int, hold bool) (*tapNet, func() bool) {
+	var mu sync.Mutex
+	var reports []func()
+	outs, sent := 0, false
+	net := &tapNet{Network: transport.NewChanNetwork(), tap: func(from transport.Endpoint, to string, msg transport.Message) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if !hold || sent {
+			return nil
+		}
+		switch pl := msg.Payload.(type) {
+		case reportMsg:
+			if pl.Iter == iter {
+				reports = append(reports, func() {
+					if err := from.Send(to, msg); err != nil {
+						t.Error(err)
+					}
+				})
+				break
+			}
+			return nil
+		case auxOutMsg:
+			if pl.Iter != iter {
+				return nil
+			}
+			if err := from.Send(to, msg); err != nil {
+				return err
+			}
+			outs++
+		default:
+			return nil
+		}
+		if outs == tasks && len(reports) == tasks {
+			sent = true
+			for _, send := range reports {
+				send()
+			}
+		}
+		return errTaken
+	}}
+	return net, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return sent
+	}
+}
+
 // checkWatchedHalving checks a watchedHalvingJob run that started from
-// all ones: the auxiliary phase stopped it a few iterations after every
-// value fell below 0.1, and the output is the state of the iteration it
-// stopped at.
+// all ones: every value fell below 0.1 at iteration 4, the auxiliary
+// phase stopped the run at the boundary after it, and the output is the
+// state of iteration 5.
 func checkWatchedHalving(t *testing.T, v *env, res *Result) {
 	t.Helper()
-	if !res.Converged || res.Iterations < 4 || res.Iterations > 8 {
-		t.Fatalf("converged = %v after %d iterations, want true after 4..8", res.Converged, res.Iterations)
+	if !res.Converged || res.Iterations != 5 {
+		t.Fatalf("converged = %v after %d iterations, want true after 5", res.Converged, res.Iterations)
 	}
 	want := math.Pow(2, -float64(res.Iterations))
 	for k, val := range v.readOutput(t, res.OutputPath) {

@@ -68,8 +68,9 @@ type reduceLoops interface {
 	// loadPrev replaces the previous-state run with a checkpoint part's
 	// records, in file order.
 	loadPrev(pairs []kv.Pair) error
-	// final returns the previous-state run as key-ordered pairs: the
-	// task's part of the output.
+	// final returns the previous-state run as key-ordered pairs — the
+	// task's part of the output — and drops it: a replay's rollback
+	// reloads it (loadPrev).
 	final() []kv.Pair
 	// forget drops what the loops learned from the chunks they took — the
 	// layout — when the generation changes.

@@ -54,7 +54,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	terminated := false
 	aborted := false
 	converged := false
-	auxStop := false
+	// auxStopAt is the smallest iteration whose auxiliary verdict was true
+	// (0: none). The run stops at the boundary after it (§5.3.2), whatever
+	// order that iteration's reports and verdicts arrived in.
+	auxStopAt := 0
 	stopIter := 0
 	// replayTo is the stopIter of a terminated run that a lost worker
 	// rolled back: the replay stops there again (0: no replay).
@@ -78,6 +81,10 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 	// one, since the next boundary needs that proceed to be reached.
 	auxDone := 0
 	pending := 0
+	// auxStops reports whether boundary k stops the run: past auxStopAt,
+	// with every verdict up to it in (the proceed gate sees to that by the
+	// boundary after it), so no smaller true verdict can still come.
+	auxStops := func(k int) bool { return auxStopAt > 0 && k > auxStopAt && auxDone >= auxStopAt }
 
 	rollbackAll := func(toIter int) {
 		gen++
@@ -183,7 +190,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			}
 		}
 		if terminated {
-			terminated, auxStop, replayTo = false, false, stopIter
+			terminated, auxStopAt, replayTo = false, 0, stopIter
 			finals, outputRecords = 0, 0
 			clear(finalSeen)
 		}
@@ -400,17 +407,17 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 				for auxHandled[auxDone+1] {
 					auxDone++
 				}
-				if job.AuxDecide(pl.Iter, all) {
+				if job.AuxDecide(pl.Iter, all) && (auxStopAt == 0 || pl.Iter < auxStopAt) {
 					// Termination signal from the auxiliary phase
 					// (§5.3.2); applied at the next iteration boundary so
 					// the final state is a consistent snapshot.
-					auxStop = true
+					auxStopAt = pl.Iter
 					converged = true
 				}
 				if pending > 0 && auxDone >= pending-1 {
 					k := pending
 					pending = 0
-					if auxStop {
+					if auxStops(k) {
 						// The held boundary is a consistent snapshot:
 						// stop right here instead of feeding another
 						// iteration.
@@ -459,7 +466,7 @@ func (e *Engine) masterLoop(ctx context.Context, job *Job, phases []*Job, aux *J
 			if cb := e.opts.OnIteration; cb != nil {
 				cb(perIter[iter])
 			}
-			stop := auxStop || replayTo > 0 && iter >= replayTo
+			stop := auxStops(iter) || replayTo > 0 && iter >= replayTo
 			if last.MaxIter > 0 && iter >= last.MaxIter {
 				stop = true
 			}

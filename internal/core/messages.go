@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"imapreduce/internal/kv"
 	"imapreduce/internal/transport"
@@ -229,59 +228,14 @@ const (
 	colValuesOnly byte = 1
 )
 
-// appendChunkHeader encodes the common chunk header: Gen, Iter, sender
-// task id, Seq, the End count (uvarint, 0 on a data chunk) and the slot
-// (uvarint).
-func appendChunkHeader(buf []byte, gen, iter, from int, seq int64, end, slot int) []byte {
-	buf = kv.AppendVarint(buf, int64(gen))
-	buf = kv.AppendVarint(buf, int64(iter))
-	buf = kv.AppendVarint(buf, int64(from))
-	buf = kv.AppendVarint(buf, seq)
-	buf = kv.AppendUvarint(buf, uint64(end))
-	return kv.AppendUvarint(buf, uint64(slot))
-}
-
-// chunkHead is a decoded chunk header.
-type chunkHead struct {
-	gen, iter, from int
-	seq             int64
-	end, slot       int
-}
-
-func decodeChunkHeader(data []byte) (h chunkHead, n int, err error) {
-	var v int64
-	var m int
-	for _, dst := range []*int{&h.gen, &h.iter, &h.from} {
-		if v, m, err = kv.Varint(data[n:]); err != nil {
-			return
-		}
-		*dst, n = int(v), n+m
-	}
-	if h.seq, m, err = kv.Varint(data[n:]); err != nil {
-		return
-	}
-	n += m
-	if h.end, m, err = headerCount(data[n:], "end count"); err != nil {
-		return
-	}
-	n += m
-	if h.slot, m, err = headerCount(data[n:], "slot"); err != nil {
-		return
-	}
-	return h, n + m, nil
-}
-
-// headerCount reads one of a chunk header's uvarint counts, which no
-// sender makes past MaxInt32.
-func headerCount(data []byte, what string) (int, int, error) {
-	u, n, err := kv.Uvarint(data)
-	if err != nil {
-		return 0, 0, err
-	}
-	if u > math.MaxInt32 {
-		return 0, 0, fmt.Errorf("core: chunk header %s %d out of range", what, u)
-	}
-	return int(u), n, nil
+// chunkHeader walks the header every chunk frame starts with: Gen, Iter,
+// the sender's task id, Seq, the End count (0 on a data chunk) and the
+// slot, the last two counts no sender makes past MaxInt32.
+func chunkHeader(f *kv.Fields, gen, iter, from *int, seq *int64, end, slot *int) {
+	f.Int(gen, iter, from)
+	f.Varint(seq)
+	f.Count(end)
+	f.Count(slot)
 }
 
 // colsTag picks a chunk's tag by its value type: f64, i64, or boxed —
@@ -325,7 +279,9 @@ func (c stateChunk) WireTag() string {
 }
 
 func (c stateChunk) AppendWire(buf []byte) ([]byte, bool) {
-	return appendCols(appendChunkHeader(buf, c.Gen, c.Iter, c.From, c.Seq, c.End, c.Slot), c.Cols)
+	f := kv.EncodeFields(buf)
+	chunkHeader(&f, &c.Gen, &c.Iter, &c.From, &c.Seq, &c.End, &c.Slot)
+	return appendCols(f.Bytes(), c.Cols)
 }
 
 func (c shuffleChunk) WireTag() string {
@@ -335,19 +291,32 @@ func (c shuffleChunk) WireTag() string {
 // AppendWire encodes the chunk's form and records: values-only when they
 // repeat keys the reduce holds.
 func (c shuffleChunk) AppendWire(buf []byte) ([]byte, bool) {
-	buf = appendChunkHeader(buf, c.Gen, c.Iter, c.FromMap, c.Seq, c.End, c.Slot)
+	f := kv.EncodeFields(buf)
+	chunkHeader(&f, &c.Gen, &c.Iter, &c.FromMap, &c.Seq, &c.End, &c.Slot)
 	if c.SameKeys && recLen(c.Cols) > 0 {
-		return appendVals(kv.AppendVarint(append(buf, colValuesOnly), int64(c.KeyEpoch)), c.Cols)
+		form := colValuesOnly
+		f.Byte(&form)
+		f.Int(&c.KeyEpoch)
+		return appendVals(f.Bytes(), c.Cols)
 	}
-	return appendCols(append(buf, colKeyed), c.Cols)
+	return appendCols(append(f.Bytes(), colKeyed), c.Cols)
 }
 
 func (m auxOutMsg) WireTag() string { return wireTagAuxOut }
 
-// AppendWire reuses the chunk header; an auxiliary output has no Seq, no
-// End and no slot.
 func (m auxOutMsg) AppendWire(buf []byte) ([]byte, bool) {
-	return kv.AppendPairs(appendChunkHeader(buf, m.Gen, m.Iter, m.Task, 0, 0, 0), m.Pairs)
+	f := kv.EncodeFields(buf)
+	walkAuxOut(&f, &m)
+	return f.Bytes(), f.Err() == nil
+}
+
+// walkAuxOut reuses the chunk header; an auxiliary output has no Seq, no
+// End and no slot.
+func walkAuxOut(f *kv.Fields, m *auxOutMsg) {
+	var seq int64
+	var end, slot int
+	chunkHeader(f, &m.Gen, &m.Iter, &m.Task, &seq, &end, &slot)
+	f.Pairs(&m.Pairs)
 }
 
 // colDecoder is a value type's column decoders: keys and values, and
@@ -367,26 +336,26 @@ var (
 // chunk. A values-only frame with no values is refused: no sender elides
 // the keys of an empty chunk.
 func (d colDecoder[V]) shuffle(data []byte) (any, error) {
-	h, n, err := decodeChunkHeader(data)
-	if err != nil {
-		return nil, err
+	c := shuffleChunk{pooled: true}
+	var form byte
+	f := kv.DecodeFields(data)
+	chunkHeader(&f, &c.Gen, &c.Iter, &c.FromMap, &c.Seq, &c.End, &c.Slot)
+	c.KeyEpoch = c.Iter
+	if f.Byte(&form); form == colValuesOnly {
+		c.SameKeys = true
+		f.Int(&c.KeyEpoch)
 	}
-	if n == len(data) {
-		return nil, errors.New("core: column shuffle frame without a form")
+	if f.Err() != nil {
+		return nil, f.Err()
 	}
-	c := shuffleChunk{Gen: h.gen, Iter: h.iter, FromMap: h.from, Seq: h.seq, End: h.end, Slot: h.slot, KeyEpoch: h.iter, pooled: true}
 	cols := kv.AcquireCols[V]()
-	switch form, body := data[n], data[n+1:]; form {
+	var err error
+	switch form {
 	case colKeyed:
-		_, err = d.cols(body, cols)
+		_, err = d.cols(f.Bytes(), cols)
 	case colValuesOnly:
-		var epoch int64
-		var m int
-		if epoch, m, err = kv.Varint(body); err == nil {
-			c.KeyEpoch, c.SameKeys = int(epoch), true
-			if _, err = d.vals(body[m:], cols); err == nil && cols.Len() == 0 {
-				err = errors.New("core: values-only column frame without values")
-			}
+		if _, err = d.vals(f.Bytes(), cols); err == nil && cols.Len() == 0 {
+			err = errors.New("core: values-only column frame without values")
 		}
 	default:
 		err = fmt.Errorf("core: column shuffle frame of form %d", form)
@@ -402,30 +371,27 @@ func (d colDecoder[V]) shuffle(data []byte) (any, error) {
 // state decodes a column state frame into a pooled batch, which the
 // receiving map returns when it releases the chunk.
 func (d colDecoder[V]) state(data []byte) (any, error) {
-	h, n, err := decodeChunkHeader(data)
-	if err != nil {
-		return nil, err
+	c := stateChunk{pooled: true}
+	f := kv.DecodeFields(data)
+	if chunkHeader(&f, &c.Gen, &c.Iter, &c.From, &c.Seq, &c.End, &c.Slot); f.Err() != nil {
+		return nil, f.Err()
 	}
 	cols := kv.AcquireCols[V]()
-	if _, err := d.cols(data[n:], cols); err != nil {
+	if _, err := d.cols(f.Bytes(), cols); err != nil {
 		cols.Release()
 		return nil, err
 	}
-	return stateChunk{Gen: h.gen, Iter: h.iter, From: h.from, Seq: h.seq, Cols: cols, End: h.end, Slot: h.slot, pooled: true}, nil
+	c.Cols = cols
+	return c, nil
 }
 
 // decodeAuxOut decodes onto the heap: the master keeps the pairs until
 // the auxiliary phase's decision.
 func decodeAuxOut(data []byte) (any, error) {
-	h, n, err := decodeChunkHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	pairs, _, err := kv.DecodePairs(data[n:])
-	if err != nil {
-		return nil, err
-	}
-	return auxOutMsg{Gen: h.gen, Iter: h.iter, Task: h.from, Pairs: pairs}, nil
+	var m auxOutMsg
+	f := kv.DecodeFields(data)
+	walkAuxOut(&f, &m)
+	return m, f.Done()
 }
 
 // refusedRecord explains a send that failed with
@@ -466,11 +432,16 @@ func init() {
 	for tag, decode := range wireDecoders {
 		transport.RegisterWireUnmarshaler(tag, decode)
 	}
-	transport.RegisterMessage(reportMsg{})
-	transport.RegisterMessage(ckptMsg{})
-	transport.RegisterMessage(finalMsg{})
-	transport.RegisterMessage(cmdMsg{})
-	transport.RegisterMessage(taskErrMsg{})
-	transport.RegisterMessage(rbAckMsg{})
-	transport.RegisterMessage(heartbeatMsg{})
+	transport.RegisterMessage("imr.report", func(f *kv.Fields, m *reportMsg) {
+		f.Int(&m.Gen, &m.Iter, &m.Task)
+		f.F64(&m.Dist)
+		f.Varint(&m.ElapsedNanos)
+		f.String(&m.Worker)
+	})
+	transport.RegisterMessage("imr.ckpt", func(f *kv.Fields, m *ckptMsg) { f.Int(&m.Gen, &m.Iter, &m.Task) })
+	transport.RegisterMessage("imr.final", func(f *kv.Fields, m *finalMsg) { f.Int(&m.Gen, &m.Task, &m.Records); f.String(&m.Err) })
+	transport.RegisterMessage("imr.cmd", func(f *kv.Fields, m *cmdMsg) { f.String(&m.Kind); f.Int(&m.Gen, &m.ToIter) })
+	transport.RegisterMessage("imr.taskerr", func(f *kv.Fields, m *taskErrMsg) { f.Int(&m.Phase, &m.Task); f.String(&m.Err) })
+	transport.RegisterMessage("imr.rback", func(f *kv.Fields, m *rbAckMsg) { f.Int(&m.Gen, &m.Phase, &m.Task) })
+	transport.RegisterMessage("imr.beat", func(f *kv.Fields, m *heartbeatMsg) { f.String(&m.Worker); f.Int(&m.Phase, &m.Task) })
 }

@@ -47,10 +47,17 @@ func TestChunkHeaderEndCount(t *testing.T) {
 		}
 	}
 
-	bad := kv.AppendUvarint(appendChunkHeader(nil, 1, 1, 0, 1, 0, 0)[:4], math.MaxInt32+1)
+	bad := kv.AppendUvarint(header(1, 1, 0, 1, 0, 0)[:4], math.MaxInt32+1)
 	if _, err := wireDecoders[wireTagColsAny](append(kv.AppendUvarint(bad, 0), colKeyed, 0)); err == nil {
 		t.Fatal("an End count past MaxInt32 was accepted")
 	}
+}
+
+// header encodes a chunk header.
+func header(gen, iter, from int, seq int64, end, slot int) []byte {
+	f := kv.EncodeFields(nil)
+	chunkHeader(&f, &gen, &iter, &from, &seq, &end, &slot)
+	return f.Bytes()
 }
 
 // boxedCols is a boxed batch whose keys need 3-byte offsets and whose
@@ -198,7 +205,7 @@ func boxedBits(c records) []kv.Pair {
 // re-encode to themselves.
 func FuzzChunkFrames(f *testing.F) {
 	tags := slices.Sorted(maps.Keys(wireDecoders))
-	header := appendChunkHeader(nil, 1, 2, 3, 4, 1, 0)
+	head := header(1, 2, 3, 4, 1, 0)
 	seed := func(tag string, data []byte) { f.Add(uint8(slices.Index(tags, tag)), data) }
 	for _, msg := range []transport.WireMarshaler{
 		stateChunk{Gen: 1, Iter: 2, From: 3, Seq: 4, Cols: &kv.Cols[any]{Keys: []int64{5, 300}, Vals: []any{0.5, []int64{1}}}, End: 1},
@@ -220,20 +227,20 @@ func FuzzChunkFrames(f *testing.F) {
 		seed(msg.WireTag(), data)
 	}
 	for _, tag := range tags {
-		seed(tag, header[:3]) // a truncated header
+		seed(tag, head[:3]) // a truncated header
 		// A hostile count: far more records than the bytes that follow.
-		seed(tag, append(kv.AppendUvarint(slices.Clone(header), 1<<40), 2, 4))
+		seed(tag, append(kv.AppendUvarint(slices.Clone(head), 1<<40), 2, 4))
 	}
 	// Wrong-width values: a float64 column of 4-byte values, and an int64
 	// column whose varint value runs off the end.
-	seed(wireTagStateColsF64, append(kv.AppendUvarint(slices.Clone(header), 1), 2, 0, 0, 0x80, 0x3f))
-	seed(wireTagColsI64, append(kv.AppendUvarint(slices.Clone(header), 1), 2, 0x80))
+	seed(wireTagStateColsF64, append(kv.AppendUvarint(slices.Clone(head), 1), 2, 0, 0, 0x80, 0x3f))
+	seed(wireTagColsI64, append(kv.AppendUvarint(slices.Clone(head), 1), 2, 0x80))
 	// Values-only column shuffle frames: a hostile count, a form byte with
 	// no epoch after it, and a slot past MaxInt32.
 	for _, tag := range []string{wireTagColsF64, wireTagColsI64, wireTagColsAny} {
-		seed(tag, kv.AppendUvarint(append(slices.Clone(header), colValuesOnly, 6), 1<<40))
-		seed(tag, append(slices.Clone(header), colValuesOnly))
-		seed(tag, append(kv.AppendUvarint(appendChunkHeader(nil, 1, 2, 3, 4, 1, 0)[:5], math.MaxInt32+1), colValuesOnly, 6, 1, 0, 0, 0, 0, 0, 0, 0, 0))
+		seed(tag, kv.AppendUvarint(append(slices.Clone(head), colValuesOnly, 6), 1<<40))
+		seed(tag, append(slices.Clone(head), colValuesOnly))
+		seed(tag, append(kv.AppendUvarint(header(1, 2, 3, 4, 1, 0)[:5], math.MaxInt32+1), colValuesOnly, 6, 1, 0, 0, 0, 0, 0, 0, 0, 0))
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		tag := tags[int(which)%len(tags)]

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"imapreduce/internal/cluster"
+	"imapreduce/internal/kv"
 	"imapreduce/internal/transport"
 )
 
@@ -93,9 +94,26 @@ type planAckMsg struct {
 type releaseMsg struct{ Job string }
 
 func init() {
-	transport.RegisterMessage(planMsg{})
-	transport.RegisterMessage(planAckMsg{})
-	transport.RegisterMessage(releaseMsg{})
+	transport.RegisterMessage("imr.plan", walkPlan)
+	transport.RegisterMessage("imr.planack", func(f *kv.Fields, m *planAckMsg) {
+		f.String(&m.Worker, &m.Err)
+		f.Int(&m.Epoch)
+		f.StringMap(&m.Endpoints)
+	})
+	transport.RegisterMessage("imr.release", func(f *kv.Fields, m *releaseMsg) { f.String(&m.Job) })
+}
+
+func walkPlan(f *kv.Fields, m *planMsg) {
+	s, t, r := &m.Spec, &m.Tuning, &m.Run
+	f.Int(&m.Epoch, &s.MapSlots, &s.ReduceSlots, &t.HeartbeatMisses, &t.SendRetries, &r.MainPhases, &r.MainTasks, &r.AuxTasks)
+	f.Varint((*int64)(&s.JobInitOverhead), (*int64)(&s.TaskStartOverhead), (*int64)(&t.Timeout), (*int64)(&t.HeartbeatInterval))
+	f.String(&m.JobKey, &r.Name, &r.OutputPath)
+	f.Strings(&r.Placement)
+	f.Strings(&r.AuxPlacement)
+	f.StringMap(&m.Params)
+	f.StringMap(&m.Directory)
+	kv.Slice(f, &s.Nodes, func(f *kv.Fields, n *cluster.Node) { f.String(&n.ID); f.F64(&n.Speed) })
+	kv.Slice(f, &m.Assigns, func(f *kv.Fields, a *PairAssign) { f.Int(&a.Idx); f.Bool(&a.Aux) })
 }
 
 // planAckTimeout bounds how long the master waits for a worker's plan

@@ -511,8 +511,9 @@ func (t *reduceTask) writeFinal() {
 	// the last final, and a closed endpoint sends nothing.
 	t.ckptWG.Wait()
 	t.send(t.master, kindFinal, finalMsg{Gen: t.gen, Task: t.idx, Records: len(out)}, 0)
-	// The task stays for a replay, whose rollback rebuilds these: until
-	// then they would only hold memory while the other finals are written.
+	// The task stays for a replay, whose rollback rebuilds these and the
+	// previous-state run final dropped: until then they would only hold
+	// memory while the other finals are written.
 	t.pend, t.spares = make(map[int]*accum), nil
 	t.loops.forget()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"imapreduce/internal/cluster"
+	"imapreduce/internal/kv"
 	"imapreduce/internal/transport"
 )
 
@@ -72,11 +73,11 @@ type pingMsg struct{ Worker string }
 type pongMsg struct{ Epoch int64 }
 
 func init() {
-	transport.RegisterMessage(joinMsg{})
-	transport.RegisterMessage(joinAckMsg{})
-	transport.RegisterMessage(leaveMsg{})
-	transport.RegisterMessage(pingMsg{})
-	transport.RegisterMessage(pongMsg{})
+	transport.RegisterMessage("imr.join", func(f *kv.Fields, m *joinMsg) { f.String(&m.Worker); f.StringMap(&m.Endpoints) })
+	transport.RegisterMessage("imr.joinack", func(f *kv.Fields, m *joinAckMsg) { f.String(&m.Worker); f.Varint(&m.Epoch); f.StringMap(&m.Directory) })
+	transport.RegisterMessage("imr.leave", func(f *kv.Fields, m *leaveMsg) { f.String(&m.Worker) })
+	transport.RegisterMessage("imr.ping", func(f *kv.Fields, m *pingMsg) { f.String(&m.Worker) })
+	transport.RegisterMessage("imr.pong", func(f *kv.Fields, m *pongMsg) { f.Varint(&m.Epoch) })
 }
 
 // RemoteClusterOptions configures the master's registration service.

@@ -35,7 +35,7 @@ type Config struct {
 	Replication int   // replicas per block (capped at live datanodes)
 	// SpillDir, when non-empty, stores committed blocks as files under
 	// this directory instead of keeping records in memory. Key and value
-	// types need a wire codec (kv.RegisterValueCodec); a write of one
+	// types need a wire codec (kv.Register); a write of one
 	// without fails with an error naming the type.
 	SpillDir string
 	// ImagePath, when non-empty, persists the namenode state (the file

@@ -67,9 +67,32 @@ type rpcResp struct {
 	Paths  []string
 }
 
+func walkSplit(f *kv.Fields, s *Split) {
+	f.String(&s.Path)
+	f.Int(&s.Block, &s.Records)
+	f.Varint(&s.Bytes)
+	f.Strings(&s.Locations)
+}
+
+// The RPCs travel as values: a handler works on its own copy.
 func init() {
-	transport.RegisterMessage(&rpcReq{})
-	transport.RegisterMessage(&rpcResp{})
+	transport.RegisterMessage("dfs.req", func(f *kv.Fields, r *rpcReq) {
+		f.Varint(&r.ID)
+		f.String(&r.Op, &r.Path, &r.Path2, &r.Node)
+		walkSplit(f, &r.Split)
+		f.ByteSlice(&r.Recs)
+		kv.Slice(f, &r.Sizes, func(f *kv.Fields, n *int) { f.Int(n) })
+	})
+	transport.RegisterMessage("dfs.resp", func(f *kv.Fields, r *rpcResp) {
+		f.Varint(&r.ID, &r.St.Bytes)
+		f.String(&r.Err)
+		f.ByteSlice(&r.Recs)
+		kv.Slice(f, &r.Splits, walkSplit)
+		f.Int(&r.St.Blocks, &r.St.Records)
+		f.Uint32(&r.Sum)
+		f.Bool(&r.OK)
+		f.Strings(&r.Paths)
+	})
 }
 
 // respCacheSize bounds the per-client replay cache. 256 responses is
@@ -108,14 +131,14 @@ func (s *Service) Wait() { <-s.done }
 func (s *Service) loop() {
 	defer close(s.done)
 	for msg := range s.ep.Recv() {
-		req, ok := msg.Payload.(*rpcReq)
+		req, ok := msg.Payload.(rpcReq)
 		if !ok {
 			continue // not ours; tolerate stray traffic
 		}
-		resp := s.respond(msg.From, req)
+		resp := s.respond(msg.From, &req)
 		// A lost response is recovered by the client's re-send hitting
 		// the replay cache; nothing to do about the error here.
-		_ = s.ep.Send(msg.From, transport.Message{Kind: KindDFSResp, Payload: resp, Size: respSize(resp)})
+		_ = s.ep.Send(msg.From, transport.Message{Kind: KindDFSResp, Payload: *resp, Size: respSize(resp)})
 	}
 }
 
@@ -243,7 +266,7 @@ func NewClient(ep transport.Endpoint, server string) *Client {
 
 func (c *Client) pump() {
 	for msg := range c.ep.Recv() {
-		resp, ok := msg.Payload.(*rpcResp)
+		resp, ok := msg.Payload.(rpcResp)
 		if !ok {
 			continue
 		}
@@ -252,7 +275,7 @@ func (c *Client) pump() {
 		delete(c.waiters, resp.ID)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- resp // buffered; never blocks
+			ch <- &resp // buffered; never blocks
 		}
 	}
 	close(c.closed)
@@ -273,7 +296,7 @@ func (c *Client) call(req *rpcReq) (*rpcResp, error) {
 
 	deadline := time.NewTimer(callTimeout)
 	defer deadline.Stop()
-	msg := transport.Message{Kind: KindDFSReq, Payload: req, Size: reqSize(req)}
+	msg := transport.Message{Kind: KindDFSReq, Payload: *req, Size: reqSize(req)}
 	var lastErr error
 	// Re-send the request until the deadline: a response lost to a
 	// connection death is recovered by the service's replay cache.

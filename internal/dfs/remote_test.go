@@ -116,7 +116,7 @@ func TestServiceDedupReplays(t *testing.T) {
 	cep, _ := nw.Endpoint("c")
 
 	// Hand-roll the duplicate: the same rename request frame twice.
-	req := &rpcReq{ID: 7, Op: opRename, Path: "/a", Path2: "/b"}
+	req := rpcReq{ID: 7, Op: opRename, Path: "/a", Path2: "/b"}
 	msg := transport.Message{Kind: KindDFSReq, Payload: req, Size: 32}
 	if err := cep.Send("dfs/nn", msg); err != nil {
 		t.Fatal(err)
@@ -124,12 +124,12 @@ func TestServiceDedupReplays(t *testing.T) {
 	if err := cep.Send("dfs/nn", msg); err != nil {
 		t.Fatal(err)
 	}
-	var resps []*rpcResp
+	var resps []rpcResp
 	timeout := time.After(2 * time.Second)
 	for len(resps) < 2 {
 		select {
 		case m := <-cep.Recv():
-			if r, ok := m.Payload.(*rpcResp); ok {
+			if r, ok := m.Payload.(rpcResp); ok {
 				resps = append(resps, r)
 			}
 		case <-timeout:

@@ -19,26 +19,7 @@ func (a Adj) Bytes() int {
 	return n
 }
 
-func init() {
-	kv.RegisterValueCodec(Adj{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			a := v.(Adj)
-			buf = kv.AppendInt32Slice(buf, a.Dst)
-			return kv.AppendFloat32Slice(buf, a.W), true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			dst, n, err := kv.Int32SliceAt(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			w, m, err := kv.Float32SliceAt(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return Adj{Dst: dst, W: w}, n + m, nil
-		},
-	})
-}
+func init() { kv.Register(func(f *kv.Fields, a *Adj) { f.Int32s(&a.Dst); f.F32s(&a.W) }) }
 
 // StaticPairs converts g to one kv record per node: key int64(u), value
 // the node's adjacency list. This is the static-data file the engines

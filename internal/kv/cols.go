@@ -2,6 +2,7 @@ package kv
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -374,9 +375,9 @@ func readValCol[V Scalar](vc valCol, dst *Cols[V], data []byte, l int) int {
 
 // intColHead reads an integer column's smallest element and width.
 func intColHead(data []byte) (base uint64, w, n int, err error) {
-	b, n, err := Varint(data)
-	if err != nil {
-		return 0, 0, 0, err
+	b, n := binary.Varint(data)
+	if n <= 0 {
+		return 0, 0, 0, errors.New("kv: truncated column base")
 	}
 	if n == len(data) || data[n] < 1 || data[n] > 8 {
 		return 0, 0, 0, fmt.Errorf("kv: column width missing or outside 1-8")

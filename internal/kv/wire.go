@@ -1,11 +1,14 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -14,10 +17,12 @@ import (
 // uvarint type tag followed by a tag-specific payload; pair lists are a
 // uvarint count followed by key/value encodings. Builtin scalars and the
 // common slice shapes are handled inline; composite record types register
-// a ValueCodec (see RegisterValueCodec). A value whose type has neither
-// cannot be encoded: the send or write fails with an error naming the
-// type (see Unencodable). Tags are assigned in registration order, which
-// agrees across processes built from the same source.
+// a walk of their fields (see Register and Fields), which is both their
+// encoder and their decoder. A value whose type has neither cannot be
+// encoded: the send or write fails with an error naming the type (see
+// Unencodable). Tags are assigned in registration order, which agrees
+// across processes built from the same source. The transport's control
+// messages are walks too, on the same Fields.
 
 // Builtin wire tags. Custom codecs start at customTagBase.
 const (
@@ -40,68 +45,69 @@ const (
 	customTagBase uint64 = 32
 )
 
-// ValueCodec encodes and decodes one concrete Go type for the binary
-// wire format.
-type ValueCodec struct {
-	// Append appends v's encoding to buf. It is called only with values
-	// of the registered dynamic type. ok=false (e.g. a nested any field
-	// holds an unregistered type) refuses v, and with it the whole chunk
-	// or block.
-	Append func(buf []byte, v any) ([]byte, bool)
-	// Decode reads one value back and returns it with the number of
-	// bytes consumed. A slab decode calls it too: what it returns lives
-	// on the heap.
-	Decode func(data []byte) (any, int, error)
-}
+// codec is a registered type's walk on buffers. Given a value v it
+// appends v's encoding to buf; given none it decodes a value from buf. It
+// returns the value decoded, the buffer — grown, or the input left — and
+// the walk's error.
+type codec func(buf []byte, v any) (any, []byte, error)
 
 var wireReg = struct {
 	sync.RWMutex
 	byType map[reflect.Type]uint64
-	codecs []ValueCodec
+	codecs []codec
 }{byType: make(map[reflect.Type]uint64)}
 
-// RegisterValueCodec registers the binary codec for sample's concrete
-// type. It is meant for init functions; registering the same type twice
-// panics.
-func RegisterValueCodec(sample any, c ValueCodec) {
-	t := reflect.TypeOf(sample)
-	if t == nil {
-		panic("kv: RegisterValueCodec with nil sample")
-	}
-	if c.Append == nil || c.Decode == nil {
-		panic("kv: RegisterValueCodec with incomplete codec")
-	}
+// Register makes walk the binary codec of record type T. It is meant for
+// init functions; registering the same type twice panics.
+func Register[T any](walk func(f *Fields, v *T)) {
+	// One closure keeps Register small enough to inline into its caller,
+	// where walk is a known function: the encoder's x and f then stay on
+	// the stack, and encoding a record allocates nothing.
+	register(func(buf []byte, v any) (any, []byte, error) {
+		if v != nil {
+			x, f := v.(T), Fields{buf: buf}
+			walk(&f, &x)
+			return nil, f.buf, f.err
+		}
+		var x T
+		f := Fields{buf: buf, dec: true}
+		walk(&f, &x)
+		return x, f.buf, f.err
+	})
+}
+
+// register adds c under the type of the value it decodes from nothing.
+func register(c codec) {
+	zero, _, _ := c(nil, nil)
+	t := reflect.TypeOf(zero)
 	wireReg.Lock()
 	defer wireReg.Unlock()
 	if _, dup := wireReg.byType[t]; dup {
-		panic(fmt.Sprintf("kv: value codec for %v registered twice", t))
+		panic(fmt.Sprintf("kv: codec for %v registered twice", t))
 	}
 	wireReg.byType[t] = customTagBase + uint64(len(wireReg.codecs))
 	wireReg.codecs = append(wireReg.codecs, c)
 }
 
-func lookupCodec(t reflect.Type) (uint64, ValueCodec, bool) {
+func lookupCodec(t reflect.Type) (uint64, codec, bool) {
 	wireReg.RLock()
 	defer wireReg.RUnlock()
 	tag, ok := wireReg.byType[t]
 	if !ok {
-		return 0, ValueCodec{}, false
+		return 0, nil, false
 	}
 	return tag, wireReg.codecs[tag-customTagBase], true
 }
 
-func codecFor(tag uint64) (ValueCodec, bool) {
+func codecFor(tag uint64) (codec, bool) {
 	wireReg.RLock()
 	defer wireReg.RUnlock()
 	idx := tag - customTagBase
 	if idx >= uint64(len(wireReg.codecs)) {
-		return ValueCodec{}, false
+		return nil, false
 	}
 	return wireReg.codecs[idx], true
 }
-
-// Append helpers, exported so custom codecs compose from the same
-// primitives the builtin encodings use.
 
 // AppendUvarint appends x in unsigned varint encoding.
 func AppendUvarint(buf []byte, x uint64) []byte { return binary.AppendUvarint(buf, x) }
@@ -109,149 +115,384 @@ func AppendUvarint(buf []byte, x uint64) []byte { return binary.AppendUvarint(bu
 // AppendVarint appends x in zigzag varint encoding.
 func AppendVarint(buf []byte, x int64) []byte { return binary.AppendVarint(buf, x) }
 
-// AppendFloat64 appends f as 8 fixed little-endian bytes.
-func AppendFloat64(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+// Fields walks a value's fields in wire order, one method call per
+// field: made by EncodeFields it appends each field to its buffer, made
+// by DecodeFields it reads each field into the pointer given. A type's
+// wire form is one walk, such as
+//
+//	func(f *kv.Fields, a *Adj) { f.Int32s(&a.Dst); f.F32s(&a.W) }
+//
+// which is its encoder and its decoder both, so the two cannot disagree.
+// Integers are varints, floats fixed little-endian, strings and slices a
+// uvarint length and their contents. A decoder checks every length
+// against the bytes left before it allocates, reads an empty slice or map
+// as nil, and takes only what an encoder writes (minimal varints, bools
+// of 0 or 1, map keys ascending), so what decodes re-encodes to the same
+// bytes. The first error sticks and Err reports it; an encoder's only
+// error is a nested value with no codec (see Value).
+type Fields struct {
+	buf []byte // encoding: the output; decoding: the input not yet read
+	dec bool
+	err error
 }
 
-// AppendFloat32 appends f as 4 fixed little-endian bytes.
-func AppendFloat32(buf []byte, f float32) []byte {
-	return binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
-}
+// EncodeFields returns a walker that appends to buf.
+func EncodeFields(buf []byte) Fields { return Fields{buf: buf} }
 
-// Uvarint reads an unsigned varint, returning the value and bytes
-// consumed.
-func Uvarint(data []byte) (uint64, int, error) {
-	x, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("kv: truncated uvarint")
+// DecodeFields returns a walker that reads data. Strings and slices are
+// copied out of it.
+func DecodeFields(data []byte) Fields { return Fields{buf: data, dec: true} }
+
+// Bytes returns an encoder's output, or the input a decoder has not read.
+func (f *Fields) Bytes() []byte { return f.buf }
+
+// Err returns the first error of the walk.
+func (f *Fields) Err() error { return f.err }
+
+// Done returns the walk's error, or one when a decoder left input unread.
+func (f *Fields) Done() error {
+	if f.err == nil && f.dec && len(f.buf) > 0 {
+		f.err = fmt.Errorf("kv: %d bytes past the end of the value", len(f.buf))
 	}
-	return x, n, nil
+	return f.err
 }
 
-// Varint reads a zigzag varint.
-func Varint(data []byte) (int64, int, error) {
-	x, n := binary.Varint(data)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("kv: truncated varint")
+func (f *Fields) fail(err error) {
+	if f.err == nil {
+		f.err = err
 	}
-	return x, n, nil
 }
 
-// Float64At reads 8 fixed little-endian bytes.
-func Float64At(data []byte) (float64, int, error) {
-	if len(data) < 8 {
-		return 0, 0, fmt.Errorf("kv: truncated float64")
+// uvarint reads one minimal uvarint.
+func (f *Fields) uvarint() uint64 {
+	if f.err != nil {
+		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(data)), 8, nil
-}
-
-// Float32At reads 4 fixed little-endian bytes.
-func Float32At(data []byte) (float32, int, error) {
-	if len(data) < 4 {
-		return 0, 0, fmt.Errorf("kv: truncated float32")
+	x, n := binary.Uvarint(f.buf)
+	if n <= 0 || n > 1 && f.buf[n-1] == 0 {
+		f.fail(errors.New("kv: truncated or overlong varint"))
+		return 0
 	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(data)), 4, nil
+	f.buf = f.buf[n:]
+	return x
 }
 
-// Untagged slice helpers for custom codecs: a uvarint length followed
-// by the elements. Zero length decodes to nil.
+func (f *Fields) varint() int64 {
+	x := f.uvarint()
+	return int64(x>>1) ^ -int64(x&1)
+}
+
+// length reads a uvarint length of elements of at least size bytes each,
+// which the bytes left must be able to hold.
+func (f *Fields) length(size uint64) int {
+	l := f.uvarint()
+	if f.err == nil && l > uint64(len(f.buf))/size {
+		f.fail(fmt.Errorf("kv: length %d exceeds the %d bytes left", l, len(f.buf)))
+		return 0
+	}
+	return int(l)
+}
+
+// next reads the next n bytes, or fails when fewer are left.
+func (f *Fields) next(n int) []byte {
+	if f.err != nil || len(f.buf) < n {
+		f.fail(errors.New("kv: truncated value"))
+		return nil
+	}
+	b := f.buf[:n]
+	f.buf = f.buf[n:]
+	return b
+}
+
+// Varint walks each of xs as a zigzag varint.
+func (f *Fields) Varint(xs ...*int64) {
+	for _, x := range xs {
+		if f.dec {
+			*x = f.varint()
+		} else {
+			f.buf = binary.AppendVarint(f.buf, *x)
+		}
+	}
+}
+
+// Int walks each of xs as a zigzag varint.
+func (f *Fields) Int(xs ...*int) {
+	for _, x := range xs {
+		if f.dec {
+			*x = int(f.varint())
+		} else {
+			f.buf = binary.AppendVarint(f.buf, int64(*x))
+		}
+	}
+}
+
+// Int32 walks an int32 as a zigzag varint.
+func (f *Fields) Int32(x *int32) {
+	if !f.dec {
+		f.buf = binary.AppendVarint(f.buf, int64(*x))
+		return
+	}
+	v := f.varint()
+	if v != int64(int32(v)) {
+		f.fail(fmt.Errorf("kv: int32 %d out of range", v))
+	}
+	*x = int32(v)
+}
+
+// Count walks a non-negative int no sender makes past MaxInt32 as a
+// uvarint.
+func (f *Fields) Count(x *int) {
+	if !f.dec {
+		f.buf = binary.AppendUvarint(f.buf, uint64(*x))
+		return
+	}
+	v := f.uvarint()
+	if v > math.MaxInt32 {
+		f.fail(fmt.Errorf("kv: count %d out of range", v))
+	}
+	*x = int(v)
+}
+
+// Uint32 walks a uint32 as 4 little-endian bytes.
+func (f *Fields) Uint32(x *uint32) {
+	if !f.dec {
+		f.buf = binary.LittleEndian.AppendUint32(f.buf, *x)
+	} else if b := f.next(4); b != nil {
+		*x = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// Byte walks one byte.
+func (f *Fields) Byte(x *byte) {
+	if !f.dec {
+		f.buf = append(f.buf, *x)
+	} else if b := f.next(1); b != nil {
+		*x = b[0]
+	}
+}
+
+// Bool walks a bool as one byte, 0 or 1.
+func (f *Fields) Bool(x *bool) {
+	if !f.dec {
+		b := byte(0)
+		if *x {
+			b = 1
+		}
+		f.buf = append(f.buf, b)
+	} else if b := f.next(1); b != nil {
+		if b[0] > 1 {
+			f.fail(fmt.Errorf("kv: bool byte %d", b[0]))
+		}
+		*x = b[0] == 1
+	}
+}
+
+// F64 walks a float64 as 8 little-endian bytes.
+func (f *Fields) F64(x *float64) {
+	if !f.dec {
+		f.buf = binary.LittleEndian.AppendUint64(f.buf, math.Float64bits(*x))
+	} else if b := f.next(8); b != nil {
+		*x = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// rawBytes reads a uvarint length and that many bytes, uncopied.
+func (f *Fields) rawBytes() []byte { return f.next(f.length(1)) }
+
+// String walks each of xs as a uvarint length and the string's bytes.
+func (f *Fields) String(xs ...*string) {
+	for _, x := range xs {
+		if !f.dec {
+			f.buf = append(binary.AppendUvarint(f.buf, uint64(len(*x))), *x...)
+		} else if b := f.rawBytes(); f.err == nil {
+			*x = string(b)
+		}
+	}
+}
+
+// Strings walks a uvarint length and each string.
+func (f *Fields) Strings(xs *[]string) { Slice(f, xs, func(f *Fields, s *string) { f.String(s) }) }
+
+// ByteSlice walks a uvarint length and the bytes.
+func (f *Fields) ByteSlice(x *[]byte) {
+	if !f.dec {
+		f.buf = append(binary.AppendUvarint(f.buf, uint64(len(*x))), *x...)
+	} else if b := f.rawBytes(); f.err == nil {
+		*x = nil
+		if len(b) > 0 {
+			*x = bytes.Clone(b)
+		}
+	}
+}
+
+// Int32s walks a uvarint length and varint elements.
+func (f *Fields) Int32s(xs *[]int32) {
+	if !f.dec {
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(*xs)))
+		for _, x := range *xs {
+			f.buf = binary.AppendVarint(f.buf, int64(x))
+		}
+		return
+	}
+	out := makeSlice[int32](f, 1)
+	for i := range out {
+		f.Int32(&out[i])
+	}
+	*xs = out
+}
+
+// Int64s walks a uvarint length and varint elements.
+func (f *Fields) Int64s(xs *[]int64) {
+	for s, i := Elems(f, xs), 0; i < len(s); i++ {
+		f.Varint(&s[i])
+	}
+}
+
+// F32s walks a uvarint length and 4-byte elements.
+func (f *Fields) F32s(xs *[]float32) {
+	if !f.dec {
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(*xs)))
+		for _, x := range *xs {
+			f.buf = binary.LittleEndian.AppendUint32(f.buf, math.Float32bits(x))
+		}
+		return
+	}
+	out := makeSlice[float32](f, 4)
+	for i, b := 0, f.next(4*len(out)); i < len(out); i++ {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	*xs = out
+}
+
+// F64s walks a uvarint length and 8-byte elements.
+func (f *Fields) F64s(xs *[]float64) {
+	if !f.dec {
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(*xs)))
+		for _, x := range *xs {
+			f.buf = binary.LittleEndian.AppendUint64(f.buf, math.Float64bits(x))
+		}
+		return
+	}
+	out := makeSlice[float64](f, 8)
+	for i, b := 0, f.next(8*len(out)); i < len(out); i++ {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	*xs = out
+}
+
+// Slice walks a uvarint length and then each element of *xs with walk.
+// A decoder makes no more elements than there are bytes left. Its call
+// of walk escapes the walker, which then costs the encoder an
+// allocation; a record codec walks its elements itself (see Elems).
+func Slice[T any](f *Fields, xs *[]T, walk func(f *Fields, v *T)) {
+	s := Elems(f, xs)
+	for i := range s {
+		walk(f, &s[i])
+	}
+}
+
+// Elems walks the uvarint length of *xs and returns the slice whose
+// elements the caller walks next: *xs when encoding, a slice of the
+// length read — no more elements than there are bytes left, nil when it
+// is zero — stored in *xs when decoding.
+func Elems[T any](f *Fields, xs *[]T) []T {
+	if f.dec {
+		*xs = makeSlice[T](f, 1)
+	} else {
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(*xs)))
+	}
+	return *xs
+}
+
+// makeSlice reads a length of elements of at least size bytes and makes
+// the slice: nil when it is empty or refused. A field that fails to
+// decode may be left partly decoded; the walk's error says so.
+func makeSlice[T any](f *Fields, size uint64) []T {
+	if l := f.length(size); l > 0 {
+		return make([]T, l)
+	}
+	return nil
+}
+
+// StringMap walks a uvarint count and each key and value, keys
+// ascending.
+func (f *Fields) StringMap(m *map[string]string) {
+	if !f.dec {
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(*m)))
+		for _, k := range slices.Sorted(maps.Keys(*m)) {
+			v := (*m)[k]
+			f.String(&k, &v)
+		}
+		return
+	}
+	l := f.length(2)
+	var out map[string]string
+	if l > 0 {
+		out = make(map[string]string, l)
+	}
+	var prev string
+	for i := 0; i < l && f.err == nil; i++ {
+		var k, v string
+		if f.String(&k, &v); i > 0 && k <= prev {
+			f.fail(errors.New("kv: map keys out of order"))
+		}
+		out[k], prev = v, k
+	}
+	*m = out
+}
+
+// Value walks a value in its tagged encoding (AppendValue). An encoder
+// fails, wrapping ErrNoCodec, when the value's type has no codec.
+func (f *Fields) Value(x *any) {
+	if !f.dec {
+		var ok bool
+		if f.buf, ok = AppendValue(f.buf, *x); !ok {
+			f.fail(fmt.Errorf("%w for %T", ErrNoCodec, *x))
+		}
+		return
+	}
+	if f.err == nil {
+		v, n, err := decodeValue(f.buf, nil)
+		if err != nil {
+			f.fail(err)
+			return
+		}
+		*x, f.buf = v, f.buf[n:]
+	}
+}
+
+// Pairs walks a pair list in its AppendPairs encoding. An encoder fails,
+// wrapping ErrNoCodec, when a record has no codec.
+func (f *Fields) Pairs(ps *[]Pair) {
+	if !f.dec {
+		var ok bool
+		if f.buf, ok = AppendPairs(f.buf, *ps); !ok {
+			f.fail(Unencodable(*ps))
+		}
+		return
+	}
+	if f.err == nil {
+		out, n, err := DecodePairs(f.buf)
+		if err != nil {
+			f.fail(err)
+			return
+		}
+		*ps, f.buf = out, f.buf[n:]
+	}
+}
 
 // sliceLen reads a slice's uvarint length and checks that the bytes left
 // can hold that many elements of at least size bytes each, so a hostile
 // length fails here instead of in make.
 func sliceLen(data []byte, size uint64) (int, int, error) {
-	l, n, err := Uvarint(data)
-	if err != nil {
-		return 0, 0, err
+	l, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, 0, errors.New("kv: truncated uvarint")
 	}
 	if l > uint64(len(data)-n)/size {
 		return 0, 0, fmt.Errorf("kv: slice length %d exceeds frame", l)
 	}
 	return int(l), n, nil
-}
-
-// AppendInt32Slice appends xs as uvarint length + varint elements.
-func AppendInt32Slice(buf []byte, xs []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(xs)))
-	for _, x := range xs {
-		buf = binary.AppendVarint(buf, int64(x))
-	}
-	return buf
-}
-
-// Int32SliceAt reads an AppendInt32Slice encoding.
-func Int32SliceAt(data []byte) ([]int32, int, error) {
-	l, n, err := sliceLen(data, 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	if l == 0 {
-		return nil, n, nil
-	}
-	out := make([]int32, l)
-	for i := range out {
-		x, m, err := Varint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		out[i], n = int32(x), n+m
-	}
-	return out, n, nil
-}
-
-// AppendFloat32Slice appends xs as uvarint length + fixed 4-byte
-// elements.
-func AppendFloat32Slice(buf []byte, xs []float32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(xs)))
-	for _, x := range xs {
-		buf = AppendFloat32(buf, x)
-	}
-	return buf
-}
-
-// Float32SliceAt reads an AppendFloat32Slice encoding.
-func Float32SliceAt(data []byte) ([]float32, int, error) {
-	l, n, err := sliceLen(data, 4)
-	if err != nil {
-		return nil, 0, err
-	}
-	if l == 0 {
-		return nil, n, nil
-	}
-	out := make([]float32, l)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[n:]))
-		n += 4
-	}
-	return out, n, nil
-}
-
-// AppendFloat64Slice appends xs as uvarint length + fixed 8-byte
-// elements.
-func AppendFloat64Slice(buf []byte, xs []float64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(xs)))
-	for _, x := range xs {
-		buf = AppendFloat64(buf, x)
-	}
-	return buf
-}
-
-// Float64SliceAt reads an AppendFloat64Slice encoding.
-func Float64SliceAt(data []byte) ([]float64, int, error) {
-	l, n, err := sliceLen(data, 8)
-	if err != nil {
-		return nil, 0, err
-	}
-	if l == 0 {
-		return nil, n, nil
-	}
-	out := make([]float64, l)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[n:]))
-		n += 8
-	}
-	return out, n, nil
 }
 
 // AppendValue appends the tagged binary encoding of v. ok=false means
@@ -277,9 +518,9 @@ func AppendValue(buf []byte, v any) ([]byte, bool) {
 	case uint64:
 		return binary.AppendUvarint(append(buf, byte(tagUint64)), x), true
 	case float32:
-		return AppendFloat32(append(buf, byte(tagFloat32)), x), true
+		return binary.LittleEndian.AppendUint32(append(buf, byte(tagFloat32)), math.Float32bits(x)), true
 	case float64:
-		return AppendFloat64(append(buf, byte(tagFloat64)), x), true
+		return binary.LittleEndian.AppendUint64(append(buf, byte(tagFloat64)), math.Float64bits(x)), true
 	case string:
 		buf = binary.AppendUvarint(append(buf, byte(tagString)), uint64(len(x)))
 		return append(buf, x...), true
@@ -287,29 +528,21 @@ func AppendValue(buf []byte, v any) ([]byte, bool) {
 		buf = binary.AppendUvarint(append(buf, byte(tagBytes)), uint64(len(x)))
 		return append(buf, x...), true
 	case []int32:
-		buf = binary.AppendUvarint(append(buf, byte(tagInt32s)), uint64(len(x)))
-		for _, e := range x {
-			buf = binary.AppendVarint(buf, int64(e))
-		}
-		return buf, true
+		f := EncodeFields(append(buf, byte(tagInt32s)))
+		f.Int32s(&x)
+		return f.buf, true
 	case []int64:
-		buf = binary.AppendUvarint(append(buf, byte(tagInt64s)), uint64(len(x)))
-		for _, e := range x {
-			buf = binary.AppendVarint(buf, e)
-		}
-		return buf, true
+		f := EncodeFields(append(buf, byte(tagInt64s)))
+		f.Int64s(&x)
+		return f.buf, true
 	case []float32:
-		buf = binary.AppendUvarint(append(buf, byte(tagFloat32s)), uint64(len(x)))
-		for _, e := range x {
-			buf = AppendFloat32(buf, e)
-		}
-		return buf, true
+		f := EncodeFields(append(buf, byte(tagFloat32s)))
+		f.F32s(&x)
+		return f.buf, true
 	case []float64:
-		buf = binary.AppendUvarint(append(buf, byte(tagFloat64s)), uint64(len(x)))
-		for _, e := range x {
-			buf = AppendFloat64(buf, e)
-		}
-		return buf, true
+		f := EncodeFields(append(buf, byte(tagFloat64s)))
+		f.F64s(&x)
+		return f.buf, true
 	case []Pair:
 		start := len(buf)
 		buf, ok := AppendPairs(append(buf, byte(tagPairs)), x)
@@ -318,16 +551,15 @@ func AppendValue(buf []byte, v any) ([]byte, bool) {
 		}
 		return buf, true
 	default:
-		start := len(buf)
 		tag, c, ok := lookupCodec(reflect.TypeOf(v))
 		if !ok {
 			return buf, false
 		}
-		buf, ok = c.Append(binary.AppendUvarint(buf, tag), v)
-		if !ok {
-			return buf[:start], false
+		_, out, err := c(binary.AppendUvarint(buf, tag), v)
+		if err != nil {
+			return out[:len(buf)], false
 		}
-		return buf, true
+		return out, true
 	}
 }
 
@@ -342,118 +574,85 @@ func DecodeValue(data []byte) (any, int, error) { return decodeValue(data, nil) 
 // codecs allocate either way. What it returns outlives the slab (see
 // Slab.Release).
 func decodeValue(data []byte, s *Slab) (any, int, error) {
-	tag, n, err := Uvarint(data)
-	if err != nil {
-		return nil, 0, err
+	f := DecodeFields(data)
+	v := f.value(s)
+	if f.err != nil {
+		return nil, 0, f.err
 	}
-	rest := data[n:]
-	switch tag {
+	return v, len(data) - len(f.buf), nil
+}
+
+// value reads one tagged value (see decodeValue).
+func (f *Fields) value(s *Slab) any {
+	switch tag := f.uvarint(); tag {
 	case tagNil:
-		return nil, n, nil
+		return nil
 	case tagBool:
-		if len(rest) < 1 {
-			return nil, 0, fmt.Errorf("kv: truncated bool")
-		}
-		return box(s, typBool, rest[0] != 0), n + 1, nil
+		var x bool
+		f.Bool(&x)
+		return box(s, typBool, x)
 	case tagInt:
-		x, m, err := Varint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return box(s, typInt, int(x)), n + m, nil
+		return box(s, typInt, int(f.varint()))
 	case tagInt32:
-		x, m, err := Varint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return box(s, typInt32, int32(x)), n + m, nil
+		var x int32
+		f.Int32(&x)
+		return box(s, typInt32, x)
 	case tagInt64:
-		x, m, err := Varint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return box(s, typInt64, x), n + m, nil
+		return box(s, typInt64, f.varint())
 	case tagUint64:
-		x, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return box(s, typUint64, x), n + m, nil
+		return box(s, typUint64, f.uvarint())
 	case tagFloat32:
-		x, m, err := Float32At(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return box(s, typFloat32, x), n + m, nil
+		var x uint32
+		f.Uint32(&x)
+		return box(s, typFloat32, math.Float32frombits(x))
 	case tagFloat64:
-		x, m, err := Float64At(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return box(s, typFloat64, x), n + m, nil
+		var x float64
+		f.F64(&x)
+		return box(s, typFloat64, x)
 	case tagString:
-		l, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		if uint64(len(rest)-m) < l {
-			return nil, 0, fmt.Errorf("kv: truncated string")
-		}
-		return s.boxString(rest[m : m+int(l)]), n + m + int(l), nil
+		return s.boxString(f.rawBytes())
 	case tagBytes:
-		l, m, err := Uvarint(rest)
-		if err != nil {
-			return nil, 0, err
-		}
-		if uint64(len(rest)-m) < l {
-			return nil, 0, fmt.Errorf("kv: truncated bytes")
-		}
-		out := make([]byte, l)
-		copy(out, rest[m:m+int(l)])
-		return out, n + m + int(l), nil
+		return slices.Clone(f.rawBytes())
 	case tagInt32s:
-		xs, m, err := Int32SliceAt(rest)
-		return tagged(n, xs, m, err)
+		return walked(f, (*Fields).Int32s)
 	case tagInt64s:
-		l, m, err := sliceLen(rest, 1)
-		if err != nil {
-			return nil, 0, err
-		}
-		out := make([]int64, l)
-		for i := range out {
-			x, k, err := Varint(rest[m:])
-			if err != nil {
-				return nil, 0, err
-			}
-			out[i], m = x, m+k
-		}
-		return out, n + m, nil
+		return walked(f, (*Fields).Int64s)
 	case tagFloat32s:
-		xs, m, err := Float32SliceAt(rest)
-		return tagged(n, xs, m, err)
+		return walked(f, (*Fields).F32s)
 	case tagFloat64s:
-		xs, m, err := Float64SliceAt(rest)
-		return tagged(n, xs, m, err)
+		return walked(f, (*Fields).F64s)
 	case tagPairs:
-		ps, m, err := decodePairs(rest, s, false)
-		return tagged(n, ps, m, err)
+		if f.err != nil {
+			return nil
+		}
+		ps, n, err := decodePairs(f.buf, s, false)
+		if err != nil {
+			f.fail(err)
+			return nil
+		}
+		f.buf = f.buf[n:]
+		return ps
 	default:
 		c, ok := codecFor(tag)
 		if !ok {
-			return nil, 0, fmt.Errorf("kv: unknown wire tag %d", tag)
+			f.fail(fmt.Errorf("kv: unknown wire tag %d", tag))
+			return nil
 		}
-		v, m, err := c.Decode(rest)
-		return v, n + m, err
+		v, rest, err := c(f.buf, nil)
+		if err != nil {
+			f.fail(err)
+			return nil
+		}
+		f.buf = rest
+		return v
 	}
 }
 
-// tagged returns an untagged helper's result the way decodeValue does:
-// boxed, with the tag's n bytes counted, and no value on error.
-func tagged[T any](n int, x T, m int, err error) (any, int, error) {
-	if err != nil {
-		return nil, 0, err
-	}
-	return x, n + m, nil
+// walked decodes one field of type T with walk and returns it boxed.
+func walked[T any](f *Fields, walk func(*Fields, *T)) any {
+	var x T
+	walk(f, &x)
+	return x
 }
 
 // AppendPairs appends the binary encoding of ps: a uvarint count and
@@ -511,9 +710,9 @@ func DecodePairsSlab(data []byte, s *Slab) ([]Pair, int, error) { return decodeP
 // into a slab takes the pooled pair block: a nested list is a value, and
 // values outlive the slab, so its backing comes from the heap.
 func decodePairs(data []byte, s *Slab, top bool) ([]Pair, int, error) {
-	count, n, err := Uvarint(data)
-	if err != nil {
-		return nil, 0, err
+	count, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, 0, errors.New("kv: truncated pair count")
 	}
 	if count > uint64(len(data)) {
 		// Each encoded pair takes at least two bytes; a count beyond the

@@ -94,49 +94,28 @@ func TestDecodePairsRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestRegisterValueCodecRoundTrip(t *testing.T) {
+// TestRegisterRoundTrip: a registered walk is its type's encoder and
+// decoder both, a zero-length slice decodes as nil, and a walk whose
+// nested value has no codec refuses the record.
+func TestRegisterRoundTrip(t *testing.T) {
 	type testRec struct {
 		A int64
 		B []float64
+		C any
 	}
-	RegisterValueCodec(testRec{}, ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			r := v.(testRec)
-			buf = AppendVarint(buf, r.A)
-			buf = AppendUvarint(buf, uint64(len(r.B)))
-			for _, f := range r.B {
-				buf = AppendFloat64(buf, f)
-			}
-			return buf, true
-		},
-		Decode: func(data []byte) (any, int, error) {
-			a, n, err := Varint(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			l, m, err := Uvarint(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m
-			var b []float64
-			if l > 0 {
-				b = make([]float64, l)
-			}
-			for i := range b {
-				f, m, err := Float64At(data[n:])
-				if err != nil {
-					return nil, 0, err
-				}
-				b[i], n = f, n+m
-			}
-			return testRec{A: a, B: b}, n, nil
-		},
+	Register(func(f *Fields, r *testRec) {
+		f.Varint(&r.A)
+		f.F64s(&r.B)
+		f.Value(&r.C)
 	})
-	ps := []Pair{{int64(1), testRec{A: -9, B: []float64{1, 2}}}, {int64(2), testRec{}}}
+	ps := []Pair{{int64(1), testRec{A: -9, B: []float64{1, 2}, C: "c"}}, {int64(2), testRec{}}}
 	got := roundTrip(t, ps)
 	if !reflect.DeepEqual(ps, got) {
 		t.Fatalf("custom codec round trip mismatch: %#v vs %#v", ps, got)
+	}
+	type stranger struct{}
+	if _, ok := AppendValue(nil, testRec{C: stranger{}}); ok {
+		t.Fatal("a record holding a value with no codec encoded")
 	}
 }
 
@@ -178,13 +157,19 @@ func TestHostileSliceLengths(t *testing.T) {
 			}
 		})
 	}
-	for name, at := range map[string]func([]byte) error{
-		"Int32SliceAt":   func(d []byte) error { _, _, err := Int32SliceAt(d); return err },
-		"Float32SliceAt": func(d []byte) error { _, _, err := Float32SliceAt(d); return err },
-		"Float64SliceAt": func(d []byte) error { _, _, err := Float64SliceAt(d); return err },
+	for name, walk := range map[string]func(*Fields){
+		"Int32s":    func(f *Fields) { var xs []int32; f.Int32s(&xs) },
+		"Int64s":    func(f *Fields) { var xs []int64; f.Int64s(&xs) },
+		"F32s":      func(f *Fields) { var xs []float32; f.F32s(&xs) },
+		"F64s":      func(f *Fields) { var xs []float64; f.F64s(&xs) },
+		"String":    func(f *Fields) { var s string; f.String(&s) },
+		"StringMap": func(f *Fields) { var m map[string]string; f.StringMap(&m) },
+		"Strings":   func(f *Fields) { var xs []string; f.Strings(&xs) },
+		"Slice":     func(f *Fields) { var xs [][]int32; Slice(f, &xs, (*Fields).Int32s) },
 	} {
 		for _, d := range [][]byte{huge, big, binary.AppendUvarint(nil, 1<<61)} {
-			if err := at(d); err == nil {
+			f := DecodeFields(d)
+			if walk(&f); f.Err() == nil {
 				t.Fatalf("%s accepted length prefix %x", name, d)
 			}
 		}
@@ -225,4 +210,34 @@ func FuzzDecodePairs(f *testing.F) {
 			t.Fatalf("round trip changed the pairs: %x then %x", enc, enc2)
 		}
 	})
+}
+
+// TestFieldsReadsOnlyCanonical: a decoder takes only the bytes an encoder
+// writes — a varint in its fewest bytes, a bool of 0 or 1, map keys
+// ascending, no bytes past the value — so what decodes re-encodes to the
+// same bytes; and its first error sticks.
+func TestFieldsReadsOnlyCanonical(t *testing.T) {
+	for name, c := range map[string]struct {
+		data []byte
+		walk func(*Fields)
+	}{
+		"overlong varint": {[]byte{0x81, 0x00}, func(f *Fields) { var x int64; f.Varint(&x) }},
+		"bool 2":          {[]byte{2}, func(f *Fields) { var b bool; f.Bool(&b) }},
+		"int32 range":     {AppendVarint(nil, 1<<40), func(f *Fields) { var x int32; f.Int32(&x) }},
+		"count range":     {AppendUvarint(nil, 1<<40), func(f *Fields) { var x int; f.Count(&x) }},
+		"map order":       {[]byte{2, 1, 'b', 0, 1, 'a', 0}, func(f *Fields) { var m map[string]string; f.StringMap(&m) }},
+		"trailing byte":   {[]byte{1, 0}, func(f *Fields) { var x int; f.Int(&x) }},
+	} {
+		f := DecodeFields(c.data)
+		if c.walk(&f); f.Done() == nil {
+			t.Errorf("%s: %x decoded", name, c.data)
+		}
+	}
+	f := DecodeFields([]byte{0x80})
+	var a, b int64
+	f.Varint(&a)
+	err := f.Err()
+	if f.Varint(&b); err == nil || f.Err() != err {
+		t.Fatalf("first error %v, then %v", err, f.Err())
+	}
 }

@@ -17,11 +17,12 @@ import (
 //     a frame receivers silently drop; dispatched but never emitted is
 //     a dead protocol arm.
 //   - every message type the core and dfs packages register with
-//     transport.RegisterMessage must appear in a type switch or type
-//     assertion somewhere in the module — registration makes the
-//     transport decode it, but only a dispatch arm makes anyone handle
-//     it. (Record types register with kv.RegisterValueCodec instead;
-//     those are data, not messages, and are out of scope.)
+//     transport.RegisterMessage (its type argument) must be built by a
+//     composite literal and appear in a type switch or type assertion
+//     somewhere in the module — registration makes the transport encode
+//     and decode it, but only a sender builds it and only a dispatch arm
+//     makes anyone handle it. (Record types register with kv.Register
+//     instead; those are data, not messages, and are out of scope.)
 //   - every exported trace.Kind constant and every exported metric name
 //     constant must be referenced somewhere in the module: the Fig-10
 //     decomposition and the experiment assertions read these catalogs,
@@ -29,7 +30,7 @@ import (
 var ProtoExhaustive = &Analyzer{
 	Name: "protoexhaustive",
 	Doc: "declared wire constants need both an emit and a dispatch site; " +
-		"registered message types need a type-switch arm; declared " +
+		"registered message types need a constructor and a type-switch arm; declared " +
 		"trace kinds and metric names must be referenced",
 	RunModule: runProtoExhaustive,
 }
@@ -199,8 +200,8 @@ func constIdent(e ast.Expr) *ast.Ident {
 }
 
 // checkRegisteredTypes verifies that message types registered by the
-// core and dfs layers (and the fixture's transport stand-in) reach a
-// type-switch or type-assertion arm somewhere.
+// core and dfs layers (and the fixture's transport stand-in) are built
+// somewhere and reach a type-switch or type-assertion arm somewhere.
 func checkRegisteredTypes(pass *ModulePass) {
 	type regSite struct {
 		pkg *Package
@@ -214,16 +215,16 @@ func checkRegisteredTypes(pass *ModulePass) {
 		for _, f := range pkg.Files {
 			ast.Inspect(f.AST, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) != 1 {
+				if !ok {
 					return true
 				}
 				callee := calleeOf(pkg.Info, call)
 				if callee == nil || callee.FullName() != "imapreduce/internal/transport.RegisterMessage" {
 					return true
 				}
-				if n := namedOf(exprType(pkg.Info, call.Args[0])); n != nil {
+				if n := namedOf(typeArg(pkg.Info, call)); n != nil {
 					if _, seen := registered[n.Obj()]; !seen {
-						registered[n.Obj()] = regSite{pkg: pkg, pos: call.Args[0].Pos()}
+						registered[n.Obj()] = regSite{pkg: pkg, pos: call.Pos()}
 					}
 				}
 				return true
@@ -234,7 +235,7 @@ func checkRegisteredTypes(pass *ModulePass) {
 		return
 	}
 
-	dispatched := map[*types.TypeName]bool{}
+	dispatched, built := map[*types.TypeName]bool{}, map[*types.TypeName]bool{}
 	noteType := func(pkg *Package, e ast.Expr) {
 		if e == nil {
 			return // the x.(type) of a type switch
@@ -257,6 +258,10 @@ func checkRegisteredTypes(pass *ModulePass) {
 					}
 				case *ast.TypeAssertExpr:
 					noteType(pkg, x.Type)
+				case *ast.CompositeLit:
+					if n := namedOf(exprType(pkg.Info, x)); n != nil {
+						built[n.Obj()] = true
+					}
 				}
 				return true
 			})
@@ -269,7 +274,28 @@ func checkRegisteredTypes(pass *ModulePass) {
 				"message type %s is registered with transport.RegisterMessage but no type switch or assertion anywhere handles it; decoded frames of this type are silently dropped",
 				tn.Name())
 		}
+		if !built[tn] {
+			pass.Reportf(site.pkg, site.pos,
+				"message type %s is registered with transport.RegisterMessage but no composite literal anywhere builds it; dead protocol surface",
+				tn.Name())
+		}
 	}
+}
+
+// typeArg returns the first type argument of a call of a generic
+// function, or nil.
+func typeArg(info *types.Info, call *ast.CallExpr) types.Type {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ix.X
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	if id, ok := fun.(*ast.Ident); ok && info.Instances[id].TypeArgs.Len() > 0 {
+		return info.Instances[id].TypeArgs.At(0)
+	}
+	return nil
 }
 
 // checkDeclaredCatalogs verifies every exported trace.Kind constant and

@@ -38,9 +38,21 @@ func handle(m frameMsg) int {
 	return 0
 }
 
-// orphanMsg decodes off the wire but no receiver arm handles it.
+// orphanMsg is sent and decodes off the wire, but no receiver arm
+// handles it.
 type orphanMsg struct{ N int }
 
+// ghostMsg has a receiver arm, but nothing ever builds one to send.
+type ghostMsg struct{ N int }
+
 func register() {
-	RegisterMessage(orphanMsg{}) // want "registered with transport.RegisterMessage but no type switch"
+	RegisterMessage("orphan", func(f *Fields, m *orphanMsg) { f.Int(&m.N) }) // want "registered with transport.RegisterMessage but no type switch"
+	RegisterMessage[ghostMsg]("ghost", nil)                                  // want "registered with transport.RegisterMessage but no composite literal"
+}
+
+func sendOrphan() any { return orphanMsg{N: 1} }
+
+func routeGhost(v any) bool {
+	_, ok := v.(ghostMsg)
+	return ok
 }

@@ -1,6 +1,6 @@
 // The complete contract: every constant both emitted and dispatched
 // (case arm, comparison, or handler-table key), every registered type
-// handled by a switch arm.
+// built and handled by a switch arm.
 package fixture
 
 const (
@@ -29,20 +29,26 @@ var pingHandlers = map[string]func(){
 	kindPing: func() {},
 }
 
-// pingMsg is registered and handled: the full round trip.
+// pingMsg is registered, built and handled: the full round trip.
 type pingMsg struct{ T int }
 
-// RegisterMessage stands in for the transport package's own: the
-// fixture is loaded as that package.
-func RegisterMessage(v any) {}
+// Fields and RegisterMessage stand in for kv's and the transport
+// package's own: the fixture is loaded as that package.
+type Fields struct{}
+
+func (f *Fields) Int(x *int) {}
+
+func RegisterMessage[T any](tag string, walk func(f *Fields, m *T)) {}
 
 func registerPing() {
-	RegisterMessage(&pingMsg{})
+	RegisterMessage("ping", func(f *Fields, m *pingMsg) { f.Int(&m.T) })
 }
+
+func ping() any { return pingMsg{T: 1} }
 
 func route(v any) bool {
 	switch v.(type) {
-	case *pingMsg:
+	case pingMsg:
 		return true
 	}
 	return false

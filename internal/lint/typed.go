@@ -17,7 +17,11 @@ import (
 // method. Nil for indirect calls through function values and for
 // conversions.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // an explicit instantiation
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
 			return f

@@ -141,44 +141,8 @@ func (t Tagged) Bytes() int { return 1 + kv.DefaultSize(t.Val) }
 
 func init() {
 	// The nested any fields encode through the kv value registry; a
-	// payload type without a codec makes Append report ok=false, which
-	// fails the write with an error naming that type.
-	kv.RegisterValueCodec(IterValue{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			iv := v.(IterValue)
-			buf, ok := kv.AppendValue(buf, iv.State)
-			if !ok {
-				return buf, false
-			}
-			return kv.AppendValue(buf, iv.Static)
-		},
-		Decode: func(data []byte) (any, int, error) {
-			state, n, err := kv.DecodeValue(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			static, m, err := kv.DecodeValue(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return IterValue{State: state, Static: static}, n + m, nil
-		},
-	})
-	kv.RegisterValueCodec(Tagged{}, kv.ValueCodec{
-		Append: func(buf []byte, v any) ([]byte, bool) {
-			tg := v.(Tagged)
-			return kv.AppendValue(kv.AppendVarint(buf, int64(tg.Src)), tg.Val)
-		},
-		Decode: func(data []byte) (any, int, error) {
-			src, n, err := kv.Varint(data)
-			if err != nil {
-				return nil, 0, err
-			}
-			val, m, err := kv.DecodeValue(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			return Tagged{Src: int(src), Val: val}, n + m, nil
-		},
-	})
+	// payload type without a codec refuses the record, which fails the
+	// write with an error naming that type.
+	kv.Register(func(f *kv.Fields, v *IterValue) { f.Value(&v.State); f.Value(&v.Static) })
+	kv.Register(func(f *kv.Fields, t *Tagged) { f.Int(&t.Src); f.Value(&t.Val) })
 }

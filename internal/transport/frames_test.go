@@ -94,14 +94,14 @@ func TestHostileLengthsAllocateLittle(t *testing.T) {
 }
 
 // FuzzFrames feeds arbitrary bytes to a connection's reader: length
-// prefixes, the hello and its version check, unknown frame types (the
-// deflate seeds), and binary and gob frames. The reader must not panic,
-// and it must allocate in proportion to its input. Its seed corpus is in
+// prefixes, the hello and its version check, binary frames, and unknown
+// frame types — the deflate seeds, and the gob seeds from before protocol
+// v11, among them a 203-byte gob frame whose type definition once made
+// encoding/gob allocate 10 MB. The reader must not panic, and it must
+// allocate in proportion to its input. Its seed corpus is in
 // testdata/fuzz/FuzzFrames.
 func FuzzFrames(f *testing.F) {
-	// A gob frame of a few bytes still builds a decoder of about 1 KB,
-	// so the bound per input byte is generous; a length prefix alone
-	// buys nothing.
+	// A length prefix alone buys nothing.
 	const allocPerByte = 2064
 	n := NewTCPNetwork()
 	n.readBufferSize = 4096

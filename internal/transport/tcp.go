@@ -2,19 +2,19 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"imapreduce/internal/kv"
 	"imapreduce/internal/trace"
 )
 
@@ -37,7 +37,9 @@ import (
 // shuffle frame, whose values-only form carries a key epoch and no keys.
 // v10 removed the pair state and shuffle frames: every job's chunks are
 // column frames, an untyped job's values each in its kv codec encoding.
-const ProtocolVersion byte = 10
+// v11 removed the gob frame (type byte 2 is now an unknown frame): a
+// control message is a binary frame too, its fields walked by kv.Fields.
+const ProtocolVersion byte = 11
 
 // AddrResolver maps a logical endpoint address (e.g. "job/map/0/3" or
 // "ctl/master") to the "host:port" its listener is bound to in another
@@ -84,11 +86,13 @@ const (
 // single-process or spread across imrmaster/imrworker processes.
 //
 // Frames are length-prefixed: a 4-byte big-endian body length, a frame
-// type byte, then the body. Payloads implementing WireMarshaler — every
-// payload that carries records — travel as reflection-free binary
-// (frameBin); a marshaler that refuses its payload fails the Send with
-// ErrUnencodable. Control messages, registered with RegisterMessage, go
-// as a stateless gob encoding per frame (frameGob).
+// type byte, then the body. Every message is one binary frame (frameBin):
+// a header of the Message fields and a tag, walked by kv.Fields, then the
+// payload the tag names. Payloads implementing WireMarshaler — the chunks
+// that carry records — encode themselves; every other payload, a string
+// and nil included, is the walk registered for its type with
+// RegisterMessage. A payload that cannot be encoded fails the Send with
+// ErrUnencodable.
 //
 // Writes are coalesced: each connection buffers frames in a
 // bufio.Writer and a per-connection flusher goroutine flushes when the
@@ -161,8 +165,7 @@ func (n *TCPNetwork) DialAttempts() int64 { return n.dialTries.Load() }
 // Frame type bytes.
 const (
 	frameHello    byte = 1 // body: version byte, then sender's logical address
-	frameGob      byte = 2 // body: stateless gob encoding of wireMessage
-	frameBin      byte = 3 // body: binary header + WireMarshaler payload
+	frameBin      byte = 3 // body: frameHead walk, then the payload its tag names
 	frameHelloAck byte = 4 // body: acceptor's version byte, then status byte
 )
 
@@ -224,12 +227,61 @@ type WireMarshaler interface {
 // connection stays up for the next frame.
 var ErrUnencodable = errors.New("transport: payload has no wire encoding")
 
-// RegisterMessage registers a control-message type for the gob frame.
-// Every concrete type sent as a Payload without implementing
-// WireMarshaler must be registered, in an init function.
-func RegisterMessage(v any) { gob.Register(v) }
+// decoders holds the decoder of every payload tag: WireMarshalers'
+// (RegisterWireUnmarshaler) and control messages' (RegisterMessage).
+var decoders sync.Map // tag string -> func([]byte) (any, error)
 
-var wireUnmarshalers sync.Map // tag string -> func([]byte) (any, error)
+// messages holds each registered control message type's tag and codec,
+// which appends the encoding of v to buf or, given no v, decodes a
+// message from buf, and returns the message decoded, the buffer — grown,
+// or the input left — and the walk's error.
+var messages sync.Map // reflect.Type -> message
+
+type message struct {
+	tag   string
+	codec func(buf []byte, v any) (any, []byte, error)
+}
+
+// The builtin payloads: a string and none.
+func init() {
+	RegisterMessage("string", func(f *kv.Fields, s *string) { f.String(s) })
+	registerMessage("nil", func(buf []byte, _ any) (any, []byte, error) { return nil, buf, nil })
+}
+
+// RegisterMessage makes walk the wire form of control message type T,
+// whose frames carry tag. It is meant for init functions; a tag or type
+// registered twice panics.
+func RegisterMessage[T any](tag string, walk func(f *kv.Fields, m *T)) {
+	// One closure, as in kv.Register: RegisterMessage inlines into its
+	// caller, and the encoder's walker stays on the stack.
+	registerMessage(tag, func(buf []byte, v any) (any, []byte, error) {
+		if v != nil {
+			m, f := v.(T), kv.EncodeFields(buf)
+			walk(&f, &m)
+			return nil, f.Bytes(), f.Err()
+		}
+		var m T
+		f := kv.DecodeFields(buf)
+		walk(&f, &m)
+		return m, f.Bytes(), f.Err()
+	})
+}
+
+// registerMessage adds the codec c under tag and under the type of the
+// message it decodes from nothing.
+func registerMessage(tag string, c func(buf []byte, v any) (any, []byte, error)) {
+	zero, _, _ := c(nil, nil)
+	RegisterWireUnmarshaler(tag, func(data []byte) (any, error) {
+		m, rest, err := c(data, nil)
+		if err == nil && len(rest) > 0 {
+			err = fmt.Errorf("transport: %d bytes past the %s message", len(rest), tag)
+		}
+		return m, err
+	})
+	if _, dup := messages.LoadOrStore(reflect.TypeOf(zero), message{tag, c}); dup {
+		panic(fmt.Sprintf("transport: message type %T registered twice", zero))
+	}
+}
 
 // RegisterWireUnmarshaler installs the decoder for a WireMarshaler tag.
 // It is meant for init functions; duplicate tags panic. Registration is
@@ -244,7 +296,7 @@ func RegisterWireUnmarshaler(tag string, fn func(data []byte) (any, error)) {
 	if tag == "" || fn == nil {
 		panic("transport: RegisterWireUnmarshaler with empty tag or nil func")
 	}
-	if _, dup := wireUnmarshalers.LoadOrStore(tag, fn); dup {
+	if _, dup := decoders.LoadOrStore(tag, fn); dup {
 		panic(fmt.Sprintf("transport: wire unmarshaler %q registered twice", tag))
 	}
 }
@@ -285,15 +337,14 @@ type dialGate struct {
 }
 
 type tcpConn struct {
-	mu     sync.Mutex
-	c      net.Conn
-	bw     *bufio.Writer
-	dead   bool
-	buf    []byte       // frame scratch, reused under mu
-	gobBuf bytes.Buffer // control-message scratch, reused under mu
-	net    *TCPNetwork
-	owner  string // local endpoint address, for flush attribution
-	peer   string
+	mu    sync.Mutex
+	c     net.Conn
+	bw    *bufio.Writer
+	dead  bool
+	buf   []byte // frame scratch, reused under mu
+	net   *TCPNetwork
+	owner string // local endpoint address, for flush attribution
+	peer  string
 }
 
 // retire marks c dead — flushing what it buffered first when flush is
@@ -360,14 +411,6 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n.Add(int64(n))
 	return n, err
-}
-
-// wireMessage is the gob frame body of a control message.
-type wireMessage struct {
-	From    string
-	Kind    string
-	Payload any
-	Size    int64
 }
 
 // Endpoint implements Network. The listener binds to ListenHost on an
@@ -528,15 +571,6 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 			if err != nil || status == helloReject {
 				return
 			}
-		case frameGob:
-			if !gobFits(body[1:]) {
-				return
-			}
-			var wm wireMessage
-			if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&wm); err != nil {
-				return
-			}
-			e.ib.push(Message{From: wm.From, To: e.addr, Kind: wm.Kind, Payload: wm.Payload, Size: wm.Size})
 		case frameBin:
 			msg, err := decodeBinFrame(body[1:], e.addr)
 			if err != nil {
@@ -568,76 +602,35 @@ func readFrameBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// gobFits reports whether every message a gob stream's length prefixes
-// declare lies within b. The gob decoder allocates a message's declared
-// length, up to 10 MB, before reading it, so a frame's prefixes are
-// checked first.
-func gobFits(b []byte) bool {
-	for len(b) > 0 {
-		n := uint64(b[0])
-		b = b[1:]
-		if n >= 0x80 {
-			// A byte count, negated: the length follows big-endian.
-			w := 0x100 - int(n)
-			if w > 8 || w > len(b) {
-				return false
-			}
-			n = 0
-			for _, c := range b[:w] {
-				n = n<<8 | uint64(c)
-			}
-			b = b[w:]
-		}
-		if n > uint64(len(b)) {
-			return false
-		}
-		b = b[n:]
-	}
-	return true
+// frameHead is a binary frame's header: the Message fields and the tag
+// naming the payload's decoder.
+type frameHead struct {
+	From, Kind string
+	Size       int64
+	Tag        string
 }
 
-func appendLPString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readLPString(data []byte) (string, int, error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < l {
-		return "", 0, fmt.Errorf("transport: truncated string in frame")
-	}
-	return string(data[n : n+int(l)]), n + int(l), nil
+func walkHead(f *kv.Fields, h *frameHead) {
+	f.String(&h.From, &h.Kind)
+	f.Varint(&h.Size)
+	f.String(&h.Tag)
 }
 
 func decodeBinFrame(body []byte, to string) (Message, error) {
-	from, n, err := readLPString(body)
-	if err != nil {
-		return Message{}, err
+	var h frameHead
+	f := kv.DecodeFields(body)
+	if walkHead(&f, &h); f.Err() != nil {
+		return Message{}, f.Err()
 	}
-	kind, m, err := readLPString(body[n:])
-	if err != nil {
-		return Message{}, err
-	}
-	n += m
-	size, m := binary.Varint(body[n:])
-	if m <= 0 {
-		return Message{}, fmt.Errorf("transport: truncated size in frame")
-	}
-	n += m
-	tag, m, err := readLPString(body[n:])
-	if err != nil {
-		return Message{}, err
-	}
-	n += m
-	fn, ok := wireUnmarshalers.Load(tag)
+	fn, ok := decoders.Load(h.Tag)
 	if !ok {
-		return Message{}, fmt.Errorf("transport: no wire unmarshaler for tag %q", tag)
+		return Message{}, fmt.Errorf("transport: no decoder for tag %q", h.Tag)
 	}
-	payload, err := fn.(func([]byte) (any, error))(body[n:])
+	payload, err := fn.(func([]byte) (any, error))(f.Bytes())
 	if err != nil {
-		return Message{}, fmt.Errorf("transport: decode %q payload: %w", tag, err)
+		return Message{}, fmt.Errorf("transport: decode %q payload: %w", h.Tag, err)
 	}
-	return Message{From: from, To: to, Kind: kind, Payload: payload, Size: size}, nil
+	return Message{From: h.From, To: to, Kind: h.Kind, Payload: payload, Size: h.Size}, nil
 }
 
 func (e *tcpEndpoint) Addr() string { return e.addr }
@@ -681,8 +674,8 @@ func (e *tcpEndpoint) sendOnce(to string, msg Message) error {
 	}
 	frame, err := conn.buildFrame(e.addr, msg)
 	if err != nil {
-		// Encoding failure (a refused record, a type gob does not know)
-		// is the caller's problem, not the connection's.
+		// Encoding failure (a refused record, a payload with no codec) is
+		// the caller's problem, not the connection's.
 		return fmt.Errorf("transport: encode %s->%s: %w", e.addr, to, err)
 	}
 	if _, err := conn.bw.Write(frame); err != nil {
@@ -708,37 +701,36 @@ func (e *tcpEndpoint) sendOnce(to string, msg Message) error {
 }
 
 // buildFrame encodes msg into conn's reusable scratch buffer, returning
-// the complete frame (length prefix included). Payloads implementing
-// WireMarshaler get the binary frame, or ErrUnencodable if they refuse;
-// everything else gets the stateless gob frame.
+// the complete frame (length prefix included), or an error wrapping
+// ErrUnencodable when its payload cannot be encoded.
 func (conn *tcpConn) buildFrame(from string, msg Message) ([]byte, error) {
-	buf := append(conn.buf[:0], 0, 0, 0, 0)
-	if wm, ok := msg.Payload.(WireMarshaler); ok {
-		buf = append(buf, frameBin)
-		buf = appendLPString(buf, from)
-		buf = appendLPString(buf, msg.Kind)
-		buf = binary.AppendVarint(buf, msg.Size)
-		buf = appendLPString(buf, wm.WireTag())
-		out, ok := wm.AppendWire(buf)
-		conn.buf = out
-		if !ok {
-			return nil, fmt.Errorf("%w: %s payload refused", ErrUnencodable, wm.WireTag())
-		}
-		binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-		return out, nil
+	h := frameHead{From: from, Kind: msg.Kind, Size: msg.Size}
+	m, ok := marshaled, true
+	if wm, marshals := msg.Payload.(WireMarshaler); marshals {
+		h.Tag = wm.WireTag()
+	} else if m, ok = messages.Load(reflect.TypeOf(msg.Payload)); ok {
+		h.Tag = m.(message).tag
+	} else {
+		return nil, fmt.Errorf("%w: %T is not a registered message", ErrUnencodable, msg.Payload)
 	}
-	buf = append(buf, frameGob)
-	conn.gobBuf.Reset()
-	wm := wireMessage{From: from, Kind: msg.Kind, Payload: msg.Payload, Size: msg.Size}
-	if err := gob.NewEncoder(&conn.gobBuf).Encode(&wm); err != nil {
-		conn.buf = buf
-		return nil, err
+	f := kv.EncodeFields(append(conn.buf[:0], 0, 0, 0, 0, frameBin))
+	walkHead(&f, &h)
+	_, out, err := m.(message).codec(f.Bytes(), msg.Payload)
+	conn.buf = out
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s payload: %v", ErrUnencodable, h.Tag, err)
 	}
-	buf = append(buf, conn.gobBuf.Bytes()...)
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-	conn.buf = buf
-	return buf, nil
+	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+	return out, nil
 }
+
+// marshaled is the codec of every WireMarshaler: its own AppendWire.
+var marshaled any = message{codec: func(buf []byte, v any) (any, []byte, error) {
+	if out, ok := v.(WireMarshaler).AppendWire(buf); ok {
+		return nil, out, nil
+	}
+	return nil, buf, errors.New("refused")
+}}
 
 // resolve maps a logical peer address to its TCP listen address: the
 // in-process endpoint table first, then the configured resolver.

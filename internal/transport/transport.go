@@ -6,8 +6,9 @@
 //     queues. Fast path for tests, examples and benchmarks.
 //   - TCPNetwork: real sockets with one persistent connection per
 //     (sender, receiver) pair — the mechanism iMapReduce uses for its
-//     reduce→map state channels (paper §3.2.1). Records travel in the
-//     kv codec, control messages in gob.
+//     reduce→map state channels (paper §3.2.1). Every message is one
+//     binary frame: records travel in the kv codec, control messages
+//     as the kv.Fields walk registered for their type (RegisterMessage).
 //
 // Senders never block: every endpoint owns an unbounded inbox, so
 // cyclic flows (map→reduce shuffle concurrent with reduce→map state

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"imapreduce/internal/kv"
 )
 
 type payload struct {
@@ -12,7 +14,9 @@ type payload struct {
 	Vs []float64
 }
 
-func init() { RegisterMessage(payload{}) }
+func init() {
+	RegisterMessage("test.payload", func(f *kv.Fields, p *payload) { f.Int(&p.N); f.F64s(&p.Vs) })
+}
 
 // networks returns both backends so every behavioural test runs against
 // each.

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"imapreduce/internal/kv"
 )
 
 // binPayload is a WireMarshaler test type; Refuse makes the marshaler
@@ -28,14 +30,14 @@ func (p binPayload) AppendWire(buf []byte) ([]byte, bool) {
 	return append(buf, p.B...), true
 }
 
-// gobOnlyPayload has no WireMarshaler implementation: a control message.
-type gobOnlyPayload struct {
+// ctlPayload has no WireMarshaler implementation: a control message.
+type ctlPayload struct {
 	N int
 	S []string
 }
 
 func init() {
-	RegisterMessage(gobOnlyPayload{})
+	RegisterMessage("test.ctl", func(f *kv.Fields, p *ctlPayload) { f.Int(&p.N); f.Strings(&p.S) })
 	RegisterWireUnmarshaler("test.bin", func(data []byte) (any, error) {
 		a, n := binary.Varint(data)
 		if n <= 0 {
@@ -64,12 +66,13 @@ func recvWire(t *testing.T, ep Endpoint) Message {
 	return Message{}
 }
 
-// TestTCPBinaryAndGobFrames sends, over one connection: a binary-framed
-// payload, a marshaler that refuses, and a control message with no
-// marshaler. The refusal fails its first Send with ErrUnencodable, is
-// not retried and sends nothing; the other two arrive intact and in
-// order on the same connection.
-func TestTCPBinaryAndGobFrames(t *testing.T) {
+// TestTCPBinaryFrames sends, over one connection: a binary-framed
+// payload, a marshaler that refuses, a payload of no registered type, a
+// control message, a string and a nil payload. The refusal and the
+// unregistered type fail their first Send with ErrUnencodable, are not
+// retried and send nothing; the others arrive intact and in order on the
+// same connection.
+func TestTCPBinaryFrames(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
 	a, err := n.Endpoint("a")
@@ -82,17 +85,26 @@ func TestTCPBinaryAndGobFrames(t *testing.T) {
 	}
 	sent := []Message{
 		{Kind: "k1", Payload: binPayload{A: -42, B: "fast path"}, Size: 10},
-		{Kind: "k3", Payload: gobOnlyPayload{N: 3, S: []string{"x", "y"}}, Size: 30},
+		{Kind: "k3", Payload: ctlPayload{N: 3, S: []string{"x", "y"}}, Size: 30},
+		{Kind: "k4", Payload: "ping", Size: 4},
+		{Kind: "k5"},
 	}
 	if err := a.Send("b", sent[0]); err != nil {
 		t.Fatal(err)
 	}
-	refused := Message{Kind: "k2", Payload: binPayload{A: 7, B: "refused", Refuse: true}, Size: 20}
-	if attempts, err := ReliableSend(a, "b", refused, 3, time.Millisecond); attempts != 1 || !errors.Is(err, ErrUnencodable) {
-		t.Fatalf("refused payload: %d attempts, err %v; want 1 attempt and ErrUnencodable", attempts, err)
+	type stranger struct{ X int }
+	for _, refused := range []Message{
+		{Kind: "k2", Payload: binPayload{A: 7, B: "refused", Refuse: true}, Size: 20},
+		{Kind: "k2", Payload: stranger{1}},
+	} {
+		if attempts, err := ReliableSend(a, "b", refused, 3, time.Millisecond); attempts != 1 || !errors.Is(err, ErrUnencodable) {
+			t.Fatalf("%T: %d attempts, err %v; want 1 attempt and ErrUnencodable", refused.Payload, attempts, err)
+		}
 	}
-	if err := a.Send("b", sent[1]); err != nil {
-		t.Fatal(err)
+	for _, m := range sent[1:] {
+		if err := a.Send("b", m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, want := range sent {
 		got := recvWire(t, b)
@@ -103,7 +115,7 @@ func TestTCPBinaryAndGobFrames(t *testing.T) {
 			t.Fatalf("message %d payload: got %#v want %#v", i, got.Payload, want.Payload)
 		}
 	}
-	if n.Messages() != 2 {
+	if n.Messages() != int64(len(sent)) {
 		t.Fatalf("message count %d", n.Messages())
 	}
 	if n.Dials() != 1 {
@@ -113,7 +125,7 @@ func TestTCPBinaryAndGobFrames(t *testing.T) {
 
 // TestTCPCoalescedBytesAccounted: BytesSent must converge to the full
 // framed byte count once the flusher drains, and binary frames must cost
-// what they encode, not gob's per-frame type descriptors.
+// what they encode.
 func TestTCPCoalescedBytesAccounted(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
@@ -136,9 +148,8 @@ func TestTCPCoalescedBytesAccounted(t *testing.T) {
 	if got == 0 {
 		t.Fatal("no bytes accounted after flush")
 	}
-	// Hello frame + 64 binary frames of ~30 bytes each; gob frames of the
-	// same messages would cost several times that.
+	// Hello frame + 64 binary frames of ~30 bytes each.
 	if got > int64(sends*80) {
-		t.Fatalf("binary frames cost %d bytes for %d sends — gob framing suspected", got, sends)
+		t.Fatalf("binary frames cost %d bytes for %d sends", got, sends)
 	}
 }
